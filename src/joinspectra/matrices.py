@@ -3,8 +3,9 @@
 The characteristic polynomial and adjugate come from a single
 Faddeev-LeVerrier pass run on a denominator-cleared integer copy (see
 `_backend`), so both are exact.  Determinants of polynomial and
-rational-function matrices use fraction-free Bareiss elimination after
-clearing each row's denominators.
+rational-function matrices clear each row's denominators, evaluate the
+integer determinant (fraction-free Bareiss) at B + 1 integer points, B the
+sum of the row degrees, and interpolate exactly in the integers.
 """
 
 from __future__ import annotations
@@ -199,36 +200,96 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
     return adj[0] * (Fraction(-1) / c0) if adj else RationalMatrix.identity(0)
 
 
+def _int_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss."""
+    k = len(m)
+    m = [list(r) for r in m]
+    sign = 1
+    prev = 1
+    for col in range(k - 1):
+        piv = next((r for r in range(col, k) if m[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[piv], m[col] = m[col], m[piv]
+            sign = -sign
+        top = m[col]
+        p = top[col]
+        for i in range(col + 1, k):
+            row = m[i]
+            a = row[col]
+            m[i] = [0] * (col + 1) + [(p * row[j] - a * top[j]) // prev for j in range(col + 1, k)]
+        prev = p
+    return sign * m[k - 1][k - 1]
+
+
 def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix by fraction-free Bareiss."""
+    """Determinant of a square polynomial matrix by evaluation-interpolation.
+
+    Each row is scaled to integer coefficients by the lcm of its
+    denominators.  The determinant then has integer coefficients and degree
+    at most B, the sum of the row degrees, so its integer values at
+    x = 0, 1, ..., B fix it.  The Newton forward-difference form rebuilds it
+    exactly in the integers: Delta^j y_0 / j! is the coefficient of the
+    falling factorial x(x-1)...(x-j+1), an integer for an integer
+    polynomial.  A non-integer quotient can only mean a wrong value, so it
+    raises ArithmeticError.  The product of the row scales divides back out.
+    """
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ShapeError("polynomial matrix must be square")
     if k == 0:
         return Polynomial.one()
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = Polynomial.one()
-    for col in range(k - 1):
-        piv = next((r for r in range(col, k) if not m[r][col].is_zero), None)
-        if piv is None:
+    int_rows: list[list[tuple[int, ...]]] = []
+    scale = 1
+    bound = 0
+    for r in rows:
+        den = 1
+        for entry in r:
+            for c in entry.coeffs:
+                den = den * c.denominator // math.gcd(den, c.denominator)
+        degree = max(len(entry.coeffs) for entry in r) - 1
+        if degree < 0:
             return Polynomial()
-        if piv != col:
-            m[piv], m[col] = m[col], m[piv]
-            sign = -sign
-        for i in range(col + 1, k):
-            for j in range(col + 1, k):
-                m[i][j] = (m[col][col] * m[i][j] - m[i][col] * m[col][j]).exact_div(prev)
-            m[i][col] = Polynomial()
-        prev = m[col][col]
-    return m[k - 1][k - 1] if sign == 1 else -m[k - 1][k - 1]
+        int_rows.append([tuple(c.numerator * (den // c.denominator) for c in entry.coeffs) for entry in r])
+        scale *= den
+        bound += degree
+
+    def at(coeffs: tuple[int, ...], x: int) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    diffs = [_int_det([[at(e, x) for e in r] for r in int_rows]) for x in range(bound + 1)]
+    # Turn diffs into the falling-factorial coefficients a_j = Delta^j y_0 / j!.
+    newton = []
+    fact = 1
+    for j in range(bound + 1):
+        if j:
+            fact *= j
+        a, rem = divmod(diffs[0], fact)
+        if rem:
+            raise ArithmeticError(f"interpolated determinant is not integral at difference order {j}")
+        newton.append(a)
+        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
+    # Horner in the Newton basis: p = a_0 + x(a_1 + (x - 1)(a_2 + ...)).
+    coeffs = [newton[bound]]
+    for j in range(bound - 1, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += newton[j]
+        coeffs = shifted
+    return Polynomial(Fraction(c, scale) for c in coeffs)
 
 
 def ratfun_det(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
     """Determinant of a square rational-function matrix.
 
-    Each row's denominators are cleared to reach a polynomial matrix, Bareiss
-    runs there, and the cleared factors divide back out of the result.
+    Each row's denominators are cleared to reach a polynomial matrix,
+    `poly_det` runs there, and the cleared factors divide back out of the
+    result.
     """
     k = len(rows)
     if any(len(r) != k for r in rows):

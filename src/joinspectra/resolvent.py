@@ -25,11 +25,16 @@ from .roots import real_roots
 
 @dataclass(frozen=True)
 class ResolventForm:
-    """A reduced resolvent quotient plus provenance needed for pole claims."""
+    """A reduced resolvent quotient plus provenance needed for pole claims.
+
+    charpoly is the unreduced denominator det(xI - M) of a form that
+    `resolvent_form` computed, and None on a form built any other way.
+    """
 
     func: RationalFunction
     dim: Optional[int]
     hermitian: bool
+    charpoly: Optional[Polynomial] = None
 
     @property
     def num(self) -> Polynomial:
@@ -65,6 +70,7 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
         func=RationalFunction(num, phi),
         dim=m.rows,
         hermitian=(vv == uu and m.is_symmetric()),
+        charpoly=phi,
     )
 
 

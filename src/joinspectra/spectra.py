@@ -92,8 +92,7 @@ class _BlockData:
 
 def _block_data(m: RationalMatrix, u: Vector, v: Vector) -> _BlockData:
     form = resolvent_form(m, u, v)
-    phi = charpoly(m)
-    return _BlockData(phi=phi, f=form.num, g=form.den, cofactor=phi.exact_div(form.den))
+    return _BlockData(phi=form.charpoly, f=form.num, g=form.den, cofactor=form.charpoly.exact_div(form.den))
 
 
 def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: RhoMatrix) -> Polynomial:
@@ -383,7 +382,7 @@ def lex_universal_charpoly(host: Graph, inner: Graph, params: UniversalParams) -
     ones = tuple(Fraction(1) for _ in range(inner.n))
     form = resolvent_form(u_inner, ones)
     f, g = form.num, form.den
-    cof = charpoly(u_inner).exact_div(g)
+    cof = form.charpoly.exact_div(g)
     coupling = RationalMatrix(
         k,
         k,
@@ -421,8 +420,7 @@ def corona_charpoly(host: Graph, family: Sequence[Graph]) -> Polynomial:
     for g in family:
         ones = tuple(Fraction(1) for _ in range(g.n))
         form = resolvent_form(g.adjacency(), ones)
-        phi = charpoly(g.adjacency())
-        data.append((form.num, form.den, phi.exact_div(form.den)))
+        data.append((form.num, form.den, form.charpoly.exact_div(form.den)))
     x = Polynomial.x()
     rows = [
         [x * data[i][1] - data[i][0] if i == j else (-rho[i][j]) * data[i][1] for j in range(k)]

@@ -153,6 +153,52 @@ def test_poly_det_vs_cofactor():
         ]
         assert poly_det(rows) == cofactor_det(rows)
 
+    def rand_poly(max_len: int, den: int = 1) -> Polynomial:
+        return Polynomial([Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(rng.randint(0, max_len))])
+
+    def rand_rows(k: int, max_len: int = 3) -> list[list[Polynomial]]:
+        # every row draws from its own denominators
+        return [[rand_poly(max_len, rng.choice((1, 2, 6, 35))) for _ in range(k)] for _ in range(k)]
+
+    cases = [rand_rows(rng.randint(1, 6)) for _ in range(12)]
+    for k in (2, 4, 6):
+        zero_row = rand_rows(k)
+        zero_row[rng.randrange(k)] = [Polynomial()] * k
+        cases.append(zero_row)
+        zero_pivot = rand_rows(k)
+        zero_pivot[0][0] = Polynomial()
+        cases.append(zero_pivot)
+        cases.append(rand_rows(k, max_len=1))  # constant matrix: degree bound 0
+    for rows in cases:
+        assert poly_det(rows) == cofactor_det(rows)
+
+    # the second row repeats the first up to constants, so the determinant
+    # cancels below the row-degree bound
+    for k in (2, 3, 5):
+        rows = rand_rows(k)
+        rows[0] = [X**2 + p for p in rows[0]]
+        rows[1] = [rows[0][j] + Fraction(rng.randint(-3, 3), 2) for j in range(k)]
+        want = cofactor_det(rows)
+        assert want.degree < sum(max(p.degree for p in r) for r in rows)
+        assert poly_det(rows) == want
+
+
+def test_poly_det_rejects_a_wrong_value(monkeypatch):
+    import joinspectra.matrices as matrices
+
+    exact = matrices._int_det
+    calls = []
+
+    def off_by_one_at_two(m):
+        calls.append(m)
+        return exact(m) + (1 if len(calls) == 3 else 0)
+
+    monkeypatch.setattr(matrices, "_int_det", off_by_one_at_two)
+    rows = [[X**2 + 1, X], [X, X**2 - 3]]
+    with pytest.raises(ArithmeticError):
+        poly_det(rows)
+    assert len(calls) == 5  # one value per point x = 0..4
+
 
 def test_poly_det_needs_pivot_search():
     # leading zero pivot forces a row swap (sign flip)

@@ -42,6 +42,7 @@ from joinspectra.fixtures import (
 )
 from joinspectra.matrices import RationalMatrix, charpoly, poly_det
 from joinspectra.polynomials import Polynomial
+from joinspectra.spectra import universal_blocks
 from joinspectra.verification import (
     random_coupled_blocks,
     random_graph,
@@ -146,8 +147,12 @@ def test_eigenvector_coupling_reduces_to_small_determinant():
 
 def test_oracle_equivalence_random():
     rng = random.Random(43)
-    for _ in range(50):
-        cb = random_coupled_blocks(rng)
+    cases = [random_coupled_blocks(rng) for _ in range(50)]
+    # 16 universal-Laplacian blocks: a 16 x 16 coupling determinant, the largest any test reaches
+    big = random.Random(53)
+    comps = tuple(random_graph(big, big.randint(2, 4)) for _ in range(16))
+    cases.append(universal_blocks(JoinSpec(random_graph(big, 16), comps, universal=UniversalParams.laplacian())))
+    for cb in cases:
         assert compare(coupled_charpoly(cb), oracle_charpoly(assemble(cb))).equal
 
 
