@@ -1,29 +1,5 @@
-"""Build the optional compiled kernel.
+"""Setuptools entry point; the package is pure Python and all metadata is in pyproject.toml."""
 
-The package is pure Python except for `joinspectra._kernels`, a Cython twin
-of `joinspectra._kernels_py`.  If Cython (or a C compiler) is unavailable the
-install still succeeds and the package falls back to the pure implementation
-at import time.  Set JOINSPECTRA_NO_EXT=1 to skip the extension entirely.
-"""
+from setuptools import setup
 
-import os
-
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("JOINSPECTRA_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("joinspectra._kernels", ["src/joinspectra/_kernels.pyx"])],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-            },
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

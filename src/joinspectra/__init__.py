@@ -7,7 +7,6 @@ through block resolvent forms, and every route can be checked
 coefficient-for-coefficient against a brute-force dense construction.
 """
 
-from ._backend import BACKEND as KERNEL_BACKEND
 from .errors import DomainError, PreconditionError, ShapeError, SpecError
 from .graphs import Graph, VertexSubset, load_graph
 from .joins import (
@@ -26,12 +25,11 @@ from .joins import (
     load_join_spec,
     universal_matrix,
 )
+from .kernel import BACKEND as KERNEL_BACKEND
 from .matrices import (
     RationalMatrix,
     charpoly,
-    charpoly_and_adjugate,
     determinant,
-    inverse,
     poly_det,
     ratfun_det,
 )
@@ -86,9 +84,7 @@ __all__ = [
     "universal_matrix",
     "RationalMatrix",
     "charpoly",
-    "charpoly_and_adjugate",
     "determinant",
-    "inverse",
     "poly_det",
     "ratfun_det",
     "AssembledMatrix",

@@ -12,10 +12,10 @@ import json
 import sys
 from fractions import Fraction
 
-from ._backend import BACKEND
 from .errors import DomainError, PreconditionError, SpecError
 from .fixtures import run_fixture_checks
 from .joins import JoinSpec, UniversalParams, generalized_corona, lexicographic, universal_matrix
+from .kernel import BACKEND
 from .oracle import compare, oracle_charpoly
 from .polynomials import Polynomial, square_free_decomposition
 from .spectra import (

@@ -1,0 +1,178 @@
+"""Exact characteristic polynomials of integer matrices, by multimodular Hessenberg.
+
+det(xI - A) is computed modulo the primes just below 2**62: A is reduced to
+upper Hessenberg form by a similarity mod p (Gaussian elimination below the
+subdiagonal, swapping a row and the matching column whenever a pivot
+vanishes mod p, arranged so that every entry is one dot product), and the
+Hessenberg recurrence then gives the charpoly mod p (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9).  Both steps take
+O(n^3) operations on numbers below p.
+
+The residues are combined by the Chinese remainder theorem, read as
+symmetric residues, once the product of the primes exceeds 2B (Dumas,
+Pernet and Wan, ISSAC 2005).  B bounds every coefficient: the coefficient
+of x^(n-k) is, up to sign, the sum of the C(n, k) principal k x k minors,
+and by Hadamard's inequality each minor is at most the product of the k
+largest row 2-norms of A.  The bound is proven, so the number of primes
+never depends on residues happening to agree.
+"""
+
+from __future__ import annotations
+
+import math
+from operator import mul
+
+# The one kernel implementation, pure Python; exported as
+# joinspectra.KERNEL_BACKEND and printed by `joinspectra verify`.
+BACKEND = "python"
+
+# Deterministic Miller-Rabin bases: exact for every n below 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_primes: tuple[int, ...] = ()
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2**62.
+
+    The tuple of primes found so far only ever grows by replacement, and
+    every thread computes the same sequence, so a race costs recomputation,
+    never a wrong prime.
+    """
+    global _primes
+    found = _primes
+    if len(found) <= i:
+        more = list(found)
+        c = more[-1] - 2 if more else (1 << 62) - 1
+        while len(more) <= i:
+            if _is_prime(c):
+                more.append(c)
+            c -= 2
+        found = _primes = tuple(more)
+    return found[i]
+
+
+def _ceil_sqrt(s: int) -> int:
+    r = math.isqrt(s)
+    return r if r * r == s else r + 1
+
+
+def coeff_bound(a: list[int], n: int) -> int:
+    """max_k C(n, k) * (product of the k largest row 2-norms, rounded up)."""
+    norms = sorted((_ceil_sqrt(sum(x * x for x in a[i * n : (i + 1) * n])) for i in range(n)), reverse=True)
+    best = prod = 1
+    for k, r in enumerate(norms, 1):
+        prod *= r
+        best = max(best, math.comb(n, k) * prod)
+    return best
+
+
+def _charpoly_mod(a: list[int], n: int, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - A) mod p, each in [0, p)."""
+    h = _hessenberg_mod(a, n, p)  # h[j][i] = H[i][j]
+    # Hessenberg recurrence: P_0 = 1 and P_{m+1} = x P_m - sum_{i<=m} c_i P_i with
+    # c_i = H[i][m] H[i+1][i] ... H[m][m-1].  q[k] lists coefficient k of
+    # P_k, P_{k+1}, ..., so each new coefficient is one dot product.
+    q = [[1]]
+    for m in range(n):
+        col = h[m]
+        c = [col[m]]  # c_m, c_{m-1}, ..., down to the first zero product
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i][i + 1] % p
+            if not t:
+                break
+            c.append(t * col[i] % p)
+        below = 0
+        for qk in q:
+            v = (below - sum(map(mul, c, reversed(qk)))) % p
+            below = qk[-1]
+            qk.append(v)
+        q.append([1])
+    return [qk[-1] for qk in q]
+
+
+def _hessenberg_mod(a: list[int], n: int, p: int) -> list[list[int]]:
+    """Columns of an upper Hessenberg matrix similar to A mod p.
+
+    Wilkinson's direct reduction (*The Algebraic Eigenvalue Problem*, 1965,
+    ch. 6): A N = N H with N unit lower triangular and N e_0 = e_0.  Column
+    r of that equation gives column r of H and column r + 1 of N by forward
+    substitution, every entry as one dot product reduced once mod p.  When
+    the subdiagonal entry vanishes mod p, index r + 1 is swapped with a later
+    index whose entry does not (a row and column swap of A).  Column r of the
+    result holds H[0..r+1][r] (H[0..r][r] for the last column).
+    """
+    # rows of A reversed, so that a row's tail A[i][r:] is a prefix and
+    # map() truncates a dot product to it without slicing
+    arev = [a[i * n : (i + 1) * n][::-1] for i in range(n)]
+    nrows: list[list[int]] = [[] for _ in range(n)]  # N[i][1..], columns found so far
+    ncol = [0] * (n - 1) + [1]  # N[n-1][r], ..., N[r][r], for r = 0
+    cols = []
+    for r in range(n):
+        w = [sum(map(mul, row, ncol)) for row in arev]  # A N[:, r]
+        h: list[int] = []  # H[1..r][r]
+        for i in range(1, r + 1):
+            h.append((w[i] - sum(map(mul, nrows[i], h))) % p)
+        z = [(w[i] - sum(map(mul, nrows[i], h))) % p for i in range(r + 1, n)]
+        h.insert(0, w[0] % p)
+        if z:
+            if not z[0]:
+                piv = next((j for j, v in enumerate(z) if v), 0)
+                if piv:
+                    s, t = r + 1, r + 1 + piv
+                    z[0], z[piv] = z[piv], z[0]
+                    nrows[s], nrows[t] = nrows[t], nrows[s]
+                    arev[s], arev[t] = arev[t], arev[s]
+                    for row in arev:
+                        row[n - 1 - s], row[n - 1 - t] = row[n - 1 - t], row[n - 1 - s]
+            h.append(z[0])
+            inv = pow(z[0], -1, p) if z[0] and len(z) > 1 else 0
+            ncol = [v * inv % p for v in z[1:]]
+            for i, v in enumerate(ncol, r + 2):
+                nrows[i].append(v)
+            ncol.reverse()
+            ncol.append(1)
+        cols.append(h)
+    return cols
+
+
+def charpoly_int(a: list[int], n: int) -> list[int]:
+    """Ascending integer coefficients of det(xI - A), A row-major n x n."""
+    if n == 0:
+        return [1]
+    bound2 = 2 * coeff_bound(a, n)
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    i = 0
+    while modulus <= bound2:
+        p = prime(i)
+        i += 1
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, _charpoly_mod(a, n, p))]
+        modulus *= p
+    half = modulus >> 1
+    return [c - modulus if c > half else c for c in coeffs]

@@ -1,8 +1,8 @@
 """Exact dense rational matrices and determinant/characteristic-polynomial ops.
 
-The characteristic polynomial and adjugate come from a single
-Faddeev-LeVerrier pass run on a denominator-cleared integer copy (see
-`_backend`), so both are exact.  Determinants of polynomial and
+A characteristic polynomial clears the matrix's denominators and hands the
+integer matrix to `kernel.charpoly_int`, the multimodular Hessenberg kernel
+that every route uses, so it is exact.  Determinants of polynomial and
 rational-function matrices clear each row's denominators, evaluate the
 integer determinant (fraction-free Bareiss) at B + 1 integer points, B the
 sum of the row degrees, and interpolate exactly in the integers.
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from ._backend import charpoly_adjugate_int, charpoly_int
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
+from .kernel import charpoly_int
 from .polynomials import Polynomial, RationalFunction, as_fraction, poly_lcm
 
 Vector = tuple[Fraction, ...]
@@ -149,55 +149,65 @@ class RationalMatrix:
         return f"RationalMatrix.from_rows({[[str(x) for x in self.row(i)] for i in range(self.rows)]})"
 
 
-def _cleared_int_entries(m: RationalMatrix) -> tuple[list[int], int]:
+def _den_lcm(xs: Iterable[Fraction]) -> int:
     d = 1
-    for e in m.entries:
-        d = d * e.denominator // math.gcd(d, e.denominator)
-    return [int(e * d) for e in m.entries], d
+    for x in xs:
+        d = d * x.denominator // math.gcd(d, x.denominator)
+    return d
 
 
-def charpoly_and_adjugate(m: RationalMatrix) -> tuple[Polynomial, tuple[RationalMatrix, ...]]:
-    """Exact det(xI - M) plus the adjugate coefficient matrices.
+def cleared_int_entries(m: RationalMatrix) -> tuple[list[int], int]:
+    """(d * M as row-major ints, d), d the lcm of the entries' denominators."""
+    d = _den_lcm(m.entries)
+    return [e.numerator * (d // e.denominator) for e in m.entries], d
 
-    The second return B satisfies, as a polynomial identity,
-    (xI - M) @ sum_j x^j B[j] == det(xI - M) * I, with len(B) == M.rows.
+
+def _descale(coeffs: list[int], d: int) -> Polynomial:
+    # det(xI - dM) = d^n det(x/d I - M): the coefficient of x^j divides by d^(n - j)
+    n = len(coeffs) - 1
+    return Polynomial(Fraction(coeffs[j], d ** (n - j)) for j in range(n + 1))
+
+
+def charpoly_with(kernel: Callable[[list[int], int], list[int]], m: RationalMatrix) -> Polynomial:
+    """Exact det(xI - M) from an integer charpoly kernel run on d * M."""
+    if not m.is_square:
+        raise ShapeError("characteristic polynomial of a non-square matrix")
+    ints, d = cleared_int_entries(m)
+    return _descale(kernel(ints, m.rows), d)
+
+
+def charpoly(m: RationalMatrix) -> Polynomial:
+    """Exact det(xI - M) by the multimodular Hessenberg kernel."""
+    return charpoly_with(charpoly_int, m)
+
+
+def charpoly_and_update(m: RationalMatrix, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Polynomial, Polynomial]:
+    """Exact det(xI - M) and det(xI - M - u v^T).
+
+    The rank-one update is formed on integers: with D (`common`) the lcm of
+    M's denominators and of du * dv, where du and dv clear the denominators
+    of u and v, D * M and D * u v^T are both integer matrices.
     """
     if not m.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    ints, d = _cleared_int_entries(m)
-    coeffs, mats = charpoly_adjugate_int(ints, n)
-    phi = Polynomial(Fraction(coeffs[j], d ** (n - j)) for j in range(n + 1))
-    adj = tuple(
-        RationalMatrix(n, n, [Fraction(e, d ** (n - 1 - j)) for e in mats[j]])
-        for j in range(n)
-    )
-    return phi, adj
-
-
-def charpoly(m: RationalMatrix) -> Polynomial:
-    """Exact det(xI - M) without materializing the adjugate."""
-    if not m.is_square:
-        raise ShapeError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    ints, d = _cleared_int_entries(m)
-    coeffs = charpoly_int(ints, n)
-    return Polynomial(Fraction(coeffs[j], d ** (n - j)) for j in range(n + 1))
+    if len(u) != n or len(v) != n:
+        raise ShapeError(f"vector length must be {n}")
+    ints, d = cleared_int_entries(m)
+    du, dv = _den_lcm(u), _den_lcm(v)
+    common = d * du * dv // math.gcd(d, du * dv)
+    if common != d:
+        ints = [x * (common // d) for x in ints]
+    uu = [x.numerator * (du // x.denominator) for x in u]
+    vv = [x.numerator * (common // (du * x.denominator)) for x in v]
+    updated = [ints[i * n + j] + ui * vj for i, ui in enumerate(uu) for j, vj in enumerate(vv)]
+    return _descale(charpoly_int(ints, n), common), _descale(charpoly_int(updated, n), common)
 
 
 def determinant(m: RationalMatrix) -> Fraction:
     """det(M), read off the constant coefficient of det(xI - M)."""
     phi = charpoly(m)
     return phi[0] if m.rows % 2 == 0 else -phi[0]
-
-
-def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse via the adjugate at x = 0: M^-1 = -B0 / phi(0)."""
-    phi, adj = charpoly_and_adjugate(m)
-    c0 = phi[0]
-    if c0 == 0:
-        raise DomainError("matrix is singular")
-    return adj[0] * (Fraction(-1) / c0) if adj else RationalMatrix.identity(0)
 
 
 def _int_det(m: list[list[int]]) -> int:

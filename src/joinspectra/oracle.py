@@ -4,6 +4,10 @@ The glued matrix is assembled literally from its block description, its
 characteristic polynomial computed densely and exactly, and numeric spectra
 come from a residual-checked symmetric eigensolver.  Comparisons against the
 formula routes are coefficient-for-coefficient.
+
+The oracle's charpoly runs its own Faddeev-LeVerrier kernel, never the
+Hessenberg kernel the routes use, so a fault in either kernel shows up as a
+mismatch instead of being reproduced on both sides.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .joins import JoinSpec, effective_rho, join_weights, universal_matrix
-from .matrices import RationalMatrix, charpoly
+from .matrices import RationalMatrix, charpoly_with
 from .polynomials import Polynomial
 from .spectra import CoupledBlocks
 
@@ -110,17 +114,51 @@ def assemble_universal(spec: JoinSpec) -> AssembledMatrix:
     return AssembledMatrix(RationalMatrix(n, n, flat), tuple(offs), "universal-join-blocks")
 
 
+def faddeev_leverrier(a: list[int], n: int) -> list[int]:
+    """Ascending coefficients of det(xI - A) for an integer matrix A, in O(n^4).
+
+    With B0 = I and, for k = 1..n,
+
+        Mk = A @ B(k-1),   c[n-k] = -trace(Mk) / k,   Bk = Mk + c[n-k] * I,
+
+    c collects the coefficients of det(xI - A); every division is exact.
+    """
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    b = [0] * (n * n)
+    for i in range(n):
+        b[i * n + i] = 1
+    for k in range(1, n + 1):
+        m = [0] * (n * n)
+        for i in range(n):
+            bi = i * n
+            for j in range(n):
+                s = 0
+                for l in range(n):
+                    s += a[bi + l] * b[l * n + j]
+                m[bi + j] = s
+        tr = 0
+        for i in range(n):
+            tr += m[i * n + i]
+        c = -tr // k
+        coeffs[n - k] = c
+        b = m
+        for i in range(n):
+            b[i * n + i] += c
+    return coeffs
+
+
 def _matrix_of(am) -> RationalMatrix:
     return am.matrix if isinstance(am, AssembledMatrix) else am
 
 
 def oracle_charpoly(am: AssembledMatrix | RationalMatrix) -> Polynomial:
-    """Exact dense characteristic polynomial (guarded by the dimension cap)."""
+    """Exact dense characteristic polynomial by Faddeev-LeVerrier (guarded by the dimension cap)."""
     m = _matrix_of(am)
     cap = oracle_cap()
     if m.rows > cap:
         raise DomainError(f"oracle dimension {m.rows} exceeds cap {cap} (set {ORACLE_CAP_ENV} to raise it)")
-    return charpoly(m)
+    return charpoly_with(faddeev_leverrier, m)
 
 
 def oracle_spectrum(am: AssembledMatrix | RationalMatrix, tol: float = 1e-8) -> list[float]:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
+from .kernel import prime
 
 NEG_INF = float("-inf")
 
@@ -306,8 +307,40 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _strip_mod(ints: list[int], q: int) -> list[int]:
+    out = [c % q for c in ints]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _coprime_mod(a: list[int], b: list[int], q: int) -> bool:
+    """Whether Euclid's algorithm over Z/q ends a and b at a nonzero constant."""
+    a = _strip_mod(a, q)
+    b = _strip_mod(b, q)
+    while b:
+        inv = pow(b[-1], -1, q)
+        db = len(b) - 1
+        while len(a) > db:
+            t = a.pop() * inv % q
+            off = len(a) - db
+            if t:
+                a[off:] = [(x - t * y) % q for x, y in zip(a[off:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via a primitive pseudo-remainder sequence (exact, no blowup)."""
+    """Monic gcd via a primitive pseudo-remainder sequence (exact, no blowup).
+
+    A coprimality certificate runs first.  With q a word prime not dividing
+    the leading coefficient of the longer primitive integer polynomial a,
+    the true gcd's leading coefficient divides lead(a), so the gcd keeps its
+    degree mod q and divides both polynomials mod q.  A constant gcd mod q
+    therefore proves a and b coprime; otherwise the sequence decides.
+    """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
@@ -316,6 +349,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     fb = _primitive(_integer_coeffs(b))
     if len(fa) < len(fb):
         fa, fb = fb, fa
+    q = prime(0)
+    if fa[-1] % q and _coprime_mod(fa, fb, q):
+        return Polynomial.one()
     while fb:
         fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
     return Polynomial(fa).monic()

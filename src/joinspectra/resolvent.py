@@ -1,5 +1,10 @@
 """Resolvent forms v^T (xI - M)^{-1} u as exact rational functions.
 
+A form needs only two characteristic polynomials.  By the matrix
+determinant lemma, det(xI - M - u v^T) = det(xI - M) (1 - v^T (xI - M)^{-1} u),
+so v^T (xI - M)^{-1} u = (phi_M - phi_{M + u v^T}) / phi_M, and the
+numerator is exactly v^T adj(xI - M) u.
+
 For a symmetric matrix with u = v the reduced denominator is the product of
 (x - mu) over exactly the eigenvalues mu whose eigenspace is not orthogonal
 to u -- the "main" eigenvalues seen from u -- each appearing once.  Poles of
@@ -12,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DomainError, PreconditionError, ShapeError
-from .matrices import RationalMatrix, as_vector, dot
+from .errors import DomainError, PreconditionError
+from .matrices import RationalMatrix, as_vector, charpoly_and_update
 from .polynomials import (
     Polynomial,
     RationalFunction,
@@ -51,21 +56,15 @@ class ResolventForm:
 
 
 def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) -> ResolventForm:
-    """Exact v^T (xI - M)^{-1} u, reduced.
+    """Exact v^T (xI - M)^{-1} u, reduced; v defaults to u.
 
-    Computed as (v^T adj(xI - M) u) / det(xI - M) from one
-    characteristic-polynomial pass; v defaults to u.
+    Computed as (phi_M - phi_{M + u v^T}) / phi_M from two
+    characteristic polynomials (see the module docstring).
     """
-    from .matrices import charpoly_and_adjugate
-
-    if not m.is_square:
-        raise ShapeError("resolvent of a non-square matrix")
     uu = as_vector(u)
     vv = uu if v is None else as_vector(v)
-    if len(uu) != m.rows or len(vv) != m.rows:
-        raise ShapeError(f"vector length must be {m.rows}")
-    phi, adj = charpoly_and_adjugate(m)
-    num = Polynomial(dot(vv, b.mat_vec(uu)) for b in adj)
+    phi, updated = charpoly_and_update(m, uu, vv)
+    num = phi - updated
     return ResolventForm(
         func=RationalFunction(num, phi),
         dim=m.rows,

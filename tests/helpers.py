@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from joinspectra import Graph, RationalMatrix
+from joinspectra import Graph, Polynomial, RationalMatrix
 from joinspectra.verification import random_fraction
 
 
@@ -53,6 +53,29 @@ def cofactor_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def adjugate_form(rows, u, v):
+    """Independent v^T adj(A) u by Cramer's rule: (adj(A) u)_j is det(A with
+    column j replaced by u), each determinant by `cofactor_det`.
+
+    Works over the same rings as `cofactor_det`; v^T A^-1 u is this over det(A).
+    """
+    total = 0
+    for j, vj in enumerate(v):
+        if vj:
+            replaced = [r[:j] + [ui] + r[j + 1 :] for r, ui in zip(rows, u)]
+            total = total + vj * cofactor_det(replaced)
+    return total
+
+
+def char_matrix(m: RationalMatrix) -> list:
+    """xI - M as rows of Polynomials."""
+    x = Polynomial.x()
+    return [
+        [(x if i == j else Polynomial()) - Polynomial.constant(m[i, j]) for j in range(m.cols)]
+        for i in range(m.rows)
+    ]
 
 
 def multisets_close(a, b, tol: float) -> bool:

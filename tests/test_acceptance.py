@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import multisets_close, outer, rand_int_matrix, rand_symmetric_matrix, rand_vector, regular_graph_menu
+from helpers import adjugate_form, char_matrix, multisets_close, outer, rand_int_matrix, rand_symmetric_matrix, rand_vector, regular_graph_menu
 from joinspectra import (
     Graph,
     JoinSpec,
@@ -28,14 +28,13 @@ from joinspectra import (
     hjoin_universal_spectrum,
     hjoin_universal_spectrum_alpha_delta_zero,
     hjoin_universal_spectrum_regular,
-    inverse,
     lex_universal_charpoly,
     oracle_charpoly,
     resolvent_form,
     universal_matrix,
 )
-from joinspectra.matrices import charpoly_and_adjugate, dot
-from joinspectra.polynomials import Polynomial, is_square_free
+from joinspectra.matrices import charpoly
+from joinspectra.polynomials import Polynomial, RationalFunction, is_square_free
 from joinspectra.fixtures import (
     mixed_join_charpoly_factors,
     mixed_join_resolvents,
@@ -196,7 +195,8 @@ def test_criterion_09_degree_shift_family():
 def test_criterion_10_property_suite():
     rng = random.Random(60)
 
-    # determinant update identity: det(A + u v^T) == (1 + v^T A^{-1} u) det A
+    # determinant update identity: det(A + u v^T) == (1 + v^T A^{-1} u) det A,
+    # with v^T A^{-1} u by Cramer's rule
     checked = 0
     while checked < 20:
         n = rng.randint(1, 5)
@@ -204,7 +204,7 @@ def test_criterion_10_property_suite():
         if determinant(a) == 0:
             continue
         u, v = rand_vector(rng, n), rand_vector(rng, n)
-        assert determinant(a + outer(u, v)) == (1 + dot(v, inverse(a).mat_vec(u))) * determinant(a)
+        assert determinant(a + outer(u, v)) == (1 + adjugate_form(a.to_lists(), u, v) / determinant(a)) * determinant(a)
         checked += 1
 
     # resolvent of a rank-one update: form / (1 + c * form)
@@ -218,18 +218,16 @@ def test_criterion_10_property_suite():
             continue
         assert resolvent_form(m - outer(u, v) * c, u, v).func == base / (1 + c * base)
 
-    # adjugate identity: (xI - M) B(x) == charpoly * I
+    # resolvent numerators against the adjugate: v^T adj(xI - M) u / charpoly,
+    # the adjugate applied by Cramer's rule, for every pair of unit vectors
     for _ in range(10):
         n = rng.randint(1, 5)
         m = rand_int_matrix(rng, n)
-        phi, adj = charpoly_and_adjugate(m)
-        bx = [[Polynomial([adj[p][i, j] for p in range(n)]) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = X * bx[i][j]
-                for l in range(n):
-                    acc -= Polynomial.constant(m[i, l]) * bx[l][j]
-                assert acc == (phi if i == j else Polynomial())
+        rows, phi = char_matrix(m), charpoly(m)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        for u in units:
+            for v in units:
+                assert resolvent_form(m, u, v).func == RationalFunction(adjugate_form(rows, u, v), phi)
 
     # square-free resolvent denominators in the symmetric u = v case
     for _ in range(20):

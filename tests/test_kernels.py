@@ -1,54 +1,116 @@
-import importlib.util
 import random
 
-import pytest
-
-from joinspectra import _kernels_py
-
-HAS_EXT = importlib.util.find_spec("joinspectra._kernels") is not None
-
-
-def _random_int_matrix(rng, n):
-    return [rng.randint(-5, 5) for _ in range(n * n)]
+from helpers import rand_rational_matrix
+from joinspectra.kernel import _is_prime, charpoly_int, coeff_bound, prime
+from joinspectra.matrices import cleared_int_entries
+from joinspectra.oracle import faddeev_leverrier
 
 
-def test_charpoly_matches_adjugate_variant():
-    rng = random.Random(0)
-    for n in range(0, 7):
-        a = _random_int_matrix(rng, n)
-        coeffs = _kernels_py.charpoly_int(a, n)
-        coeffs2, mats = _kernels_py.charpoly_adjugate_int(a, n)
-        assert coeffs == coeffs2
-        assert len(mats) == n
-        assert coeffs[n] == 1
+def _random_int_matrix(rng, n, bound=5):
+    return [rng.randint(-bound, bound) for _ in range(n * n)]
+
+
+def _agrees_with_fl(a, n):
+    return charpoly_int(a, n) == faddeev_leverrier(a, n)
 
 
 def test_identity_matrix():
     n = 4
     a = [1 if i == j else 0 for i in range(n) for j in range(n)]
-    coeffs = _kernels_py.charpoly_int(a, n)
+    coeffs = charpoly_int(a, n)
     # (x - 1)^4 = x^4 - 4x^3 + 6x^2 - 4x + 1
     assert coeffs == [1, -4, 6, -4, 1]
 
 
-@pytest.mark.skipif(not HAS_EXT, reason="compiled kernel not built")
-def test_backends_agree():
-    from joinspectra import _kernels
-
-    assert _kernels.BACKEND_NAME == "cython"
-    rng = random.Random(1)
-    for _ in range(30):
-        n = rng.randint(0, 8)
-        a = _random_int_matrix(rng, n)
-        assert _kernels.charpoly_int(a, n) == _kernels_py.charpoly_int(a, n)
-        assert _kernels.charpoly_adjugate_int(a, n) == _kernels_py.charpoly_adjugate_int(a, n)
+def test_kernel_matches_faddeev_leverrier():
+    rng = random.Random(0)
+    for n in list(range(9)) + [16, 32]:
+        for _ in range(3 if n <= 8 else 1):
+            assert _agrees_with_fl(_random_int_matrix(rng, n), n)
+            ints, _ = cleared_int_entries(rand_rational_matrix(rng, n))
+            assert _agrees_with_fl(ints, n)
 
 
-@pytest.mark.skipif(not HAS_EXT, reason="compiled kernel not built")
-def test_backends_agree_on_big_values():
-    from joinspectra import _kernels
-
+def test_big_entries():
     rng = random.Random(2)
+    for n in (1, 2, 6, 8):
+        assert _agrees_with_fl(_random_int_matrix(rng, n, 10**12), n)
+
+
+def _upper_triangular(rng, n):
+    return [rng.randint(-4, 4) if j >= i else 0 for i in range(n) for j in range(n)]
+
+
+def _hessenberg(rng, n):
+    return [rng.randint(-4, 4) if j >= i - 1 else 0 for i in range(n) for j in range(n)]
+
+
+def _block_diagonal(rng, sizes):
+    n = sum(sizes)
+    a = [0] * (n * n)
+    off = 0
+    for s in sizes:
+        for i in range(s):
+            for j in range(s):
+                a[(off + i) * n + off + j] = rng.randint(-4, 4)
+        off += s
+    return a, n
+
+
+def test_zero_pivots():
+    rng = random.Random(3)
+    for n in range(1, 8):
+        assert charpoly_int([0] * (n * n), n) == [0] * n + [1]
+        assert _agrees_with_fl([int(i == j) for i in range(n) for j in range(n)], n)
+        upper = _upper_triangular(rng, n)
+        lower = [upper[j * n + i] for i in range(n) for j in range(n)]
+        assert _agrees_with_fl(upper, n)
+        assert _agrees_with_fl(lower, n)
+        assert _agrees_with_fl(_hessenberg(rng, n), n)
+    for sizes in ((1, 1), (2, 3), (3, 1, 2), (1, 4, 1, 2)):
+        a, n = _block_diagonal(rng, sizes)
+        assert _agrees_with_fl(a, n)
+    # a zero column below the first pivot, then nonzero pivots further down
+    a = [0, 1, 2, 0, 0, 3, 0, 0, 0, 4, 5, 0, 6, 7, 8, 9]
+    assert _agrees_with_fl(a, 4)
+
+
+def test_entries_multiple_of_first_prime():
+    rng = random.Random(4)
+    p = prime(0)
+    for n in (2, 3, 5):
+        a = [p * rng.randint(-2, 2) for _ in range(n * n)]
+        assert _agrees_with_fl(a, n)
+        b = [x + rng.choice((0, 0, 1)) for x in a]
+        assert _agrees_with_fl(b, n)
+
+
+def test_crt_with_four_or_more_primes():
+    rng = random.Random(5)
     n = 6
-    a = [rng.randint(-(10**12), 10**12) for _ in range(n * n)]
-    assert _kernels.charpoly_adjugate_int(a, n) == _kernels_py.charpoly_adjugate_int(a, n)
+    a = _random_int_matrix(rng, n, 10**12)
+    coeffs = charpoly_int(a, n)
+    assert coeffs == faddeev_leverrier(a, n)
+    three = prime(0) * prime(1) * prime(2)
+    assert 2 * coeff_bound(a, n) > three
+    # a coefficient beyond three primes' range, negative ones among them:
+    # both the fourth prime and the sign recovery are exercised
+    assert max(abs(c) for c in coeffs) > three // 2
+    assert any(c < -(three // 2) for c in coeffs)
+
+
+def test_primes():
+    sieve = [True] * 3000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 3000):
+        if sieve[i]:
+            for j in range(i * i, 3000, i):
+                sieve[j] = False
+    assert [i for i in range(3000) if _is_prime(i)] == [i for i in range(3000) if sieve[i]]
+    # strong pseudoprimes to several small bases, and a Carmichael number
+    for c in (3215031751, 2152302898747, 3474749660383, 341550071728321, 561):
+        assert not _is_prime(c)
+    ps = [prime(i) for i in range(6)]
+    assert ps[0] == 2**62 - 57
+    assert ps == sorted(ps, reverse=True) and len(set(ps)) == 6
+    assert all(_is_prime(p) for p in ps)

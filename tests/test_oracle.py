@@ -154,3 +154,34 @@ def test_universal_assembly_equals_block_route():
     am = assemble_universal(spec)
     via_blocks = assemble(universal_blocks(spec))
     assert am.matrix == via_blocks.matrix
+
+
+def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys):
+    import json
+
+    import joinspectra.matrices as matrices
+    from joinspectra.cli import main
+    from joinspectra.spectra import join_charpoly
+    from joinspectra.verification import verify_spec
+
+    exact = matrices.charpoly_int
+
+    def off_by_one(a, n):
+        coeffs = exact(a, n)
+        coeffs[0] += 1
+        return coeffs
+
+    spec = mixed_join_spec()
+    dense = join_graph(spec).adjacency()
+    truth = oracle_charpoly(dense)
+    _, route = join_charpoly(spec)
+    assert route == truth and verify_spec(spec).passed
+    monkeypatch.setattr(matrices, "charpoly_int", off_by_one)
+    assert join_charpoly(spec)[1] != route  # the routes run the patched kernel
+    assert oracle_charpoly(dense) == truth  # the oracle does not
+    case = verify_spec(spec)
+    assert not case.passed and "differs" in case.detail
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(spec.to_json_obj()))
+    assert main(["verify", str(path)]) == 1
+    assert "FAIL" in capsys.readouterr().out

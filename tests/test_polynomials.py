@@ -108,6 +108,51 @@ def test_gcd_random_products():
         assert d % g == Polynomial()  # the planted factor divides the gcd
 
 
+def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    # reference: Euclid over the rationals
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+def test_gcd_coprimality_certificate(monkeypatch):
+    import joinspectra.polynomials as polynomials
+    from joinspectra.kernel import prime
+
+    rng = random.Random(12)
+    prs_steps = []
+    exact = polynomials._pseudo_rem
+    monkeypatch.setattr(polynomials, "_pseudo_rem", lambda a, b: prs_steps.append(1) or exact(a, b))
+
+    def rand_poly(lo, hi):
+        return Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(lo, hi))] + [rng.randint(1, 5)])
+
+    coprime = 0
+    for _ in range(40):
+        a, b = rand_poly(1, 8), rand_poly(1, 8)
+        if _euclid_gcd(a, b).degree == 0:
+            coprime += 1
+            prs_steps.clear()
+            assert poly_gcd(a, b) == Polynomial.one()
+            assert not prs_steps  # decided by the certificate
+    assert coprime >= 30
+
+    for _ in range(20):
+        g = rand_poly(1, 3)
+        a, b = g * rand_poly(0, 4), g * rand_poly(0, 4)
+        d = poly_gcd(a, b)
+        assert d == _euclid_gcd(a, b) and (d % g.monic()).is_zero
+
+    # q divides the leading coefficient: reduced mod q, the common factor
+    # q*x + 1 turns into a unit and the pair looks coprime, so the
+    # certificate must not be used
+    q = prime(0)
+    common = Polynomial((1, q))
+    a, b = common * (X + 5), common * (X + 7)
+    assert poly_gcd(a, b) == common.monic()
+    assert poly_gcd(Polynomial((0, 1, q)), X + q) == Polynomial.one()
+
+
 def test_lcm():
     a, b = (X - 1) * (X + 1), (X - 1) * (X + 2)
     m = poly_lcm(a, b)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import outer, rand_symmetric_matrix, rand_vector
+from helpers import adjugate_form, char_matrix, cofactor_det, outer, rand_rational_matrix, rand_symmetric_matrix, rand_vector
 from joinspectra import Graph
 from joinspectra.errors import DomainError, PreconditionError, ShapeError
 from joinspectra.fixtures import (
@@ -215,3 +215,22 @@ def test_resolvent_of_rank_one_update():
         updated = m - outer(u, v) * a
         lhs = resolvent_form(updated, u, v).func
         assert lhs == base / (1 + a * base)
+
+
+def test_matches_adjugate_reference():
+    # v^T adj(xI - M) u / det(xI - M), both by cofactor expansion
+    rng = random.Random(31)
+    for trial in range(24):
+        n = rng.randint(1, 4)
+        m = rand_rational_matrix(rng, n)
+        u, v = rand_vector(rng, n), rand_vector(rng, n)
+        zero = tuple(Fraction(0) for _ in range(n))
+        if trial % 6 == 0:
+            u, v = (zero, v) if trial % 12 == 0 else (u, zero)
+        rows = char_matrix(m)
+        phi = cofactor_det(rows)
+        form = resolvent_form(m, u, v)
+        assert form.charpoly == phi
+        assert form.func == RationalFunction(adjugate_form(rows, u, v), phi)
+        if zero in (u, v):
+            assert form.func.is_zero
