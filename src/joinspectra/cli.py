@@ -46,14 +46,17 @@ def _emit(obj, args) -> None:
         print(text)
 
 
-def _load_spec(path: str) -> JoinSpec:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return JoinSpec.from_json_obj(obj)
+
+
+def _load_spec(path: str) -> JoinSpec:
+    return JoinSpec.from_json_obj(_read_json(path))
 
 
 def _factored_hint(p: Polynomial) -> list[dict]:
@@ -156,11 +159,7 @@ def cmd_corona(args) -> int:
 
 
 def cmd_lex(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{args.spec}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    obj = _read_json(args.spec)
     # a single inner graph stands for one copy per host vertex
     if isinstance(obj, dict) and isinstance(obj.get("components"), list) and len(obj["components"]) == 1:
         host_n = obj.get("host", {}).get("n") if isinstance(obj.get("host"), dict) else None

@@ -303,17 +303,22 @@ def corona_as_hjoin(host: Graph, family: Sequence[Graph]) -> tuple[JoinSpec, tup
     return spec, perm
 
 
-def universal_matrix(g: Graph, params: UniversalParams) -> RationalMatrix:
-    """alpha*A + beta*I + gamma*J + delta*D for one graph."""
+def universal_matrix(g: Graph, params: UniversalParams, shift: Fraction | int = 0) -> RationalMatrix:
+    """alpha*A + beta*I + gamma*J + delta*D + shift*I for one graph.
+
+    Off the diagonal an entry is alpha + gamma on an edge and gamma
+    elsewhere, so those two Fractions are computed once and shared; only the
+    diagonal, beta + gamma + shift + delta*deg(i), is computed per vertex.
+    """
     a, b, c, d = params.as_tuple()
     n = g.n
-    adj = g.adjacency()
-    degs = g.degrees()
-    entries = [
-        a * adj.entries[i * n + j] + c + (b + d * degs[i] if i == j else 0)
-        for i in range(n)
-        for j in range(n)
-    ]
+    entries = [c] * (n * n)
+    edge = a + c
+    for u, v in g.edges:
+        entries[u * n + v] = entries[v * n + u] = edge
+    base = b + c + shift
+    for i, deg in enumerate(g.degrees()):
+        entries[i * (n + 1)] = base + d * deg
     return RationalMatrix(n, n, entries)
 
 

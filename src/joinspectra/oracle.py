@@ -5,16 +5,22 @@ characteristic polynomial computed densely and exactly, and numeric spectra
 come from a residual-checked symmetric eigensolver.  Comparisons against the
 formula routes are coefficient-for-coefficient.
 
-The oracle's charpoly runs its own Faddeev-LeVerrier kernel, never the
+The oracle's charpoly runs its own exact integer kernel, never the
 Hessenberg kernel the routes use, so a fault in either kernel shows up as a
-mismatch instead of being reproduced on both sides.
+mismatch instead of being reproduced on both sides.  It forms the power
+traces tr(A^k), k = 1..n, from sqrt(n) baby steps and sqrt(n) giant steps in
+O(n^3.5) integer work and turns them into coefficients by Newton's
+identities (Faddeev-LeVerrier is the same identities in matrix form, at
+O(n^4)).  It uses Python ints throughout: no primes, no CRT, no bound.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -94,11 +100,10 @@ def assemble_universal(spec: JoinSpec) -> AssembledMatrix:
     n = spec.total_vertices
     out = [[Fraction(0)] * n for _ in range(n)]
     for i, g in enumerate(spec.components):
-        u = universal_matrix(g, params)
-        shift = params.delta * w[i]
+        u = universal_matrix(g, params, params.delta * w[i])
         for r in range(g.n):
             for c in range(g.n):
-                out[offs[i] + r][offs[i] + c] = u[r, c] + (shift if r == c else 0)
+                out[offs[i] + r][offs[i] + c] = u[r, c]
     k = spec.k
     for i in range(k):
         for j in range(k):
@@ -114,38 +119,59 @@ def assemble_universal(spec: JoinSpec) -> AssembledMatrix:
     return AssembledMatrix(RationalMatrix(n, n, flat), tuple(offs), "universal-join-blocks")
 
 
-def faddeev_leverrier(a: list[int], n: int) -> list[int]:
-    """Ascending coefficients of det(xI - A) for an integer matrix A, in O(n^4).
+def _power_traces(a: list[int], n: int) -> list[int]:
+    """[tr(A^0), tr(A^1), ..., tr(A^n)] for an integer matrix A, in O(n^3.5).
 
-    With B0 = I and, for k = 1..n,
-
-        Mk = A @ B(k-1),   c[n-k] = -trace(Mk) / k,   Bk = Mk + c[n-k] * I,
-
-    c collects the coefficients of det(xI - A); every division is exact.
+    With s = ceil(sqrt(n)) and G = A^s, every k in 1..n is i + j*s with
+    1 <= i <= s, and tr(A^k) = tr(A^i G^j) is one O(n^2) dot product of the
+    flattened A^i with the flattened transpose of G^j.  That takes s - 1
+    baby-step and at most s - 2 giant-step matrix products (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973).
     """
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    b = [0] * (n * n)
-    for i in range(n):
-        b[i * n + i] = 1
+    traces = [n] + [0] * n
+    if n == 0:
+        return traces
+    s = math.isqrt(n - 1) + 1
+
+    def times(m: list[int], cols: list[list[int]]) -> list[int]:
+        return [sum(map(mul, m[r : r + n], col)) for r in range(0, n * n, n) for col in cols]
+
+    cols_a = [a[c::n] for c in range(n)]
+    baby = [a]
+    for _ in range(s - 1):
+        baby.append(times(baby[-1], cols_a))
+    for i in range(1, s + 1):
+        traces[i] = sum(baby[i - 1][:: n + 1])
+    giant = baby[-1]
+    cols_g = [giant[c::n] for c in range(n)]
+    for j in range(1, (n - 1) // s + 1):
+        if j > 1:
+            giant = times(giant, cols_g)
+        giant_t = [x for c in range(n) for x in giant[c::n]]
+        for i in range(1, min(s, n - j * s) + 1):
+            traces[i + j * s] = sum(map(mul, baby[i - 1], giant_t))
+    return traces
+
+
+def power_trace_charpoly(a: list[int], n: int) -> list[int]:
+    """Ascending coefficients of det(xI - A) for an integer matrix A, in O(n^3.5).
+
+    The power traces p_k = tr(A^k) come from `_power_traces`; Newton's
+    identities then give the coefficient c_k of x^(n-k) as
+
+        k * c_k = -(c_(k-1) p_1 + c_(k-2) p_2 + ... + c_0 p_k),   c_0 = 1.
+
+    The c_k of an integer matrix are integers, so a remainder can only mean
+    a wrong trace: it raises ArithmeticError.
+    """
+    p = _power_traces(a, n)
+    c = [1]
     for k in range(1, n + 1):
-        m = [0] * (n * n)
-        for i in range(n):
-            bi = i * n
-            for j in range(n):
-                s = 0
-                for l in range(n):
-                    s += a[bi + l] * b[l * n + j]
-                m[bi + j] = s
-        tr = 0
-        for i in range(n):
-            tr += m[i * n + i]
-        c = -tr // k
-        coeffs[n - k] = c
-        b = m
-        for i in range(n):
-            b[i * n + i] += c
-    return coeffs
+        ck, rem = divmod(-sum(c[k - i] * p[i] for i in range(1, k + 1)), k)
+        if rem:
+            raise ArithmeticError(f"Newton's identity leaves a remainder at power {k}")
+        c.append(ck)
+    return c[::-1]
 
 
 def _matrix_of(am) -> RationalMatrix:
@@ -153,12 +179,12 @@ def _matrix_of(am) -> RationalMatrix:
 
 
 def oracle_charpoly(am: AssembledMatrix | RationalMatrix) -> Polynomial:
-    """Exact dense characteristic polynomial by Faddeev-LeVerrier (guarded by the dimension cap)."""
+    """Exact dense characteristic polynomial from power traces (guarded by the dimension cap)."""
     m = _matrix_of(am)
     cap = oracle_cap()
     if m.rows > cap:
         raise DomainError(f"oracle dimension {m.rows} exceeds cap {cap} (set {ORACLE_CAP_ENV} to raise it)")
-    return charpoly_with(faddeev_leverrier, m)
+    return charpoly_with(power_trace_charpoly, m)
 
 
 def oracle_spectrum(am: AssembledMatrix | RationalMatrix, tol: float = 1e-8) -> list[float]:

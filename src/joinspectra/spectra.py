@@ -221,9 +221,7 @@ def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
     rho = effective_rho(spec)
     blocks = []
     for i, g in enumerate(spec.components):
-        m = universal_matrix(g, params)
-        if params.delta != 0 and w[i]:
-            m = m + RationalMatrix.identity(g.n) * (params.delta * w[i])
+        m = universal_matrix(g, params, params.delta * w[i])
         blocks.append((m, tuple(Fraction(1) for _ in range(g.n)), tuple(Fraction(1) for _ in range(g.n))))
     k = spec.k
     rho_hat = tuple(
@@ -311,9 +309,7 @@ def _ones_eigenvalue_spectrum(spec: JoinSpec, ps: list[Fraction], tol: float) ->
     reduced: list[tuple[float, int, int]] = []
     cof_product = Polynomial.one()
     for i, g in enumerate(spec.components):
-        m = universal_matrix(g, params)
-        if params.delta != 0 and w[i]:
-            m = m + RationalMatrix.identity(g.n) * (params.delta * w[i])
+        m = universal_matrix(g, params, params.delta * w[i])
         phi_p = charpoly(m)
         if phi_p(ps[i]) != 0:
             raise ArithmeticError(f"expected all-ones eigenvalue {ps[i]} missing from block {i}")

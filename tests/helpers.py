@@ -69,6 +69,59 @@ def adjugate_form(rows, u, v):
     return total
 
 
+def faddeev_leverrier(a: list[int], n: int) -> list[int]:
+    """Independent charpoly oracle: ascending coefficients of det(xI - A) for
+    an integer matrix A by textbook Faddeev-LeVerrier, in O(n^4).
+
+    With B0 = I and, for k = 1..n,
+
+        Mk = A @ B(k-1),   c[n-k] = -trace(Mk) / k,   Bk = Mk + c[n-k] * I,
+
+    c collects the coefficients of det(xI - A); every division is exact.
+    """
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    b = [0] * (n * n)
+    for i in range(n):
+        b[i * n + i] = 1
+    for k in range(1, n + 1):
+        m = [0] * (n * n)
+        for i in range(n):
+            bi = i * n
+            for j in range(n):
+                s = 0
+                for l in range(n):
+                    s += a[bi + l] * b[l * n + j]
+                m[bi + j] = s
+        tr = 0
+        for i in range(n):
+            tr += m[i * n + i]
+        c, rem = divmod(-tr, k)
+        assert rem == 0, f"Faddeev-LeVerrier division by {k} is not exact"
+        coeffs[n - k] = c
+        b = m
+        for i in range(n):
+            b[i * n + i] += c
+    return coeffs
+
+
+# (alpha, beta, gamma, delta) of the benchmark's parameter presets:
+# adjacency, Laplacian, signless Laplacian, Seidel and a rational one
+PRESET_VALUES = ((1, 0, 0, 0), (-1, 0, 0, 1), (1, 0, 0, 1), (-2, -1, 1, 0), ("1/2", "-1/3", "2/3", "-1/2"))
+
+
+def literal_universal_matrix(g: Graph, params) -> RationalMatrix:
+    """alpha*A + beta*I + gamma*J + delta*D spelled out in RationalMatrix operations."""
+    n = g.n
+    ones = RationalMatrix(n, n, [1] * (n * n))
+    return (
+        params.alpha * g.adjacency()
+        + params.beta * RationalMatrix.identity(n)
+        + params.gamma * ones
+        + params.delta * g.degree_matrix()
+    )
+
+
 def char_matrix(m: RationalMatrix) -> list:
     """xI - M as rows of Polynomials."""
     x = Polynomial.x()

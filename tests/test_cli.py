@@ -116,6 +116,22 @@ def test_lex_verb(capsys, tmp_path):
     assert main(["lex", str(p2)]) == 3
 
 
+def test_lex_malformed_spec(capsys, tmp_path):
+    bad = tmp_path / "lex_broken.json"
+    bad.write_text('{"host": "2; 0-1",\n "components": [}')
+    assert main(["lex", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {bad}: invalid JSON at line 2 column 17: Expecting value\n"
+    assert main(["charpoly", str(bad)]) == 2
+    assert capsys.readouterr().err == err
+    assert main(["lex", str(tmp_path / "nope.json")]) == 2
+    # a single inner graph under an object host still stands for one copy per host vertex
+    p = tmp_path / "lex_obj.json"
+    p.write_text(json.dumps({"host": {"n": 2, "edges": [[0, 1]]}, "components": [{"n": 1}]}))
+    code, obj = run_json(capsys, ["lex", str(p), "--verify"])
+    assert code == 0 and obj["charpoly"] == ["-1", "0", "1"]
+
+
 def test_verify_spec_and_corrupted_coupling(capsys, mixed_path, tmp_path):
     assert main(["verify", mixed_path]) == 0
     capsys.readouterr()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import multisets_close
+from helpers import PRESET_VALUES, literal_universal_matrix, multisets_close
 from joinspectra import (
     Graph,
     JoinSpec,
@@ -25,8 +25,8 @@ from joinspectra import (
 from joinspectra.errors import DomainError, PreconditionError, SpecError
 from joinspectra.fixtures import mixed_join_spec, subset_join_spec
 from joinspectra.joins import host_rho, load_join_spec, rho_is_graphlike
-from joinspectra.matrices import charpoly
-from joinspectra.verification import random_graph, random_join_spec
+from joinspectra.matrices import RationalMatrix, charpoly
+from joinspectra.verification import random_graph, random_join_spec, random_universal_params
 
 
 def test_spec_validation():
@@ -205,6 +205,21 @@ def test_universal_matrix_examples():
             Fraction(rng.randint(1, 3)), rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2)
         )
         assert universal_matrix(g, p).is_symmetric()
+
+
+def test_universal_matrix_equals_literal_sum():
+    rng = random.Random(25)
+    graphs = [Graph(0), Graph(1), Graph.empty(5), Graph.complete(6), Graph.path(4), Graph.cycle(5)]
+    graphs += [random_graph(rng, rng.randint(2, 9), rng.choice((0.2, 0.5, 0.8))) for _ in range(8)]
+    params = [UniversalParams(*p) for p in PRESET_VALUES]
+    params += [random_universal_params(rng) for _ in range(6)]
+    params.append(UniversalParams(0, Fraction(-5, 7), Fraction(3, 4), Fraction(2, 9), allow_zero_alpha=True))
+    for g in graphs:
+        for p in params:
+            literal = literal_universal_matrix(g, p)
+            assert universal_matrix(g, p) == literal
+            shift = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            assert universal_matrix(g, p, shift) == literal + RationalMatrix.identity(g.n) * shift
 
 
 def test_k_tau_regular():

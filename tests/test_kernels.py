@@ -1,9 +1,12 @@
 import random
 
-from helpers import rand_rational_matrix
+import pytest
+
+import joinspectra.oracle as oracle
+from helpers import faddeev_leverrier, rand_rational_matrix
 from joinspectra.kernel import _is_prime, charpoly_int, coeff_bound, prime
 from joinspectra.matrices import cleared_int_entries
-from joinspectra.oracle import faddeev_leverrier
+from joinspectra.oracle import power_trace_charpoly
 
 
 def _random_int_matrix(rng, n, bound=5):
@@ -11,7 +14,9 @@ def _random_int_matrix(rng, n, bound=5):
 
 
 def _agrees_with_fl(a, n):
-    return charpoly_int(a, n) == faddeev_leverrier(a, n)
+    """The route kernel, the oracle kernel and textbook Faddeev-LeVerrier agree."""
+    fl = faddeev_leverrier(a, n)
+    return charpoly_int(a, n) == fl and power_trace_charpoly(a, n) == fl
 
 
 def test_identity_matrix():
@@ -90,7 +95,7 @@ def test_crt_with_four_or_more_primes():
     n = 6
     a = _random_int_matrix(rng, n, 10**12)
     coeffs = charpoly_int(a, n)
-    assert coeffs == faddeev_leverrier(a, n)
+    assert _agrees_with_fl(a, n)
     three = prime(0) * prime(1) * prime(2)
     assert 2 * coeff_bound(a, n) > three
     # a coefficient beyond three primes' range, negative ones among them:
@@ -114,3 +119,67 @@ def test_primes():
     assert ps[0] == 2**62 - 57
     assert ps == sorted(ps, reverse=True) and len(set(ps)) == 6
     assert all(_is_prime(p) for p in ps)
+
+
+# n where the baby-step/giant-step split of the power traces changes shape:
+# every n up to 10, and s^2 - 1, s^2, s^2 + 1 for s = 2..6
+STEP_BOUNDARIES = sorted(set(range(11)) | {s * s + d for s in range(2, 7) for d in (-1, 0, 1)})
+
+
+def _diagonal_charpoly(diag):
+    coeffs = [1]
+    for d in diag:
+        shifted = [0] + coeffs
+        for j, c in enumerate(coeffs):
+            shifted[j] -= d * c
+        coeffs = shifted
+    return coeffs
+
+
+def test_power_trace_kernel_at_step_boundaries():
+    rng = random.Random(6)
+    for n in STEP_BOUNDARIES:
+        cases = [_random_int_matrix(rng, n), cleared_int_entries(rand_rational_matrix(rng, n))[0]]
+        if n > 26:  # Faddeev-LeVerrier is O(n^4): one case per n for s = 6
+            cases = cases[n % 2 : n % 2 + 1]
+        for a in cases:
+            assert _agrees_with_fl(a, n)
+        for kernel in (charpoly_int, power_trace_charpoly):
+            assert kernel([0] * (n * n), n) == [0] * n + [1]
+            identity = [int(i == j) for i in range(n) for j in range(n)]
+            assert kernel(identity, n) == _diagonal_charpoly([1] * n)
+            # diagonal with repeated eigenvalues: prod (x - d_i)
+            diag = [rng.choice((-2, 0, 3)) for _ in range(n)]
+            a = [diag[i] if i == j else 0 for i in range(n) for j in range(n)]
+            assert kernel(a, n) == _diagonal_charpoly(diag)
+        # every power of a strictly upper triangular matrix has zero trace
+        strict = [rng.randint(-4, 4) if j > i else 0 for i in range(n) for j in range(n)]
+        assert oracle._power_traces(strict, n) == [n] + [0] * n
+        assert power_trace_charpoly(strict, n) == charpoly_int(strict, n) == [0] * n + [1]
+
+
+def test_power_trace_kernel_big_entries():
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4, 8, 9, 10, 15, 16, 17):
+        assert _agrees_with_fl(_random_int_matrix(rng, n, 10**12), n)
+        near = [rng.choice((1, -1)) * 10**12 + rng.randint(-3, 3) for _ in range(n * n)]
+        assert _agrees_with_fl(near, n)
+
+
+@pytest.mark.parametrize("wrong", [2, 3, 5])
+def test_power_trace_kernel_rejects_a_wrong_trace(monkeypatch, wrong):
+    rng = random.Random(8)
+    n = 6
+    a = _random_int_matrix(rng, n)
+    exact = oracle._power_traces
+
+    def off_by_one(a, n):
+        traces = exact(a, n)
+        traces[wrong] += 1
+        return traces
+
+    monkeypatch.setattr(oracle, "_power_traces", off_by_one)
+    with pytest.raises(ArithmeticError):
+        power_trace_charpoly(a, n)
+    with pytest.raises(ArithmeticError):
+        oracle.oracle_charpoly(oracle.RationalMatrix(n, n, a))

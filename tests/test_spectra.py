@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import multisets_close, regular_graph_menu
+from helpers import PRESET_VALUES, literal_universal_matrix, multisets_close, regular_graph_menu
 from joinspectra import (
     CoupledBlocks,
     Graph,
@@ -27,6 +27,7 @@ from joinspectra import (
     hjoin_universal_spectrum_alpha_delta_zero,
     hjoin_universal_spectrum_regular,
     join_graph,
+    join_weights,
     lex_universal_charpoly,
     oracle_charpoly,
     oracle_spectrum,
@@ -543,3 +544,17 @@ def test_routes_are_pure_under_threads():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda _: hjoin_universal_charpoly(spec), range(8)))
     assert all(r == expected for r in results)
+
+
+def test_universal_blocks_are_shifted_literal_matrices():
+    rng = random.Random(26)
+    presets = [UniversalParams(*p) for p in PRESET_VALUES]
+    for trial in range(25):
+        params = presets[trial] if trial < len(presets) else random_universal_params(rng)
+        spec = random_join_spec(rng, max_k=5, max_n=6, universal=params)
+        w = join_weights(spec)
+        cb = universal_blocks(spec)
+        for i, (g, (m, u, v)) in enumerate(zip(spec.components, cb.blocks)):
+            shift = RationalMatrix.identity(g.n) * (params.delta * w[i])
+            assert m == literal_universal_matrix(g, params) + shift
+            assert u == v == tuple(Fraction(1) for _ in range(g.n))
