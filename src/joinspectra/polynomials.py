@@ -4,6 +4,13 @@ Coefficients are `fractions.Fraction`; index equals the power of the
 variable.  The zero polynomial keeps an empty coefficient tuple and reports
 degree ``-inf`` so degree comparisons never lean on ``-1`` arithmetic.
 
+Products, exact division, gcds and square-free decomposition clear each
+operand's denominators once and run on Python ints: exact quotients by a
+primitive divisor are integral (Gauss's lemma), gcds come from GCDHEU with a
+primitive pseudo-remainder sequence behind it, and Yun's algorithm runs on
+the primitive integer polynomial.  `divmod` keeps plain long division over
+the rationals.
+
 Rational functions are kept in canonical form: numerator and denominator
 coprime, denominator monic, the zero function stored as 0/1.  That makes
 structural equality coincide with mathematical equality.
@@ -13,10 +20,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
-from .kernel import prime
 
 NEG_INF = float("-inf")
 
@@ -142,13 +150,9 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs)
+        return _from_ints(_int_mul(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -160,8 +164,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other: "Polynomial"):
@@ -191,11 +196,26 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Divide, insisting the remainder vanish."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """Divide, insisting the remainder vanish.
+
+        Runs on integers: with the divisor made primitive, Gauss's lemma
+        makes an exact quotient integral, so every step is an exact integer
+        division and any remainder proves the division inexact.
+        """
+        if not isinstance(other, Polynomial):
+            other = Polynomial.constant(as_fraction(other))
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero:
+            return self
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs)
+        content = _content(b)
+        q = _int_quotient(a, [c // content for c in b])
+        if q is None:
             raise ArithmeticError("inexact polynomial division")
-        return q
+        # self / other = (a / da) / (content * b' / db) = (a / b') * db / (da * content)
+        return _from_ints([c * db for c in q] if db != 1 else q, da * content)
 
     # -- calculus / substitution --------------------------------------
 
@@ -265,30 +285,85 @@ class Polynomial:
 X = Polynomial.x()
 
 
-# -- gcd machinery (primitive pseudo-remainder sequence) ---------------
+# -- integer core ---------------------------------------------------------
+#
+# Products, exact quotients, gcds and square-free splits run on lists of
+# Python ints (ascending powers): each operand's denominators are cleared to
+# one lcm, and each result coefficient becomes a Fraction once, at the end.
 
 
-def _integer_coeffs(p: Polynomial) -> list[int]:
-    """Scale to integer coefficients (common denominator cleared)."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs]
+def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(d * p as ints, d), d the lcm of the coefficients' denominators."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_ints(ints: list[int], den: int = 1) -> Polynomial:
+    """The polynomial with coefficients ints[i] / den (no trailing zero, den nonzero)."""
+    p = object.__new__(Polynomial)
+    if den == 1:
+        coeffs = tuple(map(Fraction, ints))
+    else:
+        coeffs = tuple(Fraction(c, den) for c in ints)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
+def _content(ints: list[int]) -> int:
+    """gcd of the coefficients of a nonzero list, signed like its leading one."""
+    g = math.gcd(*ints)
+    return -g if ints[-1] < 0 else g
 
 
 def _primitive(ints: list[int]) -> list[int]:
-    while ints and ints[-1] == 0:
-        ints.pop()
+    """ints over their content, leading coefficient positive; [] stays []."""
     if not ints:
         return ints
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    c = _content(ints)
+    return ints if c == 1 else [x // c for x in ints]
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two nonzero integer polynomials (schoolbook convolution)."""
+    m, n = len(a), len(b)
+    rb = b[::-1]
+    return [
+        sum(map(mul, a[max(0, k - n + 1) : min(k, m - 1) + 1], rb[max(n - 1 - k, 0) : n - k + min(k, m - 1)]))
+        for k in range(m + n - 1)
+    ]
+
+
+def _int_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when b (nonzero, no trailing zero) divides a in Z[x], else None."""
+    if not a:
+        return []
+    m = len(b) - 1
+    if len(a) <= m:
+        return None
+    r = list(a)
+    lb, low = b[-1], b[:-1]
+    q = [0] * (len(a) - m)
+    for s in range(len(a) - 1 - m, -1, -1):
+        t, rem = divmod(r[s + m], lb)
+        if rem:
+            return None
+        if t:
+            q[s] = t
+            r[s : s + m] = [x - t * y for x, y in zip(r[s : s + m], low)]
+    return None if any(r[:m]) else q
+
+
+def _derivative(ints: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(ints)][1:]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -307,54 +382,76 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _strip_mod(ints: list[int], q: int) -> list[int]:
-    out = [c % q for c in ints]
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _horner(ints: list[int], xi: int) -> int:
+    v = 0
+    for c in reversed(ints):
+        v = v * xi + c
+    return v
 
 
-def _coprime_mod(a: list[int], b: list[int], q: int) -> bool:
-    """Whether Euclid's algorithm over Z/q ends a and b at a nonzero constant."""
-    a = _strip_mod(a, q)
-    b = _strip_mod(b, q)
-    while b:
-        inv = pow(b[-1], -1, q)
-        db = len(b) - 1
-        while len(a) > db:
-            t = a.pop() * inv % q
-            off = len(a) - db
-            if t:
-                a[off:] = [(x - t * y) % q for x, y in zip(a[off:], b)]
-            while a and not a[-1]:
-                a.pop()
+# evaluation points GCDHEU tries before the pseudo-remainder sequence decides
+_HEURISTIC_TRIES = 6
+
+
+def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
+    """GCDHEU (Char, Geddes & Gonnet 1989) on primitive lists of positive degree.
+
+    The integer gcd of a(xi) and b(xi), read back in symmetric xi-adic
+    digits, gives a candidate.  With xi > 1 + 2 min(|a|_inf, |b|_inf) a
+    primitive candidate that divides both a and b is their gcd (Geddes,
+    Czapor & Labahn, Thm 7.7), so trial division proves the result.  Returns
+    None when every evaluation point fails.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        gamma = math.gcd(_horner(a, xi), _horner(b, xi))
+        digits = []
+        half = xi // 2
+        while gamma:
+            d = gamma % xi
+            if d > half:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        g = _primitive(digits)
+        if len(g) == 1:
+            return g
+        if _int_quotient(a, g) is not None and _int_quotient(b, g) is not None:
+            return g
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd (positive leading coefficient) of integer lists; [] if both are zero."""
+    a, b = _primitive(a), _primitive(b)
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    g = _gcd_heuristic(a, b)
+    if g is not None:
+        return g
+    if len(a) < len(b):
         a, b = b, a
-    return len(a) == 1
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return a
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via a primitive pseudo-remainder sequence (exact, no blowup).
+    """Monic gcd, computed on the primitive integer polynomials.
 
-    A coprimality certificate runs first.  With q a word prime not dividing
-    the leading coefficient of the longer primitive integer polynomial a,
-    the true gcd's leading coefficient divides lead(a), so the gcd keeps its
-    degree mod q and divides both polynomials mod q.  A constant gcd mod q
-    therefore proves a and b coprime; otherwise the sequence decides.
+    GCDHEU (`_gcd_heuristic`) settles most pairs, coprime ones included,
+    with integer gcds and a trial division that proves its answer; when it
+    gives up, a primitive pseudo-remainder sequence decides.
     """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    fa = _primitive(_integer_coeffs(a))
-    fb = _primitive(_integer_coeffs(b))
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    q = prime(0)
-    if fa[-1] % q and _coprime_mod(fa, fb, q):
-        return Polynomial.one()
-    while fb:
-        fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
-    return Polynomial(fa).monic()
+    g = _int_gcd(_cleared(a.coeffs)[0], _cleared(b.coeffs)[0])
+    return _from_ints(g, g[-1])
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -367,25 +464,27 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: monic, pairwise coprime, square-free factors.
 
     Returns [(factor, multiplicity), ...] with p = lead(p) * prod factor^mult.
-    Constants decompose to the empty list.
+    Constants decompose to the empty list.  Runs on the primitive integer
+    polynomial, where every gcd is primitive and so, by Gauss's lemma, every
+    division is exact over Z; only the factors become monic at the end.
     """
     if p.is_zero:
         raise DomainError("zero polynomial has no square-free decomposition")
-    p = p.monic()
     if p.degree <= 0:
         return []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    d = dp.exact_div(a) - b.derivative()
+    f = _primitive(_cleared(p.coeffs)[0])
+    df = _derivative(f)
+    a = _int_gcd(f, df)
+    b = _int_quotient(f, a)
+    d = _sub(_int_quotient(df, a), _derivative(b))
     out: list[tuple[Polynomial, int]] = []
     i = 1
-    while b.degree > 0:
-        f = poly_gcd(b, d)
-        if f.degree > 0:
-            out.append((f, i))
-        b = b.exact_div(f)
-        d = d.exact_div(f) - b.derivative()
+    while len(b) > 1:
+        g = _int_gcd(b, d)
+        if len(g) > 1:
+            out.append((_from_ints(g, g[-1]), i))
+        b = _int_quotient(b, g)
+        d = _sub(_int_quotient(d, g), _derivative(b))
         i += 1
     return out
 

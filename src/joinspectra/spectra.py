@@ -105,16 +105,23 @@ def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: RhoMa
     return poly_det(rows)
 
 
+def _glued_product(phi: Polynomial, data: Sequence[_BlockData], total_dim: int) -> Polynomial:
+    """Phi times every block cofactor, checked to be monic of the glued dimension."""
+    # the small cofactors first: the large Phi then takes part in one product only
+    out = Polynomial.one()
+    for d in data:
+        out = out * d.cofactor
+    out = phi * out
+    if out.degree != total_dim or not out.is_monic:
+        raise ArithmeticError("glued characteristic polynomial failed its degree check")
+    return out
+
+
 def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
     """Exact characteristic polynomial of the glued block matrix."""
     data = [_block_data(m, u, v) for m, u, v in cb.blocks]
     phi = coupling_poly([d.f for d in data], [d.g for d in data], cb.rho)
-    out = phi
-    for d in data:
-        out = out * d.cofactor
-    if out.degree != cb.total_dim or not out.is_monic:
-        raise ArithmeticError("glued characteristic polynomial failed its degree check")
-    return out
+    return _glued_product(phi, data, cb.total_dim)
 
 
 def _classify_block(phi: Polynomial, g: Polynomial, idx: int, tol: float):
@@ -187,9 +194,7 @@ def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False)
         inherited += inh
         reduced += red
     phi = coupling_poly([d.f for d in data], [d.g for d in data], cb.rho)
-    total = phi
-    for d in data:
-        total = total * d.cofactor
+    total = _glued_product(phi, data, cb.total_dim)
     verdict = None
     if verify:
         from . import oracle as _oracle
@@ -389,9 +394,13 @@ def lex_universal_charpoly(host: Graph, inner: Graph, params: UniversalParams) -
         ],
     )
     cs = charpoly(coupling).coeffs  # ascending, monic
+    f_pows, g_pows = [Polynomial.one()], [Polynomial.one()]
+    for _ in range(k):
+        f_pows.append(f_pows[-1] * f)
+        g_pows.append(g_pows[-1] * g)
     acc = Polynomial()
     for j in range(k + 1):
-        acc = acc + cs[j] * (f ** (k - j)) * (g**j)
+        acc = acc + cs[j] * f_pows[k - j] * g_pows[j]
     out = (cof**k) * acc
     if out.degree != k * inner.n or not out.is_monic:
         raise ArithmeticError("lexicographic charpoly failed its degree check")

@@ -105,6 +105,71 @@ def faddeev_leverrier(a: list[int], n: int) -> list[int]:
     return coeffs
 
 
+def fraction_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Reference product: one Fraction multiply-add per coefficient pair."""
+    if a.is_zero or b.is_zero:
+        return Polynomial()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        if ca:
+            for j, cb in enumerate(b.coeffs):
+                out[i + j] += ca * cb
+    return Polynomial(out)
+
+
+def fraction_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Reference long division over the rationals (b nonzero)."""
+    rem = list(a.coeffs)
+    db = len(b.coeffs) - 1
+    lb = b.coeffs[-1]
+    if len(rem) - 1 < db:
+        return Polynomial(), a
+    quot = [Fraction(0)] * (len(rem) - db)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        q = rem[shift + db] / lb
+        if q:
+            quot[shift] = q
+            for j, c in enumerate(b.coeffs):
+                rem[shift + j] -= q * c
+    return Polynomial(quot), Polynomial(rem)
+
+
+def fraction_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Reference exact division: Fraction long division, raising on a remainder."""
+    q, r = fraction_divmod(a, b)
+    if not r.is_zero:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Reference gcd: Euclid over the rationals, made monic."""
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return a.monic()
+
+
+def fraction_yun(p: Polynomial) -> list:
+    """Reference square-free decomposition: Yun's algorithm in Fraction arithmetic."""
+    p = p.monic()
+    if p.degree <= 0:
+        return []
+    dp = p.derivative()
+    a = euclid_gcd(p, dp)
+    b = fraction_exact_div(p, a)
+    d = fraction_exact_div(dp, a) - b.derivative()
+    out = []
+    i = 1
+    while b.degree > 0:
+        f = euclid_gcd(b, d)
+        if f.degree > 0:
+            out.append((f, i))
+        b = fraction_exact_div(b, f)
+        d = fraction_exact_div(d, f) - b.derivative()
+        i += 1
+    return out
+
+
 # (alpha, beta, gamma, delta) of the benchmark's parameter presets:
 # adjacency, Laplacian, signless Laplacian, Seidel and a rational one
 PRESET_VALUES = ((1, 0, 0, 0), (-1, 0, 0, 1), (1, 0, 0, 1), (-2, -1, 1, 0), ("1/2", "-1/3", "2/3", "-1/2"))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import euclid_gcd as _euclid_gcd
+from helpers import fraction_exact_div, fraction_mul, fraction_yun
 from joinspectra.errors import DomainError
 from joinspectra.polynomials import (
     NEG_INF,
@@ -71,6 +73,91 @@ def test_exact_div_rejects_remainder():
     assert (X**2 - 1).exact_div(X + 1) == X - 1
 
 
+def _rand_coeff(rng: random.Random) -> Fraction:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == 2:
+        return rng.choice((1, -1)) * Fraction(2**62 + rng.randint(-3, 3))
+    if kind == 3:
+        return Fraction(rng.randint(-(2**100), 2**100), rng.randint(1, 2**66))
+    return Fraction(0)
+
+
+def _rand_poly(rng: random.Random, max_deg: int, nonzero: bool = False) -> Polynomial:
+    """Zero or constant operands, per-coefficient denominators, negative or huge leads."""
+    deg = rng.randint(0 if nonzero else -1, max_deg)
+    if deg < 0:
+        return Polynomial()
+    lead = _rand_coeff(rng) or Fraction(rng.choice((-3, -1, 2)))
+    return Polynomial([_rand_coeff(rng) for _ in range(deg)] + [lead])
+
+
+def test_product_matches_fraction_reference():
+    rng = random.Random(51)
+    for _ in range(300):
+        a, b = _rand_poly(rng, 7), _rand_poly(rng, 7)
+        p = a * b
+        assert p == fraction_mul(a, b)
+        assert all(type(c) is Fraction for c in p.coeffs)
+
+
+def test_exact_div_matches_fraction_reference():
+    rng = random.Random(52)
+    for _ in range(300):
+        a, b = _rand_poly(rng, 6), _rand_poly(rng, 6, nonzero=True)
+        p = a * b
+        assert p.exact_div(b) == a == fraction_exact_div(p, b)
+        if b.degree > 0:
+            off = p + _rand_poly(rng, b.degree - 1, nonzero=True)
+            with pytest.raises(ArithmeticError):
+                off.exact_div(b)
+            with pytest.raises(ArithmeticError):
+                fraction_exact_div(off, b)
+
+
+def test_exact_div_rejects_inexact_inputs():
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    inexact = [
+        (X**2 + 1, 6 * X + 4),  # non-primitive divisor that does not divide
+        (X + 1, X**2),  # divisor of higher degree than a nonzero dividend
+        (Polynomial.constant(3), X - 1),
+        ((3 * X + 2) * (X**2 - X + 5) + 3, 3 * X + 2),  # remainder only in the constant
+        ((6 * X + 4) * (fifth * X**3 - third) + fifth * X, -6 * X - 4),  # ... only in x^1
+    ]
+    for p, d in inexact:
+        with pytest.raises(ArithmeticError):
+            p.exact_div(d)
+        with pytest.raises(ArithmeticError):
+            fraction_exact_div(p, d)
+    q = fifth * X**2 - third
+    assert ((6 * X + 4) * q).exact_div(6 * X + 4) == q
+    assert ((6 * X + 4) * q).exact_div(-6 * X - 4) == -q
+    assert (third * X + 2).exact_div(Polynomial.constant(-fifth)) == -5 * third * X - 10
+    assert Polynomial().exact_div(X + 1).is_zero
+    with pytest.raises(ZeroDivisionError):
+        (X + 1).exact_div(Polynomial())
+
+
+def test_pow_matches_repeated_multiplication(monkeypatch):
+    bases = (X - 2, Fraction(1, 3) * X**2 - Fraction(5, 7) * X + Fraction(2, 9), Polynomial.constant(-4))
+    for base in bases:
+        expected = Polynomial.one()
+        for n in range(10):
+            assert base**n == expected
+            expected = fraction_mul(expected, base)
+    # one product per set bit of n and one squaring per further bit
+    calls = []
+    exact = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or exact(a, b))
+    for n in range(10):
+        calls.clear()
+        assert X**n == Polynomial([0] * n + [1])
+        assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
+
+
 def test_shift_examples():
     assert (X**2).shift(1) == X**2 - 2 * X + 1
     assert (X**3 - 2 * X).shift(0) == X**3 - 2 * X
@@ -106,13 +193,6 @@ def test_gcd_random_products():
         assert a % d == Polynomial()
         assert b % d == Polynomial()
         assert d % g == Polynomial()  # the planted factor divides the gcd
-
-
-def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    # reference: Euclid over the rationals
-    while b:
-        a, b = b, a % b
-    return a.monic()
 
 
 def test_gcd_coprimality_certificate(monkeypatch):
@@ -151,6 +231,44 @@ def test_gcd_coprimality_certificate(monkeypatch):
     a, b = common * (X + 5), common * (X + 7)
     assert poly_gcd(a, b) == common.monic()
     assert poly_gcd(Polynomial((0, 1, q)), X + q) == Polynomial.one()
+
+
+def test_gcd_matches_euclid_reference(monkeypatch):
+    import joinspectra.polynomials as polynomials
+    from joinspectra.kernel import prime
+
+    rng = random.Random(54)
+    pairs = []
+    for _ in range(40):
+        g = _rand_poly(rng, 3, nonzero=True)
+        pairs.append((g * _rand_poly(rng, 4), g * _rand_poly(rng, 4)))
+        pairs.append((_rand_poly(rng, 5), _rand_poly(rng, 5)))
+    for q in (prime(0), prime(1), 2**64 + 13):
+        common = Polynomial((1, q))
+        pairs.append((common * (X + 5), common * (X - 7) ** 2))
+        pairs.append((common * (X + 5), Polynomial((1, q + 1)) * (X + 5)))
+        pairs.append((common**2 * (X - 1), common * (q * X - 1)))
+    expected = [_euclid_gcd(a, b) for a, b in pairs]
+    assert [poly_gcd(a, b) for a, b in pairs] == expected
+
+    prs_steps = []
+    exact = polynomials._pseudo_rem
+    monkeypatch.setattr(polynomials, "_pseudo_rem", lambda a, b: prs_steps.append(1) or exact(a, b))
+    monkeypatch.setattr(polynomials, "_gcd_heuristic", lambda a, b: None)
+    assert [poly_gcd(a, b) for a, b in pairs] == expected
+    assert prs_steps  # the pseudo-remainder sequence decided
+
+
+def test_square_free_decomposition_matches_fraction_reference():
+    rng = random.Random(53)
+    for _ in range(40):
+        p = Polynomial.constant(_rand_coeff(rng) or 7)
+        for mult in range(1, rng.randint(2, 4)):
+            for _ in range(rng.randint(0, 2)):
+                p = p * _rand_poly(rng, 2, nonzero=True) ** mult
+        if rng.random() < 0.3:
+            p = p * (X - 1) * Polynomial((1, 2**62 + 1))  # planted factors shared across multiplicities
+        assert square_free_decomposition(p) == fraction_yun(p)
 
 
 def test_lcm():

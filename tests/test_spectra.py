@@ -226,6 +226,25 @@ def test_multiplicity_accounting_random_symmetric():
         assert multisets_close(got, truth, 1e-6)
 
 
+def test_glued_product_is_checked_on_both_routes(monkeypatch):
+    import joinspectra.spectra as spectra
+
+    exact = spectra._block_data
+
+    def scaled(m, u, v):
+        d = exact(m, u, v)
+        return spectra._BlockData(phi=d.phi, f=d.f, g=d.g, cofactor=d.cofactor * 2)
+
+    monkeypatch.setattr(spectra, "_block_data", scaled)
+    rng = random.Random(48)
+    for _ in range(5):
+        cb = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
+        with pytest.raises(ArithmeticError):
+            coupled_charpoly(cb)
+        with pytest.raises(ArithmeticError):
+            coupled_spectrum(cb)
+
+
 def test_coupling_degree_matches_visible_count():
     rng = random.Random(46)
     for _ in range(10):
