@@ -26,15 +26,9 @@ from .joins import (
     universal_matrix,
 )
 from .kernel import BACKEND as KERNEL_BACKEND
-from .matrices import (
-    RationalMatrix,
-    charpoly,
-    determinant,
-    poly_det,
-    ratfun_det,
-)
+from .matrices import RationalMatrix, charpoly, determinant, poly_det
 from .oracle import AssembledMatrix, CompareResult, assemble, assemble_universal, compare, oracle_charpoly, oracle_spectrum
-from .polynomials import Polynomial, RationalFunction, poly_gcd, ratfun_reduce, square_free_decomposition
+from .polynomials import Polynomial, RationalFunction, poly_gcd, square_free_decomposition
 from .resolvent import ResolventForm, eigenvector_resolvent, main_poles, resolvent_form, shifted
 from .roots import numeric_roots, real_roots
 from .spectra import (
@@ -86,7 +80,6 @@ __all__ = [
     "charpoly",
     "determinant",
     "poly_det",
-    "ratfun_det",
     "AssembledMatrix",
     "CompareResult",
     "assemble",
@@ -97,7 +90,6 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "poly_gcd",
-    "ratfun_reduce",
     "square_free_decomposition",
     "ResolventForm",
     "eigenvector_resolvent",

@@ -8,6 +8,7 @@ mismatch), 2 malformed input, 3 violated route precondition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -218,7 +219,9 @@ def cmd_fixtures(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing leaves it unchanged, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="joinspectra",
         description="Exact characteristic polynomials and spectra of graph joins.",
@@ -276,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecError as exc:

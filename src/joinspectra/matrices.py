@@ -2,10 +2,11 @@
 
 A characteristic polynomial clears the matrix's denominators and hands the
 integer matrix to `kernel.charpoly_int`, the multimodular Hessenberg kernel
-that every route uses, so it is exact.  Determinants of polynomial and
-rational-function matrices clear each row's denominators, evaluate the
+that every route uses, so it is exact.  The determinant of a polynomial
+matrix (`poly_det`, whose one caller is the coupling determinant Phi of
+`spectra.coupling_poly`) clears each row's denominators, evaluates the
 integer determinant (fraction-free Bareiss) at B + 1 integer points, B the
-sum of the row degrees, and interpolate exactly in the integers.
+sum of the row degrees, and interpolates exactly in the integers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
 from .kernel import charpoly_int
-from .polynomials import Polynomial, RationalFunction, as_fraction, poly_lcm
+from .polynomials import Polynomial, as_fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -292,26 +293,3 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         shifted[0] += newton[j]
         coeffs = shifted
     return Polynomial(Fraction(c, scale) for c in coeffs)
-
-
-def ratfun_det(rows: Sequence[Sequence[RationalFunction]]) -> RationalFunction:
-    """Determinant of a square rational-function matrix.
-
-    Each row's denominators are cleared to reach a polynomial matrix,
-    `poly_det` runs there, and the cleared factors divide back out of the
-    result.
-    """
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ShapeError("rational-function matrix must be square")
-    if k == 0:
-        return RationalFunction.one()
-    cleared: list[list[Polynomial]] = []
-    scale = Polynomial.one()
-    for r in rows:
-        lcm = Polynomial.one()
-        for entry in r:
-            lcm = poly_lcm(lcm, entry.den)
-        cleared.append([entry.num * lcm.exact_div(entry.den) for entry in r])
-        scale = scale * lcm
-    return RationalFunction(poly_det(cleared), scale)

@@ -8,8 +8,7 @@ Products, exact division, gcds and square-free decomposition clear each
 operand's denominators once and run on Python ints: exact quotients by a
 primitive divisor are integral (Gauss's lemma), gcds come from GCDHEU with a
 primitive pseudo-remainder sequence behind it, and Yun's algorithm runs on
-the primitive integer polynomial.  `divmod` keeps plain long division over
-the rationals.
+the primitive integer polynomial.
 
 Rational functions are kept in canonical form: numerator and denominator
 coprime, denominator monic, the zero function stored as 0/1.  That makes
@@ -168,32 +167,6 @@ class Polynomial:
             if n:
                 base = base * base
         return result
-
-    def __divmod__(self, other: "Polynomial"):
-        """Exact long division over the rationals."""
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(as_fraction(other))
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        lb = other.coeffs[-1]
-        if len(rem) - 1 < db:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (len(rem) - db)
-        for shift in range(len(rem) - 1 - db, -1, -1):
-            q = rem[shift + db] / lb
-            if q:
-                quot[shift] = q
-                for j, c in enumerate(other.coeffs):
-                    rem[shift + j] -= q * c
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Divide, insisting the remainder vanish.
@@ -454,12 +427,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return _from_ints(g, g[-1])
 
 
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero or b.is_zero:
-        return Polynomial()
-    return (a * b.exact_div(poly_gcd(a, b))).monic()
-
-
 def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: monic, pairwise coprime, square-free factors.
 
@@ -487,15 +454,6 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         d = _sub(_int_quotient(d, g), _derivative(b))
         i += 1
     return out
-
-
-def square_free_part(p: Polynomial) -> Polynomial:
-    """Radical of p: product of its distinct irreducible factors, monic."""
-    if p.is_zero:
-        raise DomainError("zero polynomial has no square-free part")
-    if p.degree <= 0:
-        return Polynomial.one()
-    return p.monic().exact_div(poly_gcd(p, p.derivative()))
 
 
 def is_square_free(p: Polynomial) -> bool:
@@ -639,7 +597,3 @@ def _coerce_rf(x):
         return RationalFunction(Polynomial.constant(x))
     return NotImplemented
 
-
-def ratfun_reduce(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Canonical reduced form of num/den (coprime, monic denominator)."""
-    return RationalFunction(num, den)

@@ -8,8 +8,6 @@ by Newton iteration, then residual-checked.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import DomainError
@@ -86,17 +84,3 @@ def real_roots(p: Polynomial, tol: float = 1e-10, imag_tol: float = 1e-7) -> lis
             raise ArithmeticError(f"unexpected non-real root {r} of {p}")
         out.append(r.real)
     return sorted(out)
-
-
-def rational_root_multiplicity(p: Polynomial, value: Fraction) -> int:
-    """Exact multiplicity of a rational value as a root of p."""
-    if p.is_zero:
-        raise DomainError("zero polynomial")
-    factor = Polynomial((-value, 1))
-    mult = 0
-    while True:
-        q, r = divmod(p, factor)
-        if not r.is_zero:
-            return mult
-        p = q
-        mult += 1

@@ -10,8 +10,10 @@ characteristic polynomial of the glued matrix factors exactly as
 where Phi is the determinant of the k x k polynomial matrix with g_i on the
 diagonal and -rho_ij * f_i off it.  Everything here works with that cleared
 form, so zero vectors (f_i = 0, g_i = 1) and asymmetric couplings cost
-nothing special.  Graph joins, universal-matrix variants, lexicographic
-products and coronas are all thin wrappers that pick the right blocks.
+nothing special.  Graph joins, their universal-matrix and subset variants
+and generalized coronas are thin wrappers that pick the right blocks.  The
+lexicographic product of identical blocks keeps its own closed form, which
+expands Phi through the host's coupling charpoly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .joins import (
     UniversalParams,
     corona_as_hjoin,
     effective_rho,
+    generalized_corona,
     host_rho,
     join_weights,
     universal_matrix,
@@ -105,12 +108,12 @@ def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: RhoMa
     return poly_det(rows)
 
 
-def _glued_product(phi: Polynomial, data: Sequence[_BlockData], total_dim: int) -> Polynomial:
+def _glued_product(phi: Polynomial, cofactors: Sequence[Polynomial], total_dim: int) -> Polynomial:
     """Phi times every block cofactor, checked to be monic of the glued dimension."""
     # the small cofactors first: the large Phi then takes part in one product only
     out = Polynomial.one()
-    for d in data:
-        out = out * d.cofactor
+    for cof in cofactors:
+        out = out * cof
     out = phi * out
     if out.degree != total_dim or not out.is_monic:
         raise ArithmeticError("glued characteristic polynomial failed its degree check")
@@ -121,7 +124,7 @@ def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
     """Exact characteristic polynomial of the glued block matrix."""
     data = [_block_data(m, u, v) for m, u, v in cb.blocks]
     phi = coupling_poly([d.f for d in data], [d.g for d in data], cb.rho)
-    return _glued_product(phi, data, cb.total_dim)
+    return _glued_product(phi, [d.cofactor for d in data], cb.total_dim)
 
 
 def _classify_block(phi: Polynomial, g: Polynomial, idx: int, tol: float):
@@ -194,7 +197,7 @@ def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False)
         inherited += inh
         reduced += red
     phi = coupling_poly([d.f for d in data], [d.g for d in data], cb.rho)
-    total = _glued_product(phi, data, cb.total_dim)
+    total = _glued_product(phi, [d.cofactor for d in data], cb.total_dim)
     verdict = None
     if verify:
         from . import oracle as _oracle
@@ -215,12 +218,30 @@ def adjacency_blocks(spec: JoinSpec) -> CoupledBlocks:
     return CoupledBlocks(blocks, effective_rho(spec))
 
 
+def _require(spec: JoinSpec, route: str) -> None:
+    """The optional keys a route needs: "universal" wants universal
+    parameters and no subsets, "subset-join" wants subsets and no parameters."""
+    if route == "universal":
+        if spec.universal is None:
+            raise PreconditionError("universal route needs universal parameters")
+        if spec.subsets is not None:
+            raise PreconditionError("universal route applies to plain joins (no subsets)")
+    else:
+        if spec.subsets is None:
+            raise PreconditionError("subset-join route needs per-component subsets")
+        if spec.universal is not None:
+            raise PreconditionError("subset-join route is stated for the adjacency matrix only")
+
+
+def subset_blocks(spec: JoinSpec) -> CoupledBlocks:
+    """Adjacency blocks of a subset-constrained join, coupled through the subset indicators."""
+    _require(spec, "subset-join")
+    return adjacency_blocks(spec)
+
+
 def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
     """Blocks U_i + delta*w_i*I with all-ones vectors, coupled by rho*alpha + gamma."""
-    if spec.universal is None:
-        raise PreconditionError("universal route needs universal parameters")
-    if spec.subsets is not None:
-        raise PreconditionError("universal route applies to plain joins (no subsets)")
+    _require(spec, "universal")
     params = spec.universal
     w = join_weights(spec)
     rho = effective_rho(spec)
@@ -251,20 +272,12 @@ def hjoin_universal_spectrum(spec: JoinSpec, tol: float = 1e-8, verify: bool = F
 
 def hgen_join_charpoly(spec: JoinSpec) -> Polynomial:
     """Characteristic polynomial of a subset-constrained join (adjacency only)."""
-    if spec.subsets is None:
-        raise PreconditionError("subset-join route needs per-component subsets")
-    if spec.universal is not None:
-        raise PreconditionError("subset-join route is stated for the adjacency matrix only")
-    return coupled_charpoly(adjacency_blocks(spec))
+    return coupled_charpoly(subset_blocks(spec))
 
 
 def hgen_join_spectrum(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
     """Classified spectrum of a subset-constrained join."""
-    if spec.subsets is None:
-        raise PreconditionError("subset-join route needs per-component subsets")
-    if spec.universal is not None:
-        raise PreconditionError("subset-join route is stated for the adjacency matrix only")
-    return coupled_spectrum(adjacency_blocks(spec), tol, verify)
+    return coupled_spectrum(subset_blocks(spec), tol, verify)
 
 
 def generalized_charpoly(spec: JoinSpec, t) -> Polynomial:
@@ -275,21 +288,25 @@ def generalized_charpoly(spec: JoinSpec, t) -> Polynomial:
     return hjoin_universal_charpoly(spec.with_universal(params))
 
 
-def join_charpoly(spec: JoinSpec) -> tuple[str, Polynomial]:
-    """Dispatch on the spec's optional keys; returns (route name, polynomial)."""
+def _join_blocks(spec: JoinSpec) -> tuple[str, CoupledBlocks]:
+    """Dispatch on the spec's optional keys; returns (route name, blocks)."""
     if spec.subsets is not None:
-        return "subset-join", hgen_join_charpoly(spec)
+        return "subset-join", subset_blocks(spec)
     if spec.universal is not None:
-        return "universal-join", hjoin_universal_charpoly(spec)
-    return "adjacency-join", hjoin_universal_charpoly(spec.with_universal(UniversalParams.adjacency()))
+        return "universal-join", universal_blocks(spec)
+    return "adjacency-join", universal_blocks(spec.with_universal(UniversalParams.adjacency()))
+
+
+def join_charpoly(spec: JoinSpec) -> tuple[str, Polynomial]:
+    """(route name, characteristic polynomial) on the route the spec's keys pick."""
+    route, cb = _join_blocks(spec)
+    return route, coupled_charpoly(cb)
 
 
 def join_spectrum(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> tuple[str, SpectrumReport]:
-    if spec.subsets is not None:
-        return "subset-join", hgen_join_spectrum(spec, tol, verify)
-    if spec.universal is not None:
-        return "universal-join", hjoin_universal_spectrum(spec, tol, verify)
-    return "adjacency-join", hjoin_universal_spectrum(spec.with_universal(UniversalParams.adjacency()), tol, verify)
+    """(route name, classified spectrum) on the route the spec's keys pick."""
+    route, cb = _join_blocks(spec)
+    return route, coupled_spectrum(cb, tol, verify)
 
 
 # -- single-eigenvalue shortcut routes ----------------------------------------
@@ -312,7 +329,7 @@ def _ones_eigenvalue_spectrum(spec: JoinSpec, ps: list[Fraction], tol: float) ->
     k = spec.k
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
-    cof_product = Polynomial.one()
+    cofactors: list[Polynomial] = []
     for i, g in enumerate(spec.components):
         m = universal_matrix(g, params, params.delta * w[i])
         phi_p = charpoly(m)
@@ -322,21 +339,19 @@ def _ones_eigenvalue_spectrum(spec: JoinSpec, ps: list[Fraction], tol: float) ->
         inh, red = _classify_block(phi_p, pole, i, tol)
         inherited += inh
         reduced += red
-        cof_product = cof_product * phi_p.exact_div(pole)
+        cofactors.append(phi_p.exact_div(pole))
     rho_hat = [[rho[i][j] * params.alpha + params.gamma if i != j else Fraction(0) for j in range(k)] for i in range(k)]
     small = RationalMatrix(k, k, [ps[i] if i == j else ns[j] * rho_hat[i][j] for i in range(k) for j in range(k)])
     phi_small = charpoly(small)
-    return _build_report(cof_product * phi_small, inherited, reduced, phi_small, tol, spec.total_vertices)
+    total = _glued_product(phi_small, cofactors, spec.total_vertices)
+    return _build_report(total, inherited, reduced, phi_small, tol, spec.total_vertices)
 
 
 def hjoin_universal_spectrum_regular(
     spec: JoinSpec, degrees: Optional[Sequence[int]] = None, tol: float = 1e-8
 ) -> SpectrumReport:
     """Spectrum via the all-regular shortcut: p_i = alpha*r_i + beta + gamma*n_i + delta*(r_i + w_i)."""
-    if spec.universal is None:
-        raise PreconditionError("universal route needs universal parameters")
-    if spec.subsets is not None:
-        raise PreconditionError("universal route applies to plain joins (no subsets)")
+    _require(spec, "universal")
     actual = [g.regular_degree() for g in spec.components]
     if any(r is None for r in actual):
         raise PreconditionError("regular shortcut needs every component regular")
@@ -352,10 +367,7 @@ def hjoin_universal_spectrum_regular(
 
 def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec, tol: float = 1e-8) -> SpectrumReport:
     """Spectrum via the alpha + delta = 0 shortcut: p_i = beta + gamma*n_i + delta*w_i."""
-    if spec.universal is None:
-        raise PreconditionError("universal route needs universal parameters")
-    if spec.subsets is not None:
-        raise PreconditionError("universal route applies to plain joins (no subsets)")
+    _require(spec, "universal")
     a, b, c, d = spec.universal.as_tuple()
     if a + d != 0:
         raise PreconditionError(f"shortcut needs alpha + delta = 0, got {a} + {d}")
@@ -413,31 +425,20 @@ def lex_universal_charpoly(host: Graph, inner: Graph, params: UniversalParams) -
 def corona_charpoly(host: Graph, family: Sequence[Graph]) -> Polynomial:
     """Characteristic polynomial of the corona of host with one graph per vertex.
 
-    Clears the k x k determinant with entries x - resolvent_i (diagonal) and
-    -rho_ij (off) by each row's g_i, keeping everything polynomial.
+    Block i is the cone over family[i], apex first, with vector e_0, coupled
+    by the host's edges.  With f_i / g_i the companion's all-ones resolvent,
+    the cone's resolvent at e_0 is g_i / (x g_i - f_i), already reduced, and
+    its cofactor is phi_i / g_i, so Phi is the determinant with x g_i - f_i
+    on the diagonal and -rho_ij g_i off it.
     """
     family = tuple(family)
     if len(family) != host.n:
         raise SpecError(f"corona host has {host.n} vertices but {len(family)} companion graphs given")
-    k = host.n
-    rho = host_rho(host)
-    data = []
+    blocks = []
     for g in family:
-        ones = tuple(Fraction(1) for _ in range(g.n))
-        form = resolvent_form(g.adjacency(), ones)
-        data.append((form.num, form.den, form.charpoly.exact_div(form.den)))
-    x = Polynomial.x()
-    rows = [
-        [x * data[i][1] - data[i][0] if i == j else (-rho[i][j]) * data[i][1] for j in range(k)]
-        for i in range(k)
-    ]
-    out = poly_det(rows)
-    for _, _, cof in data:
-        out = out * cof
-    expected = k + sum(g.n for g in family)
-    if out.degree != expected or not out.is_monic:
-        raise ArithmeticError("corona charpoly failed its degree check")
-    return out
+        apex = (1,) + (0,) * g.n
+        blocks.append((generalized_corona(Graph(1), (g,)).adjacency(), apex, apex))
+    return coupled_charpoly(CoupledBlocks(blocks, host_rho(host)))
 
 
 def corona_charpoly_via_join(host: Graph, family: Sequence[Graph]) -> Polynomial:

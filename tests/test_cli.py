@@ -2,7 +2,18 @@ import json
 
 import pytest
 
+from joinspectra import (
+    JoinSpec,
+    UniversalParams,
+    hgen_join_charpoly,
+    hgen_join_spectrum,
+    hjoin_universal_charpoly,
+    hjoin_universal_spectrum,
+    hjoin_universal_spectrum_alpha_delta_zero,
+    hjoin_universal_spectrum_regular,
+)
 from joinspectra.cli import dumps_result, main
+from joinspectra.errors import PreconditionError
 from joinspectra.fixtures import (
     mixed_join_charpoly_factors,
     mixed_join_spec,
@@ -181,3 +192,75 @@ def test_error_exit_codes(tmp_path, capsys):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"host": {"n": 2}, "components": [{"n": 1}]}))
     assert main(["charpoly", str(schema)]) == 2
+
+
+NEEDS_PARAMS = "universal route needs universal parameters"
+PLAIN_ONLY = "universal route applies to plain joins (no subsets)"
+NEEDS_SUBSETS = "subset-join route needs per-component subsets"
+ADJACENCY_ONLY = "subset-join route is stated for the adjacency matrix only"
+
+
+def _subset_spec(universal=None) -> JoinSpec:
+    return subset_join_spec().with_universal(universal)
+
+
+@pytest.mark.parametrize(
+    "route, spec, message",
+    [
+        (hjoin_universal_charpoly, mixed_join_spec, NEEDS_PARAMS),
+        (hjoin_universal_charpoly, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
+        (hjoin_universal_spectrum, mixed_join_spec, NEEDS_PARAMS),
+        (hjoin_universal_spectrum, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
+        (hjoin_universal_spectrum_regular, lambda: _subset_spec(), NEEDS_PARAMS),
+        (hjoin_universal_spectrum_regular, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
+        (hjoin_universal_spectrum_alpha_delta_zero, mixed_join_spec, NEEDS_PARAMS),
+        (hjoin_universal_spectrum_alpha_delta_zero, lambda: _subset_spec(UniversalParams.laplacian()), PLAIN_ONLY),
+        (hgen_join_charpoly, mixed_join_spec, NEEDS_SUBSETS),
+        (hgen_join_charpoly, lambda: _subset_spec(UniversalParams.adjacency()), ADJACENCY_ONLY),
+        (hgen_join_spectrum, lambda: mixed_join_spec().with_universal(UniversalParams.adjacency()), NEEDS_SUBSETS),
+        (hgen_join_spectrum, lambda: _subset_spec(UniversalParams.adjacency()), ADJACENCY_ONLY),
+    ],
+)
+def test_route_precondition_messages(route, spec, message):
+    with pytest.raises(PreconditionError) as exc:
+        route(spec())
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, universal, message",
+    [
+        (["charpoly", "--route", "universal"], None, PLAIN_ONLY),
+        (["charpoly"], UniversalParams.adjacency(), ADJACENCY_ONLY),
+        (["spectrum"], UniversalParams.adjacency(), ADJACENCY_ONLY),
+        (["spectrum", "--route", "regular"], None, NEEDS_PARAMS),
+        (["spectrum", "--route", "balanced"], UniversalParams.laplacian(), PLAIN_ONLY),
+    ],
+)
+def test_route_precondition_exit_code(capsys, tmp_path, argv, universal, message):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(_subset_spec(universal).to_json_obj()))
+    assert main([argv[0], str(p), *argv[1:]]) == 3
+    assert capsys.readouterr().err == f"precondition violated: {message}\n"
+
+
+def test_plain_spec_on_subset_route_exits_3(capsys, mixed_path):
+    assert main(["charpoly", mixed_path, "--route", "subset"]) == 3
+    assert capsys.readouterr().err == f"precondition violated: {NEEDS_SUBSETS}\n"
+
+
+def test_parser_is_shared_and_argv_errors_still_exit_2(capsys):
+    from joinspectra.cli import build_parser
+
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["charpoly"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: joinspectra charpoly")
+        assert err.endswith("joinspectra charpoly: error: the following arguments are required: spec\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: joinspectra")

@@ -6,14 +6,8 @@ import pytest
 from helpers import adjugate_form, cofactor_det, outer, rand_int_matrix, rand_rational_matrix, rand_vector
 from joinspectra import Graph
 from joinspectra.errors import ShapeError
-from joinspectra.matrices import (
-    RationalMatrix,
-    charpoly,
-    determinant,
-    poly_det,
-    ratfun_det,
-)
-from joinspectra.polynomials import Polynomial, RationalFunction
+from joinspectra.matrices import RationalMatrix, charpoly, determinant, poly_det
+from joinspectra.polynomials import Polynomial
 
 X = Polynomial.x()
 
@@ -94,9 +88,6 @@ def test_matrix_determinant_lemma():
 
 
 def test_poly_det_examples():
-    one = RationalFunction.one()
-    eye = [[one if i == j else RationalFunction.zero() for j in range(3)] for i in range(3)]
-    assert ratfun_det(eye) == one
     m = [[X, Polynomial.constant(-1)], [Polynomial.constant(-1), X]]
     assert poly_det(m) == X**2 - 1
     assert poly_det([]) == Polynomial.one()
@@ -170,41 +161,16 @@ def test_poly_det_needs_pivot_search():
     assert poly_det(singular).is_zero
 
 
-def test_ratfun_det_vs_cofactor():
-    rng = random.Random(7)
-    for _ in range(15):
-        k = rng.randint(1, 3)
-        rows = []
-        for _ in range(k):
-            row = []
-            for _ in range(k):
-                num = Polynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 2))])
-                den = Polynomial([rng.randint(-2, 2) for _ in range(rng.randint(0, 1))] + [1])
-                row.append(RationalFunction(num, den))
-            rows.append(row)
-        want = cofactor_det(rows)
-        assert ratfun_det(rows) == want
-
-
 def test_fixture_coupling_determinant_identity():
-    # the 3x3 coupled matrix with diagonal 1/resolvent and off-diagonal -rho,
-    # multiplied through by all block charpolys and resolvents, must expand to
-    # the known 10-vertex join charpoly
+    # Phi from the fixture's reduced resolvents f_i / g_i, multiplied by every
+    # block cofactor phi_i / g_i, must expand to the known 10-vertex join charpoly
     from joinspectra.fixtures import mixed_join_charpoly_factors, mixed_join_resolvents, product
+    from joinspectra.spectra import coupling_poly
 
-    gammas = [RationalFunction(r.num, r.den) for r in mixed_join_resolvents()]
+    forms = mixed_join_resolvents()
     phis = [X**3 - 2 * X, X**4 - 3 * X**2, X**3 - X]
     rho = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    rows = [
-        [
-            1 / gammas[i] if i == j else RationalFunction(Polynomial.constant(-rho[i][j]))
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    det = ratfun_det(rows)
-    total = det
-    for phi, gamma in zip(phis, gammas):
-        total = total * RationalFunction(phi) * gamma
-    expected = product(mixed_join_charpoly_factors())
-    assert total == RationalFunction(expected)
+    total = coupling_poly([r.num for r in forms], [r.den for r in forms], rho)
+    for phi, r in zip(phis, forms):
+        total = total * phi.exact_div(r.den)
+    assert total == product(mixed_join_charpoly_factors())

@@ -5,7 +5,7 @@ import pytest
 
 from joinspectra.errors import DomainError
 from joinspectra.polynomials import Polynomial
-from joinspectra.roots import numeric_roots, rational_root_multiplicity, real_roots
+from joinspectra.roots import numeric_roots, real_roots
 
 X = Polynomial.x()
 
@@ -98,9 +98,3 @@ def test_degenerate_inputs():
     with pytest.raises(ArithmeticError):
         real_roots(X**2 + 1)
 
-
-def test_rational_root_multiplicity():
-    p = (X - 1) ** 3 * (X + 2)
-    assert rational_root_multiplicity(p, 1) == 3
-    assert rational_root_multiplicity(p, -2) == 1
-    assert rational_root_multiplicity(p, 5) == 0

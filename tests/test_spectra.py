@@ -245,6 +245,28 @@ def test_glued_product_is_checked_on_both_routes(monkeypatch):
             coupled_spectrum(cb)
 
 
+def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
+    import joinspectra.spectra as spectra
+
+    exact = spectra.charpoly
+    calls = []
+
+    def first_block_doubled(m):
+        # the first charpoly a shortcut takes is block 0's, whose cofactor
+        # then comes out twice too large
+        calls.append(m)
+        phi = exact(m)
+        return phi * 2 if len(calls) == 1 else phi
+
+    monkeypatch.setattr(spectra, "charpoly", first_block_doubled)
+    regular = JoinSpec(Graph.path(2), (Graph.cycle(4), Graph.complete(3)), universal=ADJ)
+    with pytest.raises(ArithmeticError):
+        hjoin_universal_spectrum_regular(regular)
+    calls.clear()
+    with pytest.raises(ArithmeticError):
+        hjoin_universal_spectrum_alpha_delta_zero(mixed_join_spec().with_universal(UniversalParams.laplacian()))
+
+
 def test_coupling_degree_matches_visible_count():
     rng = random.Random(46)
     for _ in range(10):
@@ -552,6 +574,28 @@ def test_corona_two_routes_agree():
         via_join = corona_charpoly_via_join(host, fam)
         assert direct == via_join
         assert compare(direct, oracle_charpoly(generalized_corona(host, fam).adjacency())).equal
+
+
+def test_corona_matches_oracle_on_edge_case_companions():
+    # empty (0-vertex), single-vertex and disconnected companions on
+    # edgeless, complete and random hosts
+    rng = random.Random(52)
+    companions = (
+        lambda: Graph(0),
+        lambda: Graph(1),
+        lambda: Graph.empty(rng.randint(2, 3)),
+        lambda: Graph(4, [(0, 1), (2, 3)]),
+        lambda: random_graph(rng, rng.randint(0, 4)),
+    )
+    hosts = (Graph.empty, Graph.complete, lambda k: random_graph(rng, k))
+    for trial in range(24):
+        k = rng.randint(1, 4)
+        host = hosts[trial % 3](k)
+        fam = tuple(rng.choice(companions)() for _ in range(k))
+        if trial < 3:
+            fam = (Graph(0),) * k
+        got = corona_charpoly(host, fam)
+        assert got == oracle_charpoly(generalized_corona(host, fam).adjacency())
 
 
 # -- concurrency sanity --------------------------------------------------------------
