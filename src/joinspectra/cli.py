@@ -111,9 +111,9 @@ def cmd_spectrum(args) -> int:
     if args.route == "auto":
         route, report = join_spectrum(spec, tol=args.tol, verify=args.verify)
     elif args.route == "regular":
-        route, report = "regular-shortcut", hjoin_universal_spectrum_regular(spec, tol=args.tol)
+        route, report = "regular-shortcut", hjoin_universal_spectrum_regular(spec, args.tol, args.verify)
     else:  # balanced
-        route, report = "balanced-shortcut", hjoin_universal_spectrum_alpha_delta_zero(spec, tol=args.tol)
+        route, report = "balanced-shortcut", hjoin_universal_spectrum_alpha_delta_zero(spec, args.tol, args.verify)
     obj = {
         "route": route,
         "charpoly": report.charpoly.to_strings(),
@@ -145,7 +145,7 @@ def cmd_gcp(args) -> int:
 
 def cmd_corona(args) -> int:
     spec = _load_spec(args.spec)
-    if spec.universal is not None or spec.subsets is not None:
+    if spec.universal is not None or spec.subsets is not None or spec.rho_override is not None:
         raise PreconditionError("corona route reads host + companion components only")
     poly = corona_charpoly(spec.host, spec.components)
     extra = {}
@@ -171,7 +171,7 @@ def cmd_lex(args) -> int:
         if isinstance(host_n, int):
             obj = dict(obj, components=obj["components"] * host_n)
     spec = JoinSpec.from_json_obj(obj)
-    if spec.subsets is not None:
+    if spec.subsets is not None or spec.rho_override is not None:
         raise PreconditionError("lexicographic route takes a plain host + one inner graph")
     inners = set(spec.components)
     if len(inners) != 1:

@@ -79,14 +79,6 @@ class UniversalParams:
             raise SpecError(f"bad universal parameters: {exc}") from None
 
 
-PRESET_PARAMS = {
-    "adjacency": UniversalParams.adjacency,
-    "laplacian": UniversalParams.laplacian,
-    "signless": UniversalParams.signless_laplacian,
-    "seidel": UniversalParams.seidel,
-}
-
-
 @dataclass(frozen=True)
 class JoinSpec:
     """Host graph plus one component graph per host vertex.

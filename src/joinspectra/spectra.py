@@ -11,9 +11,14 @@ where Phi is the determinant of the k x k polynomial matrix with g_i on the
 diagonal and -rho_ij * f_i off it.  Everything here works with that cleared
 form, so zero vectors (f_i = 0, g_i = 1) and asymmetric couplings cost
 nothing special.  Graph joins, their universal-matrix and subset variants
-and generalized coronas are thin wrappers that pick the right blocks.  The
-lexicographic product of identical blocks keeps its own closed form, which
-expands Phi through the host's coupling charpoly.
+and generalized coronas are thin wrappers that pick the right blocks.  Every
+spectrum, the regular and alpha + delta = 0 shortcuts included, is
+classified by one step; a shortcut only knows its block data in advance,
+because the all-ones vector is an eigenvector of every block and the
+resolvent is n_i / (x - p_i) (Fiedler's lemma is the rank-one case).  The
+lexicographic product of identical blocks shares the block data, coupling
+scalars and checked product, but expands Phi in closed form through the
+host's coupling charpoly.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .joins import (
 )
 from .matrices import RationalMatrix, Vector, as_vector, charpoly, poly_det
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
-from .resolvent import resolvent_form
+from .resolvent import eigenvector_resolvent, resolvent_form
 from .roots import real_roots
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,26 +175,9 @@ class SpectrumReport:
         return sorted(out)
 
 
-def _build_report(charpoly_total, inherited, reduced, coupling, tol, total_dim, verdict=None) -> SpectrumReport:
-    croots = real_roots(coupling, tol) if coupling.degree > 0 else []
-    counted = sum(m for _, m, _ in inherited) + sum(m for _, m, _ in reduced) + len(croots)
-    if counted != total_dim:
-        raise ArithmeticError(f"eigenvalue accounting mismatch: {counted} of {total_dim}")
-    return SpectrumReport(
-        charpoly=charpoly_total,
-        inherited=tuple(inherited),
-        reduced=tuple(reduced),
-        coupling=coupling,
-        coupling_roots=tuple(croots),
-        oracle_verdict=verdict,
-    )
-
-
-def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
-    """Classified spectrum of the glued matrix (symmetric case only)."""
-    if not cb.is_hermitian():
-        raise PreconditionError("spectrum classification needs symmetric blocks, u = v and symmetric coupling")
-    data = [_block_data(m, u, v) for m, u, v in cb.blocks]
+def _classified_spectrum(cb: CoupledBlocks, data: Sequence[_BlockData], tol: float, verify: bool) -> SpectrumReport:
+    """Classify every block, form Phi and the checked product, and attach the
+    oracle's verdict on the assembled matrix when asked."""
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
     for idx, d in enumerate(data):
@@ -203,7 +191,18 @@ def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False)
         from . import oracle as _oracle
 
         verdict = _oracle.compare(total, _oracle.oracle_charpoly(_oracle.assemble(cb)))
-    return _build_report(total, inherited, reduced, phi, tol, cb.total_dim, verdict)
+    croots = real_roots(phi, tol) if phi.degree > 0 else []
+    counted = sum(m for _, m, _ in inherited) + sum(m for _, m, _ in reduced) + len(croots)
+    if counted != cb.total_dim:
+        raise ArithmeticError(f"eigenvalue accounting mismatch: {counted} of {cb.total_dim}")
+    return SpectrumReport(total, tuple(inherited), tuple(reduced), phi, tuple(croots), verdict)
+
+
+def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
+    """Classified spectrum of the glued matrix (symmetric case only)."""
+    if not cb.is_hermitian():
+        raise PreconditionError("spectrum classification needs symmetric blocks, u = v and symmetric coupling")
+    return _classified_spectrum(cb, [_block_data(m, u, v) for m, u, v in cb.blocks], tol, verify)
 
 
 # -- block builders for graph joins -----------------------------------------
@@ -244,17 +243,20 @@ def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
     _require(spec, "universal")
     params = spec.universal
     w = join_weights(spec)
-    rho = effective_rho(spec)
     blocks = []
     for i, g in enumerate(spec.components):
         m = universal_matrix(g, params, params.delta * w[i])
         blocks.append((m, tuple(Fraction(1) for _ in range(g.n)), tuple(Fraction(1) for _ in range(g.n))))
-    k = spec.k
-    rho_hat = tuple(
+    return CoupledBlocks(blocks, _universal_rho(effective_rho(spec), params))
+
+
+def _universal_rho(rho: RhoMatrix, params: UniversalParams) -> RhoMatrix:
+    """Coupling scalars of a universal-matrix join: rho_ij * alpha + gamma off the diagonal."""
+    k = len(rho)
+    return tuple(
         tuple(rho[i][j] * params.alpha + params.gamma if i != j else Fraction(0) for j in range(k))
         for i in range(k)
     )
-    return CoupledBlocks(blocks, rho_hat)
 
 
 # -- graph-level formula routes ------------------------------------------------
@@ -312,60 +314,41 @@ def join_spectrum(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> tu
 # -- single-eigenvalue shortcut routes ----------------------------------------
 
 
-def _ones_eigenvalue_spectrum(spec: JoinSpec, ps: list[Fraction], tol: float) -> SpectrumReport:
+def _ones_eigenvalue_spectrum(spec: JoinSpec, ps: list[Fraction], tol: float, verify: bool) -> SpectrumReport:
     """Spectrum when every shifted block provably has the all-ones eigenvector.
 
-    Independent of resolvent reduction: each block loses one copy of its
-    all-ones eigenvalue p_i, and the k new eigenvalues come from the small
-    matrix with p_i on the diagonal and n_j * rho_hat_ij off it (similar to
-    the symmetrized form with sqrt(n_i n_j) entries).
+    Block i's all-ones resolvent is then n_i / (x - p_i), so no resolvent
+    reduction runs: each block loses one copy of p_i, and Phi is the
+    characteristic polynomial of the k x k matrix with p_i on the diagonal
+    and n_i * rho_hat_ij off it.
     """
-    params = spec.universal
-    w = join_weights(spec)
-    rho = effective_rho(spec)
-    ns = [g.n for g in spec.components]
-    if any(n == 0 for n in ns):
+    if any(g.n == 0 for g in spec.components):
         raise PreconditionError("every component needs at least one vertex")
-    k = spec.k
-    inherited: list[tuple[float, int, int]] = []
-    reduced: list[tuple[float, int, int]] = []
-    cofactors: list[Polynomial] = []
-    for i, g in enumerate(spec.components):
-        m = universal_matrix(g, params, params.delta * w[i])
-        phi_p = charpoly(m)
-        if phi_p(ps[i]) != 0:
+    cb = universal_blocks(spec)
+    data = []
+    for i, (m, _, _) in enumerate(cb.blocks):
+        phi = charpoly(m)
+        if phi(ps[i]) != 0:
             raise ArithmeticError(f"expected all-ones eigenvalue {ps[i]} missing from block {i}")
-        pole = Polynomial((-ps[i], 1))
-        inh, red = _classify_block(phi_p, pole, i, tol)
-        inherited += inh
-        reduced += red
-        cofactors.append(phi_p.exact_div(pole))
-    rho_hat = [[rho[i][j] * params.alpha + params.gamma if i != j else Fraction(0) for j in range(k)] for i in range(k)]
-    small = RationalMatrix(k, k, [ps[i] if i == j else ns[j] * rho_hat[i][j] for i in range(k) for j in range(k)])
-    phi_small = charpoly(small)
-    total = _glued_product(phi_small, cofactors, spec.total_vertices)
-    return _build_report(total, inherited, reduced, phi_small, tol, spec.total_vertices)
+        form = eigenvector_resolvent(ps[i], m.rows)
+        data.append(_BlockData(phi=phi, f=form.num, g=form.den, cofactor=phi.exact_div(form.den)))
+    return _classified_spectrum(cb, data, tol, verify)
 
 
-def hjoin_universal_spectrum_regular(
-    spec: JoinSpec, degrees: Optional[Sequence[int]] = None, tol: float = 1e-8
-) -> SpectrumReport:
+def hjoin_universal_spectrum_regular(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
     """Spectrum via the all-regular shortcut: p_i = alpha*r_i + beta + gamma*n_i + delta*(r_i + w_i)."""
     _require(spec, "universal")
     actual = [g.regular_degree() for g in spec.components]
     if any(r is None for r in actual):
         raise PreconditionError("regular shortcut needs every component regular")
-    if degrees is not None:
-        if list(degrees) != actual:
-            raise PreconditionError(f"stated degrees {list(degrees)} do not match actual {actual}")
     a, b, c, d = spec.universal.as_tuple()
     w = join_weights(spec)
     ns = [g.n for g in spec.components]
     ps = [a * r + b + c * n + d * (r + wi) for r, n, wi in zip(actual, ns, w)]
-    return _ones_eigenvalue_spectrum(spec, ps, tol)
+    return _ones_eigenvalue_spectrum(spec, ps, tol, verify)
 
 
-def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec, tol: float = 1e-8) -> SpectrumReport:
+def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
     """Spectrum via the alpha + delta = 0 shortcut: p_i = beta + gamma*n_i + delta*w_i."""
     _require(spec, "universal")
     a, b, c, d = spec.universal.as_tuple()
@@ -373,7 +356,7 @@ def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec, tol: float = 1e-8)
         raise PreconditionError(f"shortcut needs alpha + delta = 0, got {a} + {d}")
     w = join_weights(spec)
     ps = [b + c * g.n + d * wi for g, wi in zip(spec.components, w)]
-    return _ones_eigenvalue_spectrum(spec, ps, tol)
+    return _ones_eigenvalue_spectrum(spec, ps, tol, verify)
 
 
 # -- lexicographic products ---------------------------------------------------
@@ -391,32 +374,18 @@ def lex_universal_charpoly(host: Graph, inner: Graph, params: UniversalParams) -
     if params.delta != 0:
         raise PreconditionError(f"lexicographic route requires delta = 0, got {params.delta}")
     k = host.n
-    u_inner = universal_matrix(inner, params)
     ones = tuple(Fraction(1) for _ in range(inner.n))
-    form = resolvent_form(u_inner, ones)
-    f, g = form.num, form.den
-    cof = form.charpoly.exact_div(g)
-    coupling = RationalMatrix(
-        k,
-        k,
-        [
-            params.alpha * (1 if host.has_edge(i, j) else 0) + params.gamma if i != j else Fraction(0)
-            for i in range(k)
-            for j in range(k)
-        ],
-    )
+    d = _block_data(universal_matrix(inner, params), ones, ones)
+    coupling = RationalMatrix(k, k, [x for row in _universal_rho(host_rho(host), params) for x in row])
     cs = charpoly(coupling).coeffs  # ascending, monic
     f_pows, g_pows = [Polynomial.one()], [Polynomial.one()]
     for _ in range(k):
-        f_pows.append(f_pows[-1] * f)
-        g_pows.append(g_pows[-1] * g)
+        f_pows.append(f_pows[-1] * d.f)
+        g_pows.append(g_pows[-1] * d.g)
     acc = Polynomial()
     for j in range(k + 1):
         acc = acc + cs[j] * f_pows[k - j] * g_pows[j]
-    out = (cof**k) * acc
-    if out.degree != k * inner.n or not out.is_monic:
-        raise ArithmeticError("lexicographic charpoly failed its degree check")
-    return out
+    return _glued_product(acc, [d.cofactor] * k, k * inner.n)
 
 
 # -- coronas -------------------------------------------------------------------

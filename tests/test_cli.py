@@ -95,6 +95,44 @@ def test_spectrum_shortcut_routes(capsys, tmp_path):
     assert main(["spectrum", str(p), "--route", "regular"]) == 3
 
 
+def _shortcut_spec(tmp_path, universal) -> str:
+    p = tmp_path / "shortcut.json"
+    p.write_text(json.dumps({"host": "2; 0-1", "components": ["3; 0-1,0-2,1-2", "2; 0-1"], "universal": universal}))
+    return str(p)
+
+
+@pytest.mark.parametrize("route, universal", [("regular", {}), ("balanced", {"alpha": "-1", "delta": "1"})])
+def test_spectrum_shortcut_verify(capsys, tmp_path, route, universal):
+    code, obj = run_json(capsys, ["spectrum", _shortcut_spec(tmp_path, universal), "--route", route, "--verify"])
+    assert code == 0
+    assert obj["route"] == f"{route}-shortcut"
+    assert obj["oracle"] == {"equal": True, "first_mismatch": None, "detail": "exact match"}
+
+
+def test_spectrum_shortcut_verify_mismatch_exits_1(capsys, monkeypatch, tmp_path):
+    import joinspectra.oracle as oracle
+
+    exact = oracle.oracle_charpoly
+    monkeypatch.setattr(oracle, "oracle_charpoly", lambda m: exact(m) + 1)
+    code, obj = run_json(capsys, ["spectrum", _shortcut_spec(tmp_path, {}), "--route", "regular", "--verify"])
+    assert code == 1
+    assert obj["oracle"]["equal"] is False
+
+
+@pytest.mark.parametrize(
+    "verb, message",
+    [
+        ("corona", "corona route reads host + companion components only"),
+        ("lex", "lexicographic route takes a plain host + one inner graph"),
+    ],
+)
+def test_corona_and_lex_reject_rho(capsys, tmp_path, verb, message):
+    p = tmp_path / "rho.json"
+    p.write_text(json.dumps({"host": "2; 0-1", "components": ["2; 0-1", "2; 0-1"], "rho": [["0", "5"], ["7", "0"]]}))
+    assert main([verb, str(p), "--verify"]) == 3
+    assert capsys.readouterr().err == f"precondition violated: {message}\n"
+
+
 def test_gcp_verb(capsys, mixed_path):
     code, obj = run_json(capsys, ["gcp", mixed_path, "--t", "0"])
     assert code == 0

@@ -378,9 +378,6 @@ def test_regular_shortcut_rejects_irregular():
     spec = JoinSpec(Graph(1), (Graph.path(3),), universal=ADJ)
     with pytest.raises(PreconditionError):
         hjoin_universal_spectrum_regular(spec)
-    ok = JoinSpec(Graph(1), (Graph.cycle(4),), universal=ADJ)
-    with pytest.raises(PreconditionError):
-        hjoin_universal_spectrum_regular(ok, degrees=[3])
 
 
 def test_balanced_shortcut_laplacian():
@@ -410,6 +407,51 @@ def test_balanced_shortcut_single_block():
 def test_balanced_shortcut_precondition():
     with pytest.raises(PreconditionError):
         hjoin_universal_spectrum_alpha_delta_zero(mixed_join_spec().with_universal(ADJ))
+
+
+def test_shortcut_coupling_is_the_small_ones_matrix():
+    # Phi of both shortcuts must be the charpoly of the k x k matrix with p_i
+    # on the diagonal and n_j * rho_hat_ij off it, rho_hat = rho*alpha + gamma
+    from joinspectra.joins import effective_rho
+
+    rng = random.Random(57)
+    for case in range(12):
+        k = rng.randint(1, 4)
+        host = random_graph(rng, k)
+        params = random_universal_params(rng)
+        if case % 2:
+            comps = tuple(random_graph(rng, rng.randint(1, 4)) for _ in range(k))
+            params = UniversalParams(params.alpha, params.beta, params.gamma, -params.alpha)
+        else:
+            comps = tuple(regular_graph_menu(rng) for _ in range(k))
+        rho = None
+        if case % 3 == 0:
+            rho = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    rho[i][j] = rho[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        spec = JoinSpec(host, comps, universal=params, rho_override=rho)
+        a, b, c, d = params.as_tuple()
+        w = join_weights(spec)
+        ns = [g.n for g in comps]
+        if case % 2:
+            report = hjoin_universal_spectrum_alpha_delta_zero(spec)
+            ps = [b + c * n + d * wi for n, wi in zip(ns, w)]
+        else:
+            report = hjoin_universal_spectrum_regular(spec)
+            rs = [g.regular_degree() for g in comps]
+            ps = [a * r + b + c * n + d * (r + wi) for r, n, wi in zip(rs, ns, w)]
+        eff = effective_rho(spec)
+        entries = [ps[i] if i == j else ns[j] * (eff[i][j] * a + c) for i in range(k) for j in range(k)]
+        assert report.coupling == charpoly(RationalMatrix(k, k, entries))
+
+
+def test_shortcut_routes_verify_against_the_oracle():
+    spec = JoinSpec(Graph.complete(2), (Graph.complete(3), Graph.complete(2)), universal=ADJ)
+    assert hjoin_universal_spectrum_regular(spec).oracle_verdict is None
+    assert hjoin_universal_spectrum_regular(spec, verify=True).oracle_verdict.equal
+    lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
+    assert hjoin_universal_spectrum_alpha_delta_zero(lap, verify=True).oracle_verdict.equal
 
 
 def test_universal_route_with_coupling_override():
