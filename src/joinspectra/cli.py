@@ -79,6 +79,15 @@ def _poly_result(route: str, poly: Polynomial, extra: dict | None = None) -> dic
     return obj
 
 
+def _emit_checked(obj: dict, verdict, args) -> int:
+    """Emit obj with the oracle's verdict, if there is one, under "oracle";
+    a mismatch exits 1."""
+    if verdict is not None:
+        obj["oracle"] = {"equal": verdict.equal, "first_mismatch": verdict.first_mismatch, "detail": verdict.detail}
+    _emit(obj, args)
+    return 0 if verdict is None or verdict.equal else 1
+
+
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
@@ -123,16 +132,7 @@ def cmd_spectrum(args) -> int:
         "coupling_roots": list(report.coupling_roots),
         "eigenvalues": report.eigenvalues(),
     }
-    if report.oracle_verdict is not None:
-        obj["oracle"] = {
-            "equal": report.oracle_verdict.equal,
-            "first_mismatch": report.oracle_verdict.first_mismatch,
-            "detail": report.oracle_verdict.detail,
-        }
-    _emit(obj, args)
-    if report.oracle_verdict is not None and not report.oracle_verdict.equal:
-        return 1
-    return 0
+    return _emit_checked(obj, report.oracle_verdict, args)
 
 
 def cmd_gcp(args) -> int:
@@ -148,15 +148,10 @@ def cmd_corona(args) -> int:
     if spec.universal is not None or spec.subsets is not None or spec.rho_override is not None:
         raise PreconditionError("corona route reads host + companion components only")
     poly = corona_charpoly(spec.host, spec.components)
-    extra = {}
+    verdict = None
     if args.verify:
-        truth = oracle_charpoly(generalized_corona(spec.host, spec.components).adjacency())
-        verdict = compare(poly, truth)
-        extra["oracle"] = {"equal": verdict.equal, "first_mismatch": verdict.first_mismatch, "detail": verdict.detail}
-    _emit(_poly_result("corona", poly, extra), args)
-    if args.verify and not extra["oracle"]["equal"]:
-        return 1
-    return 0
+        verdict = compare(poly, oracle_charpoly(generalized_corona(spec.host, spec.components).adjacency()))
+    return _emit_checked(_poly_result("corona", poly), verdict, args)
 
 
 def cmd_lex(args) -> int:
@@ -179,15 +174,10 @@ def cmd_lex(args) -> int:
     inner = spec.components[0]
     params = spec.universal if spec.universal is not None else UniversalParams.adjacency()
     poly = lex_universal_charpoly(spec.host, inner, params)
-    extra = {}
+    verdict = None
     if args.verify:
-        truth = oracle_charpoly(universal_matrix(lexicographic(spec.host, inner), params))
-        verdict = compare(poly, truth)
-        extra["oracle"] = {"equal": verdict.equal, "first_mismatch": verdict.first_mismatch, "detail": verdict.detail}
-    _emit(_poly_result("lexicographic", poly, extra), args)
-    if args.verify and not extra["oracle"]["equal"]:
-        return 1
-    return 0
+        verdict = compare(poly, oracle_charpoly(universal_matrix(lexicographic(spec.host, inner), params)))
+    return _emit_checked(_poly_result("lexicographic", poly), verdict, args)
 
 
 def cmd_verify(args) -> int:

@@ -12,6 +12,7 @@ sum of the row degrees, and interpolates exactly in the integers.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -182,12 +183,33 @@ def charpoly(m: RationalMatrix) -> Polynomial:
     return charpoly_with(charpoly_int, m)
 
 
-def charpoly_and_update(m: RationalMatrix, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Polynomial, Polynomial]:
-    """Exact det(xI - M) and det(xI - M - u v^T).
+def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
+    """The mu with A u = mu u, for an n x n integer matrix A (row-major) and
+    an integer vector u, or None: u is zero, or a row disagrees.  The rows are
+    checked one dot product at a time, and the first disagreeing row stops it.
+    """
+    pivot = next((i for i, x in enumerate(u) if x), None)
+    if pivot is None:
+        return None
+    up = u[pivot]
+    top = sum(map(operator.mul, a[pivot * n : (pivot + 1) * n], u))
+    for i in range(n):
+        if sum(map(operator.mul, a[i * n : (i + 1) * n], u)) * up != top * u[i]:
+            return None
+    return Fraction(top, up)
 
-    The rank-one update is formed on integers: with D (`common`) the lcm of
-    M's denominators and of du * dv, where du and dv clear the denominators
-    of u and v, D * M and D * u v^T are both integer matrices.
+
+def charpoly_and_update(
+    m: RationalMatrix, u: Sequence[Fraction], v: Sequence[Fraction]
+) -> tuple[Polynomial, Polynomial | None, Fraction | None]:
+    """(det(xI - M), det(xI - M - u v^T), None), or (det(xI - M), None, mu)
+    when u = v != 0 is an eigenvector of M for the eigenvalue mu.
+
+    An eigenvector needs one charpoly only, because v^T (xI - M)^{-1} u is
+    then |u|^2 / (x - mu).  The test runs on the integers d * M and du * u,
+    d and du clearing the denominators of M and u.  Otherwise the rank-one
+    update is formed on integers too: with D (`common`) the lcm of d and of
+    du * dv, dv clearing v, D * M and D * u v^T are both integer matrices.
     """
     if not m.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
@@ -196,13 +218,17 @@ def charpoly_and_update(m: RationalMatrix, u: Sequence[Fraction], v: Sequence[Fr
         raise ShapeError(f"vector length must be {n}")
     ints, d = cleared_int_entries(m)
     du, dv = _den_lcm(u), _den_lcm(v)
+    uu = [x.numerator * (du // x.denominator) for x in u]
+    if u == v:
+        mu = _int_eigenvalue(ints, n, uu)
+        if mu is not None:
+            return _descale(charpoly_int(ints, n), d), None, mu / d
     common = d * du * dv // math.gcd(d, du * dv)
     if common != d:
         ints = [x * (common // d) for x in ints]
-    uu = [x.numerator * (du // x.denominator) for x in u]
     vv = [x.numerator * (common // (du * x.denominator)) for x in v]
     updated = [ints[i * n + j] + ui * vj for i, ui in enumerate(uu) for j, vj in enumerate(vv)]
-    return _descale(charpoly_int(ints, n), common), _descale(charpoly_int(updated, n), common)
+    return _descale(charpoly_int(ints, n), common), _descale(charpoly_int(updated, n), common), None
 
 
 def determinant(m: RationalMatrix) -> Fraction:

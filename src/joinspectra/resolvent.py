@@ -3,7 +3,11 @@
 A form needs only two characteristic polynomials.  By the matrix
 determinant lemma, det(xI - M - u v^T) = det(xI - M) (1 - v^T (xI - M)^{-1} u),
 so v^T (xI - M)^{-1} u = (phi_M - phi_{M + u v^T}) / phi_M, and the
-numerator is exactly v^T adj(xI - M) u.
+numerator is exactly v^T adj(xI - M) u.  One suffices when u = v is an
+eigenvector of M, M u = mu u: the form is then |u|^2 / (x - mu) (the case of
+Fiedler's lemma), and `charpoly_and_update` detects it on the integers it
+has already cleared.  All-ones is such a vector for every block of a join of
+regular graphs and for every Laplacian-type block (alpha + delta = 0).
 
 For a symmetric matrix with u = v the reduced denominator is the product of
 (x - mu) over exactly the eigenvalues mu whose eigenspace is not orthogonal
@@ -14,11 +18,11 @@ rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError
-from .matrices import RationalMatrix, as_vector, charpoly_and_update
+from .matrices import RationalMatrix, as_vector, charpoly_and_update, dot
 from .polynomials import (
     Polynomial,
     RationalFunction,
@@ -59,16 +63,19 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     """Exact v^T (xI - M)^{-1} u, reduced; v defaults to u.
 
     Computed as (phi_M - phi_{M + u v^T}) / phi_M from two
-    characteristic polynomials (see the module docstring).
+    characteristic polynomials, or as `eigenvector_resolvent` from phi_M
+    alone when u = v is an eigenvector of M (see the module docstring).
     """
     uu = as_vector(u)
     vv = uu if v is None else as_vector(v)
-    phi, updated = charpoly_and_update(m, uu, vv)
-    num = phi - updated
+    phi, updated, mu = charpoly_and_update(m, uu, vv)
+    hermitian = vv == uu and m.is_symmetric()
+    if mu is not None:
+        return replace(eigenvector_resolvent(mu, dot(uu, uu), m.rows), hermitian=hermitian, charpoly=phi)
     return ResolventForm(
-        func=RationalFunction(num, phi),
+        func=RationalFunction(phi - updated, phi),
         dim=m.rows,
-        hermitian=(vv == uu and m.is_symmetric()),
+        hermitian=hermitian,
         charpoly=phi,
     )
 

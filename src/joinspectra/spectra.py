@@ -12,13 +12,14 @@ diagonal and -rho_ij * f_i off it.  Everything here works with that cleared
 form, so zero vectors (f_i = 0, g_i = 1) and asymmetric couplings cost
 nothing special.  Graph joins, their universal-matrix and subset variants
 and generalized coronas are thin wrappers that pick the right blocks.  Every
-spectrum, the regular and alpha + delta = 0 shortcuts included, is
-classified by one step; a shortcut only knows its block data in advance,
-because the all-ones vector is an eigenvector of every block and the
-resolvent is n_i / (x - p_i) (Fiedler's lemma is the rank-one case).  The
-lexicographic product of identical blocks shares the block data, coupling
-scalars and checked product, but expands Phi in closed form through the
-host's coupling charpoly.
+spectrum is classified by one step.  A block whose vector is an eigenvector
+(all-ones on regular or alpha + delta = 0 blocks, Fiedler's lemma being the
+rank-one case) has the resolvent n_i / (x - p_i) and costs one charpoly;
+`resolvent_form` detects this on every route, so the regular and
+alpha + delta = 0 shortcuts are only precondition checks before that path.
+The lexicographic product of identical blocks shares the block data,
+coupling scalars and checked product, but expands Phi in closed form through
+the host's coupling charpoly.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .joins import (
 )
 from .matrices import RationalMatrix, Vector, as_vector, charpoly, poly_det
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
-from .resolvent import eigenvector_resolvent, resolvent_form
+from .resolvent import resolvent_form
 from .roots import real_roots
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -175,9 +176,15 @@ class SpectrumReport:
         return sorted(out)
 
 
-def _classified_spectrum(cb: CoupledBlocks, data: Sequence[_BlockData], tol: float, verify: bool) -> SpectrumReport:
-    """Classify every block, form Phi and the checked product, and attach the
-    oracle's verdict on the assembled matrix when asked."""
+def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
+    """Classified spectrum of the glued matrix (symmetric case only).
+
+    Classifies every block, forms Phi and the checked product, and attaches
+    the oracle's verdict on the assembled matrix when asked.
+    """
+    if not cb.is_hermitian():
+        raise PreconditionError("spectrum classification needs symmetric blocks, u = v and symmetric coupling")
+    data = [_block_data(m, u, v) for m, u, v in cb.blocks]
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
     for idx, d in enumerate(data):
@@ -196,13 +203,6 @@ def _classified_spectrum(cb: CoupledBlocks, data: Sequence[_BlockData], tol: flo
     if counted != cb.total_dim:
         raise ArithmeticError(f"eigenvalue accounting mismatch: {counted} of {cb.total_dim}")
     return SpectrumReport(total, tuple(inherited), tuple(reduced), phi, tuple(croots), verdict)
-
-
-def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
-    """Classified spectrum of the glued matrix (symmetric case only)."""
-    if not cb.is_hermitian():
-        raise PreconditionError("spectrum classification needs symmetric blocks, u = v and symmetric coupling")
-    return _classified_spectrum(cb, [_block_data(m, u, v) for m, u, v in cb.blocks], tol, verify)
 
 
 # -- block builders for graph joins -----------------------------------------
@@ -311,52 +311,28 @@ def join_spectrum(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> tu
     return route, coupled_spectrum(cb, tol, verify)
 
 
-# -- single-eigenvalue shortcut routes ----------------------------------------
-
-
-def _ones_eigenvalue_spectrum(spec: JoinSpec, ps: list[Fraction], tol: float, verify: bool) -> SpectrumReport:
-    """Spectrum when every shifted block provably has the all-ones eigenvector.
-
-    Block i's all-ones resolvent is then n_i / (x - p_i), so no resolvent
-    reduction runs: each block loses one copy of p_i, and Phi is the
-    characteristic polynomial of the k x k matrix with p_i on the diagonal
-    and n_i * rho_hat_ij off it.
-    """
-    if any(g.n == 0 for g in spec.components):
-        raise PreconditionError("every component needs at least one vertex")
-    cb = universal_blocks(spec)
-    data = []
-    for i, (m, _, _) in enumerate(cb.blocks):
-        phi = charpoly(m)
-        if phi(ps[i]) != 0:
-            raise ArithmeticError(f"expected all-ones eigenvalue {ps[i]} missing from block {i}")
-        form = eigenvector_resolvent(ps[i], m.rows)
-        data.append(_BlockData(phi=phi, f=form.num, g=form.den, cofactor=phi.exact_div(form.den)))
-    return _classified_spectrum(cb, data, tol, verify)
+# -- precondition-checked shortcut routes --------------------------------------
 
 
 def hjoin_universal_spectrum_regular(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
-    """Spectrum via the all-regular shortcut: p_i = alpha*r_i + beta + gamma*n_i + delta*(r_i + w_i)."""
+    """`hjoin_universal_spectrum` of a join whose components are all regular and non-empty."""
     _require(spec, "universal")
-    actual = [g.regular_degree() for g in spec.components]
-    if any(r is None for r in actual):
+    if any(g.regular_degree() is None for g in spec.components):
         raise PreconditionError("regular shortcut needs every component regular")
-    a, b, c, d = spec.universal.as_tuple()
-    w = join_weights(spec)
-    ns = [g.n for g in spec.components]
-    ps = [a * r + b + c * n + d * (r + wi) for r, n, wi in zip(actual, ns, w)]
-    return _ones_eigenvalue_spectrum(spec, ps, tol, verify)
+    if any(g.n == 0 for g in spec.components):
+        raise PreconditionError("every component needs at least one vertex")
+    return coupled_spectrum(universal_blocks(spec), tol, verify)
 
 
 def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
-    """Spectrum via the alpha + delta = 0 shortcut: p_i = beta + gamma*n_i + delta*w_i."""
+    """`hjoin_universal_spectrum` of a join with alpha + delta = 0 and non-empty components."""
     _require(spec, "universal")
-    a, b, c, d = spec.universal.as_tuple()
+    a, d = spec.universal.alpha, spec.universal.delta
     if a + d != 0:
         raise PreconditionError(f"shortcut needs alpha + delta = 0, got {a} + {d}")
-    w = join_weights(spec)
-    ps = [b + c * g.n + d * wi for g, wi in zip(spec.components, w)]
-    return _ones_eigenvalue_spectrum(spec, ps, tol, verify)
+    if any(g.n == 0 for g in spec.components):
+        raise PreconditionError("every component needs at least one vertex")
+    return coupled_spectrum(universal_blocks(spec), tol, verify)
 
 
 # -- lexicographic products ---------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from joinspectra import (
+    Graph,
     JoinSpec,
     UniversalParams,
     hgen_join_charpoly,
@@ -95,9 +96,12 @@ def test_spectrum_shortcut_routes(capsys, tmp_path):
     assert main(["spectrum", str(p), "--route", "regular"]) == 3
 
 
-def _shortcut_spec(tmp_path, universal) -> str:
+def _shortcut_spec(tmp_path, universal, rho=None) -> str:
+    spec = {"host": "2; 0-1", "components": ["3; 0-1,0-2,1-2", "2; 0-1"], "universal": universal}
+    if rho is not None:
+        spec["rho"] = rho
     p = tmp_path / "shortcut.json"
-    p.write_text(json.dumps({"host": "2; 0-1", "components": ["3; 0-1,0-2,1-2", "2; 0-1"], "universal": universal}))
+    p.write_text(json.dumps(spec))
     return str(p)
 
 
@@ -107,6 +111,29 @@ def test_spectrum_shortcut_verify(capsys, tmp_path, route, universal):
     assert code == 0
     assert obj["route"] == f"{route}-shortcut"
     assert obj["oracle"] == {"equal": True, "first_mismatch": None, "detail": "exact match"}
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize("route, universal", [("regular", {}), ("balanced", {"alpha": "-1", "delta": "1"})])
+def test_spectrum_shortcut_matches_auto_route(capsys, tmp_path, route, universal, verify):
+    path = _shortcut_spec(tmp_path, universal)
+    code, auto = run_json(capsys, ["spectrum", path, *verify])
+    assert code == 0 and auto["route"] == "universal-join"
+    code, shortcut = run_json(capsys, ["spectrum", path, "--route", route, *verify])
+    assert code == 0 and shortcut["route"] == f"{route}-shortcut"
+    assert dict(shortcut, route=auto["route"]) == auto
+    assert ("oracle" in auto) == bool(verify)
+
+
+@pytest.mark.parametrize("route, universal", [("regular", {}), ("balanced", {"alpha": "-1", "delta": "1"})])
+def test_spectrum_shortcut_rejects_asymmetric_rho(capsys, tmp_path, route, universal):
+    # an asymmetric coupling violates the classification's precondition on every spectrum route
+    path = _shortcut_spec(tmp_path, universal, rho=[["0", "-5"], ["7", "0"]])
+    for argv in (["spectrum", path], ["spectrum", path, "--route", route]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "precondition violated: spectrum classification needs symmetric blocks, u = v and symmetric coupling\n"
+        )
 
 
 def test_spectrum_shortcut_verify_mismatch_exits_1(capsys, monkeypatch, tmp_path):
@@ -242,6 +269,10 @@ def _subset_spec(universal=None) -> JoinSpec:
     return subset_join_spec().with_universal(universal)
 
 
+def _empty_component_spec() -> JoinSpec:
+    return JoinSpec(Graph.path(2), (Graph(0), Graph.complete(3)), universal=UniversalParams.adjacency())
+
+
 @pytest.mark.parametrize(
     "route, spec, message",
     [
@@ -253,6 +284,7 @@ def _subset_spec(universal=None) -> JoinSpec:
         (hjoin_universal_spectrum_regular, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
         (hjoin_universal_spectrum_alpha_delta_zero, mixed_join_spec, NEEDS_PARAMS),
         (hjoin_universal_spectrum_alpha_delta_zero, lambda: _subset_spec(UniversalParams.laplacian()), PLAIN_ONLY),
+        (hjoin_universal_spectrum_regular, _empty_component_spec, "every component needs at least one vertex"),
         (hgen_join_charpoly, mixed_join_spec, NEEDS_SUBSETS),
         (hgen_join_charpoly, lambda: _subset_spec(UniversalParams.adjacency()), ADJACENCY_ONLY),
         (hgen_join_spectrum, lambda: mixed_join_spec().with_universal(UniversalParams.adjacency()), NEEDS_SUBSETS),

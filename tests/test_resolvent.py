@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import adjugate_form, char_matrix, cofactor_det, outer, rand_rational_matrix, rand_symmetric_matrix, rand_vector
-from joinspectra import Graph
+from helpers import (
+    adjugate_form,
+    char_matrix,
+    cofactor_det,
+    outer,
+    rand_rational_matrix,
+    rand_symmetric_matrix,
+    rand_vector,
+    regular_graph_menu,
+)
+from joinspectra import Graph, JoinSpec, UniversalParams
 from joinspectra.errors import DomainError, PreconditionError, ShapeError
 from joinspectra.fixtures import (
     mixed_join_resolvents,
@@ -12,9 +21,11 @@ from joinspectra.fixtures import (
     subset_join_resolvents,
     subset_join_spec,
 )
-from joinspectra.matrices import RationalMatrix, charpoly
+from joinspectra.matrices import RationalMatrix, as_vector, charpoly
 from joinspectra.polynomials import Polynomial, RationalFunction, is_square_free
 from joinspectra.resolvent import eigenvector_resolvent, main_poles, resolvent_form, shifted
+from joinspectra.spectra import universal_blocks
+from joinspectra.verification import random_graph, random_universal_params
 
 X = Polynomial.x()
 
@@ -234,3 +245,79 @@ def test_matches_adjugate_reference():
         assert form.func == RationalFunction(adjugate_form(rows, u, v), phi)
         if zero in (u, v):
             assert form.func.is_zero
+
+
+def _eigenvector_inputs(rng):
+    """Seeded (M, u) with M u = mu u, u != 0, every M at most 5 x 5."""
+    out = []
+    for case in range(12):
+        k = rng.randint(1, 3)
+        host = random_graph(rng, k)
+        params = random_universal_params(rng)
+        if case % 2:
+            # alpha + delta = 0: all-ones is an eigenvector of any block
+            comps = tuple(random_graph(rng, rng.randint(1, 5)) for _ in range(k))
+            params = UniversalParams(params.alpha, params.beta, params.gamma, -params.alpha)
+        else:
+            comps = []
+            while len(comps) < k:
+                g = regular_graph_menu(rng)
+                if g.n <= 5:
+                    comps.append(g)
+        # the blocks carry the delta * w_i shift of the join weights
+        for m, u, _ in universal_blocks(JoinSpec(host, tuple(comps), universal=params)).blocks:
+            out.append((m, u))
+            c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+            out.append((m, tuple(c * x for x in u)))  # a rational multiple of all-ones
+    for size, copies in ((2, 2), (1, 3), (1, 5), (2, 2)):
+        # disjoint copies of K_size form a regular graph (the empty graph for
+        # size 1), and the indicator of one copy is an eigenvector
+        n = size * copies
+        edges = [(b + i, b + j) for b in range(0, n, size) for i in range(size) for j in range(i + 1, size)]
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        m = Graph(n, edges).adjacency() + RationalMatrix.identity(n) * c
+        out.append((m, tuple(Fraction(int(i < size)) for i in range(n))))
+    for n in (2, 4):
+        # constant row sums make all-ones an eigenvector of an asymmetric matrix
+        rows = [[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)]
+        rows = [r + [n - sum(r)] for r in rows]
+        out.append((RationalMatrix.from_rows(rows), ones(n)))
+    return out
+
+
+def test_eigenvector_branch_matches_adjugate_reference(kernel_calls):
+    # Cramer's rule runs no kernel, so it checks the one-charpoly branch
+    # independently of eigenvector_resolvent
+    for m, u in _eigenvector_inputs(random.Random(39)):
+        kernel_calls.clear()
+        form = resolvent_form(m, u)
+        assert kernel_calls == [m.rows]
+        rows = char_matrix(m)
+        phi = cofactor_det(rows)
+        assert form.charpoly == phi
+        assert form.func == RationalFunction(adjugate_form(rows, u, u), phi)
+        assert form.hermitian == m.is_symmetric()
+
+
+def test_non_eigenvectors_take_two_charpolys(kernel_calls):
+    k4 = Graph.complete(4).adjacency()
+    # all-ones passes every row but the last
+    last_row_off = k4 + RationalMatrix(4, 4, [0] * 15 + [1])
+    c4 = Graph.cycle(4).adjacency()
+    cases = [
+        (last_row_off, ones(4), ones(4)),
+        (c4, ones(4), (1, 0, 0, 0)),  # u is an eigenvector, but u != v
+        (k4, (0, 0, 0, 0), (0, 0, 0, 0)),
+    ]
+    for m, u, v in cases:
+        kernel_calls.clear()
+        form = resolvent_form(m, u, v)
+        assert kernel_calls == [m.rows, m.rows]
+        rows = char_matrix(m)
+        phi = cofactor_det(rows)
+        assert form.charpoly == phi
+        assert form.func == RationalFunction(adjugate_form(rows, as_vector(u), as_vector(v)), phi)
+    kernel_calls.clear()
+    form = resolvent_form(RationalMatrix(0, 0, []), ())
+    assert kernel_calls == [0, 0]
+    assert form.func.is_zero and form.charpoly == Polynomial.one()

@@ -248,23 +248,37 @@ def test_glued_product_is_checked_on_both_routes(monkeypatch):
 def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
     import joinspectra.spectra as spectra
 
-    exact = spectra.charpoly
+    exact = spectra._block_data
     calls = []
 
-    def first_block_doubled(m):
-        # the first charpoly a shortcut takes is block 0's, whose cofactor
-        # then comes out twice too large
+    def first_block_doubled(m, u, v):
+        # block 0's cofactor comes out twice too large
         calls.append(m)
-        phi = exact(m)
-        return phi * 2 if len(calls) == 1 else phi
+        d = exact(m, u, v)
+        return spectra._BlockData(phi=d.phi, f=d.f, g=d.g, cofactor=d.cofactor * 2) if len(calls) == 1 else d
 
-    monkeypatch.setattr(spectra, "charpoly", first_block_doubled)
+    monkeypatch.setattr(spectra, "_block_data", first_block_doubled)
     regular = JoinSpec(Graph.path(2), (Graph.cycle(4), Graph.complete(3)), universal=ADJ)
     with pytest.raises(ArithmeticError):
         hjoin_universal_spectrum_regular(regular)
     calls.clear()
     with pytest.raises(ArithmeticError):
         hjoin_universal_spectrum_alpha_delta_zero(mixed_join_spec().with_universal(UniversalParams.laplacian()))
+
+
+def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
+    # all-ones is an eigenvector of every Laplacian block, so its resolvent
+    # needs the block's charpoly only; A - D/2 of the same irregular blocks
+    # takes a second charpoly per block
+    lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
+    hjoin_universal_charpoly(lap)
+    assert kernel_calls == [3, 4, 3]
+    kernel_calls.clear()
+    hjoin_universal_spectrum_alpha_delta_zero(lap)
+    assert kernel_calls == [3, 4, 3]
+    kernel_calls.clear()
+    generalized_charpoly(mixed_join_spec(), Fraction(1, 2))
+    assert kernel_calls == [3, 3, 4, 4, 3, 3]
 
 
 def test_coupling_degree_matches_visible_count():
