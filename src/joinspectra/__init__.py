@@ -30,7 +30,7 @@ from .matrices import RationalMatrix, charpoly, determinant, poly_det
 from .oracle import AssembledMatrix, CompareResult, assemble, assemble_universal, compare, oracle_charpoly, oracle_spectrum
 from .polynomials import Polynomial, RationalFunction, poly_gcd, square_free_decomposition
 from .resolvent import ResolventForm, eigenvector_resolvent, main_poles, resolvent_form, shifted
-from .roots import numeric_roots, real_roots
+from .roots import real_roots
 from .spectra import (
     CoupledBlocks,
     SpectrumReport,
@@ -96,7 +96,6 @@ __all__ = [
     "main_poles",
     "resolvent_form",
     "shifted",
-    "numeric_roots",
     "real_roots",
     "CoupledBlocks",
     "SpectrumReport",

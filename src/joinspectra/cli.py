@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="classified spectrum of a join spec")
     add_common(p)
     p.add_argument("--route", choices=["auto", "regular", "balanced"], default="auto")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help="relative eigenvalue tolerance of --verify")
     p.add_argument("--verify", action="store_true", help="also compare against the dense oracle")
     p.set_defaults(func=cmd_spectrum)
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError, SpecError
 from .graphs import Graph, VertexSubset, graph_from_obj
-from .matrices import RationalMatrix, charpoly
+from .matrices import RationalMatrix
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
 
 RhoMatrix = tuple[tuple[Fraction, ...], ...]
@@ -352,7 +352,7 @@ class SpecialEigenvalueSplit:
     special: tuple[float, ...]
 
 
-def classify_special_eigenvalues(g: Graph, subset: VertexSubset, tol: float = 1e-8) -> SpecialEigenvalueSplit:
+def classify_special_eigenvalues(g: Graph, subset: VertexSubset) -> SpecialEigenvalueSplit:
     """Split the spectrum into main / k-tau / special eigenvalues.
 
     Special = neither main nor equal to k - tau.  Consistency is enforced
@@ -371,17 +371,18 @@ def classify_special_eigenvalues(g: Graph, subset: VertexSubset, tol: float = 1e
     boundary = Fraction(k - tau)
     adj = g.adjacency()
     ones = tuple(Fraction(1) for _ in range(g.n))
-    g_main = resolvent_form(adj, ones).den
+    main_form = resolvent_form(adj, ones)
+    g_main = main_form.den
     g_chi = resolvent_form(adj, subset.indicator()).den
 
     main: list[float] = []
     at_boundary: list[float] = []
     special: list[float] = []
-    for factor, mult in square_free_decomposition(charpoly(adj)):
+    for factor, mult in square_free_decomposition(main_form.charpoly):
         main_part = poly_gcd(factor, g_main)
         rest = factor.exact_div(main_part)
         if main_part.degree > 0:
-            main.extend(r for r in real_roots(main_part, tol) for _ in range(mult))
+            main.extend(r for r in real_roots(main_part) for _ in range(mult))
         if rest(boundary) == 0:
             rest = rest.exact_div(Polynomial((-boundary, 1)))
             at_boundary.extend([float(boundary)] * mult)
@@ -389,5 +390,5 @@ def classify_special_eigenvalues(g: Graph, subset: VertexSubset, tol: float = 1e
             stray = poly_gcd(rest, g_chi)
             if stray.degree > 0:
                 raise ArithmeticError("special eigenvalue visible to the subset indicator; classification is inconsistent")
-            special.extend(r for r in real_roots(rest, tol) for _ in range(mult))
+            special.extend(r for r in real_roots(rest) for _ in range(mult))
     return SpecialEigenvalueSplit(k, tau, tuple(sorted(main)), tuple(sorted(at_boundary)), tuple(sorted(special)))

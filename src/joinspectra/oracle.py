@@ -23,8 +23,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, PreconditionError
 from .joins import JoinSpec, effective_rho, join_weights, universal_matrix
 from .matrices import RationalMatrix, charpoly_with
@@ -188,7 +186,13 @@ def oracle_charpoly(am: AssembledMatrix | RationalMatrix) -> Polynomial:
 
 
 def oracle_spectrum(am: AssembledMatrix | RationalMatrix, tol: float = 1e-8) -> list[float]:
-    """Numeric eigenvalues of a symmetric matrix, residual-checked."""
+    """Numeric eigenvalues of a symmetric matrix, residual-checked.
+
+    numpy is imported here, the one place in the package that needs it, so
+    the CLI starts without it.
+    """
+    import numpy as np
+
     m = _matrix_of(am)
     if not m.is_symmetric():
         raise PreconditionError("numeric oracle spectrum needs a symmetric matrix")

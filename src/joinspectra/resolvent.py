@@ -93,7 +93,7 @@ def eigenvector_resolvent(mu, norm_sq, dim: Optional[int] = None) -> ResolventFo
     )
 
 
-def main_poles(form: ResolventForm, tol: float = 1e-8) -> list[float]:
+def main_poles(form: ResolventForm) -> list[float]:
     """Numeric poles: the eigenvalues whose eigenspaces see u.
 
     Only meaningful for the symmetric u = v case, where every pole is simple;
@@ -106,7 +106,7 @@ def main_poles(form: ResolventForm, tol: float = 1e-8) -> list[float]:
         return []
     if not is_square_free(g):
         raise ArithmeticError("denominator unexpectedly has a repeated root")
-    return real_roots(g, tol)
+    return real_roots(g)
 
 
 def shifted(form: ResolventForm, c) -> ResolventForm:

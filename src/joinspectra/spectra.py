@@ -24,7 +24,7 @@ the host's coupling charpoly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -133,7 +133,7 @@ def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
     return _glued_product(phi, [d.cofactor for d in data], cb.total_dim)
 
 
-def _classify_block(phi: Polynomial, g: Polynomial, idx: int, tol: float):
+def _classify_block(phi: Polynomial, g: Polynomial, idx: int):
     """Split one block's eigenvalues by whether the block's resolvent sees them.
 
     Exact: square-free factors of phi are split by gcd against g, so no
@@ -145,9 +145,9 @@ def _classify_block(phi: Polynomial, g: Polynomial, idx: int, tol: float):
         seen = poly_gcd(factor, g)
         unseen = factor.exact_div(seen)
         if seen.degree > 0 and mult > 1:
-            reduced.extend((r, mult - 1, idx) for r in real_roots(seen, tol))
+            reduced.extend((r, mult - 1, idx) for r in real_roots(seen))
         if unseen.degree > 0:
-            inherited.extend((r, mult, idx) for r in real_roots(unseen, tol))
+            inherited.extend((r, mult, idx) for r in real_roots(unseen))
     return inherited, reduced
 
 
@@ -180,7 +180,8 @@ def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False)
     """Classified spectrum of the glued matrix (symmetric case only).
 
     Classifies every block, forms Phi and the checked product, and attaches
-    the oracle's verdict on the assembled matrix when asked.
+    the oracle's verdict on the assembled matrix when asked: its charpoly
+    exactly, then its eigenvalues within tol * max(1, max|lambda|).
     """
     if not cb.is_hermitian():
         raise PreconditionError("spectrum classification needs symmetric blocks, u = v and symmetric coupling")
@@ -188,21 +189,34 @@ def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False)
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
     for idx, d in enumerate(data):
-        inh, red = _classify_block(d.phi, d.g, idx, tol)
+        inh, red = _classify_block(d.phi, d.g, idx)
         inherited += inh
         reduced += red
     phi = coupling_poly([d.f for d in data], [d.g for d in data], cb.rho)
     total = _glued_product(phi, [d.cofactor for d in data], cb.total_dim)
-    verdict = None
-    if verify:
-        from . import oracle as _oracle
-
-        verdict = _oracle.compare(total, _oracle.oracle_charpoly(_oracle.assemble(cb)))
-    croots = real_roots(phi, tol) if phi.degree > 0 else []
+    croots = real_roots(phi) if phi.degree > 0 else []
     counted = sum(m for _, m, _ in inherited) + sum(m for _, m, _ in reduced) + len(croots)
     if counted != cb.total_dim:
         raise ArithmeticError(f"eigenvalue accounting mismatch: {counted} of {cb.total_dim}")
-    return SpectrumReport(total, tuple(inherited), tuple(reduced), phi, tuple(croots), verdict)
+    report = SpectrumReport(total, tuple(inherited), tuple(reduced), phi, tuple(croots))
+    return replace(report, oracle_verdict=_oracle_verdict(cb, report, tol)) if verify else report
+
+
+def _oracle_verdict(cb: CoupledBlocks, report: SpectrumReport, tol: float) -> "CompareResult":
+    """The oracle's charpoly verdict; on a match, the first eigenvalue off by
+    more than tol * max(1, max|lambda|), if any, turns it into a mismatch."""
+    from . import oracle as _oracle
+
+    am = _oracle.assemble(cb)
+    verdict = _oracle.compare(report.charpoly, _oracle.oracle_charpoly(am))
+    if not verdict:
+        return verdict
+    truth = _oracle.oracle_spectrum(am, tol)
+    bound = tol * max([1.0] + [abs(y) for y in truth])
+    for i, (x, y) in enumerate(zip(report.eigenvalues(), truth)):
+        if abs(x - y) > bound:
+            return _oracle.CompareResult(False, None, f"eigenvalue {i} differs: formula {x}, oracle {y}")
+    return verdict
 
 
 # -- block builders for graph joins -----------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -144,6 +145,57 @@ def test_spectrum_shortcut_verify_mismatch_exits_1(capsys, monkeypatch, tmp_path
     code, obj = run_json(capsys, ["spectrum", _shortcut_spec(tmp_path, {}), "--route", "regular", "--verify"])
     assert code == 1
     assert obj["oracle"]["equal"] is False
+
+
+def test_spectrum_verify_checks_eigenvalues(capsys, monkeypatch, subset_path):
+    # a wrong eigenvalue of a right charpoly must fail --verify
+    import joinspectra.spectra as spectra
+
+    exact = spectra.real_roots
+    perturbed = []
+
+    def one_root_off(p, *args):
+        roots = exact(p, *args)
+        if roots and not perturbed:
+            perturbed.append(roots[0])
+            roots[0] += 1e-3
+        return roots
+
+    monkeypatch.setattr(spectra, "real_roots", one_root_off)
+    code, obj = run_json(capsys, ["spectrum", subset_path, "--verify"])
+    assert code == 1 and perturbed
+    assert obj["oracle"]["equal"] is False and obj["oracle"]["first_mismatch"] is None
+    assert re.fullmatch(r"eigenvalue \d+ differs: formula \S+, oracle \S+", obj["oracle"]["detail"])
+    # without --verify the same wrong root is not checked
+    assert main(["spectrum", subset_path]) == 0
+
+
+def test_spectrum_tol_is_the_eigenvalue_tolerance_of_verify(capsys, monkeypatch, subset_path):
+    import joinspectra.spectra as spectra
+
+    exact = spectra.real_roots
+    monkeypatch.setattr(spectra, "real_roots", lambda p: [r + 1e-6 for r in exact(p)])
+    assert main(["spectrum", subset_path, "--verify"]) == 1
+    capsys.readouterr()
+    code, obj = run_json(capsys, ["spectrum", subset_path, "--verify", "--tol", "1e-5"])
+    assert code == 0
+    assert obj["oracle"] == {"equal": True, "first_mismatch": None, "detail": "exact match"}
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import joinspectra
+
+    src = str(Path(joinspectra.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import joinspectra.cli as c; c.build_parser(); print('numpy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize(

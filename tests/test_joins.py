@@ -237,7 +237,7 @@ def test_k_tau_regular():
         is_k_tau_regular(c4, VertexSubset(4, ()))
 
 
-def test_classify_special_eigenvalues_star():
+def test_classify_special_eigenvalues_star(kernel_calls):
     # independent oracle: dense eigendecomposition, classified by hand
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     subset = VertexSubset(4, (1, 2, 3))
@@ -248,6 +248,7 @@ def test_classify_special_eigenvalues_star():
     expect_rest = sorted(w[i] for i in range(4) if abs(vecs[:, i] @ ones) <= 1e-8)
 
     split = classify_special_eigenvalues(star, subset)
+    assert kernel_calls == [4] * 4  # two resolvent forms, phi_A reused from the first
     assert (split.k, split.tau) == (0, 3)
     assert multisets_close(split.main, expect_main, 1e-8)
     assert split.at_k_minus_tau == ()  # -3 is not an eigenvalue
@@ -255,9 +256,10 @@ def test_classify_special_eigenvalues_star():
     assert len(split.special) == 2  # eigenvalue 0 twice
 
 
-def test_classify_special_eigenvalues_path():
+def test_classify_special_eigenvalues_path(kernel_calls):
     p3 = Graph.path(3)
     split = classify_special_eigenvalues(p3, VertexSubset(3, (0, 2)))
+    assert kernel_calls == [3] * 4
     assert (split.k, split.tau) == (0, 2)
     assert multisets_close(split.main, [-(2**0.5), 2**0.5], 1e-10)
     assert split.at_k_minus_tau == ()

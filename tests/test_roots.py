@@ -1,11 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from helpers import rand_symmetric_matrix
 from joinspectra.errors import DomainError
-from joinspectra.polynomials import Polynomial
-from joinspectra.roots import numeric_roots, real_roots
+from joinspectra.matrices import charpoly
+from joinspectra.polynomials import Polynomial, square_free_decomposition
+from joinspectra.roots import real_roots
+from joinspectra.verification import random_graph
 
 X = Polynomial.x()
 
@@ -33,16 +38,25 @@ def bisect_roots(p: Polynomial, lo: float, hi: float, expected: int, steps: int 
     return out
 
 
+def assert_bracketed(p: Polynomial, roots: list[float]) -> None:
+    """Each root r of the square-free p is exact, or p changes sign across r(1 -+ 2^-51)."""
+    for r in roots:
+        x = Fraction(r)
+        if p(x) != 0:
+            d = abs(x) / 2**51
+            assert p(x - d) * p(x + d) < 0, f"{r} is not within 2^-51 relative of a root of {p}"
+
+
 def test_sqrt2():
-    got = sorted(r.real for r in numeric_roots(X**2 - 2))
+    got = real_roots(X**2 - 2)
     assert abs(got[0] + math.sqrt(2)) < 1e-12
     assert abs(got[1] - math.sqrt(2)) < 1e-12
 
 
 def test_cubic_with_zero_root():
-    got = sorted(r.real for r in numeric_roots(X**3 - 2 * X))
+    got = real_roots(X**3 - 2 * X)
     assert abs(got[0] + math.sqrt(2)) < 1e-12
-    assert abs(got[1]) < 1e-12
+    assert got[1] == 0.0
     assert abs(got[2] - math.sqrt(2)) < 1e-12
 
 
@@ -57,44 +71,85 @@ def test_fixture_cubic_against_bisection():
 
 def test_multiplicities_resolved_exactly():
     p = (X**2 - 2) ** 3
-    got = sorted(r.real for r in numeric_roots(p))
+    got = real_roots(p)
     assert len(got) == 6
     for i in range(3):
         assert abs(got[i] + math.sqrt(2)) < 1e-10
         assert abs(got[3 + i] - math.sqrt(2)) < 1e-10
 
 
-def test_reconstruction_property():
-    rng = random.Random(12)
-    for _ in range(25):
-        deg = rng.randint(1, 12)
-        p = Polynomial([rng.randint(-5, 5) for _ in range(deg)] + [1])
-        roots = numeric_roots(p)
-        assert len(roots) == deg
-        # multiply the roots back out and compare coefficients
-        coeffs = [complex(1.0)]
-        for r in roots:
-            coeffs = [0j] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= r * coeffs[i + 1]
-        scale = max(abs(float(c)) for c in p.coeffs)
-        for i in range(deg + 1):
-            assert abs(coeffs[i] - float(p.coeffs[i])) <= 1e-8 * max(scale, 1.0)
+def test_rational_repeated_and_zero_roots():
+    third, minus_7_2 = Fraction(1, 3), Fraction(-7, 2)
+    got = real_roots((X - third) * (X - minus_7_2))
+    assert got == sorted(got) and len(got) == 2
+    assert abs(Fraction(got[0]) - minus_7_2) <= abs(minus_7_2) / 2**53
+    assert abs(Fraction(got[1]) - third) <= third / 2**53
+    assert real_roots(X**3 * (X - 1) ** 2 * (X + 2)) == [-2.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+    assert real_roots(Fraction(5, 7) * X**4) == [0.0] * 4
 
 
-def test_sum_of_roots_matches_trace_coefficient():
-    rng = random.Random(13)
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        # roots 2, 4 and 6 -+ 2 sqrt(2): 2 and 4 fall on bisection points
+        (X**4 - 18 * X**3 + 108 * X**2 - 264 * X + 224, [2, 6 - 2 * math.sqrt(2), 4, 6 + 2 * math.sqrt(2)]),
+        # roots -2, -1 and the three real roots of x^3 - 3x^2 - 4x + 4
+        (X**5 - 11 * X**3 - 14 * X**2 + 4 * X + 8, [-2, -1] + bisect_roots(X**3 - 3 * X**2 - 4 * X + 4, -5, 5, 3)),
+    ],
+)
+def test_roots_on_bisection_points(p, expected):
+    got = real_roots(p)
+    assert len(got) == len(expected)
+    for g, e in zip(got, sorted(expected)):
+        assert abs(g - e) <= 1e-14 * max(1.0, abs(e))
+    assert_bracketed(p, got)
+
+
+def test_integer_roots_among_irrational_ones():
+    # integer roots land on bisection points in many positions relative to
+    # the irrational roots a -+ sqrt(b) around them
+    for seed in range(100):
+        rng = random.Random(seed)
+        p, want = Polynomial.one(), []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.randint(-8, 8)
+            p, want = p * (X - r), want + [r]
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.randint(-6, 6), rng.choice([2, 3, 5, 6, 7])
+            p, want = p * (X**2 - 2 * a * X + a * a - b), want + [a - math.sqrt(b), a + math.sqrt(b)]
+        got = real_roots(p)
+        assert len(got) == len(want), seed
+        for g, w in zip(got, sorted(want)):
+            assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), seed
+
+
+def test_every_root_is_certified():
+    rng = random.Random(7)
     for _ in range(20):
-        deg = rng.randint(2, 8)
-        p = Polynomial([rng.randint(-4, 4) for _ in range(deg)] + [1])
-        s = sum(numeric_roots(p))
-        assert abs(s - (-float(p.coeffs[deg - 1]))) < 1e-8 * max(1.0, abs(float(p.coeffs[deg - 1])))
+        p = charpoly(rand_symmetric_matrix(rng, rng.randint(1, 9)))
+        got = real_roots(p)
+        assert len(got) == p.degree and got == sorted(got)
+        for factor, _ in square_free_decomposition(p):
+            assert_bracketed(factor, real_roots(factor))
+
+
+@pytest.mark.parametrize("n", [14, 16, 18, 20, 32])
+def test_laplacian_sweep_against_eigvalsh(n):
+    # the float heuristic this replaces was off by up to 1.2, or raised, from n = 18 on
+    for seed in range(10):
+        g = random_graph(random.Random(seed), n, 0.4)
+        lap = g.degree_matrix() - g.adjacency()
+        got = real_roots(charpoly(lap))
+        want = np.linalg.eigvalsh(np.array(lap.to_floats()))
+        assert len(got) == n
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_degenerate_inputs():
     with pytest.raises(DomainError):
-        numeric_roots(Polynomial())
-    assert numeric_roots(Polynomial.constant(7)) == []
+        real_roots(Polynomial())
+    assert real_roots(Polynomial.constant(7)) == []
     with pytest.raises(ArithmeticError):
         real_roots(X**2 + 1)
-
+    with pytest.raises(ArithmeticError, match="2 non-real roots"):
+        real_roots((X**2 + 1) * (X - 3))  # one real root is not enough

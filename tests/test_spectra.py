@@ -281,6 +281,20 @@ def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
     assert kernel_calls == [3, 3, 4, 4, 3, 3]
 
 
+def test_laplacian_join_of_16_vertex_blocks_matches_eigvalsh():
+    # eight random 16-vertex Laplacian blocks under K8: the float root finder
+    # this replaces reported a non-real root of a degree-15 block factor
+    import numpy as np
+
+    rng = random.Random(1)
+    lap = UniversalParams.laplacian()
+    spec = JoinSpec(Graph.complete(8), tuple(random_graph(rng, 16, 0.4) for _ in range(8)), universal=lap)
+    got = hjoin_universal_spectrum(spec).eigenvalues()
+    want = np.linalg.eigvalsh(np.array(universal_matrix(h_join(spec), lap).to_floats()))
+    assert len(got) == 128
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * float(np.max(np.abs(want)))
+
+
 def test_coupling_degree_matches_visible_count():
     rng = random.Random(46)
     for _ in range(10):
