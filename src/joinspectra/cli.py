@@ -17,7 +17,7 @@ from .errors import DomainError, PreconditionError, SpecError
 from .fixtures import run_fixture_checks
 from .joins import JoinSpec, UniversalParams, generalized_corona, lexicographic, universal_matrix
 from .kernel import BACKEND
-from .oracle import compare, oracle_charpoly
+from .oracle import check, join_truth
 from .polynomials import Polynomial, square_free_decomposition
 from .spectra import (
     corona_charpoly,
@@ -118,11 +118,12 @@ def cmd_charpoly(args) -> int:
 def cmd_spectrum(args) -> int:
     spec = _load_spec(args.spec)
     if args.route == "auto":
-        route, report = join_spectrum(spec, tol=args.tol, verify=args.verify)
+        route, report = join_spectrum(spec)
     elif args.route == "regular":
-        route, report = "regular-shortcut", hjoin_universal_spectrum_regular(spec, args.tol, args.verify)
+        route, report = "regular-shortcut", hjoin_universal_spectrum_regular(spec)
     else:  # balanced
-        route, report = "balanced-shortcut", hjoin_universal_spectrum_alpha_delta_zero(spec, args.tol, args.verify)
+        route, report = "balanced-shortcut", hjoin_universal_spectrum_alpha_delta_zero(spec)
+    eigenvalues = report.eigenvalues()
     obj = {
         "route": route,
         "charpoly": report.charpoly.to_strings(),
@@ -130,9 +131,10 @@ def cmd_spectrum(args) -> int:
         "reduced": [[v, m, b] for v, m, b in report.reduced],
         "coupling": report.coupling.to_strings(),
         "coupling_roots": list(report.coupling_roots),
-        "eigenvalues": report.eigenvalues(),
+        "eigenvalues": eigenvalues,
     }
-    return _emit_checked(obj, report.oracle_verdict, args)
+    verdict = check(report.charpoly, join_truth(spec), eigenvalues, args.tol) if args.verify else None
+    return _emit_checked(obj, verdict, args)
 
 
 def cmd_gcp(args) -> int:
@@ -148,9 +150,7 @@ def cmd_corona(args) -> int:
     if spec.universal is not None or spec.subsets is not None or spec.rho_override is not None:
         raise PreconditionError("corona route reads host + companion components only")
     poly = corona_charpoly(spec.host, spec.components)
-    verdict = None
-    if args.verify:
-        verdict = compare(poly, oracle_charpoly(generalized_corona(spec.host, spec.components).adjacency()))
+    verdict = check(poly, generalized_corona(spec.host, spec.components).adjacency()) if args.verify else None
     return _emit_checked(_poly_result("corona", poly), verdict, args)
 
 
@@ -174,9 +174,7 @@ def cmd_lex(args) -> int:
     inner = spec.components[0]
     params = spec.universal if spec.universal is not None else UniversalParams.adjacency()
     poly = lex_universal_charpoly(spec.host, inner, params)
-    verdict = None
-    if args.verify:
-        verdict = compare(poly, oracle_charpoly(universal_matrix(lexicographic(spec.host, inner), params)))
+    verdict = check(poly, universal_matrix(lexicographic(spec.host, inner), params)) if args.verify else None
     return _emit_checked(_poly_result("lexicographic", poly), verdict, args)
 
 
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="run the golden end-to-end fixtures")
     p.add_argument("-o", "--output", help="write JSON result to this path instead of stdout")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help="relative eigenvalue tolerance of the spectrum checks")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-oracle", action="store_true", help="skip dense-oracle comparisons")
     p.set_defaults(func=cmd_fixtures)

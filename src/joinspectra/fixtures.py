@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, VertexSubset
-from .joins import JoinSpec, UniversalParams, generalized_corona, h_join, join_graph, universal_matrix
+from .joins import JoinSpec, UniversalParams, generalized_corona, h_join, join_graph
 from .matrices import charpoly
-from .oracle import compare, oracle_charpoly, oracle_spectrum
+from .oracle import check, join_truth
 from .polynomials import Polynomial, RationalFunction
 from .resolvent import resolvent_form
 from .spectra import (
@@ -111,7 +111,10 @@ def _result(name: str, route: str, cond: bool, detail: str = "") -> FixtureResul
 
 
 def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[FixtureResult]:
-    """Run every golden check; oracle comparisons can be switched off."""
+    """Run every golden check; oracle comparisons can be switched off.
+
+    tol is the relative eigenvalue tolerance of the spectrum comparisons.
+    """
     out: list[FixtureResult] = []
     adjacency = UniversalParams.adjacency()
     mixed = mixed_join_spec().with_universal(adjacency)
@@ -127,15 +130,13 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
             return
         out.append(_result(name, route, ok, detail))
 
-    def check_poly(formula: Polynomial, expected: Polynomial, spec: JoinSpec | None):
-        if formula != expected:
-            return False, compare(formula, expected).detail
-        if with_oracle and spec is not None:
-            params = spec.universal if spec.universal is not None else adjacency
-            truth = oracle_charpoly(universal_matrix(join_graph(spec), params))
-            verdict = compare(formula, truth)
-            return verdict.equal, verdict.detail
-        return True, "matches the closed form"
+    def check_poly(formula: Polynomial, expected: Polynomial, spec: JoinSpec):
+        verdict = check(formula, expected)
+        if verdict and not with_oracle:
+            return True, "matches the closed form"
+        if verdict:
+            verdict = check(formula, join_truth(spec))
+        return verdict.equal, verdict.detail
 
     run(
         "mixed-join charpoly",
@@ -168,43 +169,42 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
     run("subset-join resolvents", "resolvent", subset_resolvents)
 
     def mixed_spectrum():
-        report = hjoin_universal_spectrum(mixed, tol)
+        report = hjoin_universal_spectrum(mixed)
         values = report.eigenvalues()
         if len(values) != 10:
             return False, f"{len(values)} eigenvalues reported"
         if with_oracle:
-            truth = oracle_spectrum(universal_matrix(h_join(mixed_join_spec()), adjacency), tol)
-            return multisets_close(values, truth, 1e-6), "numeric union vs dense eigensolver"
+            return check(report.charpoly, join_truth(mixed), values, tol).equal, "numeric union vs dense eigensolver"
         return True, "accounting complete"
 
     run("mixed-join spectrum", "universal-join", mixed_spectrum)
 
     def subset_spectrum():
-        report = hgen_join_spectrum(subset, tol)
-        zeros = sum(1 for v in report.eigenvalues() if abs(v) <= 1e-7)
+        report = hgen_join_spectrum(subset)
+        values = report.eigenvalues()
+        zeros = sum(1 for v in values if abs(v) <= 1e-7)
         if zeros != 4:
             return False, f"expected root 0 with multiplicity 4, saw {zeros}"
         if with_oracle:
-            truth = oracle_spectrum(join_graph(subset).adjacency(), tol)
-            return multisets_close(report.eigenvalues(), truth, 1e-6), "numeric union vs dense eigensolver"
+            return check(report.charpoly, join_truth(subset), values, tol).equal, "numeric union vs dense eigensolver"
         return True, "zero multiplicity correct"
 
     run("subset-join spectrum", "subset-join", subset_spectrum)
 
     def laplacian_shortcut():
         spec = mixed_join_spec().with_universal(UniversalParams.laplacian())
-        report = hjoin_universal_spectrum_alpha_delta_zero(spec, tol)
-        general = hjoin_universal_spectrum(spec, tol)
-        ok = multisets_close(report.eigenvalues(), general.eigenvalues(), 1e-6)
+        report = hjoin_universal_spectrum_alpha_delta_zero(spec)
+        general = hjoin_universal_spectrum(spec)
+        ok = multisets_close(report.eigenvalues(), general.eigenvalues(), tol)
         return ok, "shortcut vs general route multisets"
 
     run("laplacian shortcut", "balanced-shortcut", laplacian_shortcut)
 
     def regular_shortcut():
         spec = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)), universal=adjacency)
-        report = hjoin_universal_spectrum_regular(spec, tol=tol)
+        report = hjoin_universal_spectrum_regular(spec)
         want = [-1.0, -1.0, -1.0, 3.0]
-        return multisets_close(report.eigenvalues(), want, 1e-8), "complete-graph join spectrum"
+        return multisets_close(report.eigenvalues(), want, tol), "complete-graph join spectrum"
 
     run("regular shortcut", "regular-shortcut", regular_shortcut)
 
@@ -220,7 +220,7 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
             return False, "2-path corona is not the 4-path"
         if d2 != corona_charpoly_via_join(host2, fam):
             return False, "corona routes disagree"
-        if with_oracle and d2 != oracle_charpoly(generalized_corona(host2, fam).adjacency()):
+        if with_oracle and not check(d2, generalized_corona(host2, fam).adjacency()):
             return False, "corona vs dense oracle"
         return True, "both constructions agree"
 
@@ -234,7 +234,7 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
         via_join = hjoin_universal_charpoly(JoinSpec(host, (inner,) * 3, universal=adjacency))
         if via_lex != via_join:
             return False, "lexicographic vs join route"
-        if with_oracle and via_lex != oracle_charpoly(join_graph(JoinSpec(host, (inner,) * 3)).adjacency()):
+        if with_oracle and not check(via_lex, join_graph(JoinSpec(host, (inner,) * 3)).adjacency()):
             return False, "lexicographic vs dense oracle"
         return True, "product form matches the join route"
 
@@ -249,7 +249,7 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
             t = Fraction(1, 2)
             g = h_join(base)
             m = g.adjacency() - g.degree_matrix() * t
-            verdict = compare(generalized_charpoly(base, t), oracle_charpoly(m))
+            verdict = check(generalized_charpoly(base, t), m)
             return verdict.equal, verdict.detail
         return True, "t = 0 reduction holds"
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
 from .kernel import charpoly_int
-from .polynomials import Polynomial, as_fraction
+from .polynomials import Polynomial, _horner, as_fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -151,16 +151,9 @@ class RationalMatrix:
         return f"RationalMatrix.from_rows({[[str(x) for x in self.row(i)] for i in range(self.rows)]})"
 
 
-def _den_lcm(xs: Iterable[Fraction]) -> int:
-    d = 1
-    for x in xs:
-        d = d * x.denominator // math.gcd(d, x.denominator)
-    return d
-
-
 def cleared_int_entries(m: RationalMatrix) -> tuple[list[int], int]:
     """(d * M as row-major ints, d), d the lcm of the entries' denominators."""
-    d = _den_lcm(m.entries)
+    d = math.lcm(*[e.denominator for e in m.entries])
     return [e.numerator * (d // e.denominator) for e in m.entries], d
 
 
@@ -217,13 +210,13 @@ def charpoly_and_update(
     if len(u) != n or len(v) != n:
         raise ShapeError(f"vector length must be {n}")
     ints, d = cleared_int_entries(m)
-    du, dv = _den_lcm(u), _den_lcm(v)
+    du, dv = math.lcm(*[x.denominator for x in u]), math.lcm(*[x.denominator for x in v])
     uu = [x.numerator * (du // x.denominator) for x in u]
     if u == v:
         mu = _int_eigenvalue(ints, n, uu)
         if mu is not None:
             return _descale(charpoly_int(ints, n), d), None, mu / d
-    common = d * du * dv // math.gcd(d, du * dv)
+    common = math.lcm(d, du * dv)
     if common != d:
         ints = [x * (common // d) for x in ints]
     vv = [x.numerator * (common // (du * x.denominator)) for x in v]
@@ -281,10 +274,7 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     scale = 1
     bound = 0
     for r in rows:
-        den = 1
-        for entry in r:
-            for c in entry.coeffs:
-                den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*[c.denominator for entry in r for c in entry.coeffs])
         degree = max(len(entry.coeffs) for entry in r) - 1
         if degree < 0:
             return Polynomial()
@@ -292,13 +282,7 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         scale *= den
         bound += degree
 
-    def at(coeffs: tuple[int, ...], x: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    diffs = [_int_det([[at(e, x) for e in r] for r in int_rows]) for x in range(bound + 1)]
+    diffs = [_int_det([[_horner(e, x) for e in r] for r in int_rows]) for x in range(bound + 1)]
     # Turn diffs into the falling-factorial coefficients a_j = Delta^j y_0 / j!.
     newton = []
     fact = 1

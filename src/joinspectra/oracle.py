@@ -1,9 +1,14 @@
-"""Brute-force ground truth for every formula route.
+"""Brute-force ground truth for every formula route, and the one check.
 
-The glued matrix is assembled literally from its block description, its
-characteristic polynomial computed densely and exactly, and numeric spectra
-come from a residual-checked symmetric eigensolver.  Comparisons against the
-formula routes are coefficient-for-coefficient.
+Routes compute; the oracle checks.  `check` is the only comparison of a
+route's result with the truth: the formula's characteristic polynomial must
+equal the dense matrix's coefficient for coefficient, and, for a spectrum,
+each eigenvalue must be within a relative tolerance of a residual-checked
+symmetric eigensolver's.  A check is only worth something when its dense
+matrix is built without the blocks the route used, so every spec-level check
+compares with `join_truth`, the universal matrix of the join graph built
+from the host's edges.  Raw coupled blocks have no graph; for them `assemble`
+writes the glued matrix out literally.
 
 The oracle's charpoly runs its own exact integer kernel, never the
 Hessenberg kernel the routes use, so a fault in either kernel shows up as a
@@ -18,19 +23,21 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError
-from .joins import JoinSpec, effective_rho, join_weights, universal_matrix
+from .joins import JoinSpec, UniversalParams, effective_rho, join_graph, join_weights, universal_matrix
 from .matrices import RationalMatrix, charpoly_with
 from .polynomials import Polynomial
 from .spectra import CoupledBlocks
 
 ORACLE_CAP_ENV = "SPECTRA_ORACLE_CAP"
 DEFAULT_ORACLE_CAP = 128
+# relative eigenpair residual the numeric oracle accepts, whatever tolerance a check uses
+_RESIDUAL_TOL = 1e-8
 
 
 def oracle_cap() -> int:
@@ -43,16 +50,7 @@ def oracle_cap() -> int:
         raise DomainError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class AssembledMatrix:
-    """A dense glued matrix plus where its blocks start and which equation built it."""
-
-    matrix: RationalMatrix
-    block_offsets: tuple[int, ...]
-    provenance: str
-
-
-def assemble(cb: CoupledBlocks) -> AssembledMatrix:
+def assemble(cb: CoupledBlocks) -> RationalMatrix:
     """Dense block matrix: M_i diagonal blocks, rho_ij * u_i v_j^T off-diagonal."""
     sizes = [m.rows for m, _, _ in cb.blocks]
     offs = []
@@ -79,11 +77,10 @@ def assemble(cb: CoupledBlocks) -> AssembledMatrix:
                 for c, vc in enumerate(v_j):
                     if vc != 0:
                         row[offs[j] + c] = rho * ur * vc
-    flat = [x for row in out for x in row]
-    return AssembledMatrix(RationalMatrix(n, n, flat), tuple(offs), "coupled-blocks")
+    return RationalMatrix(n, n, [x for row in out for x in row])
 
 
-def assemble_universal(spec: JoinSpec) -> AssembledMatrix:
+def assemble_universal(spec: JoinSpec) -> RationalMatrix:
     """Dense universal matrix of a plain join, written block by block:
     U_i + delta*w_i*I on the diagonal, (rho_ij*alpha + gamma) * all-ones off it."""
     if spec.universal is None:
@@ -113,8 +110,16 @@ def assemble_universal(spec: JoinSpec) -> AssembledMatrix:
             for r in range(sizes[i]):
                 for c in range(sizes[j]):
                     out[offs[i] + r][offs[j] + c] = coupling
-    flat = [x for row in out for x in row]
-    return AssembledMatrix(RationalMatrix(n, n, flat), tuple(offs), "universal-join-blocks")
+    return RationalMatrix(n, n, [x for row in out for x in row])
+
+
+def join_truth(spec: JoinSpec) -> RationalMatrix:
+    """The matrix every spec-level check compares with: the universal matrix
+    (adjacency when the spec names none) of the join graph built from the
+    host's edges.  A coupling override is dropped, so a formula that follows
+    an override the host does not have is reported as a mismatch."""
+    params = spec.universal if spec.universal is not None else UniversalParams.adjacency()
+    return universal_matrix(join_graph(replace(spec, rho_override=None)), params)
 
 
 def _power_traces(a: list[int], n: int) -> list[int]:
@@ -172,28 +177,23 @@ def power_trace_charpoly(a: list[int], n: int) -> list[int]:
     return c[::-1]
 
 
-def _matrix_of(am) -> RationalMatrix:
-    return am.matrix if isinstance(am, AssembledMatrix) else am
-
-
-def oracle_charpoly(am: AssembledMatrix | RationalMatrix) -> Polynomial:
+def oracle_charpoly(m: RationalMatrix) -> Polynomial:
     """Exact dense characteristic polynomial from power traces (guarded by the dimension cap)."""
-    m = _matrix_of(am)
     cap = oracle_cap()
     if m.rows > cap:
         raise DomainError(f"oracle dimension {m.rows} exceeds cap {cap} (set {ORACLE_CAP_ENV} to raise it)")
     return charpoly_with(power_trace_charpoly, m)
 
 
-def oracle_spectrum(am: AssembledMatrix | RationalMatrix, tol: float = 1e-8) -> list[float]:
-    """Numeric eigenvalues of a symmetric matrix, residual-checked.
+def oracle_spectrum(m: RationalMatrix) -> list[float]:
+    """Numeric eigenvalues of a symmetric matrix; every eigenpair's residual
+    must be within _RESIDUAL_TOL * max(1, max|lambda|).
 
     numpy is imported here, the one place in the package that needs it, so
     the CLI starts without it.
     """
     import numpy as np
 
-    m = _matrix_of(am)
     if not m.is_symmetric():
         raise PreconditionError("numeric oracle spectrum needs a symmetric matrix")
     if m.rows == 0:
@@ -203,8 +203,8 @@ def oracle_spectrum(am: AssembledMatrix | RationalMatrix, tol: float = 1e-8) -> 
     scale = max(1.0, float(np.max(np.abs(w))))
     resid = a @ vecs - vecs * w
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
-    if worst > tol * scale:
-        raise ArithmeticError(f"eigenpair residual {worst} exceeds {tol * scale}")
+    if worst > _RESIDUAL_TOL * scale:
+        raise ArithmeticError(f"eigenpair residual {worst} exceeds {_RESIDUAL_TOL * scale}")
     return sorted(float(x) for x in w)
 
 
@@ -233,3 +233,28 @@ def compare(formula: Polynomial, oracle: Polynomial) -> CompareResult:
                 f"coefficient of x^{j} differs: formula {formula[j]}, oracle {oracle[j]}",
             )
     return CompareResult(False, None, "polynomials differ")  # pragma: no cover
+
+
+def check(
+    formula: Polynomial,
+    truth: RationalMatrix | Polynomial,
+    eigenvalues: Optional[Sequence[float]] = None,
+    tol: float = 1e-8,
+) -> CompareResult:
+    """The one verdict on a formula route's result.
+
+    truth is the dense matrix the result describes (or a known closed-form
+    polynomial); the formula's charpoly must equal its oracle charpoly
+    exactly.  On a match, given sorted eigenvalues, the first one more than
+    tol * max(1, max|lambda|) from the oracle's eigensolver turns the verdict
+    into a mismatch.
+    """
+    verdict = compare(formula, truth if isinstance(truth, Polynomial) else oracle_charpoly(truth))
+    if not verdict or eigenvalues is None:
+        return verdict
+    expected = oracle_spectrum(truth)
+    bound = tol * max([1.0] + [abs(y) for y in expected])
+    for i, (x, y) in enumerate(zip(eigenvalues, expected)):
+        if abs(x - y) > bound:
+            return CompareResult(False, None, f"eigenvalue {i} differs: formula {x}, oracle {y}")
+    return verdict

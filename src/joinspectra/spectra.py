@@ -20,13 +20,16 @@ alpha + delta = 0 shortcuts are only precondition checks before that path.
 The lexicographic product of identical blocks shares the block data,
 coupling scalars and checked product, but expands Phi in closed form through
 the host's coupling charpoly.
+
+The routes here compute and never verify themselves: a check needs a truth
+built without these blocks, and that is `oracle.check`'s job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError, ShapeError, SpecError
 from .graphs import Graph
@@ -45,9 +48,6 @@ from .matrices import RationalMatrix, Vector, as_vector, charpoly, poly_det
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
 from .resolvent import resolvent_form
 from .roots import real_roots
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .oracle import CompareResult
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,6 @@ class SpectrumReport:
     reduced: tuple[tuple[float, int, int], ...]
     coupling: Polynomial
     coupling_roots: tuple[float, ...]
-    oracle_verdict: Optional["CompareResult"] = None
 
     def eigenvalues(self) -> list[float]:
         """Full numeric spectrum as a sorted multiset."""
@@ -176,12 +175,10 @@ class SpectrumReport:
         return sorted(out)
 
 
-def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
+def coupled_spectrum(cb: CoupledBlocks) -> SpectrumReport:
     """Classified spectrum of the glued matrix (symmetric case only).
 
-    Classifies every block, forms Phi and the checked product, and attaches
-    the oracle's verdict on the assembled matrix when asked: its charpoly
-    exactly, then its eigenvalues within tol * max(1, max|lambda|).
+    Classifies every block, forms Phi and the checked product.
     """
     if not cb.is_hermitian():
         raise PreconditionError("spectrum classification needs symmetric blocks, u = v and symmetric coupling")
@@ -198,25 +195,7 @@ def coupled_spectrum(cb: CoupledBlocks, tol: float = 1e-8, verify: bool = False)
     counted = sum(m for _, m, _ in inherited) + sum(m for _, m, _ in reduced) + len(croots)
     if counted != cb.total_dim:
         raise ArithmeticError(f"eigenvalue accounting mismatch: {counted} of {cb.total_dim}")
-    report = SpectrumReport(total, tuple(inherited), tuple(reduced), phi, tuple(croots))
-    return replace(report, oracle_verdict=_oracle_verdict(cb, report, tol)) if verify else report
-
-
-def _oracle_verdict(cb: CoupledBlocks, report: SpectrumReport, tol: float) -> "CompareResult":
-    """The oracle's charpoly verdict; on a match, the first eigenvalue off by
-    more than tol * max(1, max|lambda|), if any, turns it into a mismatch."""
-    from . import oracle as _oracle
-
-    am = _oracle.assemble(cb)
-    verdict = _oracle.compare(report.charpoly, _oracle.oracle_charpoly(am))
-    if not verdict:
-        return verdict
-    truth = _oracle.oracle_spectrum(am, tol)
-    bound = tol * max([1.0] + [abs(y) for y in truth])
-    for i, (x, y) in enumerate(zip(report.eigenvalues(), truth)):
-        if abs(x - y) > bound:
-            return _oracle.CompareResult(False, None, f"eigenvalue {i} differs: formula {x}, oracle {y}")
-    return verdict
+    return SpectrumReport(total, tuple(inherited), tuple(reduced), phi, tuple(croots))
 
 
 # -- block builders for graph joins -----------------------------------------
@@ -281,9 +260,9 @@ def hjoin_universal_charpoly(spec: JoinSpec) -> Polynomial:
     return coupled_charpoly(universal_blocks(spec))
 
 
-def hjoin_universal_spectrum(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
+def hjoin_universal_spectrum(spec: JoinSpec) -> SpectrumReport:
     """Classified universal spectrum of a plain join (general route)."""
-    return coupled_spectrum(universal_blocks(spec), tol, verify)
+    return coupled_spectrum(universal_blocks(spec))
 
 
 def hgen_join_charpoly(spec: JoinSpec) -> Polynomial:
@@ -291,9 +270,9 @@ def hgen_join_charpoly(spec: JoinSpec) -> Polynomial:
     return coupled_charpoly(subset_blocks(spec))
 
 
-def hgen_join_spectrum(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
+def hgen_join_spectrum(spec: JoinSpec) -> SpectrumReport:
     """Classified spectrum of a subset-constrained join."""
-    return coupled_spectrum(subset_blocks(spec), tol, verify)
+    return coupled_spectrum(subset_blocks(spec))
 
 
 def generalized_charpoly(spec: JoinSpec, t) -> Polynomial:
@@ -319,26 +298,26 @@ def join_charpoly(spec: JoinSpec) -> tuple[str, Polynomial]:
     return route, coupled_charpoly(cb)
 
 
-def join_spectrum(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> tuple[str, SpectrumReport]:
+def join_spectrum(spec: JoinSpec) -> tuple[str, SpectrumReport]:
     """(route name, classified spectrum) on the route the spec's keys pick."""
     route, cb = _join_blocks(spec)
-    return route, coupled_spectrum(cb, tol, verify)
+    return route, coupled_spectrum(cb)
 
 
 # -- precondition-checked shortcut routes --------------------------------------
 
 
-def hjoin_universal_spectrum_regular(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
+def hjoin_universal_spectrum_regular(spec: JoinSpec) -> SpectrumReport:
     """`hjoin_universal_spectrum` of a join whose components are all regular and non-empty."""
     _require(spec, "universal")
     if any(g.regular_degree() is None for g in spec.components):
         raise PreconditionError("regular shortcut needs every component regular")
     if any(g.n == 0 for g in spec.components):
         raise PreconditionError("every component needs at least one vertex")
-    return coupled_spectrum(universal_blocks(spec), tol, verify)
+    return coupled_spectrum(universal_blocks(spec))
 
 
-def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec, tol: float = 1e-8, verify: bool = False) -> SpectrumReport:
+def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec) -> SpectrumReport:
     """`hjoin_universal_spectrum` of a join with alpha + delta = 0 and non-empty components."""
     _require(spec, "universal")
     a, d = spec.universal.alpha, spec.universal.delta
@@ -346,7 +325,7 @@ def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec, tol: float = 1e-8,
         raise PreconditionError(f"shortcut needs alpha + delta = 0, got {a} + {d}")
     if any(g.n == 0 for g in spec.components):
         raise PreconditionError("every component needs at least one vertex")
-    return coupled_spectrum(universal_blocks(spec), tol, verify)
+    return coupled_spectrum(universal_blocks(spec))
 
 
 # -- lexicographic products ---------------------------------------------------

@@ -1,22 +1,22 @@
 """Seeded randomized formula-vs-oracle verification.
 
 Every case builds some glued system twice: once through a formula route and
-once through the dense oracle on the literally assembled matrix (or, for
-graph specs, on the matrix of the actually constructed graph).  Comparisons
-are exact.
+once as a dense matrix for `oracle.check`: the matrix of the actually
+constructed graph for graph specs, the literally assembled matrix for raw
+blocks, which have no graph.  Comparisons are exact.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .graphs import Graph, VertexSubset
-from .joins import JoinSpec, UniversalParams, join_graph, universal_matrix
+from .joins import JoinSpec, UniversalParams
 from .matrices import RationalMatrix
-from .oracle import assemble, compare, oracle_charpoly
+from .oracle import assemble, check, join_truth
 from .spectra import CoupledBlocks, coupled_charpoly, join_charpoly
 
 
@@ -111,17 +111,12 @@ def verify_spec(spec: JoinSpec, name: str = "spec") -> VerifyCase:
     fail here: the formula follows the override, the graph does not.
     """
     route, formula = join_charpoly(spec)
-    graph = join_graph(replace(spec, rho_override=None))
-    params = spec.universal if spec.universal is not None else UniversalParams.adjacency()
-    truth = oracle_charpoly(universal_matrix(graph, params))
-    verdict = compare(formula, truth)
+    verdict = check(formula, join_truth(spec))
     return VerifyCase(name, verdict.equal, f"route {route}: {verdict.detail}")
 
 
 def verify_blocks(cb: CoupledBlocks, name: str = "blocks") -> VerifyCase:
-    formula = coupled_charpoly(cb)
-    truth = oracle_charpoly(assemble(cb))
-    verdict = compare(formula, truth)
+    verdict = check(coupled_charpoly(cb), assemble(cb))
     return VerifyCase(name, verdict.equal, verdict.detail)
 
 

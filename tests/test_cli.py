@@ -182,6 +182,45 @@ def test_spectrum_tol_is_the_eigenvalue_tolerance_of_verify(capsys, monkeypatch,
     assert obj["oracle"] == {"equal": True, "first_mismatch": None, "detail": "exact match"}
 
 
+def test_spectrum_tiny_tol_gives_a_verdict_not_an_internal_error(capsys, subset_path):
+    # --tol tightens the eigenvalue comparison only, never the eigensolver's residual check
+    code = main(["spectrum", subset_path, "--verify", "--tol", "1e-17"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "internal error" not in captured.err
+    verdict = json.loads(captured.out)["oracle"]
+    assert verdict["equal"] is False and verdict["first_mismatch"] is None
+    assert re.fullmatch(r"eigenvalue \d+ differs: formula \S+, oracle \S+", verdict["detail"])
+
+
+def test_spectrum_verify_truth_is_built_without_the_route_blocks(capsys, monkeypatch, tmp_path):
+    # dropping the delta * w_i shift from the Laplacian blocks must not also drop it from the truth
+    import joinspectra.spectra as spectra
+
+    spec = mixed_join_spec().to_json_obj()
+    spec["universal"] = {"alpha": "-1", "delta": "1"}
+    p = tmp_path / "lap.json"
+    p.write_text(json.dumps(spec))
+    assert run_json(capsys, ["spectrum", str(p), "--verify"])[0] == 0
+    monkeypatch.setattr(spectra, "join_weights", lambda s: tuple(0 for _ in s.components))
+    code, obj = run_json(capsys, ["spectrum", str(p), "--verify"])
+    assert code == 1
+    assert obj["oracle"]["equal"] is False
+
+
+def test_spectrum_verify_and_verify_agree_on_a_foreign_rho(capsys, tmp_path):
+    # a symmetric override that is not the host's pattern fails both checks the same way
+    spec = mixed_join_spec().to_json_obj()
+    spec["rho"] = [["0", "2", "1"], ["2", "0", "1"], ["1", "1", "0"]]
+    p = tmp_path / "rho.json"
+    p.write_text(json.dumps(spec))
+    code, obj = run_json(capsys, ["spectrum", str(p), "--verify"])
+    assert code == 1 and obj["oracle"]["equal"] is False
+    code, cases = run_json(capsys, ["verify", str(p), "--json"])
+    assert code == 1 and cases[0]["passed"] is False
+    assert cases[0]["detail"] == f"route {obj['route']}: {obj['oracle']['detail']}"
+
+
 def test_cli_import_leaves_numpy_unloaded():
     import subprocess
     import sys

@@ -7,12 +7,15 @@ from helpers import cofactor_det, multisets_close, rand_symmetric_matrix
 from joinspectra import (
     CoupledBlocks,
     Graph,
+    JoinSpec,
     UniversalParams,
     assemble,
     assemble_universal,
+    check,
     compare,
     h_join,
     join_graph,
+    join_truth,
     oracle_charpoly,
     oracle_spectrum,
     universal_matrix,
@@ -35,19 +38,14 @@ def test_assemble_edge():
         ],
         ((0, 1), (1, 0)),
     )
-    am = assemble(cb)
-    assert am.matrix.to_lists() == [[0, 1], [1, 0]]
-    assert am.block_offsets == (0, 1)
-    assert am.provenance == "coupled-blocks"
+    assert assemble(cb).to_lists() == [[0, 1], [1, 0]]
 
 
 def test_assemble_matches_join_graphs():
     spec = mixed_join_spec()
-    am = assemble(adjacency_blocks(spec))
-    assert am.matrix == h_join(spec).adjacency()
+    assert assemble(adjacency_blocks(spec)) == h_join(spec).adjacency()
     sub = subset_join_spec()
-    am2 = assemble(adjacency_blocks(sub))
-    assert am2.matrix == join_graph(sub).adjacency()
+    assert assemble(adjacency_blocks(sub)) == join_graph(sub).adjacency()
 
 
 def test_assemble_zero_vector_rows():
@@ -58,8 +56,7 @@ def test_assemble_zero_vector_rows():
         ],
         ((0, 1), (1, 0)),
     )
-    am = assemble(cb)
-    assert am.matrix.to_lists() == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    assert assemble(cb).to_lists() == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
 
 
 def test_assemble_universal_matches_whole_graph_matrix():
@@ -69,10 +66,8 @@ def test_assemble_universal_matches_whole_graph_matrix():
     for _ in range(10):
         params = random_universal_params(rng)
         spec = random_join_spec(rng, max_k=3, max_n=3, universal=params)
-        am = assemble_universal(spec)
         whole = universal_matrix(h_join(spec.with_universal(None)), params)
-        assert am.matrix == whole
-        assert am.provenance == "universal-join-blocks"
+        assert assemble_universal(spec) == whole
 
 
 def test_oracle_charpoly_small():
@@ -137,6 +132,45 @@ def test_compare_verdicts():
     assert shifted.first_mismatch == 1
 
 
+def test_check_verdicts():
+    k2 = Graph.complete(2).adjacency()
+    assert check(X**2 - 1, k2) == compare(X**2 - 1, X**2 - 1)
+    assert check(X**2 + 1, k2) == compare(X**2 + 1, X**2 - 1)
+    assert check(X**2 - 1, X**2 - 1).equal  # a closed-form truth
+    assert check(X**2 - 1, k2, [-1.0, 1.0]).detail == "exact match"
+    off = check(X**2 - 1, k2, [-1.0, 1.0 + 1e-6])
+    assert not off.equal and off.first_mismatch is None
+    assert off.detail == f"eigenvalue 1 differs: formula {1.0 + 1e-6}, oracle 1.0"
+    assert check(X**2 - 1, k2, [-1.0, 1.0 + 1e-6], tol=1e-5).equal
+    # the charpoly is checked first: a wrong one is reported, whatever the eigenvalues
+    assert check(X**2, k2, [-1.0, 1.0]).first_mismatch == 0
+
+
+def test_join_truth_is_the_built_graph_matrix():
+    spec = mixed_join_spec()
+    assert join_truth(spec) == h_join(spec).adjacency()
+    lap = spec.with_universal(UniversalParams.laplacian())
+    assert join_truth(lap) == universal_matrix(h_join(spec), UniversalParams.laplacian())
+    assert join_truth(subset_join_spec()) == join_graph(subset_join_spec()).adjacency()
+    # a coupling override is not part of the graph
+    rho = ((0, 2, 1), (2, 0, 1), (1, 1, 0))
+    assert join_truth(JoinSpec(spec.host, spec.components, rho_override=rho)) == join_truth(spec)
+
+
+def test_join_truth_equals_the_assembled_route_blocks():
+    # the graph is built without the route's blocks, yet on a host-derived
+    # coupling both give the same matrix, entry for entry
+    from joinspectra.spectra import _join_blocks
+    from joinspectra.verification import random_join_spec, random_universal_params
+
+    rng = random.Random(65)
+    for i in range(90):
+        kind = i % 3
+        universal = random_universal_params(rng) if kind == 1 else None
+        spec = random_join_spec(rng, with_subsets=kind == 2, universal=universal)
+        assert join_truth(spec) == assemble(_join_blocks(spec)[1])
+
+
 def test_oracle_cap(monkeypatch):
     from joinspectra.oracle import ORACLE_CAP_ENV
 
@@ -151,9 +185,7 @@ def test_oracle_cap(monkeypatch):
 
 def test_universal_assembly_equals_block_route():
     spec = mixed_join_spec().with_universal(UniversalParams(2, Fraction(1, 2), -1, 3))
-    am = assemble_universal(spec)
-    via_blocks = assemble(universal_blocks(spec))
-    assert am.matrix == via_blocks.matrix
+    assert assemble_universal(spec) == assemble(universal_blocks(spec))
 
 
 def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys):

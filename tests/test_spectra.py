@@ -12,6 +12,7 @@ from joinspectra import (
     UniversalParams,
     VertexSubset,
     assemble,
+    check,
     compare,
     corona_charpoly,
     corona_charpoly_via_join,
@@ -27,6 +28,7 @@ from joinspectra import (
     hjoin_universal_spectrum_alpha_delta_zero,
     hjoin_universal_spectrum_regular,
     join_graph,
+    join_truth,
     join_weights,
     lex_universal_charpoly,
     oracle_charpoly,
@@ -175,7 +177,7 @@ def test_evaluation_spot_check():
     rng = random.Random(52)
     cb = random_coupled_blocks(rng, max_k=4, max_n=4)
     p = coupled_charpoly(cb)
-    a = assemble(cb).matrix
+    a = assemble(cb)
     n = a.rows
     eye = RationalMatrix.identity(n)
     for _ in range(10):
@@ -186,8 +188,8 @@ def test_evaluation_spot_check():
 def test_spectrum_complete_graph_join():
     # joining two single edges across gives the complete graph on 4 vertices
     spec = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)), universal=ADJ)
-    report = hjoin_universal_spectrum(spec, verify=True)
-    assert report.oracle_verdict.equal
+    report = hjoin_universal_spectrum(spec)
+    assert check(report.charpoly, join_truth(spec), report.eigenvalues()).equal
     assert multisets_close(report.eigenvalues(), [3, -1, -1, -1], 1e-10)
     # each block inherits only its eigenvalue -1; both visible eigenvalues drop out
     assert sorted((round(v), m, b) for v, m, b in report.inherited) == [(-1, 1, 0), (-1, 1, 1)]
@@ -204,8 +206,8 @@ def test_spectrum_single_block_is_plain_spectrum():
 
 def test_fixture_spectrum_classification():
     spec = mixed_join_spec().with_universal(ADJ)
-    report = hjoin_universal_spectrum(spec, verify=True)
-    assert report.oracle_verdict.equal
+    report = hjoin_universal_spectrum(spec)
+    assert check(report.charpoly, join_truth(spec), report.eigenvalues()).equal
     # 3-path: eigenvalue 0 invisible to all-ones; star: 0 twice; edge+point: -1
     inh = sorted((round(v, 6), m, b) for v, m, b in report.inherited)
     assert inh == [(-1.0, 1, 2), (0.0, 1, 0), (0.0, 2, 1)]
@@ -476,10 +478,11 @@ def test_shortcut_coupling_is_the_small_ones_matrix():
 
 def test_shortcut_routes_verify_against_the_oracle():
     spec = JoinSpec(Graph.complete(2), (Graph.complete(3), Graph.complete(2)), universal=ADJ)
-    assert hjoin_universal_spectrum_regular(spec).oracle_verdict is None
-    assert hjoin_universal_spectrum_regular(spec, verify=True).oracle_verdict.equal
+    report = hjoin_universal_spectrum_regular(spec)
+    assert check(report.charpoly, join_truth(spec), report.eigenvalues()).equal
     lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
-    assert hjoin_universal_spectrum_alpha_delta_zero(lap, verify=True).oracle_verdict.equal
+    report = hjoin_universal_spectrum_alpha_delta_zero(lap)
+    assert check(report.charpoly, join_truth(lap), report.eigenvalues()).equal
 
 
 def test_universal_route_with_coupling_override():
@@ -582,8 +585,8 @@ def test_subset_join_empty_subset_factorizes():
 
 
 def test_subset_join_spectrum_fixture():
-    report = hgen_join_spectrum(subset_join_spec(), verify=True)
-    assert report.oracle_verdict.equal
+    report = hgen_join_spectrum(subset_join_spec())
+    assert check(report.charpoly, join_truth(subset_join_spec()), report.eigenvalues()).equal
     zeros = [v for v in report.eigenvalues() if abs(v) < 1e-9]
     assert len(zeros) == 4
 
