@@ -27,7 +27,7 @@ from .joins import (
 )
 from .kernel import BACKEND as KERNEL_BACKEND
 from .matrices import RationalMatrix, charpoly, determinant, poly_det
-from .oracle import CompareResult, assemble, assemble_universal, check, compare, join_truth, oracle_charpoly, oracle_spectrum
+from .oracle import CompareResult, assemble, check, compare, join_truth, oracle_charpoly, oracle_spectrum
 from .polynomials import Polynomial, RationalFunction, poly_gcd, square_free_decomposition
 from .resolvent import ResolventForm, eigenvector_resolvent, main_poles, resolvent_form, shifted
 from .roots import real_roots
@@ -82,7 +82,6 @@ __all__ = [
     "poly_det",
     "CompareResult",
     "assemble",
-    "assemble_universal",
     "check",
     "compare",
     "join_truth",

@@ -1,20 +1,29 @@
-"""Exact characteristic polynomials of integer matrices, by multimodular Hessenberg.
+"""Exact characteristic polynomials of integer matrices, by Hessenberg reduction
+modulo a product of word primes.
 
-det(xI - A) is computed modulo the primes just below 2**62: A is reduced to
-upper Hessenberg form by a similarity mod p (Gaussian elimination below the
-subdiagonal, swapping a row and the matching column whenever a pivot
-vanishes mod p, arranged so that every entry is one dot product), and the
-Hessenberg recurrence then gives the charpoly mod p (Cohen, *A Course in
-Computational Algebraic Number Theory*, Alg. 2.2.9).  Both steps take
-O(n^3) operations on numbers below p.
+det(xI - A) is computed modulo P: A is reduced to upper Hessenberg form by a
+similarity mod P (Gaussian elimination below the subdiagonal, swapping a row
+and the matching column whenever a pivot vanishes mod P, arranged so that
+every entry is one dot product), and the Hessenberg recurrence then gives
+the charpoly mod P (Cohen, *A Course in Computational Algebraic Number
+Theory*, Alg. 2.2.9).  Both steps take O(n^3) operations on numbers below P.
 
-The residues are combined by the Chinese remainder theorem, read as
-symmetric residues, once the product of the primes exceeds 2B (Dumas,
-Pernet and Wan, ISSAC 2005).  B bounds every coefficient: the coefficient
-of x^(n-k) is, up to sign, the sum of the C(n, k) principal k x k minors,
-and by Hadamard's inequality each minor is at most the product of the k
-largest row 2-norms of A.  The bound is proven, so the number of primes
-never depends on residues happening to agree.
+P is the product of the primes just below 2**62 that first exceeds 2B, and
+the coefficients are read as symmetric residues mod P (Dumas, Pernet and
+Wan, ISSAC 2005).  B bounds every coefficient: the coefficient of x^(n-k)
+is, up to sign, the sum of the C(n, k) principal k x k minors, and by
+Hadamard's inequality each minor is at most the product of the k largest
+row 2-norms of A.  The bound is proven, so the number of primes never
+depends on residues happening to agree.
+
+One pass mod the composite P is exact.  The reduction is a similarity over
+any commutative ring as long as every pivot it inverts is a unit, and the
+recurrence divides by nothing, so the result is det(xI - A) mod P.  A pivot
+that is nonzero mod P but shares a prime with it is no unit: inverting it
+raises, and the primes are then split into two halves, each run on its own
+(splitting again as needed) and joined by one Chinese remainder step.  A
+single prime never needs a split, since every nonzero residue mod a prime is
+a unit.
 """
 
 from __future__ import annotations
@@ -160,19 +169,29 @@ def _hessenberg_mod(a: list[int], n: int, p: int) -> list[list[int]]:
     return cols
 
 
+def _residues(a: list[int], n: int, primes: list[int]) -> list[int]:
+    """Ascending coefficients of det(xI - A) mod the product of `primes`, each
+    half of them run apart and joined by CRT when `pow` finds a pivot that
+    is no unit (ValueError), which a single prime never does."""
+    try:
+        return _charpoly_mod(a, n, math.prod(primes))
+    except ValueError:
+        half = len(primes) // 2
+        low, high = math.prod(primes[:half]), math.prod(primes[half:])
+        inv = pow(low, -1, high)
+        pairs = zip(_residues(a, n, primes[:half]), _residues(a, n, primes[half:]))
+        return [c + low * ((r - c) * inv % high) for c, r in pairs]
+
+
 def charpoly_int(a: list[int], n: int) -> list[int]:
     """Ascending integer coefficients of det(xI - A), A row-major n x n."""
     if n == 0:
         return [1]
     bound2 = 2 * coeff_bound(a, n)
-    coeffs = [0] * (n + 1)
+    primes: list[int] = []
     modulus = 1
-    i = 0
     while modulus <= bound2:
-        p = prime(i)
-        i += 1
-        inv = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, _charpoly_mod(a, n, p))]
-        modulus *= p
+        primes.append(prime(len(primes)))
+        modulus *= primes[-1]
     half = modulus >> 1
-    return [c - modulus if c > half else c for c in coeffs]
+    return [c - modulus if c > half else c for c in _residues(a, n, primes)]

@@ -29,7 +29,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError
-from .joins import JoinSpec, UniversalParams, effective_rho, join_graph, join_weights, universal_matrix
+from .joins import JoinSpec, UniversalParams, join_graph, universal_matrix
 from .matrices import RationalMatrix, charpoly_with
 from .polynomials import Polynomial
 from .spectra import CoupledBlocks
@@ -77,39 +77,6 @@ def assemble(cb: CoupledBlocks) -> RationalMatrix:
                 for c, vc in enumerate(v_j):
                     if vc != 0:
                         row[offs[j] + c] = rho * ur * vc
-    return RationalMatrix(n, n, [x for row in out for x in row])
-
-
-def assemble_universal(spec: JoinSpec) -> RationalMatrix:
-    """Dense universal matrix of a plain join, written block by block:
-    U_i + delta*w_i*I on the diagonal, (rho_ij*alpha + gamma) * all-ones off it."""
-    if spec.universal is None:
-        raise PreconditionError("universal assembly needs universal parameters")
-    if spec.subsets is not None:
-        raise PreconditionError("universal assembly applies to plain joins")
-    params = spec.universal
-    w = join_weights(spec)
-    rho = effective_rho(spec)
-    sizes = [g.n for g in spec.components]
-    offs = list(spec.block_offsets())
-    n = spec.total_vertices
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i, g in enumerate(spec.components):
-        u = universal_matrix(g, params, params.delta * w[i])
-        for r in range(g.n):
-            for c in range(g.n):
-                out[offs[i] + r][offs[i] + c] = u[r, c]
-    k = spec.k
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            coupling = rho[i][j] * params.alpha + params.gamma
-            if coupling == 0:
-                continue
-            for r in range(sizes[i]):
-                for c in range(sizes[j]):
-                    out[offs[i] + r][offs[j] + c] = coupling
     return RationalMatrix(n, n, [x for row in out for x in row])
 
 

@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import joinspectra.kernel as kernel
 import joinspectra.oracle as oracle
 from helpers import faddeev_leverrier, rand_rational_matrix
+from joinspectra.joins import UniversalParams, universal_matrix
 from joinspectra.kernel import _is_prime, charpoly_int, coeff_bound, prime
-from joinspectra.matrices import cleared_int_entries
-from joinspectra.oracle import power_trace_charpoly
+from joinspectra.matrices import RationalMatrix, charpoly_and_update, cleared_int_entries
+from joinspectra.oracle import oracle_charpoly, power_trace_charpoly
+from joinspectra.verification import random_graph
 
 
 def _random_int_matrix(rng, n, bound=5):
@@ -102,6 +106,91 @@ def test_crt_with_four_or_more_primes():
     # both the fourth prime and the sign recovery are exercised
     assert max(abs(c) for c in coeffs) > three // 2
     assert any(c < -(three // 2) for c in coeffs)
+
+
+def _spy_moduli(monkeypatch):
+    """Record every modulus `charpoly_int` hands to `_charpoly_mod`, and the
+    ones that raised on a non-unit pivot."""
+    seen, raised = [], []
+    real = kernel._charpoly_mod
+
+    def spy(a, n, p):
+        seen.append(p)
+        try:
+            return real(a, n, p)
+        except ValueError:
+            raised.append(p)
+            raise
+
+    monkeypatch.setattr(kernel, "_charpoly_mod", spy)
+    return seen, raised
+
+
+def test_one_modulus_for_every_prime(monkeypatch):
+    seen, raised = _spy_moduli(monkeypatch)
+    a = _random_int_matrix(random.Random(9), 6, 10**12)
+    assert _agrees_with_fl(a, 6)
+    assert seen == [prime(0) * prime(1) * prime(2) * prime(3)] and not raised
+
+
+def test_non_unit_pivot_in_the_first_column(monkeypatch):
+    seen, raised = _spy_moduli(monkeypatch)
+    rng = random.Random(10)
+    n = 5
+    a = _random_int_matrix(rng, n)
+    a[1 * n + 0] = 7 * prime(0)
+    assert _agrees_with_fl(a, n)
+    # the pass mod p0 p1 raised, then each prime ran alone
+    assert raised == [prime(0) * prime(1)]
+    assert seen == [prime(0) * prime(1), prime(0), prime(1)]
+
+
+def test_non_unit_pivot_in_a_later_column(monkeypatch):
+    seen, raised = _spy_moduli(monkeypatch)
+    rng = random.Random(11)
+    for n in (4, 5, 7):
+        seen.clear()
+        raised.clear()
+        h = _hessenberg(rng, n)
+        h[2 * n + 1] = 3 * prime(0)
+        assert _agrees_with_fl(h, n)
+        assert raised == [prime(0) * prime(1)]
+        assert seen == [prime(0) * prime(1), prime(0), prime(1)]
+
+
+def test_non_unit_pivot_splits_recursively(monkeypatch):
+    seen, raised = _spy_moduli(monkeypatch)
+    rng = random.Random(12)
+    n = 5
+    h = _hessenberg(rng, n)
+    h[2 * n + 1] = 2 * prime(0) * prime(1)
+    assert _agrees_with_fl(h, n)
+    p0, p1, p2 = prime(0), prime(1), prime(2)
+    # p0 | p1 p2 splits, and p1 p2 holds the non-unit pivot again
+    assert raised == [p0 * p1 * p2, p1 * p2]
+    assert seen == [p0 * p1 * p2, p0, p1 * p2, p1, p2]
+
+
+def test_route_blocks_of_the_large_block_workload(monkeypatch):
+    """Universal blocks of 22-28 vertices, Laplacian and rational parameters,
+    as the route forms them: phi_M and phi_{M + u v^T} against the oracle."""
+    seen, _ = _spy_moduli(monkeypatch)
+    rng = random.Random(13)
+    laplacian = UniversalParams.laplacian()
+    rational = UniversalParams(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 2))
+    for n, other, params in ((28, 22, laplacian), (22, 28, rational), (24, 26, rational), (26, 24, laplacian)):
+        m = universal_matrix(random_graph(rng, n, 0.3), params, params.delta * other)
+        ones = (Fraction(1),) * n
+        subset = tuple(Fraction(rng.randint(0, 1)) for _ in range(n))
+        for u, v in ((ones, ones), (ones, subset)):
+            phi, updated, mu = charpoly_and_update(m, u, v)
+            assert phi == oracle_charpoly(m)
+            if updated is None:
+                assert u == v and tuple(m.mat_vec(u)) == tuple(mu * x for x in u)
+            else:
+                uvt = RationalMatrix(n, n, [ui * vj for ui in u for vj in v])
+                assert updated == oracle_charpoly(m + uvt)
+    assert max(seen) > prime(0)
 
 
 def test_primes():

@@ -10,7 +10,6 @@ from joinspectra import (
     JoinSpec,
     UniversalParams,
     assemble,
-    assemble_universal,
     check,
     compare,
     h_join,
@@ -67,7 +66,7 @@ def test_assemble_universal_matches_whole_graph_matrix():
         params = random_universal_params(rng)
         spec = random_join_spec(rng, max_k=3, max_n=3, universal=params)
         whole = universal_matrix(h_join(spec.with_universal(None)), params)
-        assert assemble_universal(spec) == whole
+        assert assemble(universal_blocks(spec)) == whole
 
 
 def test_oracle_charpoly_small():
@@ -181,11 +180,6 @@ def test_oracle_cap(monkeypatch):
     monkeypatch.setenv(ORACLE_CAP_ENV, "not-a-number")
     with pytest.raises(DomainError):
         oracle_charpoly(RationalMatrix.identity(2))
-
-
-def test_universal_assembly_equals_block_route():
-    spec = mixed_join_spec().with_universal(UniversalParams(2, Fraction(1, 2), -1, 3))
-    assert assemble_universal(spec) == assemble(universal_blocks(spec))
 
 
 def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys):

@@ -488,16 +488,14 @@ def test_shortcut_routes_verify_against_the_oracle():
 def test_universal_route_with_coupling_override():
     # an override detached from the host is matrix-only: the formula route
     # must still match the literally assembled block matrix
-    from joinspectra import assemble_universal
-
     base = mixed_join_spec()
     rho = ((0, Fraction(1, 2), 2), (Fraction(1, 2), 0, -1), (2, -1, 0))
     spec = JoinSpec(base.host, base.components, universal=ADJ, rho_override=rho)
     formula = hjoin_universal_charpoly(spec)
-    assert compare(formula, oracle_charpoly(assemble_universal(spec))).equal
+    assert compare(formula, oracle_charpoly(assemble(universal_blocks(spec)))).equal
     asym = ((0, 1, 0), (2, 0, 1), (0, 3, 0))
     spec2 = JoinSpec(base.host, base.components, universal=ADJ, rho_override=asym)
-    assert compare(hjoin_universal_charpoly(spec2), oracle_charpoly(assemble_universal(spec2))).equal
+    assert compare(hjoin_universal_charpoly(spec2), oracle_charpoly(assemble(universal_blocks(spec2)))).equal
 
 
 # -- lexicographic ---------------------------------------------------------------
