@@ -8,9 +8,9 @@ every entry is one dot product), and the Hessenberg recurrence then gives
 the charpoly mod P (Cohen, *A Course in Computational Algebraic Number
 Theory*, Alg. 2.2.9).  Both steps take O(n^3) operations on numbers below P.
 
-P is the product of the primes just below 2**62 that first exceeds 2B, and
-the coefficients are read as symmetric residues mod P (Dumas, Pernet and
-Wan, ISSAC 2005).  B bounds every coefficient: the coefficient of x^(n-k)
+P multiplies the largest primes below 2**62, in turn, until it exceeds 2B,
+and the coefficients are read as symmetric residues mod P (Dumas, Pernet
+and Wan, ISSAC 2005).  B bounds every coefficient: the coefficient of x^(n-k)
 is, up to sign, the sum of the C(n, k) principal k x k minors, and by
 Hadamard's inequality each minor is at most the product of the k largest
 row 2-norms of A.  The bound is proven, so the number of primes never
