@@ -2,11 +2,13 @@
 
 A characteristic polynomial clears the matrix's denominators and hands the
 integer matrix to `kernel.charpoly_int`, the multimodular Hessenberg kernel
-that every route uses, so it is exact.  The determinant of a polynomial
-matrix (`poly_det`, whose one caller is the coupling determinant Phi of
-`spectra.coupling_poly`) clears each row's denominators, evaluates the
-integer determinant (fraction-free Bareiss) at B + 1 integer points, B the
-sum of the row degrees, and interpolates exactly in the integers.
+that every route uses, so it is exact.  The coupling determinant Phi of
+`spectra.coupling_poly` has two forms here.  `realization_charpoly` is the
+charpoly of the glued companion realization, one kernel call of dimension
+D = sum deg g_i.  `poly_det`, the determinant of a polynomial matrix, clears
+each row's denominators, evaluates the integer determinant (fraction-free
+Bareiss) at B + 1 integer points, B the sum of the row degrees, and
+interpolates exactly in the integers.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
 from .kernel import charpoly_int
-from .polynomials import Polynomial, _horner, as_fraction
+from .polynomials import Polynomial, _cleared, _horner, as_fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -303,3 +306,32 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         shifted[0] += newton[j]
         coeffs = shifted
     return Polynomial(Fraction(c, scale) for c in coeffs)
+
+
+def realization_charpoly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> Polynomial:
+    """det(G - F rho) for G = diag(g_i) monic and F = diag(f_i), deg f_i < deg g_i,
+    as det(xI - A) of the glued companion realization (Kalman, 1963).
+
+    Block i of A is the controllable companion of g_i (ones on the
+    superdiagonal, -g_0, ..., -g_{d-1} in its last row), and that row also
+    holds rho_ji * f_j in block j's columns: with the index transposed,
+    det(xI - A) = det(G - F rho) for an asymmetric rho too.  A block with
+    deg g_i = 0 (so f_i = 0) has no rows, as its row of G - F rho is e_i.
+    The entries are cleared to one denominator L; the kernel runs on L * A.
+    """
+    k = len(gs)
+    *starts, dim = accumulate((g.degree for g in gs), initial=0)
+    g_ints, f_ints = [_cleared(g.coeffs[:-1]) for g in gs], [_cleared(f.coeffs) for f in fs]
+    pairs = ((i, j) for i in range(k) if gs[i].degree for j in range(k) if j != i and rho[j][i] and fs[j])
+    terms = [(i, j, Fraction(rho[j][i], f_ints[j][1])) for i, j in pairs]
+    lcd = math.lcm(*[e for _, e in g_ints], *[t.denominator for _, _, t in terms])
+    a = [0] * (dim * dim)
+    for s, (ints, e) in zip(starts, g_ints):
+        for r in range(s, s + len(ints) - 1):
+            a[r * dim + r + 1] = lcd
+        last = (s + len(ints) - 1) * dim + s
+        a[last : last + len(ints)] = [-x * (lcd // e) for x in ints]
+    for i, j, t in terms:
+        last, ints = (starts[i] + gs[i].degree - 1) * dim + starts[j], f_ints[j][0]
+        a[last : last + len(ints)] = [x * t.numerator * (lcd // t.denominator) for x in ints]
+    return _descale(charpoly_int(a, dim), lcd)

@@ -10,9 +10,12 @@ characteristic polynomial of the glued matrix factors exactly as
 where Phi is the determinant of the k x k polynomial matrix with g_i on the
 diagonal and -rho_ij * f_i off it.  Everything here works with that cleared
 form, so zero vectors (f_i = 0, g_i = 1) and asymmetric couplings cost
-nothing special.  Graph joins, their universal-matrix and subset variants
-and generalized coronas are thin wrappers that pick the right blocks.  Every
-spectrum is classified by one step.  A block whose vector is an eigenvector
+nothing special.  Phi has two forms, chosen on size alone: the charpoly of
+the glued companion realization, about D^3 work for D = sum deg g_i, when
+D^2 < k^3, and evaluation-interpolation (`poly_det`, about D k^3) otherwise.
+Graph joins, their universal-matrix and subset variants and generalized
+coronas are thin wrappers that pick the right blocks.  Every spectrum is
+classified by one step.  A block whose vector is an eigenvector
 (all-ones on regular or alpha + delta = 0 blocks, Fiedler's lemma being the
 rank-one case) has the resolvent n_i / (x - p_i) and costs one charpoly;
 `resolvent_form` detects this on every route, so the regular and
@@ -44,7 +47,7 @@ from .joins import (
     join_weights,
     universal_matrix,
 )
-from .matrices import RationalMatrix, Vector, as_vector, charpoly, poly_det
+from .matrices import RationalMatrix, Vector, as_vector, charpoly, poly_det, realization_charpoly
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
 from .resolvent import resolvent_form
 from .roots import real_roots
@@ -105,8 +108,14 @@ def _block_data(m: RationalMatrix, u: Vector, v: Vector) -> _BlockData:
 
 
 def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: RhoMatrix) -> Polynomial:
-    """Phi: determinant of the cleared coupling matrix (g_i diagonal, -rho_ij f_i off)."""
+    """Phi: determinant of the cleared coupling matrix (g_i diagonal, -rho_ij f_i off).
+
+    The glued realization needs every g_i monic with deg f_i < deg g_i, as
+    every resolvent form has; any other input goes to `poly_det`.
+    """
     k = len(fs)
+    if all(g.is_monic and f.degree < g.degree for f, g in zip(fs, gs)) and sum(g.degree for g in gs) ** 2 < k**3:
+        return realization_charpoly(fs, gs, rho)
     rows = [
         [gs[i] if i == j else (-rho[i][j]) * fs[i] for j in range(k)]
         for i in range(k)
@@ -245,11 +254,10 @@ def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
 
 def _universal_rho(rho: RhoMatrix, params: UniversalParams) -> RhoMatrix:
     """Coupling scalars of a universal-matrix join: rho_ij * alpha + gamma off the diagonal."""
-    k = len(rho)
-    return tuple(
-        tuple(rho[i][j] * params.alpha + params.gamma if i != j else Fraction(0) for j in range(k))
-        for i in range(k)
-    )
+    # one value per distinct scalar, keyed on int pairs, which hash in C where Fractions do not
+    keys = [[(r.numerator, r.denominator) for r in row] for row in rho]
+    coupled = {key: Fraction(*key) * params.alpha + params.gamma for key in {key for row in keys for key in row}}
+    return tuple(tuple(coupled[q] if i != j else Fraction(0) for j, q in enumerate(row)) for i, row in enumerate(keys))
 
 
 # -- graph-level formula routes ------------------------------------------------

@@ -36,6 +36,7 @@ from joinspectra import (
     universal_matrix,
 )
 from joinspectra.errors import PreconditionError, ShapeError
+from joinspectra.joins import host_rho
 from joinspectra.fixtures import (
     mixed_join_charpoly_factors,
     mixed_join_spec,
@@ -43,9 +44,9 @@ from joinspectra.fixtures import (
     subset_join_charpoly_factors,
     subset_join_spec,
 )
-from joinspectra.matrices import RationalMatrix, charpoly, poly_det
+from joinspectra.matrices import RationalMatrix, charpoly, poly_det, realization_charpoly
 from joinspectra.polynomials import Polynomial
-from joinspectra.spectra import universal_blocks
+from joinspectra.spectra import _block_data, coupling_poly, subset_blocks, universal_blocks
 from joinspectra.verification import (
     random_coupled_blocks,
     random_graph,
@@ -271,16 +272,88 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
 def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
     # all-ones is an eigenvector of every Laplacian block, so its resolvent
     # needs the block's charpoly only; A - D/2 of the same irregular blocks
-    # takes a second charpoly per block
+    # takes a second charpoly per block.  With one pole per Laplacian block,
+    # D = 3 and D^2 < k^3, so the last call is Phi's glued realization; the
+    # A - D/2 blocks give D^2 >= k^3 and Phi by poly_det, with no kernel call
     lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
     hjoin_universal_charpoly(lap)
-    assert kernel_calls == [3, 4, 3]
+    assert kernel_calls == [3, 4, 3, 3]
     kernel_calls.clear()
     hjoin_universal_spectrum_alpha_delta_zero(lap)
-    assert kernel_calls == [3, 4, 3]
+    assert kernel_calls == [3, 4, 3, 3]
     kernel_calls.clear()
     generalized_charpoly(mixed_join_spec(), Fraction(1, 2))
     assert kernel_calls == [3, 3, 4, 4, 3, 3]
+
+
+def _coupling_rows(fs, gs, rho):
+    k = len(fs)
+    return [[gs[i] if i == j else (-rho[i][j]) * fs[i] for j in range(k)] for i in range(k)]
+
+
+def _realization_cases(rng):
+    for _ in range(6):
+        spec = random_join_spec(rng, max_k=7, max_n=4)
+        yield universal_blocks(spec.with_universal(ADJ))
+        yield universal_blocks(spec.with_universal(UniversalParams.laplacian()))
+        yield universal_blocks(spec.with_universal(random_universal_params(rng)))
+        yield subset_blocks(random_join_spec(rng, max_k=7, max_n=4, with_subsets=True))
+        cones = [generalized_corona(Graph(1), (g,)).adjacency() for g in spec.components]
+        yield CoupledBlocks([(m, (1,) + (0,) * (m.rows - 1), (1,) + (0,) * (m.rows - 1)) for m in cones], host_rho(spec.host))
+    for _ in range(40):
+        yield random_coupled_blocks(rng, max_k=7, max_n=4, zero_vector_rate=0.3)
+    yield scalar_blocks([2], ((0,),))
+    yield random_coupled_blocks(random.Random(3), max_k=1)
+
+
+def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
+    # adjacency, Laplacian and rational universal blocks, subset joins, corona
+    # cones, asymmetric rational rho with zeros, zero forms (f = 0, g = 1)
+    # between blocks that have rows, and k = 1
+    sides, zero_forms = set(), 0
+    for cb in _realization_cases(random.Random(12)):
+        data = [_block_data(m, u, v) for m, u, v in cb.blocks]
+        fs, gs = [d.f for d in data], [d.g for d in data]
+        want = poly_det(_coupling_rows(fs, gs, cb.rho))
+        assert realization_charpoly(fs, gs, cb.rho) == want
+        assert coupling_poly(fs, gs, cb.rho) == want
+        sides.add(sum(g.degree for g in gs) ** 2 < cb.k**3)
+        zero_forms += any(g.degree == 0 and any(h.degree for h in gs[:i]) for i, g in enumerate(gs))
+    assert sides == {True, False}
+    assert zero_forms >= 5
+
+
+def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cubed(kernel_calls):
+    rng = random.Random(7)
+    many = JoinSpec(random_graph(rng, 12), tuple(random_graph(rng, rng.randint(2, 4)) for _ in range(12)), universal=ADJ)
+    pair = JoinSpec(Graph.path(2), (random_graph(rng, 22), random_graph(rng, 28)), universal=ADJ)
+    for spec, k in ((many, 12), (pair, 2)):
+        cb = universal_blocks(spec)
+        dim = sum(_block_data(m, u, v).g.degree for m, u, v in cb.blocks)
+        blocks_only = list(kernel_calls)
+        kernel_calls.clear()
+        hjoin_universal_charpoly(spec)
+        if spec is many:
+            assert dim**2 < k**3
+            assert kernel_calls == blocks_only + [dim]
+        else:
+            assert dim**2 >= k**3
+            assert kernel_calls == blocks_only
+        kernel_calls.clear()
+
+
+def test_coupling_poly_on_public_inputs_is_poly_det():
+    # a non-monic g or deg f >= deg g has no companion realization: k = 2 and
+    # D = 2 pass the size rule, so only the form check sends these to poly_det;
+    # the last case takes the realization with a plain int in rho
+    rho = ((0, Fraction(1, 2)), (-3, 0))
+    cases = [
+        ([X + 1, Polynomial.constant(2)], [2 * X + 1, X - 3]),
+        ([X**2, Polynomial.one()], [X - 1, X + 2]),
+        ([Polynomial.constant(2), Polynomial.constant(Fraction(1, 3))], [X - 1, X + 2]),
+    ]
+    for fs, gs in cases:
+        assert coupling_poly(fs, gs, rho) == poly_det(_coupling_rows(fs, gs, rho))
 
 
 def test_laplacian_join_of_16_vertex_blocks_matches_eigvalsh():
