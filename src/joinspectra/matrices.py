@@ -314,10 +314,12 @@ def realization_charpoly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho
 
     Block i of A is the controllable companion of g_i (ones on the
     superdiagonal, -g_0, ..., -g_{d-1} in its last row), and that row also
-    holds rho_ji * f_j in block j's columns: with the index transposed,
-    det(xI - A) = det(G - F rho) for an asymmetric rho too.  A block with
-    deg g_i = 0 (so f_i = 0) has no rows, as its row of G - F rho is e_i.
-    The entries are cleared to one denominator L; the kernel runs on L * A.
+    holds rho_ji * f_j in block j's columns.  So A = diag(A_i) + B rho^T C
+    with C_j (xI - A_j)^{-1} B_j = f_j / g_j, and det(xI - A) =
+    prod g_i det(I - rho^T F G^{-1}) = det(G - F rho), for an asymmetric rho
+    too.  A block with deg g_i = 0 (so f_i = 0) has no rows, as its row of
+    G - F rho is e_i.  The entries are cleared to one denominator L, and the
+    kernel runs on L * A.
     """
     k = len(gs)
     *starts, dim = accumulate((g.degree for g in gs), initial=0)

@@ -36,7 +36,6 @@ from joinspectra import (
     universal_matrix,
 )
 from joinspectra.errors import PreconditionError, ShapeError
-from joinspectra.joins import host_rho
 from joinspectra.fixtures import (
     mixed_join_charpoly_factors,
     mixed_join_spec,
@@ -44,6 +43,7 @@ from joinspectra.fixtures import (
     subset_join_charpoly_factors,
     subset_join_spec,
 )
+from joinspectra.joins import host_rho
 from joinspectra.matrices import RationalMatrix, charpoly, poly_det, realization_charpoly
 from joinspectra.polynomials import Polynomial
 from joinspectra.spectra import _block_data, coupling_poly, subset_blocks, universal_blocks
@@ -324,22 +324,26 @@ def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
 
 
 def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cubed(kernel_calls):
-    rng = random.Random(7)
-    many = JoinSpec(random_graph(rng, 12), tuple(random_graph(rng, rng.randint(2, 4)) for _ in range(12)), universal=ADJ)
-    pair = JoinSpec(Graph.path(2), (random_graph(rng, 22), random_graph(rng, 28)), universal=ADJ)
-    for spec, k in ((many, 12), (pair, 2)):
+    def run(spec):
+        """(D, the block data's kernel calls, the route's kernel calls)"""
         cb = universal_blocks(spec)
         dim = sum(_block_data(m, u, v).g.degree for m, u, v in cb.blocks)
         blocks_only = list(kernel_calls)
         kernel_calls.clear()
         hjoin_universal_charpoly(spec)
-        if spec is many:
-            assert dim**2 < k**3
-            assert kernel_calls == blocks_only + [dim]
-        else:
-            assert dim**2 >= k**3
-            assert kernel_calls == blocks_only
+        calls = list(kernel_calls)
         kernel_calls.clear()
+        return dim, blocks_only, calls
+
+    rng = random.Random(7)
+    dim, blocks_only, calls = run(
+        JoinSpec(random_graph(rng, 12), tuple(random_graph(rng, rng.randint(2, 4)) for _ in range(12)), universal=ADJ)
+    )
+    assert dim**2 < 12**3
+    assert calls == blocks_only + [dim]
+    dim, blocks_only, calls = run(JoinSpec(Graph.path(2), (random_graph(rng, 22), random_graph(rng, 28)), universal=ADJ))
+    assert dim**2 >= 2**3
+    assert calls == blocks_only
 
 
 def test_coupling_poly_on_public_inputs_is_poly_det():
