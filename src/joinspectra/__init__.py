@@ -48,7 +48,6 @@ from .spectra import (
     hjoin_universal_spectrum_regular,
     join_charpoly,
     join_spectrum,
-    lex_universal_charpoly,
 )
 
 __version__ = "0.1.0"
@@ -113,6 +112,5 @@ __all__ = [
     "hjoin_universal_spectrum_regular",
     "join_charpoly",
     "join_spectrum",
-    "lex_universal_charpoly",
     "__version__",
 ]

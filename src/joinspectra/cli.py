@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PreconditionError, SpecError
 from .fixtures import run_fixture_checks
+from .graphs import graph_from_obj
 from .joins import JoinSpec, UniversalParams, generalized_corona, lexicographic, universal_matrix
 from .kernel import BACKEND
 from .oracle import check, join_truth
@@ -28,7 +29,6 @@ from .spectra import (
     hjoin_universal_spectrum_regular,
     join_charpoly,
     join_spectrum,
-    lex_universal_charpoly,
 )
 from .verification import run_random_suite, verify_spec
 
@@ -157,23 +157,18 @@ def cmd_corona(args) -> int:
 def cmd_lex(args) -> int:
     obj = _read_json(args.spec)
     # a single inner graph stands for one copy per host vertex
-    if isinstance(obj, dict) and isinstance(obj.get("components"), list) and len(obj["components"]) == 1:
-        host_n = obj.get("host", {}).get("n") if isinstance(obj.get("host"), dict) else None
-        if host_n is None and isinstance(obj.get("host"), str):
-            from .graphs import Graph
-
-            host_n = Graph.from_text(obj["host"]).n
-        if isinstance(host_n, int):
-            obj = dict(obj, components=obj["components"] * host_n)
+    components = obj.get("components") if isinstance(obj, dict) else None
+    if isinstance(components, list) and len(components) == 1 and "host" in obj:
+        obj = dict(obj, components=components * graph_from_obj(obj["host"]).n)
     spec = JoinSpec.from_json_obj(obj)
     if spec.subsets is not None or spec.rho_override is not None:
         raise PreconditionError("lexicographic route takes a plain host + one inner graph")
-    inners = set(spec.components)
-    if len(inners) != 1:
+    if len(set(spec.components)) != 1:
         raise PreconditionError("lexicographic route needs all components identical (or a single one)")
     inner = spec.components[0]
     params = spec.universal if spec.universal is not None else UniversalParams.adjacency()
-    poly = lex_universal_charpoly(spec.host, inner, params)
+    # the lexicographic product is the join whose components are all the inner graph
+    poly = hjoin_universal_charpoly(spec.with_universal(params))
     verdict = check(poly, universal_matrix(lexicographic(spec.host, inner), params)) if args.verify else None
     return _emit_checked(_poly_result("lexicographic", poly), verdict, args)
 
@@ -243,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_corona)
 
-    p = sub.add_parser("lex", help="lexicographic-product universal charpoly (delta must be 0)")
+    p = sub.add_parser("lex", help="lexicographic-product universal charpoly")
     add_common(p)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_lex)

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, VertexSubset
-from .joins import JoinSpec, UniversalParams, generalized_corona, h_join, join_graph
-from .matrices import charpoly
+from .joins import JoinSpec, UniversalParams, generalized_corona, h_join, lexicographic, universal_matrix
+from .matrices import charpoly, poly_det
 from .oracle import check, join_truth
 from .polynomials import Polynomial, RationalFunction
 from .resolvent import resolvent_form
 from .spectra import (
+    CoupledBlocks,
     corona_charpoly,
     corona_charpoly_via_join,
     generalized_charpoly,
@@ -28,7 +29,7 @@ from .spectra import (
     hjoin_universal_spectrum,
     hjoin_universal_spectrum_alpha_delta_zero,
     hjoin_universal_spectrum_regular,
-    lex_universal_charpoly,
+    universal_blocks,
 )
 
 
@@ -90,6 +91,13 @@ def product(polys) -> Polynomial:
     for p in polys:
         out = out * p
     return out
+
+
+def poly_det_charpoly(cb: CoupledBlocks) -> Polynomial:
+    """The glued charpoly with Phi by `poly_det` on the coupling rows: the general Phi, to check the others."""
+    forms = [resolvent_form(m, u, v) for m, u, v in cb.blocks]
+    rows = [[f.den if i == j else -r * f.num for j, r in enumerate(cb.rho[i])] for i, f in enumerate(forms)]
+    return product([poly_det(rows)] + [f.charpoly.exact_div(f.den) for f in forms])
 
 
 def multisets_close(a, b, tol: float) -> bool:
@@ -227,14 +235,16 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
     run("corona routes", "corona", corona_routes)
 
     def lex_routes():
-        if lex_universal_charpoly(Graph.complete(2), Graph(1), adjacency) != Polynomial((-1, 0, 1)):
+        # the lexicographic product is the join whose components are all the inner graph
+        edge = JoinSpec(Graph.complete(2), (Graph(1),) * 2, universal=adjacency)
+        if hjoin_universal_charpoly(edge) != Polynomial((-1, 0, 1)):
             return False, "2-clique of a point is not the single edge"
         host, inner = Graph.path(3), Graph.complete(2)
-        via_lex = lex_universal_charpoly(host, inner, adjacency)
-        via_join = hjoin_universal_charpoly(JoinSpec(host, (inner,) * 3, universal=adjacency))
-        if via_lex != via_join:
-            return False, "lexicographic vs join route"
-        if with_oracle and not check(via_lex, join_graph(JoinSpec(host, (inner,) * 3)).adjacency()):
+        spec = JoinSpec(host, (inner,) * 3, universal=adjacency)
+        via_lex = hjoin_universal_charpoly(spec)
+        if via_lex != poly_det_charpoly(universal_blocks(spec)):
+            return False, "closed-form vs general Phi"
+        if with_oracle and not check(via_lex, universal_matrix(lexicographic(host, inner), adjacency)):
             return False, "lexicographic vs dense oracle"
         return True, "product form matches the join route"
 

@@ -191,12 +191,12 @@ def load_join_spec(text: str) -> JoinSpec:
 
 
 def host_rho(host: Graph) -> RhoMatrix:
-    """0/1 coupling derived from the host's edges."""
-    k = host.n
-    return tuple(
-        tuple(Fraction(1 if i != j and host.has_edge(i, j) else 0) for j in range(k))
-        for i in range(k)
-    )
+    """0/1 coupling derived from the host's edges, built from one shared 0 and 1."""
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[zero] * host.n for _ in range(host.n)]
+    for i, j in host.edges:
+        rows[i][j] = rows[j][i] = one
+    return tuple(map(tuple, rows))
 
 
 def effective_rho(spec: JoinSpec) -> RhoMatrix:

@@ -2,9 +2,9 @@
 
 A characteristic polynomial clears the matrix's denominators and hands the
 integer matrix to `kernel.charpoly_int`, the multimodular Hessenberg kernel
-that every route uses, so it is exact.  The coupling determinant Phi of
-`spectra.coupling_poly` has two forms here.  `realization_charpoly` is the
-charpoly of the glued companion realization, one kernel call of dimension
+that every route uses, so it is exact.  Two forms of the coupling
+determinant Phi of `spectra.coupling_poly` live here.  `realization_charpoly`
+is the charpoly of the glued companion realization, one kernel call of dimension
 D = sum deg g_i.  `poly_det`, the determinant of a polynomial matrix, clears
 each row's denominators, evaluates the integer determinant (fraction-free
 Bareiss) at B + 1 integer points, B the sum of the row degrees, and

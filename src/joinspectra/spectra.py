@@ -10,19 +10,19 @@ characteristic polynomial of the glued matrix factors exactly as
 where Phi is the determinant of the k x k polynomial matrix with g_i on the
 diagonal and -rho_ij * f_i off it.  Everything here works with that cleared
 form, so zero vectors (f_i = 0, g_i = 1) and asymmetric couplings cost
-nothing special.  Phi has two forms, chosen on size alone: the charpoly of
-the glued companion realization, about D^3 work for D = sum deg g_i, when
-D^2 < k^3, and evaluation-interpolation (`poly_det`, about D k^3) otherwise.
-Graph joins, their universal-matrix and subset variants and generalized
+nothing special, and repeated blocks cost once.  Phi has three forms, each
+chosen on a property of the input: a closed form through the charpoly of the
+coupling scalars when every (f_i, g_i) is the same; else the charpoly of the
+glued companion realization, about D^3 work for D = sum deg g_i, when
+D^2 < k^3, and evaluation-interpolation (`poly_det`, about D k^3) when not.
+Graph joins, their universal-matrix and subset variants, lexicographic
+products (the join whose components are all one graph) and generalized
 coronas are thin wrappers that pick the right blocks.  Every spectrum is
 classified by one step.  A block whose vector is an eigenvector
 (all-ones on regular or alpha + delta = 0 blocks, Fiedler's lemma being the
 rank-one case) has the resolvent n_i / (x - p_i) and costs one charpoly;
 `resolvent_form` detects this on every route, so the regular and
 alpha + delta = 0 shortcuts are only precondition checks before that path.
-The lexicographic product of identical blocks shares the block data,
-coupling scalars and checked product, but expands Phi in closed form through
-the host's coupling charpoly.
 
 The routes here compute and never verify themselves: a check needs a truth
 built without these blocks, and that is `oracle.check`'s job.
@@ -107,13 +107,33 @@ def _block_data(m: RationalMatrix, u: Vector, v: Vector) -> _BlockData:
     return _BlockData(phi=form.charpoly, f=form.num, g=form.den, cofactor=form.charpoly.exact_div(form.den))
 
 
+def _blocks_data(cb: CoupledBlocks) -> list[_BlockData]:
+    """`_block_data` of each block, once per distinct block: keyed on the
+    matrix's identity and the vectors, so no n^2 entries are hashed."""
+    memo: dict = {}
+    for m, u, v in cb.blocks:
+        if (id(m), u, v) not in memo:
+            memo[id(m), u, v] = _block_data(m, u, v)
+    return [memo[id(m), u, v] for m, u, v in cb.blocks]
+
+
 def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: RhoMatrix) -> Polynomial:
     """Phi: determinant of the cleared coupling matrix (g_i diagonal, -rho_ij f_i off).
 
-    The glued realization needs every g_i monic with deg f_i < deg g_i, as
-    every resolvent form has; any other input goes to `poly_det`.
+    When k >= 2 and every (f_i, g_i) is one (f, g), Phi = det(g I - f rho) =
+    sum_j c_j f^(k-j) g^j for c the charpoly of rho, asymmetric or not.  Else
+    the glued realization, when every g_i is monic with deg f_i < deg g_i, as
+    every resolvent form has, and D^2 < k^3; any other input goes to `poly_det`.
     """
     k = len(fs)
+    if k >= 2 and all(f == fs[0] for f in fs) and all(g == gs[0] for g in gs):
+        cs = charpoly(RationalMatrix(k, k, [x for row in rho for x in row])).coeffs  # ascending, monic
+        # homogeneous Horner: acc runs through sum_{i <= m} c_(k-i) f^i g^(m-i)
+        acc, f_pow = Polynomial.one(), Polynomial.one()
+        for c in reversed(cs[:-1]):
+            f_pow = f_pow * fs[0]
+            acc = acc * gs[0] + c * f_pow
+        return acc
     if all(g.is_monic and f.degree < g.degree for f, g in zip(fs, gs)) and sum(g.degree for g in gs) ** 2 < k**3:
         return realization_charpoly(fs, gs, rho)
     rows = [
@@ -137,7 +157,7 @@ def _glued_product(phi: Polynomial, cofactors: Sequence[Polynomial], total_dim: 
 
 def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
     """Exact characteristic polynomial of the glued block matrix."""
-    data = [_block_data(m, u, v) for m, u, v in cb.blocks]
+    data = _blocks_data(cb)
     phi = coupling_poly([d.f for d in data], [d.g for d in data], cb.rho)
     return _glued_product(phi, [d.cofactor for d in data], cb.total_dim)
 
@@ -191,7 +211,7 @@ def coupled_spectrum(cb: CoupledBlocks) -> SpectrumReport:
     """
     if not cb.is_hermitian():
         raise PreconditionError("spectrum classification needs symmetric blocks, u = v and symmetric coupling")
-    data = [_block_data(m, u, v) for m, u, v in cb.blocks]
+    data = _blocks_data(cb)
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
     for idx, d in enumerate(data):
@@ -241,15 +261,17 @@ def subset_blocks(spec: JoinSpec) -> CoupledBlocks:
 
 
 def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
-    """Blocks U_i + delta*w_i*I with all-ones vectors, coupled by rho*alpha + gamma."""
+    """Blocks U_i + delta*w_i*I with all-ones vectors, coupled by rho*alpha + gamma;
+    equal (component, shift) pairs share one matrix, whose data is then computed once."""
     _require(spec, "universal")
     params = spec.universal
-    w = join_weights(spec)
-    blocks = []
-    for i, g in enumerate(spec.components):
-        m = universal_matrix(g, params, params.delta * w[i])
-        blocks.append((m, tuple(Fraction(1) for _ in range(g.n)), tuple(Fraction(1) for _ in range(g.n))))
-    return CoupledBlocks(blocks, _universal_rho(effective_rho(spec), params))
+    keys = [(g, params.delta * w) for g, w in zip(spec.components, join_weights(spec))]
+    shared = {}
+    for g, shift in keys:
+        if (g, shift) not in shared:
+            ones = (Fraction(1),) * g.n
+            shared[g, shift] = (universal_matrix(g, params, shift), ones, ones)
+    return CoupledBlocks([shared[key] for key in keys], _universal_rho(effective_rho(spec), params))
 
 
 def _universal_rho(rho: RhoMatrix, params: UniversalParams) -> RhoMatrix:
@@ -334,35 +356,6 @@ def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec) -> SpectrumReport:
     if any(g.n == 0 for g in spec.components):
         raise PreconditionError("every component needs at least one vertex")
     return coupled_spectrum(universal_blocks(spec))
-
-
-# -- lexicographic products ---------------------------------------------------
-
-
-def lex_universal_charpoly(host: Graph, inner: Graph, params: UniversalParams) -> Polynomial:
-    """Universal charpoly of the lexicographic product (delta = 0), exactly.
-
-    With phi and f/g the inner universal charpoly and reduced all-ones
-    resolvent, the result is (phi/g)^k * sum_j c_j f^(k-j) g^j, the c_j being
-    the charpoly coefficients of the coupling matrix alpha*A(host) +
-    gamma*(J - I).  That product form replaces the eigenvalue-by-eigenvalue
-    product over the host spectrum, so no numerics enter.
-    """
-    if params.delta != 0:
-        raise PreconditionError(f"lexicographic route requires delta = 0, got {params.delta}")
-    k = host.n
-    ones = tuple(Fraction(1) for _ in range(inner.n))
-    d = _block_data(universal_matrix(inner, params), ones, ones)
-    coupling = RationalMatrix(k, k, [x for row in _universal_rho(host_rho(host), params) for x in row])
-    cs = charpoly(coupling).coeffs  # ascending, monic
-    f_pows, g_pows = [Polynomial.one()], [Polynomial.one()]
-    for _ in range(k):
-        f_pows.append(f_pows[-1] * d.f)
-        g_pows.append(g_pows[-1] * d.g)
-    acc = Polynomial()
-    for j in range(k + 1):
-        acc = acc + cs[j] * f_pows[k - j] * g_pows[j]
-    return _glued_product(acc, [d.cofactor] * k, k * inner.n)
 
 
 # -- coronas -------------------------------------------------------------------

@@ -28,17 +28,19 @@ from joinspectra import (
     hjoin_universal_spectrum,
     hjoin_universal_spectrum_alpha_delta_zero,
     hjoin_universal_spectrum_regular,
-    lex_universal_charpoly,
+    lexicographic,
     oracle_charpoly,
     resolvent_form,
     universal_matrix,
 )
 from joinspectra.matrices import charpoly
 from joinspectra.polynomials import Polynomial, RationalFunction, is_square_free
+from joinspectra.spectra import universal_blocks
 from joinspectra.fixtures import (
     mixed_join_charpoly_factors,
     mixed_join_resolvents,
     mixed_join_spec,
+    poly_det_charpoly,
     product,
     subset_join_charpoly_factors,
     subset_join_resolvents,
@@ -164,7 +166,9 @@ def test_criterion_07_corona_two_routes():
 
 
 def test_criterion_08_lexicographic():
-    assert lex_universal_charpoly(Graph.complete(2), Graph(1), ADJ) == X**2 - 1
+    # H[G] is the join whose components are all G; its identical blocks take
+    # the closed-form Phi, checked against the general Phi and the oracle
+    assert hjoin_universal_charpoly(JoinSpec(Graph.complete(2), (Graph(1),) * 2, universal=ADJ)) == X**2 - 1
     rng = random.Random(58)
     for _ in range(25):
         k = rng.randint(1, 4)
@@ -172,9 +176,10 @@ def test_criterion_08_lexicographic():
         inner = random_graph(rng, rng.randint(1, 4))
         p = random_universal_params(rng)
         params = UniversalParams(p.alpha, p.beta, p.gamma, 0)
-        via_lex = lex_universal_charpoly(host, inner, params)
-        via_join = hjoin_universal_charpoly(JoinSpec(host, (inner,) * k, universal=params))
-        assert via_lex == via_join
+        spec = JoinSpec(host, (inner,) * k, universal=params)
+        via_lex = hjoin_universal_charpoly(spec)
+        assert via_lex == poly_det_charpoly(universal_blocks(spec))
+        assert compare(via_lex, oracle_charpoly(universal_matrix(lexicographic(host, inner), params))).equal
     report(8, "25/25 lexicographic products equal the join route exactly")
 
 

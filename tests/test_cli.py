@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -23,6 +24,7 @@ from joinspectra.fixtures import (
     subset_join_charpoly_factors,
     subset_join_spec,
 )
+from joinspectra.verification import random_graph, random_universal_params
 
 
 @pytest.fixture()
@@ -276,11 +278,17 @@ def test_lex_verb(capsys, tmp_path):
     assert code == 0
     assert obj["charpoly"] == ["-1", "0", "1"]
     assert obj["oracle"]["equal"] is True
-    # delta != 0 hits the route precondition
-    bad = {"host": "2; 0-1", "components": ["1;"], "universal": {"alpha": "1", "delta": "1"}}
-    p2 = tmp_path / "lex_bad.json"
-    p2.write_text(json.dumps(bad))
-    assert main(["lex", str(p2)]) == 3
+    # delta != 0: H[G] is still the join whose components are all G
+    rng = random.Random(62)
+    for case in range(6):
+        host, inner = random_graph(rng, rng.randint(2, 4)), random_graph(rng, rng.randint(1, 4))
+        params = random_universal_params(rng).to_json_obj()
+        params["delta"] = rng.choice(["-2", "-1", "1/2", "1", "3"])
+        p2 = tmp_path / f"lex_delta_{case}.json"
+        p2.write_text(json.dumps({"host": host.to_text(), "components": [inner.to_text()], "universal": params}))
+        code, obj = run_json(capsys, ["lex", str(p2), "--verify"])
+        assert code == 0
+        assert obj["oracle"]["equal"] is True
 
 
 def test_lex_malformed_spec(capsys, tmp_path):

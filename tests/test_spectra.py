@@ -1,3 +1,4 @@
+import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -30,15 +31,18 @@ from joinspectra import (
     join_graph,
     join_truth,
     join_weights,
-    lex_universal_charpoly,
+    lexicographic,
     oracle_charpoly,
     oracle_spectrum,
     universal_matrix,
 )
+from joinspectra import spectra
+from joinspectra.cli import main
 from joinspectra.errors import PreconditionError, ShapeError
 from joinspectra.fixtures import (
     mixed_join_charpoly_factors,
     mixed_join_spec,
+    poly_det_charpoly,
     product,
     subset_join_charpoly_factors,
     subset_join_spec,
@@ -46,9 +50,10 @@ from joinspectra.fixtures import (
 from joinspectra.joins import host_rho
 from joinspectra.matrices import RationalMatrix, charpoly, poly_det, realization_charpoly
 from joinspectra.polynomials import Polynomial
-from joinspectra.spectra import _block_data, coupling_poly, subset_blocks, universal_blocks
+from joinspectra.spectra import _block_data, _universal_rho, coupling_poly, subset_blocks, universal_blocks
 from joinspectra.verification import (
     random_coupled_blocks,
+    random_fraction,
     random_graph,
     random_join_spec,
     random_universal_params,
@@ -325,9 +330,10 @@ def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
 
 def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cubed(kernel_calls):
     def run(spec):
-        """(D, the block data's kernel calls, the route's kernel calls)"""
+        """(D, the kernel calls of each distinct block's data, the route's kernel calls)"""
         cb = universal_blocks(spec)
-        dim = sum(_block_data(m, u, v).g.degree for m, u, v in cb.blocks)
+        data = {block: _block_data(*block) for block in dict.fromkeys(cb.blocks)}
+        dim = sum(data[block].g.degree for block in cb.blocks)
         blocks_only = list(kernel_calls)
         kernel_calls.clear()
         hjoin_universal_charpoly(spec)
@@ -336,9 +342,9 @@ def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cube
         return dim, blocks_only, calls
 
     rng = random.Random(7)
-    dim, blocks_only, calls = run(
-        JoinSpec(random_graph(rng, 12), tuple(random_graph(rng, rng.randint(2, 4)) for _ in range(12)), universal=ADJ)
-    )
+    spec = JoinSpec(random_graph(rng, 12), tuple(random_graph(rng, rng.randint(2, 4)) for _ in range(12)), universal=ADJ)
+    assert len(set(spec.components)) < 12  # repeated blocks cost once
+    dim, blocks_only, calls = run(spec)
     assert dim**2 < 12**3
     assert calls == blocks_only + [dim]
     dim, blocks_only, calls = run(JoinSpec(Graph.path(2), (random_graph(rng, 22), random_graph(rng, 28)), universal=ADJ))
@@ -578,30 +584,99 @@ def test_universal_route_with_coupling_override():
 # -- lexicographic ---------------------------------------------------------------
 
 
+def _lex_spec(host, inner, params=ADJ):
+    """H[G] as the join whose components are all G."""
+    return JoinSpec(host, (inner,) * host.n, universal=params)
+
+
 def test_lex_simple_cases():
-    assert lex_universal_charpoly(Graph.complete(2), Graph(1), ADJ) == X**2 - 1
-    assert lex_universal_charpoly(Graph(1), Graph.path(4), ADJ) == charpoly(Graph.path(4).adjacency())
-    via_lex = lex_universal_charpoly(Graph.path(3), Graph.complete(2), ADJ)
-    via_join = hjoin_universal_charpoly(JoinSpec(Graph.path(3), (Graph.complete(2),) * 3, universal=ADJ))
-    assert via_lex == via_join
+    assert hjoin_universal_charpoly(_lex_spec(Graph.complete(2), Graph(1))) == X**2 - 1
+    assert hjoin_universal_charpoly(_lex_spec(Graph(1), Graph.path(4))) == charpoly(Graph.path(4).adjacency())
+    spec = _lex_spec(Graph.path(3), Graph.complete(2))
+    via_lex = hjoin_universal_charpoly(spec)
+    assert via_lex == poly_det_charpoly(universal_blocks(spec))
+    assert via_lex == charpoly(lexicographic(Graph.path(3), Graph.complete(2)).adjacency())
 
 
 def test_lex_cross_validates_with_general_parameters():
+    # delta drawn too: the blocks then differ by host degree, and stay
+    # identical, taking the closed-form Phi, on hosts of one degree
     rng = random.Random(49)
     for _ in range(10):
         k = rng.randint(1, 3)
         host = random_graph(rng, k)
         inner = random_graph(rng, rng.randint(1, 3))
-        p = random_universal_params(rng)
-        params = UniversalParams(p.alpha, p.beta, p.gamma, 0)
-        via_lex = lex_universal_charpoly(host, inner, params)
-        via_join = hjoin_universal_charpoly(JoinSpec(host, (inner,) * k, universal=params))
-        assert via_lex == via_join
+        params = random_universal_params(rng)
+        spec = _lex_spec(host, inner, params)
+        via_lex = hjoin_universal_charpoly(spec)
+        assert via_lex == poly_det_charpoly(universal_blocks(spec))
+        assert compare(via_lex, oracle_charpoly(universal_matrix(lexicographic(host, inner), params))).equal
 
 
-def test_lex_rejects_degree_term():
-    with pytest.raises(PreconditionError):
-        lex_universal_charpoly(Graph.complete(2), Graph(1), UniversalParams.laplacian())
+def test_lex_takes_degree_term(capsys, tmp_path):
+    # the degree term shifts block i by delta * w_i, which the join route
+    # carries for any delta; the lexicographic verb goes through it
+    rng = random.Random(63)
+    for case in range(8):
+        host = random_graph(rng, rng.randint(2, 4))
+        inner = random_graph(rng, rng.randint(1, 4))
+        params = random_universal_params(rng).to_json_obj()
+        params["delta"] = rng.choice(["-2", "-1", "-1/3", "1/2", "1", "2"])
+        p = tmp_path / f"lex_{case}.json"
+        p.write_text(json.dumps({"host": host.to_json_obj(), "components": [inner.to_json_obj()], "universal": params}))
+        assert main(["lex", str(p), "--verify"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"]["equal"] is True
+
+
+def _refuse(*args):
+    raise AssertionError("identical blocks left the closed-form Phi")
+
+
+def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
+    # symmetric rho (host patterns through universal couplings) and asymmetric
+    # rational rho with zeros, k = 2..6; the other two forms are disabled, and
+    # the closed form must equal poly_det on the same coupling rows
+    monkeypatch.setattr(spectra, "realization_charpoly", _refuse)
+    monkeypatch.setattr(spectra, "poly_det", _refuse)
+    rng = random.Random(14)
+    for k in range(2, 7):
+        for _ in range(4):
+            m, u, v = random_coupled_blocks(rng, max_k=1, max_n=5, zero_vector_rate=0.2).blocks[0]
+            d = _block_data(m, u, v)
+            fs, gs = [d.f] * k, [d.g] * k
+            sym = _universal_rho(host_rho(random_graph(rng, k)), random_universal_params(rng))
+            asym = tuple(
+                tuple(Fraction(0) if i == j or rng.random() < 0.3 else random_fraction(rng) for j in range(k)) for i in range(k)
+            )
+            for rho in (sym, asym):
+                assert coupling_poly(fs, gs, rho) == poly_det(_coupling_rows(fs, gs, rho))
+
+
+def test_one_matrix_under_other_vectors_is_another_block():
+    # a route computes block data once per distinct (matrix object, u, v)
+    m = Graph.path(4).adjacency()
+    ones, end = (1,) * 4, (1, 0, 0, 0)
+    cb = CoupledBlocks([(m, ones, ones), (m, end, end), (m, ones, ones)], host_rho(Graph.path(3)))
+    truth = oracle_charpoly(assemble(cb))
+    assert compare(coupled_charpoly(cb), truth).equal
+    assert compare(coupled_spectrum(cb).charpoly, truth).equal
+
+
+def test_lex_join_takes_one_blocks_kernel_calls_plus_one_k_by_k_call(kernel_calls):
+    # an irregular inner graph takes two block calls, a regular one (or a
+    # Laplacian block) one; then Phi's closed form takes one k x k call
+    rng = random.Random(9)
+    irregular = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    cases = [
+        (_lex_spec(random_graph(rng, 8), irregular), [5, 5, 8]),
+        (_lex_spec(random_graph(rng, 7), Graph.cycle(5)), [5, 7]),
+        (_lex_spec(Graph.cycle(6), irregular, UniversalParams.laplacian()), [5, 6]),
+    ]
+    for spec, want in cases:
+        for route in (hjoin_universal_charpoly, hjoin_universal_spectrum):
+            kernel_calls.clear()
+            route(spec)
+            assert kernel_calls == want
 
 
 # -- degree-shift family ----------------------------------------------------------
