@@ -219,7 +219,11 @@ def _require_graphlike(spec: JoinSpec, what: str) -> None:
 def join_weights(spec: JoinSpec) -> tuple[int, ...]:
     """Per-block degree boost: total size of the components at host neighbors."""
     sizes = [g.n for g in spec.components]
-    return tuple(sum(sizes[l] for l in spec.host.neighbors(i)) for i in range(spec.k))
+    weights = [0] * spec.k
+    for u, v in spec.host.edges:
+        weights[u] += sizes[v]
+        weights[v] += sizes[u]
+    return tuple(weights)
 
 
 def h_join(spec: JoinSpec) -> Graph:

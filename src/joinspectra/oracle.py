@@ -14,9 +14,13 @@ The oracle's charpoly runs its own exact integer kernel, never the
 Hessenberg kernel the routes use, so a fault in either kernel shows up as a
 mismatch instead of being reproduced on both sides.  It forms the power
 traces tr(A^k), k = 1..n, from sqrt(n) baby steps and sqrt(n) giant steps in
-O(n^3.5) integer work and turns them into coefficients by Newton's
-identities (Faddeev-LeVerrier is the same identities in matrix form, at
-O(n^4)).  It uses Python ints throughout: no primes, no CRT, no bound.
+O(n^3.5) work and turns them into coefficients by Newton's identities
+(Faddeev-LeVerrier is the same identities in matrix form, at O(n^4)).  The
+traces are computed modulo word primes of its own, on numpy float64 matrix
+products that stay exact below 2**53, and lifted by the Chinese remainder
+theorem under its own bound |tr(A^k)| <= n * ||A||_inf^k; Newton's
+identities then run on Python ints.  numpy is imported inside the functions
+that use it, so the CLI starts without it.
 """
 
 from __future__ import annotations
@@ -89,37 +93,138 @@ def join_truth(spec: JoinSpec) -> RationalMatrix:
     return universal_matrix(join_graph(replace(spec, rho_override=None)), params)
 
 
+def _is_word_prime(p: int) -> bool:
+    # Miller-Rabin with bases 2, 7 and 61 is exact below 4.7e9 (Jaeschke, Math.
+    # Comp. 61, 1993); every candidate here is below 2**27
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in (2, 7, 61):
+        if p == b:
+            return True
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_word_primes_by_n: dict[int, list[int]] = {}
+# float64 powers of A that one batch of primes may hold at once, in bytes
+_BATCH_BYTES = 1 << 25
+
+
+def _word_primes(n: int):
+    """The primes p with n * (p - 1)**2 < 2**53, largest first, kept per n.
+
+    Below that size every product and row sum of n residues in [0, p) is an
+    integer below 2**53, which float64 holds exactly.
+    """
+    known = _word_primes_by_n.setdefault(n, [])
+    yield from known
+    c = known[-1] - 1 if known else math.isqrt((2**53 - 1) // n) + 1
+    while True:
+        if c % 2 and _is_word_prime(c):
+            known.append(c)
+            yield c
+        c -= 1
+
+
+def _trace_residues(stack, p):
+    """tr(A^k) mod p for k = 1..n as an (m, n) float64 array, from A's residues
+    modulo m word primes: an (m, n, n) float64 stack in [0, p), p an (m, 1, 1)
+    float64 array.
+
+    With s = ceil(sqrt(n)) and G = A^s, every k in 1..n is i + j*s with
+    1 <= i <= s and 0 <= j < s, and tr(A^i G^j) sums A^i[r, c] * G^j[c, r].
+    The s - 1 baby-step and at most s - 2 giant-step products run as batched
+    float64 matrix products, each reduced mod p before the next.
+    """
+    import numpy as np
+
+    m, n = stack.shape[:2]
+    # 1/p is shaded down by 2**-40: below 2**53 the floor quotient is then
+    # never too large and at most one too small, so one subtraction of p
+    # completes the reduction
+    inv = 1.0 / p * (1.0 - 2.0**-40)
+
+    def reduce(x):
+        q = x * inv
+        np.floor(q, out=q)
+        q *= p
+        x -= q
+        return np.subtract(x, p, out=x, where=x >= p)
+
+    s = math.isqrt(n - 1) + 1
+    g = (n - 1) // s
+    baby = np.empty((s, m, n, n))  # A^1, ..., A^s
+    baby[0] = stack
+    for i in range(1, s):
+        reduce(np.matmul(baby[i - 1], stack, out=baby[i]))
+    giant = np.empty((g + 1, m, n, n))  # the transposes of G^0, ..., G^g
+    giant[0] = np.identity(n)
+    if g:
+        giant[1] = baby[-1].transpose(0, 2, 1)
+    for j in range(2, g + 1):
+        reduce(np.matmul(giant[j - 1], giant[1], out=giant[j]))
+    # rows[:, r, i - 1, j] = sum_c A^i[r, c] * G^j[c, r] is row r's share of
+    # tr(A^(i + j*s)), below n * (p - 1)**2, for every prime and row in one
+    # batched product; the rows are reduced before they are added up, since
+    # a whole n**2 sum could pass 2**53
+    rows = np.matmul(baby.transpose(1, 2, 0, 3), giant.transpose(1, 2, 3, 0))
+    reduce(rows.reshape(m, n, -1))
+    return reduce(rows.sum(axis=1).transpose(0, 2, 1).reshape(m, 1, -1))[:, 0, :n]
+
+
 def _power_traces(a: list[int], n: int) -> list[int]:
     """[tr(A^0), tr(A^1), ..., tr(A^n)] for an integer matrix A, in O(n^3.5).
 
-    With s = ceil(sqrt(n)) and G = A^s, every k in 1..n is i + j*s with
-    1 <= i <= s, and tr(A^k) = tr(A^i G^j) is one O(n^2) dot product of the
-    flattened A^i with the flattened transpose of G^j.  That takes s - 1
-    baby-step and at most s - 2 giant-step matrix products (Paterson and
-    Stockmeyer, SIAM J. Comput. 2, 1973).
+    The traces are computed modulo word primes by `_trace_residues`
+    (Paterson and Stockmeyer's baby and giant steps, SIAM J. Comput. 2, 1973)
+    on float64 matrix products, exact since every intermediate integer stays
+    below 2**53 (Dumas, Gautier and Pernet, ISSAC 2002).  The primes are
+    batched so that a batch's powers of A take at most _BATCH_BYTES.
+
+    With r = ||A||_inf, the largest absolute row sum, |tr(A^k)| <= n * r**k.
+    The primes multiply past 2 * n * r**n, so the Chinese remainder theorem
+    lifts each trace to its symmetric residue.  A lifted trace outside its
+    bound can only come from a wrong residue: it raises ArithmeticError.
     """
     traces = [n] + [0] * n
     if n == 0:
         return traces
-    s = math.isqrt(n - 1) + 1
+    import numpy as np
 
-    def times(m: list[int], cols: list[list[int]]) -> list[int]:
-        return [sum(map(mul, m[r : r + n], col)) for r in range(0, n * n, n) for col in cols]
-
-    cols_a = [a[c::n] for c in range(n)]
-    baby = [a]
-    for _ in range(s - 1):
-        baby.append(times(baby[-1], cols_a))
-    for i in range(1, s + 1):
-        traces[i] = sum(baby[i - 1][:: n + 1])
-    giant = baby[-1]
-    cols_g = [giant[c::n] for c in range(n)]
-    for j in range(1, (n - 1) // s + 1):
-        if j > 1:
-            giant = times(giant, cols_g)
-        giant_t = [x for c in range(n) for x in giant[c::n]]
-        for i in range(1, min(s, n - j * s) + 1):
-            traces[i + j * s] = sum(map(mul, baby[i - 1], giant_t))
+    r = max(sum(map(abs, a[i : i + n])) for i in range(0, n * n, n))
+    bound = 2 * n * r**n
+    primes, modulus = [], 1
+    for p in _word_primes(n):
+        primes.append(p)
+        modulus *= p
+        if modulus > bound:
+            break
+    ps = np.array(primes, dtype=np.int64)
+    res = np.array(a, dtype=np.int64) % ps[:, None] if r < 2**63 else [[x % p for x in a] for p in primes]
+    stack = np.array(res, dtype=np.float64).reshape(-1, n, n)
+    pf = ps.astype(np.float64)[:, None, None]
+    batch = max(1, _BATCH_BYTES // (8 * n * n * (2 * math.isqrt(n - 1) + 3)))
+    residues = np.concatenate(
+        [_trace_residues(stack[i : i + batch], pf[i : i + batch]) for i in range(0, len(primes), batch)]
+    )
+    # Chinese remainder: residues t_i mod p_i lift to sum(t_i * e_i) mod P
+    e = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    half = modulus // 2
+    for k, column in enumerate(residues.T.astype(np.int64).tolist(), 1):
+        t = sum(map(mul, column, e)) % modulus
+        traces[k] = t - modulus if t > half else t
+        if abs(traces[k]) > n * r**k:
+            raise ArithmeticError(f"power trace {k} lifts outside its bound n * ||A||_inf^{k}")
     return traces
 
 
@@ -156,8 +261,7 @@ def oracle_spectrum(m: RationalMatrix) -> list[float]:
     """Numeric eigenvalues of a symmetric matrix; every eigenpair's residual
     must be within _RESIDUAL_TOL * max(1, max|lambda|).
 
-    numpy is imported here, the one place in the package that needs it, so
-    the CLI starts without it.
+    numpy is imported here, as in `_power_traces`, so the CLI starts without it.
     """
     import numpy as np
 

@@ -1,7 +1,9 @@
 """Shared random generators and small independent oracles for the tests."""
 
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from joinspectra import Graph, Polynomial, RationalMatrix
 from joinspectra.verification import random_fraction
@@ -103,6 +105,40 @@ def faddeev_leverrier(a: list[int], n: int) -> list[int]:
         for i in range(n):
             b[i * n + i] += c
     return coeffs
+
+
+def exact_power_traces(a: list[int], n: int) -> list[int]:
+    """Reference power traces: [tr(A^0), ..., tr(A^n)] for an integer matrix A
+    in Python ints, with no primes and no bound.
+
+    With s = ceil(sqrt(n)) and G = A^s, every k in 1..n is i + j*s with
+    1 <= i <= s, and tr(A^k) = tr(A^i G^j) is one dot product of the
+    flattened A^i with the flattened transpose of G^j (Paterson and
+    Stockmeyer's baby and giant steps).
+    """
+    traces = [n] + [0] * n
+    if n == 0:
+        return traces
+    s = math.isqrt(n - 1) + 1
+
+    def times(m: list[int], cols: list[list[int]]) -> list[int]:
+        return [sum(map(mul, m[r : r + n], col)) for r in range(0, n * n, n) for col in cols]
+
+    cols_a = [a[c::n] for c in range(n)]
+    baby = [a]
+    for _ in range(s - 1):
+        baby.append(times(baby[-1], cols_a))
+    for i in range(1, s + 1):
+        traces[i] = sum(baby[i - 1][:: n + 1])
+    giant = baby[-1]
+    cols_g = [giant[c::n] for c in range(n)]
+    for j in range(1, (n - 1) // s + 1):
+        if j > 1:
+            giant = times(giant, cols_g)
+        giant_t = [x for c in range(n) for x in giant[c::n]]
+        for i in range(1, min(s, n - j * s) + 1):
+            traces[i + j * s] = sum(map(mul, baby[i - 1], giant_t))
+    return traces
 
 
 def fraction_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -103,6 +103,18 @@ def test_weights():
     assert join_weights(JoinSpec(Graph.complete(2), (Graph(3), Graph(5)))) == (5, 3)
 
 
+def test_weights_equal_the_neighbour_sums():
+    # one pass over the host's edges gives each block the sizes of the
+    # components at its host neighbours
+    rng = random.Random(23)
+    for _ in range(40):
+        k = rng.randint(1, 30)
+        host = random_graph(rng, k, edge_rate=rng.random())
+        spec = JoinSpec(host, tuple(Graph(rng.randint(1, 6)) for _ in range(k)))
+        sums = tuple(sum(spec.components[j].n for j in host.neighbors(i)) for i in range(k))
+        assert join_weights(spec) == sums
+
+
 def test_weights_count_cross_edges():
     rng = random.Random(22)
     for _ in range(15):

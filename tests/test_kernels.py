@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 
 import joinspectra.kernel as kernel
 import joinspectra.oracle as oracle
-from helpers import faddeev_leverrier, rand_rational_matrix
+from helpers import exact_power_traces, faddeev_leverrier, rand_rational_matrix
 from joinspectra.joins import UniversalParams, universal_matrix
 from joinspectra.kernel import _is_prime, charpoly_int, coeff_bound, prime
 from joinspectra.matrices import RationalMatrix, charpoly_and_update, cleared_int_entries
@@ -253,6 +255,64 @@ def test_power_trace_kernel_big_entries():
         assert _agrees_with_fl(_random_int_matrix(rng, n, 10**12), n)
         near = [rng.choice((1, -1)) * 10**12 + rng.randint(-3, 3) for _ in range(n * n)]
         assert _agrees_with_fl(near, n)
+
+
+def test_power_traces_equal_the_exact_integer_reference():
+    rng = random.Random(9)
+    for n in range(41):
+        cases = [
+            _random_int_matrix(rng, n),
+            cleared_int_entries(rand_rational_matrix(rng, n))[0],
+            [rng.choice((1, -1)) * 10**12 + rng.randint(-3, 3) for _ in range(n * n)],
+            [rng.choice((1, -1)) * (2**52 + rng.randint(0, 2**40)) for _ in range(n * n)],
+        ]
+        if n <= 12:  # entries past int64, reduced as Python ints
+            cases.append([rng.choice((1, -1)) * rng.randint(2**64, 2**80) for _ in range(n * n)])
+        for a in cases:
+            assert oracle._power_traces(a, n) == exact_power_traces(a, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129])
+def test_power_traces_at_the_float_limit(n):
+    # every residue of the all-(-1) matrix is p - 1, so its first product
+    # sums n * (p - 1)**2, just below 2**53 for the largest prime
+    largest = next(oracle._word_primes(n))
+    assert 2**53 * (1 - 2**-10) < n * (largest - 1) ** 2 < 2**53
+    a = [-1] * (n * n)
+    assert oracle._power_traces(a, n) == [n] + [(-n) ** k for k in range(1, n + 1)]
+    # det(xI + J) = x^(n-1) (x + n)
+    assert power_trace_charpoly(a, n) == [0] * (n - 1) + [n, 1]
+
+
+def test_word_primes_are_primes_below_the_float_limit():
+    for n in (1, 7, 36, 128):
+        primes = list(itertools.islice(oracle._word_primes(n), 40))
+        assert primes == sorted(set(primes), reverse=True)
+        assert all(n * (p - 1) ** 2 < 2**53 for p in primes)
+        assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes[:3] + primes[-3:])
+        assert all(_is_prime(p) for p in primes)
+
+
+def test_a_lifted_trace_outside_its_bound_raises(monkeypatch):
+    rng = random.Random(10)
+    n = 12
+    a = _random_int_matrix(rng, n)
+    r = max(sum(map(abs, a[i : i + n])) for i in range(0, n * n, n))
+    largest = next(oracle._word_primes(n))
+    # the bound needs two primes or more, and |tr(A)| <= n * r is below half
+    # of each: tr(A) wrong mod one prime and right mod another cannot lift
+    # into [-n * r, n * r]
+    assert 2 * n * r**n > largest and 2 * n * r < largest // 2
+    exact = oracle._trace_residues
+
+    def one_off(stack, p):
+        residues = exact(stack, p)
+        residues[0, 0] = (residues[0, 0] + 1) % p[0, 0, 0]
+        return residues
+
+    monkeypatch.setattr(oracle, "_trace_residues", one_off)
+    with pytest.raises(ArithmeticError, match="outside its bound"):
+        oracle._power_traces(a, n)
 
 
 @pytest.mark.parametrize("wrong", [2, 3, 5])
