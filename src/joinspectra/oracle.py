@@ -117,7 +117,7 @@ def _is_word_prime(p: int) -> bool:
 
 _word_primes_by_n: dict[int, list[int]] = {}
 # float64 powers of A that one batch of primes may hold at once, in bytes
-_BATCH_BYTES = 1 << 25
+_BATCH_BYTES = 1 << 22
 
 
 def _word_primes(n: int):
@@ -213,7 +213,8 @@ def _power_traces(a: list[int], n: int) -> list[int]:
     res = np.array(a, dtype=np.int64) % ps[:, None] if r < 2**63 else [[x % p for x in a] for p in primes]
     stack = np.array(res, dtype=np.float64).reshape(-1, n, n)
     pf = ps.astype(np.float64)[:, None, None]
-    batch = max(1, _BATCH_BYTES // (8 * n * n * (2 * math.isqrt(n - 1) + 3)))
+    # per prime, `_trace_residues` holds s + g + 1 <= 2s powers of A
+    batch = max(1, _BATCH_BYTES // (8 * n * n * 2 * (math.isqrt(n - 1) + 1)))
     residues = np.concatenate(
         [_trace_residues(stack[i : i + batch], pf[i : i + batch]) for i in range(0, len(primes), batch)]
     )
