@@ -24,12 +24,26 @@ raises, and the primes are then split into two halves, each run on its own
 (splitting again as needed) and joined by one Chinese remainder step.  A
 single prime never needs a split, since every nonzero residue mod a prime is
 a unit.
+
+`charpoly_bordered_int` gives det(xI - A) and v^T adj(xI - A) u, the two
+polynomials of a resolvent form, from one such pass over the bordered
+(n+1) x (n+1) matrix B = [[0, v^T], [u, A]].  Wilkinson's reduction keeps
+index 0 fixed (N e_0 = e_0, so N = diag(1, N')), and the pivot swaps only
+touch later indices, so H[1:, 1:] is similar to A.  The Hessenberg
+recurrence run over the trailing blocks of H (the leading blocks of
+J H^T J, J the reversal) ends with chi_1 = det(xI - H[1:, 1:]) = det(xI - A)
+and chi_0 = det(xI - B) = x det(xI - A) - v^T adj(xI - A) u, so the
+numerator is x chi_1 - chi_0.  A zero u_0 needs nothing special: the first
+column's pivot swap handles it.  Every principal minor of A is one of B, so
+B's bound covers both polynomials, and one modulus, with the same split on
+a non-unit pivot, serves both.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
+from typing import Callable
 
 # The one kernel implementation, pure Python; exported as
 # joinspectra.KERNEL_BACKEND and printed by `joinspectra verify`.
@@ -39,6 +53,9 @@ BACKEND = "python"
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _primes: tuple[int, ...] = ()
+
+# a pass mod P: (matrix, dimension, P) -> ascending coefficients mod P
+_Mod = Callable[[list[int], int, int], list[int]]
 
 
 def _is_prime(n: int) -> bool:
@@ -99,15 +116,18 @@ def coeff_bound(a: list[int], n: int) -> int:
     return best
 
 
-def _charpoly_mod(a: list[int], n: int, p: int) -> list[int]:
-    """Ascending coefficients of det(xI - A) mod p, each in [0, p)."""
-    h = _hessenberg_mod(a, n, p)  # h[j][i] = H[i][j]
-    # Hessenberg recurrence: P_0 = 1 and P_{m+1} = x P_m - sum_{i<=m} c_i P_i with
-    # c_i = H[i][m] H[i+1][i] ... H[m][m-1].  q[k] lists coefficient k of
-    # P_k, P_{k+1}, ..., so each new coefficient is one dot product.
+def _recurrence(h: list[list[int]], p: int) -> list[list[int]]:
+    """Charpolys of the leading blocks of an upper Hessenberg H mod p, from
+    its columns h (h[j][i] = H[i][j]): entry k of the returned list holds
+    coefficient k of P_k, P_{k+1}, ..., P_n, with P_m = det(xI - H[:m, :m])
+    and every coefficient in [0, p).
+
+    Hessenberg recurrence: P_0 = 1 and P_{m+1} = x P_m - sum_{i<=m} c_i P_i
+    with c_i = H[i][m] H[i+1][i] ... H[m][m-1], so each new coefficient is
+    one dot product.
+    """
     q = [[1]]
-    for m in range(n):
-        col = h[m]
+    for m, col in enumerate(h):
         c = [col[m]]  # c_m, c_{m-1}, ..., down to the first zero product
         t = 1
         for i in range(m - 1, -1, -1):
@@ -121,7 +141,29 @@ def _charpoly_mod(a: list[int], n: int, p: int) -> list[int]:
             below = qk[-1]
             qk.append(v)
         q.append([1])
-    return [qk[-1] for qk in q]
+    return q
+
+
+def _charpoly_mod(a: list[int], n: int, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - A) mod p, each in [0, p)."""
+    return [qk[-1] for qk in _recurrence(_hessenberg_mod(a, n, p), p)]
+
+
+def _bordered_mod(b: list[int], n: int, p: int) -> list[int]:
+    """det(xI - B) and det(xI - B[1:, 1:]) mod p, ascending and concatenated,
+    for an n x n matrix B (n >= 1).
+
+    The reduction fixes index 0, so H[1:, 1:] is similar to B[1:, 1:].  The
+    leading blocks of J H^T J (J the reversal) are H's trailing blocks,
+    transposed and reversed, and J H^T J is upper Hessenberg too; so the
+    recurrence run on it ends with the charpolys of H[1:, 1:] and of H.
+    Column m of J H^T J is row r = n - 1 - m of H, read from its last
+    entry down to its subdiagonal one.
+    """
+    h = _hessenberg_mod(b, n, p)
+    flipped = [[h[j][r] for j in range(n - 1, max(r - 1, 0) - 1, -1)] for r in range(n - 1, -1, -1)]
+    q = _recurrence(flipped, p)
+    return [qk[-1] for qk in q] + [qk[-2] for qk in q[:-1]]
 
 
 def _hessenberg_mod(a: list[int], n: int, p: int) -> list[list[int]]:
@@ -169,24 +211,23 @@ def _hessenberg_mod(a: list[int], n: int, p: int) -> list[list[int]]:
     return cols
 
 
-def _residues(a: list[int], n: int, primes: list[int]) -> list[int]:
-    """Ascending coefficients of det(xI - A) mod the product of `primes`, each
-    half of them run apart and joined by CRT when `pow` finds a pivot that
-    is no unit (ValueError), which a single prime never does."""
+def _residues(mod: _Mod, a: list[int], n: int, primes: list[int]) -> list[int]:
+    """`mod(a, n, P)` for P the product of `primes`, each half of them run
+    apart and joined by CRT when `pow` finds a pivot that is no unit
+    (ValueError), which a single prime never does."""
     try:
-        return _charpoly_mod(a, n, math.prod(primes))
+        return mod(a, n, math.prod(primes))
     except ValueError:
         half = len(primes) // 2
         low, high = math.prod(primes[:half]), math.prod(primes[half:])
         inv = pow(low, -1, high)
-        pairs = zip(_residues(a, n, primes[:half]), _residues(a, n, primes[half:]))
+        pairs = zip(_residues(mod, a, n, primes[:half]), _residues(mod, a, n, primes[half:]))
         return [c + low * ((r - c) * inv % high) for c, r in pairs]
 
 
-def charpoly_int(a: list[int], n: int) -> list[int]:
-    """Ascending integer coefficients of det(xI - A), A row-major n x n."""
-    if n == 0:
-        return [1]
+def _lifted(mod: _Mod, a: list[int], n: int) -> list[int]:
+    """`mod(a, n, P)` read as symmetric residues, P the first primes whose
+    product exceeds 2 `coeff_bound(a, n)`."""
     bound2 = 2 * coeff_bound(a, n)
     primes: list[int] = []
     modulus = 1
@@ -194,4 +235,28 @@ def charpoly_int(a: list[int], n: int) -> list[int]:
         primes.append(prime(len(primes)))
         modulus *= primes[-1]
     half = modulus >> 1
-    return [c - modulus if c > half else c for c in _residues(a, n, primes)]
+    return [c - modulus if c > half else c for c in _residues(mod, a, n, primes)]
+
+
+def charpoly_int(a: list[int], n: int) -> list[int]:
+    """Ascending integer coefficients of det(xI - A), A row-major n x n."""
+    if n == 0:
+        return [1]
+    return _lifted(_charpoly_mod, a, n)
+
+
+def charpoly_bordered_int(a: list[int], n: int, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
+    """(det(xI - A), v^T adj(xI - A) u), ascending integer coefficients, for
+    A row-major n x n and integer vectors u, v: one pass over the bordered
+    matrix B = [[0, v^T], [u, A]] (see the module docstring).
+
+    The second polynomial has degree below n, and its list has n entries.
+    """
+    b = [0, *v]
+    for i, ui in enumerate(u):
+        b.append(ui)
+        b += a[i * n : (i + 1) * n]
+    coeffs = _lifted(_bordered_mod, b, n + 1)
+    chi0, chi1 = coeffs[: n + 2], coeffs[n + 2 :]
+    # det(xI - B) = x det(xI - A) - v^T adj(xI - A) u, expanded along row 0
+    return chi1, [(chi1[j - 1] if j else 0) - chi0[j] for j in range(n)]

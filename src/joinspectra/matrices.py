@@ -14,7 +14,6 @@ interpolates exactly in the integers.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -145,7 +144,9 @@ class RationalMatrix:
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
-        return all(self[i, j] == self[j, i] for i in range(self.rows) for j in range(i + 1, self.cols))
+        # row i right of the diagonal against column i below it, slice against slice
+        e, n = self.entries, self.rows
+        return all(e[i * n + i + 1 : (i + 1) * n] == e[(i + 1) * n + i :: n] for i in range(n))
 
     def to_floats(self) -> list[list[float]]:
         return [[float(x) for x in self.row(i)] for i in range(self.rows)]
@@ -160,10 +161,13 @@ def cleared_int_entries(m: RationalMatrix) -> tuple[list[int], int]:
     return [e.numerator * (d // e.denominator) for e in m.entries], d
 
 
-def _descale(coeffs: list[int], d: int) -> Polynomial:
-    # det(xI - dM) = d^n det(x/d I - M): the coefficient of x^j divides by d^(n - j)
-    n = len(coeffs) - 1
-    return Polynomial(Fraction(coeffs[j], d ** (n - j)) for j in range(n + 1))
+def descale(coeffs: list[int], d: int, n: int | None = None) -> Polynomial:
+    """The polynomial whose coefficient of x^j is coeffs[j] / d^(n - j), n
+    defaulting to the degree: det(xI - dM) = d^n det(x/d I - M), and a form
+    v^T adj(xI - dM) (d u) has d^n times the coefficients of v^T adj(x/d I - M) u."""
+    if n is None:
+        n = len(coeffs) - 1
+    return Polynomial(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
 
 
 def charpoly_with(kernel: Callable[[list[int], int], list[int]], m: RationalMatrix) -> Polynomial:
@@ -171,7 +175,7 @@ def charpoly_with(kernel: Callable[[list[int], int], list[int]], m: RationalMatr
     if not m.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
     ints, d = cleared_int_entries(m)
-    return _descale(kernel(ints, m.rows), d)
+    return descale(kernel(ints, m.rows), d)
 
 
 def charpoly(m: RationalMatrix) -> Polynomial:
@@ -179,52 +183,9 @@ def charpoly(m: RationalMatrix) -> Polynomial:
     return charpoly_with(charpoly_int, m)
 
 
-def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
-    """The mu with A u = mu u, for an n x n integer matrix A (row-major) and
-    an integer vector u, or None: u is zero, or a row disagrees.  The rows are
-    checked one dot product at a time, and the first disagreeing row stops it.
-    """
-    pivot = next((i for i, x in enumerate(u) if x), None)
-    if pivot is None:
-        return None
-    up = u[pivot]
-    top = sum(map(operator.mul, a[pivot * n : (pivot + 1) * n], u))
-    for i in range(n):
-        if sum(map(operator.mul, a[i * n : (i + 1) * n], u)) * up != top * u[i]:
-            return None
-    return Fraction(top, up)
-
-
-def charpoly_and_update(
-    m: RationalMatrix, u: Sequence[Fraction], v: Sequence[Fraction]
-) -> tuple[Polynomial, Polynomial | None, Fraction | None]:
-    """(det(xI - M), det(xI - M - u v^T), None), or (det(xI - M), None, mu)
-    when u = v != 0 is an eigenvector of M for the eigenvalue mu.
-
-    An eigenvector needs one charpoly only, because v^T (xI - M)^{-1} u is
-    then |u|^2 / (x - mu).  The test runs on the integers d * M and du * u,
-    d and du clearing the denominators of M and u.  Otherwise the rank-one
-    update is formed on integers too: with D (`common`) the lcm of d and of
-    du * dv, dv clearing v, D * M and D * u v^T are both integer matrices.
-    """
-    if not m.is_square:
-        raise ShapeError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    if len(u) != n or len(v) != n:
-        raise ShapeError(f"vector length must be {n}")
-    ints, d = cleared_int_entries(m)
-    du, dv = math.lcm(*[x.denominator for x in u]), math.lcm(*[x.denominator for x in v])
-    uu = [x.numerator * (du // x.denominator) for x in u]
-    if u == v:
-        mu = _int_eigenvalue(ints, n, uu)
-        if mu is not None:
-            return _descale(charpoly_int(ints, n), d), None, mu / d
-    common = math.lcm(d, du * dv)
-    if common != d:
-        ints = [x * (common // d) for x in ints]
-    vv = [x.numerator * (common // (du * x.denominator)) for x in v]
-    updated = [ints[i * n + j] + ui * vj for i, ui in enumerate(uu) for j, vj in enumerate(vv)]
-    return _descale(charpoly_int(ints, n), common), _descale(charpoly_int(updated, n), common), None
+def cleared_charpoly(ints: list[int], n: int, d: int) -> Polynomial:
+    """`charpoly` of the n x n M whose `cleared_int_entries` are (ints, d)."""
+    return descale(charpoly_int(ints, n), d)
 
 
 def determinant(m: RationalMatrix) -> Fraction:
@@ -336,4 +297,4 @@ def realization_charpoly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho
     for i, j, t in terms:
         last, ints = (starts[i] + gs[i].degree - 1) * dim + starts[j], f_ints[j][0]
         a[last : last + len(ints)] = [x * t.numerator * (lcd // t.denominator) for x in ints]
-    return _descale(charpoly_int(a, dim), lcd)
+    return descale(charpoly_int(a, dim), lcd)

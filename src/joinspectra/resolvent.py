@@ -1,13 +1,16 @@
 """Resolvent forms v^T (xI - M)^{-1} u as exact rational functions.
 
-A form needs only two characteristic polynomials.  By the matrix
-determinant lemma, det(xI - M - u v^T) = det(xI - M) (1 - v^T (xI - M)^{-1} u),
-so v^T (xI - M)^{-1} u = (phi_M - phi_{M + u v^T}) / phi_M, and the
-numerator is exactly v^T adj(xI - M) u.  One suffices when u = v is an
-eigenvector of M, M u = mu u: the form is then |u|^2 / (x - mu) (the case of
-Fiedler's lemma), and `charpoly_and_update` detects it on the integers it
-has already cleared.  All-ones is such a vector for every block of a join of
-regular graphs and for every Laplacian-type block (alpha + delta = 0).
+A form is det(xI - M) and the numerator v^T adj(xI - M) u, and one kernel
+pass gives both.  Bordering M by the two vectors,
+B = [[0, v^T], [u, M]], and expanding det(xI - B) along its first row gives
+det(xI - B) = x det(xI - M) - v^T adj(xI - M) u; `kernel.charpoly_bordered_int`
+reduces B once and reads det(xI - B) and det(xI - M) off the same Hessenberg
+form.  So v^T (xI - M)^{-1} u = (x phi_M - phi_B) / phi_M, with no second
+reduction.  When u = v is an eigenvector of M, M u = mu u, phi_M alone
+suffices: the form is then |u|^2 / (x - mu) (the case of Fiedler's lemma),
+and `resolvent_form` detects it on the integers it has already cleared.
+All-ones is such a vector for every block of a join of regular graphs and
+for every Laplacian-type block (alpha + delta = 0).
 
 For a symmetric matrix with u = v the reduced denominator is the product of
 (x - mu) over exactly the eigenvalues mu whose eigenspace is not orthogonal
@@ -18,11 +21,15 @@ rationals.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, PreconditionError
-from .matrices import RationalMatrix, as_vector, charpoly_and_update, dot
+from .errors import DomainError, PreconditionError, ShapeError
+from .kernel import charpoly_bordered_int
+from .matrices import RationalMatrix, as_vector, cleared_charpoly, cleared_int_entries, descale, dot
 from .polynomials import (
     Polynomial,
     RationalFunction,
@@ -59,22 +66,57 @@ class ResolventForm:
         return self.func(x)
 
 
+def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
+    """The mu with A u = mu u, for an n x n integer matrix A (row-major) and
+    an integer vector u, or None: u is zero, or a row disagrees.  The rows are
+    checked one dot product at a time, and the first disagreeing row stops it.
+    """
+    pivot = next((i for i, x in enumerate(u) if x), None)
+    if pivot is None:
+        return None
+    up = u[pivot]
+    top = sum(map(operator.mul, a[pivot * n : (pivot + 1) * n], u))
+    for i in range(n):
+        if sum(map(operator.mul, a[i * n : (i + 1) * n], u)) * up != top * u[i]:
+            return None
+    return Fraction(top, up)
+
+
 def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) -> ResolventForm:
     """Exact v^T (xI - M)^{-1} u, reduced; v defaults to u.
 
-    Computed as (phi_M - phi_{M + u v^T}) / phi_M from two
-    characteristic polynomials, or as `eigenvector_resolvent` from phi_M
-    alone when u = v is an eigenvector of M (see the module docstring).
+    Computed as v^T adj(xI - M) u / phi_M from one bordered kernel pass, or
+    as `eigenvector_resolvent` from phi_M alone when u = v is an eigenvector
+    of M (see the module docstring).  Both run on integers: with d clearing
+    the denominators of M, du those of u and dv those of v, the eigenvector
+    test runs on d * M and du * u, and the pass on D * M, du * u and
+    (D / du) * v, D the lcm of d and du * dv, whose outer product is D u v^T.
     """
     uu = as_vector(u)
     vv = uu if v is None else as_vector(v)
-    phi, updated, mu = charpoly_and_update(m, uu, vv)
+    if not m.is_square:
+        raise ShapeError("characteristic polynomial of a non-square matrix")
+    n = m.rows
+    if len(uu) != n or len(vv) != n:
+        raise ShapeError(f"vector length must be {n}")
     hermitian = vv == uu and m.is_symmetric()
-    if mu is not None:
-        return replace(eigenvector_resolvent(mu, dot(uu, uu), m.rows), hermitian=hermitian, charpoly=phi)
+    ints, d = cleared_int_entries(m)
+    du = math.lcm(*[x.denominator for x in uu])
+    u_ints = [x.numerator * (du // x.denominator) for x in uu]
+    if vv == uu:
+        mu = _int_eigenvalue(ints, n, u_ints)
+        if mu is not None:
+            form = eigenvector_resolvent(mu / d, dot(uu, uu), n)
+            return replace(form, hermitian=hermitian, charpoly=cleared_charpoly(ints, n, d))
+    common = math.lcm(d, du * math.lcm(*[x.denominator for x in vv]))
+    if common != d:
+        ints = [x * (common // d) for x in ints]
+    v_ints = [x.numerator * (common // (du * x.denominator)) for x in vv]
+    phi, num = charpoly_bordered_int(ints, n, u_ints, v_ints)
+    phi = descale(phi, common)
     return ResolventForm(
-        func=RationalFunction(phi - updated, phi),
-        dim=m.rows,
+        func=RationalFunction(descale(num, common, n), phi),
+        dim=n,
         hermitian=hermitian,
         charpoly=phi,
     )

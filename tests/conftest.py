@@ -8,15 +8,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """The dimension of every route-kernel call (`matrices.charpoly_int`), in order."""
+    """Every route-kernel call, in order: the dimension n of a charpoly
+    (`matrices.charpoly_int`), and ("bordered", n) for the one pass of a
+    resolvent form on an n x n block (`resolvent.charpoly_bordered_int`)."""
     import joinspectra.matrices as matrices
+    import joinspectra.resolvent as resolvent
 
     calls = []
-    exact = matrices.charpoly_int
+    exact, bordered = matrices.charpoly_int, resolvent.charpoly_bordered_int
 
     def counted(a, n):
         calls.append(n)
         return exact(a, n)
 
+    def counted_bordered(a, n, u, v):
+        calls.append(("bordered", n))
+        return bordered(a, n, u, v)
+
     monkeypatch.setattr(matrices, "charpoly_int", counted)
+    monkeypatch.setattr(resolvent, "charpoly_bordered_int", counted_bordered)
     return calls

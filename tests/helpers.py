@@ -6,6 +6,7 @@ from fractions import Fraction
 from operator import mul
 
 from joinspectra import Graph, Polynomial, RationalMatrix
+from joinspectra.kernel import charpoly_int
 from joinspectra.verification import random_fraction
 
 
@@ -69,6 +70,17 @@ def adjugate_form(rows, u, v):
             replaced = [r[:j] + [ui] + r[j + 1 :] for r, ui in zip(rows, u)]
             total = total + vj * cofactor_det(replaced)
     return total
+
+
+def two_charpoly_numerator(a: list[int], n: int, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
+    """(det(xI - A), v^T adj(xI - A) u) for an integer A, row-major n x n, and
+    integer vectors, from two route-kernel charpolys: by the matrix
+    determinant lemma the numerator is det(xI - A) - det(xI - A - u v^T),
+    whose degree is below n.  The reference for `charpoly_bordered_int`.
+    """
+    phi = charpoly_int(a, n)
+    updated = charpoly_int([a[i * n + j] + ui * vj for i, ui in enumerate(u) for j, vj in enumerate(v)], n)
+    return phi, [p - q for p, q in zip(phi, updated)][:n]
 
 
 def faddeev_leverrier(a: list[int], n: int) -> list[int]:

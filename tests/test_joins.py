@@ -260,7 +260,7 @@ def test_classify_special_eigenvalues_star(kernel_calls):
     expect_rest = sorted(w[i] for i in range(4) if abs(vecs[:, i] @ ones) <= 1e-8)
 
     split = classify_special_eigenvalues(star, subset)
-    assert kernel_calls == [4] * 4  # two resolvent forms, phi_A reused from the first
+    assert kernel_calls == [("bordered", 4)] * 2  # two resolvent forms, phi_A reused from the first
     assert (split.k, split.tau) == (0, 3)
     assert multisets_close(split.main, expect_main, 1e-8)
     assert split.at_k_minus_tau == ()  # -3 is not an eigenvalue
@@ -271,7 +271,7 @@ def test_classify_special_eigenvalues_star(kernel_calls):
 def test_classify_special_eigenvalues_path(kernel_calls):
     p3 = Graph.path(3)
     split = classify_special_eigenvalues(p3, VertexSubset(3, (0, 2)))
-    assert kernel_calls == [3] * 4
+    assert kernel_calls == [("bordered", 3)] * 2
     assert (split.k, split.tau) == (0, 2)
     assert multisets_close(split.main, [-(2**0.5), 2**0.5], 1e-10)
     assert split.at_k_minus_tau == ()

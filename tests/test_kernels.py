@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,10 +7,10 @@ import pytest
 
 import joinspectra.kernel as kernel
 import joinspectra.oracle as oracle
-from helpers import exact_power_traces, faddeev_leverrier, rand_rational_matrix
+from helpers import exact_power_traces, faddeev_leverrier, rand_rational_matrix, two_charpoly_numerator
 from joinspectra.joins import UniversalParams, universal_matrix
-from joinspectra.kernel import _is_prime, charpoly_int, coeff_bound, prime
-from joinspectra.matrices import RationalMatrix, charpoly_and_update, cleared_int_entries
+from joinspectra.kernel import _is_prime, charpoly_bordered_int, charpoly_int, coeff_bound, prime
+from joinspectra.matrices import RationalMatrix, cleared_int_entries, descale
 from joinspectra.oracle import oracle_charpoly, power_trace_charpoly
 from joinspectra.verification import random_graph
 
@@ -109,11 +110,12 @@ def test_crt_with_four_or_more_primes():
     assert any(c < -(three // 2) for c in coeffs)
 
 
-def _spy_moduli(monkeypatch):
-    """Record every modulus `charpoly_int` hands to `_charpoly_mod`, and the
+def _spy_moduli(monkeypatch, name="_charpoly_mod"):
+    """Record every modulus the kernel hands to `name` (`_charpoly_mod` for
+    `charpoly_int`, `_bordered_mod` for `charpoly_bordered_int`), and the
     ones that raised on a non-unit pivot."""
     seen, raised = [], []
-    real = kernel._charpoly_mod
+    real = getattr(kernel, name)
 
     def spy(a, n, p):
         seen.append(p)
@@ -123,7 +125,7 @@ def _spy_moduli(monkeypatch):
             raised.append(p)
             raise
 
-    monkeypatch.setattr(kernel, "_charpoly_mod", spy)
+    monkeypatch.setattr(kernel, name, spy)
     return seen, raised
 
 
@@ -172,25 +174,76 @@ def test_non_unit_pivot_splits_recursively(monkeypatch):
     assert seen == [p0 * p1 * p2, p0, p1 * p2, p1, p2]
 
 
+def _cleared_vector(rng, n):
+    """A seeded rational vector, cleared: du * u for du the lcm of its denominators."""
+    u = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+    du = math.lcm(*[x.denominator for x in u])
+    return [int(x * du) for x in u]
+
+
+def _bordered_cases(rng, n):
+    """(A, u, v) for the bordered pass: integer and cleared rational A, u != v,
+    u = v, u = 0, v = 0, u_0 = 0 (the border column's pivot swaps), and, for
+    n <= 12, entries that take four or more primes."""
+    ints = _random_int_matrix(rng, n)
+    cleared = cleared_int_entries(rand_rational_matrix(rng, n))[0]
+    u, v = _cleared_vector(rng, n), _cleared_vector(rng, n)
+    zero = [0] * n
+    swapped = [0] + u[1:]
+    yield ints, u, v
+    yield cleared, u, v
+    yield ints, u, u
+    yield cleared, zero, v
+    yield ints, u, zero
+    yield cleared, swapped, v
+    if n <= 12:
+        big = 10**12
+        yield _random_int_matrix(rng, n, big), [rng.randint(-big, big) for _ in range(n)], v
+
+
+def test_bordered_pass_equals_two_charpolys(monkeypatch):
+    seen, _ = _spy_moduli(monkeypatch, "_bordered_mod")
+    rng = random.Random(14)
+    for n in range(31):
+        for a, u, v in _bordered_cases(rng, n):
+            assert charpoly_bordered_int(a, n, u, v) == two_charpoly_numerator(a, n, u, v), (n, u, v)
+    assert max(seen) > prime(0) * prime(1) * prime(2)
+
+
+def test_non_unit_pivot_in_the_border_column(monkeypatch):
+    seen, raised = _spy_moduli(monkeypatch, "_bordered_mod")
+    rng = random.Random(16)
+    for i, n in ((0, 5), (2, 5), (5, 6)):
+        seen.clear()
+        raised.clear()
+        a = _random_int_matrix(rng, n)
+        u, v = _cleared_vector(rng, n), _cleared_vector(rng, n)
+        u[:i] = [0] * i
+        u[i] = 7 * prime(0)
+        assert charpoly_bordered_int(a, n, u, v) == two_charpoly_numerator(a, n, u, v)
+        # the pass mod p0 p1 raised on the pivot u_i, then each prime ran alone
+        assert raised == [prime(0) * prime(1)]
+        assert seen == [prime(0) * prime(1), prime(0), prime(1)]
+
+
 def test_route_blocks_of_the_large_block_workload(monkeypatch):
     """Universal blocks of 22-28 vertices, Laplacian and rational parameters,
-    as the route forms them: phi_M and phi_{M + u v^T} against the oracle."""
-    seen, _ = _spy_moduli(monkeypatch)
+    as the route clears them: the bordered pass's phi_M and phi_M - numerator
+    = phi_{M + u v^T} against the oracle."""
+    seen, _ = _spy_moduli(monkeypatch, "_bordered_mod")
     rng = random.Random(13)
     laplacian = UniversalParams.laplacian()
     rational = UniversalParams(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 2))
     for n, other, params in ((28, 22, laplacian), (22, 28, rational), (24, 26, rational), (26, 24, laplacian)):
         m = universal_matrix(random_graph(rng, n, 0.3), params, params.delta * other)
-        ones = (Fraction(1),) * n
-        subset = tuple(Fraction(rng.randint(0, 1)) for _ in range(n))
+        ints, d = cleared_int_entries(m)
+        ones = [1] * n
+        subset = [rng.randint(0, 1) for _ in range(n)]
         for u, v in ((ones, ones), (ones, subset)):
-            phi, updated, mu = charpoly_and_update(m, u, v)
-            assert phi == oracle_charpoly(m)
-            if updated is None:
-                assert u == v and tuple(m.mat_vec(u)) == tuple(mu * x for x in u)
-            else:
-                uvt = RationalMatrix(n, n, [ui * vj for ui in u for vj in v])
-                assert updated == oracle_charpoly(m + uvt)
+            phi, num = charpoly_bordered_int(ints, n, u, [d * x for x in v])
+            uvt = RationalMatrix(n, n, [ui * vj for ui in u for vj in v])
+            assert descale(phi, d) == oracle_charpoly(m)
+            assert descale(phi, d) - descale(num, d, n) == oracle_charpoly(m + uvt)
     assert max(seen) > prime(0)
 
 

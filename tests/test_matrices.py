@@ -33,6 +33,18 @@ def test_matrix_algebra():
     assert a.mat_vec((Fraction(1), Fraction(2))) == (Fraction(2), Fraction(1))
     assert a.is_symmetric()
     assert not RationalMatrix.from_rows([[0, 1], [0, 0]]).is_symmetric()
+    assert not RationalMatrix(2, 3, range(6)).is_symmetric()
+    assert RationalMatrix(0, 0, []).is_symmetric()
+    rng = random.Random(8)
+    for n in range(6):
+        s = rand_int_matrix(rng, n)
+        s = s + s.transpose()
+        assert s.is_symmetric()
+        for k in range(n * n):
+            i, j = divmod(k, n)
+            # one entry off: symmetric exactly when it lies on the diagonal
+            off = RationalMatrix(n, n, [x + Fraction(1, 3) * (e == k) for e, x in enumerate(s.entries)])
+            assert off.is_symmetric() == (i == j)
 
 
 def test_charpoly_trivial_cases():

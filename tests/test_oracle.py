@@ -186,16 +186,22 @@ def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys
     import json
 
     import joinspectra.matrices as matrices
+    import joinspectra.resolvent as resolvent
     from joinspectra.cli import main
     from joinspectra.spectra import join_charpoly
     from joinspectra.verification import verify_spec
 
-    exact = matrices.charpoly_int
+    exact, bordered = matrices.charpoly_int, resolvent.charpoly_bordered_int
 
     def off_by_one(a, n):
         coeffs = exact(a, n)
         coeffs[0] += 1
         return coeffs
+
+    def bordered_off_by_one(a, n, u, v):
+        phi, num = bordered(a, n, u, v)
+        phi[0] += 1
+        return phi, num
 
     spec = mixed_join_spec()
     dense = join_graph(spec).adjacency()
@@ -203,6 +209,7 @@ def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys
     _, route = join_charpoly(spec)
     assert route == truth and verify_spec(spec).passed
     monkeypatch.setattr(matrices, "charpoly_int", off_by_one)
+    monkeypatch.setattr(resolvent, "charpoly_bordered_int", bordered_off_by_one)
     assert join_charpoly(spec)[1] != route  # the routes run the patched kernel
     assert oracle_charpoly(dense) == truth  # the oracle does not
     case = verify_spec(spec)

@@ -247,6 +247,20 @@ def test_matches_adjugate_reference():
             assert form.func.is_zero
 
 
+def test_rational_forms_equal_the_two_charpoly_reference():
+    # the clearing of rational M, u and v for the bordered pass, against
+    # phi_M and phi_M - phi_{M + u v^T}
+    rng = random.Random(40)
+    for n in range(13):
+        m = rand_rational_matrix(rng, n)
+        u, v = rand_vector(rng, n), rand_vector(rng, n)
+        phi = charpoly(m)
+        for vv in (v, u):
+            form = resolvent_form(m, u, vv)
+            assert form.charpoly == phi
+            assert form.func == RationalFunction(phi - charpoly(m + outer(u, vv)), phi)
+
+
 def _eigenvector_inputs(rng):
     """Seeded (M, u) with M u = mu u, u != 0, every M at most 5 x 5."""
     out = []
@@ -299,7 +313,7 @@ def test_eigenvector_branch_matches_adjugate_reference(kernel_calls):
         assert form.hermitian == m.is_symmetric()
 
 
-def test_non_eigenvectors_take_two_charpolys(kernel_calls):
+def test_non_eigenvectors_take_one_bordered_pass(kernel_calls):
     k4 = Graph.complete(4).adjacency()
     # all-ones passes every row but the last
     last_row_off = k4 + RationalMatrix(4, 4, [0] * 15 + [1])
@@ -312,12 +326,12 @@ def test_non_eigenvectors_take_two_charpolys(kernel_calls):
     for m, u, v in cases:
         kernel_calls.clear()
         form = resolvent_form(m, u, v)
-        assert kernel_calls == [m.rows, m.rows]
+        assert kernel_calls == [("bordered", m.rows)]
         rows = char_matrix(m)
         phi = cofactor_det(rows)
         assert form.charpoly == phi
         assert form.func == RationalFunction(adjugate_form(rows, as_vector(u), as_vector(v)), phi)
     kernel_calls.clear()
     form = resolvent_form(RationalMatrix(0, 0, []), ())
-    assert kernel_calls == [0, 0]
+    assert kernel_calls == [("bordered", 0)]
     assert form.func.is_zero and form.charpoly == Polynomial.one()

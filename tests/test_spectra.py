@@ -277,7 +277,7 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
 def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
     # all-ones is an eigenvector of every Laplacian block, so its resolvent
     # needs the block's charpoly only; A - D/2 of the same irregular blocks
-    # takes a second charpoly per block.  With one pole per Laplacian block,
+    # takes one bordered pass per block instead.  With one pole per Laplacian block,
     # D = 3 and D^2 < k^3, so the last call is Phi's glued realization; the
     # A - D/2 blocks give D^2 >= k^3 and Phi by poly_det, with no kernel call
     lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
@@ -288,7 +288,7 @@ def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
     assert kernel_calls == [3, 4, 3, 3]
     kernel_calls.clear()
     generalized_charpoly(mixed_join_spec(), Fraction(1, 2))
-    assert kernel_calls == [3, 3, 4, 4, 3, 3]
+    assert kernel_calls == [("bordered", 3), ("bordered", 4), ("bordered", 3)]
 
 
 def _coupling_rows(fs, gs, rho):
@@ -663,12 +663,12 @@ def test_one_matrix_under_other_vectors_is_another_block():
 
 
 def test_lex_join_takes_one_blocks_kernel_calls_plus_one_k_by_k_call(kernel_calls):
-    # an irregular inner graph takes two block calls, a regular one (or a
-    # Laplacian block) one; then Phi's closed form takes one k x k call
+    # an irregular inner graph takes one bordered pass, a regular one (or a
+    # Laplacian block) one charpoly; then Phi's closed form takes one k x k call
     rng = random.Random(9)
     irregular = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     cases = [
-        (_lex_spec(random_graph(rng, 8), irregular), [5, 5, 8]),
+        (_lex_spec(random_graph(rng, 8), irregular), [("bordered", 5), 8]),
         (_lex_spec(random_graph(rng, 7), Graph.cycle(5)), [5, 7]),
         (_lex_spec(Graph.cycle(6), irregular, UniversalParams.laplacian()), [5, 6]),
     ]
