@@ -70,7 +70,7 @@ def _factored_hint(p: Polynomial) -> list[dict]:
 def _poly_result(route: str, poly: Polynomial, extra: dict | None = None) -> dict:
     obj = {
         "route": route,
-        "degree": len(poly.coeffs) - 1,
+        "degree": len(poly.nums) - 1,
         "charpoly": poly.to_strings(),
         "factored_hint": _factored_hint(poly),
     }

@@ -10,6 +10,7 @@ an identity relabelling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -303,19 +304,27 @@ def universal_matrix(g: Graph, params: UniversalParams, shift: Fraction | int = 
     """alpha*A + beta*I + gamma*J + delta*D + shift*I for one graph.
 
     Off the diagonal an entry is alpha + gamma on an edge and gamma
-    elsewhere, so those two Fractions are computed once and shared; only the
-    diagonal, beta + gamma + shift + delta*deg(i), is computed per vertex.
+    elsewhere, and the diagonal entry is beta + gamma + shift + delta*deg(i).
+    Those four rationals are put over one common denominator L once, and the
+    matrix is filled with L times its entries as ints; `RationalMatrix.from_ints`
+    then reduces L to the least one, whichever values the graph has.
     """
     a, b, c, d = params.as_tuple()
     n = g.n
-    entries = [c] * (n * n)
-    edge = a + c
+    base, edge = b + c + shift, a + c
+    den = math.lcm(base.denominator, d.denominator, edge.denominator, c.denominator)
+
+    def cleared(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    nums = [cleared(c)] * (n * n)
+    e = cleared(edge)
     for u, v in g.edges:
-        entries[u * n + v] = entries[v * n + u] = edge
-    base = b + c + shift
+        nums[u * n + v] = nums[v * n + u] = e
+    b0, d0 = cleared(base), cleared(d)
     for i, deg in enumerate(g.degrees()):
-        entries[i * (n + 1)] = base + d * deg
-    return RationalMatrix(n, n, entries)
+        nums[i * (n + 1)] = b0 + d0 * deg
+    return RationalMatrix.from_ints(n, n, nums, den)
 
 
 # -- structured vertex subsets ---------------------------------------------

@@ -1,8 +1,12 @@
 """Exact dense rational matrices and determinant/characteristic-polynomial ops.
 
-A characteristic polynomial clears the matrix's denominators and hands the
-integer matrix to `kernel.charpoly_int`, the multimodular Hessenberg kernel
-that every route uses, so it is exact.  Two forms of the coupling
+A matrix is stored as d * M in row-major Python ints (`nums`) over d (`den`),
+the least common denominator of M's entries.  That form is canonical, so
+equality and hashing compare the fields, and the kernels take `nums` as it
+is; `entries`, the row-major tuple of Fraction entries, is a read-only view
+built on first use.  A characteristic polynomial hands `nums` to
+`kernel.charpoly_int`, the multimodular Hessenberg kernel that every route
+uses, and scales by d back, so it is exact.  Two forms of the coupling
 determinant Phi of `spectra.coupling_poly` live here.  `realization_charpoly`
 is the charpoly of the glued companion realization, one kernel call of dimension
 D = sum deg g_i.  `poly_det`, the determinant of a polynomial matrix, clears
@@ -16,16 +20,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
 from .kernel import charpoly_int
-from .polynomials import Polynomial, _cleared, _horner, as_fraction
+from .polynomials import Polynomial, _from_ints, _horner, as_fraction, clear_denominators
 
 Vector = tuple[Fraction, ...]
 
 
 def as_vector(items: Iterable) -> Vector:
+    """A tuple of Fractions; one given as such is returned as it is, so that
+    blocks sharing a vector keep sharing it."""
+    if type(items) is tuple and all(type(x) is Fraction for x in items):
+        return items
     return tuple(as_fraction(x) for x in items)
 
 
@@ -36,24 +45,31 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 class RationalMatrix:
-    """Immutable row-major matrix of Fractions."""
+    """Immutable row-major rational matrix: d * M as ints (`nums`) over the
+    least common denominator d (`den`) of its entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nums", "den", "_entries")
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        es = tuple(as_fraction(x) for x in entries)
-        if rows < 0 or cols < 0 or len(es) != rows * cols:
-            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(es)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", es)
+        ints, den = clear_denominators(entries)
+        if rows < 0 or cols < 0 or len(ints) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(ints)}")
+        _store(self, rows, cols, ints, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
+
+    @classmethod
+    def from_ints(cls, rows: int, cols: int, ints: Sequence[int], den: int = 1) -> "RationalMatrix":
+        """The rows x cols matrix with row-major entries ints[k] / den (den nonzero)."""
+        m = object.__new__(cls)
+        _store(m, rows, cols, ints, den)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -72,6 +88,17 @@ class RationalMatrix:
         return cls(rows, cols, [0] * (rows * cols))
 
     @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """Row-major Fraction entries: a read-only view, built on first use."""
+        try:
+            return self._entries
+        except AttributeError:
+            den = self.den
+            es = tuple(map(Fraction, self.nums)) if den == 1 else tuple(Fraction(x, den) for x in self.nums)
+            object.__setattr__(self, "_entries", es)
+            return es
+
+    @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -79,7 +106,7 @@ class RationalMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -90,43 +117,44 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.den, self.nums) == (other.rows, other.cols, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.nums))
+
+    def _common(self, other: "RationalMatrix", op: str) -> tuple[list[int], list[int], int]:
+        """Both matrices' ints over one denominator, the lcm of theirs."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError(f"matrix {op} shape mismatch")
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return [x * sa for x in self.nums], [x * sb for x in other.nums], den
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix addition shape mismatch")
-        return RationalMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        a, b, den = self._common(other, "addition")
+        return RationalMatrix.from_ints(self.rows, self.cols, [x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix subtraction shape mismatch")
-        return RationalMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        a, b, den = self._common(other, "subtraction")
+        return RationalMatrix.from_ints(self.rows, self.cols, [x - y for x, y in zip(a, b)], den)
 
     def __mul__(self, scalar) -> "RationalMatrix":
         s = as_fraction(scalar)
-        return RationalMatrix(self.rows, self.cols, [s * x for x in self.entries])
+        return RationalMatrix.from_ints(self.rows, self.cols, [s.numerator * x for x in self.nums], self.den * s.denominator)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, [-x for x in self.entries])
+        return RationalMatrix.from_ints(self.rows, self.cols, [-x for x in self.nums], self.den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeError("matrix product shape mismatch")
         n, m, p = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [Fraction(0)] * (n * p)
-        for i in range(n):
-            for l in range(m):
-                ail = a[i * m + l]
-                if ail:
-                    for j in range(p):
-                        out[i * p + j] += ail * b[l * p + j]
-        return RationalMatrix(n, p, out)
+        a = self.nums
+        cols = [other.nums[j::p] for j in range(p)]
+        out = [sum(map(mul, a[i * m : (i + 1) * m], col)) for i in range(n) for col in cols]
+        return RationalMatrix.from_ints(n, p, out, self.den * other.den)
 
     def mat_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -134,31 +162,42 @@ class RationalMatrix:
         return tuple(dot(self.row(i), v) for i in range(self.rows))
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows, [self[j, i] for i in range(self.cols) for j in range(self.rows)])
+        r, c, e = self.rows, self.cols, self.nums
+        return RationalMatrix.from_ints(c, r, [e[j * c + i] for i in range(c) for j in range(r)], self.den)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ShapeError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(self.nums[:: self.cols + 1]), self.den)
 
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
         # row i right of the diagonal against column i below it, slice against slice
-        e, n = self.entries, self.rows
+        e, n = self.nums, self.rows
         return all(e[i * n + i + 1 : (i + 1) * n] == e[(i + 1) * n + i :: n] for i in range(n))
 
     def to_floats(self) -> list[list[float]]:
-        return [[float(x) for x in self.row(i)] for i in range(self.rows)]
+        # int true division rounds correctly, as float() of the reduced Fraction does
+        e, c, den = self.nums, self.cols, self.den
+        return [[x / den for x in e[i * c : (i + 1) * c]] for i in range(self.rows)]
 
     def __repr__(self):
         return f"RationalMatrix.from_rows({[[str(x) for x in self.row(i)] for i in range(self.rows)]})"
 
 
-def cleared_int_entries(m: RationalMatrix) -> tuple[list[int], int]:
-    """(d * M as row-major ints, d), d the lcm of the entries' denominators."""
-    d = math.lcm(*[e.denominator for e in m.entries])
-    return [e.numerator * (d // e.denominator) for e in m.entries], d
+def _store(m: RationalMatrix, rows: int, cols: int, ints: Sequence[int], den: int) -> None:
+    """Set m to the row-major ints / den, with den > 0 and gcd(den, *ints) = 1."""
+    if den < 0:
+        den, ints = -den, [-x for x in ints]
+    if den != 1:
+        g = math.gcd(den, *ints)
+        if g != 1:
+            den, ints = den // g, [x // g for x in ints]
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "nums", tuple(ints))
+    object.__setattr__(m, "den", den)
 
 
 def descale(coeffs: list[int], d: int, n: int | None = None) -> Polynomial:
@@ -167,25 +206,26 @@ def descale(coeffs: list[int], d: int, n: int | None = None) -> Polynomial:
     v^T adj(xI - dM) (d u) has d^n times the coefficients of v^T adj(x/d I - M) u."""
     if n is None:
         n = len(coeffs) - 1
-    return Polynomial(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
+    if d == 1:
+        return _from_ints(coeffs)
+    # coeffs[j] / d^(n - j) = coeffs[j] d^j / d^n
+    scaled, dj = [], 1
+    for c in coeffs:
+        scaled.append(c * dj)
+        dj *= d
+    return _from_ints(scaled, d**n)
 
 
 def charpoly_with(kernel: Callable[[list[int], int], list[int]], m: RationalMatrix) -> Polynomial:
     """Exact det(xI - M) from an integer charpoly kernel run on d * M."""
     if not m.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    ints, d = cleared_int_entries(m)
-    return descale(kernel(ints, m.rows), d)
+    return descale(kernel(list(m.nums), m.rows), m.den)
 
 
 def charpoly(m: RationalMatrix) -> Polynomial:
     """Exact det(xI - M) by the multimodular Hessenberg kernel."""
     return charpoly_with(charpoly_int, m)
-
-
-def cleared_charpoly(ints: list[int], n: int, d: int) -> Polynomial:
-    """`charpoly` of the n x n M whose `cleared_int_entries` are (ints, d)."""
-    return descale(charpoly_int(ints, n), d)
 
 
 def determinant(m: RationalMatrix) -> Fraction:
@@ -238,11 +278,11 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     scale = 1
     bound = 0
     for r in rows:
-        den = math.lcm(*[c.denominator for entry in r for c in entry.coeffs])
-        degree = max(len(entry.coeffs) for entry in r) - 1
+        den = math.lcm(*[entry.den for entry in r])
+        degree = max(len(entry.nums) for entry in r) - 1
         if degree < 0:
             return Polynomial()
-        int_rows.append([tuple(c.numerator * (den // c.denominator) for c in entry.coeffs) for entry in r])
+        int_rows.append([tuple(c * (den // entry.den) for c in entry.nums) for entry in r])
         scale *= den
         bound += degree
 
@@ -266,7 +306,7 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
             shifted[i] -= j * c
         shifted[0] += newton[j]
         coeffs = shifted
-    return Polynomial(Fraction(c, scale) for c in coeffs)
+    return _from_ints(coeffs, scale)
 
 
 def realization_charpoly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> Polynomial:
@@ -279,22 +319,31 @@ def realization_charpoly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho
     with C_j (xI - A_j)^{-1} B_j = f_j / g_j, and det(xI - A) =
     prod g_i det(I - rho^T F G^{-1}) = det(G - F rho), for an asymmetric rho
     too.  A block with deg g_i = 0 (so f_i = 0) has no rows, as its row of
-    G - F rho is e_i.  The entries are cleared to one denominator L, and the
+    G - F rho is e_i.  The entries are put over one denominator L, and the
     kernel runs on L * A.
     """
     k = len(gs)
-    *starts, dim = accumulate((g.degree for g in gs), initial=0)
-    g_ints, f_ints = [_cleared(g.coeffs[:-1]) for g in gs], [_cleared(f.coeffs) for f in fs]
-    pairs = ((i, j) for i in range(k) if gs[i].degree for j in range(k) if j != i and rho[j][i] and fs[j])
-    terms = [(i, j, Fraction(rho[j][i], f_ints[j][1])) for i, j in pairs]
-    lcd = math.lcm(*[e for _, e in g_ints], *[t.denominator for _, _, t in terms])
+    degrees = [len(g.nums) - 1 for g in gs]
+    *starts, dim = accumulate(degrees, initial=0)
+    # rho_ji f_j = (rn / rd) (f_j.nums / f_j.den) has the term t = rn / (rd f_j.den) before
+    # f_j.nums, in lowest terms since gcd(rn, rd) = 1
+    terms = []
+    for i in range(k):
+        if degrees[i]:
+            for j in range(k):
+                rji = rho[j][i]
+                if j != i and rji and fs[j].nums:
+                    q = math.gcd(rji.numerator, fs[j].den)
+                    terms.append((i, j, rji.numerator // q, rji.denominator * fs[j].den // q))
+    lcd = math.lcm(*[g.den for g in gs], *[td for _, _, _, td in terms])
     a = [0] * (dim * dim)
-    for s, (ints, e) in zip(starts, g_ints):
+    for s, g in zip(starts, gs):
+        ints = g.nums[:-1]
         for r in range(s, s + len(ints) - 1):
             a[r * dim + r + 1] = lcd
         last = (s + len(ints) - 1) * dim + s
-        a[last : last + len(ints)] = [-x * (lcd // e) for x in ints]
-    for i, j, t in terms:
-        last, ints = (starts[i] + gs[i].degree - 1) * dim + starts[j], f_ints[j][0]
-        a[last : last + len(ints)] = [x * t.numerator * (lcd // t.denominator) for x in ints]
+        a[last : last + len(ints)] = [-x * (lcd // g.den) for x in ints]
+    for i, j, tn, td in terms:
+        last, ints = (starts[i] + degrees[i] - 1) * dim + starts[j], fs[j].nums
+        a[last : last + len(ints)] = [x * tn * (lcd // td) for x in ints]
     return descale(charpoly_int(a, dim), lcd)

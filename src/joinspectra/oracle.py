@@ -296,7 +296,7 @@ def compare(formula: Polynomial, oracle: Polynomial) -> CompareResult:
     """Coefficient-for-coefficient verdict; reports the first differing power."""
     if formula == oracle:
         return CompareResult(True, None, "exact match")
-    top = max(len(formula.coeffs), len(oracle.coeffs))
+    top = max(len(formula.nums), len(oracle.nums))
     for j in range(top):
         if formula[j] != oracle[j]:
             return CompareResult(

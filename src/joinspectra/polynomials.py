@@ -1,14 +1,18 @@
 """Dense univariate polynomials and rational functions over exact rationals.
 
-Coefficients are `fractions.Fraction`; index equals the power of the
-variable.  The zero polynomial keeps an empty coefficient tuple and reports
-degree ``-inf`` so degree comparisons never lean on ``-1`` arithmetic.
+A polynomial is stored as integer numerators over one positive denominator
+in lowest terms: `nums[i] / den` is the coefficient of x^i, `nums` has no
+trailing zero, and gcd(den, *nums) = 1.  That form is canonical, so equality
+and hashing compare (nums, den), and every operation -- sums, products,
+exact division, gcds, Yun's square-free split, shifts and evaluation -- runs
+on Python ints.  `coeffs`, the ascending tuple of Fraction coefficients, is
+a read-only view built on first use.  The zero polynomial has nums = () and
+den = 1, and reports degree ``-inf`` so degree comparisons never lean on
+``-1`` arithmetic.
 
-Products, exact division, gcds and square-free decomposition clear each
-operand's denominators once and run on Python ints: exact quotients by a
-primitive divisor are integral (Gauss's lemma), gcds come from GCDHEU with a
-primitive pseudo-remainder sequence behind it, and Yun's algorithm runs on
-the primitive integer polynomial.
+Exact quotients by a primitive divisor are integral (Gauss's lemma), gcds
+come from GCDHEU with a primitive pseudo-remainder sequence behind it, and
+Yun's algorithm runs on the primitive integer polynomial.
 
 Rational functions are kept in canonical form: numerator and denominator
 coprime, denominator monic, the zero function stored as 0/1.  That makes
@@ -41,18 +45,28 @@ def as_fraction(x: object) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def clear_denominators(values: Iterable) -> tuple[list[int], int]:
+    """(d * values as ints, d) for exact rationals (see `as_fraction`), d the
+    lcm of their denominators: the least d that makes every value integral."""
+    vals = list(values)
+    if all(type(x) is int for x in vals):
+        return vals, 1
+    fs = [x if type(x) is int else as_fraction(x) for x in vals]
+    d = math.lcm(*[x.denominator for x in fs])
+    return [x.numerator * (d // x.denominator) for x in fs], d
+
+
 class Polynomial:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial: integer numerators `nums` over one positive
+    denominator `den`, in lowest terms (see the module docstring)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _store(self, *clear_denominators(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -79,41 +93,52 @@ class Polynomial:
     # -- basic queries ------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Ascending Fraction coefficients: a read-only view, built on first use."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            cs = tuple(map(Fraction, self.nums)) if den == 1 else tuple(Fraction(c, den) for c in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int | float:
         """Degree, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __getitem__(self, power: int) -> Fraction:
         """Coefficient of the given power (0 beyond the stored degree)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.nums):
+            return Fraction(self.nums[power], self.den)
         return Fraction(0)
 
     # -- ring arithmetic ----------------------------------------------
@@ -123,18 +148,17 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        a, b, den = self.nums, other.nums, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
+            a, b = [x * sa for x in a], [x * sb for x in b]
+        return _from_ints([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _from_ints([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else Polynomial.constant(-as_fraction(other)))
@@ -144,14 +168,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
+            return _from_ints([c * other.numerator for c in self.nums], self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        a, da = _cleared(self.coeffs)
-        b, db = _cleared(other.coeffs)
-        return _from_ints(_int_mul(a, b), da * db)
+        return _from_ints(_int_mul(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -181,52 +203,78 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return self
-        a, da = _cleared(self.coeffs)
-        b, db = _cleared(other.coeffs)
+        b, db = other.nums, other.den
         content = _content(b)
-        q = _int_quotient(a, [c // content for c in b])
+        q = _int_quotient(self.nums, [c // content for c in b])
         if q is None:
             raise ArithmeticError("inexact polynomial division")
         # self / other = (a / da) / (content * b' / db) = (a / b') * db / (da * content)
-        return _from_ints([c * db for c in q] if db != 1 else q, da * content)
+        return _from_ints([c * db for c in q] if db != 1 else q, self.den * content)
 
     # -- calculus / substitution --------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _from_ints(_derivative(self.nums), self.den)
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
+        if self.is_zero or self.is_monic:
             return self
-        lc = self.coeffs[-1]
-        return self if lc == 1 else Polynomial([c / lc for c in self.coeffs])
+        return _from_ints(self.nums, self.nums[-1])
 
     def shift(self, c: Scalar) -> "Polynomial":
-        """Substitute x -> x - c, i.e. return p(x - c)."""
+        """Substitute x -> x - c, i.e. return p(x - c).
+
+        With c = s / t and a_k = nums[k], Horner's rule scaled by t^(n - k)
+        stays in the integers: S_n = a_n, S_k = S_(k+1) (t x - s) + a_k t^(n - k),
+        and p(x - c) = S_0 / (den t^n).
+        """
         c = as_fraction(c)
-        if c == 0:
+        if c == 0 or self.is_zero:
             return self
-        arg = Polynomial((-c, 1))
-        result = Polynomial()
-        for coeff in reversed(self.coeffs):
-            result = result * arg + coeff
-        return result
+        s, t = c.numerator, c.denominator
+        acc: list[int] = []
+        tk = 1
+        for a in reversed(self.nums):
+            nxt = [0] * (len(acc) + 1)
+            for i, v in enumerate(acc):
+                nxt[i] -= s * v
+                nxt[i + 1] += t * v
+            nxt[0] += a * tk
+            acc, tk = nxt, tk * t
+        return _from_ints(acc, self.den * tk // t)
 
     def __call__(self, x):
-        """Horner evaluation; x may be Fraction, int, float or complex."""
+        """Horner evaluation; x may be Fraction, int, float or complex.
+
+        At x = s / t the homogeneous Horner sum of nums[k] s^k t^(n - k)
+        stays in the integers, and the value is that sum over den t^n.
+        """
+        if not self.nums:
+            return x * 0
+        if isinstance(x, (int, Fraction)):
+            s, t = x.numerator, x.denominator
+            v, tk = 0, 1
+            for c in reversed(self.nums):
+                v = v * s + c * tk
+                tk *= t
+            return Fraction(v, self.den * tk // t)
         result = x * 0
         for coeff in reversed(self.coeffs):
-            if isinstance(x, (int, Fraction)):
-                result = result * x + coeff
-            else:
-                result = result * x + float(coeff)
+            result = result * x + float(coeff)
         return result
 
     # -- serialization ------------------------------------------------
 
     def to_strings(self) -> list[str]:
-        """Ascending-power list of 'p/q' coefficient strings."""
-        return [str(c) for c in self.coeffs]
+        """Ascending-power list of 'p/q' coefficient strings, each in lowest terms."""
+        den = self.den
+        if den == 1:
+            return [str(c) for c in self.nums]
+        out = []
+        for c in self.nums:
+            g = math.gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
@@ -255,33 +303,39 @@ class Polynomial:
         return " ".join(parts)
 
 
+def _store(p: Polynomial, ints: Sequence[int], den: int) -> None:
+    """Set p to ints / den in canonical form: no trailing zero, den > 0, lowest terms."""
+    end = len(ints)
+    while end and not ints[end - 1]:
+        end -= 1
+    if not end:
+        ints, den = (), 1
+    elif end < len(ints):
+        ints = ints[:end]
+    if den < 0:
+        den, ints = -den, [-c for c in ints]
+    if den != 1:
+        g = math.gcd(den, *ints)
+        if g != 1:
+            den, ints = den // g, [c // g for c in ints]
+    object.__setattr__(p, "nums", tuple(ints))
+    object.__setattr__(p, "den", den)
+
+
+def _from_ints(ints: Sequence[int], den: int = 1) -> Polynomial:
+    """The polynomial with coefficients ints[i] / den (den nonzero), in canonical form."""
+    p = object.__new__(Polynomial)
+    _store(p, ints, den)
+    return p
+
+
 X = Polynomial.x()
 
 
 # -- integer core ---------------------------------------------------------
 #
-# Products, exact quotients, gcds and square-free splits run on lists of
-# Python ints (ascending powers): each operand's denominators are cleared to
-# one lcm, and each result coefficient becomes a Fraction once, at the end.
-
-
-def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(d * p as ints, d), d the lcm of the coefficients' denominators."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _from_ints(ints: list[int], den: int = 1) -> Polynomial:
-    """The polynomial with coefficients ints[i] / den (no trailing zero, den nonzero)."""
-    p = object.__new__(Polynomial)
-    if den == 1:
-        coeffs = tuple(map(Fraction, ints))
-    else:
-        coeffs = tuple(Fraction(c, den) for c in ints)
-    object.__setattr__(p, "coeffs", coeffs)
-    return p
+# Products, exact quotients, gcds and square-free splits run on sequences of
+# Python ints (ascending powers): a polynomial's `nums`, or its primitive part.
 
 
 def _content(ints: list[int]) -> int:
@@ -423,7 +477,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    g = _int_gcd(_cleared(a.coeffs)[0], _cleared(b.coeffs)[0])
+    g = _int_gcd(a.nums, b.nums)
     return _from_ints(g, g[-1])
 
 
@@ -439,7 +493,7 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         raise DomainError("zero polynomial has no square-free decomposition")
     if p.degree <= 0:
         return []
-    f = _primitive(_cleared(p.coeffs)[0])
+    f = _primitive(p.nums)
     df = _derivative(f)
     a = _int_gcd(f, df)
     b = _int_quotient(f, a)
@@ -464,7 +518,10 @@ def is_square_free(p: Polynomial) -> bool:
 
 
 class RationalFunction:
-    """Reduced quotient of polynomials; denominator monic, zero stored as 0/1."""
+    """Reduced quotient of polynomials; denominator monic, zero stored as 0/1.
+
+    No field arithmetic: a route only builds, compares and evaluates forms.
+    """
 
     __slots__ = ("num", "den")
 
@@ -485,10 +542,10 @@ class RationalFunction:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lc = den.lead
-            if lc != 1:
-                num = num * (1 / lc)
-                den = den * (1 / lc)
+            if not den.is_monic:
+                # num / lead(den), with lead(den) = den.nums[-1] / den.den
+                num = _from_ints([c * den.den for c in num.nums], num.den * den.nums[-1])
+                den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -524,57 +581,11 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        return other / self
-
     def __call__(self, x):
         d = self.den(x)
         if d == 0:
             raise ZeroDivisionError(f"evaluation at a pole: {x}")
         return self.num(x) / d
-
-    def shift(self, c: Scalar) -> "RationalFunction":
-        """Substitute x -> x - c in numerator and denominator."""
-        return RationalFunction(self.num.shift(c), self.den.shift(c))
 
     def to_strings(self) -> dict[str, list[str]]:
         return {"num": self.num.to_strings(), "den": self.den.to_strings()}
@@ -586,14 +597,4 @@ class RationalFunction:
         if self.is_polynomial:
             return str(self.num * (1 / self.den[0]))
         return f"({self.num}) / ({self.den})"
-
-
-def _coerce_rf(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        return RationalFunction(x)
-    if isinstance(x, (int, Fraction)):
-        return RationalFunction(Polynomial.constant(x))
-    return NotImplemented
 

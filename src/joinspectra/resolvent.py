@@ -29,13 +29,8 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError, ShapeError
 from .kernel import charpoly_bordered_int
-from .matrices import RationalMatrix, as_vector, cleared_charpoly, cleared_int_entries, descale, dot
-from .polynomials import (
-    Polynomial,
-    RationalFunction,
-    as_fraction,
-    is_square_free,
-)
+from .matrices import RationalMatrix, as_vector, charpoly, descale
+from .polynomials import Polynomial, RationalFunction, as_fraction, clear_denominators, is_square_free
 from .roots import real_roots
 
 
@@ -100,14 +95,13 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     if len(uu) != n or len(vv) != n:
         raise ShapeError(f"vector length must be {n}")
     hermitian = vv == uu and m.is_symmetric()
-    ints, d = cleared_int_entries(m)
-    du = math.lcm(*[x.denominator for x in uu])
-    u_ints = [x.numerator * (du // x.denominator) for x in uu]
+    ints, d = m.nums, m.den
+    u_ints, du = clear_denominators(uu)
     if vv == uu:
         mu = _int_eigenvalue(ints, n, u_ints)
         if mu is not None:
-            form = eigenvector_resolvent(mu / d, dot(uu, uu), n)
-            return replace(form, hermitian=hermitian, charpoly=cleared_charpoly(ints, n, d))
+            form = eigenvector_resolvent(mu / d, Fraction(sum(x * x for x in u_ints), du * du), n)
+            return replace(form, hermitian=hermitian, charpoly=charpoly(m))
     common = math.lcm(d, du * math.lcm(*[x.denominator for x in vv]))
     if common != d:
         ints = [x * (common // d) for x in ints]
@@ -153,4 +147,5 @@ def main_poles(form: ResolventForm) -> list[float]:
 
 def shifted(form: ResolventForm, c) -> ResolventForm:
     """Substitute x -> x - c; equals the resolvent of M + c*I with the same vectors."""
-    return ResolventForm(func=form.func.shift(c), dim=form.dim, hermitian=form.hermitian)
+    func = RationalFunction(form.num.shift(c), form.den.shift(c))
+    return ResolventForm(func=func, dim=form.dim, hermitian=form.hermitian)

@@ -13,7 +13,7 @@ polynomial, and a factor with a non-real root raises ArithmeticError.
 
 import math
 
-from .polynomials import Polynomial, _cleared, _int_quotient, _primitive, square_free_decomposition
+from .polynomials import Polynomial, _int_quotient, _primitive, square_free_decomposition
 
 
 def _taylor1(c: list[int]) -> list[int]:
@@ -76,7 +76,7 @@ def real_roots(p: Polynomial) -> list[float]:
     """Every root of p, repeated by multiplicity, ascending; p must split over the reals."""
     out: list[float] = []
     for factor, mult in square_free_decomposition(p):
-        f = _primitive(_cleared(factor.coeffs)[0])
+        f = _primitive(factor.nums)
         roots, f = ([0.0], f[1:]) if f[0] == 0 else ([], f)
         roots += [-r for r in _positive_roots([-x if i % 2 else x for i, x in enumerate(f)])]
         roots += _positive_roots(f)

@@ -108,13 +108,16 @@ def _block_data(m: RationalMatrix, u: Vector, v: Vector) -> _BlockData:
 
 
 def _blocks_data(cb: CoupledBlocks) -> list[_BlockData]:
-    """`_block_data` of each block, once per distinct block: keyed on the
-    matrix's identity and the vectors, so no n^2 entries are hashed."""
+    """`_block_data` of each block, once per shared block: keyed on the
+    identities of the matrix and the vectors, so nothing is hashed by value.
+    Blocks built from one shared (M, u, v), as `universal_blocks` builds
+    repeated ones, cost once; `CoupledBlocks` keeps the vectors' identity."""
+    keys = [tuple(map(id, block)) for block in cb.blocks]
     memo: dict = {}
-    for m, u, v in cb.blocks:
-        if (id(m), u, v) not in memo:
-            memo[id(m), u, v] = _block_data(m, u, v)
-    return [memo[id(m), u, v] for m, u, v in cb.blocks]
+    for key, block in zip(keys, cb.blocks):
+        if key not in memo:
+            memo[key] = _block_data(*block)
+    return [memo[key] for key in keys]
 
 
 def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: RhoMatrix) -> Polynomial:
@@ -265,12 +268,13 @@ def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
     equal (component, shift) pairs share one matrix, whose data is then computed once."""
     _require(spec, "universal")
     params = spec.universal
-    keys = [(g, params.delta * w) for g, w in zip(spec.components, join_weights(spec))]
+    # keyed on the weight w of the shift delta * w, an int, which hashes in C where Fractions do not
+    keys = [(g, w if params.delta else 0) for g, w in zip(spec.components, join_weights(spec))]
     shared = {}
-    for g, shift in keys:
-        if (g, shift) not in shared:
+    for g, w in keys:
+        if (g, w) not in shared:
             ones = (Fraction(1),) * g.n
-            shared[g, shift] = (universal_matrix(g, params, shift), ones, ones)
+            shared[g, w] = (universal_matrix(g, params, params.delta * w), ones, ones)
     return CoupledBlocks([shared[key] for key in keys], _universal_rho(effective_rho(spec), params))
 
 
@@ -279,7 +283,8 @@ def _universal_rho(rho: RhoMatrix, params: UniversalParams) -> RhoMatrix:
     # one value per distinct scalar, keyed on int pairs, which hash in C where Fractions do not
     keys = [[(r.numerator, r.denominator) for r in row] for row in rho]
     coupled = {key: Fraction(*key) * params.alpha + params.gamma for key in {key for row in keys for key in row}}
-    return tuple(tuple(coupled[q] if i != j else Fraction(0) for j, q in enumerate(row)) for i, row in enumerate(keys))
+    zero = Fraction(0)
+    return tuple(tuple(coupled[q] if i != j else zero for j, q in enumerate(row)) for i, row in enumerate(keys))
 
 
 # -- graph-level formula routes ------------------------------------------------

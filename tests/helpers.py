@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 
 from joinspectra import Graph, Polynomial, RationalMatrix
@@ -153,69 +154,192 @@ def exact_power_traces(a: list[int], n: int) -> list[int]:
     return traces
 
 
-def fraction_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Reference product: one Fraction multiply-add per coefficient pair."""
-    if a.is_zero or b.is_zero:
-        return Polynomial()
-    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca:
-            for j, cb in enumerate(b.coeffs):
-                out[i + j] += ca * cb
-    return Polynomial(out)
+class FracPoly:
+    """Reference polynomial over Q: a tuple `cs` of Fraction coefficients,
+    ascending and without trailing zeros, every operation done coefficient by
+    coefficient in textbook Fraction arithmetic.  It shares no code with
+    `joinspectra.polynomials`; `ref` reads a Polynomial's `coeffs` into it."""
 
+    __slots__ = ("cs",)
+    __hash__ = None
 
-def fraction_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Reference long division over the rationals (b nonzero)."""
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    lb = b.coeffs[-1]
-    if len(rem) - 1 < db:
-        return Polynomial(), a
-    quot = [Fraction(0)] * (len(rem) - db)
-    for shift in range(len(rem) - 1 - db, -1, -1):
-        q = rem[shift + db] / lb
-        if q:
+    def __init__(self, cs=()):
+        cs = [Fraction(c) for c in cs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.cs = tuple(cs)
+
+    def __eq__(self, other):
+        return isinstance(other, FracPoly) and self.cs == other.cs
+
+    def __repr__(self):
+        return f"FracPoly({[str(c) for c in self.cs]})"
+
+    @property
+    def degree(self) -> int:
+        return len(self.cs) - 1
+
+    def __add__(self, other):
+        other = _as_frac_poly(other)
+        return FracPoly(x + y for x, y in zip_longest(self.cs, other.cs, fillvalue=Fraction(0)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FracPoly(-c for c in self.cs)
+
+    def __sub__(self, other):
+        return self + (-_as_frac_poly(other))
+
+    def __rsub__(self, other):
+        return _as_frac_poly(other) - self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FracPoly(c * other for c in self.cs)
+        out = [Fraction(0)] * max(len(self.cs) + len(other.cs) - 1, 0)
+        for i, a in enumerate(self.cs):
+            for j, b in enumerate(other.cs):
+                out[i + j] += a * b
+        return FracPoly(out)
+
+    __rmul__ = __mul__
+
+    def divmod(self, other):
+        """Long division by a nonzero divisor: (quotient, remainder)."""
+        rem = list(self.cs)
+        db, lb = other.degree, other.cs[-1]
+        if len(rem) - 1 < db:
+            return FracPoly(), self
+        quot = [Fraction(0)] * (len(rem) - db)
+        for shift in range(len(rem) - 1 - db, -1, -1):
+            q = rem[shift + db] / lb
             quot[shift] = q
-            for j, c in enumerate(b.coeffs):
+            for j, c in enumerate(other.cs):
                 rem[shift + j] -= q * c
-    return Polynomial(quot), Polynomial(rem)
+        return FracPoly(quot), FracPoly(rem)
+
+    def exact_div(self, other):
+        q, r = self.divmod(other)
+        if r.cs:
+            raise ArithmeticError("inexact polynomial division")
+        return q
+
+    def monic(self):
+        return self * (1 / self.cs[-1]) if self.cs else self
+
+    def derivative(self):
+        return FracPoly(i * c for i, c in enumerate(self.cs) if i)
+
+    def shift(self, c):
+        """p(x - c): the coefficient of x^j is sum_i a_i C(i, j) (-c)^(i - j)."""
+        c = Fraction(c)
+        return FracPoly(
+            sum((a * math.comb(i, j) * (-c) ** (i - j) for i, a in enumerate(self.cs) if i >= j), Fraction(0))
+            for j in range(len(self.cs))
+        )
+
+    def __call__(self, x):
+        v = Fraction(0)
+        for c in reversed(self.cs):
+            v = v * x + c
+        return v
+
+    def gcd(self, other):
+        """Monic gcd by Euclid's algorithm."""
+        a, b = self, other
+        while b.cs:
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
+
+    def yun(self) -> list:
+        """Square-free decomposition [(monic factor, multiplicity), ...] by Yun's algorithm."""
+        p = self.monic()
+        if p.degree <= 0:
+            return []
+        dp = p.derivative()
+        a = p.gcd(dp)
+        b = p.exact_div(a)
+        d = dp.exact_div(a) - b.derivative()
+        out = []
+        i = 1
+        while b.degree > 0:
+            f = b.gcd(d)
+            if f.degree > 0:
+                out.append((f, i))
+            b = b.exact_div(f)
+            d = d.exact_div(f) - b.derivative()
+            i += 1
+        return out
 
 
-def fraction_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Reference exact division: Fraction long division, raising on a remainder."""
-    q, r = fraction_divmod(a, b)
-    if not r.is_zero:
-        raise ArithmeticError("inexact polynomial division")
-    return q
+def _as_frac_poly(x) -> FracPoly:
+    return x if isinstance(x, FracPoly) else FracPoly([x])
 
 
-def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Reference gcd: Euclid over the rationals, made monic."""
-    while b:
-        a, b = b, fraction_divmod(a, b)[1]
-    return a.monic()
+def ref(p: Polynomial) -> FracPoly:
+    """The reference polynomial with p's coefficients."""
+    return FracPoly(p.coeffs)
 
 
-def fraction_yun(p: Polynomial) -> list:
-    """Reference square-free decomposition: Yun's algorithm in Fraction arithmetic."""
-    p = p.monic()
-    if p.degree <= 0:
-        return []
-    dp = p.derivative()
-    a = euclid_gcd(p, dp)
-    b = fraction_exact_div(p, a)
-    d = fraction_exact_div(dp, a) - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        f = euclid_gcd(b, d)
-        if f.degree > 0:
-            out.append((f, i))
-        b = fraction_exact_div(b, f)
-        d = fraction_exact_div(d, f) - b.derivative()
-        i += 1
-    return out
+class FracMatrix:
+    """Reference matrix over Q: row-major Fraction entries `es`, every
+    operation entry by entry in Fraction arithmetic."""
+
+    __hash__ = None
+
+    def __init__(self, rows: int, cols: int, es):
+        self.rows, self.cols, self.es = rows, cols, [Fraction(x) for x in es]
+
+    def __eq__(self, other):
+        return isinstance(other, FracMatrix) and (self.rows, self.cols, self.es) == (other.rows, other.cols, other.es)
+
+    def at(self, i: int, j: int) -> Fraction:
+        return self.es[i * self.cols + j]
+
+    def __add__(self, other):
+        return FracMatrix(self.rows, self.cols, [x + y for x, y in zip(self.es, other.es)])
+
+    def __sub__(self, other):
+        return FracMatrix(self.rows, self.cols, [x - y for x, y in zip(self.es, other.es)])
+
+    def __neg__(self):
+        return FracMatrix(self.rows, self.cols, [-x for x in self.es])
+
+    def scaled(self, s):
+        return FracMatrix(self.rows, self.cols, [x * s for x in self.es])
+
+    def __matmul__(self, other):
+        n, m, p = self.rows, self.cols, other.cols
+        es = [sum((self.at(i, l) * other.at(l, j) for l in range(m)), Fraction(0)) for i in range(n) for j in range(p)]
+        return FracMatrix(n, p, es)
+
+    def transpose(self):
+        return FracMatrix(self.cols, self.rows, [self.at(j, i) for i in range(self.cols) for j in range(self.rows)])
+
+    def trace(self) -> Fraction:
+        return sum((self.at(i, i) for i in range(self.rows)), Fraction(0))
+
+    def is_symmetric(self) -> bool:
+        return self.rows == self.cols and self == self.transpose()
+
+    def to_floats(self) -> list:
+        return [[float(self.at(i, j)) for j in range(self.cols)] for i in range(self.rows)]
+
+    def charpoly(self) -> FracPoly:
+        """det(xI - M) by cofactor expansion over FracPoly entries."""
+        if self.rows == 0:
+            return FracPoly([1])
+        rows = [
+            [FracPoly([-self.at(i, j), 1] if i == j else [-self.at(i, j)]) for j in range(self.cols)]
+            for i in range(self.rows)
+        ]
+        return cofactor_det(rows)
+
+
+def ref_matrix(m: RationalMatrix) -> FracMatrix:
+    """The reference matrix with m's entries."""
+    return FracMatrix(m.rows, m.cols, m.entries)
 
 
 # (alpha, beta, gamma, delta) of the benchmark's parameter presets:

@@ -212,16 +212,18 @@ def test_criterion_10_property_suite():
         assert determinant(a + outer(u, v)) == (1 + adjugate_form(a.to_lists(), u, v) / determinant(a)) * determinant(a)
         checked += 1
 
-    # resolvent of a rank-one update: form / (1 + c * form)
+    # resolvent of a rank-one update: form / (1 + c * form), which is
+    # num / (den + c * num) for the form num / den
     for _ in range(20):
         n = rng.randint(1, 4)
         m = rand_symmetric_matrix(rng, n)
         u, v = rand_vector(rng, n), rand_vector(rng, n)
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        base = resolvent_form(m, u, v).func
-        if (1 + c * base).is_zero:
+        base = resolvent_form(m, u, v)
+        den = base.den + c * base.num
+        if den.is_zero:
             continue
-        assert resolvent_form(m - outer(u, v) * c, u, v).func == base / (1 + c * base)
+        assert resolvent_form(m - outer(u, v) * c, u, v).func == RationalFunction(base.num, den)
 
     # resolvent numerators against the adjugate: v^T adj(xI - M) u / charpoly,
     # the adjugate applied by Cramer's rule, for every pair of unit vectors

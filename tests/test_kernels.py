@@ -10,7 +10,7 @@ import joinspectra.oracle as oracle
 from helpers import exact_power_traces, faddeev_leverrier, rand_rational_matrix, two_charpoly_numerator
 from joinspectra.joins import UniversalParams, universal_matrix
 from joinspectra.kernel import _is_prime, charpoly_bordered_int, charpoly_int, coeff_bound, prime
-from joinspectra.matrices import RationalMatrix, cleared_int_entries, descale
+from joinspectra.matrices import RationalMatrix, descale
 from joinspectra.oracle import oracle_charpoly, power_trace_charpoly
 from joinspectra.verification import random_graph
 
@@ -38,7 +38,7 @@ def test_kernel_matches_faddeev_leverrier():
     for n in list(range(9)) + [16, 32]:
         for _ in range(3 if n <= 8 else 1):
             assert _agrees_with_fl(_random_int_matrix(rng, n), n)
-            ints, _ = cleared_int_entries(rand_rational_matrix(rng, n))
+            ints = list(rand_rational_matrix(rng, n).nums)
             assert _agrees_with_fl(ints, n)
 
 
@@ -186,7 +186,7 @@ def _bordered_cases(rng, n):
     u = v, u = 0, v = 0, u_0 = 0 (the border column's pivot swaps), and, for
     n <= 12, entries that take four or more primes."""
     ints = _random_int_matrix(rng, n)
-    cleared = cleared_int_entries(rand_rational_matrix(rng, n))[0]
+    cleared = list(rand_rational_matrix(rng, n).nums)
     u, v = _cleared_vector(rng, n), _cleared_vector(rng, n)
     zero = [0] * n
     swapped = [0] + u[1:]
@@ -236,7 +236,7 @@ def test_route_blocks_of_the_large_block_workload(monkeypatch):
     rational = UniversalParams(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 2))
     for n, other, params in ((28, 22, laplacian), (22, 28, rational), (24, 26, rational), (26, 24, laplacian)):
         m = universal_matrix(random_graph(rng, n, 0.3), params, params.delta * other)
-        ints, d = cleared_int_entries(m)
+        ints, d = list(m.nums), m.den
         ones = [1] * n
         subset = [rng.randint(0, 1) for _ in range(n)]
         for u, v in ((ones, ones), (ones, subset)):
@@ -282,7 +282,7 @@ def _diagonal_charpoly(diag):
 def test_power_trace_kernel_at_step_boundaries():
     rng = random.Random(6)
     for n in STEP_BOUNDARIES:
-        cases = [_random_int_matrix(rng, n), cleared_int_entries(rand_rational_matrix(rng, n))[0]]
+        cases = [_random_int_matrix(rng, n), list(rand_rational_matrix(rng, n).nums)]
         if n > 26:  # Faddeev-LeVerrier is O(n^4): one case per n for s = 6
             cases = cases[n % 2 : n % 2 + 1]
         for a in cases:
@@ -314,7 +314,7 @@ def test_power_traces_equal_the_exact_integer_reference():
     for n in range(41):
         cases = [
             _random_int_matrix(rng, n),
-            cleared_int_entries(rand_rational_matrix(rng, n))[0],
+            list(rand_rational_matrix(rng, n).nums),
             [rng.choice((1, -1)) * 10**12 + rng.randint(-3, 3) for _ in range(n * n)],
             [rng.choice((1, -1)) * (2**52 + rng.randint(0, 2**40)) for _ in range(n * n)],
         ]

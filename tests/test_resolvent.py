@@ -176,8 +176,9 @@ def test_bilinearity():
         a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         combo = tuple(a * x + y for x, y in zip(u1, u2))
         lhs = resolvent_form(m, combo, v).func
-        rhs = a * resolvent_form(m, u1, v).func + resolvent_form(m, u2, v).func
-        assert lhs == rhs
+        # a n1 / d1 + n2 / d2 over the common denominator d1 d2
+        f1, f2 = resolvent_form(m, u1, v), resolvent_form(m, u2, v)
+        assert lhs == RationalFunction(a * f1.num * f2.den + f2.num * f1.den, f1.den * f2.den)
 
 
 def test_zero_vector_gives_zero_form():
@@ -213,19 +214,21 @@ def test_polynomial_image_of_poles():
 
 
 def test_resolvent_of_rank_one_update():
-    # v^T (xI - (A - a u v^T))^{-1} u  ==  form / (1 + a * form)
+    # v^T (xI - (A - a u v^T))^{-1} u  ==  form / (1 + a * form), which is
+    # num / (den + a * num) for the form num / den
     rng = random.Random(38)
     for _ in range(15):
         n = rng.randint(1, 4)
         m = rand_symmetric_matrix(rng, n)
         u, v = rand_vector(rng, n), rand_vector(rng, n)
         a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        base = resolvent_form(m, u, v).func
-        if (1 + a * base).is_zero:
+        base = resolvent_form(m, u, v)
+        den = base.den + a * base.num
+        if den.is_zero:
             continue
         updated = m - outer(u, v) * a
         lhs = resolvent_form(updated, u, v).func
-        assert lhs == base / (1 + a * base)
+        assert lhs == RationalFunction(base.num, den)
 
 
 def test_matches_adjugate_reference():
