@@ -28,8 +28,8 @@ from .joins import (
 from .kernel import BACKEND as KERNEL_BACKEND
 from .matrices import RationalMatrix, charpoly, determinant, poly_det
 from .oracle import CompareResult, assemble, check, compare, join_truth, oracle_charpoly, oracle_spectrum
-from .polynomials import Polynomial, RationalFunction, poly_gcd, square_free_decomposition
-from .resolvent import ResolventForm, eigenvector_resolvent, main_poles, resolvent_form, shifted
+from .polynomials import Polynomial, poly_gcd, square_free_decomposition
+from .resolvent import ResolventForm, main_poles, resolvent_form
 from .roots import real_roots
 from .spectra import (
     CoupledBlocks,
@@ -87,14 +87,11 @@ __all__ = [
     "oracle_charpoly",
     "oracle_spectrum",
     "Polynomial",
-    "RationalFunction",
     "poly_gcd",
     "square_free_decomposition",
     "ResolventForm",
-    "eigenvector_resolvent",
     "main_poles",
     "resolvent_form",
-    "shifted",
     "real_roots",
     "CoupledBlocks",
     "SpectrumReport",

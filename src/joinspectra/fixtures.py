@@ -16,7 +16,7 @@ from .graphs import Graph, VertexSubset
 from .joins import JoinSpec, UniversalParams, generalized_corona, h_join, lexicographic, universal_matrix
 from .matrices import charpoly, poly_det
 from .oracle import check, join_truth
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial
 from .resolvent import resolvent_form
 from .spectra import (
     CoupledBlocks,
@@ -70,19 +70,21 @@ def subset_join_charpoly_factors() -> list[Polynomial]:
     ]
 
 
-def mixed_join_resolvents() -> list[RationalFunction]:
+def mixed_join_resolvents() -> list[tuple[Polynomial, Polynomial]]:
+    """The reduced all-ones resolvent (num, den) of each mixed-join component."""
     return [
-        RationalFunction(Polynomial((4, 3)), Polynomial((-2, 0, 1))),
-        RationalFunction(Polynomial((6, 4)), Polynomial((-3, 0, 1))),
-        RationalFunction(Polynomial((-1, 3)), Polynomial((0, -1, 1))),
+        (Polynomial((4, 3)), Polynomial((-2, 0, 1))),
+        (Polynomial((6, 4)), Polynomial((-3, 0, 1))),
+        (Polynomial((-1, 3)), Polynomial((0, -1, 1))),
     ]
 
 
-def subset_join_resolvents() -> list[RationalFunction]:
+def subset_join_resolvents() -> list[tuple[Polynomial, Polynomial]]:
+    """The reduced subset-indicator resolvent (num, den) of each subset-join component."""
     return [
-        RationalFunction(Polynomial((-1, 2, 2)), Polynomial((0, -2, 0, 1))),
-        RationalFunction(Polynomial((0, 3)), Polynomial((-3, 0, 1))),
-        RationalFunction(Polynomial((-1, 0, 2)), Polynomial((0, -1, 0, 1))),
+        (Polynomial((-1, 2, 2)), Polynomial((0, -2, 0, 1))),
+        (Polynomial((0, 3)), Polynomial((-3, 0, 1))),
+        (Polynomial((-1, 0, 2)), Polynomial((0, -1, 0, 1))),
     ]
 
 
@@ -152,14 +154,15 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
         lambda: check_poly(hjoin_universal_charpoly(mixed), expected_mixed, mixed_join_spec()),
     )
 
-    def mixed_resolvents():
-        for g, want in zip(mixed.components, mixed_join_resolvents()):
-            got = resolvent_form(g.adjacency(), [1] * g.n).func
-            if got != want:
-                return False, f"resolvent {got} != {want}"
+    def resolvents_match(graphs, vectors, wanted):
+        for g, u, (num, den) in zip(graphs, vectors, wanted):
+            form = resolvent_form(g.adjacency(), u)
+            if (form.num, form.den) != (num, den):
+                return False, f"resolvent ({form.num}) / ({form.den}) != ({num}) / ({den})"
         return True, "all three reduced forms match"
 
-    run("mixed-join resolvents", "resolvent", mixed_resolvents)
+    ones = [[1] * g.n for g in mixed.components]
+    run("mixed-join resolvents", "resolvent", lambda: resolvents_match(mixed.components, ones, mixed_join_resolvents()))
 
     run(
         "subset-join charpoly",
@@ -167,14 +170,12 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
         lambda: check_poly(hgen_join_charpoly(subset), expected_subset, subset),
     )
 
-    def subset_resolvents():
-        for g, s, want in zip(subset.components, subset.subsets, subset_join_resolvents()):
-            got = resolvent_form(g.adjacency(), s.indicator()).func
-            if got != want:
-                return False, f"resolvent {got} != {want}"
-        return True, "all three reduced forms match"
-
-    run("subset-join resolvents", "resolvent", subset_resolvents)
+    indicators = [s.indicator() for s in subset.subsets]
+    run(
+        "subset-join resolvents",
+        "resolvent",
+        lambda: resolvents_match(subset.components, indicators, subset_join_resolvents()),
+    )
 
     def mixed_spectrum():
         report = hjoin_universal_spectrum(mixed)

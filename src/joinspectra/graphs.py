@@ -119,14 +119,14 @@ class Graph:
         if not isinstance(obj, dict) or "n" not in obj:
             raise SpecError(f"graph object must carry 'n': {obj!r}")
         n = obj["n"]
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise SpecError(f"bad vertex count {n!r}")
         edges = obj.get("edges", [])
         if not isinstance(edges, list):
             raise SpecError("'edges' must be a list of pairs")
         out = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
                 raise SpecError(f"bad edge {e!r}")
             out.append((e[0], e[1]))
         return cls(n, out)
@@ -142,6 +142,8 @@ class Graph:
             n = int(head.strip())
         except ValueError:
             raise SpecError(f"bad vertex count in {line!r}") from None
+        if n < 0:
+            raise SpecError(f"bad vertex count in {line!r}")
         edges = []
         for chunk in rest.split(","):
             chunk = chunk.strip()

@@ -76,7 +76,7 @@ class UniversalParams:
                 obj.get("delta", "0"),
                 allow_zero_alpha=bool(obj.get("allow_zero_alpha", False)),
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SpecError(f"bad universal parameters: {exc}") from None
 
 
@@ -171,7 +171,11 @@ class JoinSpec:
         subsets = None
         if "subsets" in obj and obj["subsets"] is not None:
             raw = obj["subsets"]
-            if not isinstance(raw, list) or len(raw) != len(components):
+            if not (
+                isinstance(raw, list)
+                and len(raw) == len(components)
+                and all(isinstance(idxs, list) and all(type(v) is int for v in idxs) for idxs in raw)
+            ):
                 raise SpecError("'subsets' must list one index array per component")
             subsets = tuple(VertexSubset(g.n, idxs) for g, idxs in zip(components, raw))
         universal = UniversalParams.from_json_obj(obj["universal"]) if obj.get("universal") is not None else None
@@ -179,7 +183,7 @@ class JoinSpec:
         if "rho" in obj and obj["rho"] is not None:
             try:
                 rho = tuple(tuple(as_fraction(x) for x in row) for row in obj["rho"])
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise SpecError(f"bad coupling override: {exc}") from None
         return cls(host, components, subsets, universal, rho)
 
@@ -282,22 +286,18 @@ def generalized_corona(host: Graph, family: Sequence[Graph]) -> Graph:
     return Graph(acc, edges)
 
 
-def corona_as_hjoin(host: Graph, family: Sequence[Graph]) -> tuple[JoinSpec, tuple[int, ...]]:
+def corona_as_hjoin(host: Graph, family: Sequence[Graph]) -> JoinSpec:
     """The corona rebuilt as a join: pendant-extended host, single-vertex blocks first.
 
-    Returns the equivalent JoinSpec and the permutation sending corona vertex
-    order to the join's vertex order (identity under this package's layout,
-    returned explicitly so both constructions stay independently checkable).
+    The join's vertex order is the corona's (see the module docstring), so
+    both constructions give the same matrix with no relabelling.
     """
     family = tuple(family)
     if len(family) != host.n:
         raise SpecError(f"corona host has {host.n} vertices but {len(family)} companion graphs given")
     k = host.n
     big_host = Graph(2 * k, list(host.edges) + [(i, k + i) for i in range(k)])
-    components = tuple(Graph(1) for _ in range(k)) + family
-    spec = JoinSpec(big_host, components)
-    perm = tuple(range(k + sum(g.n for g in family)))
-    return spec, perm
+    return JoinSpec(big_host, tuple(Graph(1) for _ in range(k)) + family)
 
 
 def universal_matrix(g: Graph, params: UniversalParams, shift: Fraction | int = 0) -> RationalMatrix:

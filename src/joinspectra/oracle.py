@@ -28,14 +28,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError
 from .joins import JoinSpec, UniversalParams, join_graph, universal_matrix
 from .matrices import RationalMatrix, charpoly_with
-from .polynomials import Polynomial
+from .polynomials import Polynomial, clear_denominators
 from .spectra import CoupledBlocks
 
 ORACLE_CAP_ENV = "SPECTRA_ORACLE_CAP"
@@ -55,33 +55,38 @@ def oracle_cap() -> int:
 
 
 def assemble(cb: CoupledBlocks) -> RationalMatrix:
-    """Dense block matrix: M_i diagonal blocks, rho_ij * u_i v_j^T off-diagonal."""
-    sizes = [m.rows for m, _, _ in cb.blocks]
-    offs = []
-    acc = 0
-    for s in sizes:
-        offs.append(acc)
-        acc += s
-    n = acc
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i, (m, _, _) in enumerate(cb.blocks):
-        for r in range(m.rows):
-            row = out[offs[i] + r]
-            for c in range(m.cols):
-                row[offs[i] + c] = m[r, c]
-    for i, (_, u_i, _) in enumerate(cb.blocks):
-        for j, (_, _, v_j) in enumerate(cb.blocks):
-            if i == j or cb.rho[i][j] == 0:
-                continue
-            rho = cb.rho[i][j]
-            for r, ur in enumerate(u_i):
-                if ur == 0:
-                    continue
-                row = out[offs[i] + r]
-                for c, vc in enumerate(v_j):
-                    if vc != 0:
-                        row[offs[j] + c] = rho * ur * vc
-    return RationalMatrix(n, n, [x for row in out for x in row])
+    """Dense block matrix: M_i diagonal blocks, rho_ij * u_i v_j^T off-diagonal.
+
+    Filled as ints over one common denominator L, as `universal_matrix` is:
+    block i is its cleared ints `nums` times L / `den`, and with u_i and v_j
+    cleared to ints over du_i and dv_j, the coupled entry rho_ij u_i[r] v_j[c]
+    is u_i[r] v_j[c] times the int rho_ij L / (du_i dv_j).
+    `RationalMatrix.from_ints` then reduces L to the least denominator.
+    """
+    blocks = cb.blocks
+    offs = [0, *accumulate(m.rows for m, _, _ in blocks)]
+    n = offs[-1]
+    us = [clear_denominators(u) for _, u, _ in blocks]
+    vs = [clear_denominators(v) for _, _, v in blocks]
+    coupled = [(i, j, rho) for i, row in enumerate(cb.rho) for j, rho in enumerate(row) if i != j and rho]
+    den = math.lcm(
+        *[m.den for m, _, _ in blocks],
+        *[rho.denominator * us[i][1] * vs[j][1] for i, j, rho in coupled],
+    )
+    nums = [0] * (n * n)
+    for (m, _, _), off in zip(blocks, offs):
+        scale, k = den // m.den, m.rows
+        for r in range(k):
+            start = (off + r) * n + off
+            nums[start : start + k] = [x * scale for x in m.nums[r * k : (r + 1) * k]]
+    for i, j, rho in coupled:
+        (u, du), (v, dv) = us[i], vs[j]
+        scaled_v = [x * rho.numerator * (den // (rho.denominator * du * dv)) for x in v]
+        for r, ur in enumerate(u):
+            if ur:
+                start = (offs[i] + r) * n + offs[j]
+                nums[start : start + len(v)] = [ur * x for x in scaled_v]
+    return RationalMatrix.from_ints(n, n, nums, den)
 
 
 def join_truth(spec: JoinSpec) -> RationalMatrix:

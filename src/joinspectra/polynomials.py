@@ -1,10 +1,10 @@
-"""Dense univariate polynomials and rational functions over exact rationals.
+"""Dense univariate polynomials over exact rationals.
 
 A polynomial is stored as integer numerators over one positive denominator
 in lowest terms: `nums[i] / den` is the coefficient of x^i, `nums` has no
 trailing zero, and gcd(den, *nums) = 1.  That form is canonical, so equality
 and hashing compare (nums, den), and every operation -- sums, products,
-exact division, gcds, Yun's square-free split, shifts and evaluation -- runs
+exact division, gcds, Yun's square-free split and evaluation -- runs
 on Python ints.  `coeffs`, the ascending tuple of Fraction coefficients, is
 a read-only view built on first use.  The zero polynomial has nums = () and
 den = 1, and reports degree ``-inf`` so degree comparisons never lean on
@@ -13,10 +13,6 @@ den = 1, and reports degree ``-inf`` so degree comparisons never lean on
 Exact quotients by a primitive divisor are integral (Gauss's lemma), gcds
 come from GCDHEU with a primitive pseudo-remainder sequence behind it, and
 Yun's algorithm runs on the primitive integer polynomial.
-
-Rational functions are kept in canonical form: numerator and denominator
-coprime, denominator monic, the zero function stored as 0/1.  That makes
-structural equality coincide with mathematical equality.
 """
 
 from __future__ import annotations
@@ -220,28 +216,6 @@ class Polynomial:
         if self.is_zero or self.is_monic:
             return self
         return _from_ints(self.nums, self.nums[-1])
-
-    def shift(self, c: Scalar) -> "Polynomial":
-        """Substitute x -> x - c, i.e. return p(x - c).
-
-        With c = s / t and a_k = nums[k], Horner's rule scaled by t^(n - k)
-        stays in the integers: S_n = a_n, S_k = S_(k+1) (t x - s) + a_k t^(n - k),
-        and p(x - c) = S_0 / (den t^n).
-        """
-        c = as_fraction(c)
-        if c == 0 or self.is_zero:
-            return self
-        s, t = c.numerator, c.denominator
-        acc: list[int] = []
-        tk = 1
-        for a in reversed(self.nums):
-            nxt = [0] * (len(acc) + 1)
-            for i, v in enumerate(acc):
-                nxt[i] -= s * v
-                nxt[i + 1] += t * v
-            nxt[0] += a * tk
-            acc, tk = nxt, tk * t
-        return _from_ints(acc, self.den * tk // t)
 
     def __call__(self, x):
         """Horner evaluation; x may be Fraction, int, float or complex.
@@ -512,89 +486,4 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 def is_square_free(p: Polynomial) -> bool:
     return poly_gcd(p, p.derivative()).degree <= 0
-
-
-# -- rational functions -------------------------------------------------
-
-
-class RationalFunction:
-    """Reduced quotient of polynomials; denominator monic, zero stored as 0/1.
-
-    No field arithmetic: a route only builds, compares and evaluates forms.
-    """
-
-    __slots__ = ("num", "den")
-
-    num: Polynomial
-    den: Polynomial
-
-    def __init__(self, num: Polynomial | Scalar, den: Polynomial | Scalar = 1):
-        if not isinstance(num, Polynomial):
-            num = Polynomial.constant(as_fraction(num))
-        if not isinstance(den, Polynomial):
-            den = Polynomial.constant(as_fraction(den))
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Polynomial(), Polynomial.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            if not den.is_monic:
-                # num / lead(den), with lead(den) = den.nums[-1] / den.den
-                num = _from_ints([c * den.den for c in num.nums], num.den * den.nums[-1])
-                den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(Polynomial(), Polynomial.one())
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(Polynomial.one(), Polynomial.one())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self == RationalFunction(other if isinstance(other, Polynomial) else Polynomial.constant(other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __call__(self, x):
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"evaluation at a pole: {x}")
-        return self.num(x) / d
-
-    def to_strings(self) -> dict[str, list[str]]:
-        return {"num": self.num.to_strings(), "den": self.den.to_strings()}
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.is_polynomial:
-            return str(self.num * (1 / self.den[0]))
-        return f"({self.num}) / ({self.den})"
 

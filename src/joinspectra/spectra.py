@@ -2,7 +2,8 @@
 
 The core object is a family of square blocks M_i carrying vectors (u_i, v_i),
 glued by scalars rho_ij into the block matrix with M_i on the diagonal and
-rho_ij * u_i v_j^T off it.  Writing each reduced resolvent as f_i / g_i, the
+rho_ij * u_i v_j^T off it.  A block's one record is its `resolvent_form`:
+the reduced resolvent f_i / g_i and phi_i = det(xI - M_i).  The
 characteristic polynomial of the glued matrix factors exactly as
 
     prod_i (phi_i / g_i) * Phi,
@@ -49,7 +50,7 @@ from .joins import (
 )
 from .matrices import RationalMatrix, Vector, as_vector, charpoly, poly_det, realization_charpoly
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
-from .resolvent import resolvent_form
+from .resolvent import ResolventForm, resolvent_form
 from .roots import real_roots
 
 
@@ -94,29 +95,18 @@ class CoupledBlocks:
         return all(self.rho[i][j] == self.rho[j][i] for i in range(k) for j in range(i + 1, k))
 
 
-@dataclass(frozen=True)
-class _BlockData:
-    phi: Polynomial  # char poly of the block
-    f: Polynomial  # reduced resolvent numerator
-    g: Polynomial  # reduced resolvent denominator (monic)
-    cofactor: Polynomial  # phi / g, exact
-
-
-def _block_data(m: RationalMatrix, u: Vector, v: Vector) -> _BlockData:
-    form = resolvent_form(m, u, v)
-    return _BlockData(phi=form.charpoly, f=form.num, g=form.den, cofactor=form.charpoly.exact_div(form.den))
-
-
-def _blocks_data(cb: CoupledBlocks) -> list[_BlockData]:
-    """`_block_data` of each block, once per shared block: keyed on the
-    identities of the matrix and the vectors, so nothing is hashed by value.
-    Blocks built from one shared (M, u, v), as `universal_blocks` builds
-    repeated ones, cost once; `CoupledBlocks` keeps the vectors' identity."""
+def _blocks_data(cb: CoupledBlocks) -> list[tuple[ResolventForm, Polynomial]]:
+    """(resolvent form, cofactor phi / g) of each block, once per shared
+    block: keyed on the identities of the matrix and the vectors, so nothing
+    is hashed by value.  Blocks built from one shared (M, u, v), as
+    `universal_blocks` builds repeated ones, cost once; `CoupledBlocks` keeps
+    the vectors' identity."""
     keys = [tuple(map(id, block)) for block in cb.blocks]
     memo: dict = {}
     for key, block in zip(keys, cb.blocks):
         if key not in memo:
-            memo[key] = _block_data(*block)
+            form = resolvent_form(*block)
+            memo[key] = form, form.charpoly.exact_div(form.den)
     return [memo[key] for key in keys]
 
 
@@ -161,8 +151,8 @@ def _glued_product(phi: Polynomial, cofactors: Sequence[Polynomial], total_dim: 
 def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
     """Exact characteristic polynomial of the glued block matrix."""
     data = _blocks_data(cb)
-    phi = coupling_poly([d.f for d in data], [d.g for d in data], cb.rho)
-    return _glued_product(phi, [d.cofactor for d in data], cb.total_dim)
+    phi = coupling_poly([form.num for form, _ in data], [form.den for form, _ in data], cb.rho)
+    return _glued_product(phi, [cof for _, cof in data], cb.total_dim)
 
 
 def _classify_block(phi: Polynomial, g: Polynomial, idx: int):
@@ -217,12 +207,12 @@ def coupled_spectrum(cb: CoupledBlocks) -> SpectrumReport:
     data = _blocks_data(cb)
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
-    for idx, d in enumerate(data):
-        inh, red = _classify_block(d.phi, d.g, idx)
+    for idx, (form, _) in enumerate(data):
+        inh, red = _classify_block(form.charpoly, form.den, idx)
         inherited += inh
         reduced += red
-    phi = coupling_poly([d.f for d in data], [d.g for d in data], cb.rho)
-    total = _glued_product(phi, [d.cofactor for d in data], cb.total_dim)
+    phi = coupling_poly([form.num for form, _ in data], [form.den for form, _ in data], cb.rho)
+    total = _glued_product(phi, [cof for _, cof in data], cb.total_dim)
     croots = real_roots(phi) if phi.degree > 0 else []
     counted = sum(m for _, m, _ in inherited) + sum(m for _, m, _ in reduced) + len(croots)
     if counted != cb.total_dim:
@@ -387,5 +377,4 @@ def corona_charpoly(host: Graph, family: Sequence[Graph]) -> Polynomial:
 
 def corona_charpoly_via_join(host: Graph, family: Sequence[Graph]) -> Polynomial:
     """Cross-route: the corona rebuilt as a join of single-vertex blocks plus the family."""
-    spec, _ = corona_as_hjoin(host, family)
-    return coupled_charpoly(adjacency_blocks(spec))
+    return coupled_charpoly(adjacency_blocks(corona_as_hjoin(host, family)))

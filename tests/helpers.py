@@ -282,6 +282,17 @@ def ref(p: Polynomial) -> FracPoly:
     return FracPoly(p.coeffs)
 
 
+def reduced(num, den) -> tuple[Polynomial, Polynomial]:
+    """num / den (den nonzero) in the canonical form of a resolvent form:
+    coprime, the denominator monic, the zero quotient as 0/1; reduced by
+    Euclid's gcd on the reference polynomials."""
+    n, d = ref(num if isinstance(num, Polynomial) else Polynomial.constant(num)), ref(den)
+    g = n.gcd(d)
+    n, d = n.exact_div(g), d.exact_div(g)
+    lead = d.cs[-1]
+    return Polynomial((n * (1 / lead)).cs), Polynomial((d * (1 / lead)).cs)
+
+
 class FracMatrix:
     """Reference matrix over Q: row-major Fraction entries `es`, every
     operation entry by entry in Fraction arithmetic."""

@@ -356,6 +356,26 @@ def test_error_exit_codes(tmp_path, capsys):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"host": {"n": 2}, "components": [{"n": 1}]}))
     assert main(["charpoly", str(schema)]) == 2
+    capsys.readouterr()
+    # malformed values are rejected where the spec is read, on every verb that reads one
+    base = {"host": "2; 0-1", "components": ["2; 0-1", "1;"]}
+    subsets_error = "input error: 'subsets' must list one index array per component\n"
+    malformed = [
+        (dict(base, subsets=[5, [0]]), subsets_error),
+        (dict(base, subsets=[["0"], [0]]), subsets_error),
+        (dict(base, subsets=[[True], [0]]), subsets_error),
+        (dict(base, rho=[[0, "1/0"], [1, 0]]), "input error: bad coupling override: Fraction(1, 0)\n"),
+        (dict(base, universal={"alpha": "1/0"}), "input error: bad universal parameters: Fraction(1, 0)\n"),
+        (dict(base, components=["-2;", "1;"]), "input error: bad vertex count in '-2;'\n"),
+        (dict(base, host={"n": True, "edges": []}, components=["1;"]), "input error: bad vertex count True\n"),
+        (dict(base, host={"n": 2, "edges": [[True, 0]]}), "input error: bad edge [True, 0]\n"),
+    ]
+    for case, (obj, message) in enumerate(malformed):
+        p = tmp_path / f"malformed_{case}.json"
+        p.write_text(json.dumps(obj))
+        for verb in ("charpoly", "spectrum", "verify"):
+            assert main([verb, str(p)]) == 2
+            assert capsys.readouterr().err == message
 
 
 NEEDS_PARAMS = "universal route needs universal parameters"

@@ -182,7 +182,7 @@ def test_fixture_coupling_determinant_identity():
     forms = mixed_join_resolvents()
     phis = [X**3 - 2 * X, X**4 - 3 * X**2, X**3 - X]
     rho = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    total = coupling_poly([r.num for r in forms], [r.den for r in forms], rho)
-    for phi, r in zip(phis, forms):
-        total = total * phi.exact_div(r.den)
+    total = coupling_poly([f for f, _ in forms], [g for _, g in forms], rho)
+    for phi, (_, g) in zip(phis, forms):
+        total = total * phi.exact_div(g)
     assert total == product(mixed_join_charpoly_factors())

@@ -58,6 +58,39 @@ def test_assemble_zero_vector_rows():
     assert assemble(cb).to_lists() == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
 
 
+def test_assemble_matches_a_literal_fraction_matrix():
+    # every entry written as a Fraction: M_i on the diagonal, rho_ij * u_i[r] * v_j[c]
+    # off it, with denominators in the blocks, in rho, in u and in v
+    def literal(cb):
+        offs = [sum(m.rows for m, _, _ in cb.blocks[:i]) for i in range(cb.k)]
+        n = cb.total_dim
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i, (m, u, _) in enumerate(cb.blocks):
+            for r in range(m.rows):
+                for c in range(m.cols):
+                    rows[offs[i] + r][offs[i] + c] = m[r, c]
+                for j, (mj, _, v) in enumerate(cb.blocks):
+                    if j != i:
+                        for c in range(mj.rows):
+                            rows[offs[i] + r][offs[j] + c] = cb.rho[i][j] * u[r] * v[c]
+        return RationalMatrix.from_rows(rows) if n else RationalMatrix(0, 0, [])
+
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    cb = CoupledBlocks(
+        [
+            (RationalMatrix(2, 2, [half, 1, 1, 0]), (third, 2), (Fraction(3, 4), 0)),
+            (RationalMatrix(1, 1, [Fraction(-5, 6)]), (Fraction(7, 5),), (Fraction(2, 9),)),
+        ],
+        ((0, Fraction(3, 7)), (Fraction(-5, 2), 0)),
+    )
+    assert assemble(cb) == literal(cb)
+    assert assemble(cb)[0, 2] == Fraction(3, 7) * third * Fraction(2, 9)
+    rng = random.Random(63)
+    for _ in range(40):
+        cb = random_coupled_blocks(rng, max_k=4, max_n=4, zero_vector_rate=0.2)
+        assert assemble(cb) == literal(cb)
+
+
 def test_assemble_universal_matches_whole_graph_matrix():
     rng = random.Random(61)
     from joinspectra.verification import random_join_spec, random_universal_params

@@ -10,7 +10,6 @@ from joinspectra.errors import DomainError
 from joinspectra.polynomials import (
     NEG_INF,
     Polynomial,
-    RationalFunction,
     is_square_free,
     poly_gcd,
     square_free_decomposition,
@@ -159,17 +158,6 @@ def test_pow_matches_repeated_multiplication(monkeypatch):
         assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
 
 
-def test_shift_examples():
-    assert (X**2).shift(1) == X**2 - 2 * X + 1
-    assert (X**3 - 2 * X).shift(0) == X**3 - 2 * X
-    assert X.shift(-3) == X + 3
-
-
-@given(small_polys, st.integers(-5, 5), st.integers(-5, 5))
-def test_shift_agrees_with_evaluation(p, c, r):
-    assert p.shift(c)(Fraction(r)) == p(Fraction(r - c))
-
-
 def test_derivative():
     assert (X**3 - 2 * X).derivative() == 3 * X**2 - 2
     assert Polynomial.constant(5).derivative().is_zero
@@ -296,46 +284,12 @@ def test_square_free_decomposition_reconstructs():
         square_free_decomposition(Polynomial())
 
 
-def test_ratfun_reduction_examples():
-    got = RationalFunction(3 * X**2 + 4 * X, X**3 - 2 * X)
-    assert (got.num, got.den) == (3 * X + 4, X**2 - 2)
-    assert RationalFunction(Polynomial(), X**5 + 1) == RationalFunction.zero()
-    half = RationalFunction(2 * X + 2, 4 * X + 4)
-    assert half.num == Polynomial.constant(Fraction(1, 2))
-    assert half.den == Polynomial.one()
-
-
-def test_ratfun_canonical_form():
-    r = RationalFunction(2 * X, 4 * X**2 - 4)
-    assert r.den.is_monic
-    assert poly_gcd(r.num, r.den).degree == 0
-    again = RationalFunction(r.num, r.den)
-    assert again == r  # reduction is idempotent
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(X, Polynomial())
-
-
-@given(small_polys, small_polys, st.integers(-6, 6))
-def test_ratfun_reduction_preserves_evaluation(num, den, point):
-    if den.is_zero:
-        return
-    r = RationalFunction(num, den)
-    x = Fraction(point)
-    if den(x) == 0:
-        return
-    assert r(x) == num(x) / den(x)
-
-
 def test_serialization_round_trip():
     p = Polynomial((Fraction(1, 2), -3, 0, 1))
     assert Polynomial.from_strings(p.to_strings()) == p
     assert p.to_strings() == ["1/2", "-3", "0", "1"]
-    r = RationalFunction(X + 1, X**2 - 2)
-    obj = r.to_strings()
-    assert RationalFunction(Polynomial.from_strings(obj["num"]), Polynomial.from_strings(obj["den"])) == r
 
 
 def test_str_rendering():
     assert str(X**3 - 2 * X) == "x^3 - 2*x"
     assert str(Polynomial()) == "0"
-    assert str(RationalFunction(3 * X + 4, X**2 - 2)) == "(3*x + 4) / (x^2 - 2)"

@@ -1,6 +1,7 @@
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -50,7 +51,8 @@ from joinspectra.fixtures import (
 from joinspectra.joins import host_rho
 from joinspectra.matrices import RationalMatrix, charpoly, poly_det, realization_charpoly
 from joinspectra.polynomials import Polynomial
-from joinspectra.spectra import _block_data, _universal_rho, coupling_poly, subset_blocks, universal_blocks
+from joinspectra.resolvent import resolvent_form
+from joinspectra.spectra import _universal_rho, coupling_poly, subset_blocks, universal_blocks
 from joinspectra.verification import (
     random_coupled_blocks,
     random_fraction,
@@ -237,13 +239,14 @@ def test_multiplicity_accounting_random_symmetric():
 def test_glued_product_is_checked_on_both_routes(monkeypatch):
     import joinspectra.spectra as spectra
 
-    exact = spectra._block_data
+    exact = spectra.resolvent_form
 
     def scaled(m, u, v):
-        d = exact(m, u, v)
-        return spectra._BlockData(phi=d.phi, f=d.f, g=d.g, cofactor=d.cofactor * 2)
+        # every block's cofactor phi / g comes out twice too large
+        form = exact(m, u, v)
+        return replace(form, charpoly=form.charpoly * 2)
 
-    monkeypatch.setattr(spectra, "_block_data", scaled)
+    monkeypatch.setattr(spectra, "resolvent_form", scaled)
     rng = random.Random(48)
     for _ in range(5):
         cb = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
@@ -256,16 +259,16 @@ def test_glued_product_is_checked_on_both_routes(monkeypatch):
 def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
     import joinspectra.spectra as spectra
 
-    exact = spectra._block_data
+    exact = spectra.resolvent_form
     calls = []
 
     def first_block_doubled(m, u, v):
-        # block 0's cofactor comes out twice too large
+        # block 0's cofactor phi / g comes out twice too large
         calls.append(m)
-        d = exact(m, u, v)
-        return spectra._BlockData(phi=d.phi, f=d.f, g=d.g, cofactor=d.cofactor * 2) if len(calls) == 1 else d
+        form = exact(m, u, v)
+        return replace(form, charpoly=form.charpoly * 2) if len(calls) == 1 else form
 
-    monkeypatch.setattr(spectra, "_block_data", first_block_doubled)
+    monkeypatch.setattr(spectra, "resolvent_form", first_block_doubled)
     regular = JoinSpec(Graph.path(2), (Graph.cycle(4), Graph.complete(3)), universal=ADJ)
     with pytest.raises(ArithmeticError):
         hjoin_universal_spectrum_regular(regular)
@@ -317,8 +320,8 @@ def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
     # between blocks that have rows, and k = 1
     sides, zero_forms = set(), 0
     for cb in _realization_cases(random.Random(12)):
-        data = [_block_data(m, u, v) for m, u, v in cb.blocks]
-        fs, gs = [d.f for d in data], [d.g for d in data]
+        forms = [resolvent_form(m, u, v) for m, u, v in cb.blocks]
+        fs, gs = [f.num for f in forms], [f.den for f in forms]
         want = poly_det(_coupling_rows(fs, gs, cb.rho))
         assert realization_charpoly(fs, gs, cb.rho) == want
         assert coupling_poly(fs, gs, cb.rho) == want
@@ -330,10 +333,10 @@ def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
 
 def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cubed(kernel_calls):
     def run(spec):
-        """(D, the kernel calls of each distinct block's data, the route's kernel calls)"""
+        """(D, the kernel calls of each distinct block's form, the route's kernel calls)"""
         cb = universal_blocks(spec)
-        data = {block: _block_data(*block) for block in dict.fromkeys(cb.blocks)}
-        dim = sum(data[block].g.degree for block in cb.blocks)
+        forms = {block: resolvent_form(*block) for block in dict.fromkeys(cb.blocks)}
+        dim = sum(forms[block].den.degree for block in cb.blocks)
         blocks_only = list(kernel_calls)
         kernel_calls.clear()
         hjoin_universal_charpoly(spec)
@@ -642,8 +645,8 @@ def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
     for k in range(2, 7):
         for _ in range(4):
             m, u, v = random_coupled_blocks(rng, max_k=1, max_n=5, zero_vector_rate=0.2).blocks[0]
-            d = _block_data(m, u, v)
-            fs, gs = [d.f] * k, [d.g] * k
+            form = resolvent_form(m, u, v)
+            fs, gs = [form.num] * k, [form.den] * k
             sym = _universal_rho(host_rho(random_graph(rng, k)), random_universal_params(rng))
             asym = tuple(
                 tuple(Fraction(0) if i == j or rng.random() < 0.3 else random_fraction(rng) for j in range(k)) for i in range(k)
