@@ -2,8 +2,9 @@
 
 Each case runs one verb on a small spec file and compares its stdout with
 `tests/golden/<case>.txt`.  The specs are the two golden fixtures (the mixed
-join and its subset-constrained variant), a small corona spec and a
-lexicographic spec with Laplacian parameters; the files are written into the
+join and its subset-constrained variant), a small corona spec, a
+lexicographic spec with Laplacian parameters, a join of regular components
+and the mixed join with Laplacian parameters; the files are written into the
 working directory, so `verify` names them by their bare file names.
 """
 
@@ -31,6 +32,10 @@ SPECS = {
         "components": ["3; 0-1,0-2,1-2"],
         "universal": {"alpha": "-1", "delta": "1"},
     },
+    # K3 and K2 joined on a K2 host: regular components, adjacency by default
+    "regular.json": {"host": "2; 0-1", "components": ["3; 0-1,1-2,0-2", "2; 0-1"], "universal": {}},
+    # the mixed join with Laplacian parameters: alpha + delta = 0
+    "laplacian.json": dict(mixed_join_spec().to_json_obj(), universal={"alpha": "-1", "delta": "1"}),
 }
 
 CASES = {
@@ -38,9 +43,13 @@ CASES = {
     "charpoly-subset": ["charpoly", "subset.json"],
     "charpoly-corona-spec": ["charpoly", "corona.json"],
     "charpoly-universal-mixed": ["charpoly", "mixed.json", "--route", "universal"],
+    "charpoly-adjacency-mixed": ["charpoly", "mixed.json", "--route", "adjacency"],
+    "charpoly-subset-route": ["charpoly", "subset.json", "--route", "subset"],
     "spectrum-verify-mixed": ["spectrum", "mixed.json", "--verify"],
     "spectrum-verify-subset": ["spectrum", "subset.json", "--verify"],
     "spectrum-verify-corona-spec": ["spectrum", "corona.json", "--verify"],
+    "spectrum-regular-verify": ["spectrum", "regular.json", "--route", "regular", "--verify"],
+    "spectrum-balanced-verify-laplacian": ["spectrum", "laplacian.json", "--route", "balanced", "--verify"],
     "gcp-half-mixed": ["gcp", "mixed.json", "--t", "1/2"],
     "corona-verify": ["corona", "corona.json", "--verify"],
     "lex-verify": ["lex", "lex.json", "--verify"],
