@@ -34,20 +34,16 @@ from .roots import real_roots
 from .spectra import (
     CoupledBlocks,
     SpectrumReport,
-    corona_charpoly,
-    corona_charpoly_via_join,
+    corona_blocks,
     coupled_charpoly,
     coupled_spectrum,
     coupling_poly,
-    generalized_charpoly,
-    hgen_join_charpoly,
-    hgen_join_spectrum,
-    hjoin_universal_charpoly,
-    hjoin_universal_spectrum,
-    hjoin_universal_spectrum_alpha_delta_zero,
-    hjoin_universal_spectrum_regular,
-    join_charpoly,
-    join_spectrum,
+    degree_shift_spec,
+    join_blocks,
+    require_balanced,
+    require_regular,
+    subset_blocks,
+    universal_blocks,
 )
 
 __version__ = "0.1.0"
@@ -95,19 +91,15 @@ __all__ = [
     "real_roots",
     "CoupledBlocks",
     "SpectrumReport",
-    "corona_charpoly",
-    "corona_charpoly_via_join",
+    "corona_blocks",
     "coupled_charpoly",
     "coupled_spectrum",
     "coupling_poly",
-    "generalized_charpoly",
-    "hgen_join_charpoly",
-    "hgen_join_spectrum",
-    "hjoin_universal_charpoly",
-    "hjoin_universal_spectrum",
-    "hjoin_universal_spectrum_alpha_delta_zero",
-    "hjoin_universal_spectrum_regular",
-    "join_charpoly",
-    "join_spectrum",
+    "degree_shift_spec",
+    "join_blocks",
+    "require_balanced",
+    "require_regular",
+    "subset_blocks",
+    "universal_blocks",
     "__version__",
 ]

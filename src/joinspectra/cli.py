@@ -13,22 +13,23 @@ import json
 import sys
 from fractions import Fraction
 
+from . import spectra
 from .errors import DomainError, PreconditionError, SpecError
 from .fixtures import run_fixture_checks
 from .graphs import graph_from_obj
-from .joins import JoinSpec, UniversalParams, generalized_corona, lexicographic, universal_matrix
+from .joins import JoinSpec, UniversalParams, generalized_corona
 from .kernel import BACKEND
 from .oracle import check, join_truth
 from .polynomials import Polynomial, square_free_decomposition
 from .spectra import (
-    corona_charpoly,
-    generalized_charpoly,
-    hgen_join_charpoly,
-    hjoin_universal_charpoly,
-    hjoin_universal_spectrum_alpha_delta_zero,
-    hjoin_universal_spectrum_regular,
-    join_charpoly,
-    join_spectrum,
+    CoupledBlocks,
+    corona_blocks,
+    degree_shift_spec,
+    join_blocks,
+    require_balanced,
+    require_regular,
+    subset_blocks,
+    universal_blocks,
 )
 from .verification import run_random_suite, verify_spec
 
@@ -67,18 +68,6 @@ def _factored_hint(p: Polynomial) -> list[dict]:
     ]
 
 
-def _poly_result(route: str, poly: Polynomial, extra: dict | None = None) -> dict:
-    obj = {
-        "route": route,
-        "degree": len(poly.nums) - 1,
-        "charpoly": poly.to_strings(),
-        "factored_hint": _factored_hint(poly),
-    }
-    if extra:
-        obj.update(extra)
-    return obj
-
-
 def _emit_checked(obj: dict, verdict, args) -> int:
     """Emit obj with the oracle's verdict, if there is one, under "oracle";
     a mismatch exits 1."""
@@ -88,6 +77,21 @@ def _emit_checked(obj: dict, verdict, args) -> int:
     return 0 if verdict is None or verdict.equal else 1
 
 
+def _emit_charpoly(route: str, cb: CoupledBlocks, truth, args, extra: dict | None = None) -> int:
+    """Emit the blocks' characteristic polynomial; with --verify, truth() is the matrix it is checked against."""
+    poly = spectra.coupled_charpoly(cb)
+    obj = {
+        "route": route,
+        "degree": len(poly.nums) - 1,
+        "charpoly": poly.to_strings(),
+        "factored_hint": _factored_hint(poly),
+    }
+    if extra:
+        obj.update(extra)
+    verdict = check(poly, truth()) if getattr(args, "verify", False) else None
+    return _emit_checked(obj, verdict, args)
+
+
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
@@ -95,34 +99,54 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise SpecError(f"bad {what}: {text!r} is not a rational p/q") from None
 
 
+def _with_params(spec: JoinSpec) -> JoinSpec:
+    """The spec, with adjacency parameters when it names none."""
+    return spec if spec.universal is not None else spec.with_universal(UniversalParams.adjacency())
+
+
+def _adjacency_blocks(spec: JoinSpec) -> CoupledBlocks:
+    if spec.subsets is not None:
+        raise PreconditionError("adjacency route applies to plain joins; drop 'subsets' or use --route subset")
+    return universal_blocks(spec.with_universal(UniversalParams.adjacency()))
+
+
+def _shortcut(precondition):
+    """Universal blocks of the spec (adjacency by default), once precondition accepts it."""
+
+    def build(spec: JoinSpec) -> CoupledBlocks:
+        spec = _with_params(spec)
+        precondition(spec)
+        return universal_blocks(spec)
+
+    return build
+
+
+# every --route value but auto, which lets the spec's keys pick: (route name, block builder)
+ROUTES = {
+    "adjacency": ("adjacency-join", _adjacency_blocks),
+    "universal": ("universal-join", lambda spec: universal_blocks(_with_params(spec))),
+    "subset": ("subset-join", subset_blocks),
+    "regular": ("regular-shortcut", _shortcut(require_regular)),
+    "balanced": ("balanced-shortcut", _shortcut(require_balanced)),
+}
+
+
+def _route_blocks(route: str, spec: JoinSpec) -> tuple[str, CoupledBlocks]:
+    if route == "auto":
+        return join_blocks(spec)
+    name, build = ROUTES[route]
+    return name, build(spec)
+
+
 def cmd_charpoly(args) -> int:
     spec = _load_spec(args.spec)
-    if args.route == "auto":
-        route, poly = join_charpoly(spec)
-    elif args.route == "subset":
-        route, poly = "subset-join", hgen_join_charpoly(spec)
-    elif args.route == "universal":
-        if spec.universal is None:
-            spec = spec.with_universal(UniversalParams.adjacency())
-        route, poly = "universal-join", hjoin_universal_charpoly(spec)
-    else:  # adjacency
-        if spec.subsets is not None:
-            raise PreconditionError("adjacency route applies to plain joins; drop 'subsets' or use --route subset")
-        route, poly = "adjacency-join", hjoin_universal_charpoly(
-            spec.with_universal(UniversalParams.adjacency())
-        )
-    _emit(_poly_result(route, poly), args)
-    return 0
+    return _emit_charpoly(*_route_blocks(args.route, spec), None, args)
 
 
 def cmd_spectrum(args) -> int:
     spec = _load_spec(args.spec)
-    if args.route == "auto":
-        route, report = join_spectrum(spec)
-    elif args.route == "regular":
-        route, report = "regular-shortcut", hjoin_universal_spectrum_regular(spec)
-    else:  # balanced
-        route, report = "balanced-shortcut", hjoin_universal_spectrum_alpha_delta_zero(spec)
+    route, cb = _route_blocks(args.route, spec)
+    report = spectra.coupled_spectrum(cb)
     eigenvalues = report.eigenvalues()
     obj = {
         "route": route,
@@ -140,18 +164,15 @@ def cmd_spectrum(args) -> int:
 def cmd_gcp(args) -> int:
     spec = _load_spec(args.spec)
     t = _parse_rational(args.t, "t value")
-    poly = generalized_charpoly(spec, t)
-    _emit(_poly_result("degree-shift", poly, {"t": str(t)}), args)
-    return 0
+    return _emit_charpoly("degree-shift", universal_blocks(degree_shift_spec(spec, t)), None, args, {"t": str(t)})
 
 
 def cmd_corona(args) -> int:
     spec = _load_spec(args.spec)
     if spec.universal is not None or spec.subsets is not None or spec.rho_override is not None:
         raise PreconditionError("corona route reads host + companion components only")
-    poly = corona_charpoly(spec.host, spec.components)
-    verdict = check(poly, generalized_corona(spec.host, spec.components).adjacency()) if args.verify else None
-    return _emit_checked(_poly_result("corona", poly), verdict, args)
+    cb = corona_blocks(spec.host, spec.components)
+    return _emit_charpoly("corona", cb, lambda: generalized_corona(spec.host, spec.components).adjacency(), args)
 
 
 def cmd_lex(args) -> int:
@@ -165,12 +186,9 @@ def cmd_lex(args) -> int:
         raise PreconditionError("lexicographic route takes a plain host + one inner graph")
     if len(set(spec.components)) != 1:
         raise PreconditionError("lexicographic route needs all components identical (or a single one)")
-    inner = spec.components[0]
-    params = spec.universal if spec.universal is not None else UniversalParams.adjacency()
     # the lexicographic product is the join whose components are all the inner graph
-    poly = hjoin_universal_charpoly(spec.with_universal(params))
-    verdict = check(poly, universal_matrix(lexicographic(spec.host, inner), params)) if args.verify else None
-    return _emit_checked(_poly_result("lexicographic", poly), verdict, args)
+    spec = _with_params(spec)
+    return _emit_charpoly("lexicographic", universal_blocks(spec), lambda: join_truth(spec), args)
 
 
 def cmd_verify(args) -> int:

@@ -13,22 +13,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, VertexSubset
-from .joins import JoinSpec, UniversalParams, generalized_corona, h_join, lexicographic, universal_matrix
+from .joins import (
+    JoinSpec,
+    UniversalParams,
+    corona_as_hjoin,
+    generalized_corona,
+    h_join,
+    lexicographic,
+    universal_matrix,
+)
 from .matrices import charpoly, poly_det
 from .oracle import check, join_truth
 from .polynomials import Polynomial
 from .resolvent import resolvent_form
+from .roots import real_roots
 from .spectra import (
     CoupledBlocks,
-    corona_charpoly,
-    corona_charpoly_via_join,
-    generalized_charpoly,
-    hgen_join_charpoly,
-    hgen_join_spectrum,
-    hjoin_universal_charpoly,
-    hjoin_universal_spectrum,
-    hjoin_universal_spectrum_alpha_delta_zero,
-    hjoin_universal_spectrum_regular,
+    corona_blocks,
+    coupled_charpoly,
+    coupled_spectrum,
+    degree_shift_spec,
+    join_blocks,
+    require_balanced,
+    require_regular,
+    subset_blocks,
     universal_blocks,
 )
 
@@ -151,7 +159,7 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
     run(
         "mixed-join charpoly",
         "universal-join",
-        lambda: check_poly(hjoin_universal_charpoly(mixed), expected_mixed, mixed_join_spec()),
+        lambda: check_poly(coupled_charpoly(universal_blocks(mixed)), expected_mixed, mixed_join_spec()),
     )
 
     def resolvents_match(graphs, vectors, wanted):
@@ -167,7 +175,7 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
     run(
         "subset-join charpoly",
         "subset-join",
-        lambda: check_poly(hgen_join_charpoly(subset), expected_subset, subset),
+        lambda: check_poly(coupled_charpoly(subset_blocks(subset)), expected_subset, subset),
     )
 
     indicators = [s.indicator() for s in subset.subsets]
@@ -178,7 +186,7 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
     )
 
     def mixed_spectrum():
-        report = hjoin_universal_spectrum(mixed)
+        report = coupled_spectrum(universal_blocks(mixed))
         values = report.eigenvalues()
         if len(values) != 10:
             return False, f"{len(values)} eigenvalues reported"
@@ -189,7 +197,7 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
     run("mixed-join spectrum", "universal-join", mixed_spectrum)
 
     def subset_spectrum():
-        report = hgen_join_spectrum(subset)
+        report = coupled_spectrum(subset_blocks(subset))
         values = report.eigenvalues()
         zeros = sum(1 for v in values if abs(v) <= 1e-7)
         if zeros != 4:
@@ -202,16 +210,18 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
 
     def laplacian_shortcut():
         spec = mixed_join_spec().with_universal(UniversalParams.laplacian())
-        report = hjoin_universal_spectrum_alpha_delta_zero(spec)
-        general = hjoin_universal_spectrum(spec)
-        ok = multisets_close(report.eigenvalues(), general.eigenvalues(), tol)
+        require_balanced(spec)
+        cb = universal_blocks(spec)
+        # the classified spectrum against the roots of the charpoly with the general Phi
+        ok = multisets_close(coupled_spectrum(cb).eigenvalues(), real_roots(poly_det_charpoly(cb)), tol)
         return ok, "shortcut vs general route multisets"
 
     run("laplacian shortcut", "balanced-shortcut", laplacian_shortcut)
 
     def regular_shortcut():
         spec = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)), universal=adjacency)
-        report = hjoin_universal_spectrum_regular(spec)
+        require_regular(spec)
+        report = coupled_spectrum(universal_blocks(spec))
         want = [-1.0, -1.0, -1.0, 3.0]
         return multisets_close(report.eigenvalues(), want, tol), "complete-graph join spectrum"
 
@@ -219,15 +229,15 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
 
     def corona_routes():
         host = Graph(1)
-        direct = corona_charpoly(host, (Graph(1),))
+        direct = coupled_charpoly(corona_blocks(host, (Graph(1),)))
         if direct != Polynomial((-1, 0, 1)):
             return False, f"single-vertex corona gave {direct}"
         host2 = Graph.path(2)
         fam = (Graph(1), Graph(1))
-        d2 = corona_charpoly(host2, fam)
+        d2 = coupled_charpoly(corona_blocks(host2, fam))
         if d2 != charpoly(Graph.path(4).adjacency()):
             return False, "2-path corona is not the 4-path"
-        if d2 != corona_charpoly_via_join(host2, fam):
+        if d2 != coupled_charpoly(join_blocks(corona_as_hjoin(host2, fam))[1]):
             return False, "corona routes disagree"
         if with_oracle and not check(d2, generalized_corona(host2, fam).adjacency()):
             return False, "corona vs dense oracle"
@@ -238,11 +248,11 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
     def lex_routes():
         # the lexicographic product is the join whose components are all the inner graph
         edge = JoinSpec(Graph.complete(2), (Graph(1),) * 2, universal=adjacency)
-        if hjoin_universal_charpoly(edge) != Polynomial((-1, 0, 1)):
+        if coupled_charpoly(universal_blocks(edge)) != Polynomial((-1, 0, 1)):
             return False, "2-clique of a point is not the single edge"
         host, inner = Graph.path(3), Graph.complete(2)
         spec = JoinSpec(host, (inner,) * 3, universal=adjacency)
-        via_lex = hjoin_universal_charpoly(spec)
+        via_lex = coupled_charpoly(universal_blocks(spec))
         if via_lex != poly_det_charpoly(universal_blocks(spec)):
             return False, "closed-form vs general Phi"
         if with_oracle and not check(via_lex, universal_matrix(lexicographic(host, inner), adjacency)):
@@ -253,14 +263,14 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
 
     def degree_shift():
         base = mixed_join_spec()
-        at_zero = generalized_charpoly(base, 0)
+        at_zero = coupled_charpoly(universal_blocks(degree_shift_spec(base, 0)))
         if at_zero != expected_mixed:
             return False, "t = 0 does not reduce to the adjacency charpoly"
         if with_oracle:
             t = Fraction(1, 2)
             g = h_join(base)
             m = g.adjacency() - g.degree_matrix() * t
-            verdict = check(generalized_charpoly(base, t), m)
+            verdict = check(coupled_charpoly(universal_blocks(degree_shift_spec(base, t))), m)
             return verdict.equal, verdict.detail
         return True, "t = 0 reduction holds"
 

@@ -62,19 +62,27 @@ class UniversalParams:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
     def to_json_obj(self) -> dict:
-        return {"alpha": str(self.alpha), "beta": str(self.beta), "gamma": str(self.gamma), "delta": str(self.delta)}
+        obj = {"alpha": str(self.alpha), "beta": str(self.beta), "gamma": str(self.gamma), "delta": str(self.delta)}
+        if self.allow_zero_alpha:
+            obj["allow_zero_alpha"] = True
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj) -> "UniversalParams":
         if not isinstance(obj, dict):
             raise SpecError("'universal' must be an object with alpha/beta/gamma/delta")
+        allow_zero_alpha = obj.get("allow_zero_alpha", False)
+        if not isinstance(allow_zero_alpha, bool):
+            raise SpecError(
+                f"bad universal parameters: allow_zero_alpha must be true or false, got {allow_zero_alpha!r}"
+            )
         try:
             return cls(
                 obj.get("alpha", "1"),
                 obj.get("beta", "0"),
                 obj.get("gamma", "0"),
                 obj.get("delta", "0"),
-                allow_zero_alpha=bool(obj.get("allow_zero_alpha", False)),
+                allow_zero_alpha=allow_zero_alpha,
             )
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SpecError(f"bad universal parameters: {exc}") from None

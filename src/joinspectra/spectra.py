@@ -18,15 +18,17 @@ glued companion realization, about D^3 work for D = sum deg g_i, when
 D^2 < k^3, and evaluation-interpolation (`poly_det`, about D k^3) when not.
 Graph joins, their universal-matrix and subset variants, lexicographic
 products (the join whose components are all one graph) and generalized
-coronas are thin wrappers that pick the right blocks.  Every spectrum is
-classified by one step.  A block whose vector is an eigenvector
+coronas are block builders: each only picks the blocks and the coupling,
+and callers pass them to `coupled_charpoly` or `coupled_spectrum`.  Every
+spectrum is classified by one step.  A block whose vector is an eigenvector
 (all-ones on regular or alpha + delta = 0 blocks, Fiedler's lemma being the
 rank-one case) has the resolvent n_i / (x - p_i) and costs one charpoly;
 `resolvent_form` detects this on every route, so the regular and
-alpha + delta = 0 shortcuts are only precondition checks before that path.
+alpha + delta = 0 shortcuts are only the preconditions `require_regular`
+and `require_balanced` before that path.
 
-The routes here compute and never verify themselves: a check needs a truth
-built without these blocks, and that is `oracle.check`'s job.
+Nothing here verifies itself: a check needs a truth built without these
+blocks, and that is `oracle.check`'s job.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .joins import (
     JoinSpec,
     RhoMatrix,
     UniversalParams,
-    corona_as_hjoin,
     effective_rho,
     generalized_corona,
     host_rho,
@@ -220,16 +221,7 @@ def coupled_spectrum(cb: CoupledBlocks) -> SpectrumReport:
     return SpectrumReport(total, tuple(inherited), tuple(reduced), phi, tuple(croots))
 
 
-# -- block builders for graph joins -----------------------------------------
-
-
-def adjacency_blocks(spec: JoinSpec) -> CoupledBlocks:
-    """Adjacency blocks; vectors are all-ones, or the subset indicators if given."""
-    blocks = []
-    for i, g in enumerate(spec.components):
-        vec = spec.subsets[i].indicator() if spec.subsets is not None else tuple(Fraction(1) for _ in range(g.n))
-        blocks.append((g.adjacency(), vec, vec))
-    return CoupledBlocks(blocks, effective_rho(spec))
+# -- block builders -------------------------------------------------------
 
 
 def _require(spec: JoinSpec, route: str) -> None:
@@ -250,7 +242,11 @@ def _require(spec: JoinSpec, route: str) -> None:
 def subset_blocks(spec: JoinSpec) -> CoupledBlocks:
     """Adjacency blocks of a subset-constrained join, coupled through the subset indicators."""
     _require(spec, "subset-join")
-    return adjacency_blocks(spec)
+    blocks = []
+    for g, subset in zip(spec.components, spec.subsets):
+        vec = subset.indicator()
+        blocks.append((g.adjacency(), vec, vec))
+    return CoupledBlocks(blocks, effective_rho(spec))
 
 
 def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
@@ -277,39 +273,8 @@ def _universal_rho(rho: RhoMatrix, params: UniversalParams) -> RhoMatrix:
     return tuple(tuple(coupled[q] if i != j else zero for j, q in enumerate(row)) for i, row in enumerate(keys))
 
 
-# -- graph-level formula routes ------------------------------------------------
-
-
-def hjoin_universal_charpoly(spec: JoinSpec) -> Polynomial:
-    """Characteristic polynomial of the universal matrix of a plain join."""
-    return coupled_charpoly(universal_blocks(spec))
-
-
-def hjoin_universal_spectrum(spec: JoinSpec) -> SpectrumReport:
-    """Classified universal spectrum of a plain join (general route)."""
-    return coupled_spectrum(universal_blocks(spec))
-
-
-def hgen_join_charpoly(spec: JoinSpec) -> Polynomial:
-    """Characteristic polynomial of a subset-constrained join (adjacency only)."""
-    return coupled_charpoly(subset_blocks(spec))
-
-
-def hgen_join_spectrum(spec: JoinSpec) -> SpectrumReport:
-    """Classified spectrum of a subset-constrained join."""
-    return coupled_spectrum(subset_blocks(spec))
-
-
-def generalized_charpoly(spec: JoinSpec, t) -> Polynomial:
-    """Characteristic polynomial of A - t*D of a plain join, at exact rational t."""
-    if spec.universal is not None:
-        raise PreconditionError("degree-shift route fixes its own matrix parameters")
-    params = UniversalParams(1, 0, 0, -as_fraction(t))
-    return hjoin_universal_charpoly(spec.with_universal(params))
-
-
-def _join_blocks(spec: JoinSpec) -> tuple[str, CoupledBlocks]:
-    """Dispatch on the spec's optional keys; returns (route name, blocks)."""
+def join_blocks(spec: JoinSpec) -> tuple[str, CoupledBlocks]:
+    """(route name, blocks) on the route the spec's optional keys pick."""
     if spec.subsets is not None:
         return "subset-join", subset_blocks(spec)
     if spec.universal is not None:
@@ -317,47 +282,15 @@ def _join_blocks(spec: JoinSpec) -> tuple[str, CoupledBlocks]:
     return "adjacency-join", universal_blocks(spec.with_universal(UniversalParams.adjacency()))
 
 
-def join_charpoly(spec: JoinSpec) -> tuple[str, Polynomial]:
-    """(route name, characteristic polynomial) on the route the spec's keys pick."""
-    route, cb = _join_blocks(spec)
-    return route, coupled_charpoly(cb)
+def degree_shift_spec(spec: JoinSpec, t) -> JoinSpec:
+    """The plain join's spec for A - t*D, at exact rational t."""
+    if spec.universal is not None:
+        raise PreconditionError("degree-shift route fixes its own matrix parameters")
+    return spec.with_universal(UniversalParams(1, 0, 0, -as_fraction(t)))
 
 
-def join_spectrum(spec: JoinSpec) -> tuple[str, SpectrumReport]:
-    """(route name, classified spectrum) on the route the spec's keys pick."""
-    route, cb = _join_blocks(spec)
-    return route, coupled_spectrum(cb)
-
-
-# -- precondition-checked shortcut routes --------------------------------------
-
-
-def hjoin_universal_spectrum_regular(spec: JoinSpec) -> SpectrumReport:
-    """`hjoin_universal_spectrum` of a join whose components are all regular and non-empty."""
-    _require(spec, "universal")
-    if any(g.regular_degree() is None for g in spec.components):
-        raise PreconditionError("regular shortcut needs every component regular")
-    if any(g.n == 0 for g in spec.components):
-        raise PreconditionError("every component needs at least one vertex")
-    return coupled_spectrum(universal_blocks(spec))
-
-
-def hjoin_universal_spectrum_alpha_delta_zero(spec: JoinSpec) -> SpectrumReport:
-    """`hjoin_universal_spectrum` of a join with alpha + delta = 0 and non-empty components."""
-    _require(spec, "universal")
-    a, d = spec.universal.alpha, spec.universal.delta
-    if a + d != 0:
-        raise PreconditionError(f"shortcut needs alpha + delta = 0, got {a} + {d}")
-    if any(g.n == 0 for g in spec.components):
-        raise PreconditionError("every component needs at least one vertex")
-    return coupled_spectrum(universal_blocks(spec))
-
-
-# -- coronas -------------------------------------------------------------------
-
-
-def corona_charpoly(host: Graph, family: Sequence[Graph]) -> Polynomial:
-    """Characteristic polynomial of the corona of host with one graph per vertex.
+def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
+    """Blocks of the corona of host with one graph per vertex.
 
     Block i is the cone over family[i], apex first, with vector e_0, coupled
     by the host's edges.  With f_i / g_i the companion's all-ones resolvent,
@@ -372,9 +305,26 @@ def corona_charpoly(host: Graph, family: Sequence[Graph]) -> Polynomial:
     for g in family:
         apex = (1,) + (0,) * g.n
         blocks.append((generalized_corona(Graph(1), (g,)).adjacency(), apex, apex))
-    return coupled_charpoly(CoupledBlocks(blocks, host_rho(host)))
+    return CoupledBlocks(blocks, host_rho(host))
 
 
-def corona_charpoly_via_join(host: Graph, family: Sequence[Graph]) -> Polynomial:
-    """Cross-route: the corona rebuilt as a join of single-vertex blocks plus the family."""
-    return coupled_charpoly(adjacency_blocks(corona_as_hjoin(host, family)))
+# -- shortcut preconditions ----------------------------------------------------
+
+
+def require_regular(spec: JoinSpec) -> None:
+    """A plain universal join whose components are all regular and non-empty."""
+    _require(spec, "universal")
+    if any(g.regular_degree() is None for g in spec.components):
+        raise PreconditionError("regular shortcut needs every component regular")
+    if any(g.n == 0 for g in spec.components):
+        raise PreconditionError("every component needs at least one vertex")
+
+
+def require_balanced(spec: JoinSpec) -> None:
+    """A plain universal join with alpha + delta = 0 and non-empty components."""
+    _require(spec, "universal")
+    a, d = spec.universal.alpha, spec.universal.delta
+    if a + d != 0:
+        raise PreconditionError(f"shortcut needs alpha + delta = 0, got {a} + {d}")
+    if any(g.n == 0 for g in spec.components):
+        raise PreconditionError("every component needs at least one vertex")

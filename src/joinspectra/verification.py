@@ -17,7 +17,7 @@ from .graphs import Graph, VertexSubset
 from .joins import JoinSpec, UniversalParams
 from .matrices import RationalMatrix
 from .oracle import assemble, check, join_truth
-from .spectra import CoupledBlocks, coupled_charpoly, join_charpoly
+from .spectra import CoupledBlocks, coupled_charpoly, join_blocks
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ def verify_spec(spec: JoinSpec, name: str = "spec") -> VerifyCase:
     A coupling override deliberately different from the host's pattern will
     fail here: the formula follows the override, the graph does not.
     """
-    route, formula = join_charpoly(spec)
-    verdict = check(formula, join_truth(spec))
+    route, cb = join_blocks(spec)
+    verdict = check(coupled_charpoly(cb), join_truth(spec))
     return VerifyCase(name, verdict.equal, f"route {route}: {verdict.detail}")
 
 

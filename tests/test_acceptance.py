@@ -16,26 +16,26 @@ from joinspectra import (
     UniversalParams,
     assemble,
     compare,
-    corona_charpoly,
-    corona_charpoly_via_join,
+    corona_as_hjoin,
+    corona_blocks,
     coupled_charpoly,
     coupled_spectrum,
+    degree_shift_spec,
     determinant,
-    generalized_charpoly,
     h_join,
-    hgen_join_charpoly,
-    hjoin_universal_charpoly,
-    hjoin_universal_spectrum,
-    hjoin_universal_spectrum_alpha_delta_zero,
-    hjoin_universal_spectrum_regular,
+    join_blocks,
     lexicographic,
     oracle_charpoly,
+    require_balanced,
+    require_regular,
     resolvent_form,
+    subset_blocks,
+    universal_blocks,
     universal_matrix,
 )
 from joinspectra.matrices import charpoly
 from joinspectra.polynomials import Polynomial, is_square_free
-from joinspectra.spectra import universal_blocks
+from joinspectra.roots import real_roots
 from joinspectra.fixtures import (
     mixed_join_charpoly_factors,
     mixed_join_resolvents,
@@ -65,7 +65,7 @@ def report(num, text):
 def test_criterion_01_mixed_join_golden_charpoly():
     start = time.perf_counter()
     spec = mixed_join_spec().with_universal(ADJ)
-    got = hjoin_universal_charpoly(spec)
+    got = coupled_charpoly(universal_blocks(spec))
     elapsed = time.perf_counter() - start
     assert got == product(mixed_join_charpoly_factors())
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -83,7 +83,7 @@ def test_criterion_02_mixed_join_resolvents():
 def test_criterion_03_subset_join_golden():
     start = time.perf_counter()
     spec = subset_join_spec()
-    got = hgen_join_charpoly(spec)
+    got = coupled_charpoly(subset_blocks(spec))
     elapsed = time.perf_counter() - start
     assert got == product(subset_join_charpoly_factors())
     for g, s, want in zip(spec.components, spec.subsets, subset_join_resolvents()):
@@ -122,7 +122,7 @@ def test_criterion_05_universal_sweep():
     for name, params in presets.items():
         for _ in range(50):
             spec = random_join_spec(rng, max_k=4, max_n=4, universal=params)
-            formula = hjoin_universal_charpoly(spec)
+            formula = coupled_charpoly(universal_blocks(spec))
             truth = oracle_charpoly(universal_matrix(h_join(spec.with_universal(None)), params))
             verdict = compare(formula, truth)
             assert verdict.equal, f"{name}: {verdict.detail}"
@@ -140,36 +140,38 @@ def test_criterion_06_shortcut_consistency():
             tuple(regular_graph_menu(rng) for _ in range(k)),
             universal=random_universal_params(rng),
         )
-        shortcut = hjoin_universal_spectrum_regular(spec)
-        general = hjoin_universal_spectrum(spec)
-        assert multisets_close(shortcut.eigenvalues(), general.eigenvalues(), TOL)
+        require_regular(spec)
+        cb = universal_blocks(spec)
+        # the classified spectrum against the roots of the charpoly with the general Phi
+        assert multisets_close(coupled_spectrum(cb).eigenvalues(), real_roots(poly_det_charpoly(cb)), TOL)
     for _ in range(50):
         alpha = Fraction(0)
         while alpha == 0:
             alpha = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         params = UniversalParams(alpha, rng.randint(-2, 2), rng.randint(-2, 2), -alpha)
         spec = random_join_spec(rng, max_k=3, max_n=4, universal=params)
-        shortcut = hjoin_universal_spectrum_alpha_delta_zero(spec)
-        general = hjoin_universal_spectrum(spec)
-        assert multisets_close(shortcut.eigenvalues(), general.eigenvalues(), TOL)
+        require_balanced(spec)
+        cb = universal_blocks(spec)
+        assert multisets_close(coupled_spectrum(cb).eigenvalues(), real_roots(poly_det_charpoly(cb)), TOL)
     report(6, "100/100 shortcut spectra match the general route within 1e-8")
 
 
 def test_criterion_07_corona_two_routes():
-    assert corona_charpoly(Graph(1), (Graph(1),)) == X**2 - 1
+    assert coupled_charpoly(corona_blocks(Graph(1), (Graph(1),))) == X**2 - 1
     rng = random.Random(57)
     for _ in range(50):
         k = rng.randint(1, 4)
         host = random_graph(rng, k)
         family = tuple(random_graph(rng, rng.randint(1, 4)) for _ in range(k))
-        assert corona_charpoly(host, family) == corona_charpoly_via_join(host, family)
+        via_join = coupled_charpoly(join_blocks(corona_as_hjoin(host, family))[1])
+        assert coupled_charpoly(corona_blocks(host, family)) == via_join
     report(7, "50/50 corona computations agree across both constructions exactly")
 
 
 def test_criterion_08_lexicographic():
     # H[G] is the join whose components are all G; its identical blocks take
     # the closed-form Phi, checked against the general Phi and the oracle
-    assert hjoin_universal_charpoly(JoinSpec(Graph.complete(2), (Graph(1),) * 2, universal=ADJ)) == X**2 - 1
+    assert coupled_charpoly(universal_blocks(JoinSpec(Graph.complete(2), (Graph(1),) * 2, universal=ADJ))) == X**2 - 1
     rng = random.Random(58)
     for _ in range(25):
         k = rng.randint(1, 4)
@@ -178,7 +180,7 @@ def test_criterion_08_lexicographic():
         p = random_universal_params(rng)
         params = UniversalParams(p.alpha, p.beta, p.gamma, 0)
         spec = JoinSpec(host, (inner,) * k, universal=params)
-        via_lex = hjoin_universal_charpoly(spec)
+        via_lex = coupled_charpoly(universal_blocks(spec))
         assert via_lex == poly_det_charpoly(universal_blocks(spec))
         assert compare(via_lex, oracle_charpoly(universal_matrix(lexicographic(host, inner), params))).equal
     report(8, "25/25 lexicographic products equal the join route exactly")
@@ -186,14 +188,14 @@ def test_criterion_08_lexicographic():
 
 def test_criterion_09_degree_shift_family():
     spec = mixed_join_spec()
-    assert generalized_charpoly(spec, 0) == product(mixed_join_charpoly_factors())
+    assert coupled_charpoly(universal_blocks(degree_shift_spec(spec, 0))) == product(mixed_join_charpoly_factors())
     rng = random.Random(59)
     for t in (0, 1, Fraction(1, 2), -2):
         for _ in range(25):
             s = random_join_spec(rng, max_k=3, max_n=3)
             g = h_join(s)
             truth = oracle_charpoly(g.adjacency() - g.degree_matrix() * Fraction(t))
-            verdict = compare(generalized_charpoly(s, t), truth)
+            verdict = compare(coupled_charpoly(universal_blocks(degree_shift_spec(s, t))), truth)
             assert verdict.equal, verdict.detail
     report(9, "100/100 degree-shift charpolys equal the oracle exactly (t in {0, 1, 1/2, -2})")
 

@@ -8,12 +8,10 @@ from joinspectra import (
     Graph,
     JoinSpec,
     UniversalParams,
-    hgen_join_charpoly,
-    hgen_join_spectrum,
-    hjoin_universal_charpoly,
-    hjoin_universal_spectrum,
-    hjoin_universal_spectrum_alpha_delta_zero,
-    hjoin_universal_spectrum_regular,
+    require_balanced,
+    require_regular,
+    subset_blocks,
+    universal_blocks,
 )
 from joinspectra.cli import dumps_result, main
 from joinspectra.errors import PreconditionError
@@ -126,6 +124,19 @@ def test_spectrum_shortcut_matches_auto_route(capsys, tmp_path, route, universal
     assert code == 0 and shortcut["route"] == f"{route}-shortcut"
     assert dict(shortcut, route=auto["route"]) == auto
     assert ("oracle" in auto) == bool(verify)
+
+
+def test_spectrum_shortcuts_read_a_plain_spec_as_adjacency(capsys, tmp_path):
+    # as `charpoly --route universal` does, the shortcuts default to the adjacency matrix
+    p = tmp_path / "plain.json"
+    p.write_text(json.dumps({"host": "2; 0-1", "components": ["3; 0-1,1-2,0-2", "2; 0-1"]}))
+    code, auto = run_json(capsys, ["spectrum", str(p), "--verify"])
+    assert code == 0 and auto["route"] == "adjacency-join"
+    code, shortcut = run_json(capsys, ["spectrum", str(p), "--route", "regular", "--verify"])
+    assert code == 0 and shortcut["route"] == "regular-shortcut"
+    assert dict(shortcut, route=auto["route"]) == auto
+    assert main(["spectrum", str(p), "--route", "balanced"]) == 3
+    assert capsys.readouterr().err == "precondition violated: shortcut needs alpha + delta = 0, got 1 + 0\n"
 
 
 @pytest.mark.parametrize("route, universal", [("regular", {}), ("balanced", {"alpha": "-1", "delta": "1"})])
@@ -369,6 +380,11 @@ def test_error_exit_codes(tmp_path, capsys):
         (dict(base, components=["-2;", "1;"]), "input error: bad vertex count in '-2;'\n"),
         (dict(base, host={"n": True, "edges": []}, components=["1;"]), "input error: bad vertex count True\n"),
         (dict(base, host={"n": 2, "edges": [[True, 0]]}), "input error: bad edge [True, 0]\n"),
+        # only a JSON boolean turns the alpha = 0 guard off
+        (
+            dict(base, universal={"alpha": "0", "allow_zero_alpha": "false"}),
+            "input error: bad universal parameters: allow_zero_alpha must be true or false, got 'false'\n",
+        ),
     ]
     for case, (obj, message) in enumerate(malformed):
         p = tmp_path / f"malformed_{case}.json"
@@ -393,26 +409,23 @@ def _empty_component_spec() -> JoinSpec:
 
 
 @pytest.mark.parametrize(
-    "route, spec, message",
+    "build, spec, message",
     [
-        (hjoin_universal_charpoly, mixed_join_spec, NEEDS_PARAMS),
-        (hjoin_universal_charpoly, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
-        (hjoin_universal_spectrum, mixed_join_spec, NEEDS_PARAMS),
-        (hjoin_universal_spectrum, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
-        (hjoin_universal_spectrum_regular, lambda: _subset_spec(), NEEDS_PARAMS),
-        (hjoin_universal_spectrum_regular, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
-        (hjoin_universal_spectrum_alpha_delta_zero, mixed_join_spec, NEEDS_PARAMS),
-        (hjoin_universal_spectrum_alpha_delta_zero, lambda: _subset_spec(UniversalParams.laplacian()), PLAIN_ONLY),
-        (hjoin_universal_spectrum_regular, _empty_component_spec, "every component needs at least one vertex"),
-        (hgen_join_charpoly, mixed_join_spec, NEEDS_SUBSETS),
-        (hgen_join_charpoly, lambda: _subset_spec(UniversalParams.adjacency()), ADJACENCY_ONLY),
-        (hgen_join_spectrum, lambda: mixed_join_spec().with_universal(UniversalParams.adjacency()), NEEDS_SUBSETS),
-        (hgen_join_spectrum, lambda: _subset_spec(UniversalParams.adjacency()), ADJACENCY_ONLY),
+        (universal_blocks, mixed_join_spec, NEEDS_PARAMS),
+        (universal_blocks, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
+        (require_regular, lambda: _subset_spec(), NEEDS_PARAMS),
+        (require_regular, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
+        (require_balanced, mixed_join_spec, NEEDS_PARAMS),
+        (require_balanced, lambda: _subset_spec(UniversalParams.laplacian()), PLAIN_ONLY),
+        (require_regular, _empty_component_spec, "every component needs at least one vertex"),
+        (subset_blocks, mixed_join_spec, NEEDS_SUBSETS),
+        (subset_blocks, lambda: _subset_spec(UniversalParams.adjacency()), ADJACENCY_ONLY),
+        (subset_blocks, lambda: mixed_join_spec().with_universal(UniversalParams.adjacency()), NEEDS_SUBSETS),
     ],
 )
-def test_route_precondition_messages(route, spec, message):
+def test_route_precondition_messages(build, spec, message):
     with pytest.raises(PreconditionError) as exc:
-        route(spec())
+        build(spec())
     assert str(exc.value) == message
 
 
@@ -422,7 +435,8 @@ def test_route_precondition_messages(route, spec, message):
         (["charpoly", "--route", "universal"], None, PLAIN_ONLY),
         (["charpoly"], UniversalParams.adjacency(), ADJACENCY_ONLY),
         (["spectrum"], UniversalParams.adjacency(), ADJACENCY_ONLY),
-        (["spectrum", "--route", "regular"], None, NEEDS_PARAMS),
+        # the shortcuts read a spec without parameters as an adjacency spec
+        (["spectrum", "--route", "regular"], None, PLAIN_ONLY),
         (["spectrum", "--route", "balanced"], UniversalParams.laplacian(), PLAIN_ONLY),
     ],
 )

@@ -59,6 +59,19 @@ def test_spec_json_round_trip():
     assert load_join_spec(json.dumps(obj)) == spec
 
 
+def test_zero_alpha_spec_json_round_trip():
+    params = UniversalParams(0, 1, 1, 1, allow_zero_alpha=True)
+    spec = JoinSpec(Graph.path(2), (Graph(1), Graph.complete(2)), universal=params)
+    obj = spec.to_json_obj()
+    assert obj["universal"]["allow_zero_alpha"] is True
+    assert JoinSpec.from_json_obj(json.loads(json.dumps(obj))) == spec
+    assert "allow_zero_alpha" not in UniversalParams.adjacency().to_json_obj()
+    # only a JSON boolean is read as the flag
+    for flag in ("false", "true", 0, 1, None):
+        with pytest.raises(SpecError, match="allow_zero_alpha must be true or false"):
+            UniversalParams.from_json_obj({"alpha": "0", "allow_zero_alpha": flag})
+
+
 def test_universal_params():
     with pytest.raises(SpecError):
         UniversalParams(0, 1, 1, 1)

@@ -23,7 +23,7 @@ from joinspectra.errors import DomainError, PreconditionError
 from joinspectra.fixtures import mixed_join_spec, subset_join_charpoly_factors, subset_join_spec, product
 from joinspectra.matrices import RationalMatrix, charpoly
 from joinspectra.polynomials import Polynomial
-from joinspectra.spectra import adjacency_blocks, universal_blocks
+from joinspectra.spectra import coupled_charpoly, join_blocks, subset_blocks, universal_blocks
 from joinspectra.verification import random_coupled_blocks
 
 X = Polynomial.x()
@@ -42,9 +42,9 @@ def test_assemble_edge():
 
 def test_assemble_matches_join_graphs():
     spec = mixed_join_spec()
-    assert assemble(adjacency_blocks(spec)) == h_join(spec).adjacency()
+    assert assemble(join_blocks(spec)[1]) == h_join(spec).adjacency()
     sub = subset_join_spec()
-    assert assemble(adjacency_blocks(sub)) == join_graph(sub).adjacency()
+    assert assemble(subset_blocks(sub)) == join_graph(sub).adjacency()
 
 
 def test_assemble_zero_vector_rows():
@@ -104,7 +104,7 @@ def test_assemble_universal_matches_whole_graph_matrix():
 
 def test_oracle_charpoly_small():
     assert oracle_charpoly(RationalMatrix(2, 2, [0, 1, 1, 0])) == X**2 - 1
-    sub = assemble(adjacency_blocks(subset_join_spec()))
+    sub = assemble(subset_blocks(subset_join_spec()))
     assert oracle_charpoly(sub) == product(subset_join_charpoly_factors())
 
 
@@ -192,7 +192,6 @@ def test_join_truth_is_the_built_graph_matrix():
 def test_join_truth_equals_the_assembled_route_blocks():
     # the graph is built without the route's blocks, yet on a host-derived
     # coupling both give the same matrix, entry for entry
-    from joinspectra.spectra import _join_blocks
     from joinspectra.verification import random_join_spec, random_universal_params
 
     rng = random.Random(65)
@@ -200,7 +199,7 @@ def test_join_truth_equals_the_assembled_route_blocks():
         kind = i % 3
         universal = random_universal_params(rng) if kind == 1 else None
         spec = random_join_spec(rng, with_subsets=kind == 2, universal=universal)
-        assert join_truth(spec) == assemble(_join_blocks(spec)[1])
+        assert join_truth(spec) == assemble(join_blocks(spec)[1])
 
 
 def test_oracle_cap(monkeypatch):
@@ -221,7 +220,6 @@ def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys
     import joinspectra.matrices as matrices
     import joinspectra.resolvent as resolvent
     from joinspectra.cli import main
-    from joinspectra.spectra import join_charpoly
     from joinspectra.verification import verify_spec
 
     exact, bordered = matrices.charpoly_int, resolvent.charpoly_bordered_int
@@ -239,11 +237,11 @@ def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys
     spec = mixed_join_spec()
     dense = join_graph(spec).adjacency()
     truth = oracle_charpoly(dense)
-    _, route = join_charpoly(spec)
+    route = coupled_charpoly(join_blocks(spec)[1])
     assert route == truth and verify_spec(spec).passed
     monkeypatch.setattr(matrices, "charpoly_int", off_by_one)
     monkeypatch.setattr(resolvent, "charpoly_bordered_int", bordered_off_by_one)
-    assert join_charpoly(spec)[1] != route  # the routes run the patched kernel
+    assert coupled_charpoly(join_blocks(spec)[1]) != route  # the routes run the patched kernel
     assert oracle_charpoly(dense) == truth  # the oracle does not
     case = verify_spec(spec)
     assert not case.passed and "differs" in case.detail

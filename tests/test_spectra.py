@@ -16,19 +16,14 @@ from joinspectra import (
     assemble,
     check,
     compare,
-    corona_charpoly,
-    corona_charpoly_via_join,
+    corona_as_hjoin,
+    corona_blocks,
     coupled_charpoly,
     coupled_spectrum,
-    generalized_charpoly,
+    degree_shift_spec,
     generalized_corona,
     h_join,
-    hgen_join_charpoly,
-    hgen_join_spectrum,
-    hjoin_universal_charpoly,
-    hjoin_universal_spectrum,
-    hjoin_universal_spectrum_alpha_delta_zero,
-    hjoin_universal_spectrum_regular,
+    join_blocks,
     join_graph,
     join_truth,
     join_weights,
@@ -52,7 +47,14 @@ from joinspectra.joins import host_rho
 from joinspectra.matrices import RationalMatrix, charpoly, poly_det, realization_charpoly
 from joinspectra.polynomials import Polynomial
 from joinspectra.resolvent import resolvent_form
-from joinspectra.spectra import _universal_rho, coupling_poly, subset_blocks, universal_blocks
+from joinspectra.spectra import (
+    _universal_rho,
+    coupling_poly,
+    require_balanced,
+    require_regular,
+    subset_blocks,
+    universal_blocks,
+)
 from joinspectra.verification import (
     random_coupled_blocks,
     random_fraction,
@@ -63,6 +65,18 @@ from joinspectra.verification import (
 
 X = Polynomial.x()
 ADJ = UniversalParams.adjacency()
+
+
+def _regular_spectrum(spec):
+    """The regular shortcut: its precondition, then the spectrum of the universal blocks."""
+    require_regular(spec)
+    return coupled_spectrum(universal_blocks(spec))
+
+
+def _balanced_spectrum(spec):
+    """The alpha + delta = 0 shortcut: its precondition, then the spectrum of the universal blocks."""
+    require_balanced(spec)
+    return coupled_spectrum(universal_blocks(spec))
 
 
 def scalar_blocks(values, rho):
@@ -93,7 +107,7 @@ def test_asymmetric_coupling():
 
 def test_fixture_charpoly():
     spec = mixed_join_spec().with_universal(ADJ)
-    assert hjoin_universal_charpoly(spec) == product(mixed_join_charpoly_factors())
+    assert coupled_charpoly(universal_blocks(spec)) == product(mixed_join_charpoly_factors())
 
 
 def test_zero_vector_splits_off_block():
@@ -196,7 +210,7 @@ def test_evaluation_spot_check():
 def test_spectrum_complete_graph_join():
     # joining two single edges across gives the complete graph on 4 vertices
     spec = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)), universal=ADJ)
-    report = hjoin_universal_spectrum(spec)
+    report = coupled_spectrum(universal_blocks(spec))
     assert check(report.charpoly, join_truth(spec), report.eigenvalues()).equal
     assert multisets_close(report.eigenvalues(), [3, -1, -1, -1], 1e-10)
     # each block inherits only its eigenvalue -1; both visible eigenvalues drop out
@@ -208,13 +222,13 @@ def test_spectrum_complete_graph_join():
 def test_spectrum_single_block_is_plain_spectrum():
     g = Graph.path(4)
     spec = JoinSpec(Graph(1), (g,), universal=ADJ)
-    report = hjoin_universal_spectrum(spec)
+    report = coupled_spectrum(universal_blocks(spec))
     assert multisets_close(report.eigenvalues(), oracle_spectrum(g.adjacency()), 1e-8)
 
 
 def test_fixture_spectrum_classification():
     spec = mixed_join_spec().with_universal(ADJ)
-    report = hjoin_universal_spectrum(spec)
+    report = coupled_spectrum(universal_blocks(spec))
     assert check(report.charpoly, join_truth(spec), report.eigenvalues()).equal
     # 3-path: eigenvalue 0 invisible to all-ones; star: 0 twice; edge+point: -1
     inh = sorted((round(v, 6), m, b) for v, m, b in report.inherited)
@@ -271,10 +285,10 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
     monkeypatch.setattr(spectra, "resolvent_form", first_block_doubled)
     regular = JoinSpec(Graph.path(2), (Graph.cycle(4), Graph.complete(3)), universal=ADJ)
     with pytest.raises(ArithmeticError):
-        hjoin_universal_spectrum_regular(regular)
+        _regular_spectrum(regular)
     calls.clear()
     with pytest.raises(ArithmeticError):
-        hjoin_universal_spectrum_alpha_delta_zero(mixed_join_spec().with_universal(UniversalParams.laplacian()))
+        _balanced_spectrum(mixed_join_spec().with_universal(UniversalParams.laplacian()))
 
 
 def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
@@ -284,13 +298,13 @@ def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
     # D = 3 and D^2 < k^3, so the last call is Phi's glued realization; the
     # A - D/2 blocks give D^2 >= k^3 and Phi by poly_det, with no kernel call
     lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
-    hjoin_universal_charpoly(lap)
+    coupled_charpoly(universal_blocks(lap))
     assert kernel_calls == [3, 4, 3, 3]
     kernel_calls.clear()
-    hjoin_universal_spectrum_alpha_delta_zero(lap)
+    _balanced_spectrum(lap)
     assert kernel_calls == [3, 4, 3, 3]
     kernel_calls.clear()
-    generalized_charpoly(mixed_join_spec(), Fraction(1, 2))
+    coupled_charpoly(universal_blocks(degree_shift_spec(mixed_join_spec(), Fraction(1, 2))))
     assert kernel_calls == [("bordered", 3), ("bordered", 4), ("bordered", 3)]
 
 
@@ -339,7 +353,7 @@ def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cube
         dim = sum(forms[block].den.degree for block in cb.blocks)
         blocks_only = list(kernel_calls)
         kernel_calls.clear()
-        hjoin_universal_charpoly(spec)
+        coupled_charpoly(universal_blocks(spec))
         calls = list(kernel_calls)
         kernel_calls.clear()
         return dim, blocks_only, calls
@@ -377,7 +391,7 @@ def test_laplacian_join_of_16_vertex_blocks_matches_eigvalsh():
     rng = random.Random(1)
     lap = UniversalParams.laplacian()
     spec = JoinSpec(Graph.complete(8), tuple(random_graph(rng, 16, 0.4) for _ in range(8)), universal=lap)
-    got = hjoin_universal_spectrum(spec).eigenvalues()
+    got = coupled_spectrum(universal_blocks(spec)).eigenvalues()
     want = np.linalg.eigvalsh(np.array(universal_matrix(h_join(spec), lap).to_floats()))
     assert len(got) == 128
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * float(np.max(np.abs(want)))
@@ -401,7 +415,7 @@ def test_coupling_degree_matches_visible_count():
 
 def test_universal_laplacian_complete_join():
     spec = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)), universal=UniversalParams.laplacian())
-    assert hjoin_universal_charpoly(spec) == X * (X - 4) ** 3
+    assert coupled_charpoly(universal_blocks(spec)) == X * (X - 4) ** 3
 
 
 def test_universal_routes_against_graph_oracle():
@@ -415,14 +429,14 @@ def test_universal_routes_against_graph_oracle():
     for _ in range(12):
         params = presets[rng.randrange(4)] if rng.random() < 0.7 else random_universal_params(rng)
         spec = random_join_spec(rng, max_k=3, max_n=3, universal=params)
-        formula = hjoin_universal_charpoly(spec)
+        formula = coupled_charpoly(universal_blocks(spec))
         truth = oracle_charpoly(universal_matrix(h_join(spec.with_universal(None)), params))
         assert compare(formula, truth).equal
 
 
 def test_regular_shortcut_complete_join():
     spec = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)), universal=ADJ)
-    report = hjoin_universal_spectrum_regular(spec)
+    report = _regular_spectrum(spec)
     assert multisets_close(report.eigenvalues(), [3, -1, -1, -1], 1e-10)
     # the small symmetrized matrix has entries [[1, 2], [2, 1]]
     assert report.coupling == (X - 1) ** 2 - 4
@@ -436,8 +450,8 @@ def test_regular_shortcut_cross_validates():
         comps = tuple(regular_graph_menu(rng) for _ in range(k))
         params = random_universal_params(rng)
         spec = JoinSpec(host, comps, universal=params)
-        shortcut = hjoin_universal_spectrum_regular(spec)
-        general = hjoin_universal_spectrum(spec)
+        shortcut = _regular_spectrum(spec)
+        general = coupled_spectrum(universal_blocks(spec))
         assert multisets_close(shortcut.eigenvalues(), general.eigenvalues(), 1e-8)
         assert shortcut.charpoly == general.charpoly
 
@@ -454,7 +468,7 @@ def test_regular_shortcut_symmetrized_matrix_is_literal():
         comps = tuple(regular_graph_menu(rng) for _ in range(k))
         params = random_universal_params(rng)
         spec = JoinSpec(host, comps, universal=params)
-        report = hjoin_universal_spectrum_regular(spec)
+        report = _regular_spectrum(spec)
         from joinspectra.joins import host_rho, join_weights
 
         rho = host_rho(spec.host)
@@ -477,29 +491,29 @@ def test_regular_shortcut_cycle_join_laplacian():
     # two 4-cycles joined across, with laplacian coefficients: the regular
     # shortcut, the balanced shortcut and the general route all agree
     spec = JoinSpec(Graph.complete(2), (Graph.cycle(4), Graph.cycle(4)), universal=UniversalParams.laplacian())
-    via_regular = hjoin_universal_spectrum_regular(spec).eigenvalues()
-    via_balanced = hjoin_universal_spectrum_alpha_delta_zero(spec).eigenvalues()
-    via_general = hjoin_universal_spectrum(spec).eigenvalues()
+    via_regular = _regular_spectrum(spec).eigenvalues()
+    via_balanced = _balanced_spectrum(spec).eigenvalues()
+    via_general = coupled_spectrum(universal_blocks(spec)).eigenvalues()
     assert multisets_close(via_regular, via_general, 1e-8)
     assert multisets_close(via_balanced, via_general, 1e-8)
 
 
 def test_regular_shortcut_single_component():
     spec = JoinSpec(Graph(1), (Graph.cycle(5),), universal=ADJ)
-    report = hjoin_universal_spectrum_regular(spec)
+    report = _regular_spectrum(spec)
     assert multisets_close(report.eigenvalues(), oracle_spectrum(Graph.cycle(5).adjacency()), 1e-8)
 
 
 def test_regular_shortcut_rejects_irregular():
     spec = JoinSpec(Graph(1), (Graph.path(3),), universal=ADJ)
     with pytest.raises(PreconditionError):
-        hjoin_universal_spectrum_regular(spec)
+        _regular_spectrum(spec)
 
 
 def test_balanced_shortcut_laplacian():
     spec = mixed_join_spec().with_universal(UniversalParams.laplacian())
-    report = hjoin_universal_spectrum_alpha_delta_zero(spec)
-    general = hjoin_universal_spectrum(spec)
+    report = _balanced_spectrum(spec)
+    general = coupled_spectrum(universal_blocks(spec))
     assert multisets_close(report.eigenvalues(), general.eigenvalues(), 1e-8)
     laplacian = universal_matrix(h_join(mixed_join_spec()), UniversalParams.laplacian())
     assert multisets_close(report.eigenvalues(), oracle_spectrum(laplacian), 1e-7)
@@ -508,21 +522,21 @@ def test_balanced_shortcut_laplacian():
 def test_balanced_shortcut_beta_shift():
     base = mixed_join_spec().with_universal(UniversalParams(-1, 0, 0, 1))
     moved = mixed_join_spec().with_universal(UniversalParams(-1, 5, 0, 1))
-    a = hjoin_universal_spectrum_alpha_delta_zero(base).eigenvalues()
-    b = hjoin_universal_spectrum_alpha_delta_zero(moved).eigenvalues()
+    a = _balanced_spectrum(base).eigenvalues()
+    b = _balanced_spectrum(moved).eigenvalues()
     assert multisets_close([v + 5 for v in a], b, 1e-8)
 
 
 def test_balanced_shortcut_single_block():
     spec = JoinSpec(Graph(1), (Graph.path(3),), universal=UniversalParams(-1, 2, 1, 1))
-    report = hjoin_universal_spectrum_alpha_delta_zero(spec)
+    report = _balanced_spectrum(spec)
     truth = oracle_spectrum(universal_matrix(Graph.path(3), UniversalParams(-1, 2, 1, 1)))
     assert multisets_close(report.eigenvalues(), truth, 1e-8)
 
 
 def test_balanced_shortcut_precondition():
     with pytest.raises(PreconditionError):
-        hjoin_universal_spectrum_alpha_delta_zero(mixed_join_spec().with_universal(ADJ))
+        _balanced_spectrum(mixed_join_spec().with_universal(ADJ))
 
 
 def test_shortcut_coupling_is_the_small_ones_matrix():
@@ -551,10 +565,10 @@ def test_shortcut_coupling_is_the_small_ones_matrix():
         w = join_weights(spec)
         ns = [g.n for g in comps]
         if case % 2:
-            report = hjoin_universal_spectrum_alpha_delta_zero(spec)
+            report = _balanced_spectrum(spec)
             ps = [b + c * n + d * wi for n, wi in zip(ns, w)]
         else:
-            report = hjoin_universal_spectrum_regular(spec)
+            report = _regular_spectrum(spec)
             rs = [g.regular_degree() for g in comps]
             ps = [a * r + b + c * n + d * (r + wi) for r, n, wi in zip(rs, ns, w)]
         eff = effective_rho(spec)
@@ -564,10 +578,10 @@ def test_shortcut_coupling_is_the_small_ones_matrix():
 
 def test_shortcut_routes_verify_against_the_oracle():
     spec = JoinSpec(Graph.complete(2), (Graph.complete(3), Graph.complete(2)), universal=ADJ)
-    report = hjoin_universal_spectrum_regular(spec)
+    report = _regular_spectrum(spec)
     assert check(report.charpoly, join_truth(spec), report.eigenvalues()).equal
     lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
-    report = hjoin_universal_spectrum_alpha_delta_zero(lap)
+    report = _balanced_spectrum(lap)
     assert check(report.charpoly, join_truth(lap), report.eigenvalues()).equal
 
 
@@ -577,11 +591,12 @@ def test_universal_route_with_coupling_override():
     base = mixed_join_spec()
     rho = ((0, Fraction(1, 2), 2), (Fraction(1, 2), 0, -1), (2, -1, 0))
     spec = JoinSpec(base.host, base.components, universal=ADJ, rho_override=rho)
-    formula = hjoin_universal_charpoly(spec)
+    formula = coupled_charpoly(universal_blocks(spec))
     assert compare(formula, oracle_charpoly(assemble(universal_blocks(spec)))).equal
     asym = ((0, 1, 0), (2, 0, 1), (0, 3, 0))
     spec2 = JoinSpec(base.host, base.components, universal=ADJ, rho_override=asym)
-    assert compare(hjoin_universal_charpoly(spec2), oracle_charpoly(assemble(universal_blocks(spec2)))).equal
+    cb = universal_blocks(spec2)
+    assert compare(coupled_charpoly(cb), oracle_charpoly(assemble(cb))).equal
 
 
 # -- lexicographic ---------------------------------------------------------------
@@ -593,10 +608,11 @@ def _lex_spec(host, inner, params=ADJ):
 
 
 def test_lex_simple_cases():
-    assert hjoin_universal_charpoly(_lex_spec(Graph.complete(2), Graph(1))) == X**2 - 1
-    assert hjoin_universal_charpoly(_lex_spec(Graph(1), Graph.path(4))) == charpoly(Graph.path(4).adjacency())
+    assert coupled_charpoly(universal_blocks(_lex_spec(Graph.complete(2), Graph(1)))) == X**2 - 1
+    single = _lex_spec(Graph(1), Graph.path(4))
+    assert coupled_charpoly(universal_blocks(single)) == charpoly(Graph.path(4).adjacency())
     spec = _lex_spec(Graph.path(3), Graph.complete(2))
-    via_lex = hjoin_universal_charpoly(spec)
+    via_lex = coupled_charpoly(universal_blocks(spec))
     assert via_lex == poly_det_charpoly(universal_blocks(spec))
     assert via_lex == charpoly(lexicographic(Graph.path(3), Graph.complete(2)).adjacency())
 
@@ -611,7 +627,7 @@ def test_lex_cross_validates_with_general_parameters():
         inner = random_graph(rng, rng.randint(1, 3))
         params = random_universal_params(rng)
         spec = _lex_spec(host, inner, params)
-        via_lex = hjoin_universal_charpoly(spec)
+        via_lex = coupled_charpoly(universal_blocks(spec))
         assert via_lex == poly_det_charpoly(universal_blocks(spec))
         assert compare(via_lex, oracle_charpoly(universal_matrix(lexicographic(host, inner), params))).equal
 
@@ -676,9 +692,9 @@ def test_lex_join_takes_one_blocks_kernel_calls_plus_one_k_by_k_call(kernel_call
         (_lex_spec(Graph.cycle(6), irregular, UniversalParams.laplacian()), [5, 6]),
     ]
     for spec, want in cases:
-        for route in (hjoin_universal_charpoly, hjoin_universal_spectrum):
+        for glue in (coupled_charpoly, coupled_spectrum):
             kernel_calls.clear()
-            route(spec)
+            glue(universal_blocks(spec))
             assert kernel_calls == want
 
 
@@ -687,12 +703,13 @@ def test_lex_join_takes_one_blocks_kernel_calls_plus_one_k_by_k_call(kernel_call
 
 def test_generalized_reduces_to_adjacency_at_zero():
     spec = mixed_join_spec()
-    assert generalized_charpoly(spec, 0) == product(mixed_join_charpoly_factors())
+    at_zero = coupled_charpoly(universal_blocks(degree_shift_spec(spec, 0)))
+    assert at_zero == product(mixed_join_charpoly_factors())
 
 
 def test_generalized_negated_laplacian_at_one():
     spec = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)))
-    got = generalized_charpoly(spec, 1)
+    got = coupled_charpoly(universal_blocks(degree_shift_spec(spec, 1)))
     assert got == X * (X + 4) ** 3  # negated complete-graph laplacian
 
 
@@ -700,12 +717,13 @@ def test_generalized_matches_oracle_at_half():
     spec = mixed_join_spec()
     g = h_join(spec)
     m = g.adjacency() - g.degree_matrix() * Fraction(1, 2)
-    assert compare(generalized_charpoly(spec, Fraction(1, 2)), oracle_charpoly(m)).equal
+    half = coupled_charpoly(universal_blocks(degree_shift_spec(spec, Fraction(1, 2))))
+    assert compare(half, oracle_charpoly(m)).equal
 
 
 def test_generalized_rejects_universal_params():
     with pytest.raises(PreconditionError):
-        generalized_charpoly(mixed_join_spec().with_universal(ADJ), 1)
+        coupled_charpoly(universal_blocks(degree_shift_spec(mixed_join_spec().with_universal(ADJ), 1)))
 
 
 # -- subset joins ------------------------------------------------------------------
@@ -713,13 +731,14 @@ def test_generalized_rejects_universal_params():
 
 def test_subset_join_fixture():
     spec = subset_join_spec()
-    assert hgen_join_charpoly(spec) == product(subset_join_charpoly_factors())
+    assert coupled_charpoly(subset_blocks(spec)) == product(subset_join_charpoly_factors())
 
 
 def test_subset_join_full_subsets_match_plain_join():
     base = mixed_join_spec()
     full = JoinSpec(base.host, base.components, subsets=tuple(VertexSubset.full(c.n) for c in base.components))
-    assert hgen_join_charpoly(full) == hjoin_universal_charpoly(base.with_universal(ADJ))
+    plain = coupled_charpoly(universal_blocks(base.with_universal(ADJ)))
+    assert coupled_charpoly(subset_blocks(full)) == plain
 
 
 def test_subset_join_empty_subset_factorizes():
@@ -729,16 +748,17 @@ def test_subset_join_empty_subset_factorizes():
         base.components,
         subsets=(VertexSubset(3, ()), VertexSubset.full(4), VertexSubset.full(3)),
     )
-    got = hgen_join_charpoly(empty_first)
+    got = coupled_charpoly(subset_blocks(empty_first))
     # component 0 separates: remaining join lives on the host minus vertex 0
     rest = JoinSpec(Graph(2, [(0, 1)]), base.components[1:])
-    expected = charpoly(base.components[0].adjacency()) * hjoin_universal_charpoly(rest.with_universal(ADJ))
+    rest_charpoly = coupled_charpoly(universal_blocks(rest.with_universal(ADJ)))
+    expected = charpoly(base.components[0].adjacency()) * rest_charpoly
     assert got == expected
     assert compare(got, oracle_charpoly(join_graph(empty_first).adjacency())).equal
 
 
 def test_subset_join_spectrum_fixture():
-    report = hgen_join_spectrum(subset_join_spec())
+    report = coupled_spectrum(subset_blocks(subset_join_spec()))
     assert check(report.charpoly, join_truth(subset_join_spec()), report.eigenvalues()).equal
     zeros = [v for v in report.eigenvalues() if abs(v) < 1e-9]
     assert len(zeros) == 4
@@ -751,34 +771,34 @@ def test_subset_join_spectrum_regular_full_subsets():
         host = random_graph(rng, k)
         comps = tuple(regular_graph_menu(rng) for _ in range(k))
         spec = JoinSpec(host, comps, subsets=tuple(VertexSubset.full(c.n) for c in comps))
-        report = hgen_join_spectrum(spec)
-        shortcut = hjoin_universal_spectrum_regular(JoinSpec(host, comps, universal=ADJ))
+        report = coupled_spectrum(subset_blocks(spec))
+        shortcut = _regular_spectrum(JoinSpec(host, comps, universal=ADJ))
         assert multisets_close(report.eigenvalues(), shortcut.eigenvalues(), 1e-7)
 
 
 def test_subset_join_single_block():
     g = Graph.path(4)
     spec = JoinSpec(Graph(1), (g,), subsets=(VertexSubset(4, (0, 2)),))
-    report = hgen_join_spectrum(spec)
+    report = coupled_spectrum(subset_blocks(spec))
     assert multisets_close(report.eigenvalues(), oracle_spectrum(g.adjacency()), 1e-8)
 
 
 def test_subset_join_requires_subsets_and_plain_matrix():
     with pytest.raises(PreconditionError):
-        hgen_join_charpoly(mixed_join_spec())
+        coupled_charpoly(subset_blocks(mixed_join_spec()))
     with pytest.raises(PreconditionError):
-        hgen_join_charpoly(subset_join_spec().with_universal(ADJ))
+        coupled_charpoly(subset_blocks(subset_join_spec().with_universal(ADJ)))
 
 
 # -- coronas -----------------------------------------------------------------------
 
 
 def test_corona_single_vertex():
-    assert corona_charpoly(Graph(1), (Graph(1),)) == X**2 - 1
+    assert coupled_charpoly(corona_blocks(Graph(1), (Graph(1),))) == X**2 - 1
 
 
 def test_corona_path():
-    got = corona_charpoly(Graph.path(2), (Graph(1), Graph(1)))
+    got = coupled_charpoly(corona_blocks(Graph.path(2), (Graph(1), Graph(1))))
     assert got == X**4 - 3 * X**2 + 1  # the 4-path
     assert got == oracle_charpoly(generalized_corona(Graph.path(2), (Graph(1), Graph(1))).adjacency())
 
@@ -786,7 +806,7 @@ def test_corona_path():
 def test_corona_sun_graph():
     host = Graph.cycle(4)
     fam = (Graph(1),) * 4
-    got = corona_charpoly(host, fam)
+    got = coupled_charpoly(corona_blocks(host, fam))
     assert compare(got, oracle_charpoly(generalized_corona(host, fam).adjacency())).equal
 
 
@@ -796,8 +816,8 @@ def test_corona_two_routes_agree():
         k = rng.randint(1, 4)
         host = random_graph(rng, k)
         fam = tuple(random_graph(rng, rng.randint(1, 3)) for _ in range(k))
-        direct = corona_charpoly(host, fam)
-        via_join = corona_charpoly_via_join(host, fam)
+        direct = coupled_charpoly(corona_blocks(host, fam))
+        via_join = coupled_charpoly(join_blocks(corona_as_hjoin(host, fam))[1])
         assert direct == via_join
         assert compare(direct, oracle_charpoly(generalized_corona(host, fam).adjacency())).equal
 
@@ -820,7 +840,7 @@ def test_corona_matches_oracle_on_edge_case_companions():
         fam = tuple(rng.choice(companions)() for _ in range(k))
         if trial < 3:
             fam = (Graph(0),) * k
-        got = corona_charpoly(host, fam)
+        got = coupled_charpoly(corona_blocks(host, fam))
         assert got == oracle_charpoly(generalized_corona(host, fam).adjacency())
 
 
@@ -829,9 +849,9 @@ def test_corona_matches_oracle_on_edge_case_companions():
 
 def test_routes_are_pure_under_threads():
     spec = mixed_join_spec().with_universal(ADJ)
-    expected = hjoin_universal_charpoly(spec)
+    expected = coupled_charpoly(universal_blocks(spec))
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda _: hjoin_universal_charpoly(spec), range(8)))
+        results = list(pool.map(lambda _: coupled_charpoly(universal_blocks(spec)), range(8)))
     assert all(r == expected for r in results)
 
 
