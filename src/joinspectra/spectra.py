@@ -312,7 +312,7 @@ def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
 
 
 def require_regular(spec: JoinSpec) -> None:
-    """A plain universal join whose components are all regular and non-empty."""
+    """Refuse the spec unless it is a plain universal join of regular, non-empty components."""
     _require(spec, "universal")
     if any(g.regular_degree() is None for g in spec.components):
         raise PreconditionError("regular shortcut needs every component regular")
@@ -321,7 +321,7 @@ def require_regular(spec: JoinSpec) -> None:
 
 
 def require_balanced(spec: JoinSpec) -> None:
-    """A plain universal join with alpha + delta = 0 and non-empty components."""
+    """Refuse the spec unless it is a plain universal join with alpha + delta = 0 and non-empty components."""
     _require(spec, "universal")
     a, d = spec.universal.alpha, spec.universal.delta
     if a + d != 0:
