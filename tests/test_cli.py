@@ -8,6 +8,7 @@ from joinspectra import (
     Graph,
     JoinSpec,
     UniversalParams,
+    coupled_spectrum,
     require_balanced,
     require_regular,
     subset_blocks,
@@ -426,6 +427,21 @@ def _empty_component_spec() -> JoinSpec:
 def test_route_precondition_messages(build, spec, message):
     with pytest.raises(PreconditionError) as exc:
         build(spec())
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, spec, message",
+    [
+        (universal_blocks, mixed_join_spec, NEEDS_PARAMS),
+        (universal_blocks, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
+        (subset_blocks, lambda: _subset_spec(UniversalParams.adjacency()), ADJACENCY_ONLY),
+    ],
+)
+def test_route_precondition_messages_through_spectrum(build, spec, message):
+    # the spectrum path stops at the same precondition as the builder alone
+    with pytest.raises(PreconditionError) as exc:
+        coupled_spectrum(build(spec()))
     assert str(exc.value) == message
 
 
