@@ -399,6 +399,7 @@ NEEDS_PARAMS = "universal route needs universal parameters"
 PLAIN_ONLY = "universal route applies to plain joins (no subsets)"
 NEEDS_SUBSETS = "subset-join route needs per-component subsets"
 ADJACENCY_ONLY = "subset-join route is stated for the adjacency matrix only"
+ADJACENCY_PLAIN_ONLY = "adjacency route applies to plain joins; drop 'subsets' or use --route subset"
 
 
 def _subset_spec(universal=None) -> JoinSpec:
@@ -454,6 +455,7 @@ def test_route_precondition_messages_through_spectrum(build, spec, message):
         # the shortcuts read a spec without parameters as an adjacency spec
         (["spectrum", "--route", "regular"], None, PLAIN_ONLY),
         (["spectrum", "--route", "balanced"], UniversalParams.laplacian(), PLAIN_ONLY),
+        (["charpoly", "--route", "adjacency"], None, ADJACENCY_PLAIN_ONLY),
     ],
 )
 def test_route_precondition_exit_code(capsys, tmp_path, argv, universal, message):

@@ -2,10 +2,11 @@
 
 Each case runs one verb on a small spec file and compares its stdout with
 `tests/golden/<case>.txt`.  The specs are the two golden fixtures (the mixed
-join and its subset-constrained variant), a small corona spec, a
-lexicographic spec with Laplacian parameters, a join of regular components
-and the mixed join with Laplacian parameters; the files are written into the
-working directory, so `verify` names them by their bare file names.
+join and its subset-constrained variant), a small corona spec, two
+lexicographic specs (Laplacian parameters and none), a join of regular
+components and the mixed join with Laplacian parameters; the files are
+written into the working directory, so `verify` names them by their bare
+file names.
 """
 
 import contextlib
@@ -32,6 +33,8 @@ SPECS = {
         "components": ["3; 0-1,0-2,1-2"],
         "universal": {"alpha": "-1", "delta": "1"},
     },
+    # the 3-path of edges, adjacency by default
+    "lex-plain.json": {"host": "3; 0-1,1-2", "components": ["2; 0-1"]},
     # K3 and K2 joined on a K2 host: regular components, adjacency by default
     "regular.json": {"host": "2; 0-1", "components": ["3; 0-1,1-2,0-2", "2; 0-1"], "universal": {}},
     # the mixed join with Laplacian parameters: alpha + delta = 0
@@ -53,6 +56,7 @@ CASES = {
     "gcp-half-mixed": ["gcp", "mixed.json", "--t", "1/2"],
     "corona-verify": ["corona", "corona.json", "--verify"],
     "lex-verify": ["lex", "lex.json", "--verify"],
+    "lex-verify-plain": ["lex", "lex-plain.json", "--verify"],
     "verify-json-mixed": ["verify", "mixed.json", "--json"],
     "verify-json-subset": ["verify", "subset.json", "--json"],
     "verify-json-corona-spec": ["verify", "corona.json", "--json"],
