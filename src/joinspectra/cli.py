@@ -17,7 +17,7 @@ from . import spectra
 from .errors import DomainError, PreconditionError, SpecError
 from .fixtures import run_fixture_checks
 from .graphs import graph_from_obj
-from .joins import JoinSpec, UniversalParams, generalized_corona
+from .joins import JoinSpec, generalized_corona
 from .kernel import BACKEND
 from .oracle import check, join_truth
 from .polynomials import Polynomial, square_free_decomposition
@@ -99,22 +99,16 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise SpecError(f"bad {what}: {text!r} is not a rational p/q") from None
 
 
-def _with_params(spec: JoinSpec) -> JoinSpec:
-    """The spec, with adjacency parameters when it names none."""
-    return spec if spec.universal is not None else spec.with_universal(UniversalParams.adjacency())
-
-
 def _adjacency_blocks(spec: JoinSpec) -> CoupledBlocks:
     if spec.subsets is not None:
         raise PreconditionError("adjacency route applies to plain joins; drop 'subsets' or use --route subset")
-    return universal_blocks(spec.with_universal(UniversalParams.adjacency()))
+    return universal_blocks(spec.with_universal(None))
 
 
 def _shortcut(precondition):
-    """Universal blocks of the spec (adjacency by default), once precondition accepts it."""
+    """Universal blocks of the spec, once precondition accepts it."""
 
     def build(spec: JoinSpec) -> CoupledBlocks:
-        spec = _with_params(spec)
         precondition(spec)
         return universal_blocks(spec)
 
@@ -124,7 +118,7 @@ def _shortcut(precondition):
 # every --route value but auto, which lets the spec's keys pick: (route name, block builder)
 ROUTES = {
     "adjacency": ("adjacency-join", _adjacency_blocks),
-    "universal": ("universal-join", lambda spec: universal_blocks(_with_params(spec))),
+    "universal": ("universal-join", universal_blocks),
     "subset": ("subset-join", subset_blocks),
     "regular": ("regular-shortcut", _shortcut(require_regular)),
     "balanced": ("balanced-shortcut", _shortcut(require_balanced)),
@@ -187,7 +181,6 @@ def cmd_lex(args) -> int:
     if len(set(spec.components)) != 1:
         raise PreconditionError("lexicographic route needs all components identical (or a single one)")
     # the lexicographic product is the join whose components are all the inner graph
-    spec = _with_params(spec)
     return _emit_charpoly("lexicographic", universal_blocks(spec), lambda: join_truth(spec), args)
 
 

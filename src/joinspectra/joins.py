@@ -145,6 +145,11 @@ class JoinSpec:
             acc += g.n
         return tuple(offs)
 
+    @property
+    def params(self) -> UniversalParams:
+        """The universal-matrix parameters the spec stands for: adjacency when it names none."""
+        return self.universal if self.universal is not None else UniversalParams.adjacency()
+
     def with_universal(self, params: Optional[UniversalParams]) -> "JoinSpec":
         return replace(self, universal=params)
 

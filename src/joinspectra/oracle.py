@@ -33,7 +33,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError
-from .joins import JoinSpec, UniversalParams, join_graph, universal_matrix
+from .joins import JoinSpec, join_graph, universal_matrix
 from .matrices import RationalMatrix, charpoly_with
 from .polynomials import Polynomial, clear_denominators
 from .spectra import CoupledBlocks
@@ -91,11 +91,10 @@ def assemble(cb: CoupledBlocks) -> RationalMatrix:
 
 def join_truth(spec: JoinSpec) -> RationalMatrix:
     """The matrix every spec-level check compares with: the universal matrix
-    (adjacency when the spec names none) of the join graph built from the
-    host's edges.  A coupling override is dropped, so a formula that follows
-    an override the host does not have is reported as a mismatch."""
-    params = spec.universal if spec.universal is not None else UniversalParams.adjacency()
-    return universal_matrix(join_graph(replace(spec, rho_override=None)), params)
+    of `spec.params` of the join graph built from the host's edges.  A
+    coupling override is dropped, so a formula that follows an override the
+    host does not have is reported as a mismatch."""
+    return universal_matrix(join_graph(replace(spec, rho_override=None)), spec.params)
 
 
 def _is_word_prime(p: int) -> bool:

@@ -19,7 +19,9 @@ D^2 < k^3, and evaluation-interpolation (`poly_det`, about D k^3) when not.
 Graph joins, their universal-matrix and subset variants, lexicographic
 products (the join whose components are all one graph) and generalized
 coronas are block builders: each only picks the blocks and the coupling,
-and callers pass them to `coupled_charpoly` or `coupled_spectrum`.  Every
+and callers pass them to `coupled_charpoly` or `coupled_spectrum`.  A
+universal-matrix builder reads the parameters `JoinSpec.params` states, so
+a spec that names none is the adjacency join.  Every
 spectrum is classified by one step.  A block whose vector is an eigenvector
 (all-ones on regular or alpha + delta = 0 blocks, Fiedler's lemma being the
 rank-one case) has the resolvent n_i / (x - p_i) and costs one charpoly;
@@ -224,24 +226,17 @@ def coupled_spectrum(cb: CoupledBlocks) -> SpectrumReport:
 # -- block builders -------------------------------------------------------
 
 
-def _require(spec: JoinSpec, route: str) -> None:
-    """The optional keys a route needs: "universal" wants universal
-    parameters and no subsets, "subset-join" wants subsets and no parameters."""
-    if route == "universal":
-        if spec.universal is None:
-            raise PreconditionError("universal route needs universal parameters")
-        if spec.subsets is not None:
-            raise PreconditionError("universal route applies to plain joins (no subsets)")
-    else:
-        if spec.subsets is None:
-            raise PreconditionError("subset-join route needs per-component subsets")
-        if spec.universal is not None:
-            raise PreconditionError("subset-join route is stated for the adjacency matrix only")
+def _require_plain(spec: JoinSpec) -> None:
+    if spec.subsets is not None:
+        raise PreconditionError("universal route applies to plain joins (no subsets)")
 
 
 def subset_blocks(spec: JoinSpec) -> CoupledBlocks:
     """Adjacency blocks of a subset-constrained join, coupled through the subset indicators."""
-    _require(spec, "subset-join")
+    if spec.subsets is None:
+        raise PreconditionError("subset-join route needs per-component subsets")
+    if spec.universal is not None:
+        raise PreconditionError("subset-join route is stated for the adjacency matrix only")
     blocks = []
     for g, subset in zip(spec.components, spec.subsets):
         vec = subset.indicator()
@@ -250,10 +245,11 @@ def subset_blocks(spec: JoinSpec) -> CoupledBlocks:
 
 
 def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
-    """Blocks U_i + delta*w_i*I with all-ones vectors, coupled by rho*alpha + gamma;
+    """Blocks U_i + delta*w_i*I with all-ones vectors, coupled by rho*alpha + gamma,
+    for the parameters `spec.params` (adjacency when the spec names none);
     equal (component, shift) pairs share one matrix, whose data is then computed once."""
-    _require(spec, "universal")
-    params = spec.universal
+    _require_plain(spec)
+    params = spec.params
     # keyed on the weight w of the shift delta * w, an int, which hashes in C where Fractions do not
     keys = [(g, w if params.delta else 0) for g, w in zip(spec.components, join_weights(spec))]
     shared = {}
@@ -277,9 +273,7 @@ def join_blocks(spec: JoinSpec) -> tuple[str, CoupledBlocks]:
     """(route name, blocks) on the route the spec's optional keys pick."""
     if spec.subsets is not None:
         return "subset-join", subset_blocks(spec)
-    if spec.universal is not None:
-        return "universal-join", universal_blocks(spec)
-    return "adjacency-join", universal_blocks(spec.with_universal(UniversalParams.adjacency()))
+    return ("adjacency-join" if spec.universal is None else "universal-join"), universal_blocks(spec)
 
 
 def degree_shift_spec(spec: JoinSpec, t) -> JoinSpec:
@@ -312,8 +306,8 @@ def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
 
 
 def require_regular(spec: JoinSpec) -> None:
-    """Refuse the spec unless it is a plain universal join of regular, non-empty components."""
-    _require(spec, "universal")
+    """Refuse the spec unless it is a plain join of regular, non-empty components."""
+    _require_plain(spec)
     if any(g.regular_degree() is None for g in spec.components):
         raise PreconditionError("regular shortcut needs every component regular")
     if any(g.n == 0 for g in spec.components):
@@ -321,9 +315,10 @@ def require_regular(spec: JoinSpec) -> None:
 
 
 def require_balanced(spec: JoinSpec) -> None:
-    """Refuse the spec unless it is a plain universal join with alpha + delta = 0 and non-empty components."""
-    _require(spec, "universal")
-    a, d = spec.universal.alpha, spec.universal.delta
+    """Refuse the spec unless it is a plain join with alpha + delta = 0 (of
+    `spec.params`) and non-empty components."""
+    _require_plain(spec)
+    a, d = spec.params.alpha, spec.params.delta
     if a + d != 0:
         raise PreconditionError(f"shortcut needs alpha + delta = 0, got {a} + {d}")
     if any(g.n == 0 for g in spec.components):

@@ -395,7 +395,6 @@ def test_error_exit_codes(tmp_path, capsys):
             assert capsys.readouterr().err == message
 
 
-NEEDS_PARAMS = "universal route needs universal parameters"
 PLAIN_ONLY = "universal route applies to plain joins (no subsets)"
 NEEDS_SUBSETS = "subset-join route needs per-component subsets"
 ADJACENCY_ONLY = "subset-join route is stated for the adjacency matrix only"
@@ -413,11 +412,16 @@ def _empty_component_spec() -> JoinSpec:
 @pytest.mark.parametrize(
     "build, spec, message",
     [
-        (universal_blocks, mixed_join_spec, NEEDS_PARAMS),
         (universal_blocks, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
-        (require_regular, lambda: _subset_spec(), NEEDS_PARAMS),
+        # a spec without parameters is read as the adjacency spec
+        pytest.param(require_regular, _subset_spec, PLAIN_ONLY, id="require_regular-plain_subset_spec"),
         (require_regular, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
-        (require_balanced, mixed_join_spec, NEEDS_PARAMS),
+        pytest.param(
+            require_balanced,
+            mixed_join_spec,
+            "shortcut needs alpha + delta = 0, got 1 + 0",
+            id="require_balanced-mixed_join_spec-adjacency",
+        ),
         (require_balanced, lambda: _subset_spec(UniversalParams.laplacian()), PLAIN_ONLY),
         (require_regular, _empty_component_spec, "every component needs at least one vertex"),
         (subset_blocks, mixed_join_spec, NEEDS_SUBSETS),
@@ -434,7 +438,6 @@ def test_route_precondition_messages(build, spec, message):
 @pytest.mark.parametrize(
     "build, spec, message",
     [
-        (universal_blocks, mixed_join_spec, NEEDS_PARAMS),
         (universal_blocks, lambda: _subset_spec(UniversalParams.adjacency()), PLAIN_ONLY),
         (subset_blocks, lambda: _subset_spec(UniversalParams.adjacency()), ADJACENCY_ONLY),
     ],
@@ -444,6 +447,15 @@ def test_route_precondition_messages_through_spectrum(build, spec, message):
     with pytest.raises(PreconditionError) as exc:
         coupled_spectrum(build(spec()))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("run", [lambda cb: cb, coupled_spectrum], ids=["blocks", "spectrum"])
+def test_plain_spec_reads_as_adjacency(run):
+    # universal_blocks takes a spec without parameters as the adjacency spec,
+    # on the builder alone and through the spectrum path
+    plain = mixed_join_spec()
+    assert plain.universal is None
+    assert run(universal_blocks(plain)) == run(universal_blocks(plain.with_universal(UniversalParams.adjacency())))
 
 
 @pytest.mark.parametrize(
