@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -97,6 +98,17 @@ def _parse_rational(text: str, what: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"bad {what}: {text!r} is not a rational p/q") from None
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0; nan, inf or a negative value would switch the check off."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = None
+    if tol is None or not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _adjacency_blocks(spec: JoinSpec) -> CoupledBlocks:
@@ -235,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="classified spectrum of a join spec")
     add_common(p)
     p.add_argument("--route", choices=["auto", "regular", "balanced"], default="auto")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative eigenvalue tolerance of --verify")
+    p.add_argument("--tol", type=_tolerance, default=1e-8, help="relative eigenvalue tolerance of --verify")
     p.add_argument("--verify", action="store_true", help="also compare against the dense oracle")
     p.set_defaults(func=cmd_spectrum)
 
@@ -264,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="run the golden end-to-end fixtures")
     p.add_argument("-o", "--output", help="write JSON result to this path instead of stdout")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative eigenvalue tolerance of the spectrum checks")
+    p.add_argument("--tol", type=_tolerance, default=1e-8, help="relative eigenvalue tolerance of the spectrum checks")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-oracle", action="store_true", help="skip dense-oracle comparisons")
     p.set_defaults(func=cmd_fixtures)

@@ -71,6 +71,9 @@ class UniversalParams:
     def from_json_obj(cls, obj) -> "UniversalParams":
         if not isinstance(obj, dict):
             raise SpecError("'universal' must be an object with alpha/beta/gamma/delta")
+        unknown = set(obj) - {"alpha", "beta", "gamma", "delta", "allow_zero_alpha"}
+        if unknown:
+            raise SpecError(f"unknown universal keys: {sorted(unknown)}")
         allow_zero_alpha = obj.get("allow_zero_alpha", False)
         if not isinstance(allow_zero_alpha, bool):
             raise SpecError(
@@ -194,6 +197,8 @@ class JoinSpec:
         universal = UniversalParams.from_json_obj(obj["universal"]) if obj.get("universal") is not None else None
         rho = None
         if "rho" in obj and obj["rho"] is not None:
+            if not (isinstance(obj["rho"], list) and all(isinstance(row, list) for row in obj["rho"])):
+                raise SpecError("'rho' must be a list of rows, each a list of rationals")
             try:
                 rho = tuple(tuple(as_fraction(x) for x in row) for row in obj["rho"])
             except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -281,11 +286,17 @@ def lexicographic(host: Graph, inner: Graph) -> Graph:
     return h_join(JoinSpec(host, (inner,) * host.n))
 
 
-def generalized_corona(host: Graph, family: Sequence[Graph]) -> Graph:
-    """One copy of the host; host vertex i joined to every vertex of family[i]."""
+def corona_family(host: Graph, family: Sequence[Graph]) -> tuple[Graph, ...]:
+    """The corona's companion graphs as a tuple, checked to hold one per host vertex."""
     family = tuple(family)
     if len(family) != host.n:
         raise SpecError(f"corona host has {host.n} vertices but {len(family)} companion graphs given")
+    return family
+
+
+def generalized_corona(host: Graph, family: Sequence[Graph]) -> Graph:
+    """One copy of the host; host vertex i joined to every vertex of family[i]."""
+    family = corona_family(host, family)
     k = host.n
     offs = []
     acc = k
@@ -305,9 +316,7 @@ def corona_as_hjoin(host: Graph, family: Sequence[Graph]) -> JoinSpec:
     The join's vertex order is the corona's (see the module docstring), so
     both constructions give the same matrix with no relabelling.
     """
-    family = tuple(family)
-    if len(family) != host.n:
-        raise SpecError(f"corona host has {host.n} vertices but {len(family)} companion graphs given")
+    family = corona_family(host, family)
     k = host.n
     big_host = Graph(2 * k, list(host.edges) + [(i, k + i) for i in range(k)])
     return JoinSpec(big_host, tuple(Graph(1) for _ in range(k)) + family)

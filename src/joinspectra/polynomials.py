@@ -31,10 +31,10 @@ Scalar = Union[int, Fraction]
 
 
 def as_fraction(x: object) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction; reject floats and bools."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

@@ -39,12 +39,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PreconditionError, ShapeError, SpecError
+from .errors import PreconditionError, ShapeError
 from .graphs import Graph
 from .joins import (
     JoinSpec,
     RhoMatrix,
     UniversalParams,
+    corona_family,
     effective_rho,
     generalized_corona,
     host_rho,
@@ -292,11 +293,8 @@ def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
     its cofactor is phi_i / g_i, so Phi is the determinant with x g_i - f_i
     on the diagonal and -rho_ij g_i off it.
     """
-    family = tuple(family)
-    if len(family) != host.n:
-        raise SpecError(f"corona host has {host.n} vertices but {len(family)} companion graphs given")
     blocks = []
-    for g in family:
+    for g in corona_family(host, family):
         apex = (1,) + (0,) * g.n
         blocks.append((generalized_corona(Graph(1), (g,)).adjacency(), apex, apex))
     return CoupledBlocks(blocks, host_rho(host))

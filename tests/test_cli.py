@@ -196,6 +196,20 @@ def test_spectrum_tol_is_the_eigenvalue_tolerance_of_verify(capsys, monkeypatch,
     assert obj["oracle"] == {"equal": True, "first_mismatch": None, "detail": "exact match"}
 
 
+@pytest.mark.parametrize("verb", [["spectrum", "spec.json", "--verify"], ["fixtures"]])
+def test_tol_must_be_finite_and_non_negative(capsys, verb):
+    # nan and inf would accept any eigenvalues, a negative tolerance none
+    for tol in ("nan", "inf", "-1", "1e400", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--tol", tol])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --tol: tolerance must be a finite number >= 0, got {tol!r}\n")
+    from joinspectra.cli import build_parser
+
+    assert build_parser().parse_args([*verb, "--tol", "0"]).tol == 0.0
+
+
 def test_spectrum_tiny_tol_gives_a_verdict_not_an_internal_error(capsys, subset_path):
     # --tol tightens the eigenvalue comparison only, never the eigensolver's residual check
     code = main(["spectrum", subset_path, "--verify", "--tol", "1e-17"])
@@ -386,6 +400,12 @@ def test_error_exit_codes(tmp_path, capsys):
             dict(base, universal={"alpha": "0", "allow_zero_alpha": "false"}),
             "input error: bad universal parameters: allow_zero_alpha must be true or false, got 'false'\n",
         ),
+        # a misspelt key would leave its parameter at the default
+        (dict(base, universal={"alpah": "2", "delta": "1"}), "input error: unknown universal keys: ['alpah']\n"),
+        # a JSON boolean is not a rational, and a string row is not a row
+        (dict(base, rho=[[0, True], [True, 0]]), "input error: bad coupling override: not an exact rational: True\n"),
+        (dict(base, universal={"alpha": True}), "input error: bad universal parameters: not an exact rational: True\n"),
+        (dict(base, rho=["01", "10"]), "input error: 'rho' must be a list of rows, each a list of rationals\n"),
     ]
     for case, (obj, message) in enumerate(malformed):
         p = tmp_path / f"malformed_{case}.json"

@@ -13,6 +13,7 @@ from joinspectra import (
     VertexSubset,
     classify_special_eigenvalues,
     corona_as_hjoin,
+    corona_blocks,
     generalized_corona,
     h_generalized_join,
     h_join,
@@ -200,8 +201,11 @@ def test_generalized_corona():
     # isomorphic to the 4-path (same exact charpoly)
     assert charpoly(g.adjacency()) == charpoly(Graph.path(4).adjacency())
     assert sorted(g.degrees()) == sorted(Graph.path(4).degrees())
-    with pytest.raises(SpecError):
-        generalized_corona(Graph.path(2), (Graph(1),))
+    # the graph, its join view and its coupled blocks refuse a short family alike
+    for build in (generalized_corona, corona_as_hjoin, corona_blocks):
+        with pytest.raises(SpecError) as exc:
+            build(Graph.path(2), (Graph(1),))
+        assert str(exc.value) == "corona host has 2 vertices but 1 companion graphs given"
 
 
 def test_corona_as_hjoin_matches():
