@@ -21,10 +21,10 @@ products (the join whose components are all one graph) and generalized
 coronas are block builders: each only picks the blocks and the coupling,
 and callers pass them to `coupled_charpoly` or `coupled_spectrum`.  A
 universal-matrix builder reads the parameters `JoinSpec.params` states, so
-a spec that names none is the adjacency join.  Every
-spectrum is classified by one step.  A block whose vector is an eigenvector
-(all-ones on regular or alpha + delta = 0 blocks, Fiedler's lemma being the
-rank-one case) has the resolvent n_i / (x - p_i) and costs one charpoly;
+a spec that names none is the adjacency join.  Every spectrum is
+classified by one step.  A block whose vector is an eigenvector (all-ones
+on regular or alpha + delta = 0 blocks, Fiedler's lemma being the rank-one
+case) has the resolvent n_i / (x - p_i) and costs one charpoly;
 `resolvent_form` detects this on every route, so the regular and
 alpha + delta = 0 shortcuts are only the preconditions `require_regular`
 and `require_balanced` before that path.
