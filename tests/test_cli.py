@@ -502,6 +502,40 @@ def test_plain_spec_on_subset_route_exits_3(capsys, mixed_path):
     assert capsys.readouterr().err == f"precondition violated: {NEEDS_SUBSETS}\n"
 
 
+PLAIN = {"host": "2; 0-1", "components": ["2; 0-1", "1;"]}
+LAPLACIAN = dict(PLAIN, universal={"alpha": "-1", "delta": "1"})
+SUBSETS = dict(PLAIN, subsets=[[0], [0]])
+BROKEN = "input error: {path}: invalid JSON at line 1 column 2: Expecting property name enclosed in double quotes"
+BAD_T = "input error: bad t value: 'x' is not a rational p/q"
+OWN_PARAMS = "precondition violated: degree-shift route fixes its own matrix parameters"
+CORONA_ONLY = "precondition violated: corona route reads host + companion components only"
+LEX_PLAIN_ONLY = "precondition violated: lexicographic route takes a plain host + one inner graph"
+LEX_IDENTICAL = "precondition violated: lexicographic route needs all components identical (or a single one)"
+
+
+@pytest.mark.parametrize(
+    "argv, spec, code, err",
+    [
+        # a bad spec first, then a bad --t, then the route's preconditions
+        (["gcp", "--t", "x"], None, 2, BROKEN),
+        (["gcp", "--t", "x"], LAPLACIAN, 2, BAD_T),
+        (["gcp", "--t", "1/2"], LAPLACIAN, 3, OWN_PARAMS),
+        (["gcp", "--t", "1/2"], SUBSETS, 3, f"precondition violated: {PLAIN_ONLY}"),
+        (["corona"], LAPLACIAN, 3, CORONA_ONLY),
+        (["corona", "--verify"], SUBSETS, 3, CORONA_ONLY),
+        (["lex", "--verify"], SUBSETS, 3, LEX_PLAIN_ONLY),
+        (["lex"], PLAIN, 3, LEX_IDENTICAL),
+    ],
+)
+def test_verb_error_order_and_preconditions(capsys, tmp_path, argv, spec, code, err):
+    p = tmp_path / "spec.json"
+    p.write_text("{broken" if spec is None else json.dumps(spec))
+    assert main([argv[0], str(p), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.format(path=p) + "\n"
+    assert captured.out == ""
+
+
 def test_parser_is_shared_and_argv_errors_still_exit_2(capsys):
     from joinspectra.cli import build_parser
 
