@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Verbs: charpoly, spectrum, gcp, corona, lex, verify, fixtures.  Exit codes
-form a stable contract: 0 success, 1 internal failure (or verification
-mismatch), 2 malformed input, 3 violated route precondition.
+Verbs: charpoly, spectrum, gcp, corona, lex, verify, fixtures.  charpoly,
+gcp, corona and lex are one handler: each names an entry of
+`verification.CONSTRUCTIONS` (the --route value, or degree-shift, corona and
+lex), which gives the route name, the blocks and the truth --verify checks
+against; spectrum reads the same table.  Exit codes form a stable contract:
+0 success, 1 internal failure (or verification mismatch), 2 malformed
+input, 3 violated route precondition.
 """
 
 from __future__ import annotations
@@ -18,21 +22,11 @@ from . import spectra
 from .errors import DomainError, PreconditionError, SpecError
 from .fixtures import run_fixture_checks
 from .graphs import graph_from_obj
-from .joins import JoinSpec, generalized_corona
+from .joins import JoinSpec
 from .kernel import BACKEND
-from .oracle import check, join_truth
+from .oracle import check
 from .polynomials import Polynomial, square_free_decomposition
-from .spectra import (
-    CoupledBlocks,
-    corona_blocks,
-    degree_shift_spec,
-    join_blocks,
-    require_balanced,
-    require_regular,
-    subset_blocks,
-    universal_blocks,
-)
-from .verification import run_random_suite, verify_spec
+from .verification import CONSTRUCTIONS, run_random_suite, verify_spec
 
 
 def dumps_result(obj) -> str:
@@ -78,21 +72,6 @@ def _emit_checked(obj: dict, verdict, args) -> int:
     return 0 if verdict is None or verdict.equal else 1
 
 
-def _emit_charpoly(route: str, cb: CoupledBlocks, truth, args, extra: dict | None = None) -> int:
-    """Emit the blocks' characteristic polynomial; with --verify, truth() is the matrix it is checked against."""
-    poly = spectra.coupled_charpoly(cb)
-    obj = {
-        "route": route,
-        "degree": len(poly.nums) - 1,
-        "charpoly": poly.to_strings(),
-        "factored_hint": _factored_hint(poly),
-    }
-    if extra:
-        obj.update(extra)
-    verdict = check(poly, truth()) if getattr(args, "verify", False) else None
-    return _emit_checked(obj, verdict, args)
-
-
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
@@ -111,47 +90,35 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _adjacency_blocks(spec: JoinSpec) -> CoupledBlocks:
-    if spec.subsets is not None:
-        raise PreconditionError("adjacency route applies to plain joins; drop 'subsets' or use --route subset")
-    return universal_blocks(spec.with_universal(None))
-
-
-def _shortcut(precondition):
-    """Universal blocks of the spec, once precondition accepts it."""
-
-    def build(spec: JoinSpec) -> CoupledBlocks:
-        precondition(spec)
-        return universal_blocks(spec)
-
-    return build
-
-
-# every --route value but auto, which lets the spec's keys pick: (route name, block builder)
-ROUTES = {
-    "adjacency": ("adjacency-join", _adjacency_blocks),
-    "universal": ("universal-join", universal_blocks),
-    "subset": ("subset-join", subset_blocks),
-    "regular": ("regular-shortcut", _shortcut(require_regular)),
-    "balanced": ("balanced-shortcut", _shortcut(require_balanced)),
-}
-
-
-def _route_blocks(route: str, spec: JoinSpec) -> tuple[str, CoupledBlocks]:
-    if route == "auto":
-        return join_blocks(spec)
-    name, build = ROUTES[route]
-    return name, build(spec)
-
-
 def cmd_charpoly(args) -> int:
-    spec = _load_spec(args.spec)
-    return _emit_charpoly(*_route_blocks(args.route, spec), None, args)
+    """charpoly, gcp, corona and lex: the characteristic polynomial of the
+    construction args.route names; with --verify, checked against its truth."""
+    obj = _read_json(args.spec)
+    if args.route == "lex":
+        # a single inner graph stands for one copy per host vertex
+        components = obj.get("components") if isinstance(obj, dict) else None
+        if isinstance(components, list) and len(components) == 1 and "host" in obj:
+            obj = dict(obj, components=components * graph_from_obj(obj["host"]).n)
+    spec = JoinSpec.from_json_obj(obj)
+    extra = {}
+    if args.route == "degree-shift":
+        t = _parse_rational(args.t, "t value")
+        spec, extra = spectra.degree_shift_spec(spec, t), {"t": str(t)}
+    route, cb, truth = CONSTRUCTIONS[args.route](spec)
+    poly = spectra.coupled_charpoly(cb)
+    out = {
+        "route": route,
+        "degree": len(poly.nums) - 1,
+        "charpoly": poly.to_strings(),
+        "factored_hint": _factored_hint(poly),
+        **extra,
+    }
+    verdict = check(poly, truth()) if getattr(args, "verify", False) else None
+    return _emit_checked(out, verdict, args)
 
 
 def cmd_spectrum(args) -> int:
-    spec = _load_spec(args.spec)
-    route, cb = _route_blocks(args.route, spec)
+    route, cb, truth = CONSTRUCTIONS[args.route](_load_spec(args.spec))
     report = spectra.coupled_spectrum(cb)
     eigenvalues = report.eigenvalues()
     obj = {
@@ -163,37 +130,8 @@ def cmd_spectrum(args) -> int:
         "coupling_roots": list(report.coupling_roots),
         "eigenvalues": eigenvalues,
     }
-    verdict = check(report.charpoly, join_truth(spec), eigenvalues, args.tol) if args.verify else None
+    verdict = check(report.charpoly, truth(), eigenvalues, args.tol) if args.verify else None
     return _emit_checked(obj, verdict, args)
-
-
-def cmd_gcp(args) -> int:
-    spec = _load_spec(args.spec)
-    t = _parse_rational(args.t, "t value")
-    return _emit_charpoly("degree-shift", universal_blocks(degree_shift_spec(spec, t)), None, args, {"t": str(t)})
-
-
-def cmd_corona(args) -> int:
-    spec = _load_spec(args.spec)
-    if spec.universal is not None or spec.subsets is not None or spec.rho_override is not None:
-        raise PreconditionError("corona route reads host + companion components only")
-    cb = corona_blocks(spec.host, spec.components)
-    return _emit_charpoly("corona", cb, lambda: generalized_corona(spec.host, spec.components).adjacency(), args)
-
-
-def cmd_lex(args) -> int:
-    obj = _read_json(args.spec)
-    # a single inner graph stands for one copy per host vertex
-    components = obj.get("components") if isinstance(obj, dict) else None
-    if isinstance(components, list) and len(components) == 1 and "host" in obj:
-        obj = dict(obj, components=components * graph_from_obj(obj["host"]).n)
-    spec = JoinSpec.from_json_obj(obj)
-    if spec.subsets is not None or spec.rho_override is not None:
-        raise PreconditionError("lexicographic route takes a plain host + one inner graph")
-    if len(set(spec.components)) != 1:
-        raise PreconditionError("lexicographic route needs all components identical (or a single one)")
-    # the lexicographic product is the join whose components are all the inner graph
-    return _emit_charpoly("lexicographic", universal_blocks(spec), lambda: join_truth(spec), args)
 
 
 def cmd_verify(args) -> int:
@@ -254,17 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gcp", help="charpoly of A - t*D for the join, at rational t")
     add_common(p)
     p.add_argument("--t", required=True, help="rational value, e.g. 1/2 or -2")
-    p.set_defaults(func=cmd_gcp)
+    p.set_defaults(func=cmd_charpoly, route="degree-shift")
 
     p = sub.add_parser("corona", help="corona charpoly (spec host = base graph, components = companions)")
     add_common(p)
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_corona)
+    p.set_defaults(func=cmd_charpoly, route="corona")
 
     p = sub.add_parser("lex", help="lexicographic-product universal charpoly")
     add_common(p)
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_lex)
+    p.set_defaults(func=cmd_charpoly, route="lex")
 
     p = sub.add_parser("verify", help="formula vs oracle, for one spec or a seeded random suite")
     p.add_argument("spec", nargs="?", help="optional spec file; omit to run the random suite")

@@ -13,17 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, VertexSubset
-from .joins import (
-    JoinSpec,
-    UniversalParams,
-    corona_as_hjoin,
-    generalized_corona,
-    h_join,
-    lexicographic,
-    universal_matrix,
-)
+from .joins import JoinSpec, UniversalParams, corona_as_hjoin, h_join
 from .matrices import charpoly, poly_det
-from .oracle import check, join_truth
+from .oracle import check
 from .polynomials import Polynomial
 from .resolvent import resolvent_form
 from .roots import real_roots
@@ -34,11 +26,9 @@ from .spectra import (
     coupled_spectrum,
     degree_shift_spec,
     join_blocks,
-    require_balanced,
-    require_regular,
-    subset_blocks,
     universal_blocks,
 )
+from .verification import CONSTRUCTIONS
 
 
 def mixed_join_spec() -> JoinSpec:
@@ -148,19 +138,25 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
             return
         out.append(_result(name, route, ok, detail))
 
-    def check_poly(formula: Polynomial, expected: Polynomial, spec: JoinSpec):
+    def run_on(name, key, spec, fn):
+        """A row on CONSTRUCTIONS[key](spec), labelled with its route name: fn(blocks, truth) gives the verdict."""
+        try:
+            route, cb, truth = CONSTRUCTIONS[key](spec)
+        except Exception as exc:  # report, never abort the table
+            out.append(FixtureResult(name, key, False, f"error: {exc}"))
+            return
+        run(name, route, lambda: fn(cb, truth))
+
+    def check_poly(cb: CoupledBlocks, expected: Polynomial, truth):
+        formula = coupled_charpoly(cb)
         verdict = check(formula, expected)
         if verdict and not with_oracle:
             return True, "matches the closed form"
         if verdict:
-            verdict = check(formula, join_truth(spec))
+            verdict = check(formula, truth())
         return verdict.equal, verdict.detail
 
-    run(
-        "mixed-join charpoly",
-        "universal-join",
-        lambda: check_poly(coupled_charpoly(universal_blocks(mixed)), expected_mixed, mixed_join_spec()),
-    )
+    run_on("mixed-join charpoly", "universal", mixed, lambda cb, truth: check_poly(cb, expected_mixed, truth))
 
     def resolvents_match(graphs, vectors, wanted):
         for g, u, (num, den) in zip(graphs, vectors, wanted):
@@ -172,11 +168,7 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
     ones = [[1] * g.n for g in mixed.components]
     run("mixed-join resolvents", "resolvent", lambda: resolvents_match(mixed.components, ones, mixed_join_resolvents()))
 
-    run(
-        "subset-join charpoly",
-        "subset-join",
-        lambda: check_poly(coupled_charpoly(subset_blocks(subset)), expected_subset, subset),
-    )
+    run_on("subset-join charpoly", "subset", subset, lambda cb, truth: check_poly(cb, expected_subset, truth))
 
     indicators = [s.indicator() for s in subset.subsets]
     run(
@@ -185,95 +177,89 @@ def run_fixture_checks(tol: float = 1e-8, with_oracle: bool = True) -> list[Fixt
         lambda: resolvents_match(subset.components, indicators, subset_join_resolvents()),
     )
 
-    def mixed_spectrum():
-        report = coupled_spectrum(universal_blocks(mixed))
+    def mixed_spectrum(cb, truth):
+        report = coupled_spectrum(cb)
         values = report.eigenvalues()
         if len(values) != 10:
             return False, f"{len(values)} eigenvalues reported"
         if with_oracle:
-            return check(report.charpoly, join_truth(mixed), values, tol).equal, "numeric union vs dense eigensolver"
+            return check(report.charpoly, truth(), values, tol).equal, "numeric union vs dense eigensolver"
         return True, "accounting complete"
 
-    run("mixed-join spectrum", "universal-join", mixed_spectrum)
+    run_on("mixed-join spectrum", "universal", mixed, mixed_spectrum)
 
-    def subset_spectrum():
-        report = coupled_spectrum(subset_blocks(subset))
+    def subset_spectrum(cb, truth):
+        report = coupled_spectrum(cb)
         values = report.eigenvalues()
         zeros = sum(1 for v in values if abs(v) <= 1e-7)
         if zeros != 4:
             return False, f"expected root 0 with multiplicity 4, saw {zeros}"
         if with_oracle:
-            return check(report.charpoly, join_truth(subset), values, tol).equal, "numeric union vs dense eigensolver"
+            return check(report.charpoly, truth(), values, tol).equal, "numeric union vs dense eigensolver"
         return True, "zero multiplicity correct"
 
-    run("subset-join spectrum", "subset-join", subset_spectrum)
+    run_on("subset-join spectrum", "subset", subset, subset_spectrum)
 
-    def laplacian_shortcut():
-        spec = mixed_join_spec().with_universal(UniversalParams.laplacian())
-        require_balanced(spec)
-        cb = universal_blocks(spec)
+    def laplacian_shortcut(cb, _truth):
         # the classified spectrum against the roots of the charpoly with the general Phi
         ok = multisets_close(coupled_spectrum(cb).eigenvalues(), real_roots(poly_det_charpoly(cb)), tol)
         return ok, "shortcut vs general route multisets"
 
-    run("laplacian shortcut", "balanced-shortcut", laplacian_shortcut)
+    laplacian = mixed_join_spec().with_universal(UniversalParams.laplacian())
+    run_on("laplacian shortcut", "balanced", laplacian, laplacian_shortcut)
 
-    def regular_shortcut():
-        spec = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)), universal=adjacency)
-        require_regular(spec)
-        report = coupled_spectrum(universal_blocks(spec))
+    def regular_shortcut(cb, _truth):
         want = [-1.0, -1.0, -1.0, 3.0]
-        return multisets_close(report.eigenvalues(), want, tol), "complete-graph join spectrum"
+        return multisets_close(coupled_spectrum(cb).eigenvalues(), want, tol), "complete-graph join spectrum"
 
-    run("regular shortcut", "regular-shortcut", regular_shortcut)
+    complete = JoinSpec(Graph.complete(2), (Graph.complete(2), Graph.complete(2)), universal=adjacency)
+    run_on("regular shortcut", "regular", complete, regular_shortcut)
 
-    def corona_routes():
-        host = Graph(1)
-        direct = coupled_charpoly(corona_blocks(host, (Graph(1),)))
+    corona = JoinSpec(Graph.path(2), (Graph(1), Graph(1)))
+
+    def corona_routes(cb, truth):
+        direct = coupled_charpoly(corona_blocks(Graph(1), (Graph(1),)))
         if direct != Polynomial((-1, 0, 1)):
             return False, f"single-vertex corona gave {direct}"
-        host2 = Graph.path(2)
-        fam = (Graph(1), Graph(1))
-        d2 = coupled_charpoly(corona_blocks(host2, fam))
+        d2 = coupled_charpoly(cb)
         if d2 != charpoly(Graph.path(4).adjacency()):
             return False, "2-path corona is not the 4-path"
-        if d2 != coupled_charpoly(join_blocks(corona_as_hjoin(host2, fam))[1]):
+        if d2 != coupled_charpoly(join_blocks(corona_as_hjoin(corona.host, corona.components))):
             return False, "corona routes disagree"
-        if with_oracle and not check(d2, generalized_corona(host2, fam).adjacency()):
+        if with_oracle and not check(d2, truth()):
             return False, "corona vs dense oracle"
         return True, "both constructions agree"
 
-    run("corona routes", "corona", corona_routes)
+    run_on("corona routes", "corona", corona, corona_routes)
 
-    def lex_routes():
+    def lex_routes(cb, truth):
         # the lexicographic product is the join whose components are all the inner graph
         edge = JoinSpec(Graph.complete(2), (Graph(1),) * 2, universal=adjacency)
         if coupled_charpoly(universal_blocks(edge)) != Polynomial((-1, 0, 1)):
             return False, "2-clique of a point is not the single edge"
-        host, inner = Graph.path(3), Graph.complete(2)
-        spec = JoinSpec(host, (inner,) * 3, universal=adjacency)
-        via_lex = coupled_charpoly(universal_blocks(spec))
-        if via_lex != poly_det_charpoly(universal_blocks(spec)):
+        via_lex = coupled_charpoly(cb)
+        if via_lex != poly_det_charpoly(cb):
             return False, "closed-form vs general Phi"
-        if with_oracle and not check(via_lex, universal_matrix(lexicographic(host, inner), adjacency)):
+        if with_oracle and not check(via_lex, truth()):
             return False, "lexicographic vs dense oracle"
         return True, "product form matches the join route"
 
-    run("lexicographic routes", "lexicographic", lex_routes)
+    lex = JoinSpec(Graph.path(3), (Graph.complete(2),) * 3, universal=adjacency)
+    run_on("lexicographic routes", "lex", lex, lex_routes)
 
-    def degree_shift():
-        base = mixed_join_spec()
+    base, half = mixed_join_spec(), Fraction(1, 2)
+
+    def degree_shift(cb, _truth):
         at_zero = coupled_charpoly(universal_blocks(degree_shift_spec(base, 0)))
         if at_zero != expected_mixed:
             return False, "t = 0 does not reduce to the adjacency charpoly"
         if with_oracle:
-            t = Fraction(1, 2)
+            # A - tD built from the join graph's own degrees, not from the shifted spec the blocks share
             g = h_join(base)
-            m = g.adjacency() - g.degree_matrix() * t
-            verdict = check(coupled_charpoly(universal_blocks(degree_shift_spec(base, t))), m)
+            verdict = check(coupled_charpoly(cb), g.adjacency() - g.degree_matrix() * half)
             return verdict.equal, verdict.detail
         return True, "t = 0 reduction holds"
 
-    run("degree-shift charpoly", "degree-shift", degree_shift)
+    run_on("degree-shift charpoly", "degree-shift", degree_shift_spec(base, half), degree_shift)
 
     return out

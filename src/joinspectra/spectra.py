@@ -270,11 +270,9 @@ def _universal_rho(rho: RhoMatrix, params: UniversalParams) -> RhoMatrix:
     return tuple(tuple(coupled[q] if i != j else zero for j, q in enumerate(row)) for i, row in enumerate(keys))
 
 
-def join_blocks(spec: JoinSpec) -> tuple[str, CoupledBlocks]:
-    """(route name, blocks) on the route the spec's optional keys pick."""
-    if spec.subsets is not None:
-        return "subset-join", subset_blocks(spec)
-    return ("adjacency-join" if spec.universal is None else "universal-join"), universal_blocks(spec)
+def join_blocks(spec: JoinSpec) -> CoupledBlocks:
+    """The blocks of the join the spec's optional keys pick: subset or universal."""
+    return universal_blocks(spec) if spec.subsets is None else subset_blocks(spec)
 
 
 def degree_shift_spec(spec: JoinSpec, t) -> JoinSpec:

@@ -1,9 +1,13 @@
-"""Seeded randomized formula-vs-oracle verification.
+"""The construction table and seeded randomized formula-vs-oracle verification.
 
-Every case builds some glued system twice: once through a formula route and
-once as a dense matrix for `oracle.check`: the matrix of the actually
-constructed graph for graph specs, the literally assembled matrix for raw
-blocks, which have no graph.  Comparisons are exact.
+`CONSTRUCTIONS` maps each construction's name to its route name, its blocks
+and its truth: the matrix of the graph actually built, never one assembled
+from the route's blocks, made only when a check asks for it.  Every verb,
+`verify_spec` and the fixtures look their route up there.  A random case
+builds some glued system twice: through a formula route, and as a dense
+matrix for `oracle.check`: its construction's truth for graph specs, the
+literally assembled matrix for raw blocks, which have no graph.
+Comparisons are exact.
 """
 
 from __future__ import annotations
@@ -11,13 +15,83 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
+from .errors import PreconditionError
 from .graphs import Graph, VertexSubset
-from .joins import JoinSpec, UniversalParams
+from .joins import JoinSpec, UniversalParams, generalized_corona
 from .matrices import RationalMatrix
 from .oracle import assemble, check, join_truth
-from .spectra import CoupledBlocks, coupled_charpoly, join_blocks
+from .spectra import (
+    CoupledBlocks,
+    corona_blocks,
+    coupled_charpoly,
+    require_balanced,
+    require_regular,
+    subset_blocks,
+    universal_blocks,
+)
+
+# (route name, blocks, truth): the truth is the dense matrix of the constructed graph, built on call
+Construction = tuple[str, CoupledBlocks, Callable[[], RationalMatrix]]
+
+
+def _join(route: str, precondition: Callable[[JoinSpec], None] = lambda spec: None):
+    """The entry of a universal-matrix join: `universal_blocks` once precondition accepts the spec."""
+
+    def entry(spec: JoinSpec) -> Construction:
+        precondition(spec)
+        return route, universal_blocks(spec), lambda: join_truth(spec)
+
+    return entry
+
+
+def _adjacency(spec: JoinSpec) -> Construction:
+    if spec.subsets is not None:
+        raise PreconditionError("adjacency route applies to plain joins; drop 'subsets' or use --route subset")
+    spec = spec.with_universal(None)
+    return "adjacency-join", universal_blocks(spec), lambda: join_truth(spec)
+
+
+def _subset(spec: JoinSpec) -> Construction:
+    return "subset-join", subset_blocks(spec), lambda: join_truth(spec)
+
+
+def _corona(spec: JoinSpec) -> Construction:
+    if spec.universal is not None or spec.subsets is not None or spec.rho_override is not None:
+        raise PreconditionError("corona route reads host + companion components only")
+    host, family = spec.host, spec.components
+    return "corona", corona_blocks(host, family), lambda: generalized_corona(host, family).adjacency()
+
+
+def _require_lex(spec: JoinSpec) -> None:
+    """The lexicographic product is the join whose components are all the inner graph."""
+    if spec.subsets is not None or spec.rho_override is not None:
+        raise PreconditionError("lexicographic route takes a plain host + one inner graph")
+    if len(set(spec.components)) != 1:
+        raise PreconditionError("lexicographic route needs all components identical (or a single one)")
+
+
+def _auto(spec: JoinSpec) -> Construction:
+    """The join route the spec's optional keys pick."""
+    key = "subset" if spec.subsets is not None else "adjacency" if spec.universal is None else "universal"
+    return CONSTRUCTIONS[key](spec)
+
+
+# every construction by name: the --route values, A - tD (on the spec
+# `degree_shift_spec` gives), the generalized corona (host = base graph,
+# components = companions) and the lexicographic product
+CONSTRUCTIONS: dict[str, Callable[[JoinSpec], Construction]] = {
+    "auto": _auto,
+    "adjacency": _adjacency,
+    "universal": _join("universal-join"),
+    "subset": _subset,
+    "regular": _join("regular-shortcut", require_regular),
+    "balanced": _join("balanced-shortcut", require_balanced),
+    "degree-shift": _join("degree-shift"),
+    "corona": _corona,
+    "lex": _join("lexicographic", _require_lex),
+}
 
 
 @dataclass(frozen=True)
@@ -110,8 +184,8 @@ def verify_spec(spec: JoinSpec, name: str = "spec") -> VerifyCase:
     A coupling override deliberately different from the host's pattern will
     fail here: the formula follows the override, the graph does not.
     """
-    route, cb = join_blocks(spec)
-    verdict = check(coupled_charpoly(cb), join_truth(spec))
+    route, cb, truth = CONSTRUCTIONS["auto"](spec)
+    verdict = check(coupled_charpoly(cb), truth())
     return VerifyCase(name, verdict.equal, f"route {route}: {verdict.detail}")
 
 

@@ -163,7 +163,7 @@ def test_criterion_07_corona_two_routes():
         k = rng.randint(1, 4)
         host = random_graph(rng, k)
         family = tuple(random_graph(rng, rng.randint(1, 4)) for _ in range(k))
-        via_join = coupled_charpoly(join_blocks(corona_as_hjoin(host, family))[1])
+        via_join = coupled_charpoly(join_blocks(corona_as_hjoin(host, family)))
         assert coupled_charpoly(corona_blocks(host, family)) == via_join
     report(7, "50/50 corona computations agree across both constructions exactly")
 

@@ -42,7 +42,7 @@ def test_assemble_edge():
 
 def test_assemble_matches_join_graphs():
     spec = mixed_join_spec()
-    assert assemble(join_blocks(spec)[1]) == h_join(spec).adjacency()
+    assert assemble(join_blocks(spec)) == h_join(spec).adjacency()
     sub = subset_join_spec()
     assert assemble(subset_blocks(sub)) == join_graph(sub).adjacency()
 
@@ -199,7 +199,7 @@ def test_join_truth_equals_the_assembled_route_blocks():
         kind = i % 3
         universal = random_universal_params(rng) if kind == 1 else None
         spec = random_join_spec(rng, with_subsets=kind == 2, universal=universal)
-        assert join_truth(spec) == assemble(join_blocks(spec)[1])
+        assert join_truth(spec) == assemble(join_blocks(spec))
 
 
 def test_oracle_cap(monkeypatch):
@@ -237,11 +237,11 @@ def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys
     spec = mixed_join_spec()
     dense = join_graph(spec).adjacency()
     truth = oracle_charpoly(dense)
-    route = coupled_charpoly(join_blocks(spec)[1])
+    route = coupled_charpoly(join_blocks(spec))
     assert route == truth and verify_spec(spec).passed
     monkeypatch.setattr(matrices, "charpoly_int", off_by_one)
     monkeypatch.setattr(resolvent, "charpoly_bordered_int", bordered_off_by_one)
-    assert coupled_charpoly(join_blocks(spec)[1]) != route  # the routes run the patched kernel
+    assert coupled_charpoly(join_blocks(spec)) != route  # the routes run the patched kernel
     assert oracle_charpoly(dense) == truth  # the oracle does not
     case = verify_spec(spec)
     assert not case.passed and "differs" in case.detail

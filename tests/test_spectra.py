@@ -817,7 +817,7 @@ def test_corona_two_routes_agree():
         host = random_graph(rng, k)
         fam = tuple(random_graph(rng, rng.randint(1, 3)) for _ in range(k))
         direct = coupled_charpoly(corona_blocks(host, fam))
-        via_join = coupled_charpoly(join_blocks(corona_as_hjoin(host, fam))[1])
+        via_join = coupled_charpoly(join_blocks(corona_as_hjoin(host, fam)))
         assert direct == via_join
         assert compare(direct, oracle_charpoly(generalized_corona(host, fam).adjacency())).equal
 
