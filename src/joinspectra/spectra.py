@@ -47,7 +47,6 @@ from .joins import (
     UniversalParams,
     corona_family,
     effective_rho,
-    generalized_corona,
     host_rho,
     join_weights,
     universal_matrix,
@@ -286,15 +285,21 @@ def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
     """Blocks of the corona of host with one graph per vertex.
 
     Block i is the cone over family[i], apex first, with vector e_0, coupled
-    by the host's edges.  With f_i / g_i the companion's all-ones resolvent,
+    by the host's edges.  The cone is the companion's adjacency bordered by
+    a row and a column of ones, built here and not by `generalized_corona`,
+    which builds the truth a check compares with.  With f_i / g_i the companion's all-ones resolvent,
     the cone's resolvent at e_0 is g_i / (x g_i - f_i), already reduced, and
     its cofactor is phi_i / g_i, so Phi is the determinant with x g_i - f_i
     on the diagonal and -rho_ij g_i off it.
     """
     blocks = []
     for g in corona_family(host, family):
-        apex = (1,) + (0,) * g.n
-        blocks.append((generalized_corona(Graph(1), (g,)).adjacency(), apex, apex))
+        n, a = g.n, g.adjacency().nums
+        cone = [0] + [1] * n
+        for i in range(n):
+            cone += [1, *a[i * n : (i + 1) * n]]
+        apex = (1,) + (0,) * n
+        blocks.append((RationalMatrix.from_ints(n + 1, n + 1, cone), apex, apex))
     return CoupledBlocks(blocks, host_rho(host))
 
 

@@ -297,6 +297,34 @@ def test_corona_verb(capsys, tmp_path):
     assert obj["oracle"]["equal"] is True
 
 
+def test_corona_verify_catches_a_fault_in_the_corona_graph(capsys, monkeypatch, tmp_path):
+    # the blocks are built without generalized_corona, so a fault in it is a mismatch, not reproduced on both sides
+    import sys
+
+    from joinspectra.joins import corona_family
+
+    def corona_without_last_apex_edge(host, family):
+        family = corona_family(host, family)
+        offs, acc = [], host.n
+        for g in family:
+            offs.append(acc)
+            acc += g.n
+        edges = list(host.edges)
+        for i, g in enumerate(family):
+            edges.extend((offs[i] + u, offs[i] + v) for u, v in g.edges)
+            edges.extend((i, offs[i] + u) for u in range(g.n - 1))
+        return Graph(acc, edges)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "joinspectra" and hasattr(module, "generalized_corona"):
+            monkeypatch.setattr(module, "generalized_corona", corona_without_last_apex_edge)
+    p = tmp_path / "corona.json"
+    p.write_text(json.dumps({"host": "3; 0-1,1-2", "components": ["2; 0-1", "1;", "3; 0-1,1-2"]}))
+    code, obj = run_json(capsys, ["corona", str(p), "--verify"])
+    assert code == 1
+    assert obj["oracle"]["equal"] is False
+
+
 def test_lex_verb(capsys, tmp_path):
     p = tmp_path / "lex.json"
     p.write_text(json.dumps({"host": "2; 0-1", "components": ["1;"]}))
