@@ -90,6 +90,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _case_count(text: str) -> int:
+    """A --cases value: a positive integer; zero or fewer cases would check nothing and pass."""
+    try:
+        cases = int(text)
+    except ValueError:
+        cases = 0
+    if cases < 1:
+        raise argparse.ArgumentTypeError(f"case count must be a positive integer, got {text!r}")
+    return cases
+
+
 def cmd_charpoly(args) -> int:
     """charpoly, gcp, corona and lex: the characteristic polynomial of the
     construction args.route names; with --verify, checked against its truth."""
@@ -208,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", nargs="?", help="optional spec file; omit to run the random suite")
     p.add_argument("-o", "--output", help="write JSON result to this path instead of stdout")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=_case_count, default=50)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -379,6 +379,21 @@ def test_verify_random_suite(capsys):
     assert "8/8 passed" in out
 
 
+@pytest.mark.parametrize("cases", ["0", "-3", "x"])
+def test_verify_cases_must_be_positive(capsys, monkeypatch, cases):
+    # zero cases would run no check and still exit 0
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cases", cases])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: joinspectra verify [-h] [-o OUTPUT] [--seed SEED] [--cases CASES]\n"
+        "                          [--json]\n"
+        "                          [spec]\n"
+        f"joinspectra verify: error: argument --cases: case count must be a positive integer, got {cases!r}\n"
+    )
+
+
 def test_verify_json_output(capsys):
     code, obj = run_json(capsys, ["verify", "--seed", "1", "--cases", "3", "--json"])
     assert code == 0
