@@ -151,11 +151,15 @@ def _glued_product(phi: Polynomial, cofactors: Sequence[Polynomial], total_dim: 
     return out
 
 
+def _glue(cb: CoupledBlocks, data: list[tuple[ResolventForm, Polynomial]]) -> tuple[Polynomial, Polynomial]:
+    """(Phi, the glued characteristic polynomial) from each block's (resolvent form, cofactor)."""
+    phi = coupling_poly([form.num for form, _ in data], [form.den for form, _ in data], cb.rho)
+    return phi, _glued_product(phi, [cof for _, cof in data], cb.total_dim)
+
+
 def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
     """Exact characteristic polynomial of the glued block matrix."""
-    data = _blocks_data(cb)
-    phi = coupling_poly([form.num for form, _ in data], [form.den for form, _ in data], cb.rho)
-    return _glued_product(phi, [cof for _, cof in data], cb.total_dim)
+    return _glue(cb, _blocks_data(cb))[1]
 
 
 def _classify_block(phi: Polynomial, g: Polynomial, idx: int):
@@ -214,8 +218,7 @@ def coupled_spectrum(cb: CoupledBlocks) -> SpectrumReport:
         inh, red = _classify_block(form.charpoly, form.den, idx)
         inherited += inh
         reduced += red
-    phi = coupling_poly([form.num for form, _ in data], [form.den for form, _ in data], cb.rho)
-    total = _glued_product(phi, [cof for _, cof in data], cb.total_dim)
+    phi, total = _glue(cb, data)
     croots = real_roots(phi) if phi.degree > 0 else []
     counted = sum(m for _, m, _ in inherited) + sum(m for _, m, _ in reduced) + len(croots)
     if counted != cb.total_dim:
