@@ -6,9 +6,11 @@ equal the dense matrix's coefficient for coefficient, and, for a spectrum,
 each eigenvalue must be within a relative tolerance of a residual-checked
 symmetric eigensolver's.  A check is only worth something when its dense
 matrix is built without the blocks the route used, so every spec-level check
-compares with `join_truth`, the universal matrix of the join graph built
-from the host's edges.  Raw coupled blocks have no graph; for them `assemble`
-writes the glued matrix out literally.
+compares with the truth its entry of `verification.CONSTRUCTIONS` gives: the
+matrix of the graph actually built, which for the joins is `join_truth`, the
+universal matrix of the join graph built from the host's edges.  Raw coupled
+blocks have no graph; for them `assemble` writes the glued matrix out
+literally.
 
 The oracle's charpoly runs its own exact integer kernel, never the
 Hessenberg kernel the routes use, so a fault in either kernel shows up as a
@@ -90,7 +92,7 @@ def assemble(cb: CoupledBlocks) -> RationalMatrix:
 
 
 def join_truth(spec: JoinSpec) -> RationalMatrix:
-    """The matrix every spec-level check compares with: the universal matrix
+    """The matrix every join-type check compares with: the universal matrix
     of `spec.params` of the join graph built from the host's edges.  A
     coupling override is dropped, so a formula that follows an override the
     host does not have is reported as a mismatch."""

@@ -20,6 +20,8 @@ Graph joins, their universal-matrix and subset variants, lexicographic
 products (the join whose components are all one graph) and generalized
 coronas are block builders: each only picks the blocks and the coupling,
 and callers pass them to `coupled_charpoly` or `coupled_spectrum`.  A
+builder names no route: `verification.CONSTRUCTIONS` pairs each one with
+its route name and its truth.  A
 universal-matrix builder reads the parameters `JoinSpec.params` states, so
 a spec that names none is the adjacency join.  Every spectrum is
 classified by one step.  A block whose vector is an eigenvector (all-ones
