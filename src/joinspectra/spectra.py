@@ -21,9 +21,9 @@ products (the join whose components are all one graph) and generalized
 coronas are block builders: each only picks the blocks and the coupling,
 and callers pass them to `coupled_charpoly` or `coupled_spectrum`.  A
 builder names no route: `verification.CONSTRUCTIONS` pairs each one with
-its route name and its truth.  A
-universal-matrix builder reads the parameters `JoinSpec.params` states, so
-a spec that names none is the adjacency join.  Every spectrum is
+its route name and its truth.  A universal-matrix builder reads the
+parameters `JoinSpec.params` states, so a spec that names none is the
+adjacency join.  Every spectrum is
 classified by one step.  A block whose vector is an eigenvector (all-ones
 on regular or alpha + delta = 0 blocks, Fiedler's lemma being the rank-one
 case) has the resolvent n_i / (x - p_i) and costs one charpoly;
@@ -292,10 +292,11 @@ def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
     Block i is the cone over family[i], apex first, with vector e_0, coupled
     by the host's edges.  The cone is the companion's adjacency bordered by
     a row and a column of ones, built here and not by `generalized_corona`,
-    which builds the truth a check compares with.  With f_i / g_i the companion's all-ones resolvent,
-    the cone's resolvent at e_0 is g_i / (x g_i - f_i), already reduced, and
-    its cofactor is phi_i / g_i, so Phi is the determinant with x g_i - f_i
-    on the diagonal and -rho_ij g_i off it.
+    which builds the truth a check compares with.  With f_i / g_i the
+    companion's all-ones resolvent, the cone's resolvent at e_0 is
+    g_i / (x g_i - f_i), already reduced, and its cofactor is phi_i / g_i,
+    so Phi is the determinant with x g_i - f_i on the diagonal and
+    -rho_ij g_i off it.
     """
     blocks = []
     for g in corona_family(host, family):
