@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from . import spectra
 from .errors import DomainError, PreconditionError, SpecError
-from .fixtures import run_fixture_checks
 from .graphs import graph_from_obj
 from .joins import JoinSpec
 from .kernel import BACKEND
@@ -111,11 +110,11 @@ def cmd_charpoly(args) -> int:
         if isinstance(components, list) and len(components) == 1 and "host" in obj:
             obj = dict(obj, components=components * graph_from_obj(obj["host"]).n)
     spec = JoinSpec.from_json_obj(obj)
-    extra = {}
+    options, extra = (), {}
     if args.route == "degree-shift":
         t = _parse_rational(args.t, "t value")
-        spec, extra = spectra.degree_shift_spec(spec, t), {"t": str(t)}
-    route, cb, truth = CONSTRUCTIONS[args.route](spec)
+        options, extra = (t,), {"t": str(t)}
+    route, cb, truth = CONSTRUCTIONS[args.route](spec, *options)
     poly = spectra.coupled_charpoly(cb)
     out = {
         "route": route,
@@ -161,6 +160,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    # imported here: no other verb needs the fixtures at start-up
+    from .fixtures import run_fixture_checks
+
     results = run_fixture_checks(tol=args.tol, with_oracle=not args.no_oracle)
     if args.json:
         _emit(

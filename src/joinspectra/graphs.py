@@ -9,16 +9,17 @@ Two serializations are supported:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpecError
 from .matrices import RationalMatrix, Vector
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Loopless simple graph on vertices 0..n-1; edges stored u < v."""
+
+    __slots__ = ("n", "edges")
 
     n: int
     edges: frozenset[tuple[int, int]]
@@ -34,6 +35,14 @@ class Graph:
             canon.add((min(u, v), max(u, v)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(canon))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.edges) == (other.n, other.edges)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     # -- construction helpers ------------------------------------------
 
@@ -174,9 +183,10 @@ def graph_from_obj(obj) -> Graph:
     return Graph.from_json_obj(obj)
 
 
-@dataclass(frozen=True)
-class VertexSubset:
+class VertexSubset(Record):
     """Sorted subset of the vertices of a graph of size parent_size."""
+
+    __slots__ = ("parent_size", "members")
 
     parent_size: int
     members: tuple[int, ...]
@@ -188,6 +198,14 @@ class VertexSubset:
                 raise SpecError(f"subset member {v} out of range for n={parent_size}")
         object.__setattr__(self, "parent_size", parent_size)
         object.__setattr__(self, "members", ms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parent_size, self.members) == (other.parent_size, other.members)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parent_size, self.members))
 
     @classmethod
     def full(cls, parent_size: int) -> "VertexSubset":

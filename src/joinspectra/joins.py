@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,19 +18,21 @@ from .errors import DomainError, PreconditionError, SpecError
 from .graphs import Graph, VertexSubset, graph_from_obj
 from .matrices import RationalMatrix
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
+from .records import Record
 
 RhoMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class UniversalParams:
+class UniversalParams(Record):
     """Coefficients (alpha, beta, gamma, delta) of alpha*A + beta*I + gamma*J + delta*D."""
+
+    __slots__ = ("alpha", "beta", "gamma", "delta", "allow_zero_alpha")
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
     delta: Fraction
-    allow_zero_alpha: bool = False
+    allow_zero_alpha: bool
 
     def __init__(self, alpha, beta=0, gamma=0, delta=0, allow_zero_alpha=False):
         object.__setattr__(self, "alpha", as_fraction(alpha))
@@ -41,6 +42,16 @@ class UniversalParams:
         object.__setattr__(self, "allow_zero_alpha", bool(allow_zero_alpha))
         if self.alpha == 0 and not self.allow_zero_alpha:
             raise SpecError("alpha must be nonzero (pass allow_zero_alpha=True to override)")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.beta, self.gamma, self.delta, self.allow_zero_alpha) == (
+                other.alpha, other.beta, other.gamma, other.delta, other.allow_zero_alpha
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta, self.gamma, self.delta, self.allow_zero_alpha))
 
     @classmethod
     def adjacency(cls) -> "UniversalParams":
@@ -91,8 +102,7 @@ class UniversalParams:
             raise SpecError(f"bad universal parameters: {exc}") from None
 
 
-@dataclass(frozen=True)
-class JoinSpec:
+class JoinSpec(Record):
     """Host graph plus one component graph per host vertex.
 
     Optional pieces: per-component vertex subsets (cross edges then touch only
@@ -101,11 +111,13 @@ class JoinSpec:
     asymmetric, in which case only matrix-level routes apply.
     """
 
+    __slots__ = ("host", "components", "subsets", "universal", "rho_override")
+
     host: Graph
     components: tuple[Graph, ...]
-    subsets: Optional[tuple[VertexSubset, ...]] = None
-    universal: Optional[UniversalParams] = None
-    rho_override: Optional[RhoMatrix] = None
+    subsets: Optional[tuple[VertexSubset, ...]]
+    universal: Optional[UniversalParams]
+    rho_override: Optional[RhoMatrix]
 
     def __init__(self, host, components, subsets=None, universal=None, rho_override=None):
         components = tuple(components)
@@ -132,6 +144,16 @@ class JoinSpec:
         object.__setattr__(self, "universal", universal)
         object.__setattr__(self, "rho_override", rho_override)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.host, self.components, self.subsets, self.universal, self.rho_override) == (
+                other.host, other.components, other.subsets, other.universal, other.rho_override
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.host, self.components, self.subsets, self.universal, self.rho_override))
+
     @property
     def k(self) -> int:
         return self.host.n
@@ -154,7 +176,7 @@ class JoinSpec:
         return self.universal if self.universal is not None else UniversalParams.adjacency()
 
     def with_universal(self, params: Optional[UniversalParams]) -> "JoinSpec":
-        return replace(self, universal=params)
+        return JoinSpec(self.host, self.components, self.subsets, params, self.rho_override)
 
     # -- serialization --------------------------------------------------
 
@@ -376,15 +398,33 @@ def is_k_tau_regular(g: Graph, subset: VertexSubset) -> Optional[tuple[int, int]
     return (k, taus.pop())
 
 
-@dataclass(frozen=True)
-class SpecialEigenvalueSplit:
+class SpecialEigenvalueSplit(Record):
     """Numeric spectrum partitioned against a (k, tau)-regular subset."""
+
+    __slots__ = ("k", "tau", "main", "at_k_minus_tau", "special")
 
     k: int
     tau: int
     main: tuple[float, ...]
     at_k_minus_tau: tuple[float, ...]
     special: tuple[float, ...]
+
+    def __init__(self, k, tau, main, at_k_minus_tau, special):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "main", main)
+        object.__setattr__(self, "at_k_minus_tau", at_k_minus_tau)
+        object.__setattr__(self, "special", special)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.tau, self.main, self.at_k_minus_tau, self.special) == (
+                other.k, other.tau, other.main, other.at_k_minus_tau, other.special
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.tau, self.main, self.at_k_minus_tau, self.special))
 
 
 def classify_special_eigenvalues(g: Graph, subset: VertexSubset) -> SpecialEigenvalueSplit:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
@@ -38,6 +37,7 @@ from .errors import DomainError, PreconditionError
 from .joins import JoinSpec, join_graph, universal_matrix
 from .matrices import RationalMatrix, charpoly_with
 from .polynomials import Polynomial, clear_denominators
+from .records import Record
 from .spectra import CoupledBlocks
 
 ORACLE_CAP_ENV = "SPECTRA_ORACLE_CAP"
@@ -96,7 +96,8 @@ def join_truth(spec: JoinSpec) -> RationalMatrix:
     of `spec.params` of the join graph built from the host's edges.  A
     coupling override is dropped, so a formula that follows an override the
     host does not have is reported as a mismatch."""
-    return universal_matrix(join_graph(replace(spec, rho_override=None)), spec.params)
+    plain = JoinSpec(spec.host, spec.components, spec.subsets, spec.universal)
+    return universal_matrix(join_graph(plain), spec.params)
 
 
 def _is_word_prime(p: int) -> bool:
@@ -286,13 +287,27 @@ def oracle_spectrum(m: RationalMatrix) -> list[float]:
     return sorted(float(x) for x in w)
 
 
-@dataclass(frozen=True)
-class CompareResult:
+class CompareResult(Record):
     """Outcome of an exact polynomial comparison."""
+
+    __slots__ = ("equal", "first_mismatch", "detail")
 
     equal: bool
     first_mismatch: Optional[int]
     detail: str
+
+    def __init__(self, equal, first_mismatch, detail):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.equal, self.first_mismatch, self.detail) == (other.equal, other.first_mismatch, other.detail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.equal, self.first_mismatch, self.detail))
 
     def __bool__(self) -> bool:
         return self.equal

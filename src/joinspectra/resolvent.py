@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,17 +32,32 @@ from .errors import PreconditionError, ShapeError
 from .kernel import charpoly_bordered_int
 from .matrices import RationalMatrix, as_vector, charpoly, descale
 from .polynomials import Polynomial, clear_denominators, poly_gcd
+from .records import Record
 from .roots import real_roots
 
 
-@dataclass(frozen=True)
-class ResolventForm:
+class ResolventForm(Record):
     """v^T (xI - M)^{-1} u = num / den, reduced (see the module docstring),
     and charpoly = det(xI - M), the denominator before reduction."""
+
+    __slots__ = ("num", "den", "charpoly")
 
     num: Polynomial
     den: Polynomial
     charpoly: Polynomial
+
+    def __init__(self, num, den, charpoly):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "charpoly", charpoly)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.num, self.den, self.charpoly) == (other.num, other.den, other.charpoly)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den, self.charpoly))
 
 
 def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:

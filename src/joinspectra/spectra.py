@@ -37,7 +37,6 @@ blocks, and that is `oracle.check`'s job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,13 +54,15 @@ from .joins import (
 )
 from .matrices import RationalMatrix, Vector, as_vector, charpoly, poly_det, realization_charpoly
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
+from .records import Record
 from .resolvent import ResolventForm, resolvent_form
 from .roots import real_roots
 
 
-@dataclass(frozen=True)
-class CoupledBlocks:
+class CoupledBlocks(Record):
     """Blocks (M_i, u_i, v_i) plus the k x k coupling scalars (zero diagonal)."""
+
+    __slots__ = ("blocks", "rho")
 
     blocks: tuple[tuple[RationalMatrix, Vector, Vector], ...]
     rho: RhoMatrix
@@ -83,6 +84,14 @@ class CoupledBlocks:
             raise ShapeError("coupling matrix must have zero diagonal")
         object.__setattr__(self, "blocks", tuple(canon))
         object.__setattr__(self, "rho", rho)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.blocks, self.rho) == (other.blocks, other.rho)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.blocks, self.rho))
 
     @property
     def k(self) -> int:
@@ -182,8 +191,7 @@ def _classify_block(phi: Polynomial, g: Polynomial, idx: int):
     return inherited, reduced
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Classified exact/numeric spectrum of a glued system.
 
     inherited: block eigenvalues invisible to that block's vector, full
@@ -192,11 +200,30 @@ class SpectrumReport:
     Entries are (value, multiplicity, block index).
     """
 
+    __slots__ = ("charpoly", "inherited", "reduced", "coupling", "coupling_roots")
+
     charpoly: Polynomial
     inherited: tuple[tuple[float, int, int], ...]
     reduced: tuple[tuple[float, int, int], ...]
     coupling: Polynomial
     coupling_roots: tuple[float, ...]
+
+    def __init__(self, charpoly, inherited, reduced, coupling, coupling_roots):
+        object.__setattr__(self, "charpoly", charpoly)
+        object.__setattr__(self, "inherited", inherited)
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "coupling_roots", coupling_roots)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.charpoly, self.inherited, self.reduced, self.coupling, self.coupling_roots) == (
+                other.charpoly, other.inherited, other.reduced, other.coupling, other.coupling_roots
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.charpoly, self.inherited, self.reduced, self.coupling, self.coupling_roots))
 
     def eigenvalues(self) -> list[float]:
         """Full numeric spectrum as a sorted multiset."""

@@ -13,19 +13,20 @@ Comparisons are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import PreconditionError
 from .graphs import Graph, VertexSubset
-from .joins import JoinSpec, UniversalParams, generalized_corona
+from .joins import JoinSpec, UniversalParams, generalized_corona, h_join
 from .matrices import RationalMatrix
 from .oracle import assemble, check, join_truth
+from .records import Record
 from .spectra import (
     CoupledBlocks,
     corona_blocks,
     coupled_charpoly,
+    degree_shift_spec,
     require_balanced,
     require_regular,
     subset_blocks,
@@ -57,6 +58,17 @@ def _subset(spec: JoinSpec) -> Construction:
     return "subset-join", subset_blocks(spec), lambda: join_truth(spec)
 
 
+def _degree_shift(spec: JoinSpec, t) -> Construction:
+    """A - tD of the plain join: blocks from the spec `degree_shift_spec` gives, truth
+    from the join graph's own adjacency and vertex degrees, so a fault in that spec shows."""
+
+    def truth() -> RationalMatrix:
+        g = h_join(JoinSpec(spec.host, spec.components))
+        return g.adjacency() - g.degree_matrix() * t
+
+    return "degree-shift", universal_blocks(degree_shift_spec(spec, t)), truth
+
+
 def _corona(spec: JoinSpec) -> Construction:
     if spec.universal is not None or spec.subsets is not None or spec.rho_override is not None:
         raise PreconditionError("corona route reads host + companion components only")
@@ -78,27 +90,43 @@ def _auto(spec: JoinSpec) -> Construction:
     return CONSTRUCTIONS[key](spec)
 
 
-# every construction by name: the --route values, A - tD (on the spec
-# `degree_shift_spec` gives), the generalized corona (host = base graph,
-# components = companions) and the lexicographic product
-CONSTRUCTIONS: dict[str, Callable[[JoinSpec], Construction]] = {
+# every construction by name: the --route values, A - tD (called with the
+# spec and t), the generalized corona (host = base graph, components =
+# companions) and the lexicographic product
+CONSTRUCTIONS: dict[str, Callable[..., Construction]] = {
     "auto": _auto,
     "adjacency": _adjacency,
     "universal": _join("universal-join"),
     "subset": _subset,
     "regular": _join("regular-shortcut", require_regular),
     "balanced": _join("balanced-shortcut", require_balanced),
-    "degree-shift": _join("degree-shift"),
+    "degree-shift": _degree_shift,
     "corona": _corona,
     "lex": _join("lexicographic", _require_lex),
 }
 
 
-@dataclass(frozen=True)
-class VerifyCase:
+class VerifyCase(Record):
+    """One verification verdict: the case's name, pass or fail, and the check's detail."""
+
+    __slots__ = ("name", "passed", "detail")
+
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, name, passed, detail):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.passed, self.detail) == (other.name, other.passed, other.detail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.passed, self.detail))
 
 
 def random_fraction(rng: random.Random, lo: int = -3, hi: int = 3, max_den: int = 3) -> Fraction:

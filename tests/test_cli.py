@@ -249,7 +249,9 @@ def test_spectrum_verify_and_verify_agree_on_a_foreign_rho(capsys, tmp_path):
     assert cases[0]["detail"] == f"route {obj['route']}: {obj['oracle']['detail']}"
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def test_cli_start_up_generates_no_code_and_loads_no_numpy():
+    # numpy serves the oracle alone, the records are plain classes that generate no
+    # code, and only the fixtures verb needs the fixtures: none of it loads at start-up
     import subprocess
     import sys
     from pathlib import Path
@@ -258,11 +260,14 @@ def test_cli_import_leaves_numpy_unloaded():
 
     src = str(Path(joinspectra.__file__).resolve().parent.parent)
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); "
-        "import joinspectra.cli as c; c.build_parser(); print('numpy' in sys.modules)"
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import joinspectra.cli as c; c.build_parser(); "
+        "import json; print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    loaded = set(json.loads(out))
+    assert "joinspectra.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "joinspectra.fixtures"})
 
 
 @pytest.mark.parametrize(

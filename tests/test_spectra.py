@@ -1,7 +1,6 @@
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from joinspectra import (
     CoupledBlocks,
     Graph,
     JoinSpec,
+    ResolventForm,
     UniversalParams,
     VertexSubset,
     assemble,
@@ -258,7 +258,7 @@ def test_glued_product_is_checked_on_both_routes(monkeypatch):
     def scaled(m, u, v):
         # every block's cofactor phi / g comes out twice too large
         form = exact(m, u, v)
-        return replace(form, charpoly=form.charpoly * 2)
+        return ResolventForm(form.num, form.den, form.charpoly * 2)
 
     monkeypatch.setattr(spectra, "resolvent_form", scaled)
     rng = random.Random(48)
@@ -280,7 +280,7 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
         # block 0's cofactor phi / g comes out twice too large
         calls.append(m)
         form = exact(m, u, v)
-        return replace(form, charpoly=form.charpoly * 2) if len(calls) == 1 else form
+        return ResolventForm(form.num, form.den, form.charpoly * 2) if len(calls) == 1 else form
 
     monkeypatch.setattr(spectra, "resolvent_form", first_block_doubled)
     regular = JoinSpec(Graph.path(2), (Graph.cycle(4), Graph.complete(3)), universal=ADJ)
@@ -724,6 +724,23 @@ def test_generalized_matches_oracle_at_half():
 def test_generalized_rejects_universal_params():
     with pytest.raises(PreconditionError):
         coupled_charpoly(universal_blocks(degree_shift_spec(mixed_join_spec().with_universal(ADJ), 1)))
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(-2)])
+def test_degree_shift_truth_catches_a_flipped_sign_of_t(monkeypatch, t):
+    # the truth is A - tD of the join graph itself, so a shifted spec built with +t must not match it
+    from joinspectra import verification
+
+    spec = mixed_join_spec()
+    route, cb, truth = verification.CONSTRUCTIONS["degree-shift"](spec, t)
+    assert route == "degree-shift"
+    assert check(coupled_charpoly(cb), truth()).equal
+
+    monkeypatch.setattr(verification, "degree_shift_spec", lambda spec, t: spec.with_universal(UniversalParams(1, 0, 0, t)))
+    _, cb, truth = verification.CONSTRUCTIONS["degree-shift"](spec, t)
+    verdict = check(coupled_charpoly(cb), truth())
+    assert not verdict.equal
+    assert verdict.first_mismatch is not None
 
 
 # -- subset joins ------------------------------------------------------------------
