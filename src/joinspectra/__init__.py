@@ -11,14 +11,9 @@ from .errors import DomainError, PreconditionError, ShapeError, SpecError
 from .graphs import Graph, VertexSubset, load_graph
 from .joins import (
     JoinSpec,
-    SpecialEigenvalueSplit,
     UniversalParams,
-    classify_special_eigenvalues,
     corona_as_hjoin,
     generalized_corona,
-    h_generalized_join,
-    h_join,
-    is_k_tau_regular,
     join_graph,
     join_weights,
     lexicographic,
@@ -58,14 +53,9 @@ __all__ = [
     "VertexSubset",
     "load_graph",
     "JoinSpec",
-    "SpecialEigenvalueSplit",
     "UniversalParams",
-    "classify_special_eigenvalues",
     "corona_as_hjoin",
     "generalized_corona",
-    "h_generalized_join",
-    "h_join",
-    "is_k_tau_regular",
     "join_graph",
     "join_weights",
     "lexicographic",

@@ -59,34 +59,11 @@ class Graph(Record):
         return cls(n, [(i, i + 1) for i in range(n - 1)])
 
     @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        if n < 3:
-            raise SpecError("cycle needs at least 3 vertices")
-        return cls(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
     def star(cls, leaves: int) -> "Graph":
         """Star on leaves+1 vertices, hub at index 0."""
         return cls(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
-    @classmethod
-    def complete_bipartite(cls, a: int, b: int) -> "Graph":
-        return cls(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
     # -- queries --------------------------------------------------------
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def neighbors(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def degrees(self) -> list[int]:
         degs = [0] * self.n
@@ -113,11 +90,6 @@ class Graph(Record):
         degs = self.degrees()
         return RationalMatrix(self.n, self.n, [degs[i] if i == j else 0 for i in range(self.n) for j in range(self.n)])
 
-    def induced(self, vertices: tuple[int, ...]) -> "Graph":
-        index = {v: i for i, v in enumerate(vertices)}
-        es = [(index[u], index[v]) for u, v in self.edges if u in index and v in index]
-        return Graph(len(vertices), es)
-
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -139,10 +111,6 @@ class Graph(Record):
                 raise SpecError(f"bad edge {e!r}")
             out.append((e[0], e[1]))
         return cls(n, out)
-
-    def to_text(self) -> str:
-        body = ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
-        return f"{self.n}; {body}" if body else f"{self.n};"
 
     @classmethod
     def from_text(cls, line: str) -> "Graph":
@@ -206,25 +174,6 @@ class VertexSubset(Record):
 
     def __hash__(self):
         return hash((self.parent_size, self.members))
-
-    @classmethod
-    def full(cls, parent_size: int) -> "VertexSubset":
-        return cls(parent_size, range(parent_size))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.members) == self.parent_size
-
-    def __contains__(self, v: int) -> bool:
-        return v in set(self.members)
-
-    def complement(self) -> tuple[int, ...]:
-        inside = set(self.members)
-        return tuple(v for v in range(self.parent_size) if v not in inside)
 
     def indicator(self) -> Vector:
         """0-1 characteristic vector over the parent's vertex order."""

@@ -14,10 +14,10 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, PreconditionError, SpecError
+from .errors import SpecError
 from .graphs import Graph, VertexSubset, graph_from_obj
 from .matrices import RationalMatrix
-from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
+from .polynomials import as_fraction
 from .records import Record
 
 RhoMatrix = tuple[tuple[Fraction, ...], ...]
@@ -60,14 +60,6 @@ class UniversalParams(Record):
     @classmethod
     def laplacian(cls) -> "UniversalParams":
         return cls(-1, 0, 0, 1)
-
-    @classmethod
-    def signless_laplacian(cls) -> "UniversalParams":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def seidel(cls) -> "UniversalParams":
-        return cls(-2, -1, 1, 0)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma, self.delta)
@@ -253,11 +245,6 @@ def rho_is_graphlike(spec: JoinSpec) -> bool:
     return spec.rho_override is None or spec.rho_override == host_rho(spec.host)
 
 
-def _require_graphlike(spec: JoinSpec, what: str) -> None:
-    if not rho_is_graphlike(spec):
-        raise SpecError(f"{what} needs host-derived 0/1 coupling; the override is matrix-only")
-
-
 # -- graph constructions ---------------------------------------------------
 
 
@@ -271,41 +258,30 @@ def join_weights(spec: JoinSpec) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def h_join(spec: JoinSpec) -> Graph:
-    """Blow up each host vertex into its component; host edges become complete bipartite blocks."""
-    if spec.subsets is not None:
-        raise SpecError("spec carries subsets; use h_generalized_join")
-    _require_graphlike(spec, "h_join")
-    return _join_graph(spec, [VertexSubset.full(g.n) for g in spec.components])
-
-
-def h_generalized_join(spec: JoinSpec) -> Graph:
-    """As h_join, but cross edges only touch each component's chosen subset."""
-    if spec.subsets is None:
-        raise SpecError("spec has no subsets; use h_join")
-    _require_graphlike(spec, "h_generalized_join")
-    return _join_graph(spec, spec.subsets)
-
-
 def join_graph(spec: JoinSpec) -> Graph:
-    return h_generalized_join(spec) if spec.subsets is not None else h_join(spec)
-
-
-def _join_graph(spec: JoinSpec, subsets: Sequence[VertexSubset]) -> Graph:
+    """Blow up each host vertex into its component; a host edge joins every
+    vertex of one component's subset to every vertex of the other's.  A spec
+    without subsets uses every vertex of each component."""
+    if not rho_is_graphlike(spec):
+        raise SpecError("join_graph needs host-derived 0/1 coupling; the override is matrix-only")
+    if spec.subsets is None:
+        members = [range(g.n) for g in spec.components]
+    else:
+        members = [s.members for s in spec.subsets]
     offs = spec.block_offsets()
     edges = []
     for i, g in enumerate(spec.components):
         edges.extend((offs[i] + u, offs[i] + v) for u, v in g.edges)
     for i, j in spec.host.edges:
-        for u in subsets[i].members:
-            for v in subsets[j].members:
+        for u in members[i]:
+            for v in members[j]:
                 edges.append((offs[i] + u, offs[j] + v))
     return Graph(spec.total_vertices, edges)
 
 
 def lexicographic(host: Graph, inner: Graph) -> Graph:
     """Substitute a copy of `inner` for every host vertex."""
-    return h_join(JoinSpec(host, (inner,) * host.n))
+    return join_graph(JoinSpec(host, (inner,) * host.n))
 
 
 def corona_family(host: Graph, family: Sequence[Graph]) -> tuple[Graph, ...]:
@@ -369,101 +345,3 @@ def universal_matrix(g: Graph, params: UniversalParams, shift: Fraction | int = 
     for i, deg in enumerate(g.degrees()):
         nums[i * (n + 1)] = b0 + d0 * deg
     return RationalMatrix.from_ints(n, n, nums, den)
-
-
-# -- structured vertex subsets ---------------------------------------------
-
-
-def is_k_tau_regular(g: Graph, subset: VertexSubset) -> Optional[tuple[int, int]]:
-    """(k, tau) when the subset induces a k-regular graph and every outside
-    vertex has exactly tau neighbors inside; None otherwise.
-
-    The full vertex set of a regular graph counts as (degree, 0)-regular.
-    """
-    if subset.size == 0:
-        raise DomainError("empty subset")
-    if subset.parent_size != g.n:
-        raise SpecError("subset sized for a different graph")
-    inner = g.induced(subset.members)
-    k = inner.regular_degree()
-    if k is None:
-        return None
-    outside = subset.complement()
-    if not outside:
-        return (k, 0)
-    inside = set(subset.members)
-    taus = {len(g.neighbors(v) & inside) for v in outside}
-    if len(taus) != 1:
-        return None
-    return (k, taus.pop())
-
-
-class SpecialEigenvalueSplit(Record):
-    """Numeric spectrum partitioned against a (k, tau)-regular subset."""
-
-    __slots__ = ("k", "tau", "main", "at_k_minus_tau", "special")
-
-    k: int
-    tau: int
-    main: tuple[float, ...]
-    at_k_minus_tau: tuple[float, ...]
-    special: tuple[float, ...]
-
-    def __init__(self, k, tau, main, at_k_minus_tau, special):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "main", main)
-        object.__setattr__(self, "at_k_minus_tau", at_k_minus_tau)
-        object.__setattr__(self, "special", special)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.k, self.tau, self.main, self.at_k_minus_tau, self.special) == (
-                other.k, other.tau, other.main, other.at_k_minus_tau, other.special
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.k, self.tau, self.main, self.at_k_minus_tau, self.special))
-
-
-def classify_special_eigenvalues(g: Graph, subset: VertexSubset) -> SpecialEigenvalueSplit:
-    """Split the spectrum into main / k-tau / special eigenvalues.
-
-    Special = neither main nor equal to k - tau.  Consistency is enforced
-    exactly: the non-main part of each square-free factor, with the k - tau
-    root removed, must have no root in common with the subset-indicator
-    resolvent's denominator (whose roots are the eigenvalues visible to the
-    indicator vector).
-    """
-    from .resolvent import resolvent_form
-    from .roots import real_roots
-
-    kt = is_k_tau_regular(g, subset)
-    if kt is None or kt[1] <= 0:
-        raise PreconditionError("subset must be (k, tau)-regular with tau > 0")
-    k, tau = kt
-    boundary = Fraction(k - tau)
-    adj = g.adjacency()
-    ones = tuple(Fraction(1) for _ in range(g.n))
-    main_form = resolvent_form(adj, ones)
-    g_main = main_form.den
-    g_chi = resolvent_form(adj, subset.indicator()).den
-
-    main: list[float] = []
-    at_boundary: list[float] = []
-    special: list[float] = []
-    for factor, mult in square_free_decomposition(main_form.charpoly):
-        main_part = poly_gcd(factor, g_main)
-        rest = factor.exact_div(main_part)
-        if main_part.degree > 0:
-            main.extend(r for r in real_roots(main_part) for _ in range(mult))
-        if rest(boundary) == 0:
-            rest = rest.exact_div(Polynomial((-boundary, 1)))
-            at_boundary.extend([float(boundary)] * mult)
-        if rest.degree > 0:
-            stray = poly_gcd(rest, g_chi)
-            if stray.degree > 0:
-                raise ArithmeticError("special eigenvalue visible to the subset indicator; classification is inconsistent")
-            special.extend(r for r in real_roots(rest) for _ in range(mult))
-    return SpecialEigenvalueSplit(k, tau, tuple(sorted(main)), tuple(sorted(at_boundary)), tuple(sorted(special)))

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import ShapeError
 from .kernel import charpoly_int
 from .polynomials import Polynomial, _from_ints, _horner, as_fraction, clear_denominators
+from .records import Record
 
 Vector = tuple[Fraction, ...]
 
@@ -38,13 +39,7 @@ def as_vector(items: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in items)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ShapeError(f"dot of length {len(u)} with length {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-class RationalMatrix:
+class RationalMatrix(Record):
     """Immutable row-major rational matrix: d * M as ints (`nums`) over the
     least common denominator d (`den`) of its entries."""
 
@@ -60,9 +55,6 @@ class RationalMatrix:
         if rows < 0 or cols < 0 or len(ints) != rows * cols:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(ints)}")
         _store(self, rows, cols, ints, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def from_ints(cls, rows: int, cols: int, ints: Sequence[int], den: int = 1) -> "RationalMatrix":
@@ -111,9 +103,6 @@ class RationalMatrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -155,11 +144,6 @@ class RationalMatrix:
         cols = [other.nums[j::p] for j in range(p)]
         out = [sum(map(mul, a[i * m : (i + 1) * m], col)) for i in range(n) for col in cols]
         return RationalMatrix.from_ints(n, p, out, self.den * other.den)
-
-    def mat_vec(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise ShapeError("matrix-vector shape mismatch")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
 
     def transpose(self) -> "RationalMatrix":
         r, c, e = self.rows, self.cols, self.nums

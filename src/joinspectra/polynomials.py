@@ -24,6 +24,7 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
+from .records import Record
 
 NEG_INF = float("-inf")
 
@@ -52,7 +53,7 @@ def clear_denominators(values: Iterable) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in fs], d
 
 
-class Polynomial:
+class Polynomial(Record):
     """Immutable dense polynomial: integer numerators `nums` over one positive
     denominator `den`, in lowest terms (see the module docstring)."""
 
@@ -63,9 +64,6 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         _store(self, *clear_denominators(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -209,9 +207,6 @@ class Polynomial:
 
     # -- calculus / substitution --------------------------------------
 
-    def derivative(self) -> "Polynomial":
-        return _from_ints(_derivative(self.nums), self.den)
-
     def monic(self) -> "Polynomial":
         if self.is_zero or self.is_monic:
             return self
@@ -249,10 +244,6 @@ class Polynomial:
             g = math.gcd(c, den)
             out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
         return out
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls([Fraction(s) for s in items])
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -482,8 +473,3 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         d = _sub(_int_quotient(d, g), _derivative(b))
         i += 1
     return out
-
-
-def is_square_free(p: Polynomial) -> bool:
-    return poly_gcd(p, p.derivative()).degree <= 0
-

@@ -4,7 +4,9 @@ A record lists its fields in `__slots__`, sets them with `object.__setattr__`
 in `__init__`, and defines `__eq__` and `__hash__` on its field tuple itself:
 `other.__class__ is self.__class__` or `NotImplemented`, then the two tuples
 compared or hashed.  `Record` adds what every record shares: no assignment or
-deletion once built, and the `Name(field=value, ...)` repr.  Nothing is
+deletion once built, and the `Name(field=value, ...)` repr.
+`Polynomial` and `RationalMatrix` take only the immutability: they keep
+their own repr and compare their canonical integer form.  Nothing is
 generated at import: generated record methods would pull in the standard
 library's `inspect` and `exec` code per class, which cost more than the rest
 of the package's import and show in every CLI call's start-up.

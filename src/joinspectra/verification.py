@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .errors import PreconditionError
 from .graphs import Graph, VertexSubset
-from .joins import JoinSpec, UniversalParams, generalized_corona, h_join
+from .joins import JoinSpec, UniversalParams, generalized_corona, join_graph
 from .matrices import RationalMatrix
 from .oracle import assemble, check, join_truth
 from .records import Record
@@ -63,7 +63,7 @@ def _degree_shift(spec: JoinSpec, t) -> Construction:
     from the join graph's own adjacency and vertex degrees, so a fault in that spec shows."""
 
     def truth() -> RationalMatrix:
-        g = h_join(JoinSpec(spec.host, spec.components))
+        g = join_graph(JoinSpec(spec.host, spec.components))
         return g.adjacency() - g.degree_matrix() * t
 
     return "degree-shift", universal_blocks(degree_shift_spec(spec, t)), truth

@@ -6,9 +6,48 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
 
-from joinspectra import Graph, Polynomial, RationalMatrix
+from joinspectra import Graph, Polynomial, RationalMatrix, UniversalParams, VertexSubset
+from joinspectra.fixtures import multisets_close
 from joinspectra.kernel import charpoly_int
 from joinspectra.verification import random_fraction
+
+
+def cycle(n: int) -> Graph:
+    """The n-cycle, n >= 3."""
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def full_subset(n: int) -> VertexSubset:
+    return VertexSubset(n, range(n))
+
+
+def graph_text(g: Graph) -> str:
+    """g in the one-line text format `Graph.from_text` reads: "4; 0-1,2-3"."""
+    body = ",".join(f"{u}-{v}" for u, v in sorted(g.edges))
+    return f"{g.n}; {body}" if body else f"{g.n};"
+
+
+def to_lists(m: RationalMatrix) -> list[list[Fraction]]:
+    """m's Fraction entries as a list of rows."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def is_square_free(p: Polynomial) -> bool:
+    """No repeated root: gcd(p, p') is constant, by Euclid's gcd on the reference polynomial."""
+    f = ref(p)
+    return f.gcd(f.derivative()).degree <= 0
+
+
+def signless_laplacian() -> UniversalParams:
+    return UniversalParams(1, 0, 0, 1)
+
+
+def seidel() -> UniversalParams:
+    return UniversalParams(-2, -1, 1, 0)
 
 
 def rand_int_matrix(rng: random.Random, n: int, lo: int = -4, hi: int = 4) -> RationalMatrix:
@@ -379,20 +418,14 @@ def char_matrix(m: RationalMatrix) -> list:
     ]
 
 
-def multisets_close(a, b, tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol * max(1.0, abs(x)) for x, y in zip(sorted(a), sorted(b)))
-
-
 def regular_graph_menu(rng: random.Random) -> Graph:
     """A random regular graph drawn from a small exactly-known family."""
     kind = rng.randrange(4)
     if kind == 0:
-        return Graph.cycle(rng.randint(3, 6))
+        return cycle(rng.randint(3, 6))
     if kind == 1:
         return Graph.complete(rng.randint(1, 5))
     if kind == 2:
         return Graph.empty(rng.randint(1, 5))
     m = rng.randint(1, 3)
-    return Graph.complete_bipartite(m, m)
+    return complete_bipartite(m, m)

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import adjugate_form, char_matrix, multisets_close, outer, rand_int_matrix, rand_symmetric_matrix, rand_vector, reduced, regular_graph_menu
+from helpers import adjugate_form, char_matrix, is_square_free, multisets_close, outer, rand_int_matrix, rand_symmetric_matrix, rand_vector, reduced, regular_graph_menu, seidel, signless_laplacian, to_lists
 from joinspectra import (
     Graph,
     JoinSpec,
@@ -22,7 +22,7 @@ from joinspectra import (
     coupled_spectrum,
     degree_shift_spec,
     determinant,
-    h_join,
+    join_graph,
     join_blocks,
     lexicographic,
     oracle_charpoly,
@@ -34,7 +34,7 @@ from joinspectra import (
     universal_matrix,
 )
 from joinspectra.matrices import charpoly
-from joinspectra.polynomials import Polynomial, is_square_free
+from joinspectra.polynomials import Polynomial
 from joinspectra.roots import real_roots
 from joinspectra.fixtures import (
     mixed_join_charpoly_factors,
@@ -114,8 +114,8 @@ def test_criterion_05_universal_sweep():
     presets = {
         "adjacency": UniversalParams.adjacency(),
         "laplacian": UniversalParams.laplacian(),
-        "signless": UniversalParams.signless_laplacian(),
-        "seidel": UniversalParams.seidel(),
+        "signless": signless_laplacian(),
+        "seidel": seidel(),
     }
     rng = random.Random(55)
     total = 0
@@ -123,7 +123,7 @@ def test_criterion_05_universal_sweep():
         for _ in range(50):
             spec = random_join_spec(rng, max_k=4, max_n=4, universal=params)
             formula = coupled_charpoly(universal_blocks(spec))
-            truth = oracle_charpoly(universal_matrix(h_join(spec.with_universal(None)), params))
+            truth = oracle_charpoly(universal_matrix(join_graph(spec.with_universal(None)), params))
             verdict = compare(formula, truth)
             assert verdict.equal, f"{name}: {verdict.detail}"
             total += 1
@@ -193,7 +193,7 @@ def test_criterion_09_degree_shift_family():
     for t in (0, 1, Fraction(1, 2), -2):
         for _ in range(25):
             s = random_join_spec(rng, max_k=3, max_n=3)
-            g = h_join(s)
+            g = join_graph(s)
             truth = oracle_charpoly(g.adjacency() - g.degree_matrix() * Fraction(t))
             verdict = compare(coupled_charpoly(universal_blocks(degree_shift_spec(s, t))), truth)
             assert verdict.equal, verdict.detail
@@ -212,7 +212,7 @@ def test_criterion_10_property_suite():
         if determinant(a) == 0:
             continue
         u, v = rand_vector(rng, n), rand_vector(rng, n)
-        assert determinant(a + outer(u, v)) == (1 + adjugate_form(a.to_lists(), u, v) / determinant(a)) * determinant(a)
+        assert determinant(a + outer(u, v)) == (1 + adjugate_form(to_lists(a), u, v) / determinant(a)) * determinant(a)
         checked += 1
 
     # resolvent of a rank-one update: form / (1 + c * form), which is

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from helpers import graph_text
 from joinspectra import (
     Graph,
     JoinSpec,
@@ -344,7 +345,7 @@ def test_lex_verb(capsys, tmp_path):
         params = random_universal_params(rng).to_json_obj()
         params["delta"] = rng.choice(["-2", "-1", "1/2", "1", "3"])
         p2 = tmp_path / f"lex_delta_{case}.json"
-        p2.write_text(json.dumps({"host": host.to_text(), "components": [inner.to_text()], "universal": params}))
+        p2.write_text(json.dumps({"host": graph_text(host), "components": [graph_text(inner)], "universal": params}))
         code, obj = run_json(capsys, ["lex", str(p2), "--verify"])
         assert code == 0
         assert obj["oracle"]["equal"] is True

@@ -2,28 +2,23 @@ import json
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from helpers import PRESET_VALUES, literal_universal_matrix, multisets_close
+from helpers import PRESET_VALUES, cycle, full_subset, literal_universal_matrix, seidel, to_lists
 from joinspectra import (
     Graph,
     JoinSpec,
     UniversalParams,
     VertexSubset,
-    classify_special_eigenvalues,
     corona_as_hjoin,
     corona_blocks,
     generalized_corona,
-    h_generalized_join,
-    h_join,
-    is_k_tau_regular,
     join_graph,
     join_weights,
     lexicographic,
     universal_matrix,
 )
-from joinspectra.errors import DomainError, PreconditionError, SpecError
+from joinspectra.errors import SpecError
 from joinspectra.fixtures import mixed_join_spec, subset_join_spec
 from joinspectra.joins import host_rho, load_join_spec, rho_is_graphlike
 from joinspectra.matrices import RationalMatrix, charpoly
@@ -83,32 +78,33 @@ def test_universal_params():
 
 
 def test_h_join_trivial():
-    assert h_join(JoinSpec(Graph.complete(2), (Graph(1), Graph(1)))) == Graph.complete(2)
+    assert join_graph(JoinSpec(Graph.complete(2), (Graph(1), Graph(1)))) == Graph.complete(2)
     # edgeless host: disjoint union of the components
     spec = JoinSpec(Graph.empty(2), (Graph.complete(2), Graph.path(3)))
-    g = h_join(spec)
-    assert g.num_edges == 1 + 2
+    g = join_graph(spec)
+    assert len(g.edges) == 1 + 2
     assert not any(u < 2 <= v for u, v in g.edges)
 
 
 def test_h_join_fixture_edge_count():
     # components carry 2 + 3 + 1 internal edges; host edges contribute the
     # complete bipartite blocks 3*4 and 4*3
-    g = h_join(mixed_join_spec())
+    g = join_graph(mixed_join_spec())
     assert g.n == 10
-    assert g.num_edges == 2 + 3 + 1 + 3 * 4 + 4 * 3
+    assert len(g.edges) == 2 + 3 + 1 + 3 * 4 + 4 * 3
 
 
 def test_h_join_degrees_add_weights():
     rng = random.Random(21)
     for _ in range(15):
         spec = random_join_spec(rng, max_k=4, max_n=4)
-        g = h_join(spec)
+        g = join_graph(spec)
         w = join_weights(spec)
+        degrees = g.degrees()
         offs = spec.block_offsets()
         for i, comp in enumerate(spec.components):
-            for v in range(comp.n):
-                assert g.degree(offs[i] + v) == comp.degree(v) + w[i]
+            for v, d in enumerate(comp.degrees()):
+                assert degrees[offs[i] + v] == d + w[i]
 
 
 def test_weights():
@@ -125,7 +121,8 @@ def test_weights_equal_the_neighbour_sums():
         k = rng.randint(1, 30)
         host = random_graph(rng, k, edge_rate=rng.random())
         spec = JoinSpec(host, tuple(Graph(rng.randint(1, 6)) for _ in range(k)))
-        sums = tuple(sum(spec.components[j].n for j in host.neighbors(i)) for i in range(k))
+        neighbours = [{v for e in host.edges if i in e for v in e} - {i} for i in range(k)]
+        sums = tuple(sum(spec.components[j].n for j in neighbours[i]) for i in range(k))
         assert join_weights(spec) == sums
 
 
@@ -133,29 +130,29 @@ def test_weights_count_cross_edges():
     rng = random.Random(22)
     for _ in range(15):
         spec = random_join_spec(rng, max_k=4, max_n=4)
-        g = h_join(spec)
+        g = join_graph(spec)
         w = join_weights(spec)
-        internal = sum(c.num_edges for c in spec.components)
-        cross = g.num_edges - internal
+        internal = sum(len(c.edges) for c in spec.components)
+        cross = len(g.edges) - internal
         assert sum(wi * c.n for wi, c in zip(w, spec.components)) == 2 * cross
 
 
 def test_h_generalized_join():
     spec = subset_join_spec()
-    g = h_generalized_join(spec)
+    g = join_graph(spec)
     assert g.n == 10
-    assert g.num_edges == (2 + 3 + 1) + 2 * 3 + 3 * 2
+    assert len(g.edges) == (2 + 3 + 1) + 2 * 3 + 3 * 2
     # full subsets coincide with the plain join
     base = mixed_join_spec()
-    full = JoinSpec(base.host, base.components, subsets=tuple(VertexSubset.full(c.n) for c in base.components))
-    assert h_generalized_join(full) == h_join(base)
+    full = JoinSpec(base.host, base.components, subsets=tuple(full_subset(c.n) for c in base.components))
+    assert join_graph(full) == join_graph(base)
     # an empty subset cuts that component off from all cross edges
     empty_mid = JoinSpec(
         base.host,
         base.components,
-        subsets=(VertexSubset.full(3), VertexSubset(4, ()), VertexSubset.full(3)),
+        subsets=(full_subset(3), VertexSubset(4, ()), full_subset(3)),
     )
-    g2 = h_generalized_join(empty_mid)
+    g2 = join_graph(empty_mid)
     offs = empty_mid.block_offsets()
     block2 = set(range(offs[1], offs[1] + 4))
     for u, v in g2.edges:
@@ -163,13 +160,15 @@ def test_h_generalized_join():
 
 
 def test_join_dispatch_and_preconditions():
-    base = mixed_join_spec()
-    with pytest.raises(SpecError):
-        h_generalized_join(base)
-    with pytest.raises(SpecError):
-        h_join(subset_join_spec())
-    assert join_graph(base) == h_join(base)
-    assert join_graph(subset_join_spec()) == h_generalized_join(subset_join_spec())
+    # with subsets, cross edges touch only the chosen vertices; without, every vertex
+    sub = subset_join_spec()
+    plain = JoinSpec(sub.host, sub.components)
+    assert join_graph(sub).edges < join_graph(plain).edges
+    # a coupling override the host does not give has no graph, with or without subsets
+    foreign = ((0, 2, 0), (2, 0, 1), (0, 1, 0))
+    for spec in (plain, sub):
+        with pytest.raises(SpecError, match="join_graph needs host-derived 0/1 coupling"):
+            join_graph(JoinSpec(spec.host, spec.components, spec.subsets, rho_override=foreign))
 
 
 def test_rho_override_rules():
@@ -177,11 +176,11 @@ def test_rho_override_rules():
     comps = (Graph(1), Graph(1))
     matching = JoinSpec(host, comps, rho_override=((0, 1), (1, 0)))
     assert rho_is_graphlike(matching)
-    assert h_join(matching) == Graph.complete(2)
+    assert join_graph(matching) == Graph.complete(2)
     foreign = JoinSpec(host, comps, rho_override=((0, 2), (2, 0)))
     assert not rho_is_graphlike(foreign)
     with pytest.raises(SpecError):
-        h_join(foreign)
+        join_graph(foreign)
     assert host_rho(host)[0][1] == 1
 
 
@@ -189,7 +188,7 @@ def test_lexicographic():
     assert lexicographic(Graph.complete(2), Graph(1)) == Graph.complete(2)
     assert lexicographic(Graph(1), Graph.path(4)) == Graph.path(4)
     direct = lexicographic(Graph.path(3), Graph.complete(2))
-    via_join = h_join(JoinSpec(Graph.path(3), (Graph.complete(2),) * 3))
+    via_join = join_graph(JoinSpec(Graph.path(3), (Graph.complete(2),) * 3))
     assert direct == via_join
     assert direct.n == 6
 
@@ -216,14 +215,14 @@ def test_corona_as_hjoin_matches():
         family = tuple(random_graph(rng, rng.randint(1, 3)) for _ in range(k))
         direct = generalized_corona(host, family)
         # the join keeps the corona's vertex order
-        assert h_join(corona_as_hjoin(host, family)) == direct
+        assert join_graph(corona_as_hjoin(host, family)) == direct
 
 
 def test_universal_matrix_examples():
     k2 = Graph.complete(2)
-    assert universal_matrix(k2, UniversalParams.adjacency()).to_lists() == [[0, 1], [1, 0]]
-    assert universal_matrix(k2, UniversalParams.laplacian()).to_lists() == [[1, -1], [-1, 1]]
-    assert universal_matrix(k2, UniversalParams.seidel()).to_lists() == [[0, -1], [-1, 0]]
+    assert to_lists(universal_matrix(k2, UniversalParams.adjacency())) == [[0, 1], [1, 0]]
+    assert to_lists(universal_matrix(k2, UniversalParams.laplacian())) == [[1, -1], [-1, 1]]
+    assert to_lists(universal_matrix(k2, seidel())) == [[0, -1], [-1, 0]]
     rng = random.Random(24)
     for _ in range(10):
         g = random_graph(rng, rng.randint(1, 5))
@@ -235,7 +234,7 @@ def test_universal_matrix_examples():
 
 def test_universal_matrix_equals_literal_sum():
     rng = random.Random(25)
-    graphs = [Graph(0), Graph(1), Graph.empty(5), Graph.complete(6), Graph.path(4), Graph.cycle(5)]
+    graphs = [Graph(0), Graph(1), Graph.empty(5), Graph.complete(6), Graph.path(4), cycle(5)]
     graphs += [random_graph(rng, rng.randint(2, 9), rng.choice((0.2, 0.5, 0.8))) for _ in range(8)]
     params = [UniversalParams(*p) for p in PRESET_VALUES]
     params += [random_universal_params(rng) for _ in range(6)]
@@ -246,54 +245,3 @@ def test_universal_matrix_equals_literal_sum():
             assert universal_matrix(g, p) == literal
             shift = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             assert universal_matrix(g, p, shift) == literal + RationalMatrix.identity(g.n) * shift
-
-
-def test_k_tau_regular():
-    c4 = Graph.cycle(4)
-    assert is_k_tau_regular(c4, VertexSubset.full(4)) == (2, 0)
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert is_k_tau_regular(star, VertexSubset(4, (1, 2, 3))) == (0, 3)
-    p3 = Graph.path(3)
-    assert is_k_tau_regular(p3, VertexSubset(3, (0, 2))) == (0, 2)
-    # ends of a 4-path: induced edge is 1-regular but outside degrees differ
-    p4 = Graph.path(4)
-    assert is_k_tau_regular(p4, VertexSubset(4, (0, 1))) is None
-    assert is_k_tau_regular(p4, VertexSubset.full(4)) is None  # not regular
-    with pytest.raises(DomainError):
-        is_k_tau_regular(c4, VertexSubset(4, ()))
-
-
-def test_classify_special_eigenvalues_star(kernel_calls):
-    # independent oracle: dense eigendecomposition, classified by hand
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    subset = VertexSubset(4, (1, 2, 3))
-    a = np.array(star.adjacency().to_floats())
-    w, vecs = np.linalg.eigh(a)
-    ones = np.ones(4)
-    expect_main = sorted(w[i] for i in range(4) if abs(vecs[:, i] @ ones) > 1e-8)
-    expect_rest = sorted(w[i] for i in range(4) if abs(vecs[:, i] @ ones) <= 1e-8)
-
-    split = classify_special_eigenvalues(star, subset)
-    assert kernel_calls == [("bordered", 4)] * 2  # two resolvent forms, phi_A reused from the first
-    assert (split.k, split.tau) == (0, 3)
-    assert multisets_close(split.main, expect_main, 1e-8)
-    assert split.at_k_minus_tau == ()  # -3 is not an eigenvalue
-    assert multisets_close(split.special, expect_rest, 1e-8)
-    assert len(split.special) == 2  # eigenvalue 0 twice
-
-
-def test_classify_special_eigenvalues_path(kernel_calls):
-    p3 = Graph.path(3)
-    split = classify_special_eigenvalues(p3, VertexSubset(3, (0, 2)))
-    assert kernel_calls == [("bordered", 3)] * 2
-    assert (split.k, split.tau) == (0, 2)
-    assert multisets_close(split.main, [-(2**0.5), 2**0.5], 1e-10)
-    assert split.at_k_minus_tau == ()
-    assert multisets_close(split.special, [0.0], 1e-10)
-
-
-def test_classify_preconditions():
-    with pytest.raises(PreconditionError):
-        classify_special_eigenvalues(Graph.cycle(4), VertexSubset.full(4))  # tau = 0
-    with pytest.raises(PreconditionError):
-        classify_special_eigenvalues(Graph.path(4), VertexSubset(4, (0, 1)))  # not (k, tau)-regular

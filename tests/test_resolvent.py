@@ -7,6 +7,8 @@ from helpers import (
     adjugate_form,
     char_matrix,
     cofactor_det,
+    cycle,
+    is_square_free,
     outer,
     rand_rational_matrix,
     rand_symmetric_matrix,
@@ -24,7 +26,7 @@ from joinspectra.fixtures import (
     subset_join_spec,
 )
 from joinspectra.matrices import RationalMatrix, as_vector, charpoly
-from joinspectra.polynomials import Polynomial, is_square_free, poly_gcd
+from joinspectra.polynomials import Polynomial, poly_gcd
 from joinspectra.resolvent import main_poles, resolvent_form
 from joinspectra.spectra import universal_blocks
 from joinspectra.verification import random_graph, random_universal_params
@@ -116,7 +118,7 @@ def test_shape_errors():
 
 def test_eigenvector_shortcut_matches_full_computation():
     # all-ones is an eigenvector of the 4-cycle for eigenvalue 2: |u|^2 / (x - 2)
-    c4 = Graph.cycle(4).adjacency()
+    c4 = cycle(4).adjacency()
     assert pair(resolvent_form(c4, ones(4))) == (Polynomial.constant(4), X - 2)
     for n in (2, 3, 5):
         kn = Graph.complete(n).adjacency()
@@ -376,7 +378,7 @@ def test_non_eigenvectors_take_one_bordered_pass(kernel_calls):
     k4 = Graph.complete(4).adjacency()
     # all-ones passes every row but the last
     last_row_off = k4 + RationalMatrix(4, 4, [0] * 15 + [1])
-    c4 = Graph.cycle(4).adjacency()
+    c4 = cycle(4).adjacency()
     cases = [
         (last_row_off, ones(4), ones(4)),
         (c4, ones(4), (1, 0, 0, 0)),  # u is an eigenvector, but u != v

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PRESET_VALUES, literal_universal_matrix, multisets_close, regular_graph_menu
+from helpers import PRESET_VALUES, cycle, full_subset, literal_universal_matrix, multisets_close, regular_graph_menu, seidel, signless_laplacian
 from joinspectra import (
     CoupledBlocks,
     Graph,
@@ -22,7 +22,6 @@ from joinspectra import (
     coupled_spectrum,
     degree_shift_spec,
     generalized_corona,
-    h_join,
     join_blocks,
     join_graph,
     join_truth,
@@ -235,7 +234,7 @@ def test_fixture_spectrum_classification():
     assert inh == [(-1.0, 1, 2), (0.0, 1, 0), (0.0, 2, 1)]
     assert report.reduced == ()
     assert report.coupling.degree == 6
-    truth = oracle_spectrum(h_join(mixed_join_spec()).adjacency())
+    truth = oracle_spectrum(join_graph(mixed_join_spec()).adjacency())
     assert multisets_close(report.eigenvalues(), truth, 1e-7)
 
 
@@ -283,7 +282,7 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
         return ResolventForm(form.num, form.den, form.charpoly * 2) if len(calls) == 1 else form
 
     monkeypatch.setattr(spectra, "resolvent_form", first_block_doubled)
-    regular = JoinSpec(Graph.path(2), (Graph.cycle(4), Graph.complete(3)), universal=ADJ)
+    regular = JoinSpec(Graph.path(2), (cycle(4), Graph.complete(3)), universal=ADJ)
     with pytest.raises(ArithmeticError):
         _regular_spectrum(regular)
     calls.clear()
@@ -392,7 +391,7 @@ def test_laplacian_join_of_16_vertex_blocks_matches_eigvalsh():
     lap = UniversalParams.laplacian()
     spec = JoinSpec(Graph.complete(8), tuple(random_graph(rng, 16, 0.4) for _ in range(8)), universal=lap)
     got = coupled_spectrum(universal_blocks(spec)).eigenvalues()
-    want = np.linalg.eigvalsh(np.array(universal_matrix(h_join(spec), lap).to_floats()))
+    want = np.linalg.eigvalsh(np.array(universal_matrix(join_graph(spec), lap).to_floats()))
     assert len(got) == 128
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * float(np.max(np.abs(want)))
 
@@ -423,14 +422,14 @@ def test_universal_routes_against_graph_oracle():
     presets = [
         UniversalParams.adjacency(),
         UniversalParams.laplacian(),
-        UniversalParams.signless_laplacian(),
-        UniversalParams.seidel(),
+        signless_laplacian(),
+        seidel(),
     ]
     for _ in range(12):
         params = presets[rng.randrange(4)] if rng.random() < 0.7 else random_universal_params(rng)
         spec = random_join_spec(rng, max_k=3, max_n=3, universal=params)
         formula = coupled_charpoly(universal_blocks(spec))
-        truth = oracle_charpoly(universal_matrix(h_join(spec.with_universal(None)), params))
+        truth = oracle_charpoly(universal_matrix(join_graph(spec.with_universal(None)), params))
         assert compare(formula, truth).equal
 
 
@@ -490,7 +489,7 @@ def test_regular_shortcut_symmetrized_matrix_is_literal():
 def test_regular_shortcut_cycle_join_laplacian():
     # two 4-cycles joined across, with laplacian coefficients: the regular
     # shortcut, the balanced shortcut and the general route all agree
-    spec = JoinSpec(Graph.complete(2), (Graph.cycle(4), Graph.cycle(4)), universal=UniversalParams.laplacian())
+    spec = JoinSpec(Graph.complete(2), (cycle(4), cycle(4)), universal=UniversalParams.laplacian())
     via_regular = _regular_spectrum(spec).eigenvalues()
     via_balanced = _balanced_spectrum(spec).eigenvalues()
     via_general = coupled_spectrum(universal_blocks(spec)).eigenvalues()
@@ -499,9 +498,9 @@ def test_regular_shortcut_cycle_join_laplacian():
 
 
 def test_regular_shortcut_single_component():
-    spec = JoinSpec(Graph(1), (Graph.cycle(5),), universal=ADJ)
+    spec = JoinSpec(Graph(1), (cycle(5),), universal=ADJ)
     report = _regular_spectrum(spec)
-    assert multisets_close(report.eigenvalues(), oracle_spectrum(Graph.cycle(5).adjacency()), 1e-8)
+    assert multisets_close(report.eigenvalues(), oracle_spectrum(cycle(5).adjacency()), 1e-8)
 
 
 def test_regular_shortcut_rejects_irregular():
@@ -515,7 +514,7 @@ def test_balanced_shortcut_laplacian():
     report = _balanced_spectrum(spec)
     general = coupled_spectrum(universal_blocks(spec))
     assert multisets_close(report.eigenvalues(), general.eigenvalues(), 1e-8)
-    laplacian = universal_matrix(h_join(mixed_join_spec()), UniversalParams.laplacian())
+    laplacian = universal_matrix(join_graph(mixed_join_spec()), UniversalParams.laplacian())
     assert multisets_close(report.eigenvalues(), oracle_spectrum(laplacian), 1e-7)
 
 
@@ -688,8 +687,8 @@ def test_lex_join_takes_one_blocks_kernel_calls_plus_one_k_by_k_call(kernel_call
     irregular = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     cases = [
         (_lex_spec(random_graph(rng, 8), irregular), [("bordered", 5), 8]),
-        (_lex_spec(random_graph(rng, 7), Graph.cycle(5)), [5, 7]),
-        (_lex_spec(Graph.cycle(6), irregular, UniversalParams.laplacian()), [5, 6]),
+        (_lex_spec(random_graph(rng, 7), cycle(5)), [5, 7]),
+        (_lex_spec(cycle(6), irregular, UniversalParams.laplacian()), [5, 6]),
     ]
     for spec, want in cases:
         for glue in (coupled_charpoly, coupled_spectrum):
@@ -715,7 +714,7 @@ def test_generalized_negated_laplacian_at_one():
 
 def test_generalized_matches_oracle_at_half():
     spec = mixed_join_spec()
-    g = h_join(spec)
+    g = join_graph(spec)
     m = g.adjacency() - g.degree_matrix() * Fraction(1, 2)
     half = coupled_charpoly(universal_blocks(degree_shift_spec(spec, Fraction(1, 2))))
     assert compare(half, oracle_charpoly(m)).equal
@@ -753,7 +752,7 @@ def test_subset_join_fixture():
 
 def test_subset_join_full_subsets_match_plain_join():
     base = mixed_join_spec()
-    full = JoinSpec(base.host, base.components, subsets=tuple(VertexSubset.full(c.n) for c in base.components))
+    full = JoinSpec(base.host, base.components, subsets=tuple(full_subset(c.n) for c in base.components))
     plain = coupled_charpoly(universal_blocks(base.with_universal(ADJ)))
     assert coupled_charpoly(subset_blocks(full)) == plain
 
@@ -763,7 +762,7 @@ def test_subset_join_empty_subset_factorizes():
     empty_first = JoinSpec(
         base.host,
         base.components,
-        subsets=(VertexSubset(3, ()), VertexSubset.full(4), VertexSubset.full(3)),
+        subsets=(VertexSubset(3, ()), full_subset(4), full_subset(3)),
     )
     got = coupled_charpoly(subset_blocks(empty_first))
     # component 0 separates: remaining join lives on the host minus vertex 0
@@ -787,7 +786,7 @@ def test_subset_join_spectrum_regular_full_subsets():
         k = rng.randint(1, 3)
         host = random_graph(rng, k)
         comps = tuple(regular_graph_menu(rng) for _ in range(k))
-        spec = JoinSpec(host, comps, subsets=tuple(VertexSubset.full(c.n) for c in comps))
+        spec = JoinSpec(host, comps, subsets=tuple(full_subset(c.n) for c in comps))
         report = coupled_spectrum(subset_blocks(spec))
         shortcut = _regular_spectrum(JoinSpec(host, comps, universal=ADJ))
         assert multisets_close(report.eigenvalues(), shortcut.eigenvalues(), 1e-7)
@@ -821,7 +820,7 @@ def test_corona_path():
 
 
 def test_corona_sun_graph():
-    host = Graph.cycle(4)
+    host = cycle(4)
     fam = (Graph(1),) * 4
     got = coupled_charpoly(corona_blocks(host, fam))
     assert compare(got, oracle_charpoly(generalized_corona(host, fam).adjacency())).equal
