@@ -16,12 +16,11 @@ from .joins import (
     generalized_corona,
     join_graph,
     join_weights,
-    lexicographic,
     load_join_spec,
     universal_matrix,
 )
 from .kernel import BACKEND as KERNEL_BACKEND
-from .matrices import RationalMatrix, charpoly, determinant, poly_det
+from .matrices import RationalMatrix, charpoly, poly_det
 from .oracle import CompareResult, assemble, check, compare, join_truth, oracle_charpoly, oracle_spectrum
 from .polynomials import Polynomial, poly_gcd, square_free_decomposition
 from .resolvent import ResolventForm, main_poles, resolvent_form
@@ -58,12 +57,10 @@ __all__ = [
     "generalized_corona",
     "join_graph",
     "join_weights",
-    "lexicographic",
     "load_join_spec",
     "universal_matrix",
     "RationalMatrix",
     "charpoly",
-    "determinant",
     "poly_det",
     "CompareResult",
     "assemble",

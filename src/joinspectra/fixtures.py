@@ -116,22 +116,6 @@ class FixtureResult(Record):
     passed: bool
     detail: str
 
-    def __init__(self, name, route, passed, detail):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "route", route)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.route, self.passed, self.detail) == (
-                other.name, other.route, other.passed, other.detail
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.route, self.passed, self.detail))
-
 
 def _result(name: str, route: str, cond: bool, detail: str = "") -> FixtureResult:
     return FixtureResult(name, route, cond, detail if detail else ("ok" if cond else "mismatch"))

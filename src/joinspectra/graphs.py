@@ -33,22 +33,9 @@ class Graph(Record):
             if not (0 <= u < n and 0 <= v < n):
                 raise SpecError(f"edge {e} out of range for n={n}")
             canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(canon))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.edges) == (other.n, other.edges)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
+        Record.__init__(self, n, frozenset(canon))
 
     # -- construction helpers ------------------------------------------
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -57,11 +44,6 @@ class Graph(Record):
     @classmethod
     def path(cls, n: int) -> "Graph":
         return cls(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def star(cls, leaves: int) -> "Graph":
-        """Star on leaves+1 vertices, hub at index 0."""
-        return cls(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
     # -- queries --------------------------------------------------------
 
@@ -91,9 +73,6 @@ class Graph(Record):
         return RationalMatrix(self.n, self.n, [degs[i] if i == j else 0 for i in range(self.n) for j in range(self.n)])
 
     # -- serialization ----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "edges": sorted([u, v] for u, v in self.edges)}
 
     @classmethod
     def from_json_obj(cls, obj) -> "Graph":
@@ -164,16 +143,7 @@ class VertexSubset(Record):
         for v in ms:
             if not (0 <= v < parent_size):
                 raise SpecError(f"subset member {v} out of range for n={parent_size}")
-        object.__setattr__(self, "parent_size", parent_size)
-        object.__setattr__(self, "members", ms)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parent_size, self.members) == (other.parent_size, other.members)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parent_size, self.members))
+        Record.__init__(self, parent_size, ms)
 
     def indicator(self) -> Vector:
         """0-1 characteristic vector over the parent's vertex order."""

@@ -35,23 +35,10 @@ class UniversalParams(Record):
     allow_zero_alpha: bool
 
     def __init__(self, alpha, beta=0, gamma=0, delta=0, allow_zero_alpha=False):
-        object.__setattr__(self, "alpha", as_fraction(alpha))
-        object.__setattr__(self, "beta", as_fraction(beta))
-        object.__setattr__(self, "gamma", as_fraction(gamma))
-        object.__setattr__(self, "delta", as_fraction(delta))
-        object.__setattr__(self, "allow_zero_alpha", bool(allow_zero_alpha))
-        if self.alpha == 0 and not self.allow_zero_alpha:
+        alpha, beta, gamma, delta = map(as_fraction, (alpha, beta, gamma, delta))
+        if alpha == 0 and not allow_zero_alpha:
             raise SpecError("alpha must be nonzero (pass allow_zero_alpha=True to override)")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.beta, self.gamma, self.delta, self.allow_zero_alpha) == (
-                other.alpha, other.beta, other.gamma, other.delta, other.allow_zero_alpha
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta, self.gamma, self.delta, self.allow_zero_alpha))
+        Record.__init__(self, alpha, beta, gamma, delta, bool(allow_zero_alpha))
 
     @classmethod
     def adjacency(cls) -> "UniversalParams":
@@ -63,12 +50,6 @@ class UniversalParams(Record):
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma, self.delta)
-
-    def to_json_obj(self) -> dict:
-        obj = {"alpha": str(self.alpha), "beta": str(self.beta), "gamma": str(self.gamma), "delta": str(self.delta)}
-        if self.allow_zero_alpha:
-            obj["allow_zero_alpha"] = True
-        return obj
 
     @classmethod
     def from_json_obj(cls, obj) -> "UniversalParams":
@@ -130,21 +111,7 @@ class JoinSpec(Record):
             if any(rows[i][i] != 0 for i in range(k)):
                 raise SpecError("coupling override must have zero diagonal")
             rho_override = rows
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "universal", universal)
-        object.__setattr__(self, "rho_override", rho_override)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.host, self.components, self.subsets, self.universal, self.rho_override) == (
-                other.host, other.components, other.subsets, other.universal, other.rho_override
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.host, self.components, self.subsets, self.universal, self.rho_override))
+        Record.__init__(self, host, components, subsets, universal, rho_override)
 
     @property
     def k(self) -> int:
@@ -171,19 +138,6 @@ class JoinSpec(Record):
         return JoinSpec(self.host, self.components, self.subsets, params, self.rho_override)
 
     # -- serialization --------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {
-            "host": self.host.to_json_obj(),
-            "components": [g.to_json_obj() for g in self.components],
-        }
-        if self.subsets is not None:
-            obj["subsets"] = [list(s.members) for s in self.subsets]
-        if self.universal is not None:
-            obj["universal"] = self.universal.to_json_obj()
-        if self.rho_override is not None:
-            obj["rho"] = [[str(x) for x in row] for row in self.rho_override]
-        return obj
 
     @classmethod
     def from_json_obj(cls, obj) -> "JoinSpec":
@@ -277,11 +231,6 @@ def join_graph(spec: JoinSpec) -> Graph:
             for v in members[j]:
                 edges.append((offs[i] + u, offs[j] + v))
     return Graph(spec.total_vertices, edges)
-
-
-def lexicographic(host: Graph, inner: Graph) -> Graph:
-    """Substitute a copy of `inner` for every host vertex."""
-    return join_graph(JoinSpec(host, (inner,) * host.n))
 
 
 def corona_family(host: Graph, family: Sequence[Graph]) -> tuple[Graph, ...]:

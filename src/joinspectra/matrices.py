@@ -71,14 +71,6 @@ class RationalMatrix(Record):
             raise ShapeError("ragged rows")
         return cls(r, c, [x for row in rows for x in row])
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     @property
     def entries(self) -> tuple[Fraction, ...]:
         """Row-major Fraction entries: a read-only view, built on first use."""
@@ -149,11 +141,6 @@ class RationalMatrix(Record):
         r, c, e = self.rows, self.cols, self.nums
         return RationalMatrix.from_ints(c, r, [e[j * c + i] for i in range(c) for j in range(r)], self.den)
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ShapeError("trace of a non-square matrix")
-        return Fraction(sum(self.nums[:: self.cols + 1]), self.den)
-
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
@@ -210,12 +197,6 @@ def charpoly_with(kernel: Callable[[list[int], int], list[int]], m: RationalMatr
 def charpoly(m: RationalMatrix) -> Polynomial:
     """Exact det(xI - M) by the multimodular Hessenberg kernel."""
     return charpoly_with(charpoly_int, m)
-
-
-def determinant(m: RationalMatrix) -> Fraction:
-    """det(M), read off the constant coefficient of det(xI - M)."""
-    phi = charpoly(m)
-    return phi[0] if m.rows % 2 == 0 else -phi[0]
 
 
 def _int_det(m: list[list[int]]) -> int:

@@ -296,19 +296,6 @@ class CompareResult(Record):
     first_mismatch: Optional[int]
     detail: str
 
-    def __init__(self, equal, first_mismatch, detail):
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
-        object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.equal, self.first_mismatch, self.detail) == (other.equal, other.first_mismatch, other.detail)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.equal, self.first_mismatch, self.detail))
-
     def __bool__(self) -> bool:
         return self.equal
 

@@ -68,10 +68,6 @@ class Polynomial(Record):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Polynomial":
         return cls((1,))
 
@@ -105,12 +101,6 @@ class Polynomial(Record):
     def degree(self) -> int | float:
         """Degree, or -inf for the zero polynomial."""
         return len(self.nums) - 1 if self.nums else NEG_INF
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.nums:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
 
     @property
     def is_monic(self) -> bool:

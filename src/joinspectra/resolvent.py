@@ -46,19 +46,6 @@ class ResolventForm(Record):
     den: Polynomial
     charpoly: Polynomial
 
-    def __init__(self, num, den, charpoly):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "charpoly", charpoly)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.num, self.den, self.charpoly) == (other.num, other.den, other.charpoly)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den, self.charpoly))
-
 
 def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
     """The mu with A u = mu u, for an n x n integer matrix A (row-major) and

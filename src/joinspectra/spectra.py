@@ -82,16 +82,7 @@ class CoupledBlocks(Record):
             raise ShapeError(f"coupling matrix must be {k}x{k}")
         if any(rho[i][i] != 0 for i in range(k)):
             raise ShapeError("coupling matrix must have zero diagonal")
-        object.__setattr__(self, "blocks", tuple(canon))
-        object.__setattr__(self, "rho", rho)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.blocks, self.rho) == (other.blocks, other.rho)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.blocks, self.rho))
+        Record.__init__(self, tuple(canon), rho)
 
     @property
     def k(self) -> int:
@@ -207,23 +198,6 @@ class SpectrumReport(Record):
     reduced: tuple[tuple[float, int, int], ...]
     coupling: Polynomial
     coupling_roots: tuple[float, ...]
-
-    def __init__(self, charpoly, inherited, reduced, coupling, coupling_roots):
-        object.__setattr__(self, "charpoly", charpoly)
-        object.__setattr__(self, "inherited", inherited)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "coupling_roots", coupling_roots)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.charpoly, self.inherited, self.reduced, self.coupling, self.coupling_roots) == (
-                other.charpoly, other.inherited, other.reduced, other.coupling, other.coupling_roots
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.charpoly, self.inherited, self.reduced, self.coupling, self.coupling_roots))
 
     def eigenvalues(self) -> list[float]:
         """Full numeric spectrum as a sorted multiset."""

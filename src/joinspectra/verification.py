@@ -115,19 +115,6 @@ class VerifyCase(Record):
     passed: bool
     detail: str
 
-    def __init__(self, name, passed, detail):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.passed, self.detail) == (other.name, other.passed, other.detail)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.passed, self.detail))
-
 
 def random_fraction(rng: random.Random, lo: int = -3, hi: int = 3, max_den: int = 3) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
 
-from joinspectra import Graph, Polynomial, RationalMatrix, UniversalParams, VertexSubset
+from joinspectra import Graph, JoinSpec, Polynomial, RationalMatrix, UniversalParams, VertexSubset, charpoly, join_graph
 from joinspectra.fixtures import multisets_close
 from joinspectra.kernel import charpoly_int
 from joinspectra.verification import random_fraction
@@ -21,6 +21,35 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def star(leaves: int) -> Graph:
+    """Star on leaves+1 vertices, hub at index 0."""
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def lexicographic(host: Graph, inner: Graph) -> Graph:
+    """The lexicographic product: a copy of `inner` substituted for every host vertex."""
+    return join_graph(JoinSpec(host, (inner,) * host.n))
+
+
+def json_obj(value) -> dict:
+    """The JSON object `from_json_obj` reads back, of a Graph, UniversalParams or JoinSpec."""
+    if isinstance(value, Graph):
+        return {"n": value.n, "edges": sorted([u, v] for u, v in value.edges)}
+    if isinstance(value, UniversalParams):
+        obj = dict(zip(("alpha", "beta", "gamma", "delta"), map(str, value.as_tuple())))
+        if value.allow_zero_alpha:
+            obj["allow_zero_alpha"] = True
+        return obj
+    obj = {"host": json_obj(value.host), "components": [json_obj(g) for g in value.components]}
+    if value.subsets is not None:
+        obj["subsets"] = [list(s.members) for s in value.subsets]
+    if value.universal is not None:
+        obj["universal"] = json_obj(value.universal)
+    if value.rho_override is not None:
+        obj["rho"] = [[str(x) for x in row] for row in value.rho_override]
+    return obj
+
+
 def full_subset(n: int) -> VertexSubset:
     return VertexSubset(n, range(n))
 
@@ -29,6 +58,25 @@ def graph_text(g: Graph) -> str:
     """g in the one-line text format `Graph.from_text` reads: "4; 0-1,2-3"."""
     body = ",".join(f"{u}-{v}" for u, v in sorted(g.edges))
     return f"{g.n}; {body}" if body else f"{g.n};"
+
+
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+
+
+def trace(m: RationalMatrix) -> Fraction:
+    return Fraction(sum(m.nums[:: m.cols + 1]), m.den)
+
+
+def determinant(m: RationalMatrix) -> Fraction:
+    """det(M), read off the constant coefficient of det(xI - M)."""
+    phi = charpoly(m)
+    return phi[0] if m.rows % 2 == 0 else -phi[0]
+
+
+def lead(p: Polynomial) -> Fraction:
+    """The leading coefficient of a nonzero polynomial."""
+    return Fraction(p.nums[-1], p.den)
 
 
 def to_lists(m: RationalMatrix) -> list[list[Fraction]]:
@@ -403,7 +451,7 @@ def literal_universal_matrix(g: Graph, params) -> RationalMatrix:
     ones = RationalMatrix(n, n, [1] * (n * n))
     return (
         params.alpha * g.adjacency()
-        + params.beta * RationalMatrix.identity(n)
+        + params.beta * identity(n)
         + params.gamma * ones
         + params.delta * g.degree_matrix()
     )
@@ -426,6 +474,6 @@ def regular_graph_menu(rng: random.Random) -> Graph:
     if kind == 1:
         return Graph.complete(rng.randint(1, 5))
     if kind == 2:
-        return Graph.empty(rng.randint(1, 5))
+        return Graph(rng.randint(1, 5))
     m = rng.randint(1, 3)
     return complete_bipartite(m, m)

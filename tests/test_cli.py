@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from helpers import graph_text
+from helpers import graph_text, json_obj
 from joinspectra import (
     Graph,
     JoinSpec,
@@ -30,14 +30,14 @@ from joinspectra.verification import random_graph, random_universal_params
 @pytest.fixture()
 def mixed_path(tmp_path):
     p = tmp_path / "mixed.json"
-    p.write_text(json.dumps(mixed_join_spec().to_json_obj()))
+    p.write_text(json.dumps(json_obj(mixed_join_spec())))
     return str(p)
 
 
 @pytest.fixture()
 def subset_path(tmp_path):
     p = tmp_path / "subset.json"
-    p.write_text(json.dumps(subset_join_spec().to_json_obj()))
+    p.write_text(json.dumps(json_obj(subset_join_spec())))
     return str(p)
 
 
@@ -88,7 +88,7 @@ def test_spectrum_verb(capsys, subset_path):
 
 
 def test_spectrum_shortcut_routes(capsys, tmp_path):
-    spec = mixed_join_spec().with_universal(None).to_json_obj()
+    spec = json_obj(mixed_join_spec().with_universal(None))
     spec["universal"] = {"alpha": "-1", "delta": "1"}
     p = tmp_path / "lap.json"
     p.write_text(json.dumps(spec))
@@ -226,7 +226,7 @@ def test_spectrum_verify_truth_is_built_without_the_route_blocks(capsys, monkeyp
     # dropping the delta * w_i shift from the Laplacian blocks must not also drop it from the truth
     import joinspectra.spectra as spectra
 
-    spec = mixed_join_spec().to_json_obj()
+    spec = json_obj(mixed_join_spec())
     spec["universal"] = {"alpha": "-1", "delta": "1"}
     p = tmp_path / "lap.json"
     p.write_text(json.dumps(spec))
@@ -239,7 +239,7 @@ def test_spectrum_verify_truth_is_built_without_the_route_blocks(capsys, monkeyp
 
 def test_spectrum_verify_and_verify_agree_on_a_foreign_rho(capsys, tmp_path):
     # a symmetric override that is not the host's pattern fails both checks the same way
-    spec = mixed_join_spec().to_json_obj()
+    spec = json_obj(mixed_join_spec())
     spec["rho"] = [["0", "2", "1"], ["2", "0", "1"], ["1", "1", "0"]]
     p = tmp_path / "rho.json"
     p.write_text(json.dumps(spec))
@@ -342,7 +342,7 @@ def test_lex_verb(capsys, tmp_path):
     rng = random.Random(62)
     for case in range(6):
         host, inner = random_graph(rng, rng.randint(2, 4)), random_graph(rng, rng.randint(1, 4))
-        params = random_universal_params(rng).to_json_obj()
+        params = json_obj(random_universal_params(rng))
         params["delta"] = rng.choice(["-2", "-1", "1/2", "1", "3"])
         p2 = tmp_path / f"lex_delta_{case}.json"
         p2.write_text(json.dumps({"host": graph_text(host), "components": [graph_text(inner)], "universal": params}))
@@ -370,7 +370,7 @@ def test_lex_malformed_spec(capsys, tmp_path):
 def test_verify_spec_and_corrupted_coupling(capsys, mixed_path, tmp_path):
     assert main(["verify", mixed_path]) == 0
     capsys.readouterr()
-    corrupted = mixed_join_spec().to_json_obj()
+    corrupted = json_obj(mixed_join_spec())
     corrupted["rho"] = [["0", "1", "0"], ["1", "0", "2"], ["0", "2", "0"]]
     p = tmp_path / "corrupted.json"
     p.write_text(json.dumps(corrupted))
@@ -541,7 +541,7 @@ def test_plain_spec_reads_as_adjacency(run):
 )
 def test_route_precondition_exit_code(capsys, tmp_path, argv, universal, message):
     p = tmp_path / "spec.json"
-    p.write_text(json.dumps(_subset_spec(universal).to_json_obj()))
+    p.write_text(json.dumps(json_obj(_subset_spec(universal))))
     assert main([argv[0], str(p), *argv[1:]]) == 3
     assert capsys.readouterr().err == f"precondition violated: {message}\n"
 

@@ -17,14 +17,15 @@ from pathlib import Path
 
 import pytest
 
+from helpers import json_obj
 from joinspectra.cli import main
 from joinspectra.fixtures import mixed_join_spec, subset_join_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
 SPECS = {
-    "mixed.json": mixed_join_spec().to_json_obj(),
-    "subset.json": subset_join_spec().to_json_obj(),
+    "mixed.json": json_obj(mixed_join_spec()),
+    "subset.json": json_obj(subset_join_spec()),
     # a 3-path host whose vertices carry an edge, a point and a 3-path
     "corona.json": {"host": "3; 0-1,1-2", "components": ["2; 0-1", "1;", "3; 0-1,1-2"]},
     # the 4-cycle of triangles, Laplacian: one inner graph stands for a copy per host vertex
@@ -38,7 +39,7 @@ SPECS = {
     # K3 and K2 joined on a K2 host: regular components, adjacency by default
     "regular.json": {"host": "2; 0-1", "components": ["3; 0-1,1-2,0-2", "2; 0-1"], "universal": {}},
     # the mixed join with Laplacian parameters: alpha + delta = 0
-    "laplacian.json": dict(mixed_join_spec().to_json_obj(), universal={"alpha": "-1", "delta": "1"}),
+    "laplacian.json": dict(json_obj(mixed_join_spec()), universal={"alpha": "-1", "delta": "1"}),
 }
 
 CASES = {

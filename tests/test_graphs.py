@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import complete_bipartite, cycle, graph_text, to_lists
+from helpers import complete_bipartite, cycle, graph_text, json_obj, star, to_lists
 from joinspectra.errors import SpecError
 from joinspectra.graphs import Graph, VertexSubset, graph_from_obj, load_graph
 
@@ -20,8 +20,8 @@ def test_standard_families():
     assert len(Graph.path(4).edges) == 3
     assert len(cycle(5).edges) == 5
     assert len(Graph.complete(5).edges) == 10
-    assert len(Graph.empty(3).edges) == 0
-    assert Graph.star(3).degrees() == [3, 1, 1, 1]
+    assert len(Graph(3).edges) == 0
+    assert star(3).degrees() == [3, 1, 1, 1]
     assert len(complete_bipartite(2, 3).edges) == 6
 
 
@@ -42,7 +42,7 @@ def test_adjacency_and_degree_matrix():
 
 def test_json_round_trip():
     g = Graph(4, [(0, 1), (2, 3)])
-    obj = g.to_json_obj()
+    obj = json_obj(g)
     assert Graph.from_json_obj(obj) == g
     assert Graph.from_json_obj(json.loads(json.dumps(obj))) == g
     with pytest.raises(SpecError):
@@ -54,7 +54,7 @@ def test_json_round_trip():
 def test_text_round_trip():
     g = Graph(4, [(0, 1), (2, 3)])
     assert Graph.from_text(graph_text(g)) == g
-    assert Graph.from_text("3;") == Graph.empty(3)
+    assert Graph.from_text("3;") == Graph(3)
     assert Graph.from_text(" 3 ; 0-1 , 1-2 ") == Graph.path(3)
     with pytest.raises(SpecError):
         Graph.from_text("x; 0-1")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PRESET_VALUES, cycle, full_subset, literal_universal_matrix, seidel, to_lists
+from helpers import PRESET_VALUES, cycle, full_subset, identity, json_obj, lexicographic, literal_universal_matrix, seidel, to_lists
 from joinspectra import (
     Graph,
     JoinSpec,
@@ -15,7 +15,6 @@ from joinspectra import (
     generalized_corona,
     join_graph,
     join_weights,
-    lexicographic,
     universal_matrix,
 )
 from joinspectra.errors import SpecError
@@ -45,7 +44,7 @@ def test_spec_json_round_trip():
         universal=UniversalParams(1, 0, "-1/2", 2),
         rho_override=None,
     )
-    obj = spec.to_json_obj()
+    obj = json_obj(spec)
     again = JoinSpec.from_json_obj(json.loads(json.dumps(obj)))
     assert again == spec
     with pytest.raises(SpecError):
@@ -58,10 +57,10 @@ def test_spec_json_round_trip():
 def test_zero_alpha_spec_json_round_trip():
     params = UniversalParams(0, 1, 1, 1, allow_zero_alpha=True)
     spec = JoinSpec(Graph.path(2), (Graph(1), Graph.complete(2)), universal=params)
-    obj = spec.to_json_obj()
+    obj = json_obj(spec)
     assert obj["universal"]["allow_zero_alpha"] is True
     assert JoinSpec.from_json_obj(json.loads(json.dumps(obj))) == spec
-    assert "allow_zero_alpha" not in UniversalParams.adjacency().to_json_obj()
+    assert "allow_zero_alpha" not in json_obj(UniversalParams.adjacency())
     # only a JSON boolean is read as the flag
     for flag in ("false", "true", 0, 1, None):
         with pytest.raises(SpecError, match="allow_zero_alpha must be true or false"):
@@ -80,7 +79,7 @@ def test_universal_params():
 def test_h_join_trivial():
     assert join_graph(JoinSpec(Graph.complete(2), (Graph(1), Graph(1)))) == Graph.complete(2)
     # edgeless host: disjoint union of the components
-    spec = JoinSpec(Graph.empty(2), (Graph.complete(2), Graph.path(3)))
+    spec = JoinSpec(Graph(2), (Graph.complete(2), Graph.path(3)))
     g = join_graph(spec)
     assert len(g.edges) == 1 + 2
     assert not any(u < 2 <= v for u, v in g.edges)
@@ -109,7 +108,7 @@ def test_h_join_degrees_add_weights():
 
 def test_weights():
     assert join_weights(mixed_join_spec()) == (4, 6, 4)
-    assert join_weights(JoinSpec(Graph.empty(3), (Graph(2), Graph(2), Graph(2)))) == (0, 0, 0)
+    assert join_weights(JoinSpec(Graph(3), (Graph(2), Graph(2), Graph(2)))) == (0, 0, 0)
     assert join_weights(JoinSpec(Graph.complete(2), (Graph(3), Graph(5)))) == (5, 3)
 
 
@@ -234,7 +233,7 @@ def test_universal_matrix_examples():
 
 def test_universal_matrix_equals_literal_sum():
     rng = random.Random(25)
-    graphs = [Graph(0), Graph(1), Graph.empty(5), Graph.complete(6), Graph.path(4), cycle(5)]
+    graphs = [Graph(0), Graph(1), Graph(5), Graph.complete(6), Graph.path(4), cycle(5)]
     graphs += [random_graph(rng, rng.randint(2, 9), rng.choice((0.2, 0.5, 0.8))) for _ in range(8)]
     params = [UniversalParams(*p) for p in PRESET_VALUES]
     params += [random_universal_params(rng) for _ in range(6)]
@@ -244,4 +243,4 @@ def test_universal_matrix_equals_literal_sum():
             literal = literal_universal_matrix(g, p)
             assert universal_matrix(g, p) == literal
             shift = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            assert universal_matrix(g, p, shift) == literal + RationalMatrix.identity(g.n) * shift
+            assert universal_matrix(g, p, shift) == literal + identity(g.n) * shift

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cofactor_det, multisets_close, rand_symmetric_matrix, to_lists
+from helpers import cofactor_det, identity, json_obj, multisets_close, rand_symmetric_matrix, to_lists
 from joinspectra import (
     CoupledBlocks,
     Graph,
@@ -206,11 +206,11 @@ def test_oracle_cap(monkeypatch):
 
     monkeypatch.setenv(ORACLE_CAP_ENV, "3")
     with pytest.raises(DomainError):
-        oracle_charpoly(RationalMatrix.identity(4))
-    assert oracle_charpoly(RationalMatrix.identity(3)) == (X - 1) ** 3
+        oracle_charpoly(identity(4))
+    assert oracle_charpoly(identity(3)) == (X - 1) ** 3
     monkeypatch.setenv(ORACLE_CAP_ENV, "not-a-number")
     with pytest.raises(DomainError):
-        oracle_charpoly(RationalMatrix.identity(2))
+        oracle_charpoly(identity(2))
 
 
 def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys):
@@ -245,6 +245,6 @@ def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys
     case = verify_spec(spec)
     assert not case.passed and "differs" in case.detail
     path = tmp_path / "mixed.json"
-    path.write_text(json.dumps(spec.to_json_obj()))
+    path.write_text(json.dumps(json_obj(spec)))
     assert main(["verify", str(path)]) == 1
     assert "FAIL" in capsys.readouterr().out

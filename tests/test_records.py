@@ -1,6 +1,7 @@
 """Record semantics of the package's immutable value classes: field-tuple
-equality and hashing, no assignment or deletion, and the
-``Name(field=value, ...)`` repr."""
+equality and hashing, no assignment or deletion, the
+``Name(field=value, ...)`` repr, and construction by position or keyword,
+all of it inherited from `Record`."""
 
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from joinspectra import (
 )
 from joinspectra.errors import SpecError
 from joinspectra.fixtures import FixtureResult
+from joinspectra.records import Record
 from joinspectra.verification import VerifyCase
 
 X = Polynomial.x()
@@ -179,3 +181,39 @@ def test_with_universal_runs_the_join_spec_checks():
         object.__setattr__(broken, name, value)
     with pytest.raises(SpecError, match="host has 2 vertices but 1 components given"):
         broken.with_universal(lap)
+
+
+# the records whose constructor only stores its arguments
+PLAIN = [ResolventForm, SpectrumReport, CompareResult, VerifyCase, FixtureResult]
+
+
+def test_every_record_compares_and_hashes_through_record():
+    assert set(Record.__subclasses__()) == set(CLASSES) | {Polynomial, RationalMatrix}
+    for cls in CLASSES:
+        assert cls.__eq__ is Record.__eq__ and cls.__hash__ is Record.__hash__, cls
+        assert cls.__repr__ is Record.__repr__, cls
+    for cls in (Polynomial, RationalMatrix):
+        assert "__eq__" in vars(cls) and "__hash__" in vars(cls) and "__init__" in vars(cls)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda c: c.__name__)
+def test_plain_records_take_their_fields_by_position_or_keyword(cls):
+    fields, make, _ = CASES[cls]
+    assert cls.__init__ is Record.__init__
+    a = make()
+    values = tuple(getattr(a, f) for f in fields)
+    assert cls(*values) == a
+    assert cls(**dict(zip(fields, values))) == a
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == a
+    bad = [
+        ((), {}),
+        (values[:-1], {}),
+        (values + values[:1], {}),
+        (values, {"extra": None}),
+        (values[:-1], {fields[-1]: values[-1], "extra": None}),
+        (values[:-1], {fields[0]: values[0]}),
+        (values, {fields[0]: values[0]}),
+    ]
+    for args, kwargs in bad:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__} takes the fields \({', '.join(fields)}\)"):
+            cls(*args, **kwargs)
