@@ -44,7 +44,10 @@ def _emit(obj, args) -> None:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

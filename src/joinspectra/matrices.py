@@ -6,13 +6,17 @@ equality and hashing compare the fields, and the kernels take `nums` as it
 is; `entries`, the row-major tuple of Fraction entries, is a read-only view
 built on first use.  A characteristic polynomial hands `nums` to
 `kernel.charpoly_int`, the multimodular Hessenberg kernel that every route
-uses, and scales by d back, so it is exact.  Two forms of the coupling
+uses, and scales by d back, so it is exact.  Three forms of the coupling
 determinant Phi of `spectra.coupling_poly` live here.  `realization_charpoly`
 is the charpoly of the glued companion realization, one kernel call of dimension
 D = sum deg g_i.  `poly_det`, the determinant of a polynomial matrix, clears
 each row's denominators, evaluates the integer determinant (fraction-free
 Bareiss) at B + 1 integer points, B the sum of the row degrees, and
-interpolates exactly in the integers.
+interpolates exactly in the integers.  `packed_det` builds the same cleared
+rows straight from the f_i, g_i and rho (`packed_rows`) and evaluates them
+once, at x = 2^w with w from a proven coefficient bound, so one k x k integer
+determinant holds every coefficient in its base-2^w digits (Kronecker
+substitution); a second determinant at x = 1 checks it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .polynomials import Polynomial, _from_ints, _horner, as_fraction, clear_den
 from .records import Record
 
 Vector = tuple[Fraction, ...]
+# `packed_rows`: (row scales s_ij, L, degree bound B, slot width w)
+PackedRows = tuple[list[list[int]], int, int, int]
 
 
 def as_vector(items: Iterable) -> Vector:
@@ -272,6 +278,79 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         shifted[0] += newton[j]
         coeffs = shifted
     return _from_ints(coeffs, scale)
+
+
+def packed_rows(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> PackedRows:
+    """(s, L, B, w) for `packed_det` of G - F rho, G = diag(g_i), F = diag(f_i).
+
+    Row i of G - F rho times L_i, the lcm of its entries' denominators, is
+    e_ii = s_ii g_i.nums and e_ij = s_ij f_i.nums, all integer polynomials.
+    L is the product of the L_i, B the sum of the row degrees, and w the
+    slot width: 2^(w-1) > H = prod_i (sum_j |e_ij|_1^2)^(1/2).
+    """
+    k = len(gs)
+    scales, den, degree, bound = [], 1, 0, 1
+    for i, (f, g) in enumerate(zip(fs, gs)):
+        # -rho_ij f_i = -(rn / rd) (f_i.nums / f_i.den) = f_i.nums (-tn / td), in lowest terms
+        terms = []
+        if f.nums:
+            for j, r in enumerate(rho[i]):
+                rn, rd = r.as_integer_ratio()
+                if rn and j != i:
+                    q = math.gcd(rn, f.den)
+                    terms.append((j, -rn // q, rd * f.den // q))
+        lcm = math.lcm(g.den, *[td for _, _, td in terms])
+        row = [0] * k
+        for j, tn, td in terms:
+            row[j] = tn * (lcm // td)
+        off = sum(s * s for s in row) * sum(map(abs, f.nums)) ** 2  # row[i] is still 0 here
+        row[i] = lcm // g.den
+        bound *= (row[i] * sum(map(abs, g.nums))) ** 2 + off
+        scales.append(row)
+        den *= lcm
+        degree += max(len(g.nums), len(f.nums) if terms else 0) - 1
+    # sqrt(bound) < 2^ceil(b / 2) for b the bit length of bound
+    return scales, den, degree, (bound.bit_length() + 1) // 2 + 1
+
+
+def packed_det(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rows: PackedRows) -> Polynomial:
+    """det(G - F rho) for G = diag(g_i) and F = diag(f_i), any polynomials, as one
+    integer determinant at x = 2^w (Kronecker substitution), for
+    rows = `packed_rows(fs, gs, rho)`.
+
+    On |x| = 1 Hadamard's inequality bounds the cleared determinant det E(x)
+    by H, so every coefficient of det E is at most H in absolute value
+    (Cauchy's estimate on the unit circle).  With 2^(w-1) > H, det E(2^w),
+    computed by fraction-free Bareiss on the k x k packed integers, holds
+    those coefficients exactly as its signed base-2^w digits.  A second
+    determinant at x = 1 must equal their sum, and no more than B + 1 digits
+    can occur; either failure means a wrong value, and raises
+    ArithmeticError.  L divides back out.
+    """
+    if not gs:
+        return Polynomial.one()
+    scales, den, degree, w = rows
+
+    def matrix(value: Callable[[tuple[int, ...]], int]) -> list[list[int]]:
+        out = []
+        for i, (f, g, row) in enumerate(zip(fs, gs, scales)):
+            fx = value(f.nums)
+            e = [s * fx for s in row]
+            e[i] = row[i] * value(g.nums)
+            out.append(e)
+        return out
+
+    packed = _int_det(matrix(lambda nums: _horner(nums, 1 << w)))
+    coeffs, half, mask = [], 1 << (w - 1), (1 << w) - 1
+    while packed:
+        digit = packed & mask
+        if digit >= half:
+            digit -= mask + 1
+        coeffs.append(digit)
+        packed = (packed - digit) >> w
+    if len(coeffs) > degree + 1 or sum(coeffs) != _int_det(matrix(sum)):
+        raise ArithmeticError("packed determinant failed its check at x = 1")
+    return _from_ints(coeffs, den)
 
 
 def realization_charpoly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> Polynomial:

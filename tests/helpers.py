@@ -146,6 +146,12 @@ def cofactor_det(rows):
     return total
 
 
+def coupling_rows(fs, gs, rho):
+    """The polynomial rows of Phi's matrix: g_i on the diagonal, -rho_ij f_i off it."""
+    k = len(fs)
+    return [[gs[i] if i == j else (-rho[i][j]) * fs[i] for j in range(k)] for i in range(k)]
+
+
 def adjugate_form(rows, u, v):
     """Independent v^T adj(A) u by Cramer's rule: (adj(A) u)_j is det(A with
     column j replaced by u), each determinant by `cofactor_det`.

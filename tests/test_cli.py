@@ -585,6 +585,16 @@ def test_verb_error_order_and_preconditions(capsys, tmp_path, argv, spec, code, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("verb", ["charpoly", "spectrum", "verify"])
+def test_a_spec_that_is_not_utf8_is_an_input_error(capsys, tmp_path, verb):
+    p = tmp_path / "spec.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps(PLAIN).encode())
+    assert main([verb, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {p}: not UTF-8 text: invalid start byte at byte 0\n"
+    assert captured.out == ""
+
+
 def test_parser_is_shared_and_argv_errors_still_exit_2(capsys):
     from joinspectra.cli import build_parser
 

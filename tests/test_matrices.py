@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import adjugate_form, cofactor_det, determinant, identity, outer, rand_int_matrix, rand_rational_matrix, rand_vector, to_lists, trace
+from helpers import adjugate_form, cofactor_det, coupling_rows, determinant, identity, outer, rand_int_matrix, rand_rational_matrix, rand_vector, to_lists, trace
 from joinspectra import Graph
 from joinspectra.errors import ShapeError
-from joinspectra.matrices import RationalMatrix, charpoly, poly_det
+from joinspectra.matrices import RationalMatrix, charpoly, packed_det, packed_rows, poly_det
 from joinspectra.polynomials import Polynomial
 
 X = Polynomial.x()
@@ -159,6 +159,48 @@ def test_poly_det_rejects_a_wrong_value(monkeypatch):
     with pytest.raises(ArithmeticError):
         poly_det(rows)
     assert len(calls) == 5  # one value per point x = 0..4
+
+
+def test_packed_det_vs_cofactor():
+    # any polynomials: rational, non-monic, zero, deg f >= deg g; zero and
+    # asymmetric rational rho entries, and k = 0
+    rng = random.Random(24)
+
+    def rand_poly() -> Polynomial:
+        den = rng.choice((1, 2, 6, 35))
+        return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(rng.randint(0, 4))])
+
+    for _ in range(60):
+        k = rng.randint(0, 5)
+        fs, gs = [rand_poly() for _ in range(k)], [rand_poly() for _ in range(k)]
+        rho = [[0 if i == j or rng.random() < 0.3 else Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(k)] for i in range(k)]
+        rows = coupling_rows(fs, gs, rho)
+        want = cofactor_det(rows) if k else Polynomial.one()
+        assert packed_det(fs, gs, packed_rows(fs, gs, rho)) == want
+
+
+def test_packed_det_rejects_a_wrong_value(monkeypatch):
+    import joinspectra.matrices as matrices
+
+    fs, gs = [X + 1, 2 * X - Fraction(1, 3)], [X**2 - 3, X**2 + X]
+    rho = ((0, Fraction(1, 2)), (-3, 0))
+    rows = packed_rows(fs, gs, rho)
+    assert packed_det(fs, gs, rows) == cofactor_det(coupling_rows(fs, gs, rho))
+    _, _, degree, w = rows
+    exact = matrices._int_det
+    # off by one, and off by a multiple of 2^w - 1 past the top slot, which keeps
+    # the digit sum but adds digits: the check at x = 1 and the digit count catch them
+    for error in (1, ((1 << w) - 1) << (w * (degree + 1))):
+        calls = []
+
+        def wrong_packed_value(m):
+            calls.append(m)
+            return exact(m) + (error if len(calls) == 1 else 0)
+
+        monkeypatch.setattr(matrices, "_int_det", wrong_packed_value)
+        with pytest.raises(ArithmeticError):
+            packed_det(fs, gs, rows)
+        assert len(calls) == (2 if error == 1 else 1)  # the packed value, then x = 1
 
 
 def test_poly_det_needs_pivot_search():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PRESET_VALUES, cycle, determinant, full_subset, identity, json_obj, lexicographic, literal_universal_matrix, multisets_close, regular_graph_menu, seidel, signless_laplacian, trace
+from helpers import PRESET_VALUES, cofactor_det, coupling_rows, cycle, determinant, full_subset, identity, json_obj, lexicographic, literal_universal_matrix, multisets_close, regular_graph_menu, seidel, signless_laplacian, trace
 from joinspectra import (
     CoupledBlocks,
     Graph,
@@ -42,7 +42,7 @@ from joinspectra.fixtures import (
     subset_join_spec,
 )
 from joinspectra.joins import host_rho
-from joinspectra.matrices import RationalMatrix, charpoly, poly_det, realization_charpoly
+from joinspectra.matrices import RationalMatrix, charpoly, packed_det, packed_rows, poly_det, realization_charpoly
 from joinspectra.polynomials import Polynomial
 from joinspectra.resolvent import resolvent_form
 from joinspectra.spectra import (
@@ -289,9 +289,10 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
 def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
     # all-ones is an eigenvector of every Laplacian block, so its resolvent
     # needs the block's charpoly only; A - D/2 of the same irregular blocks
-    # takes one bordered pass per block instead.  With one pole per Laplacian block,
-    # D = 3 and D^2 < k^3, so the last call is Phi's glued realization; the
-    # A - D/2 blocks give D^2 >= k^3 and Phi by poly_det, with no kernel call
+    # takes one bordered pass per block instead.  With one pole per Laplacian
+    # block, D = k = 3: the realization's D^3 is no more than the k^3 the
+    # packed form costs at least, so the last call is Phi's glued realization;
+    # the A - D/2 blocks have D > k and take the packed form, with no kernel call
     lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
     coupled_charpoly(universal_blocks(lap))
     assert kernel_calls == [3, 4, 3, 3]
@@ -301,11 +302,6 @@ def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
     kernel_calls.clear()
     coupled_charpoly(universal_blocks(degree_shift_spec(mixed_join_spec(), Fraction(1, 2))))
     assert kernel_calls == [("bordered", 3), ("bordered", 4), ("bordered", 3)]
-
-
-def _coupling_rows(fs, gs, rho):
-    k = len(fs)
-    return [[gs[i] if i == j else (-rho[i][j]) * fs[i] for j in range(k)] for i in range(k)]
 
 
 def _realization_cases(rng):
@@ -321,6 +317,9 @@ def _realization_cases(rng):
         yield random_coupled_blocks(rng, max_k=7, max_n=4, zero_vector_rate=0.3)
     yield scalar_blocks([2], ((0,),))
     yield random_coupled_blocks(random.Random(3), max_k=1)
+    # host "0;" (k = 0), and a "0;" component: a block with no rows and the zero form
+    yield universal_blocks(JoinSpec.from_json_obj({"host": "0;", "components": []}))
+    yield universal_blocks(JoinSpec.from_json_obj({"host": "3; 0-1,1-2", "components": ["2; 0-1", "0;", "3; 0-1"]}))
 
 
 def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
@@ -331,7 +330,7 @@ def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
     for cb in _realization_cases(random.Random(12)):
         forms = [resolvent_form(m, u, v) for m, u, v in cb.blocks]
         fs, gs = [f.num for f in forms], [f.den for f in forms]
-        want = poly_det(_coupling_rows(fs, gs, cb.rho))
+        want = poly_det(coupling_rows(fs, gs, cb.rho))
         assert realization_charpoly(fs, gs, cb.rho) == want
         assert coupling_poly(fs, gs, cb.rho) == want
         sides.add(sum(g.degree for g in gs) ** 2 < cb.k**3)
@@ -340,7 +339,69 @@ def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
     assert zero_forms >= 5
 
 
-def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cubed(kernel_calls):
+def test_packed_det_equals_poly_det_and_the_cofactor_reference():
+    # the same corpus: asymmetric rational rho, zero forms, corona cones, k = 0 and k = 1
+    ks = set()
+    for cb in _realization_cases(random.Random(12)):
+        forms = [resolvent_form(m, u, v) for m, u, v in cb.blocks]
+        fs, gs = [f.num for f in forms], [f.den for f in forms]
+        rows = coupling_rows(fs, gs, cb.rho)
+        want = cofactor_det(rows) if rows else Polynomial.one()
+        assert poly_det(rows) == want
+        assert packed_det(fs, gs, packed_rows(fs, gs, cb.rho)) == want
+        ks.add(cb.k)
+    assert {0, 1, 7} <= ks
+
+
+def _random_coupling(rng, k, degree, bits):
+    """k monic g_i of one degree and f_i of lower degree, coefficients of about
+    `bits` bits, under an asymmetric rational rho with zeros."""
+    def coeff():
+        return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 3))
+
+    gs = [Polynomial([coeff() for _ in range(degree)] + [1]) for _ in range(k)]
+    fs = [Polynomial([coeff() for _ in range(rng.randint(0, degree))]) for _ in range(k)]
+    rho = tuple(tuple(Fraction(0) if i == j or rng.random() < 0.3 else random_fraction(rng) for j in range(k)) for i in range(k))
+    return fs, gs, rho
+
+
+def test_coupling_poly_picks_each_of_its_three_forms_on_a_seeded_grid(monkeypatch):
+    # the cost model sends D <= k to the realization, many blocks of small
+    # coefficients to the packed form and few blocks of huge coefficients to
+    # poly_det; whichever form runs, the answer is poly_det's
+    picked = []
+
+    def recording(form):
+        def run(*args):
+            picked.append(form.__name__)
+            return form(*args)
+
+        return run
+
+    for form in (realization_charpoly, packed_det, poly_det):
+        monkeypatch.setattr(spectra, form.__name__, recording(form))
+    seen = set()
+    rng = random.Random(2026)
+    for k in (1, 2, 3, 5):
+        for degree in (1, 3, 12):
+            for bits in (2, 700):
+                fs, gs, rho = _random_coupling(rng, k, degree, bits)
+                picked.clear()
+                assert coupling_poly(fs, gs, rho) == poly_det(coupling_rows(fs, gs, rho))
+                assert len(picked) == 1
+                seen.add(picked[0])
+    assert seen == {"realization_charpoly", "packed_det", "poly_det"}
+
+
+def test_phi_takes_one_kernel_call_of_dimension_d_only_through_the_realization(kernel_calls, monkeypatch):
+    realized = []
+
+    def recorded(fs, gs, rho):
+        realized.append(sum(g.degree for g in gs))
+        return realization_charpoly(fs, gs, rho)
+
+    monkeypatch.setattr(spectra, "realization_charpoly", recorded)
+
     def run(spec):
         """(D, the kernel calls of each distinct block's form, the route's kernel calls)"""
         cb = universal_blocks(spec)
@@ -348,6 +409,7 @@ def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cube
         dim = sum(forms[block].den.degree for block in cb.blocks)
         blocks_only = list(kernel_calls)
         kernel_calls.clear()
+        realized.clear()
         coupled_charpoly(universal_blocks(spec))
         calls = list(kernel_calls)
         kernel_calls.clear()
@@ -356,11 +418,18 @@ def test_phi_takes_one_kernel_call_of_dimension_d_when_d_squared_is_below_k_cube
     rng = random.Random(7)
     spec = JoinSpec(random_graph(rng, 12), tuple(random_graph(rng, rng.randint(2, 4)) for _ in range(12)), universal=ADJ)
     assert len(set(spec.components)) < 12  # repeated blocks cost once
+    # adjacency blocks: D > k, and the packed form makes no kernel call
     dim, blocks_only, calls = run(spec)
-    assert dim**2 < 12**3
+    assert dim > 12
+    assert realized == []
+    assert calls == blocks_only
+    # Laplacian blocks: one pole each, D = k, and the realization is one call of dimension D
+    dim, blocks_only, calls = run(spec.with_universal(UniversalParams.laplacian()))
+    assert dim == 12
+    assert realized == [dim]
     assert calls == blocks_only + [dim]
     dim, blocks_only, calls = run(JoinSpec(Graph.path(2), (random_graph(rng, 22), random_graph(rng, 28)), universal=ADJ))
-    assert dim**2 >= 2**3
+    assert realized == []
     assert calls == blocks_only
 
 
@@ -375,7 +444,7 @@ def test_coupling_poly_on_public_inputs_is_poly_det():
         ([Polynomial.constant(2), Polynomial.constant(Fraction(1, 3))], [X - 1, X + 2]),
     ]
     for fs, gs in cases:
-        assert coupling_poly(fs, gs, rho) == poly_det(_coupling_rows(fs, gs, rho))
+        assert coupling_poly(fs, gs, rho) == poly_det(coupling_rows(fs, gs, rho))
 
 
 def test_laplacian_join_of_16_vertex_blocks_matches_eigvalsh():
@@ -648,9 +717,10 @@ def _refuse(*args):
 
 def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
     # symmetric rho (host patterns through universal couplings) and asymmetric
-    # rational rho with zeros, k = 2..6; the other two forms are disabled, and
+    # rational rho with zeros, k = 2..6; the other three forms are disabled, and
     # the closed form must equal poly_det on the same coupling rows
     monkeypatch.setattr(spectra, "realization_charpoly", _refuse)
+    monkeypatch.setattr(spectra, "packed_det", _refuse)
     monkeypatch.setattr(spectra, "poly_det", _refuse)
     rng = random.Random(14)
     for k in range(2, 7):
@@ -663,7 +733,7 @@ def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
                 tuple(Fraction(0) if i == j or rng.random() < 0.3 else random_fraction(rng) for j in range(k)) for i in range(k)
             )
             for rho in (sym, asym):
-                assert coupling_poly(fs, gs, rho) == poly_det(_coupling_rows(fs, gs, rho))
+                assert coupling_poly(fs, gs, rho) == poly_det(coupling_rows(fs, gs, rho))
 
 
 def test_one_matrix_under_other_vectors_is_another_block():
