@@ -15,6 +15,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -33,13 +35,33 @@ def dumps_result(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _emit(obj, args) -> None:
-    text = dumps_result(obj)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+def _write(text: str, args) -> None:
+    """Print text, or write it as UTF-8 with a final newline to the -o path.
+
+    The file is rewritten in place and then cut to length, never opened with
+    O_TRUNC: on ext4, closing a file that was truncated to zero and written
+    starts its writeback, which costs more than the rest of a small call.
+    Only a regular file is cut, so /dev/null, /dev/stdout and pipes work.
+    """
+    if not getattr(args, "output", None):
         print(text)
+        return
+    data = memoryview((text + "\n").encode("utf-8"))
+    # O_BINARY (Windows only) keeps "\n" line ends and the byte count exact
+    fd = os.open(args.output, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > written:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
+def _emit(obj, args) -> None:
+    _write(dumps_result(obj), args)
 
 
 def _read_json(path: str):
@@ -156,9 +178,9 @@ def cmd_verify(args) -> int:
     if args.json:
         _emit([{"name": c.name, "passed": c.passed, "detail": c.detail} for c in cases], args)
     else:
-        for c in cases:
-            print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}  {c.detail}")
-        print(f"{passed}/{len(cases)} passed  (kernel backend: {BACKEND})")
+        lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}  {c.detail}" for c in cases]
+        lines.append(f"{passed}/{len(cases)} passed  (kernel backend: {BACKEND})")
+        _write("\n".join(lines), args)
     return 0 if passed == len(cases) else 1
 
 
@@ -174,8 +196,8 @@ def cmd_fixtures(args) -> int:
         )
     else:
         width = max(len(r.name) for r in results)
-        for r in results:
-            print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  [{r.route}] {r.detail}")
+        lines = [f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  [{r.route}] {r.detail}" for r in results]
+        _write("\n".join(lines), args)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -191,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, spec_required=True):
         if spec_required:
             p.add_argument("spec", help="path to a join spec JSON file")
-        p.add_argument("-o", "--output", help="write JSON result to this path instead of stdout")
+        p.add_argument("-o", "--output", help="write the output to this path instead of stdout")
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial of a join spec")
     add_common(p)
@@ -222,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="formula vs oracle, for one spec or a seeded random suite")
     p.add_argument("spec", nargs="?", help="optional spec file; omit to run the random suite")
-    p.add_argument("-o", "--output", help="write JSON result to this path instead of stdout")
+    p.add_argument("-o", "--output", help="write the output to this path instead of stdout")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_case_count, default=50)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fixtures", help="run the golden end-to-end fixtures")
-    p.add_argument("-o", "--output", help="write JSON result to this path instead of stdout")
+    p.add_argument("-o", "--output", help="write the output to this path instead of stdout")
     p.add_argument("--tol", type=_tolerance, default=1e-8, help="relative eigenvalue tolerance of the spectrum checks")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-oracle", action="store_true", help="skip dense-oracle comparisons")

@@ -1,6 +1,10 @@
 import json
+import os
 import random
 import re
+import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +19,7 @@ from joinspectra import (
     subset_blocks,
     universal_blocks,
 )
+from joinspectra import cli
 from joinspectra.cli import dumps_result, main
 from joinspectra.errors import PreconditionError
 from joinspectra.fixtures import (
@@ -67,6 +72,86 @@ def test_charpoly_output_file_round_trips(tmp_path, mixed_path):
     assert main(["charpoly", mixed_path, "-o", str(out)]) == 0
     text = out.read_text()
     assert dumps_result(json.loads(text)) + "\n" == text
+
+
+@pytest.mark.parametrize("before", [None, b"", b"{}", b"stale " * 20000], ids=["new", "empty", "shorter", "longer"])
+def test_output_file_holds_exactly_the_stdout_bytes(capsys, tmp_path, mixed_path, before):
+    assert main(["charpoly", mixed_path]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "result.json"
+    if before is not None:
+        out.write_bytes(before)
+    assert main(["charpoly", mixed_path, "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--seed", "0", "--cases", "3"], ["fixtures", "--no-oracle"]],
+    ids=["verify", "fixtures"],
+)
+def test_text_mode_output_goes_to_the_output_file(capsys, tmp_path, argv):
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text(encoding="utf-8") == expected
+
+
+def test_output_to_the_null_device(capsys, mixed_path):
+    assert main(["charpoly", mixed_path, "-o", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_output_to_dev_stdout_on_a_pipe(mixed_path):
+    # a pipe has no length to cut: the writer must not try
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*extra):
+        argv = [sys.executable, "-m", "joinspectra.cli", "charpoly", mixed_path, *extra]
+        return subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+
+    assert run("-o", "/dev/stdout") == run()
+
+
+def test_a_new_output_file_gets_mode_0o666_under_the_umask(tmp_path, mixed_path):
+    out = tmp_path / "new.json"
+    umask = os.umask(0o027)
+    try:
+        assert main(["charpoly", mixed_path, "-o", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_output_path_errors_exit_2_with_the_os_message(capsys, tmp_path, mixed_path):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    assert main(["charpoly", mixed_path, "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"input error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    assert main(["charpoly", mixed_path, "-o", str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"input error: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+def test_output_is_never_opened_with_o_trunc(monkeypatch, tmp_path, mixed_path):
+    # truncating to zero before the write makes ext4 flush the file on close,
+    # a cost every call would pay
+    opened = []
+    os_open = cli.os.open
+
+    def guarded(path, flags, *args, **kwargs):
+        assert not flags & os.O_TRUNC, f"{path} opened with O_TRUNC"
+        opened.append(path)
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", guarded)
+    out = tmp_path / "out.json"
+    out.write_text("stale " * 20000)
+    assert main(["charpoly", mixed_path, "-o", str(out)]) == 0
+    assert main(["verify", "--seed", "0", "--cases", "3", "-o", str(out)]) == 0
+    assert opened == [str(out)] * 2
 
 
 def test_route_override(capsys, mixed_path, subset_path):
