@@ -43,7 +43,7 @@ def _write(text: str, args) -> None:
     starts its writeback, which costs more than the rest of a small call.
     Only a regular file is cut, so /dev/null, /dev/stdout and pipes work.
     """
-    if not getattr(args, "output", None):
+    if not args.output:
         print(text)
         return
     data = memoryview((text + "\n").encode("utf-8"))
