@@ -40,7 +40,7 @@ def _write(text: str, args) -> None:
 
     The file is rewritten in place and then cut to length, never opened with
     O_TRUNC: on ext4, closing a file that was truncated to zero and written
-    starts its writeback, which costs more than the rest of a small call.
+    starts its writeback, a cost every call would pay.
     Only a regular file is cut, so /dev/null, /dev/stdout and pipes work.
     """
     if not args.output:
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fixtures", help="run the golden end-to-end fixtures")
-    p.add_argument("-o", "--output", help="write the output to this path instead of stdout")
+    add_common(p, spec_required=False)
     p.add_argument("--tol", type=_tolerance, default=1e-8, help="relative eigenvalue tolerance of the spectrum checks")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-oracle", action="store_true", help="skip dense-oracle comparisons")

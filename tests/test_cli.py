@@ -338,8 +338,6 @@ def test_spectrum_verify_and_verify_agree_on_a_foreign_rho(capsys, tmp_path):
 def test_cli_start_up_generates_no_code_and_loads_no_numpy():
     # numpy serves the oracle alone, the records are plain classes that generate no
     # code, and only the fixtures verb needs the fixtures: none of it loads at start-up
-    import subprocess
-    import sys
     from pathlib import Path
 
     import joinspectra
