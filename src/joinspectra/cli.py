@@ -203,7 +203,12 @@ def cmd_fixtures(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once: parsing leaves it unchanged, so every call shares it."""
+    """The CLI's parser, built once: parsing leaves it unchanged, so every call shares it.
+
+    Each verb's `func` is its handler as it was when the parser was built;
+    `main` calls whatever this module binds to that name when it runs, so a
+    handler replaced on the module afterwards is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="joinspectra",
         description="Exact characteristic polynomials and spectra of graph joins.",
@@ -263,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func.__name__](args)
     except SpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

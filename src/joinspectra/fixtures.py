@@ -95,9 +95,8 @@ def product(polys) -> Polynomial:
 
 def poly_det_charpoly(cb: CoupledBlocks) -> Polynomial:
     """The glued charpoly with Phi by `poly_det` on the coupling rows: the general Phi, to check the others."""
-    forms = [resolvent_form(m, u, v) for m, u, v in cb.blocks]
-    rows = [[f.den if i == j else -r * f.num for j, r in enumerate(cb.rho[i])] for i, f in enumerate(forms)]
-    return product([poly_det(rows)] + [f.charpoly.exact_div(f.den) for f in forms])
+    rows = [[f.den if i == j else -r * f.num for j, r in enumerate(cb.rho[i])] for i, f in enumerate(cb.forms)]
+    return product([poly_det(rows)] + [f.charpoly.exact_div(f.den) for f in cb.forms])
 
 
 def multisets_close(a, b, tol: float) -> bool:

@@ -38,10 +38,7 @@ PackedRows = tuple[list[list[int]], int, int, int]
 
 
 def as_vector(items: Iterable) -> Vector:
-    """A tuple of Fractions; one given as such is returned as it is, so that
-    blocks sharing a vector keep sharing it."""
-    if type(items) is tuple and all(type(x) is Fraction for x in items):
-        return items
+    """A tuple of Fractions."""
     return tuple(as_fraction(x) for x in items)
 
 
@@ -142,10 +139,6 @@ class RationalMatrix(Record):
         cols = [other.nums[j::p] for j in range(p)]
         out = [sum(map(mul, a[i * m : (i + 1) * m], col)) for i in range(n) for col in cols]
         return RationalMatrix.from_ints(n, p, out, self.den * other.den)
-
-    def transpose(self) -> "RationalMatrix":
-        r, c, e = self.rows, self.cols, self.nums
-        return RationalMatrix.from_ints(c, r, [e[j * c + i] for i in range(c) for j in range(r)], self.den)
 
     def is_symmetric(self) -> bool:
         if not self.is_square:

@@ -34,11 +34,10 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError
-from .joins import JoinSpec, join_graph, universal_matrix
+from .joins import JoinSpec, RhoMatrix, join_graph, universal_matrix
 from .matrices import RationalMatrix, charpoly_with
-from .polynomials import Polynomial, clear_denominators
+from .polynomials import Polynomial, as_fraction, clear_denominators
 from .records import Record
-from .spectra import CoupledBlocks
 
 ORACLE_CAP_ENV = "SPECTRA_ORACLE_CAP"
 DEFAULT_ORACLE_CAP = 128
@@ -56,8 +55,12 @@ def oracle_cap() -> int:
         raise DomainError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def assemble(cb: CoupledBlocks) -> RationalMatrix:
-    """Dense block matrix: M_i diagonal blocks, rho_ij * u_i v_j^T off-diagonal.
+def assemble(blocks: Sequence[tuple[RationalMatrix, Sequence, Sequence]], rho: RhoMatrix) -> RationalMatrix:
+    """Dense block matrix of raw blocks (M_i, u_i, v_i) glued by the scalars
+    rho: M_i diagonal blocks, rho_ij * u_i v_j^T off-diagonal.
+
+    Only raw blocks need it, since they have no graph to build a truth from;
+    `CoupledBlocks` holds forms, which keep no matrix.
 
     Filled as ints over one common denominator L, as `universal_matrix` is:
     block i is its cleared ints `nums` times L / `den`, and with u_i and v_j
@@ -65,15 +68,14 @@ def assemble(cb: CoupledBlocks) -> RationalMatrix:
     is u_i[r] v_j[c] times the int rho_ij L / (du_i dv_j).
     `RationalMatrix.from_ints` then reduces L to the least denominator.
     """
-    blocks = cb.blocks
     offs = [0, *accumulate(m.rows for m, _, _ in blocks)]
     n = offs[-1]
     us = [clear_denominators(u) for _, u, _ in blocks]
     vs = [clear_denominators(v) for _, _, v in blocks]
-    coupled = [(i, j, rho) for i, row in enumerate(cb.rho) for j, rho in enumerate(row) if i != j and rho]
+    coupled = [(i, j, as_fraction(q)) for i, row in enumerate(rho) for j, q in enumerate(row) if i != j and q]
     den = math.lcm(
         *[m.den for m, _, _ in blocks],
-        *[rho.denominator * us[i][1] * vs[j][1] for i, j, rho in coupled],
+        *[q.denominator * us[i][1] * vs[j][1] for i, j, q in coupled],
     )
     nums = [0] * (n * n)
     for (m, _, _), off in zip(blocks, offs):
@@ -81,9 +83,9 @@ def assemble(cb: CoupledBlocks) -> RationalMatrix:
         for r in range(k):
             start = (off + r) * n + off
             nums[start : start + k] = [x * scale for x in m.nums[r * k : (r + 1) * k]]
-    for i, j, rho in coupled:
+    for i, j, q in coupled:
         (u, du), (v, dv) = us[i], vs[j]
-        scaled_v = [x * rho.numerator * (den // (rho.denominator * du * dv)) for x in v]
+        scaled_v = [x * q.numerator * (den // (q.denominator * du * dv)) for x in v]
         for r, ur in enumerate(u):
             if ur:
                 start = (offs[i] + r) * n + offs[j]

@@ -19,6 +19,12 @@ denominator is the product of (x - mu) over exactly the eigenvalues mu whose
 eigenspace is not orthogonal to u -- the "main" eigenvalues seen from u --
 each appearing once, so `main_poles` reads those eigenvalues off it without
 ever leaving the rationals.
+
+A form is all that the coupled-block path keeps of a block: `spectra` glues
+blocks from their forms alone, so a block need not be a dense matrix.
+`resolvent_form` is the one producer of a form from a dense (M, u, v), and it
+records whether M is symmetric with u = v, the per-block half of the
+precondition of a real spectrum.
 """
 
 from __future__ import annotations
@@ -38,13 +44,15 @@ from .roots import real_roots
 
 class ResolventForm(Record):
     """v^T (xI - M)^{-1} u = num / den, reduced (see the module docstring),
-    and charpoly = det(xI - M), the denominator before reduction."""
+    charpoly = det(xI - M), the denominator before reduction, and hermitian:
+    whether M is symmetric and v = u, so that the block has a real spectrum."""
 
-    __slots__ = ("num", "den", "charpoly")
+    __slots__ = ("num", "den", "charpoly", "hermitian")
 
     num: Polynomial
     den: Polynomial
     charpoly: Polynomial
+    hermitian: bool
 
 
 def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
@@ -83,11 +91,13 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
         raise ShapeError(f"vector length must be {n}")
     ints, d = m.nums, m.den
     u_ints, du = clear_denominators(uu)
-    if vv == uu:
+    one_vector = vv == uu
+    hermitian = one_vector and m.is_symmetric()
+    if one_vector:
         mu = _int_eigenvalue(ints, n, u_ints)
         if mu is not None:
             norm_sq = Fraction(sum(x * x for x in u_ints), du * du)
-            return ResolventForm(Polynomial((norm_sq,)), Polynomial((-mu / d, 1)), charpoly(m))
+            return ResolventForm(Polynomial((norm_sq,)), Polynomial((-mu / d, 1)), charpoly(m), hermitian)
     common = math.lcm(d, du * math.lcm(*[x.denominator for x in vv]))
     if common != d:
         ints = [x * (common // d) for x in ints]
@@ -98,7 +108,7 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     # phi and the gcd are monic, so the reduced denominator is too; a zero
     # numerator has gcd phi and reduces to 0/1
     g = poly_gcd(num, phi)
-    return ResolventForm(num.exact_div(g), phi.exact_div(g), phi)
+    return ResolventForm(num.exact_div(g), phi.exact_div(g), phi, hermitian)
 
 
 def main_poles(m: RationalMatrix, u: Sequence) -> list[float]:

@@ -2,8 +2,9 @@
 
 The core object is a family of square blocks M_i carrying vectors (u_i, v_i),
 glued by scalars rho_ij into the block matrix with M_i on the diagonal and
-rho_ij * u_i v_j^T off it.  A block's one record is its `resolvent_form`:
-the reduced resolvent f_i / g_i and phi_i = det(xI - M_i).  The
+rho_ij * u_i v_j^T off it.  A block is held only as its record, a
+`ResolventForm`: the reduced main function f_i / g_i = v_i^T (xI - M_i)^(-1) u_i
+and phi_i = det(xI - M_i).  `CoupledBlocks` is those forms and rho; the
 characteristic polynomial of the glued matrix factors exactly as
 
     prod_i (phi_i / g_i) * Phi,
@@ -11,7 +12,7 @@ characteristic polynomial of the glued matrix factors exactly as
 where Phi is the determinant of the k x k polynomial matrix with g_i on the
 diagonal and -rho_ij * f_i off it.  Everything here works with that cleared
 form, so zero vectors (f_i = 0, g_i = 1) and asymmetric couplings cost
-nothing special, and repeated blocks cost once.  Phi has a closed form
+nothing special.  Phi has a closed form
 through the charpoly of the coupling scalars when every (f_i, g_i) is the
 same.  Else `coupling_poly` takes the cheapest of three forms by an
 operation count that reads only k, D = sum deg g_i and the packed size
@@ -23,7 +24,9 @@ at which a big-integer product costs as much as an interpreted step.
 Graph joins, their universal-matrix and subset variants, lexicographic
 products (the join whose components are all one graph) and generalized
 coronas are block builders: each only picks the blocks and the coupling,
-and callers pass them to `coupled_charpoly` or `coupled_spectrum`.  A
+makes one form per distinct block (`resolvent_form` of its dense matrix,
+or, for a corona's cone, the apex form from its companion's form), and
+callers pass them to `coupled_charpoly` or `coupled_spectrum`.  A
 builder names no route: `verification.CONSTRUCTIONS` pairs each one with
 its route name and its truth.  A universal-matrix builder reads the
 parameters `JoinSpec.params` states, so a spec that names none is the
@@ -56,7 +59,7 @@ from .joins import (
     join_weights,
     universal_matrix,
 )
-from .matrices import RationalMatrix, Vector, as_vector, charpoly, packed_det, packed_rows, poly_det, realization_charpoly
+from .matrices import RationalMatrix, charpoly, packed_det, packed_rows, poly_det, realization_charpoly
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
 from .records import Record
 from .resolvent import ResolventForm, resolvent_form
@@ -64,59 +67,37 @@ from .roots import real_roots
 
 
 class CoupledBlocks(Record):
-    """Blocks (M_i, u_i, v_i) plus the k x k coupling scalars (zero diagonal)."""
+    """One `ResolventForm` per block plus the k x k coupling scalars (zero diagonal)."""
 
-    __slots__ = ("blocks", "rho")
+    __slots__ = ("forms", "rho")
 
-    blocks: tuple[tuple[RationalMatrix, Vector, Vector], ...]
+    forms: tuple[ResolventForm, ...]
     rho: RhoMatrix
 
-    def __init__(self, blocks, rho):
-        canon = []
-        for m, u, v in blocks:
-            if not m.is_square:
-                raise ShapeError("every block must be square")
-            u, v = as_vector(u), as_vector(v)
-            if len(u) != m.rows or len(v) != m.rows:
-                raise ShapeError(f"block vectors must have length {m.rows}")
-            canon.append((m, u, v))
-        k = len(canon)
+    def __init__(self, forms, rho):
+        forms = tuple(forms)
+        k = len(forms)
         rho = tuple(tuple(as_fraction(x) for x in row) for row in rho)
         if len(rho) != k or any(len(r) != k for r in rho):
             raise ShapeError(f"coupling matrix must be {k}x{k}")
         if any(rho[i][i] != 0 for i in range(k)):
             raise ShapeError("coupling matrix must have zero diagonal")
-        Record.__init__(self, tuple(canon), rho)
+        Record.__init__(self, forms, rho)
 
     @property
     def k(self) -> int:
-        return len(self.blocks)
+        return len(self.forms)
 
     @property
     def total_dim(self) -> int:
-        return sum(m.rows for m, _, _ in self.blocks)
+        return sum(form.charpoly.degree for form in self.forms)
 
     def is_hermitian(self) -> bool:
-        """Symmetric blocks, u_i = v_i, symmetric coupling: real spectrum."""
-        if any(u != v or not m.is_symmetric() for m, u, v in self.blocks):
+        """Hermitian blocks (symmetric M_i, u_i = v_i) and symmetric coupling: real spectrum."""
+        if not all(form.hermitian for form in self.forms):
             return False
         k = self.k
         return all(self.rho[i][j] == self.rho[j][i] for i in range(k) for j in range(i + 1, k))
-
-
-def _blocks_data(cb: CoupledBlocks) -> list[tuple[ResolventForm, Polynomial]]:
-    """(resolvent form, cofactor phi / g) of each block, once per shared
-    block: keyed on the identities of the matrix and the vectors, so nothing
-    is hashed by value.  Blocks built from one shared (M, u, v), as
-    `universal_blocks` builds repeated ones, cost once; `CoupledBlocks` keeps
-    the vectors' identity."""
-    keys = [tuple(map(id, block)) for block in cb.blocks]
-    memo: dict = {}
-    for key, block in zip(keys, cb.blocks):
-        if key not in memo:
-            form = resolvent_form(*block)
-            memo[key] = form, form.charpoly.exact_div(form.den)
-    return [memo[key] for key in keys]
 
 
 # The one constant of `coupling_poly`'s cost model: the operand size C, in
@@ -180,15 +161,16 @@ def _glued_product(phi: Polynomial, cofactors: Sequence[Polynomial], total_dim: 
     return out
 
 
-def _glue(cb: CoupledBlocks, data: list[tuple[ResolventForm, Polynomial]]) -> tuple[Polynomial, Polynomial]:
-    """(Phi, the glued characteristic polynomial) from each block's (resolvent form, cofactor)."""
-    phi = coupling_poly([form.num for form, _ in data], [form.den for form, _ in data], cb.rho)
-    return phi, _glued_product(phi, [cof for _, cof in data], cb.total_dim)
+def _glue(cb: CoupledBlocks) -> tuple[Polynomial, Polynomial]:
+    """(Phi, the glued characteristic polynomial) from the blocks' forms."""
+    forms = cb.forms
+    phi = coupling_poly([form.num for form in forms], [form.den for form in forms], cb.rho)
+    return phi, _glued_product(phi, [form.charpoly.exact_div(form.den) for form in forms], cb.total_dim)
 
 
 def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
     """Exact characteristic polynomial of the glued block matrix."""
-    return _glue(cb, _blocks_data(cb))[1]
+    return _glue(cb)[1]
 
 
 def _classify_block(phi: Polynomial, g: Polynomial, idx: int):
@@ -241,14 +223,13 @@ def coupled_spectrum(cb: CoupledBlocks) -> SpectrumReport:
     """
     if not cb.is_hermitian():
         raise PreconditionError("spectrum classification needs symmetric blocks, u = v and symmetric coupling")
-    data = _blocks_data(cb)
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
-    for idx, (form, _) in enumerate(data):
+    for idx, form in enumerate(cb.forms):
         inh, red = _classify_block(form.charpoly, form.den, idx)
         inherited += inh
         reduced += red
-    phi, total = _glue(cb, data)
+    phi, total = _glue(cb)
     croots = real_roots(phi) if phi.degree > 0 else []
     counted = sum(m for _, m, _ in inherited) + sum(m for _, m, _ in reduced) + len(croots)
     if counted != cb.total_dim:
@@ -265,32 +246,29 @@ def _require_plain(spec: JoinSpec) -> None:
 
 
 def subset_blocks(spec: JoinSpec) -> CoupledBlocks:
-    """Adjacency blocks of a subset-constrained join, coupled through the subset indicators."""
+    """Forms of the adjacency blocks of a subset-constrained join at the
+    subset indicators, coupled through them."""
     if spec.subsets is None:
         raise PreconditionError("subset-join route needs per-component subsets")
     if spec.universal is not None:
         raise PreconditionError("subset-join route is stated for the adjacency matrix only")
-    blocks = []
-    for g, subset in zip(spec.components, spec.subsets):
-        vec = subset.indicator()
-        blocks.append((g.adjacency(), vec, vec))
-    return CoupledBlocks(blocks, effective_rho(spec))
+    forms = [resolvent_form(g.adjacency(), subset.indicator()) for g, subset in zip(spec.components, spec.subsets)]
+    return CoupledBlocks(forms, effective_rho(spec))
 
 
 def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
-    """Blocks U_i + delta*w_i*I with all-ones vectors, coupled by rho*alpha + gamma,
+    """Forms of the blocks U_i + delta*w_i*I at all-ones, coupled by rho*alpha + gamma,
     for the parameters `spec.params` (adjacency when the spec names none);
-    equal (component, shift) pairs share one matrix, whose data is then computed once."""
+    one form per distinct (component, shift) pair, shared by its blocks."""
     _require_plain(spec)
     params = spec.params
     # keyed on the weight w of the shift delta * w, an int, which hashes in C where Fractions do not
     keys = [(g, w if params.delta else 0) for g, w in zip(spec.components, join_weights(spec))]
-    shared = {}
-    for g, w in keys:
-        if (g, w) not in shared:
-            ones = (Fraction(1),) * g.n
-            shared[g, w] = (universal_matrix(g, params, params.delta * w), ones, ones)
-    return CoupledBlocks([shared[key] for key in keys], _universal_rho(effective_rho(spec), params))
+    forms = {
+        (g, w): resolvent_form(universal_matrix(g, params, params.delta * w), (Fraction(1),) * g.n)
+        for g, w in dict.fromkeys(keys)
+    }
+    return CoupledBlocks([forms[key] for key in keys], _universal_rho(effective_rho(spec), params))
 
 
 def _universal_rho(rho: RhoMatrix, params: UniversalParams) -> RhoMatrix:
@@ -318,23 +296,20 @@ def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
     """Blocks of the corona of host with one graph per vertex.
 
     Block i is the cone over family[i], apex first, with vector e_0, coupled
-    by the host's edges.  The cone is the companion's adjacency bordered by
-    a row and a column of ones, built here and not by `generalized_corona`,
-    which builds the truth a check compares with.  With f_i / g_i the
-    companion's all-ones resolvent, the cone's resolvent at e_0 is
-    g_i / (x g_i - f_i), already reduced, and its cofactor is phi_i / g_i,
-    so Phi is the determinant with x g_i - f_i on the diagonal and
-    -rho_ij g_i off it.
+    by the host's edges; no cone is built.  With f / g the companion's
+    all-ones form and phi its charpoly, the Schur complement of the apex gives
+    the cone's form e_0^T (xI - C)^(-1) e_0 = 1 / (x - f / g) = g / (x g - f),
+    reduced since f and g are coprime, over the monic x g - f, and its
+    charpoly det(xI - C) = phi (x - f / g) = (phi / g) (x g - f).  Equal
+    companions share one form.
     """
-    blocks = []
-    for g in corona_family(host, family):
-        n, a = g.n, g.adjacency().nums
-        cone = [0] + [1] * n
-        for i in range(n):
-            cone += [1, *a[i * n : (i + 1) * n]]
-        apex = (1,) + (0,) * n
-        blocks.append((RationalMatrix.from_ints(n + 1, n + 1, cone), apex, apex))
-    return CoupledBlocks(blocks, host_rho(host))
+    family = corona_family(host, family)
+    cones = {}
+    for g in dict.fromkeys(family):
+        form = resolvent_form(g.adjacency(), (Fraction(1),) * g.n)
+        den = Polynomial.x() * form.den - form.num
+        cones[g] = ResolventForm(form.den, den, form.charpoly.exact_div(form.den) * den, form.hermitian)
+    return CoupledBlocks([cones[g] for g in family], host_rho(host))
 
 
 # -- shortcut preconditions ----------------------------------------------------

@@ -6,7 +6,8 @@ from the route's blocks, made only when a check asks for it.  Every verb,
 `verify_spec` and the fixtures look their route up there.  A random case
 builds some glued system twice: through a formula route, and as a dense
 matrix for `oracle.check`: its construction's truth for graph specs, the
-literally assembled matrix for raw blocks, which have no graph.
+literally assembled matrix for raw blocks, which have no graph and reach
+the formula route through their `resolvent_form`s.
 Comparisons are exact.
 """
 
@@ -19,9 +20,10 @@ from typing import Callable, Optional
 from .errors import PreconditionError
 from .graphs import Graph, VertexSubset
 from .joins import JoinSpec, UniversalParams, generalized_corona, join_graph
-from .matrices import RationalMatrix
+from .matrices import RationalMatrix, Vector
 from .oracle import assemble, check, join_truth
 from .records import Record
+from .resolvent import resolvent_form
 from .spectra import (
     CoupledBlocks,
     corona_blocks,
@@ -132,9 +134,10 @@ def random_coupled_blocks(
     zero_vector_rate: float = 0.15,
     asym_rho_rate: float = 0.3,
     symmetric: bool = False,
-) -> CoupledBlocks:
-    """Random blocks with rational entries in [-3, 3], occasional zero vectors,
-    and (unless symmetric) occasional asymmetric coupling."""
+) -> tuple[list[tuple[RationalMatrix, Vector, Vector]], list[list[Fraction]]]:
+    """Random raw blocks (M_i, u_i, v_i), with rational entries in [-3, 3] and
+    occasional zero vectors, and their coupling rho, occasionally asymmetric
+    unless symmetric is set."""
     k = rng.randint(1, max_k)
     blocks = []
     for _ in range(k):
@@ -164,7 +167,7 @@ def random_coupled_blocks(
         for j in range(i + 1, k):
             rho[i][j] = random_fraction(rng)
             rho[j][i] = random_fraction(rng) if asym else rho[i][j]
-    return CoupledBlocks(blocks, rho)
+    return blocks, rho
 
 
 def random_join_spec(
@@ -204,8 +207,11 @@ def verify_spec(spec: JoinSpec, name: str = "spec") -> VerifyCase:
     return VerifyCase(name, verdict.equal, f"route {route}: {verdict.detail}")
 
 
-def verify_blocks(cb: CoupledBlocks, name: str = "blocks") -> VerifyCase:
-    verdict = check(coupled_charpoly(cb), assemble(cb))
+def verify_blocks(blocks, rho, name: str = "blocks") -> VerifyCase:
+    """Raw blocks (M_i, u_i, v_i) glued by rho: the charpoly of their forms
+    against the literally assembled matrix."""
+    cb = CoupledBlocks([resolvent_form(*block) for block in blocks], rho)
+    verdict = check(coupled_charpoly(cb), assemble(blocks, rho))
     return VerifyCase(name, verdict.equal, verdict.detail)
 
 
@@ -217,8 +223,8 @@ def run_random_suite(seed: int, cases: int, max_k: int = 5, max_n: int = 5) -> l
     for idx in range(cases):
         kind = rng.random()
         if kind < 0.5:
-            cb = random_coupled_blocks(rng, max_k=max_k, max_n=max_n)
-            out.append(verify_blocks(cb, name=f"case-{idx:04d}-blocks"))
+            blocks, rho = random_coupled_blocks(rng, max_k=max_k, max_n=max_n)
+            out.append(verify_blocks(blocks, rho, name=f"case-{idx:04d}-blocks"))
         elif kind < 0.8:
             spec = random_join_spec(rng, max_k=min(max_k, 4), max_n=min(max_n, 4), universal=random_universal_params(rng))
             out.append(verify_spec(spec, name=f"case-{idx:04d}-join"))

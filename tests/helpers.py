@@ -6,7 +6,21 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
 
-from joinspectra import Graph, JoinSpec, Polynomial, RationalMatrix, UniversalParams, VertexSubset, charpoly, join_graph
+from joinspectra import (
+    CoupledBlocks,
+    Graph,
+    JoinSpec,
+    Polynomial,
+    RationalMatrix,
+    UniversalParams,
+    VertexSubset,
+    charpoly,
+    generalized_corona,
+    join_graph,
+    join_weights,
+    resolvent_form,
+)
+from joinspectra.joins import effective_rho
 from joinspectra.fixtures import multisets_close
 from joinspectra.kernel import charpoly_int
 from joinspectra.verification import random_fraction
@@ -62,6 +76,41 @@ def graph_text(g: Graph) -> str:
 
 def identity(n: int) -> RationalMatrix:
     return RationalMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+
+
+def transpose(m: RationalMatrix) -> RationalMatrix:
+    r, c, e = m.rows, m.cols, m.nums
+    return RationalMatrix.from_ints(c, r, [e[j * c + i] for i in range(c) for j in range(r)], m.den)
+
+
+def coupled(blocks, rho) -> CoupledBlocks:
+    """The coupled blocks of dense blocks (M_i, u_i, v_i) glued by rho: one
+    `resolvent_form` per block."""
+    return CoupledBlocks([resolvent_form(*block) for block in blocks], rho)
+
+
+def dense_join_blocks(spec: JoinSpec):
+    """(dense blocks, rho) of the join whose forms `join_blocks(spec)` holds,
+    written out from their definition: the adjacency blocks at the subset
+    indicators under the spec's coupling, or the literal universal matrices
+    U_i + delta*w_i*I at all-ones under rho*alpha + gamma."""
+    rho = effective_rho(spec)
+    if spec.subsets is not None:
+        return [(g.adjacency(), s.indicator(), s.indicator()) for g, s in zip(spec.components, spec.subsets)], rho
+    params = spec.params
+    blocks = []
+    for g, w in zip(spec.components, join_weights(spec)):
+        ones = (1,) * g.n
+        blocks.append((literal_universal_matrix(g, params) + identity(g.n) * (params.delta * w), ones, ones))
+    a, c = params.alpha, params.gamma
+    return blocks, [[0 if i == j else r * a + c for j, r in enumerate(row)] for i, row in enumerate(rho)]
+
+
+def corona_cone(g: Graph):
+    """The dense cone over g, apex first, with the vector e_0: the corona of
+    one vertex carrying g."""
+    e0 = (1,) + (0,) * g.n
+    return generalized_corona(Graph(1), (g,)).adjacency(), e0, e0
 
 
 def trace(m: RationalMatrix) -> Fraction:

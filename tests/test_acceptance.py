@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import adjugate_form, char_matrix, determinant, is_square_free, lexicographic, multisets_close, outer, rand_int_matrix, rand_symmetric_matrix, rand_vector, reduced, regular_graph_menu, seidel, signless_laplacian, to_lists, trace
+from helpers import adjugate_form, char_matrix, coupled, determinant, is_square_free, lexicographic, multisets_close, outer, rand_int_matrix, rand_symmetric_matrix, rand_vector, reduced, regular_graph_menu, seidel, signless_laplacian, to_lists, trace
 from joinspectra import (
     Graph,
     JoinSpec,
@@ -97,10 +97,11 @@ def test_criterion_04_oracle_equivalence_suite():
     zero_vectors = 0
     asym = 0
     for i in range(200):
-        cb = random_coupled_blocks(rng, max_k=5, max_n=5)
-        zero_vectors += sum(1 for _, u, v in cb.blocks if all(x == 0 for x in u) or all(x == 0 for x in v))
+        blocks, rho = random_coupled_blocks(rng, max_k=5, max_n=5)
+        cb = coupled(blocks, rho)
+        zero_vectors += sum(1 for _, u, v in blocks if all(x == 0 for x in u) or all(x == 0 for x in v))
         asym += 0 if all(cb.rho[i][j] == cb.rho[j][i] for i in range(cb.k) for j in range(cb.k)) else 1
-        verdict = compare(coupled_charpoly(cb), oracle_charpoly(assemble(cb)))
+        verdict = compare(coupled_charpoly(cb), oracle_charpoly(assemble(blocks, rho)))
         assert verdict.equal, f"case {i}: {verdict.detail}"
     elapsed = time.perf_counter() - start
     assert zero_vectors > 0 and asym > 0  # the tricky shapes really occurred
@@ -248,10 +249,11 @@ def test_criterion_10_property_suite():
 
     # degree, trace and multiplicity accounting on random glued systems
     for _ in range(15):
-        cb = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
+        blocks, rho = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
+        cb = coupled(blocks, rho)
         p = coupled_charpoly(cb)
         assert p.degree == cb.total_dim and p.is_monic
-        assert p[cb.total_dim - 1] == -sum((trace(m) for m, _, _ in cb.blocks), Fraction(0))
+        assert p[cb.total_dim - 1] == -sum((trace(m) for m, _, _ in blocks), Fraction(0))
         assert len(coupled_spectrum(cb).eigenvalues()) == cb.total_dim
 
     report(10, "all exact identities and accounting checks hold")

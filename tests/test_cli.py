@@ -693,3 +693,16 @@ def test_parser_is_shared_and_argv_errors_still_exit_2(capsys):
             main(["--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: joinspectra")
+
+
+def test_main_calls_the_handler_the_module_binds_when_it_runs(monkeypatch):
+    # the cached parser holds the handlers it was built with; a handler
+    # replaced on the module afterwards must still be the one main calls
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: seen.append(("spectrum", args.spec)) or 7)
+    monkeypatch.setattr(cli, "cmd_charpoly", lambda args: seen.append((args.route, args.spec)) or 5)
+    assert main(["spectrum", "a.json"]) == 7
+    assert main(["corona", "b.json"]) == 5
+    assert main(["gcp", "c.json", "--t", "1"]) == 5
+    assert seen == [("spectrum", "a.json"), ("corona", "b.json"), ("degree-shift", "c.json")]

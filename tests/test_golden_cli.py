@@ -6,7 +6,8 @@ join and its subset-constrained variant), a small corona spec, two
 lexicographic specs (Laplacian parameters and none), a join of regular
 components and the mixed join with Laplacian parameters; the files are
 written into the working directory, so `verify` names them by their bare
-file names.
+file names.  One case runs no spec: the first 20 cases of the seeded random
+suite, so that its seeded draws stay where they are.
 """
 
 import contextlib
@@ -62,6 +63,8 @@ CASES = {
     "verify-json-subset": ["verify", "subset.json", "--json"],
     "verify-json-corona-spec": ["verify", "corona.json", "--json"],
     "fixtures-json": ["fixtures", "--json"],
+    # the seeded random suite: raw blocks, universal joins and subset joins
+    "verify-json-seed-0": ["verify", "--seed", "0", "--cases", "20", "--json"],
 }
 
 

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cofactor_det, identity, json_obj, multisets_close, rand_symmetric_matrix, to_lists
+from helpers import cofactor_det, coupled, dense_join_blocks, identity, json_obj, multisets_close, rand_symmetric_matrix, to_lists
 from joinspectra import (
-    CoupledBlocks,
     Graph,
     JoinSpec,
     UniversalParams,
@@ -29,65 +28,60 @@ X = Polynomial.x()
 
 
 def test_assemble_edge():
-    cb = CoupledBlocks(
-        [
-            (RationalMatrix(1, 1, [0]), (Fraction(1),), (Fraction(1),)),
-            (RationalMatrix(1, 1, [0]), (Fraction(1),), (Fraction(1),)),
-        ],
-        ((0, 1), (1, 0)),
-    )
-    assert to_lists(assemble(cb)) == [[0, 1], [1, 0]]
+    blocks = [
+        (RationalMatrix(1, 1, [0]), (Fraction(1),), (Fraction(1),)),
+        (RationalMatrix(1, 1, [0]), (Fraction(1),), (Fraction(1),)),
+    ]
+    assert to_lists(assemble(blocks, ((0, 1), (1, 0)))) == [[0, 1], [1, 0]]
 
 
 def test_assemble_matches_join_graphs():
+    # the dense blocks whose forms the join's builder holds assemble to the join graph
     spec = mixed_join_spec()
-    assert assemble(join_blocks(spec)) == join_graph(spec).adjacency()
+    assert join_blocks(spec) == coupled(*dense_join_blocks(spec))
+    assert assemble(*dense_join_blocks(spec)) == join_graph(spec).adjacency()
     sub = subset_join_spec()
-    assert assemble(subset_blocks(sub)) == join_graph(sub).adjacency()
+    assert subset_blocks(sub) == coupled(*dense_join_blocks(sub))
+    assert assemble(*dense_join_blocks(sub)) == join_graph(sub).adjacency()
 
 
 def test_assemble_zero_vector_rows():
-    cb = CoupledBlocks(
-        [
-            (RationalMatrix(2, 2, [0, 1, 1, 0]), (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
-            (RationalMatrix(1, 1, [0]), (Fraction(1),), (Fraction(1),)),
-        ],
-        ((0, 1), (1, 0)),
-    )
-    assert to_lists(assemble(cb)) == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    blocks = [
+        (RationalMatrix(2, 2, [0, 1, 1, 0]), (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
+        (RationalMatrix(1, 1, [0]), (Fraction(1),), (Fraction(1),)),
+    ]
+    assert to_lists(assemble(blocks, ((0, 1), (1, 0)))) == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
 
 
 def test_assemble_matches_a_literal_fraction_matrix():
     # every entry written as a Fraction: M_i on the diagonal, rho_ij * u_i[r] * v_j[c]
     # off it, with denominators in the blocks, in rho, in u and in v
-    def literal(cb):
-        offs = [sum(m.rows for m, _, _ in cb.blocks[:i]) for i in range(cb.k)]
-        n = cb.total_dim
+    def literal(blocks, rho):
+        offs = [sum(m.rows for m, _, _ in blocks[:i]) for i in range(len(blocks))]
+        n = sum(m.rows for m, _, _ in blocks)
         rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, (m, u, _) in enumerate(cb.blocks):
+        for i, (m, u, _) in enumerate(blocks):
             for r in range(m.rows):
                 for c in range(m.cols):
                     rows[offs[i] + r][offs[i] + c] = m[r, c]
-                for j, (mj, _, v) in enumerate(cb.blocks):
+                for j, (mj, _, v) in enumerate(blocks):
                     if j != i:
                         for c in range(mj.rows):
-                            rows[offs[i] + r][offs[j] + c] = cb.rho[i][j] * u[r] * v[c]
+                            rows[offs[i] + r][offs[j] + c] = Fraction(rho[i][j]) * u[r] * v[c]
         return RationalMatrix.from_rows(rows) if n else RationalMatrix(0, 0, [])
 
     third, half = Fraction(1, 3), Fraction(1, 2)
-    cb = CoupledBlocks(
-        [
-            (RationalMatrix(2, 2, [half, 1, 1, 0]), (third, 2), (Fraction(3, 4), 0)),
-            (RationalMatrix(1, 1, [Fraction(-5, 6)]), (Fraction(7, 5),), (Fraction(2, 9),)),
-        ],
-        ((0, Fraction(3, 7)), (Fraction(-5, 2), 0)),
-    )
-    assert assemble(cb) == literal(cb)
-    assert assemble(cb)[0, 2] == Fraction(3, 7) * third * Fraction(2, 9)
+    blocks = [
+        (RationalMatrix(2, 2, [half, 1, 1, 0]), (third, 2), (Fraction(3, 4), 0)),
+        (RationalMatrix(1, 1, [Fraction(-5, 6)]), (Fraction(7, 5),), (Fraction(2, 9),)),
+    ]
+    rho = ((0, Fraction(3, 7)), (Fraction(-5, 2), 0))
+    assert assemble(blocks, rho) == literal(blocks, rho)
+    assert assemble(blocks, rho)[0, 2] == Fraction(3, 7) * third * Fraction(2, 9)
     rng = random.Random(63)
     for _ in range(40):
-        cb = random_coupled_blocks(rng, max_k=4, max_n=4, zero_vector_rate=0.2)
-        assert assemble(cb) == literal(cb)
+        blocks, rho = random_coupled_blocks(rng, max_k=4, max_n=4, zero_vector_rate=0.2)
+        assert assemble(blocks, rho) == literal(blocks, rho)
 
 
 def test_assemble_universal_matches_whole_graph_matrix():
@@ -98,24 +92,24 @@ def test_assemble_universal_matches_whole_graph_matrix():
         params = random_universal_params(rng)
         spec = random_join_spec(rng, max_k=3, max_n=3, universal=params)
         whole = universal_matrix(join_graph(spec.with_universal(None)), params)
-        assert assemble(universal_blocks(spec)) == whole
+        assert universal_blocks(spec) == coupled(*dense_join_blocks(spec))
+        assert assemble(*dense_join_blocks(spec)) == whole
 
 
 def test_oracle_charpoly_small():
     assert oracle_charpoly(RationalMatrix(2, 2, [0, 1, 1, 0])) == X**2 - 1
-    sub = assemble(subset_blocks(subset_join_spec()))
+    sub = assemble(*dense_join_blocks(subset_join_spec()))
     assert oracle_charpoly(sub) == product(subset_join_charpoly_factors())
 
 
 def test_oracle_charpoly_block_diagonal_factorizes():
     rng = random.Random(62)
     for _ in range(10):
-        cb = random_coupled_blocks(rng, max_k=3, max_n=3)
-        zero_rho = tuple(tuple(Fraction(0) for _ in row) for row in cb.rho)
-        cut = CoupledBlocks(cb.blocks, zero_rho)
-        got = oracle_charpoly(assemble(cut))
+        blocks, rho = random_coupled_blocks(rng, max_k=3, max_n=3)
+        zero_rho = tuple(tuple(Fraction(0) for _ in row) for row in rho)
+        got = oracle_charpoly(assemble(blocks, zero_rho))
         expected = Polynomial.one()
-        for m, _, _ in cb.blocks:
+        for m, _, _ in blocks:
             expected = expected * charpoly(m)
         assert got == expected
 
@@ -198,7 +192,9 @@ def test_join_truth_equals_the_assembled_route_blocks():
         kind = i % 3
         universal = random_universal_params(rng) if kind == 1 else None
         spec = random_join_spec(rng, with_subsets=kind == 2, universal=universal)
-        assert join_truth(spec) == assemble(join_blocks(spec))
+        blocks, rho = dense_join_blocks(spec)
+        assert join_blocks(spec) == coupled(blocks, rho)
+        assert join_truth(spec) == assemble(blocks, rho)
 
 
 def test_oracle_cap(monkeypatch):

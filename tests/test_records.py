@@ -18,6 +18,7 @@ from joinspectra import (
     SpectrumReport,
     UniversalParams,
     VertexSubset,
+    resolvent_form,
 )
 from joinspectra.errors import SpecError
 from joinspectra.fixtures import FixtureResult
@@ -25,7 +26,7 @@ from joinspectra.records import Record
 from joinspectra.verification import VerifyCase
 
 X = Polynomial.x()
-ONE_BLOCK = [(RationalMatrix.from_rows([[0, 1], [1, 0]]), (1, 1), (1, 0))]
+ONE_FORM = [resolvent_form(RationalMatrix.from_rows([[0, 1], [1, 0]]), (1, 1), (1, 0))]
 
 # class -> (its fields in order, a factory of two equal records, and a record differing in one field)
 CASES = {
@@ -42,14 +43,14 @@ CASES = {
         JoinSpec(Graph.path(2), [Graph(1), Graph.path(2)], rho_override=[[0, 1], [1, 0]]),
     ),
     ResolventForm: (
-        ("num", "den", "charpoly"),
-        lambda: ResolventForm(Polynomial((2,)), X - 1, X * (X - 1)),
-        ResolventForm(Polynomial((2,)), X - 1, (X - 1) * (X - 1)),
+        ("num", "den", "charpoly", "hermitian"),
+        lambda: ResolventForm(Polynomial((2,)), X - 1, X * (X - 1), True),
+        ResolventForm(Polynomial((2,)), X - 1, X * (X - 1), False),
     ),
     CoupledBlocks: (
-        ("blocks", "rho"),
-        lambda: CoupledBlocks(ONE_BLOCK * 2, [[0, 1], ["1/2", 0]]),
-        CoupledBlocks(ONE_BLOCK * 2, [[0, 1], [1, 0]]),
+        ("forms", "rho"),
+        lambda: CoupledBlocks(ONE_FORM * 2, [[0, 1], ["1/2", 0]]),
+        CoupledBlocks(ONE_FORM * 2, [[0, 1], [1, 0]]),
     ),
     SpectrumReport: (
         ("charpoly", "inherited", "reduced", "coupling", "coupling_roots"),
@@ -164,8 +165,8 @@ def test_repr_examples():
 
 
 def test_keyword_construction():
-    form = ResolventForm(num=Polynomial((1,)), den=X, charpoly=X)
-    assert form == ResolventForm(Polynomial((1,)), X, X)
+    form = ResolventForm(num=Polynomial((1,)), den=X, charpoly=X, hermitian=True)
+    assert form == ResolventForm(Polynomial((1,)), X, X, True)
     assert CompareResult(equal=True, first_mismatch=None, detail="d") == CompareResult(True, None, "d")
 
 

@@ -8,6 +8,7 @@ from helpers import (
     char_matrix,
     cofactor_det,
     cycle,
+    dense_join_blocks,
     identity,
     is_square_free,
     lead,
@@ -30,7 +31,6 @@ from joinspectra.fixtures import (
 from joinspectra.matrices import RationalMatrix, as_vector, charpoly
 from joinspectra.polynomials import Polynomial, poly_gcd
 from joinspectra.resolvent import main_poles, resolvent_form
-from joinspectra.spectra import universal_blocks
 from joinspectra.verification import random_graph, random_universal_params
 
 X = Polynomial.x()
@@ -343,7 +343,7 @@ def _eigenvector_inputs(rng):
                 if g.n <= 5:
                     comps.append(g)
         # the blocks carry the delta * w_i shift of the join weights
-        for m, u, _ in universal_blocks(JoinSpec(host, tuple(comps), universal=params)).blocks:
+        for m, u, _ in dense_join_blocks(JoinSpec(host, tuple(comps), universal=params))[0]:
             out.append((m, u))
             c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
             out.append((m, tuple(c * x for x in u)))  # a rational multiple of all-ones

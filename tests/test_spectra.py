@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PRESET_VALUES, cofactor_det, coupling_rows, cycle, determinant, full_subset, identity, json_obj, lexicographic, literal_universal_matrix, multisets_close, regular_graph_menu, seidel, signless_laplacian, trace
+from helpers import PRESET_VALUES, cofactor_det, corona_cone, coupled, coupling_rows, cycle, dense_join_blocks, determinant, full_subset, identity, json_obj, lexicographic, literal_universal_matrix, multisets_close, regular_graph_menu, seidel, signless_laplacian, trace
 from joinspectra import (
     CoupledBlocks,
     Graph,
@@ -79,16 +79,19 @@ def _balanced_spectrum(spec):
 
 def scalar_blocks(values, rho):
     blocks = [(RationalMatrix(1, 1, [v]), (Fraction(1),), (Fraction(1),)) for v in values]
-    return CoupledBlocks(blocks, rho)
+    return coupled(blocks, rho)
 
 
 def test_coupled_blocks_validation():
+    # a block's shape is checked by `resolvent_form`, the coupling by `CoupledBlocks`
     with pytest.raises(ShapeError):
-        CoupledBlocks([(RationalMatrix(1, 2, [1, 2]), (1,), (1,))], ((0,),))
+        coupled([(RationalMatrix(1, 2, [1, 2]), (1,), (1,))], ((0,),))
     with pytest.raises(ShapeError):
-        CoupledBlocks([(RationalMatrix(1, 1, [0]), (1, 2), (1,))], ((0,),))
+        coupled([(RationalMatrix(1, 1, [0]), (1, 2), (1,))], ((0,),))
     with pytest.raises(ShapeError):
-        CoupledBlocks([(RationalMatrix(1, 1, [0]), (1,), (1,))], ((1,),))
+        coupled([(RationalMatrix(1, 1, [0]), (1,), (1,))], ((1,),))
+    with pytest.raises(ShapeError):
+        coupled([(RationalMatrix(1, 1, [0]), (1,), (1,))], ((0, 1), (1, 0)))
 
 
 def test_two_singletons_make_an_edge():
@@ -111,18 +114,17 @@ def test_fixture_charpoly():
 def test_zero_vector_splits_off_block():
     rng = random.Random(41)
     for _ in range(10):
-        cb = random_coupled_blocks(rng, max_k=3, max_n=3)
-        blocks = list(cb.blocks)
+        blocks, rho = random_coupled_blocks(rng, max_k=3, max_n=3)
         m0, _, v0 = blocks[0]
         zero = tuple(Fraction(0) for _ in range(m0.rows))
         blocks[0] = (m0, zero, zero)
-        cut = CoupledBlocks(blocks, cb.rho)
-        rest = CoupledBlocks(blocks[1:], tuple(row[1:] for row in cb.rho[1:]))
+        cut = coupled(blocks, rho)
+        rest = coupled(blocks[1:], tuple(row[1:] for row in rho[1:]))
         assert coupled_charpoly(cut) == charpoly(m0) * coupled_charpoly(rest)
 
 
 def test_zero_size_block_is_transparent():
-    cb = CoupledBlocks(
+    cb = coupled(
         [
             (RationalMatrix(0, 0, []), (), ()),
             (RationalMatrix(1, 1, [2]), (Fraction(1),), (Fraction(1),)),
@@ -157,7 +159,7 @@ def test_eigenvector_coupling_reduces_to_small_determinant():
         for i in range(k):
             for j in range(i + 1, k):
                 rho[i][j] = rho[j][i] = Fraction(rng.randint(-2, 2))
-        cb = CoupledBlocks(blocks, rho)
+        cb = coupled(blocks, rho)
         small = [
             [Polynomial((-tops[i], 1)) if i == j else Polynomial.constant(-rho[i][j]) for j in range(k)]
             for i in range(k)
@@ -170,31 +172,33 @@ def test_eigenvector_coupling_reduces_to_small_determinant():
 
 def test_oracle_equivalence_random():
     rng = random.Random(43)
-    cases = [random_coupled_blocks(rng) for _ in range(50)]
+    for _ in range(50):
+        blocks, rho = random_coupled_blocks(rng)
+        assert compare(coupled_charpoly(coupled(blocks, rho)), oracle_charpoly(assemble(blocks, rho))).equal
     # 16 universal-Laplacian blocks: a 16 x 16 coupling determinant, the largest any test reaches
     big = random.Random(53)
     comps = tuple(random_graph(big, big.randint(2, 4)) for _ in range(16))
-    cases.append(universal_blocks(JoinSpec(random_graph(big, 16), comps, universal=UniversalParams.laplacian())))
-    for cb in cases:
-        assert compare(coupled_charpoly(cb), oracle_charpoly(assemble(cb))).equal
+    spec = JoinSpec(random_graph(big, 16), comps, universal=UniversalParams.laplacian())
+    assert compare(coupled_charpoly(universal_blocks(spec)), oracle_charpoly(assemble(*dense_join_blocks(spec)))).equal
 
 
 def test_degree_and_trace():
     rng = random.Random(44)
     for _ in range(20):
-        cb = random_coupled_blocks(rng)
+        blocks, rho = random_coupled_blocks(rng)
+        cb = coupled(blocks, rho)
         p = coupled_charpoly(cb)
         n = cb.total_dim
         assert p.degree == n and p.is_monic
-        assert p[n - 1] == -sum((trace(m) for m, _, _ in cb.blocks), Fraction(0))
+        assert p[n - 1] == -sum((trace(m) for m, _, _ in blocks), Fraction(0))
 
 
 def test_evaluation_spot_check():
     # charpoly(r) == det(rI - assembled matrix) at random rational points
     rng = random.Random(52)
-    cb = random_coupled_blocks(rng, max_k=4, max_n=4)
-    p = coupled_charpoly(cb)
-    a = assemble(cb)
+    blocks, rho = random_coupled_blocks(rng, max_k=4, max_n=4)
+    p = coupled_charpoly(coupled(blocks, rho))
+    a = assemble(blocks, rho)
     n = a.rows
     eye = identity(n)
     for _ in range(10):
@@ -237,28 +241,22 @@ def test_fixture_spectrum_classification():
 def test_multiplicity_accounting_random_symmetric():
     rng = random.Random(45)
     for _ in range(15):
-        cb = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
+        blocks, rho = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
+        cb = coupled(blocks, rho)
         report = coupled_spectrum(cb)
         assert len(report.eigenvalues()) == cb.total_dim
         got = report.eigenvalues()
-        truth = oracle_spectrum(assemble(cb))
+        truth = oracle_spectrum(assemble(blocks, rho))
         assert multisets_close(got, truth, 1e-6)
 
 
-def test_glued_product_is_checked_on_both_routes(monkeypatch):
-    import joinspectra.spectra as spectra
-
-    exact = spectra.resolvent_form
-
-    def scaled(m, u, v):
-        # every block's cofactor phi / g comes out twice too large
-        form = exact(m, u, v)
-        return ResolventForm(form.num, form.den, form.charpoly * 2)
-
-    monkeypatch.setattr(spectra, "resolvent_form", scaled)
+def test_glued_product_is_checked_on_both_routes():
     rng = random.Random(48)
     for _ in range(5):
-        cb = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
+        blocks, rho = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
+        # every block's cofactor phi / g comes out twice too large
+        forms = [ResolventForm(f.num, f.den, f.charpoly * 2, f.hermitian) for f in coupled(blocks, rho).forms]
+        cb = CoupledBlocks(forms, rho)
         with pytest.raises(ArithmeticError):
             coupled_charpoly(cb)
         with pytest.raises(ArithmeticError):
@@ -271,11 +269,11 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
     exact = spectra.resolvent_form
     calls = []
 
-    def first_block_doubled(m, u, v):
+    def first_block_doubled(m, u, v=None):
         # block 0's cofactor phi / g comes out twice too large
         calls.append(m)
         form = exact(m, u, v)
-        return ResolventForm(form.num, form.den, form.charpoly * 2) if len(calls) == 1 else form
+        return ResolventForm(form.num, form.den, form.charpoly * 2, form.hermitian) if len(calls) == 1 else form
 
     monkeypatch.setattr(spectra, "resolvent_form", first_block_doubled)
     regular = JoinSpec(Graph.path(2), (cycle(4), Graph.complete(3)), universal=ADJ)
@@ -311,12 +309,11 @@ def _realization_cases(rng):
         yield universal_blocks(spec.with_universal(UniversalParams.laplacian()))
         yield universal_blocks(spec.with_universal(random_universal_params(rng)))
         yield subset_blocks(random_join_spec(rng, max_k=7, max_n=4, with_subsets=True))
-        cones = [generalized_corona(Graph(1), (g,)).adjacency() for g in spec.components]
-        yield CoupledBlocks([(m, (1,) + (0,) * (m.rows - 1), (1,) + (0,) * (m.rows - 1)) for m in cones], host_rho(spec.host))
+        yield coupled([corona_cone(g) for g in spec.components], host_rho(spec.host))
     for _ in range(40):
-        yield random_coupled_blocks(rng, max_k=7, max_n=4, zero_vector_rate=0.3)
+        yield coupled(*random_coupled_blocks(rng, max_k=7, max_n=4, zero_vector_rate=0.3))
     yield scalar_blocks([2], ((0,),))
-    yield random_coupled_blocks(random.Random(3), max_k=1)
+    yield coupled(*random_coupled_blocks(random.Random(3), max_k=1))
     # host "0;" (k = 0), and a "0;" component: a block with no rows and the zero form
     yield universal_blocks(JoinSpec.from_json_obj({"host": "0;", "components": []}))
     yield universal_blocks(JoinSpec.from_json_obj({"host": "3; 0-1,1-2", "components": ["2; 0-1", "0;", "3; 0-1"]}))
@@ -328,8 +325,7 @@ def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
     # between blocks that have rows, and k = 1
     sides, zero_forms = set(), 0
     for cb in _realization_cases(random.Random(12)):
-        forms = [resolvent_form(m, u, v) for m, u, v in cb.blocks]
-        fs, gs = [f.num for f in forms], [f.den for f in forms]
+        fs, gs = [f.num for f in cb.forms], [f.den for f in cb.forms]
         want = poly_det(coupling_rows(fs, gs, cb.rho))
         assert realization_charpoly(fs, gs, cb.rho) == want
         assert coupling_poly(fs, gs, cb.rho) == want
@@ -343,8 +339,7 @@ def test_packed_det_equals_poly_det_and_the_cofactor_reference():
     # the same corpus: asymmetric rational rho, zero forms, corona cones, k = 0 and k = 1
     ks = set()
     for cb in _realization_cases(random.Random(12)):
-        forms = [resolvent_form(m, u, v) for m, u, v in cb.blocks]
-        fs, gs = [f.num for f in forms], [f.den for f in forms]
+        fs, gs = [f.num for f in cb.forms], [f.den for f in cb.forms]
         rows = coupling_rows(fs, gs, cb.rho)
         want = cofactor_det(rows) if rows else Polynomial.one()
         assert poly_det(rows) == want
@@ -404,9 +399,7 @@ def test_phi_takes_one_kernel_call_of_dimension_d_only_through_the_realization(k
 
     def run(spec):
         """(D, the kernel calls of each distinct block's form, the route's kernel calls)"""
-        cb = universal_blocks(spec)
-        forms = {block: resolvent_form(*block) for block in dict.fromkeys(cb.blocks)}
-        dim = sum(forms[block].den.degree for block in cb.blocks)
+        dim = sum(form.den.degree for form in universal_blocks(spec).forms)
         blocks_only = list(kernel_calls)
         kernel_calls.clear()
         realized.clear()
@@ -464,12 +457,10 @@ def test_laplacian_join_of_16_vertex_blocks_matches_eigvalsh():
 def test_coupling_degree_matches_visible_count():
     rng = random.Random(46)
     for _ in range(10):
-        cb = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
-        report = coupled_spectrum(cb)
-        from joinspectra.resolvent import resolvent_form
-
+        blocks, rho = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
+        report = coupled_spectrum(coupled(blocks, rho))
         total_visible = 0
-        for m, u, _ in cb.blocks:
+        for m, u, _ in blocks:
             total_visible += max(0, int(resolvent_form(m, u).den.degree))
         assert report.coupling.degree == total_visible
 
@@ -656,11 +647,11 @@ def test_universal_route_with_coupling_override():
     rho = ((0, Fraction(1, 2), 2), (Fraction(1, 2), 0, -1), (2, -1, 0))
     spec = JoinSpec(base.host, base.components, universal=ADJ, rho_override=rho)
     formula = coupled_charpoly(universal_blocks(spec))
-    assert compare(formula, oracle_charpoly(assemble(universal_blocks(spec)))).equal
+    assert compare(formula, oracle_charpoly(assemble(*dense_join_blocks(spec)))).equal
     asym = ((0, 1, 0), (2, 0, 1), (0, 3, 0))
     spec2 = JoinSpec(base.host, base.components, universal=ADJ, rho_override=asym)
     cb = universal_blocks(spec2)
-    assert compare(coupled_charpoly(cb), oracle_charpoly(assemble(cb))).equal
+    assert compare(coupled_charpoly(cb), oracle_charpoly(assemble(*dense_join_blocks(spec2)))).equal
 
 
 # -- lexicographic ---------------------------------------------------------------
@@ -725,7 +716,7 @@ def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
     rng = random.Random(14)
     for k in range(2, 7):
         for _ in range(4):
-            m, u, v = random_coupled_blocks(rng, max_k=1, max_n=5, zero_vector_rate=0.2).blocks[0]
+            m, u, v = random_coupled_blocks(rng, max_k=1, max_n=5, zero_vector_rate=0.2)[0][0]
             form = resolvent_form(m, u, v)
             fs, gs = [form.num] * k, [form.den] * k
             sym = _universal_rho(host_rho(random_graph(rng, k)), random_universal_params(rng))
@@ -737,11 +728,13 @@ def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
 
 
 def test_one_matrix_under_other_vectors_is_another_block():
-    # a route computes block data once per distinct (matrix object, u, v)
+    # a block is its form, so one matrix under another vector gives another block
     m = Graph.path(4).adjacency()
     ones, end = (1,) * 4, (1, 0, 0, 0)
-    cb = CoupledBlocks([(m, ones, ones), (m, end, end), (m, ones, ones)], host_rho(Graph.path(3)))
-    truth = oracle_charpoly(assemble(cb))
+    blocks = [(m, ones, ones), (m, end, end), (m, ones, ones)]
+    cb = coupled(blocks, host_rho(Graph.path(3)))
+    assert cb.forms[0] == cb.forms[2] != cb.forms[1]
+    truth = oracle_charpoly(assemble(blocks, cb.rho))
     assert compare(coupled_charpoly(cb), truth).equal
     assert compare(coupled_spectrum(cb).charpoly, truth).equal
 
@@ -926,6 +919,50 @@ def test_corona_matches_oracle_on_edge_case_companions():
         assert got == oracle_charpoly(generalized_corona(host, fam).adjacency())
 
 
+def test_corona_forms_are_the_dense_cone_forms():
+    # the apex form g / (x g - f) and charpoly (phi / g)(x g - f), made from
+    # the companion's all-ones form, against `resolvent_form` of the dense cone
+    # at e_0: empty, single-vertex, edgeless, disconnected, regular and
+    # irregular companions
+    rng = random.Random(28)
+    companions = [Graph(0), Graph(1), Graph(3), Graph(4, [(0, 1), (2, 3)]), cycle(5), Graph.path(4)]
+    companions += [Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)]), Graph(5, [(0, 1), (0, 2), (3, 4)])]
+    companions += [random_graph(rng, rng.randint(0, 6)) for _ in range(16)]
+    for g in companions:
+        (form,) = corona_blocks(Graph(1), (g,)).forms
+        assert form == resolvent_form(*corona_cone(g))
+    for _ in range(6):
+        host = random_graph(rng, rng.randint(1, 6))
+        fam = tuple(rng.choice(companions) for _ in range(host.n))
+        cb = corona_blocks(host, fam)
+        assert cb.forms == tuple(resolvent_form(*corona_cone(g)) for g in fam)
+        assert cb.rho == host_rho(host)
+
+
+def test_spectrum_refuses_a_block_that_is_not_hermitian():
+    # with a symmetric rho, the per-block half of the precondition decides:
+    # `resolvent_form` records it on both of its branches
+    rho = ((0, 1), (1, 0))
+    good = (Graph.path(3).adjacency(), (1, 1, 1), (1, 1, 1))
+    regular = (cycle(4).adjacency(), (1,) * 4, (1,) * 4)
+    cb = coupled([good, regular], rho)
+    assert cb.forms[1].den == X - 2  # the eigenvector branch
+    assert cb.is_hermitian()
+    coupled_spectrum(cb)
+    bad = [
+        (RationalMatrix(3, 3, [0, 1, 0, 2, 0, 1, 0, 1, 0]), (1, 0, 1), (1, 0, 1)),  # M not symmetric
+        (Graph.path(3).adjacency(), (1, 1, 1), (1, 0, 1)),  # u != v
+        (RationalMatrix(2, 2, [1, 2, 0, 3]), (1, 1), (1, 1)),  # M not symmetric, u an eigenvector
+    ]
+    for block in bad:
+        cb = coupled([good, block], rho)
+        assert not cb.forms[1].hermitian and not cb.is_hermitian()
+        with pytest.raises(PreconditionError):
+            coupled_spectrum(cb)
+        assert coupled_charpoly(cb) == oracle_charpoly(assemble([good, block], rho))
+    assert coupled([good, bad[2]], rho).forms[1].den == X - 3  # the eigenvector branch
+
+
 # -- concurrency sanity --------------------------------------------------------------
 
 
@@ -945,7 +982,11 @@ def test_universal_blocks_are_shifted_literal_matrices():
         spec = random_join_spec(rng, max_k=5, max_n=6, universal=params)
         w = join_weights(spec)
         cb = universal_blocks(spec)
-        for i, (g, (m, u, v)) in enumerate(zip(spec.components, cb.blocks)):
+        assert cb.k == len(spec.components)
+        keys = [(g, params.delta * w[i]) for i, g in enumerate(spec.components)]
+        for i, (g, form) in enumerate(zip(spec.components, cb.forms)):
             shift = identity(g.n) * (params.delta * w[i])
-            assert m == literal_universal_matrix(g, params) + shift
-            assert u == v == tuple(Fraction(1) for _ in range(g.n))
+            assert form == resolvent_form(literal_universal_matrix(g, params) + shift, tuple(Fraction(1) for _ in range(g.n)))
+            assert form.hermitian
+            # one form per distinct (component, shift), shared by its blocks
+            assert form is cb.forms[keys.index(keys[i])]
