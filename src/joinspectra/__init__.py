@@ -20,7 +20,7 @@ from .joins import (
     universal_matrix,
 )
 from .kernel import BACKEND as KERNEL_BACKEND
-from .matrices import RationalMatrix, charpoly, poly_det
+from .matrices import RationalMatrix, charpoly
 from .oracle import CompareResult, assemble, check, compare, join_truth, oracle_charpoly, oracle_spectrum
 from .polynomials import Polynomial, poly_gcd, square_free_decomposition
 from .resolvent import ResolventForm, main_poles, resolvent_form
@@ -61,7 +61,6 @@ __all__ = [
     "universal_matrix",
     "RationalMatrix",
     "charpoly",
-    "poly_det",
     "CompareResult",
     "assemble",
     "check",

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .graphs import Graph, VertexSubset
 from .joins import JoinSpec, UniversalParams, corona_as_hjoin
-from .matrices import charpoly, poly_det
+from .matrices import charpoly, cleared_rows, interpolated_det
 from .oracle import check
 from .polynomials import Polynomial
 from .records import Record
@@ -94,9 +94,9 @@ def product(polys) -> Polynomial:
 
 
 def poly_det_charpoly(cb: CoupledBlocks) -> Polynomial:
-    """The glued charpoly with Phi by `poly_det` on the coupling rows: the general Phi, to check the others."""
-    rows = [[f.den if i == j else -r * f.num for j, r in enumerate(cb.rho[i])] for i, f in enumerate(cb.forms)]
-    return product([poly_det(rows)] + [f.charpoly.exact_div(f.den) for f in cb.forms])
+    """The glued charpoly with Phi by `interpolated_det`, the form that takes any rows, to check the others."""
+    rows = cleared_rows([f.num for f in cb.forms], [f.den for f in cb.forms], cb.rho)
+    return product([interpolated_det(rows)] + [f.charpoly.exact_div(f.den) for f in cb.forms])
 
 
 def multisets_close(a, b, tol: float) -> bool:

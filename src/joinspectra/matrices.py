@@ -6,17 +6,28 @@ equality and hashing compare the fields, and the kernels take `nums` as it
 is; `entries`, the row-major tuple of Fraction entries, is a read-only view
 built on first use.  A characteristic polynomial hands `nums` to
 `kernel.charpoly_int`, the multimodular Hessenberg kernel that every route
-uses, and scales by d back, so it is exact.  Three forms of the coupling
-determinant Phi of `spectra.coupling_poly` live here.  `realization_charpoly`
-is the charpoly of the glued companion realization, one kernel call of dimension
-D = sum deg g_i.  `poly_det`, the determinant of a polynomial matrix, clears
-each row's denominators, evaluates the integer determinant (fraction-free
-Bareiss) at B + 1 integer points, B the sum of the row degrees, and
-interpolates exactly in the integers.  `packed_det` builds the same cleared
-rows straight from the f_i, g_i and rho (`packed_rows`) and evaluates them
-once, at x = 2^w with w from a proven coefficient bound, so one k x k integer
-determinant holds every coefficient in its base-2^w digits (Kronecker
-substitution); a second determinant at x = 1 checks it.
+uses, and scales by d back, so it is exact.
+
+The coupling determinant Phi = det(G - F rho), G = diag(g_i), F = diag(f_i),
+of the blocks' main functions f_i / g_i lives here too (`coupling_poly`).
+When every (f_i, g_i) is one (f, g) it has a closed form through the
+charpoly of rho.  Else `cleared_rows` clears G - F rho row by row to integer
+polynomials once, and that record is the one input of three forms, of which
+`coupling_poly` takes the cheapest by an operation count that reads only k,
+D = sum deg g_i and the packed size S = D w:
+
+- `realization_charpoly`, the charpoly of the D x D glued companion
+  realization, one kernel call, D^3;
+- `interpolated_det`, the integer determinant (fraction-free Bareiss) at
+  x = 0, ..., B, B the sum of the row degrees, read back by Newton
+  differences exactly in the integers, D (k^3 + k D);
+- `packed_det`, one integer determinant at x = 2^w, w from a proven
+  coefficient bound, read back as its base-2^w digits (Kronecker
+  substitution) and checked at x = 1, k^3 (1 + (S / C)^2), whose one
+  constant C = 1,000 bits is the operand size at which a big-integer
+  product costs as much as an interpreted step.
+
+The last two evaluate the same cleared rows through one evaluator.
 """
 
 from __future__ import annotations
@@ -33,8 +44,6 @@ from .polynomials import Polynomial, _from_ints, _horner, as_fraction, clear_den
 from .records import Record
 
 Vector = tuple[Fraction, ...]
-# `packed_rows`: (row scales s_ij, L, degree bound B, slot width w)
-PackedRows = tuple[list[list[int]], int, int, int]
 
 
 def as_vector(items: Iterable) -> Vector:
@@ -201,6 +210,8 @@ def charpoly(m: RationalMatrix) -> Polynomial:
 def _int_det(m: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free Bareiss."""
     k = len(m)
+    if k == 0:
+        return 1
     m = [list(r) for r in m]
     sign = 1
     prev = 1
@@ -221,68 +232,30 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * m[k - 1][k - 1]
 
 
-def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix by evaluation-interpolation.
+class ClearedRows(Record):
+    """G - F rho, G = diag(g_i) and F = diag(f_i), cleared row by row to integers.
 
-    Each row is scaled to integer coefficients by the lcm of its
-    denominators.  The determinant then has integer coefficients and degree
-    at most B, the sum of the row degrees, so its integer values at
-    x = 0, 1, ..., B fix it.  The Newton forward-difference form rebuilds it
-    exactly in the integers: Delta^j y_0 / j! is the coefficient of the
-    falling factorial x(x-1)...(x-j+1), an integer for an integer
-    polynomial.  A non-integer quotient can only mean a wrong value, so it
-    raises ArithmeticError.  The product of the row scales divides back out.
+    Row i times L_i, the lcm of its entries' denominators, is s_ii g_i.nums
+    on the diagonal and s_ij f_i.nums off it, for the integer scales
+    `scales[i][j]`; `den` is L = prod L_i, so det(G - F rho) = det E / L for
+    the cleared integer polynomial matrix E.  `degree` is B, the sum of the
+    row degrees, which bounds deg det E; it is -1 when a row is zero, as
+    det E is then.
     """
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ShapeError("polynomial matrix must be square")
-    if k == 0:
-        return Polynomial.one()
-    int_rows: list[list[tuple[int, ...]]] = []
-    scale = 1
-    bound = 0
-    for r in rows:
-        den = math.lcm(*[entry.den for entry in r])
-        degree = max(len(entry.nums) for entry in r) - 1
-        if degree < 0:
-            return Polynomial()
-        int_rows.append([tuple(c * (den // entry.den) for c in entry.nums) for entry in r])
-        scale *= den
-        bound += degree
 
-    diffs = [_int_det([[_horner(e, x) for e in r] for r in int_rows]) for x in range(bound + 1)]
-    # Turn diffs into the falling-factorial coefficients a_j = Delta^j y_0 / j!.
-    newton = []
-    fact = 1
-    for j in range(bound + 1):
-        if j:
-            fact *= j
-        a, rem = divmod(diffs[0], fact)
-        if rem:
-            raise ArithmeticError(f"interpolated determinant is not integral at difference order {j}")
-        newton.append(a)
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-    # Horner in the Newton basis: p = a_0 + x(a_1 + (x - 1)(a_2 + ...)).
-    coeffs = [newton[bound]]
-    for j in range(bound - 1, -1, -1):
-        shifted = [0] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] -= j * c
-        shifted[0] += newton[j]
-        coeffs = shifted
-    return _from_ints(coeffs, scale)
+    __slots__ = ("fs", "gs", "scales", "den", "degree")
+
+    fs: tuple[Polynomial, ...]
+    gs: tuple[Polynomial, ...]
+    scales: tuple[tuple[int, ...], ...]
+    den: int
+    degree: int
 
 
-def packed_rows(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> PackedRows:
-    """(s, L, B, w) for `packed_det` of G - F rho, G = diag(g_i), F = diag(f_i).
-
-    Row i of G - F rho times L_i, the lcm of its entries' denominators, is
-    e_ii = s_ii g_i.nums and e_ij = s_ij f_i.nums, all integer polynomials.
-    L is the product of the L_i, B the sum of the row degrees, and w the
-    slot width: 2^(w-1) > H = prod_i (sum_j |e_ij|_1^2)^(1/2).
-    """
+def cleared_rows(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> ClearedRows:
+    """The `ClearedRows` of G - F rho, the one input of Phi's forms below."""
     k = len(gs)
-    scales, den, degree, bound = [], 1, 0, 1
+    scales, den, degrees = [], 1, []
     for i, (f, g) in enumerate(zip(fs, gs)):
         # -rho_ij f_i = -(rn / rd) (f_i.nums / f_i.den) = f_i.nums (-tn / td), in lowest terms
         terms = []
@@ -296,44 +269,47 @@ def packed_rows(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequenc
         row = [0] * k
         for j, tn, td in terms:
             row[j] = tn * (lcm // td)
-        off = sum(s * s for s in row) * sum(map(abs, f.nums)) ** 2  # row[i] is still 0 here
         row[i] = lcm // g.den
-        bound *= (row[i] * sum(map(abs, g.nums))) ** 2 + off
-        scales.append(row)
+        scales.append(tuple(row))
         den *= lcm
-        degree += max(len(g.nums), len(f.nums) if terms else 0) - 1
+        degrees.append(max(len(g.nums), len(f.nums) if terms else 0) - 1)
+    return ClearedRows(tuple(fs), tuple(gs), tuple(scales), den, sum(degrees) if min(degrees, default=0) >= 0 else -1)
+
+
+def _values_at(rows: ClearedRows, x: int) -> list[list[int]]:
+    """The integer matrix E(x): f_i and g_i evaluated once per row."""
+    out = []
+    for i, (f, g, row) in enumerate(zip(rows.fs, rows.gs, rows.scales)):
+        fx = _horner(f.nums, x)
+        e = [s * fx for s in row]
+        e[i] = row[i] * _horner(g.nums, x)
+        out.append(e)
+    return out
+
+
+def packed_width(rows: ClearedRows) -> int:
+    """The slot width w of `packed_det`: 2^(w-1) > H = prod_i (sum_j |e_ij|_1^2)^(1/2)."""
+    bound = 1
+    for i, (f, g, row) in enumerate(zip(rows.fs, rows.gs, rows.scales)):
+        s = row[i]
+        bound *= (s * sum(map(abs, g.nums))) ** 2 + (sum(t * t for t in row) - s * s) * sum(map(abs, f.nums)) ** 2
     # sqrt(bound) < 2^ceil(b / 2) for b the bit length of bound
-    return scales, den, degree, (bound.bit_length() + 1) // 2 + 1
+    return (bound.bit_length() + 1) // 2 + 1
 
 
-def packed_det(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rows: PackedRows) -> Polynomial:
-    """det(G - F rho) for G = diag(g_i) and F = diag(f_i), any polynomials, as one
-    integer determinant at x = 2^w (Kronecker substitution), for
-    rows = `packed_rows(fs, gs, rho)`.
+def packed_det(rows: ClearedRows, w: int) -> Polynomial:
+    """det(G - F rho), any polynomials, as one integer determinant at x = 2^w
+    (Kronecker substitution), for w = `packed_width(rows)`.
 
-    On |x| = 1 Hadamard's inequality bounds the cleared determinant det E(x)
-    by H, so every coefficient of det E is at most H in absolute value
-    (Cauchy's estimate on the unit circle).  With 2^(w-1) > H, det E(2^w),
-    computed by fraction-free Bareiss on the k x k packed integers, holds
-    those coefficients exactly as its signed base-2^w digits.  A second
-    determinant at x = 1 must equal their sum, and no more than B + 1 digits
-    can occur; either failure means a wrong value, and raises
-    ArithmeticError.  L divides back out.
+    On |x| = 1 Hadamard's inequality bounds det E(x) by H, so every
+    coefficient of det E is at most H in absolute value (Cauchy's estimate on
+    the unit circle).  With 2^(w-1) > H, det E(2^w), computed by
+    fraction-free Bareiss on the k x k packed integers, holds those
+    coefficients exactly as its signed base-2^w digits.  A second determinant
+    at x = 1 must equal their sum, and no more than B + 1 digits can occur;
+    either failure means a wrong value, and raises ArithmeticError.
     """
-    if not gs:
-        return Polynomial.one()
-    scales, den, degree, w = rows
-
-    def matrix(value: Callable[[tuple[int, ...]], int]) -> list[list[int]]:
-        out = []
-        for i, (f, g, row) in enumerate(zip(fs, gs, scales)):
-            fx = value(f.nums)
-            e = [s * fx for s in row]
-            e[i] = row[i] * value(g.nums)
-            out.append(e)
-        return out
-
-    packed = _int_det(matrix(lambda nums: _horner(nums, 1 << w)))
+    packed = _int_det(_values_at(rows, 1 << w))
     coeffs, half, mask = [], 1 << (w - 1), (1 << w) - 1
     while packed:
         digit = packed & mask
@@ -341,38 +317,64 @@ def packed_det(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rows: PackedR
             digit -= mask + 1
         coeffs.append(digit)
         packed = (packed - digit) >> w
-    if len(coeffs) > degree + 1 or sum(coeffs) != _int_det(matrix(sum)):
+    if len(coeffs) > rows.degree + 1 or sum(coeffs) != _int_det(_values_at(rows, 1)):
         raise ArithmeticError("packed determinant failed its check at x = 1")
-    return _from_ints(coeffs, den)
+    return _from_ints(coeffs, rows.den)
 
 
-def realization_charpoly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> Polynomial:
+def interpolated_det(rows: ClearedRows) -> Polynomial:
+    """det(G - F rho), any polynomials, by evaluation-interpolation.
+
+    det E has integer coefficients and degree at most B, so its integer values
+    at x = 0, 1, ..., B fix it.  The Newton forward-difference form rebuilds
+    it exactly in the integers: Delta^j y_0 / j! is the coefficient of the
+    falling factorial x(x-1)...(x-j+1), an integer for an integer
+    polynomial.  A non-integer quotient can only mean a wrong value, so it
+    raises ArithmeticError.
+    """
+    bound = rows.degree
+    diffs = [_int_det(_values_at(rows, x)) for x in range(bound + 1)]
+    # Turn diffs into the falling-factorial coefficients a_j = Delta^j y_0 / j!.
+    newton = []
+    fact = 1
+    for j in range(bound + 1):
+        if j:
+            fact *= j
+        a, rem = divmod(diffs[0], fact)
+        if rem:
+            raise ArithmeticError(f"interpolated determinant is not integral at difference order {j}")
+        newton.append(a)
+        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
+    # Horner in the Newton basis: p = a_0 + x(a_1 + (x - 1)(a_2 + ...)).
+    coeffs: list[int] = []
+    for j in range(bound, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += newton[j]
+        coeffs = shifted
+    return _from_ints(coeffs, rows.den)
+
+
+def realization_charpoly(rows: ClearedRows) -> Polynomial:
     """det(G - F rho) for G = diag(g_i) monic and F = diag(f_i), deg f_i < deg g_i,
     as det(xI - A) of the glued companion realization (Kalman, 1963).
 
     Block i of A is the controllable companion of g_i (ones on the
     superdiagonal, -g_0, ..., -g_{d-1} in its last row), and that row also
-    holds rho_ji * f_j in block j's columns.  So A = diag(A_i) + B rho^T C
+    holds rho_ji f_j in block j's columns.  So A = diag(A_i) + B rho^T C
     with C_j (xI - A_j)^{-1} B_j = f_j / g_j, and det(xI - A) =
     prod g_i det(I - rho^T F G^{-1}) = det(G - F rho), for an asymmetric rho
     too.  A block with deg g_i = 0 (so f_i = 0) has no rows, as its row of
-    G - F rho is e_i.  The entries are put over one denominator L, and the
-    kernel runs on L * A.
+    G - F rho is e_i.  Row j of the cleared rows gives rho_ji f_j =
+    -s_ji f_j.nums / L_j, with L_j = s_jj g_j.den, so the entries share the
+    denominator lcd = lcm L_j, and the kernel runs on lcd * A.
     """
-    k = len(gs)
+    fs, gs, scales = rows.fs, rows.gs, rows.scales
     degrees = [len(g.nums) - 1 for g in gs]
     *starts, dim = accumulate(degrees, initial=0)
-    # rho_ji f_j = (rn / rd) (f_j.nums / f_j.den) has the term t = rn / (rd f_j.den) before
-    # f_j.nums, in lowest terms since gcd(rn, rd) = 1
-    terms = []
-    for i in range(k):
-        if degrees[i]:
-            for j in range(k):
-                rji = rho[j][i]
-                if j != i and rji and fs[j].nums:
-                    q = math.gcd(rji.numerator, fs[j].den)
-                    terms.append((i, j, rji.numerator // q, rji.denominator * fs[j].den // q))
-    lcd = math.lcm(*[g.den for g in gs], *[td for _, _, _, td in terms])
+    dens = [row[j] * g.den for j, (g, row) in enumerate(zip(gs, scales))]
+    lcd = math.lcm(*dens)
     a = [0] * (dim * dim)
     for s, g in zip(starts, gs):
         ints = g.nums[:-1]
@@ -380,7 +382,54 @@ def realization_charpoly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho
             a[r * dim + r + 1] = lcd
         last = (s + len(ints) - 1) * dim + s
         a[last : last + len(ints)] = [-x * (lcd // g.den) for x in ints]
-    for i, j, tn, td in terms:
-        last, ints = (starts[i] + degrees[i] - 1) * dim + starts[j], fs[j].nums
-        a[last : last + len(ints)] = [x * tn * (lcd // td) for x in ints]
+    for j, (f, row, den) in enumerate(zip(fs, scales, dens)):
+        for i, s in enumerate(row):
+            if s and i != j and degrees[i]:
+                last, t = (starts[i] + degrees[i] - 1) * dim + starts[j], -s * (lcd // den)
+                a[last : last + len(f.nums)] = [x * t for x in f.nums]
     return descale(charpoly_int(a, dim), lcd)
+
+
+# The one constant of `coupling_poly`'s cost model: the operand size C, in
+# bits, at which one product or exact quotient of two big integers costs about
+# as much as one interpreted step on small ones.  Timed on seeded joins: above
+# about 1,100, the adjacency join of 20 blocks of 5 vertices would take the
+# slower packed form; below about 950, the adjacency join of 8 blocks of 16
+# vertices would miss its faster one.
+_PACKED_BITS = 1000
+
+
+def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> Polynomial:
+    """Phi = det(G - F rho): determinant of the coupling matrix (g_i diagonal, -rho_ij f_i off).
+
+    When k >= 2 and every (f_i, g_i) is one (f, g), Phi = det(g I - f rho) =
+    sum_j c_j f^(k-j) g^j for c the charpoly of rho, asymmetric or not.  Else
+    the cheapest of three forms on the `cleared_rows`, counted in interpreted
+    integer steps for D = sum deg g_i: `realization_charpoly`, when every g_i
+    is monic with deg f_i < deg g_i (as every resolvent form is), D^3 for its
+    Hessenberg reduction; `interpolated_det`, D (k^3 + k D) for about D
+    evaluations of k^2 entries of degree about D / k and a k x k Bareiss
+    each; `packed_det`, k^3 (1 + (S / C)^2) for one k x k Bareiss on
+    operands of up to S = D w bits, w its slot width, whose products and
+    quotients cost quadratically in their size, C = `_PACKED_BITS`.  The
+    packed form costs at least k^3, so its width is only found when that
+    could win.
+    """
+    k = len(fs)
+    if k >= 2 and all(f == fs[0] for f in fs) and all(g == gs[0] for g in gs):
+        cs = charpoly(RationalMatrix(k, k, [x for row in rho for x in row])).coeffs  # ascending, monic
+        # homogeneous Horner: acc runs through sum_{i <= m} c_(k-i) f^i g^(m-i)
+        acc, f_pow = Polynomial.one(), Polynomial.one()
+        for c in reversed(cs[:-1]):
+            f_pow = f_pow * fs[0]
+            acc = acc * gs[0] + c * f_pow
+        return acc
+    dim = sum(g.degree for g in gs if g)
+    realize = all(g.is_monic and f.degree < g.degree for f, g in zip(fs, gs)) and dim**3 < dim * (k**3 + k * dim)
+    cost = dim**3 if realize else dim * (k**3 + k * dim)
+    rows = cleared_rows(fs, gs, rho)
+    if cost > k**3:
+        w = packed_width(rows)
+        if k**3 * (1 + (dim * w / _PACKED_BITS) ** 2) < cost:
+            return packed_det(rows, w)
+    return realization_charpoly(rows) if realize else interpolated_det(rows)

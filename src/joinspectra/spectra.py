@@ -10,20 +10,12 @@ characteristic polynomial of the glued matrix factors exactly as
     prod_i (phi_i / g_i) * Phi,
 
 where Phi is the determinant of the k x k polynomial matrix with g_i on the
-diagonal and -rho_ij * f_i off it.  Everything here works with that cleared
-form, so zero vectors (f_i = 0, g_i = 1) and asymmetric couplings cost
-nothing special.  Phi has a closed form
-through the charpoly of the coupling scalars when every (f_i, g_i) is the
-same.  Else `coupling_poly` takes the cheapest of three forms by an
-operation count that reads only k, D = sum deg g_i and the packed size
-S = D w: the charpoly of the glued companion realization, D^3;
-evaluation-interpolation (`poly_det`), D (k^3 + k D); and one integer
-determinant at x = 2^w (`packed_det`, Kronecker substitution),
-k^3 (1 + (S / C)^2), whose one constant C = 1,000 bits is the operand size
-at which a big-integer product costs as much as an interpreted step.
-Graph joins, their universal-matrix and subset variants, lexicographic
-products (the join whose components are all one graph) and generalized
-coronas are block builders: each only picks the blocks and the coupling,
+diagonal and -rho_ij * f_i off it, `matrices.coupling_poly`.  Everything
+here works with that cleared form, so zero vectors (f_i = 0, g_i = 1) and
+asymmetric couplings cost nothing special.  Graph joins, their
+universal-matrix and subset variants, lexicographic products (the join
+whose components are all one graph) and generalized coronas are block
+builders: each only picks the blocks and the coupling,
 makes one form per distinct block (`resolvent_form` of its dense matrix,
 or, for a corona's cone, the apex form from its companion's form), and
 callers pass them to `coupled_charpoly` or `coupled_spectrum`.  A
@@ -59,7 +51,7 @@ from .joins import (
     join_weights,
     universal_matrix,
 )
-from .matrices import RationalMatrix, charpoly, packed_det, packed_rows, poly_det, realization_charpoly
+from .matrices import coupling_poly
 from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
 from .records import Record
 from .resolvent import ResolventForm, resolvent_form
@@ -98,55 +90,6 @@ class CoupledBlocks(Record):
             return False
         k = self.k
         return all(self.rho[i][j] == self.rho[j][i] for i in range(k) for j in range(i + 1, k))
-
-
-# The one constant of `coupling_poly`'s cost model: the operand size C, in
-# bits, at which one product or exact quotient of two big integers costs about
-# as much as one interpreted step on small ones.  Timed on seeded joins: above
-# about 1,100, the adjacency join of 20 blocks of 5 vertices would take the
-# slower packed form; below about 950, the adjacency join of 8 blocks of 16
-# vertices would miss its faster one.
-_PACKED_BITS = 1000
-
-
-def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: RhoMatrix) -> Polynomial:
-    """Phi: determinant of the cleared coupling matrix (g_i diagonal, -rho_ij f_i off).
-
-    When k >= 2 and every (f_i, g_i) is one (f, g), Phi = det(g I - f rho) =
-    sum_j c_j f^(k-j) g^j for c the charpoly of rho, asymmetric or not.  Else
-    the cheapest of three forms, counted in interpreted integer steps for
-    D = sum deg g_i: the glued realization, when every g_i is monic with
-    deg f_i < deg g_i (as every resolvent form is), D^3 for its Hessenberg
-    reduction; `poly_det`, D (k^3 + k D) for about D evaluations of k^2
-    entries of degree about D / k and a k x k Bareiss each; `packed_det`,
-    k^3 (1 + (S / C)^2) for one k x k Bareiss on operands of up to S = D w
-    bits, w its slot width, whose products and quotients cost quadratically
-    in their size, C = `_PACKED_BITS`.  The packed form costs at least k^3, so its
-    width is only found when that could win.
-    """
-    k = len(fs)
-    if k >= 2 and all(f == fs[0] for f in fs) and all(g == gs[0] for g in gs):
-        cs = charpoly(RationalMatrix(k, k, [x for row in rho for x in row])).coeffs  # ascending, monic
-        # homogeneous Horner: acc runs through sum_{i <= m} c_(k-i) f^i g^(m-i)
-        acc, f_pow = Polynomial.one(), Polynomial.one()
-        for c in reversed(cs[:-1]):
-            f_pow = f_pow * fs[0]
-            acc = acc * gs[0] + c * f_pow
-        return acc
-    dim = sum(g.degree for g in gs if g)
-    realize = all(g.is_monic and f.degree < g.degree for f, g in zip(fs, gs)) and dim**3 < dim * (k**3 + k * dim)
-    cost = dim**3 if realize else dim * (k**3 + k * dim)
-    if cost > k**3:
-        rows = packed_rows(fs, gs, rho)
-        if k**3 * (1 + (dim * rows[3] / _PACKED_BITS) ** 2) < cost:
-            return packed_det(fs, gs, rows)
-    if realize:
-        return realization_charpoly(fs, gs, rho)
-    rows = [
-        [gs[i] if i == j else (-rho[i][j]) * fs[i] for j in range(k)]
-        for i in range(k)
-    ]
-    return poly_det(rows)
 
 
 def _glued_product(phi: Polynomial, cofactors: Sequence[Polynomial], total_dim: int) -> Polynomial:

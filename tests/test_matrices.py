@@ -6,7 +6,7 @@ import pytest
 from helpers import adjugate_form, cofactor_det, coupling_rows, determinant, identity, outer, rand_int_matrix, rand_rational_matrix, rand_vector, to_lists, trace, transpose
 from joinspectra import Graph
 from joinspectra.errors import ShapeError
-from joinspectra.matrices import RationalMatrix, charpoly, packed_det, packed_rows, poly_det
+from joinspectra.matrices import RationalMatrix, charpoly, cleared_rows, coupling_poly, interpolated_det, packed_det, packed_width, realization_charpoly
 from joinspectra.polynomials import Polynomial
 
 X = Polynomial.x()
@@ -69,10 +69,6 @@ def test_charpoly_rational_entries():
         assert phi(Fraction(r)) == cofactor_det(shifted)
 
 
-def _poly_entries(m: RationalMatrix) -> list[list[Polynomial]]:
-    return [[Polynomial.constant(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-
-
 def test_determinant_vs_cofactor():
     rng = random.Random(3)
     for _ in range(40):
@@ -99,49 +95,54 @@ def test_matrix_determinant_lemma():
 
 
 def test_poly_det_examples():
-    m = [[X, Polynomial.constant(-1)], [Polynomial.constant(-1), X]]
-    assert poly_det(m) == X**2 - 1
-    assert poly_det([]) == Polynomial.one()
+    # [[x, -1], [-1, x]] is G - F rho for g_i = x, f_i = 1 and rho the swap; k = 0 gives 1
+    rows = cleared_rows([Polynomial.one()] * 2, [X, X], ((0, 1), (1, 0)))
+    assert interpolated_det(rows) == X**2 - 1
+    assert interpolated_det(cleared_rows([], [], ())) == Polynomial.one()
+
+
+def _phi_cases(rng):
+    """(fs, gs, rho) of Phi's matrix G - F rho: any polynomials (rational,
+    non-monic, zero, deg f >= deg g) under asymmetric rational rho with zeros
+    for k = 0..5; then a zero first pivot, constants only (degree bound 0),
+    and rows whose leading terms cancel below the row-degree bound."""
+
+    def rand_poly(max_len: int = 4) -> Polynomial:
+        den = rng.choice((1, 2, 6, 35))
+        return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(rng.randint(0, max_len))])
+
+    def rand_rho(k: int) -> list[list]:
+        return [[0 if i == j or rng.random() < 0.3 else Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(k)] for i in range(k)]
+
+    for _ in range(60):
+        k = rng.randint(0, 5)
+        yield [rand_poly() for _ in range(k)], [rand_poly() for _ in range(k)], rand_rho(k)
+    for k in (2, 4, 6):
+        fs, gs, rho = [rand_poly() for _ in range(k)], [rand_poly() for _ in range(k)], rand_rho(k)
+        fs[0], gs[0], rho[0][1] = X + 1, Polynomial(), Fraction(1, 2)
+        yield fs, gs, rho
+        yield [rand_poly(1) for _ in range(k)], [rand_poly(1) for _ in range(k)], rand_rho(k)
+        # rows 0 and 1 couple only to each other, and their 2 x 2 minor loses its x^4 term
+        fs, gs, rho = [rand_poly() for _ in range(k)], [rand_poly() for _ in range(k)], rand_rho(k)
+        fs[0], fs[1] = X**2 + rand_poly(2), X**2 + rand_poly(2)
+        gs[0], gs[1] = X**2 + rand_poly(2), X**2 + rand_poly(2)
+        rho[0] = [0, 1] + [0] * (k - 2)
+        rho[1] = [1, 0] + [0] * (k - 2)
+        yield fs, gs, rho
+
+
+def _phi_reference(fs, gs, rho) -> Polynomial:
+    return cofactor_det(coupling_rows(fs, gs, rho)) if fs else Polynomial.one()
 
 
 def test_poly_det_vs_cofactor():
-    rng = random.Random(6)
-    for _ in range(30):
-        k = rng.randint(1, 4)
-        rows = [
-            [Polynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) for _ in range(k)]
-            for _ in range(k)
-        ]
-        assert poly_det(rows) == cofactor_det(rows)
-
-    def rand_poly(max_len: int, den: int = 1) -> Polynomial:
-        return Polynomial([Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(rng.randint(0, max_len))])
-
-    def rand_rows(k: int, max_len: int = 3) -> list[list[Polynomial]]:
-        # every row draws from its own denominators
-        return [[rand_poly(max_len, rng.choice((1, 2, 6, 35))) for _ in range(k)] for _ in range(k)]
-
-    cases = [rand_rows(rng.randint(1, 6)) for _ in range(12)]
-    for k in (2, 4, 6):
-        zero_row = rand_rows(k)
-        zero_row[rng.randrange(k)] = [Polynomial()] * k
-        cases.append(zero_row)
-        zero_pivot = rand_rows(k)
-        zero_pivot[0][0] = Polynomial()
-        cases.append(zero_pivot)
-        cases.append(rand_rows(k, max_len=1))  # constant matrix: degree bound 0
-    for rows in cases:
-        assert poly_det(rows) == cofactor_det(rows)
-
-    # the second row repeats the first up to constants, so the determinant
-    # cancels below the row-degree bound
-    for k in (2, 3, 5):
-        rows = rand_rows(k)
-        rows[0] = [X**2 + p for p in rows[0]]
-        rows[1] = [rows[0][j] + Fraction(rng.randint(-3, 3), 2) for j in range(k)]
-        want = cofactor_det(rows)
-        assert want.degree < sum(max(p.degree for p in r) for r in rows)
-        assert poly_det(rows) == want
+    cancelled = 0
+    for fs, gs, rho in _phi_cases(random.Random(6)):
+        rows = cleared_rows(fs, gs, rho)
+        want = _phi_reference(fs, gs, rho)
+        assert interpolated_det(rows) == want
+        cancelled += want.degree < rows.degree
+    assert cancelled >= 3
 
 
 def test_poly_det_rejects_a_wrong_value(monkeypatch):
@@ -155,28 +156,17 @@ def test_poly_det_rejects_a_wrong_value(monkeypatch):
         return exact(m) + (1 if len(calls) == 3 else 0)
 
     monkeypatch.setattr(matrices, "_int_det", off_by_one_at_two)
-    rows = [[X**2 + 1, X], [X, X**2 - 3]]
+    # [[x^2 + 1, x], [x, x^2 - 3]]
+    rows = cleared_rows([X, X], [X**2 + 1, X**2 - 3], ((0, -1), (-1, 0)))
     with pytest.raises(ArithmeticError):
-        poly_det(rows)
+        interpolated_det(rows)
     assert len(calls) == 5  # one value per point x = 0..4
 
 
 def test_packed_det_vs_cofactor():
-    # any polynomials: rational, non-monic, zero, deg f >= deg g; zero and
-    # asymmetric rational rho entries, and k = 0
-    rng = random.Random(24)
-
-    def rand_poly() -> Polynomial:
-        den = rng.choice((1, 2, 6, 35))
-        return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(rng.randint(0, 4))])
-
-    for _ in range(60):
-        k = rng.randint(0, 5)
-        fs, gs = [rand_poly() for _ in range(k)], [rand_poly() for _ in range(k)]
-        rho = [[0 if i == j or rng.random() < 0.3 else Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(k)] for i in range(k)]
-        rows = coupling_rows(fs, gs, rho)
-        want = cofactor_det(rows) if k else Polynomial.one()
-        assert packed_det(fs, gs, packed_rows(fs, gs, rho)) == want
+    for fs, gs, rho in _phi_cases(random.Random(24)):
+        rows = cleared_rows(fs, gs, rho)
+        assert packed_det(rows, packed_width(rows)) == _phi_reference(fs, gs, rho)
 
 
 def test_packed_det_rejects_a_wrong_value(monkeypatch):
@@ -184,13 +174,13 @@ def test_packed_det_rejects_a_wrong_value(monkeypatch):
 
     fs, gs = [X + 1, 2 * X - Fraction(1, 3)], [X**2 - 3, X**2 + X]
     rho = ((0, Fraction(1, 2)), (-3, 0))
-    rows = packed_rows(fs, gs, rho)
-    assert packed_det(fs, gs, rows) == cofactor_det(coupling_rows(fs, gs, rho))
-    _, _, degree, w = rows
+    rows = cleared_rows(fs, gs, rho)
+    w = packed_width(rows)
+    assert packed_det(rows, w) == cofactor_det(coupling_rows(fs, gs, rho))
     exact = matrices._int_det
     # off by one, and off by a multiple of 2^w - 1 past the top slot, which keeps
     # the digit sum but adds digits: the check at x = 1 and the digit count catch them
-    for error in (1, ((1 << w) - 1) << (w * (degree + 1))):
+    for error in (1, ((1 << w) - 1) << (w * (rows.degree + 1))):
         calls = []
 
         def wrong_packed_value(m):
@@ -199,19 +189,56 @@ def test_packed_det_rejects_a_wrong_value(monkeypatch):
 
         monkeypatch.setattr(matrices, "_int_det", wrong_packed_value)
         with pytest.raises(ArithmeticError):
-            packed_det(fs, gs, rows)
+            packed_det(rows, w)
         assert len(calls) == (2 if error == 1 else 1)  # the packed value, then x = 1
 
 
 def test_poly_det_needs_pivot_search():
-    # leading zero pivot forces a row swap (sign flip)
-    rows = [
-        [Polynomial(), X],
-        [X, Polynomial()],
-    ]
-    assert poly_det(rows) == -(X**2)
-    singular = [[X, X], [X, X]]
-    assert poly_det(singular).is_zero
+    # [[0, x], [x, 0]]: a leading zero pivot forces a row swap (sign flip);
+    # [[x, x], [x, x]] is singular
+    swap = ((0, -1), (-1, 0))
+    rows = cleared_rows([X, X], [Polynomial(), Polynomial()], swap)
+    singular = cleared_rows([X, X], [X, X], swap)
+    assert interpolated_det(rows) == packed_det(rows, packed_width(rows)) == -(X**2)
+    assert interpolated_det(singular).is_zero
+    assert packed_det(singular, packed_width(singular)).is_zero
+
+
+def test_zero_rows_give_a_zero_phi_in_every_form():
+    # row i of G - F rho is zero when g_i = 0 and f_i = 0 or row i of rho is;
+    # two zero rows of degree -1 each once sent the packed check into a digit
+    # count of 0 > -1, on a determinant that is 0.  Without zero rows every g_i
+    # is monic with deg f_i < deg g_i, so the realization is checked too
+    rng = random.Random(27)
+    zero = Polynomial()
+    cases = [([zero, zero], [zero, zero], ((0, 1), (1, 0)))]
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        degrees = [rng.randint(1, 3) for _ in range(k)]
+        gs = [X**d + Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]) for d in degrees]
+        fs = [Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(0, d))]) for d in degrees]
+        rho = [[0 if i == j or rng.random() < 0.3 else Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(k)] for i in range(k)]
+        for i in rng.sample(range(k), rng.randint(0, min(3, k))):
+            gs[i] = zero
+            if rng.random() < 0.5:
+                fs[i] = zero
+            else:
+                rho[i] = [0] * k
+        cases.append((fs, gs, rho))
+    seen = set()
+    for fs, gs, rho in cases:
+        zero_rows = sum(not g and (not f or not any(r)) for f, g, r in zip(fs, gs, rho))
+        rows = cleared_rows(fs, gs, rho)
+        want = cofactor_det(coupling_rows(fs, gs, rho))
+        assert interpolated_det(rows) == want
+        assert packed_det(rows, packed_width(rows)) == want
+        assert coupling_poly(fs, gs, rho) == want
+        if zero_rows:
+            assert want.is_zero
+        else:
+            assert realization_charpoly(rows) == want
+        seen.add(zero_rows)
+    assert seen == {0, 1, 2, 3}
 
 
 def test_fixture_coupling_determinant_identity():

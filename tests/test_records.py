@@ -22,6 +22,7 @@ from joinspectra import (
 )
 from joinspectra.errors import SpecError
 from joinspectra.fixtures import FixtureResult
+from joinspectra.matrices import ClearedRows, cleared_rows
 from joinspectra.records import Record
 from joinspectra.verification import VerifyCase
 
@@ -51,6 +52,11 @@ CASES = {
         ("forms", "rho"),
         lambda: CoupledBlocks(ONE_FORM * 2, [[0, 1], ["1/2", 0]]),
         CoupledBlocks(ONE_FORM * 2, [[0, 1], [1, 0]]),
+    ),
+    ClearedRows: (
+        ("fs", "gs", "scales", "den", "degree"),
+        lambda: cleared_rows([X, Polynomial()], [X - 1, Polynomial.one()], [[0, Fraction(1, 2)], [1, 0]]),
+        ClearedRows((X, Polynomial()), (X - 1, Polynomial.one()), ((2, -1), (0, 1)), 2, 0),
     ),
     SpectrumReport: (
         ("charpoly", "inherited", "reduced", "coupling", "coupling_roots"),
@@ -185,7 +191,7 @@ def test_with_universal_runs_the_join_spec_checks():
 
 
 # the records whose constructor only stores its arguments
-PLAIN = [ResolventForm, SpectrumReport, CompareResult, VerifyCase, FixtureResult]
+PLAIN = [ResolventForm, ClearedRows, SpectrumReport, CompareResult, VerifyCase, FixtureResult]
 
 
 def test_every_record_compares_and_hashes_through_record():

@@ -30,7 +30,7 @@ from joinspectra import (
     oracle_spectrum,
     universal_matrix,
 )
-from joinspectra import spectra
+from joinspectra import matrices
 from joinspectra.cli import main
 from joinspectra.errors import PreconditionError, ShapeError
 from joinspectra.fixtures import (
@@ -42,7 +42,7 @@ from joinspectra.fixtures import (
     subset_join_spec,
 )
 from joinspectra.joins import host_rho
-from joinspectra.matrices import RationalMatrix, charpoly, packed_det, packed_rows, poly_det, realization_charpoly
+from joinspectra.matrices import RationalMatrix, charpoly, cleared_rows, interpolated_det, packed_det, packed_width, realization_charpoly
 from joinspectra.polynomials import Polynomial
 from joinspectra.resolvent import resolvent_form
 from joinspectra.spectra import (
@@ -164,7 +164,7 @@ def test_eigenvector_coupling_reduces_to_small_determinant():
             [Polynomial((-tops[i], 1)) if i == j else Polynomial.constant(-rho[i][j]) for j in range(k)]
             for i in range(k)
         ]
-        expected = poly_det(small)
+        expected = cofactor_det(small)
         for cof in cofs:
             expected = expected * cof
         assert coupled_charpoly(cb) == expected
@@ -319,32 +319,25 @@ def _realization_cases(rng):
     yield universal_blocks(JoinSpec.from_json_obj({"host": "3; 0-1,1-2", "components": ["2; 0-1", "0;", "3; 0-1"]}))
 
 
-def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
+def test_every_phi_form_equals_the_cofactor_reference():
     # adjacency, Laplacian and rational universal blocks, subset joins, corona
     # cones, asymmetric rational rho with zeros, zero forms (f = 0, g = 1)
-    # between blocks that have rows, and k = 1
-    sides, zero_forms = set(), 0
+    # between blocks that have rows, k = 0 and k = 1; every case is a
+    # resolvent form, so the realization applies to each
+    sides, zero_forms, ks = set(), 0, set()
     for cb in _realization_cases(random.Random(12)):
         fs, gs = [f.num for f in cb.forms], [f.den for f in cb.forms]
-        want = poly_det(coupling_rows(fs, gs, cb.rho))
-        assert realization_charpoly(fs, gs, cb.rho) == want
+        want = cofactor_det(coupling_rows(fs, gs, cb.rho)) if cb.k else Polynomial.one()
+        rows = cleared_rows(fs, gs, cb.rho)
+        assert realization_charpoly(rows) == want
+        assert interpolated_det(rows) == want
+        assert packed_det(rows, packed_width(rows)) == want
         assert coupling_poly(fs, gs, cb.rho) == want
         sides.add(sum(g.degree for g in gs) ** 2 < cb.k**3)
         zero_forms += any(g.degree == 0 and any(h.degree for h in gs[:i]) for i, g in enumerate(gs))
+        ks.add(cb.k)
     assert sides == {True, False}
     assert zero_forms >= 5
-
-
-def test_packed_det_equals_poly_det_and_the_cofactor_reference():
-    # the same corpus: asymmetric rational rho, zero forms, corona cones, k = 0 and k = 1
-    ks = set()
-    for cb in _realization_cases(random.Random(12)):
-        fs, gs = [f.num for f in cb.forms], [f.den for f in cb.forms]
-        rows = coupling_rows(fs, gs, cb.rho)
-        want = cofactor_det(rows) if rows else Polynomial.one()
-        assert poly_det(rows) == want
-        assert packed_det(fs, gs, packed_rows(fs, gs, cb.rho)) == want
-        ks.add(cb.k)
     assert {0, 1, 7} <= ks
 
 
@@ -360,10 +353,8 @@ def _random_coupling(rng, k, degree, bits):
     return fs, gs, rho
 
 
-def test_coupling_poly_picks_each_of_its_three_forms_on_a_seeded_grid(monkeypatch):
-    # the cost model sends D <= k to the realization, many blocks of small
-    # coefficients to the packed form and few blocks of huge coefficients to
-    # poly_det; whichever form runs, the answer is poly_det's
+def _record_forms(monkeypatch) -> list[str]:
+    """The names of the non-closed Phi forms `coupling_poly` runs, in order."""
     picked = []
 
     def recording(form):
@@ -373,29 +364,41 @@ def test_coupling_poly_picks_each_of_its_three_forms_on_a_seeded_grid(monkeypatc
 
         return run
 
-    for form in (realization_charpoly, packed_det, poly_det):
-        monkeypatch.setattr(spectra, form.__name__, recording(form))
-    seen = set()
+    for form in (realization_charpoly, packed_det, interpolated_det):
+        monkeypatch.setattr(matrices, form.__name__, recording(form))
+    return picked
+
+
+def test_coupling_poly_picks_each_of_its_three_forms_on_a_seeded_grid(monkeypatch):
+    # the cost model sends D <= k to the realization, many blocks of small
+    # coefficients to the packed form and few blocks of huge coefficients to
+    # the interpolation form; each grid point takes the form listed for it, so
+    # a change to the cost model shows here, and equals the cofactor reference
+    real, packed, interp = "realization_charpoly", "packed_det", "interpolated_det"
+    expected = [
+        real, real, packed, packed, packed, packed,  # k = 1
+        real, real, packed, interp, packed, interp,  # k = 2
+        real, real, packed, interp, packed, interp,  # k = 3
+        real, real, packed, interp, packed, interp,  # k = 5
+    ]
+    picked = _record_forms(monkeypatch)
     rng = random.Random(2026)
     for k in (1, 2, 3, 5):
         for degree in (1, 3, 12):
             for bits in (2, 700):
                 fs, gs, rho = _random_coupling(rng, k, degree, bits)
-                picked.clear()
-                assert coupling_poly(fs, gs, rho) == poly_det(coupling_rows(fs, gs, rho))
-                assert len(picked) == 1
-                seen.add(picked[0])
-    assert seen == {"realization_charpoly", "packed_det", "poly_det"}
+                assert coupling_poly(fs, gs, rho) == cofactor_det(coupling_rows(fs, gs, rho))
+    assert picked == expected
 
 
 def test_phi_takes_one_kernel_call_of_dimension_d_only_through_the_realization(kernel_calls, monkeypatch):
     realized = []
 
-    def recorded(fs, gs, rho):
-        realized.append(sum(g.degree for g in gs))
-        return realization_charpoly(fs, gs, rho)
+    def recorded(rows):
+        realized.append(sum(g.degree for g in rows.gs))
+        return realization_charpoly(rows)
 
-    monkeypatch.setattr(spectra, "realization_charpoly", recorded)
+    monkeypatch.setattr(matrices, "realization_charpoly", recorded)
 
     def run(spec):
         """(D, the kernel calls of each distinct block's form, the route's kernel calls)"""
@@ -426,10 +429,11 @@ def test_phi_takes_one_kernel_call_of_dimension_d_only_through_the_realization(k
     assert calls == blocks_only
 
 
-def test_coupling_poly_on_public_inputs_is_poly_det():
+def test_coupling_poly_on_public_inputs_is_poly_det(monkeypatch):
     # a non-monic g or deg f >= deg g has no companion realization: k = 2 and
-    # D = 2 pass the size rule, so only the form check sends these to poly_det;
-    # the last case takes the realization with a plain int in rho
+    # D = 2 pass the size rule, so only the form check sends the first two to
+    # the packed form; the last case takes the realization with a plain int in rho
+    picked = _record_forms(monkeypatch)
     rho = ((0, Fraction(1, 2)), (-3, 0))
     cases = [
         ([X + 1, Polynomial.constant(2)], [2 * X + 1, X - 3]),
@@ -437,7 +441,8 @@ def test_coupling_poly_on_public_inputs_is_poly_det():
         ([Polynomial.constant(2), Polynomial.constant(Fraction(1, 3))], [X - 1, X + 2]),
     ]
     for fs, gs in cases:
-        assert coupling_poly(fs, gs, rho) == poly_det(coupling_rows(fs, gs, rho))
+        assert coupling_poly(fs, gs, rho) == cofactor_det(coupling_rows(fs, gs, rho))
+    assert picked == ["packed_det", "packed_det", "realization_charpoly"]
 
 
 def test_laplacian_join_of_16_vertex_blocks_matches_eigvalsh():
@@ -709,10 +714,10 @@ def _refuse(*args):
 def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
     # symmetric rho (host patterns through universal couplings) and asymmetric
     # rational rho with zeros, k = 2..6; the other three forms are disabled, and
-    # the closed form must equal poly_det on the same coupling rows
-    monkeypatch.setattr(spectra, "realization_charpoly", _refuse)
-    monkeypatch.setattr(spectra, "packed_det", _refuse)
-    monkeypatch.setattr(spectra, "poly_det", _refuse)
+    # the closed form must equal the cofactor reference on the same coupling rows
+    monkeypatch.setattr(matrices, "realization_charpoly", _refuse)
+    monkeypatch.setattr(matrices, "packed_det", _refuse)
+    monkeypatch.setattr(matrices, "interpolated_det", _refuse)
     rng = random.Random(14)
     for k in range(2, 7):
         for _ in range(4):
@@ -724,7 +729,7 @@ def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
                 tuple(Fraction(0) if i == j or rng.random() < 0.3 else random_fraction(rng) for j in range(k)) for i in range(k)
             )
             for rho in (sym, asym):
-                assert coupling_poly(fs, gs, rho) == poly_det(coupling_rows(fs, gs, rho))
+                assert coupling_poly(fs, gs, rho) == cofactor_det(coupling_rows(fs, gs, rho))
 
 
 def test_one_matrix_under_other_vectors_is_another_block():
