@@ -341,6 +341,37 @@ def test_every_phi_form_equals_the_cofactor_reference():
     assert {0, 1, 7} <= ks
 
 
+def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
+    # the realization against the form that takes any rows, which
+    # fixtures.poly_det_charpoly glues, on both sides of coupling_poly's rule
+    # D^2 < k^3, zero forms between blocks that have rows included
+    sides, zero_forms = set(), 0
+    for cb in _realization_cases(random.Random(12)):
+        fs, gs = [f.num for f in cb.forms], [f.den for f in cb.forms]
+        rows = cleared_rows(fs, gs, cb.rho)
+        phi = realization_charpoly(rows)
+        assert phi == interpolated_det(rows)
+        assert coupling_poly(fs, gs, cb.rho) == phi
+        assert product([phi] + [f.charpoly.exact_div(f.den) for f in cb.forms]) == poly_det_charpoly(cb)
+        sides.add(sum(g.degree for g in gs) ** 2 < cb.k**3)
+        zero_forms += any(g.degree == 0 and any(h.degree for h in gs[:i]) for i, g in enumerate(gs))
+    assert sides == {True, False}
+    assert zero_forms >= 5
+
+
+def test_packed_det_equals_poly_det_and_the_cofactor_reference():
+    # the same corpus: asymmetric rational rho, zero forms, corona cones, k = 0 and k = 1
+    ks = set()
+    for cb in _realization_cases(random.Random(12)):
+        fs, gs = [f.num for f in cb.forms], [f.den for f in cb.forms]
+        rows = cleared_rows(fs, gs, cb.rho)
+        want = cofactor_det(coupling_rows(fs, gs, cb.rho)) if cb.k else Polynomial.one()
+        assert interpolated_det(rows) == want
+        assert packed_det(rows, packed_width(rows)) == want
+        ks.add(cb.k)
+    assert {0, 1, 7} <= ks
+
+
 def _random_coupling(rng, k, degree, bits):
     """k monic g_i of one degree and f_i of lower degree, coefficients of about
     `bits` bits, under an asymmetric rational rho with zeros."""
