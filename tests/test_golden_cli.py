@@ -4,7 +4,9 @@ Each case runs one verb on a small spec file and compares its stdout with
 `tests/golden/<case>.txt`.  The specs are the two golden fixtures (the mixed
 join and its subset-constrained variant), a small corona spec, two
 lexicographic specs (Laplacian parameters and none), a join of regular
-components and the mixed join with Laplacian parameters; the files are
+components, the mixed join with Laplacian parameters, and three joins whose
+blocks have repeated eigenvalues (a main eigenvalue of multiplicity above 1,
+and a zero subset vector); the files are
 written into the working directory, so `verify` names them by their bare
 file names.  One case runs no spec: the first 20 cases of the seeded random
 suite, so that its seeded draws stay where they are.
@@ -24,6 +26,11 @@ from joinspectra.fixtures import mixed_join_spec, subset_join_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
+REPEATED = {
+    "host": "4; 0-1,1-2,2-3,0-3",
+    "components": ["4;", "5; 0-1,0-2,0-3,0-4", "6; 0-1,1-2,2-3,3-4,4-5,0-5", "6; 0-1,1-2,3-4,4-5"],
+}
+
 SPECS = {
     "mixed.json": json_obj(mixed_join_spec()),
     "subset.json": json_obj(subset_join_spec()),
@@ -41,6 +48,17 @@ SPECS = {
     "regular.json": {"host": "2; 0-1", "components": ["3; 0-1,1-2,0-2", "2; 0-1"], "universal": {}},
     # the mixed join with Laplacian parameters: alpha + delta = 0
     "laplacian.json": dict(json_obj(mixed_join_spec()), universal={"alpha": "-1", "delta": "1"}),
+    # repeated eigenvalues on a 4-cycle host: an edgeless graph, a star, a hexagon
+    # and two 3-paths, so that a main eigenvalue of a block has multiplicity above 1
+    "repeated.json": REPEATED,
+    # the same join with Laplacian parameters
+    "repeated-laplacian.json": dict(REPEATED, universal={"alpha": "-1", "delta": "1"}),
+    # subsets on a 3-path host, one of them empty (a zero vector)
+    "repeated-subset.json": {
+        "host": "3; 0-1,1-2",
+        "components": ["4;", "5; 0-1,0-2,0-3,0-4", "6; 0-1,1-2,3-4,4-5"],
+        "subsets": [[0, 1, 2, 3], [], [0, 3]],
+    },
 }
 
 CASES = {
@@ -55,6 +73,9 @@ CASES = {
     "spectrum-verify-corona-spec": ["spectrum", "corona.json", "--verify"],
     "spectrum-regular-verify": ["spectrum", "regular.json", "--route", "regular", "--verify"],
     "spectrum-balanced-verify-laplacian": ["spectrum", "laplacian.json", "--route", "balanced", "--verify"],
+    "spectrum-verify-repeated": ["spectrum", "repeated.json", "--verify"],
+    "spectrum-verify-repeated-laplacian": ["spectrum", "repeated-laplacian.json", "--verify"],
+    "spectrum-verify-repeated-subset": ["spectrum", "repeated-subset.json", "--verify"],
     "gcp-half-mixed": ["gcp", "mixed.json", "--t", "1/2"],
     "corona-verify": ["corona", "corona.json", "--verify"],
     "lex-verify": ["lex", "lex.json", "--verify"],
