@@ -96,7 +96,7 @@ def product(polys) -> Polynomial:
 def poly_det_charpoly(cb: CoupledBlocks) -> Polynomial:
     """The glued charpoly with Phi by `interpolated_det`, the form that takes any rows, to check the others."""
     rows = cleared_rows([f.num for f in cb.forms], [f.den for f in cb.forms], cb.rho)
-    return product([interpolated_det(rows)] + [f.charpoly.exact_div(f.den) for f in cb.forms])
+    return product([interpolated_det(rows)] + [f.cofactor for f in cb.forms])
 
 
 def multisets_close(a, b, tol: float) -> bool:

@@ -1,16 +1,16 @@
 """Resolvent forms v^T (xI - M)^{-1} u as exact reduced quotients.
 
-A form is det(xI - M) and the numerator v^T adj(xI - M) u, and one kernel
-pass gives both.  Bordering M by the two vectors,
-B = [[0, v^T], [u, M]], and expanding det(xI - B) along its first row gives
-det(xI - B) = x det(xI - M) - v^T adj(xI - M) u; `kernel.charpoly_bordered_int`
-reduces B once and reads det(xI - B) and det(xI - M) off the same Hessenberg
-form.  So v^T (xI - M)^{-1} u = (x phi_M - phi_B) / phi_M, with no second
-reduction.  When u = v is an eigenvector of M, M u = mu u, phi_M alone
-suffices: the form is then |u|^2 / (x - mu) (the case of Fiedler's lemma),
-and `resolvent_form` detects it on the integers it has already cleared.
-All-ones is such a vector for every block of a join of regular graphs and
-for every Laplacian-type block (alpha + delta = 0).
+Unreduced, a form is v^T adj(xI - M) u / det(xI - M), and one kernel pass
+gives both.  Bordering M by the two vectors, B = [[0, v^T], [u, M]], and
+expanding det(xI - B) along its first row gives det(xI - B) =
+x det(xI - M) - v^T adj(xI - M) u; `kernel.charpoly_bordered_int` reduces B
+once and reads det(xI - B) and det(xI - M) off the same Hessenberg form.  So
+v^T (xI - M)^{-1} u = (x phi_M - phi_B) / phi_M, with no second reduction.
+When u = v is an eigenvector of M, M u = mu u, phi_M alone suffices: the form
+is then |u|^2 / (x - mu) (the case of Fiedler's lemma), and `resolvent_form`
+detects it on the integers it has already cleared.  All-ones is such a vector
+for every block of a join of regular graphs and for every Laplacian-type block
+(alpha + delta = 0).
 
 A form is kept reduced: numerator and denominator coprime, the denominator
 monic, the zero form stored as 0/1, so structural equality coincides with
@@ -20,11 +20,11 @@ eigenspace is not orthogonal to u -- the "main" eigenvalues seen from u --
 each appearing once, so `main_poles` reads those eigenvalues off it without
 ever leaving the rationals.
 
-A form is all that the coupled-block path keeps of a block: `spectra` glues
-blocks from their forms alone, so a block need not be a dense matrix.
-`resolvent_form` is the one producer of a form from a dense (M, u, v), and it
-records whether M is symmetric with u = v, the per-block half of the
-precondition of a real spectrum.
+A form is all that the coupled-block path keeps of a block, so it also holds
+the cofactor phi_M / g that the reduction cancels: a glued charpoly is Phi
+times the blocks' cofactors (`spectra`).  `resolvent_form` is the one producer
+of a form from a dense (M, u, v), and it records whether M is symmetric with
+u = v, the per-block half of the precondition of a real spectrum.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ from .roots import real_roots
 
 class ResolventForm(Record):
     """v^T (xI - M)^{-1} u = num / den, reduced (see the module docstring),
-    charpoly = det(xI - M), the denominator before reduction, and hermitian:
+    cofactor = det(xI - M) / den, what the reduction cancelled, and hermitian:
     whether M is symmetric and v = u, so that the block has a real spectrum."""
 
-    __slots__ = ("num", "den", "charpoly", "hermitian")
+    __slots__ = ("num", "den", "cofactor", "hermitian")
 
     num: Polynomial
     den: Polynomial
-    charpoly: Polynomial
+    cofactor: Polynomial
     hermitian: bool
 
 
@@ -97,7 +97,8 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
         mu = _int_eigenvalue(ints, n, u_ints)
         if mu is not None:
             norm_sq = Fraction(sum(x * x for x in u_ints), du * du)
-            return ResolventForm(Polynomial((norm_sq,)), Polynomial((-mu / d, 1)), charpoly(m), hermitian)
+            den = Polynomial((-mu / d, 1))
+            return ResolventForm(Polynomial((norm_sq,)), den, charpoly(m).exact_div(den), hermitian)
     common = math.lcm(d, du * math.lcm(*[x.denominator for x in vv]))
     if common != d:
         ints = [x * (common // d) for x in ints]
@@ -105,10 +106,10 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     phi, num = charpoly_bordered_int(ints, n, u_ints, v_ints)
     phi = descale(phi, common)
     num = descale(num, common, n)
-    # phi and the gcd are monic, so the reduced denominator is too; a zero
-    # numerator has gcd phi and reduces to 0/1
+    # phi and the gcd are monic, so the reduced denominator is too; the gcd
+    # is the cofactor, and a zero numerator has gcd phi and reduces to 0/1
     g = poly_gcd(num, phi)
-    return ResolventForm(num.exact_div(g), phi.exact_div(g), phi, hermitian)
+    return ResolventForm(num.exact_div(g), phi.exact_div(g), g, hermitian)
 
 
 def main_poles(m: RationalMatrix, u: Sequence) -> list[float]:

@@ -4,10 +4,10 @@ The core object is a family of square blocks M_i carrying vectors (u_i, v_i),
 glued by scalars rho_ij into the block matrix with M_i on the diagonal and
 rho_ij * u_i v_j^T off it.  A block is held only as its record, a
 `ResolventForm`: the reduced main function f_i / g_i = v_i^T (xI - M_i)^(-1) u_i
-and phi_i = det(xI - M_i).  `CoupledBlocks` is those forms and rho; the
-characteristic polynomial of the glued matrix factors exactly as
+and its cofactor q_i = det(xI - M_i) / g_i.  `CoupledBlocks` is those forms
+and rho; the characteristic polynomial of the glued matrix factors exactly as
 
-    prod_i (phi_i / g_i) * Phi,
+    prod_i q_i * Phi,
 
 where Phi is the determinant of the k x k polynomial matrix with g_i on the
 diagonal and -rho_ij * f_i off it, `matrices.coupling_poly`.  Everything
@@ -82,7 +82,7 @@ class CoupledBlocks(Record):
 
     @property
     def total_dim(self) -> int:
-        return sum(form.charpoly.degree for form in self.forms)
+        return sum(form.cofactor.degree + form.den.degree for form in self.forms)
 
     def is_hermitian(self) -> bool:
         """Hermitian blocks (symmetric M_i, u_i = v_i) and symmetric coupling: real spectrum."""
@@ -108,7 +108,7 @@ def _glue(cb: CoupledBlocks) -> tuple[Polynomial, Polynomial]:
     """(Phi, the glued characteristic polynomial) from the blocks' forms."""
     forms = cb.forms
     phi = coupling_poly([form.num for form in forms], [form.den for form in forms], cb.rho)
-    return phi, _glued_product(phi, [form.charpoly.exact_div(form.den) for form in forms], cb.total_dim)
+    return phi, _glued_product(phi, [form.cofactor for form in forms], cb.total_dim)
 
 
 def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
@@ -116,19 +116,19 @@ def coupled_charpoly(cb: CoupledBlocks) -> Polynomial:
     return _glue(cb)[1]
 
 
-def _classify_block(phi: Polynomial, g: Polynomial, idx: int):
-    """Split one block's eigenvalues by whether the block's resolvent sees them.
-
-    Exact: square-free factors of phi are split by gcd against g, so no
-    numeric matching between eigenvalues and poles ever happens.
+def _classify_block(q: Polynomial, g: Polynomial, idx: int):
+    """Split the eigenvalues of one block's cofactor q by whether the block's
+    resolvent sees them: g is square-free and divides phi = q g for a Hermitian
+    block, so q holds a seen eigenvalue (a root of g) once less than phi and an
+    unseen one as often.  Exact: square-free factors of q are split by gcd.
     """
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
-    for factor, mult in square_free_decomposition(phi):
+    for factor, mult in square_free_decomposition(q):
         seen = poly_gcd(factor, g)
         unseen = factor.exact_div(seen)
-        if seen.degree > 0 and mult > 1:
-            reduced.extend((r, mult - 1, idx) for r in real_roots(seen))
+        if seen.degree > 0:
+            reduced.extend((r, mult, idx) for r in real_roots(seen))
         if unseen.degree > 0:
             inherited.extend((r, mult, idx) for r in real_roots(unseen))
     return inherited, reduced
@@ -169,7 +169,7 @@ def coupled_spectrum(cb: CoupledBlocks) -> SpectrumReport:
     inherited: list[tuple[float, int, int]] = []
     reduced: list[tuple[float, int, int]] = []
     for idx, form in enumerate(cb.forms):
-        inh, red = _classify_block(form.charpoly, form.den, idx)
+        inh, red = _classify_block(form.cofactor, form.den, idx)
         inherited += inh
         reduced += red
     phi, total = _glue(cb)
@@ -243,15 +243,14 @@ def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
     all-ones form and phi its charpoly, the Schur complement of the apex gives
     the cone's form e_0^T (xI - C)^(-1) e_0 = 1 / (x - f / g) = g / (x g - f),
     reduced since f and g are coprime, over the monic x g - f, and its
-    charpoly det(xI - C) = phi (x - f / g) = (phi / g) (x g - f).  Equal
-    companions share one form.
+    charpoly det(xI - C) = phi (x - f / g) = (phi / g) (x g - f), so its
+    cofactor is the companion's own.  Equal companions share one form.
     """
     family = corona_family(host, family)
     cones = {}
     for g in dict.fromkeys(family):
         form = resolvent_form(g.adjacency(), (Fraction(1),) * g.n)
-        den = Polynomial.x() * form.den - form.num
-        cones[g] = ResolventForm(form.den, den, form.charpoly.exact_div(form.den) * den, form.hermitian)
+        cones[g] = ResolventForm(form.den, Polynomial.x() * form.den - form.num, form.cofactor, form.hermitian)
     return CoupledBlocks([cones[g] for g in family], host_rho(host))
 
 

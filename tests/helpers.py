@@ -23,6 +23,8 @@ from joinspectra import (
 from joinspectra.joins import effective_rho
 from joinspectra.fixtures import multisets_close
 from joinspectra.kernel import charpoly_int
+from joinspectra.polynomials import poly_gcd, square_free_decomposition
+from joinspectra.roots import real_roots
 from joinspectra.verification import random_fraction
 
 
@@ -104,6 +106,28 @@ def dense_join_blocks(spec: JoinSpec):
         blocks.append((literal_universal_matrix(g, params) + identity(g.n) * (params.delta * w), ones, ones))
     a, c = params.alpha, params.gamma
     return blocks, [[0 if i == j else r * a + c for j, r in enumerate(row)] for i, row in enumerate(rho)]
+
+
+def disjoint_copies(g: Graph, copies: int) -> Graph:
+    """The disjoint union of copies of g."""
+    return Graph(g.n * copies, [(b + i, b + j) for b in range(0, g.n * copies, g.n) for i, j in g.edges])
+
+
+def classify_block_from_charpoly(phi: Polynomial, g: Polynomial, idx: int):
+    """(inherited, reduced) eigenvalues of a Hermitian block from its full
+    charpoly phi and reduced denominator g: each square-free factor of phi is
+    split by its gcd with g, and a seen eigenvalue of multiplicity m counts
+    m - 1 times, an unseen one m times."""
+    inherited: list[tuple[float, int, int]] = []
+    reduced: list[tuple[float, int, int]] = []
+    for factor, mult in square_free_decomposition(phi):
+        seen = poly_gcd(factor, g)
+        unseen = factor.exact_div(seen)
+        if seen.degree > 0 and mult > 1:
+            reduced.extend((r, mult - 1, idx) for r in real_roots(seen))
+        if unseen.degree > 0:
+            inherited.extend((r, mult, idx) for r in real_roots(unseen))
+    return inherited, reduced
 
 
 def corona_cone(g: Graph):

@@ -9,10 +9,12 @@ blocks have repeated eigenvalues (a main eigenvalue of multiplicity above 1,
 and a zero subset vector); the files are
 written into the working directory, so `verify` names them by their bare
 file names.  One case runs no spec: the first 20 cases of the seeded random
-suite, so that its seeded draws stay where they are.
+suite, so that its seeded draws stay where they are; all 200 cases of that
+seed are pinned by the sha256 of their output.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -110,3 +112,9 @@ def test_cli_output_matches_golden(case, tmp_path):
     code, out = cli_stdout(CASES[case], tmp_path)
     assert code == 0
     assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+
+
+def test_seeded_suite_of_200_cases_matches_its_digest(tmp_path):
+    code, out = cli_stdout(["verify", "--seed", "0", "--cases", "200", "--json"], tmp_path)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "4541d9f5740d3d3b7ebfa8665a5fa2a4e515b67a871fba9387a80acbcd8eccbc"

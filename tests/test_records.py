@@ -44,9 +44,9 @@ CASES = {
         JoinSpec(Graph.path(2), [Graph(1), Graph.path(2)], rho_override=[[0, 1], [1, 0]]),
     ),
     ResolventForm: (
-        ("num", "den", "charpoly", "hermitian"),
-        lambda: ResolventForm(Polynomial((2,)), X - 1, X * (X - 1), True),
-        ResolventForm(Polynomial((2,)), X - 1, X * (X - 1), False),
+        ("num", "den", "cofactor", "hermitian"),
+        lambda: ResolventForm(Polynomial((2,)), X - 1, X, True),
+        ResolventForm(Polynomial((2,)), X - 1, X, False),
     ),
     CoupledBlocks: (
         ("forms", "rho"),
@@ -171,8 +171,8 @@ def test_repr_examples():
 
 
 def test_keyword_construction():
-    form = ResolventForm(num=Polynomial((1,)), den=X, charpoly=X, hermitian=True)
-    assert form == ResolventForm(Polynomial((1,)), X, X, True)
+    form = ResolventForm(num=Polynomial((1,)), den=X, cofactor=Polynomial.one(), hermitian=True)
+    assert form == ResolventForm(Polynomial((1,)), X, Polynomial.one(), True)
     assert CompareResult(equal=True, first_mismatch=None, detail="d") == CompareResult(True, None, "d")
 
 

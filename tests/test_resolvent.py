@@ -59,14 +59,14 @@ def test_fixture_resolvents_subset_indicators():
 def test_single_vertex():
     form = resolvent_form(RationalMatrix(1, 1, [0]), (1,))
     assert pair(form) == (Polynomial.one(), X)
-    assert form.charpoly == X
+    assert form.cofactor * form.den == X
 
 
 def test_form_reduction_examples():
     # phi = x^3 - 2x over the numerator 3x^2 + 4x reduces to (3x + 4) / (x^2 - 2)
     p3 = Graph.path(3).adjacency()
     form = resolvent_form(p3, ones(3))
-    assert form.charpoly == X**3 - 2 * X
+    assert form.cofactor * form.den == X**3 - 2 * X
     assert pair(form) == (3 * X + 4, X**2 - 2)
     assert pair(resolvent_form(p3, (0, 0, 0))) == (Polynomial(), Polynomial.one())
     # e_0^T (xI - M)^{-1} (e_0 / 2) for M = diag(1/3, 0): (1/2) / (x - 1/3)
@@ -85,7 +85,7 @@ def test_form_canonical_form():
             u = tuple(Fraction(0) for _ in range(n))
         form = resolvent_form(m, u, v if trial % 2 else u)
         assert form.den.is_monic
-        form.charpoly.exact_div(form.den)
+        assert form.cofactor * form.den == charpoly(m)
         if form.num.is_zero:
             assert form.den == Polynomial.one()
         else:
@@ -246,7 +246,7 @@ def test_zero_vector_gives_zero_form():
     m = rand_symmetric_matrix(random.Random(36), 3)
     form = resolvent_form(m, (0, 0, 0))
     assert pair(form) == (Polynomial(), Polynomial.one())
-    assert form.charpoly == charpoly(m)
+    assert form.cofactor * form.den == charpoly(m)
     assert main_poles(m, (0, 0, 0)) == []
 
 
@@ -305,7 +305,7 @@ def test_matches_adjugate_reference():
         rows = char_matrix(m)
         phi = cofactor_det(rows)
         form = resolvent_form(m, u, v)
-        assert form.charpoly == phi
+        assert form.cofactor * form.den == phi
         assert pair(form) == reduced(adjugate_form(rows, u, v), phi)
         if zero in (u, v):
             assert pair(form) == (Polynomial(), Polynomial.one())
@@ -321,7 +321,7 @@ def test_rational_forms_equal_the_two_charpoly_reference():
         phi = charpoly(m)
         for vv in (v, u):
             form = resolvent_form(m, u, vv)
-            assert form.charpoly == phi
+            assert form.cofactor * form.den == phi
             assert pair(form) == reduced(phi - charpoly(m + outer(u, vv)), phi)
 
 
@@ -372,7 +372,7 @@ def test_eigenvector_branch_matches_adjugate_reference(kernel_calls):
         assert kernel_calls == [m.rows]
         rows = char_matrix(m)
         phi = cofactor_det(rows)
-        assert form.charpoly == phi
+        assert form.cofactor * form.den == phi
         assert pair(form) == reduced(adjugate_form(rows, u, u), phi)
 
 
@@ -392,9 +392,9 @@ def test_non_eigenvectors_take_one_bordered_pass(kernel_calls):
         assert kernel_calls == [("bordered", m.rows)]
         rows = char_matrix(m)
         phi = cofactor_det(rows)
-        assert form.charpoly == phi
+        assert form.cofactor * form.den == phi
         assert pair(form) == reduced(adjugate_form(rows, as_vector(u), as_vector(v)), phi)
     kernel_calls.clear()
     form = resolvent_form(RationalMatrix(0, 0, []), ())
     assert kernel_calls == [("bordered", 0)]
-    assert pair(form) == (Polynomial(), Polynomial.one()) and form.charpoly == Polynomial.one()
+    assert pair(form) == (Polynomial(), Polynomial.one()) and form.cofactor * form.den == Polynomial.one()

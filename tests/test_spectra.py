@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PRESET_VALUES, cofactor_det, corona_cone, coupled, coupling_rows, cycle, dense_join_blocks, determinant, full_subset, identity, json_obj, lexicographic, literal_universal_matrix, multisets_close, regular_graph_menu, seidel, signless_laplacian, trace
+from helpers import PRESET_VALUES, classify_block_from_charpoly, cofactor_det, corona_cone, coupled, coupling_rows, cycle, dense_join_blocks, determinant, disjoint_copies, full_subset, identity, json_obj, lexicographic, literal_universal_matrix, multisets_close, regular_graph_menu, seidel, signless_laplacian, star, trace
 from joinspectra import (
     CoupledBlocks,
     Graph,
@@ -255,7 +255,7 @@ def test_glued_product_is_checked_on_both_routes():
     for _ in range(5):
         blocks, rho = random_coupled_blocks(rng, max_k=4, max_n=4, symmetric=True)
         # every block's cofactor phi / g comes out twice too large
-        forms = [ResolventForm(f.num, f.den, f.charpoly * 2, f.hermitian) for f in coupled(blocks, rho).forms]
+        forms = [ResolventForm(f.num, f.den, f.cofactor * 2, f.hermitian) for f in coupled(blocks, rho).forms]
         cb = CoupledBlocks(forms, rho)
         with pytest.raises(ArithmeticError):
             coupled_charpoly(cb)
@@ -273,7 +273,7 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
         # block 0's cofactor phi / g comes out twice too large
         calls.append(m)
         form = exact(m, u, v)
-        return ResolventForm(form.num, form.den, form.charpoly * 2, form.hermitian) if len(calls) == 1 else form
+        return ResolventForm(form.num, form.den, form.cofactor * 2, form.hermitian) if len(calls) == 1 else form
 
     monkeypatch.setattr(spectra, "resolvent_form", first_block_doubled)
     regular = JoinSpec(Graph.path(2), (cycle(4), Graph.complete(3)), universal=ADJ)
@@ -352,7 +352,7 @@ def test_glued_realization_equals_poly_det_on_both_sides_of_the_rule():
         phi = realization_charpoly(rows)
         assert phi == interpolated_det(rows)
         assert coupling_poly(fs, gs, cb.rho) == phi
-        assert product([phi] + [f.charpoly.exact_div(f.den) for f in cb.forms]) == poly_det_charpoly(cb)
+        assert product([phi] + [f.cofactor for f in cb.forms]) == poly_det_charpoly(cb)
         sides.add(sum(g.degree for g in gs) ** 2 < cb.k**3)
         zero_forms += any(g.degree == 0 and any(h.degree for h in gs[:i]) for i, g in enumerate(gs))
     assert sides == {True, False}
@@ -973,6 +973,73 @@ def test_corona_forms_are_the_dense_cone_forms():
         cb = corona_blocks(host, fam)
         assert cb.forms == tuple(resolvent_form(*corona_cone(g)) for g in fam)
         assert cb.rho == host_rho(host)
+
+
+def _repeated_graph(rng):
+    """A graph whose eigenvalues repeat: disjoint copies of a random graph, or
+    a complete, edgeless, star or cycle graph."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return disjoint_copies(random_graph(rng, rng.randint(1, 3)), rng.randint(2, 3))
+    if kind == 1:
+        return Graph.complete(rng.randint(1, 5))
+    if kind == 2:
+        return Graph(rng.randint(1, 5))
+    return star(rng.randint(1, 5)) if kind == 3 else cycle(rng.randint(3, 6))
+
+
+def _symmetric_rho(rng, k):
+    rho = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            rho[i][j] = rho[j][i] = random_fraction(rng)
+    return rho
+
+
+def _charpoly_reference_split(cb, phis):
+    """(inherited, reduced) of the glued spectrum by the reference that splits
+    each block's full charpoly phi_i."""
+    inherited, reduced = [], []
+    for idx, (form, phi) in enumerate(zip(cb.forms, phis)):
+        inh, red = classify_block_from_charpoly(phi, form.den, idx)
+        inherited += inh
+        reduced += red
+    return tuple(inherited), tuple(reduced)
+
+
+def test_cofactor_classification_equals_the_charpoly_reference():
+    # coupled_spectrum splits each block's cofactor q = phi / g by gcd with g;
+    # the reference splits the dense block's own charpoly phi and counts a seen
+    # eigenvalue once less.  Hermitian blocks with repeated eigenvalues, as
+    # adjacency or rational universal matrices, at all-ones, an indicator or
+    # the zero vector, then corona apex forms against their dense cones
+    rng = random.Random(30)
+    vectors, repeated_seen = set(), 0
+    for _ in range(40):
+        blocks = []
+        for _ in range(rng.randint(1, 4)):
+            g = _repeated_graph(rng)
+            m = g.adjacency() if rng.random() < 0.5 else literal_universal_matrix(g, random_universal_params(rng))
+            kind = rng.choice(["ones", "indicator", "zero"])
+            vectors.add(kind)
+            if kind == "ones":
+                u = (Fraction(1),) * g.n
+            else:
+                u = tuple(Fraction(int(kind == "indicator" and rng.random() < 0.5)) for _ in range(g.n))
+            blocks.append((m, u, u))
+        cb = coupled(blocks, _symmetric_rho(rng, len(blocks)))
+        report = coupled_spectrum(cb)
+        assert (report.inherited, report.reduced) == _charpoly_reference_split(cb, [charpoly(m) for m, _, _ in blocks])
+        repeated_seen += sum(mult > 1 for _, mult, _ in report.reduced)
+    assert vectors == {"ones", "indicator", "zero"}
+    assert repeated_seen >= 5
+    for _ in range(12):
+        host = random_graph(rng, rng.randint(1, 4))
+        family = tuple(_repeated_graph(rng) for _ in range(host.n))
+        cb = corona_blocks(host, family)
+        report = coupled_spectrum(cb)
+        phis = [charpoly(corona_cone(g)[0]) for g in family]
+        assert (report.inherited, report.reduced) == _charpoly_reference_split(cb, phis)
 
 
 def test_spectrum_refuses_a_block_that_is_not_hermitian():
