@@ -6,11 +6,11 @@ join and its subset-constrained variant), a small corona spec, two
 lexicographic specs (Laplacian parameters and none), a join of regular
 components, the mixed join with Laplacian parameters, and three joins whose
 blocks have repeated eigenvalues (a main eigenvalue of multiplicity above 1,
-and a zero subset vector); the files are
-written into the working directory, so `verify` names them by their bare
-file names.  One case runs no spec: the first 20 cases of the seeded random
-suite, so that its seeded draws stay where they are; all 200 cases of that
-seed are pinned by the sha256 of their output.
+and a zero subset vector); the files are written into the working directory,
+so `verify` names them by their bare file names.  One case runs no spec: the
+first 20 cases of the seeded random suite, so that its seeded draws stay
+where they are; all 200 cases of that seed are pinned by the sha256 of their
+output.
 """
 
 import contextlib

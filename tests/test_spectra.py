@@ -988,14 +988,6 @@ def _repeated_graph(rng):
     return star(rng.randint(1, 5)) if kind == 3 else cycle(rng.randint(3, 6))
 
 
-def _symmetric_rho(rng, k):
-    rho = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            rho[i][j] = rho[j][i] = random_fraction(rng)
-    return rho
-
-
 def _charpoly_reference_split(cb, phis):
     """(inherited, reduced) of the glued spectrum by the reference that splits
     each block's full charpoly phi_i."""
@@ -1016,8 +1008,13 @@ def test_cofactor_classification_equals_the_charpoly_reference():
     rng = random.Random(30)
     vectors, repeated_seen = set(), 0
     for _ in range(40):
+        k = rng.randint(1, 4)
+        rho = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                rho[i][j] = rho[j][i] = random_fraction(rng)
         blocks = []
-        for _ in range(rng.randint(1, 4)):
+        for _ in range(k):
             g = _repeated_graph(rng)
             m = g.adjacency() if rng.random() < 0.5 else literal_universal_matrix(g, random_universal_params(rng))
             kind = rng.choice(["ones", "indicator", "zero"])
@@ -1027,7 +1024,7 @@ def test_cofactor_classification_equals_the_charpoly_reference():
             else:
                 u = tuple(Fraction(int(kind == "indicator" and rng.random() < 0.5)) for _ in range(g.n))
             blocks.append((m, u, u))
-        cb = coupled(blocks, _symmetric_rho(rng, len(blocks)))
+        cb = coupled(blocks, rho)
         report = coupled_spectrum(cb)
         assert (report.inherited, report.reduced) == _charpoly_reference_split(cb, [charpoly(m) for m, _, _ in blocks])
         repeated_seen += sum(mult > 1 for _, mult, _ in report.reduced)
