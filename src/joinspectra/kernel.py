@@ -1,5 +1,6 @@
-"""Exact characteristic polynomials of integer matrices, by Hessenberg reduction
-modulo a product of word primes.
+"""Exact characteristic polynomials of integer matrices, by Hessenberg reduction,
+or Lanczos tridiagonalization for a symmetric matrix, modulo a product of
+word primes.
 
 det(xI - A) is computed modulo P: A is reduced to upper Hessenberg form by a
 similarity mod P (Gaussian elimination below the subdiagonal, swapping a row
@@ -37,13 +38,37 @@ numerator is x chi_1 - chi_0.  A zero u_0 needs nothing special: the first
 column's pivot swap handles it.  Every principal minor of A is one of B, so
 B's bound covers both polynomials, and one modulus, with the same split on
 a non-unit pivot, serves both.
+
+A symmetric matrix (from `_LANCZOS_DIM` vertices up) takes a second
+reduction mod the same P: Lanczos tridiagonalization (Lanczos, *J. Res.
+NBS* 45, 1950).  The basis r_0, r_1, ... of u's Krylov space is built by the
+three-term recurrence, fraction-free, so that it is orthogonal under x^T y;
+when the space closes it restarts at the next e_i projected off the basis.
+Every norm |r_j|^2 is a unit mod P, so Q^T Q is invertible, hence Q is, and
+Q^-1 A Q = T is tridiagonal (it splits at restarts): det(xI - A) = det(xI -
+T), read off T's three-term recurrence.  The product of A and a vector runs
+over each row's nonzero entries, grouped by value, which a graph's sparse
+rows of one or two values make cheap.  For the bordered matrix with A
+symmetric and v = c u for an integer c (every Hermitian block a route builds:
+`resolvent_form` clears v to a multiple of u), the basis starts at u, so
+Q^-1 u = e_0 and, v being a multiple of u and the basis orthogonal, v^T Q =
+v^T u e_0^T; thus v^T adj(xI - A) u = v^T u det(xI - T[1:, 1:]), and the pass
+returns the same two polynomials as the Hessenberg one.  The bound, the
+primes, the split and the lift are shared, so the integers are the same.
+Over a finite field the recurrence can meet a nonzero vector of norm 0
+(Eberly and Kaltofen, ISSAC 1997), which never happens over Q: a norm that
+shares a prime with P makes `pow` raise and P is split as above, and a
+nonzero vector of norm 0 mod P, or no restart vector left, runs the
+Hessenberg pass for that modulus.  A u that is 0 mod P needs no fallback:
+the numerator is then 0 mod P, and the basis starts at e_0.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from operator import mul
-from typing import Callable
+from typing import Callable, Sequence
 
 # The one kernel implementation, pure Python; exported as
 # joinspectra.KERNEL_BACKEND and printed by `joinspectra verify`.
@@ -53,6 +78,16 @@ BACKEND = "python"
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _primes: tuple[int, ...] = ()
+
+# The dimension from which a symmetric matrix takes the Lanczos pass; below
+# it the Hessenberg pass is faster, as a step's fixed cost weighs more and
+# small graphs repeat eigenvalues, each repeat a restart of the Krylov basis.
+# Per call, Lanczos against Hessenberg, on seeded G(n, 0.4) adjacency and
+# Laplacian matrices (Python 3.11, 2-vCPU host): charpoly_int at n = 4, 8,
+# 10, 11, 12, 16, 28 took 52/34, 173/136, 245/233, 288/286, 315/345,
+# 564/691 and 1785/3294 us; the bordered pass on adjacency with u = v = 1
+# 77/55, 335/182, 284/298, 336/356, 355/425, 649/828 and 1958/3874 us.
+_LANCZOS_DIM = 11
 
 # a pass mod P: (matrix, dimension, P) -> ascending coefficients mod P
 _Mod = Callable[[list[int], int, int], list[int]]
@@ -211,6 +246,138 @@ def _hessenberg_mod(a: list[int], n: int, p: int) -> list[list[int]]:
     return cols
 
 
+def is_symmetric_int(a: Sequence[int], n: int) -> bool:
+    """Whether the row-major n x n A equals its transpose: row i right of the
+    diagonal against column i below it, slice against slice."""
+    return all(a[i * n + i + 1 : (i + 1) * n] == a[(i + 1) * n + i :: n] for i in range(n))
+
+
+def _row_groups(a: list[int], n: int, s: int, off: int) -> list[list[tuple[int, list[int]]]]:
+    """Each row of the n x n block at (off, off) of a row-major matrix of row
+    length s, as its nonzero values, each with the columns that hold it: a
+    graph's row has one or two values, so A r costs one product per value."""
+    rows = []
+    for i in range(off, off + n):
+        groups: dict[int, list[int]] = {}
+        for j, x in enumerate(a[i * s + off : i * s + off + n]):
+            if x:
+                groups.setdefault(x, []).append(j)
+        rows.append(list(groups.items()))
+    return rows
+
+
+def _inverses(xs: list[int], p: int) -> list[int]:
+    """The inverses of xs mod p from one `pow` (Montgomery's trick), which
+    raises ValueError when some x is no unit."""
+    prefix = list(accumulate(xs, lambda x, y: x * y % p, initial=1))
+    inv = pow(prefix.pop(), -1, p)
+    out = []
+    for x, before in zip(reversed(xs), reversed(prefix)):
+        out.append(inv * before % p)
+        inv = inv * x % p
+    return out[::-1]
+
+
+def _tridiagonal_mod(rows: list[list[tuple[int, list[int]]]], p: int, u: list[int]) -> tuple[list[int], list[int]] | None:
+    """The diagonal alpha and the products beta_j = T[j][j-1] T[j-1][j]
+    (beta_0 = 0) of T = Q^-1 A Q mod p, for a symmetric A given by its
+    `_row_groups` and Q the Lanczos basis that starts at u, or at e_0 when
+    u = 0 mod p.  None when a vector of the basis is nonzero with norm 0 mod
+    p, or no restart vector is left.
+
+    The basis is kept fraction-free: with N_j = |r_j|^2, A_j = r_j^T A r_j
+    and B_j = r_(j-1)^T A r_j, r_(j+1) = N_j N_(j-1) A r_j - A_j N_(j-1) r_j
+    - B_j N_j r_(j-1) is orthogonal to r_j and r_(j-1), hence (A symmetric)
+    to every earlier r; then alpha_j = A_j / N_j and beta_j = B_j^2 /
+    (N_j N_(j-1)), all the inverses from one `pow`.  When r_(j+1) = 0 the
+    Krylov space is invariant, and the basis restarts at the next e_i
+    projected off it, with B = 0: T splits there.  A norm that is no unit
+    mod a composite p makes `pow` raise ValueError.
+    """
+    n = len(rows)
+    r = [x % p for x in u]
+    prev = [0] * n
+    nprev = 1
+    basis: list[list[int]] = []
+    norms: list[int] = []
+    diag: list[int] = []
+    off: list[int] = []
+    nexti = 0
+    for _ in range(n):
+        if not any(r):
+            # the Krylov space closed: restart at the next e_i off the basis
+            prev = [0] * n
+            invs = _inverses(norms, p)
+            while not any(r):
+                if nexti == n:
+                    return None
+                cs = [q[nexti] * inv % p for q, inv in zip(basis, invs)]
+                r = [-sum(map(mul, cs, col)) % p for col in zip(*basis)] if basis else [0] * n
+                r[nexti] = (r[nexti] + 1) % p
+                nexti += 1
+        nj = sum(map(mul, r, r)) % p
+        if not nj:
+            return None
+        get = r.__getitem__
+        ar = []
+        for groups in rows:
+            t = 0
+            for x, cols in groups:
+                t += x * sum(map(get, cols))
+            ar.append(t)
+        aj = sum(map(mul, r, ar)) % p
+        bj = sum(map(mul, prev, ar)) % p
+        basis.append(r)
+        norms.append(nj)
+        diag.append(aj)
+        off.append(bj * bj % p)
+        c1, c2, c3 = nj * nprev % p, aj * nprev % p, bj * nj % p
+        prev, r = r, [(c1 * x - c2 * y - c3 * z) % p for x, y, z in zip(ar, r, prev)]
+        nprev = nj
+    invs = _inverses(norms, p)
+    return [a * inv % p for a, inv in zip(diag, invs)], [b * inv * before % p for b, inv, before in zip(off, invs, [0, *invs])]
+
+
+def _jacobi_mod(alpha: list[int], beta: list[int], p: int) -> list[int]:
+    """det(xI - T) mod p, ascending, for T tridiagonal with diagonal alpha and
+    off-diagonal products beta, by p_(j+1) = (x - alpha_j) p_j - beta_j p_(j-1)."""
+    cur: list[int] = [1]
+    prev: list[int] = []
+    for a, b in zip(alpha, beta):
+        cur, prev = [(x - a * c - b * q) % p for x, c, q in zip([0, *cur], cur + [0], prev + [0, 0])], cur
+    return cur
+
+
+def _symmetric_mod(a: list[int], n: int, p: int) -> list[int]:
+    """`_charpoly_mod` for a symmetric A, by `_tridiagonal_mod` from e_0, or
+    by `_charpoly_mod` itself when that has no step."""
+    found = _tridiagonal_mod(_row_groups(a, n, n, 0), p, [])
+    return _charpoly_mod(a, n, p) if found is None else _jacobi_mod(*found, p)
+
+
+def _symmetric_bordered_mod(b: list[int], n: int, p: int) -> list[int]:
+    """`_bordered_mod` for B = [[0, v^T], [u, A]] with A symmetric and v = c u
+    for an integer c, by `_tridiagonal_mod` from u, or by `_bordered_mod`
+    itself when that has no step.
+
+    Q^-1 u = e_0, as the basis starts at u (when u = 0 mod p every term below
+    is 0), and v^T Q = v^T u e_0^T, as v is a multiple of u and the basis is
+    orthogonal.  So v^T adj(xI - A) u = v^T u adj(xI - T)[0][0] = v^T u
+    det(xI - T[1:, 1:]).
+    """
+    m = n - 1
+    found = _tridiagonal_mod(_row_groups(b, m, n, 1), p, b[n::n])
+    if found is None:
+        return _bordered_mod(b, n, p)
+    alpha, beta = found
+    phi = _jacobi_mod(alpha, beta, p)
+    # beta_1 couples T[1:, 1:] to index 0, which it drops
+    psi = _jacobi_mod(alpha[1:], [0, *beta[2:]], p)
+    vtu = sum(map(mul, b[1:n], b[n::n])) % p
+    # det(xI - B) = x phi - v^T u psi, and psi has m coefficients
+    return [(x - vtu * c) % p for x, c in zip([0, *phi], psi + [0, 0])] + phi
+
+
 def _residues(mod: _Mod, a: list[int], n: int, primes: list[int]) -> list[int]:
     """`mod(a, n, P)` for P the product of `primes`, each half of them run
     apart and joined by CRT when `pow` finds a pivot that is no unit
@@ -238,11 +405,20 @@ def _lifted(mod: _Mod, a: list[int], n: int) -> list[int]:
     return [c - modulus if c > half else c for c in _residues(mod, a, n, primes)]
 
 
+def _is_multiple(v: list[int], u: list[int]) -> bool:
+    """Whether v = c u for an integer c."""
+    i = next((i for i, x in enumerate(u) if x), None)
+    if i is None:
+        return not any(v)
+    c, rem = divmod(v[i], u[i])
+    return not rem and all(y == c * x for x, y in zip(u, v))
+
+
 def charpoly_int(a: list[int], n: int) -> list[int]:
     """Ascending integer coefficients of det(xI - A), A row-major n x n."""
     if n == 0:
         return [1]
-    return _lifted(_charpoly_mod, a, n)
+    return _lifted(_symmetric_mod if n >= _LANCZOS_DIM and is_symmetric_int(a, n) else _charpoly_mod, a, n)
 
 
 def charpoly_bordered_int(a: list[int], n: int, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
@@ -256,7 +432,9 @@ def charpoly_bordered_int(a: list[int], n: int, u: list[int], v: list[int]) -> t
     for i, ui in enumerate(u):
         b.append(ui)
         b += a[i * n : (i + 1) * n]
-    coeffs = _lifted(_bordered_mod, b, n + 1)
+    lanczos = n >= _LANCZOS_DIM and _is_multiple(v, u) and is_symmetric_int(a, n)
+    mod = _symmetric_bordered_mod if lanczos else _bordered_mod
+    coeffs = _lifted(mod, b, n + 1)
     chi0, chi1 = coeffs[: n + 2], coeffs[n + 2 :]
     # det(xI - B) = x det(xI - A) - v^T adj(xI - A) u, expanded along row 0
     return chi1, [(chi1[j - 1] if j else 0) - chi0[j] for j in range(n)]

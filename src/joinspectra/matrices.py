@@ -10,12 +10,13 @@ uses, and scales by d back, so it is exact.
 
 The coupling determinant Phi = det(G - F rho), G = diag(g_i), F = diag(f_i),
 of the blocks' main functions f_i / g_i lives here too (`coupling_poly`).
-When every (f_i, g_i) is one (f, g) it has a closed form through the
-charpoly of rho.  Else `cleared_rows` clears G - F rho row by row to integer
-polynomials once, and that record is the one input of three forms, of which
+`cleared_rows` clears G - F rho row by row to integer polynomials once, and
+that record is the one input of three forms; when every (f_i, g_i) is one
+(f, g) there is a fourth, a closed form through the charpoly of rho.
 `coupling_poly` takes the cheapest by an operation count that reads only k,
 D = sum deg g_i and the packed size S = D w:
 
+- `closed_form_phi`, k^3 + 2 D^2 for rho's charpoly and a Horner loop;
 - `realization_charpoly`, the charpoly of the D x D glued companion
   realization, one kernel call, D^3;
 - `interpolated_det`, the integer determinant (fraction-free Bareiss) at
@@ -39,7 +40,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
-from .kernel import charpoly_int
+from .kernel import charpoly_int, is_symmetric_int
 from .polynomials import Polynomial, _from_ints, _horner, as_fraction, clear_denominators
 from .records import Record
 
@@ -150,11 +151,7 @@ class RationalMatrix(Record):
         return RationalMatrix.from_ints(n, p, out, self.den * other.den)
 
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        # row i right of the diagonal against column i below it, slice against slice
-        e, n = self.nums, self.rows
-        return all(e[i * n + i + 1 : (i + 1) * n] == e[(i + 1) * n + i :: n] for i in range(n))
+        return self.is_square and is_symmetric_int(self.nums, self.rows)
 
     def to_floats(self) -> list[list[float]]:
         # int true division rounds correctly, as float() of the reduced Fraction does
@@ -399,37 +396,47 @@ def realization_charpoly(rows: ClearedRows) -> Polynomial:
 _PACKED_BITS = 1000
 
 
+def closed_form_phi(f: Polynomial, g: Polynomial, rho: Sequence[Sequence]) -> Polynomial:
+    """det(g I - f rho) = sum_j c_j f^(k-j) g^j, c the charpoly of the k x k
+    rho, asymmetric or not: Phi of k blocks that share one (f, g)."""
+    k = len(rho)
+    cs = charpoly(RationalMatrix(k, k, [x for row in rho for x in row])).coeffs  # ascending, monic
+    # homogeneous Horner: acc runs through sum_{i <= m} c_(k-i) f^i g^(m-i)
+    acc, f_pow = Polynomial.one(), Polynomial.one()
+    for c in reversed(cs[:-1]):
+        f_pow = f_pow * f
+        acc = acc * g + c * f_pow
+    return acc
+
+
 def coupling_poly(fs: Sequence[Polynomial], gs: Sequence[Polynomial], rho: Sequence[Sequence]) -> Polynomial:
     """Phi = det(G - F rho): determinant of the coupling matrix (g_i diagonal, -rho_ij f_i off).
 
-    When k >= 2 and every (f_i, g_i) is one (f, g), Phi = det(g I - f rho) =
-    sum_j c_j f^(k-j) g^j for c the charpoly of rho, asymmetric or not.  Else
-    the cheapest of three forms on the `cleared_rows`, counted in interpreted
-    integer steps for D = sum deg g_i: `realization_charpoly`, when every g_i
-    is monic with deg f_i < deg g_i (as every resolvent form is), D^3 for its
-    Hessenberg reduction; `interpolated_det`, D (k^3 + k D) for about D
-    evaluations of k^2 entries of degree about D / k and a k x k Bareiss
-    each; `packed_det`, k^3 (1 + (S / C)^2) for one k x k Bareiss on
-    operands of up to S = D w bits, w its slot width, whose products and
-    quotients cost quadratically in their size, C = `_PACKED_BITS`.  The
-    packed form costs at least k^3, so its width is only found when that
-    could win.
+    The cheapest of four forms, counted in interpreted integer steps for
+    D = sum deg g_i: `realization_charpoly`, when every g_i is monic with
+    deg f_i < deg g_i (as every resolvent form is), D^3 for its Hessenberg
+    reduction; `interpolated_det`, D (k^3 + k D) for about D evaluations of
+    k^2 entries of degree about D / k and a k x k Bareiss each;
+    `packed_det`, k^3 (1 + (S / C)^2) for one k x k Bareiss on operands of up
+    to S = D w bits, w its slot width, whose products and quotients cost
+    quadratically in their size, C = `_PACKED_BITS`; and, when k >= 2 and
+    every (f_i, g_i) is one (f, g), `closed_form_phi`, k^3 + 2 D^2 for rho's
+    charpoly and the k steps of its Horner loop, each two products of degree
+    up to D by deg g.  The first three run on the `cleared_rows`.  The packed
+    and closed forms cost more than k^3, so they are only weighed when the
+    others cost more than that.
     """
     k = len(fs)
-    if k >= 2 and all(f == fs[0] for f in fs) and all(g == gs[0] for g in gs):
-        cs = charpoly(RationalMatrix(k, k, [x for row in rho for x in row])).coeffs  # ascending, monic
-        # homogeneous Horner: acc runs through sum_{i <= m} c_(k-i) f^i g^(m-i)
-        acc, f_pow = Polynomial.one(), Polynomial.one()
-        for c in reversed(cs[:-1]):
-            f_pow = f_pow * fs[0]
-            acc = acc * gs[0] + c * f_pow
-        return acc
     dim = sum(g.degree for g in gs if g)
     realize = all(g.is_monic and f.degree < g.degree for f, g in zip(fs, gs)) and dim**3 < dim * (k**3 + k * dim)
     cost = dim**3 if realize else dim * (k**3 + k * dim)
     rows = cleared_rows(fs, gs, rho)
     if cost > k**3:
         w = packed_width(rows)
-        if k**3 * (1 + (dim * w / _PACKED_BITS) ** 2) < cost:
+        packed = k**3 * (1 + (dim * w / _PACKED_BITS) ** 2)
+        identical = k >= 2 and all(f == fs[0] for f in fs) and all(g == gs[0] for g in gs)
+        if identical and k**3 + 2 * dim**2 < min(cost, packed):
+            return closed_form_phi(fs[0], gs[0], rho)
+        if packed < cost:
             return packed_det(rows, w)
     return realization_charpoly(rows) if realize else interpolated_det(rows)

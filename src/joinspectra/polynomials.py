@@ -375,14 +375,16 @@ def _horner(ints: list[int], xi: int) -> int:
 _HEURISTIC_TRIES = 6
 
 
-def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
-    """GCDHEU (Char, Geddes & Gonnet 1989) on primitive lists of positive degree.
+def _gcd_heuristic(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]] | None:
+    """GCDHEU (Char, Geddes & Gonnet 1989) on primitive lists of positive
+    degree: (g, a / g, b / g), g their gcd.
 
     The integer gcd of a(xi) and b(xi), read back in symmetric xi-adic
     digits, gives a candidate.  With xi > 1 + 2 min(|a|_inf, |b|_inf) a
     primitive candidate that divides both a and b is their gcd (Geddes,
-    Czapor & Labahn, Thm 7.7), so trial division proves the result.  Returns
-    None when every evaluation point fails.
+    Czapor & Labahn, Thm 7.7), so trial division proves the result, and its
+    quotients are the cofactors.  Returns None when every evaluation point
+    fails.
     """
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     for _ in range(_HEURISTIC_TRIES):
@@ -397,28 +399,40 @@ def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
             gamma = (gamma - d) // xi
         g = _primitive(digits)
         if len(g) == 1:
-            return g
-        if _int_quotient(a, g) is not None and _int_quotient(b, g) is not None:
-            return g
+            return g, a, b
+        qa = _int_quotient(a, g)
+        if qa is not None:
+            qb = _int_quotient(b, g)
+            if qb is not None:
+                return g, qa, qb
         xi = xi * 73794 // 27011
     return None
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd (positive leading coefficient) of integer lists; [] if both are zero."""
-    a, b = _primitive(a), _primitive(b)
+def _primitive_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) for primitive lists a, b, not both [], g their gcd
+    with a positive leading coefficient."""
     if not a or not b:
-        return a or b
+        return a or b, [1] if a else [], [1] if b else []
     if len(a) == 1 or len(b) == 1:
-        return [1]
-    g = _gcd_heuristic(a, b)
-    if g is not None:
-        return g
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_rem(a, b))
-    return a
+        return [1], a, b
+    found = _gcd_heuristic(a, b)
+    if found is not None:
+        return found
+    g, r = (a, b) if len(a) >= len(b) else (b, a)
+    while r:
+        g, r = r, _primitive(_pseudo_rem(g, r))
+    return g, _int_quotient(a, g), _int_quotient(b, g)
+
+
+def _int_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) for integer lists a, b, not both []: g their
+    primitive gcd (positive leading coefficient), and the cofactors exact
+    quotients, from GCDHEU's trial divisions or, behind it, one division
+    each after the pseudo-remainder sequence."""
+    g, qa, qb = _primitive_gcd(_primitive(a), _primitive(b))
+    ca, cb = (_content(x) if x else 1 for x in (a, b))
+    return g, qa if ca == 1 else [x * ca for x in qa], qb if cb == 1 else [x * cb for x in qb]
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -432,7 +446,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    g = _int_gcd(a.nums, b.nums)
+    g = _int_gcd(a.nums, b.nums)[0]
     return _from_ints(g, g[-1])
 
 
@@ -449,17 +463,14 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     if p.degree <= 0:
         return []
     f = _primitive(p.nums)
-    df = _derivative(f)
-    a = _int_gcd(f, df)
-    b = _int_quotient(f, a)
-    d = _sub(_int_quotient(df, a), _derivative(b))
+    _, b, c = _int_gcd(f, _derivative(f))
+    d = _sub(c, _derivative(b))
     out: list[tuple[Polynomial, int]] = []
     i = 1
     while len(b) > 1:
-        g = _int_gcd(b, d)
+        g, b, c = _int_gcd(b, d)
         if len(g) > 1:
             out.append((_from_ints(g, g[-1]), i))
-        b = _int_quotient(b, g)
-        d = _sub(_int_quotient(d, g), _derivative(b))
+        d = _sub(c, _derivative(b))
         i += 1
     return out

@@ -35,17 +35,46 @@ def test_identity_matrix():
 
 def test_kernel_matches_faddeev_leverrier():
     rng = random.Random(0)
-    for n in list(range(9)) + [16, 32]:
+    for n in list(range(9)) + [11, 16, 32]:
         for _ in range(3 if n <= 8 else 1):
             assert _agrees_with_fl(_random_int_matrix(rng, n), n)
             ints = list(rand_rational_matrix(rng, n).nums)
             assert _agrees_with_fl(ints, n)
+            # symmetric: the Lanczos pass from n = 11
+            assert _agrees_with_fl(_symmetric(rng, n), n)
+            assert _agrees_with_fl(_laplacian(rng, n), n)
 
 
 def test_big_entries():
     rng = random.Random(2)
     for n in (1, 2, 6, 8):
         assert _agrees_with_fl(_random_int_matrix(rng, n, 10**12), n)
+
+
+def _symmetric(rng, n, bound=5):
+    a = [0] * (n * n)
+    for i in range(n):
+        for j in range(i, n):
+            a[i * n + j] = a[j * n + i] = rng.randint(-bound, bound)
+    return a
+
+
+def _laplacian(rng, n, rate=0.3, sizes=None):
+    """The Laplacian of a seeded graph, or of the disjoint union of graphs of
+    the given sizes (a block-diagonal matrix)."""
+    adj = [int(i != j and rng.random() < rate) for i in range(n) for j in range(n)]
+    if sizes:
+        starts = [sum(sizes[:b]) for b in range(len(sizes))]
+        block = [next(b for b in range(len(sizes) - 1, -1, -1) if starts[b] <= i) for i in range(n)]
+        adj = [x if block[i // n] == block[i % n] else 0 for i, x in enumerate(adj)]
+    a = [0] * (n * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i * n + j]:
+                a[i * n + j] = a[j * n + i] = -1
+                a[i * n + i] += 1
+                a[j * n + j] += 1
+    return a
 
 
 def _upper_triangular(rng, n):
@@ -231,6 +260,7 @@ def test_route_blocks_of_the_large_block_workload(monkeypatch):
     as the route clears them: the bordered pass's phi_M and phi_M - numerator
     = phi_{M + u v^T} against the oracle."""
     seen, _ = _spy_moduli(monkeypatch, "_bordered_mod")
+    seen_symmetric, _ = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
     rng = random.Random(13)
     laplacian = UniversalParams.laplacian()
     rational = UniversalParams(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 2))
@@ -244,7 +274,9 @@ def test_route_blocks_of_the_large_block_workload(monkeypatch):
             uvt = RationalMatrix(n, n, [ui * vj for ui in u for vj in v])
             assert descale(phi, d) == oracle_charpoly(m)
             assert descale(phi, d) - descale(num, d, n) == oracle_charpoly(m + uvt)
-    assert max(seen) > prime(0)
+    # (ones, d * ones) on a symmetric block takes the Lanczos pass, (ones, subset) the Hessenberg one
+    assert max(seen) > prime(0) and max(seen_symmetric) > prime(0)
+    assert len(seen_symmetric) == 4
 
 
 def test_primes():
@@ -383,3 +415,145 @@ def test_power_trace_kernel_rejects_a_wrong_trace(monkeypatch, wrong):
         power_trace_charpoly(a, n)
     with pytest.raises(ArithmeticError):
         oracle.oracle_charpoly(oracle.RationalMatrix(n, n, a))
+
+
+# -- the Lanczos pass for symmetric blocks ---------------------------------------
+
+
+def _bordered(a, n, u, v):
+    """B = [[0, v^T], [u, A]], row-major (n+1) x (n+1)."""
+    b = [0, *v]
+    for i, ui in enumerate(u):
+        b += [ui, *a[i * n : (i + 1) * n]]
+    return b
+
+
+def _oracle_numerator(a, n, u, v):
+    """(det(xI - A), v^T adj(xI - A) u) from the oracle's power-trace kernel,
+    which shares no code with the route kernel."""
+    phi = power_trace_charpoly(a, n)
+    updated = power_trace_charpoly([a[i * n + j] + ui * vj for i, ui in enumerate(u) for j, vj in enumerate(v)], n)
+    return phi, [p - q for p, q in zip(phi, updated)][:n]
+
+
+def _symmetric_cases(rng, n):
+    """(A, u): symmetric integer A, a graph Laplacian, a disconnected graph's
+    Laplacian and the zero matrix (restarts), with u random, zero, the
+    all-ones eigenvector of a Laplacian, and a multiple of e_0."""
+    u = [rng.randint(-4, 4) for _ in range(n)]
+    ones = [1] * n
+    lap = _laplacian(rng, n)
+    yield _symmetric(rng, n), u
+    yield lap, u
+    yield lap, ones
+    if n >= 4:
+        yield _laplacian(rng, n, 0.5, [n // 2, n - n // 2]), u
+    yield [0] * (n * n), u
+    yield _symmetric(rng, n), [0] * n
+    yield _symmetric(rng, n), [3] + [0] * (n - 1)
+
+
+@pytest.mark.parametrize("primes", [1, 3])
+def test_symmetric_pass_equals_the_hessenberg_pass_per_modulus(primes):
+    rng = random.Random(21)
+    p = math.prod(prime(i) for i in range(primes))
+    for n in range(14):
+        for a, u in _symmetric_cases(rng, n):
+            assert kernel._symmetric_mod(a, n, p) == kernel._charpoly_mod(a, n, p), (n, a)
+            for c in (1, -3, 0):
+                b = _bordered(a, n, u, [c * x for x in u])
+                assert kernel._symmetric_bordered_mod(b, n + 1, p) == kernel._bordered_mod(b, n + 1, p), (n, a, u, c)
+
+
+def test_symmetric_pass_restarts_where_the_krylov_space_closes():
+    # a disconnected graph from e_0, and u an eigenvector: T splits (some
+    # beta_j = 0 past j = 0), and the charpolys still agree
+    rng = random.Random(22)
+    p = prime(0)
+    n = 12
+    cases = [(_laplacian(rng, n, 0.6, [5, 7]), []), (_laplacian(rng, n), [1] * n), ([0] * (n * n), [])]
+    for a, u in cases:
+        alpha, beta = kernel._tridiagonal_mod(kernel._row_groups(a, n, n, 0), p, u)
+        assert len(alpha) == n and any(b == 0 for b in beta[1:])
+        assert kernel._symmetric_mod(a, n, p) == kernel._charpoly_mod(a, n, p)
+        b = _bordered(a, n, u or [1] + [0] * (n - 1), u or [1] + [0] * (n - 1))
+        assert kernel._symmetric_bordered_mod(b, n + 1, p) == kernel._bordered_mod(b, n + 1, p)
+
+
+def test_symmetric_blocks_take_the_lanczos_pass_from_its_dimension(monkeypatch):
+    seen, raised = _spy_moduli(monkeypatch, "_symmetric_mod")
+    seen_b, _ = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
+    rng = random.Random(23)
+    for n in (kernel._LANCZOS_DIM - 1, kernel._LANCZOS_DIM, 20, 28):
+        for a, u in _symmetric_cases(rng, n):
+            seen.clear()
+            seen_b.clear()
+            assert charpoly_int(a, n) == power_trace_charpoly(a, n)
+            for c in (1, -2, 0):
+                v = [c * x for x in u]
+                assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v), (n, u, c)
+            assert bool(seen) == bool(seen_b) == (n >= kernel._LANCZOS_DIM)
+    # v not a multiple of u, or A not symmetric: the Hessenberg pass
+    seen.clear()
+    seen_b.clear()
+    a, n = _symmetric(rng, 12), 12
+    u = [rng.randint(-4, 4) for _ in range(n)]
+    v = u[:-1] + [u[-1] + 1]
+    assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v)
+    a[1] += 1
+    assert charpoly_bordered_int(a, n, u, u) == _oracle_numerator(a, n, u, u)
+    assert charpoly_int(a, n) == power_trace_charpoly(a, n)
+    assert not seen_b and not seen
+
+
+def test_symmetric_pass_on_dimension_zero_and_one():
+    for p in (prime(0), prime(0) * prime(1)):
+        assert kernel._symmetric_mod([], 0, p) == kernel._charpoly_mod([], 0, p) == [1]
+        assert kernel._symmetric_bordered_mod([0], 1, p) == kernel._bordered_mod([0], 1, p)
+        for x, u in ((0, 0), (5, 0), (-7, 2), (3, -4)):
+            assert kernel._symmetric_mod([x], 1, p) == kernel._charpoly_mod([x], 1, p)
+            for c in (1, 3):
+                b = [0, c * u, u, x]
+                assert kernel._symmetric_bordered_mod(b, 2, p) == kernel._bordered_mod(b, 2, p)
+
+
+def test_symmetric_pass_splits_on_a_non_unit_norm(monkeypatch):
+    # column 0 is 7 p0 e_1, so r_1 = 7 p0 e_1 has norm 49 p0^2: no unit mod
+    # p0 p1 p2.  The pass raises, p0 runs alone (r_1 = 0 there, a restart)
+    # and p1 p2 together
+    seen, raised = _spy_moduli(monkeypatch, "_symmetric_mod")
+    rng = random.Random(24)
+    n = 12
+    a = _symmetric(rng, n)
+    for i in range(1, n):
+        a[i * n] = a[i] = 0
+    a[n] = a[1] = 7 * prime(0)
+    p0, p1, p2 = prime(0), prime(1), prime(2)
+    assert _agrees_with_fl(a, n)
+    assert raised == [p0 * p1 * p2]
+    assert seen == [p0 * p1 * p2, p0, p1 * p2]
+
+
+def test_isotropic_vector_falls_back_to_the_hessenberg_pass(monkeypatch):
+    # (1, 2) has norm 5 = 0 mod 5: no Lanczos step, so each pass runs the
+    # Hessenberg reduction for that modulus
+    fell, _ = _spy_moduli(monkeypatch, "_charpoly_mod")
+    fell_b, _ = _spy_moduli(monkeypatch, "_bordered_mod")
+    p, n = 5, 4
+    a = [3, 1, 2, 0, 1, 1, 0, 2, 2, 0, 4, 1, 0, 2, 1, 0]  # column 0 below the diagonal: (1, 2, 0)
+    assert kernel._tridiagonal_mod(kernel._row_groups(a, n, n, 0), p, []) is None
+    want = [c % p for c in faddeev_leverrier(a, n)]
+    assert kernel._symmetric_mod(a, n, p) == want
+    assert fell == [p]
+    u = [1, 2, 0, 0]
+    b = _bordered(a, n, u, [2 * x for x in u])
+    phi, num = _oracle_numerator(a, n, u, [2 * x for x in u])
+    chi0 = [(phi[j - 1] if j else 0) - (num[j] if j < n else 0) for j in range(n + 2)]
+    assert kernel._symmetric_bordered_mod(b, n + 1, p) == [c % p for c in chi0 + phi]
+    assert fell_b == [p]
+    # u = 0 mod p is no fallback: the numerator is 0 mod p, and the basis starts at e_0
+    fell.clear()
+    fell_b.clear()
+    b = _bordered(a, n, [7, 14, 0, 7], [7, 14, 0, 7])
+    assert kernel._symmetric_bordered_mod(b, n + 1, 7) == kernel._bordered_mod(b, n + 1, 7)
+    assert fell_b == [7]  # the reference call above only

@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import FracPoly, is_square_free, ref
+from joinspectra import polynomials
 from joinspectra.errors import DomainError
 from joinspectra.polynomials import (
     NEG_INF,
     Polynomial,
     _derivative,
+    _from_ints,
     poly_gcd,
     square_free_decomposition,
 )
@@ -259,6 +261,27 @@ def test_square_free_decomposition_matches_fraction_reference():
                 p = p * _rand_poly(rng, 2, nonzero=True) ** mult
         if rng.random() < 0.3:
             p = p * (X - 1) * Polynomial((1, 2**62 + 1))  # planted factors shared across multiplicities
+        assert [(ref(f), m) for f, m in square_free_decomposition(p)] == ref(p).yun()
+
+
+@pytest.mark.parametrize("heuristic", [True, False])
+def test_gcd_cofactors_are_the_exact_quotients(monkeypatch, heuristic):
+    # GCDHEU returns its trial divisions, the pseudo-remainder fallback divides
+    # once; either way g * (a / g) = a, contents and signs included, and Yun's
+    # split built on the cofactors equals the reference
+    if not heuristic:
+        monkeypatch.setattr(polynomials, "_gcd_heuristic", lambda a, b: None)
+    rng = random.Random(55)
+    for _ in range(60):
+        g = _rand_poly(rng, 3, nonzero=True)
+        a = g * _rand_poly(rng, 4) * rng.choice((1, -6, 35))
+        b = g * _rand_poly(rng, 4, nonzero=True) * rng.choice((1, -1, 4))
+        ints_a, ints_b = list(a.nums), list(b.nums)
+        h, qa, qb = polynomials._int_gcd(ints_a, ints_b)
+        assert ref(_from_ints(h, h[-1])) == ref(poly_gcd(a, b)) and h[-1] > 0
+        assert (polynomials._int_mul(h, qa) if qa else []) == ints_a
+        assert polynomials._int_mul(h, qb) == ints_b
+        p = a * b * g if a else b * g**2
         assert [(ref(f), m) for f, m in square_free_decomposition(p)] == ref(p).yun()
 
 

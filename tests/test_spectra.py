@@ -42,7 +42,7 @@ from joinspectra.fixtures import (
     subset_join_spec,
 )
 from joinspectra.joins import host_rho
-from joinspectra.matrices import RationalMatrix, charpoly, cleared_rows, interpolated_det, packed_det, packed_width, realization_charpoly
+from joinspectra.matrices import RationalMatrix, charpoly, cleared_rows, closed_form_phi, interpolated_det, packed_det, packed_width, realization_charpoly
 from joinspectra.polynomials import Polynomial
 from joinspectra.resolvent import resolvent_form
 from joinspectra.spectra import (
@@ -744,11 +744,10 @@ def _refuse(*args):
 
 def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
     # symmetric rho (host patterns through universal couplings) and asymmetric
-    # rational rho with zeros, k = 2..6; the other three forms are disabled, and
-    # the closed form must equal the cofactor reference on the same coupling rows
-    monkeypatch.setattr(matrices, "realization_charpoly", _refuse)
-    monkeypatch.setattr(matrices, "packed_det", _refuse)
-    monkeypatch.setattr(matrices, "interpolated_det", _refuse)
+    # rational rho with zeros, k = 2..6: the closed form must equal the
+    # cofactor reference on the same coupling rows.  Blocks this small cost
+    # less in another form, so the closed form is called by name here, and
+    # coupling_poly must agree whichever form its cost rule takes
     rng = random.Random(14)
     for k in range(2, 7):
         for _ in range(4):
@@ -760,7 +759,21 @@ def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
                 tuple(Fraction(0) if i == j or rng.random() < 0.3 else random_fraction(rng) for j in range(k)) for i in range(k)
             )
             for rho in (sym, asym):
-                assert coupling_poly(fs, gs, rho) == cofactor_det(coupling_rows(fs, gs, rho))
+                want = cofactor_det(coupling_rows(fs, gs, rho))
+                assert closed_form_phi(form.num, form.den, rho) == want
+                assert coupling_poly(fs, gs, rho) == want
+
+
+def test_lex_products_take_the_closed_form_phi(monkeypatch):
+    # the cost rule keeps the closed form where it wins by far: on these two
+    # lex shapes it took 7 and 31 ms, against 50 ms and 4.8 s in another form
+    monkeypatch.setattr(matrices, "realization_charpoly", _refuse)
+    monkeypatch.setattr(matrices, "packed_det", _refuse)
+    monkeypatch.setattr(matrices, "interpolated_det", _refuse)
+    rng = random.Random(2026)
+    for k, n in ((12, 12), (30, 10)):
+        cb = universal_blocks(_lex_spec(random_graph(rng, k), random_graph(rng, n)))
+        assert coupled_charpoly(cb).degree == k * n
 
 
 def test_one_matrix_under_other_vectors_is_another_block():
@@ -777,11 +790,14 @@ def test_one_matrix_under_other_vectors_is_another_block():
 
 def test_lex_join_takes_one_blocks_kernel_calls_plus_one_k_by_k_call(kernel_calls):
     # an irregular inner graph takes one bordered pass, a regular one (or a
-    # Laplacian block) one charpoly; then Phi's closed form takes one k x k call
+    # Laplacian block) one charpoly; then Phi's closed form takes one k x k
+    # call.  The first host is large enough for the closed form to be the
+    # cheapest; the other two have one pole per block (D = k), and their
+    # realization is the one call of dimension k
     rng = random.Random(9)
     irregular = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     cases = [
-        (_lex_spec(random_graph(rng, 8), irregular), [("bordered", 5), 8]),
+        (_lex_spec(random_graph(rng, 10), irregular), [("bordered", 5), 10]),
         (_lex_spec(random_graph(rng, 7), cycle(5)), [5, 7]),
         (_lex_spec(cycle(6), irregular, UniversalParams.laplacian()), [5, 6]),
     ]
