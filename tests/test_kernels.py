@@ -64,8 +64,7 @@ def _laplacian(rng, n, rate=0.3, sizes=None):
     the given sizes (a block-diagonal matrix)."""
     adj = [int(i != j and rng.random() < rate) for i in range(n) for j in range(n)]
     if sizes:
-        starts = [sum(sizes[:b]) for b in range(len(sizes))]
-        block = [next(b for b in range(len(sizes) - 1, -1, -1) if starts[b] <= i) for i in range(n)]
+        block = [b for b, size in enumerate(sizes) for _ in range(size)]
         adj = [x if block[i // n] == block[i % n] else 0 for i, x in enumerate(adj)]
     a = [0] * (n * n)
     for i in range(n):

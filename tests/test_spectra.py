@@ -742,7 +742,7 @@ def _refuse(*args):
     raise AssertionError("identical blocks left the closed-form Phi")
 
 
-def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
+def test_identical_blocks_take_the_closed_form_phi():
     # symmetric rho (host patterns through universal couplings) and asymmetric
     # rational rho with zeros, k = 2..6: the closed form must equal the
     # cofactor reference on the same coupling rows.  Blocks this small cost
@@ -765,8 +765,8 @@ def test_identical_blocks_take_the_closed_form_phi(monkeypatch):
 
 
 def test_lex_products_take_the_closed_form_phi(monkeypatch):
-    # the cost rule keeps the closed form where it wins by far: on these two
-    # lex shapes it took 7 and 31 ms, against 50 ms and 4.8 s in another form
+    # the cost rule keeps the closed form where it wins by far: on lex shapes
+    # of this size the other forms take ten times longer or more
     monkeypatch.setattr(matrices, "realization_charpoly", _refuse)
     monkeypatch.setattr(matrices, "packed_det", _refuse)
     monkeypatch.setattr(matrices, "interpolated_det", _refuse)
