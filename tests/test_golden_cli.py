@@ -4,13 +4,14 @@ Each case runs one verb on a small spec file and compares its stdout with
 `tests/golden/<case>.txt`.  The specs are the two golden fixtures (the mixed
 join and its subset-constrained variant), a small corona spec, two
 lexicographic specs (Laplacian parameters and none), a join of regular
-components, the mixed join with Laplacian parameters, and three joins whose
+components, the mixed join with Laplacian parameters, three joins whose
 blocks have repeated eigenvalues (a main eigenvalue of multiplicity above 1,
-and a zero subset vector); the files are written into the working directory,
-so `verify` names them by their bare file names.  One case runs no spec: the
-first 20 cases of the seeded random suite, so that its seeded draws stay
-where they are; all 200 cases of that seed are pinned by the sha256 of their
-output.
+and a zero subset vector), and a join under rational parameters whose
+components repeat at distinct host weights.  The files are written into the
+working directory, so `verify` names them by their bare file names.  One
+case runs no spec: the first 20 cases of the seeded random suite, so that
+its seeded draws stay where they are; all 200 cases of that seed are pinned
+by the sha256 of their output.
 """
 
 import contextlib
@@ -61,6 +62,14 @@ SPECS = {
         "components": ["4;", "5; 0-1,0-2,0-3,0-4", "6; 0-1,1-2,3-4,4-5"],
         "subsets": [[0, 1, 2, 3], [], [0, 3]],
     },
+    # a 5-vertex host whose 3-paths sit at host weights 5, 7 and 4 and whose
+    # edgeless graphs sit at 9 and 6, under rational parameters with delta = -5/7:
+    # every block of one component is another's translate by delta times a weight
+    "shifted.json": {
+        "host": "5; 0-1,1-2,2-3,3-4,0-2,1-4",
+        "components": ["3; 0-1,1-2", "2;", "3; 0-1,1-2", "2;", "3; 0-1,1-2"],
+        "universal": {"alpha": "2/3", "gamma": "1/2", "delta": "-5/7"},
+    },
 }
 
 CASES = {
@@ -78,6 +87,8 @@ CASES = {
     "spectrum-verify-repeated": ["spectrum", "repeated.json", "--verify"],
     "spectrum-verify-repeated-laplacian": ["spectrum", "repeated-laplacian.json", "--verify"],
     "spectrum-verify-repeated-subset": ["spectrum", "repeated-subset.json", "--verify"],
+    "charpoly-shifted": ["charpoly", "shifted.json"],
+    "verify-json-shifted": ["verify", "shifted.json", "--json"],
     "gcp-half-mixed": ["gcp", "mixed.json", "--t", "1/2"],
     "corona-verify": ["corona", "corona.json", "--verify"],
     "lex-verify": ["lex", "lex.json", "--verify"],
