@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ShapeError
 from .kernel import charpoly_int, is_symmetric_int
-from .polynomials import Polynomial, _from_ints, _horner, as_fraction, clear_denominators
+from .polynomials import Polynomial, _from_ints, _horner, _kronecker_digits, as_fraction, clear_denominators
 from .records import Record
 
 Vector = tuple[Fraction, ...]
@@ -306,14 +306,7 @@ def packed_det(rows: ClearedRows, w: int) -> Polynomial:
     at x = 1 must equal their sum, and no more than B + 1 digits can occur;
     either failure means a wrong value, and raises ArithmeticError.
     """
-    packed = _int_det(_values_at(rows, 1 << w))
-    coeffs, half, mask = [], 1 << (w - 1), (1 << w) - 1
-    while packed:
-        digit = packed & mask
-        if digit >= half:
-            digit -= mask + 1
-        coeffs.append(digit)
-        packed = (packed - digit) >> w
+    coeffs = _kronecker_digits(_int_det(_values_at(rows, 1 << w)), w)
     if len(coeffs) > rows.degree + 1 or sum(coeffs) != _int_det(_values_at(rows, 1)):
         raise ArithmeticError("packed determinant failed its check at x = 1")
     return _from_ints(coeffs, rows.den)

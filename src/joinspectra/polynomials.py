@@ -4,15 +4,17 @@ A polynomial is stored as integer numerators over one positive denominator
 in lowest terms: `nums[i] / den` is the coefficient of x^i, `nums` has no
 trailing zero, and gcd(den, *nums) = 1.  That form is canonical, so equality
 and hashing compare (nums, den), and every operation -- sums, products,
-exact division, gcds, Yun's square-free split and evaluation -- runs
-on Python ints.  `coeffs`, the ascending tuple of Fraction coefficients, is
-a read-only view built on first use.  The zero polynomial has nums = () and
+exact division, gcds, Yun's square-free split, Taylor shifts and
+evaluation -- runs on Python ints.  `coeffs`, the ascending tuple of
+Fraction coefficients, is a read-only view built on first use.  The zero polynomial has nums = () and
 den = 1, and reports degree ``-inf`` so degree comparisons never lean on
 ``-1`` arithmetic.
 
 Exact quotients by a primitive divisor are integral (Gauss's lemma), gcds
 come from GCDHEU with a primitive pseudo-remainder sequence behind it, and
-Yun's algorithm runs on the primitive integer polynomial.
+Yun's algorithm runs on the primitive integer polynomial.  A product of
+many polynomials is one big-integer product (Kronecker substitution,
+`poly_product`).
 """
 
 from __future__ import annotations
@@ -197,6 +199,22 @@ class Polynomial(Record):
 
     # -- calculus / substitution --------------------------------------
 
+    def translated(self, s: Scalar) -> "Polynomial":
+        """p(x - s), whose roots are p's moved by s, for exact rational s.
+
+        One integer Taylor shift: with s = a / b and n = deg p, the integer
+        polynomial P(z) = sum nums[i] b^(n - i) z^i has P(b x - a) =
+        b^n den p(x - s), and P(z - a) read at z = b x scales its coefficient
+        of x^j by b^j.  So p(x - s) is P(z - a)'s coefficients times b^j, over
+        den b^n.
+        """
+        s = as_fraction(s)
+        if not s or len(self.nums) < 2:
+            return self
+        a, b, n = s.numerator, s.denominator, len(self.nums) - 1
+        scaled = [c * b ** (n - i) for i, c in enumerate(self.nums)]
+        return _from_ints([c * b**j for j, c in enumerate(_int_shift(scaled, -a))], self.den * b**n)
+
     def monic(self) -> "Polynomial":
         if self.is_zero or self.is_monic:
             return self
@@ -315,6 +333,38 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
         sum(map(mul, a[max(0, k - n + 1) : min(k, m - 1) + 1], rb[max(n - 1 - k, 0) : n - k + min(k, m - 1)]))
         for k in range(m + n - 1)
     ]
+
+
+def _int_shift(a: Sequence[int], t: int) -> list[int]:
+    """a(x + t), for a nonzero integer list a (Taylor shift in n^2 / 2 steps)."""
+    c = list(a)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += t * c[j + 1]
+    return c
+
+
+def _kronecker_pack(a: Sequence[int], w: int) -> int:
+    """a(2^w), the Kronecker substitution of the integer list a."""
+    v = 0
+    for c in reversed(a):
+        v = (v << w) + c
+    return v
+
+
+def _kronecker_digits(v: int, w: int) -> list[int]:
+    """The signed base-2^w digits of v, lowest first, each in [-2^(w-1), 2^(w-1)):
+    the coefficients of the integer polynomial whose value at 2^w is v, when
+    every coefficient lies in that range."""
+    coeffs, half, mask = [], 1 << (w - 1), (1 << w) - 1
+    while v:
+        digit = v & mask
+        if digit >= half:
+            digit -= mask + 1
+        coeffs.append(digit)
+        v = (v - digit) >> w
+    return coeffs
 
 
 def _int_quotient(a: list[int], b: list[int]) -> list[int] | None:
@@ -448,6 +498,23 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     g = _int_gcd(a.nums, b.nums)[0]
     return _from_ints(g, g[-1])
+
+
+def poly_product(polys: Sequence[Polynomial]) -> Polynomial:
+    """The product of the polynomials, as one big-integer product.
+
+    Kronecker substitution: every numerator list is read at x = 2^w, where
+    2^(w-1) exceeds the product of their 1-norms and so every coefficient of
+    their product, and the product of those integers is read back as its
+    signed base-2^w digits, over the product of the denominators.  The
+    integers are multiplied in the order given.
+    """
+    if not polys:
+        return Polynomial.one()
+    # each 1-norm is below 2^(its bit length), so their product is below 2^(w-1)
+    w = sum(sum(map(abs, p.nums)).bit_length() for p in polys) + 1
+    packed = math.prod([_kronecker_pack(p.nums, w) for p in polys])
+    return _from_ints(_kronecker_digits(packed, w), math.prod([p.den for p in polys]))
 
 
 def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:

@@ -6,6 +6,9 @@ expanding det(xI - B) along its first row gives det(xI - B) =
 x det(xI - M) - v^T adj(xI - M) u; `kernel.charpoly_bordered_int` reduces B
 once and reads det(xI - B) and det(xI - M) off the same Hessenberg form.  So
 v^T (xI - M)^{-1} u = (x phi_M - phi_B) / phi_M, with no second reduction.
+The pass returns both polynomials as integers for D * M, and one gcd of those
+integers (`polynomials._int_gcd`) gives the gcd and both quotients, so each
+of the three reduced polynomials is descaled once and nothing is divided.
 When u = v is an eigenvector of M, M u = mu u, phi_M alone suffices: the form
 is then |u|^2 / (x - mu) (the case of Fiedler's lemma), and `resolvent_form`
 detects it on the integers it has already cleared.  All-ones is such a vector
@@ -24,7 +27,9 @@ A form is all that the coupled-block path keeps of a block, so it also holds
 the cofactor phi_M / g that the reduction cancels: a glued charpoly is Phi
 times the blocks' cofactors (`spectra`).  `resolvent_form` is the one producer
 of a form from a dense (M, u, v), and it records whether M is symmetric with
-u = v, the per-block half of the precondition of a real spectrum.
+u = v, the per-block half of the precondition of a real spectrum.  A form
+of M gives that of M + sI without a kernel pass: every polynomial p becomes
+p(x - s) (`ResolventForm.translated`), which keeps it reduced and canonical.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Sequence
 from .errors import PreconditionError, ShapeError
 from .kernel import charpoly_bordered_int
 from .matrices import RationalMatrix, as_vector, charpoly, descale
-from .polynomials import Polynomial, clear_denominators, poly_gcd
+from .polynomials import Polynomial, _int_gcd, clear_denominators
 from .records import Record
 from .roots import real_roots
 
@@ -53,6 +58,14 @@ class ResolventForm(Record):
     den: Polynomial
     cofactor: Polynomial
     hermitian: bool
+
+    def translated(self, s) -> "ResolventForm":
+        """The form of M + sI with the same vectors: (xI - M - sI)^(-1) is
+        ((x - s)I - M)^(-1), so every polynomial p becomes p(x - s), which
+        keeps the form reduced and its denominator and cofactor monic."""
+        if not s:
+            return self
+        return ResolventForm(self.num.translated(s), self.den.translated(s), self.cofactor.translated(s), self.hermitian)
 
 
 def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
@@ -75,8 +88,9 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     """Exact v^T (xI - M)^{-1} u, reduced; v defaults to u.
 
     Computed as v^T adj(xI - M) u / phi_M from one bordered kernel pass and
-    reduced by one gcd, or as |u|^2 / (x - mu), already reduced, from phi_M
-    alone when u = v is an eigenvector of M (see the module docstring).  Both
+    reduced by one gcd of its integers, or as |u|^2 / (x - mu), already
+    reduced, from phi_M alone when u = v is an eigenvector of M (see the
+    module docstring).  Both
     run on integers: with d clearing the denominators of M, du those of u and
     dv those of v, the eigenvector test runs on d * M and du * u, and the pass
     on D * M, du * u and (D / du) * v, D the lcm of d and du * dv, whose outer
@@ -104,12 +118,14 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
         ints = [x * (common // d) for x in ints]
     v_ints = [x.numerator * (common // (du * x.denominator)) for x in vv]
     phi, num = charpoly_bordered_int(ints, n, u_ints, v_ints)
-    phi = descale(phi, common)
-    num = descale(num, common, n)
-    # phi and the gcd are monic, so the reduced denominator is too; the gcd
-    # is the cofactor, and a zero numerator has gcd phi and reduces to 0/1
-    g = poly_gcd(num, phi)
-    return ResolventForm(num.exact_div(g), phi.exact_div(g), g, hermitian)
+    while num and not num[-1]:
+        num.pop()
+    # the kernel's phi is D^n phi_M(x / D), monic, so its gcd g with num and
+    # its quotient by g are monic too: descaled, they are the cofactor and the
+    # reduced denominator, and num / g the reduced numerator.  A zero
+    # numerator has gcd phi and reduces to 0/1
+    g, num, den = _int_gcd(num, phi)
+    return ResolventForm(descale(num, common, n + 1 - len(g)), descale(den, common), descale(g, common), hermitian)
 
 
 def main_poles(m: RationalMatrix, u: Sequence) -> list[float]:

@@ -10,25 +10,30 @@ and rho; the characteristic polynomial of the glued matrix factors exactly as
     prod_i q_i * Phi,
 
 where Phi is the determinant of the k x k polynomial matrix with g_i on the
-diagonal and -rho_ij * f_i off it, `matrices.coupling_poly`.  Everything
-here works with that cleared form, so zero vectors (f_i = 0, g_i = 1) and
-asymmetric couplings cost nothing special.  Graph joins, their
-universal-matrix and subset variants, lexicographic products (the join
-whose components are all one graph) and generalized coronas are block
-builders: each only picks the blocks and the coupling,
-makes one form per distinct block (`resolvent_form` of its dense matrix,
-or, for a corona's cone, the apex form from its companion's form), and
-callers pass them to `coupled_charpoly` or `coupled_spectrum`.  A
-builder names no route: `verification.CONSTRUCTIONS` pairs each one with
-its route name and its truth.  A universal-matrix builder reads the
-parameters `JoinSpec.params` states, so a spec that names none is the
-adjacency join.  Every spectrum is
-classified by one step.  A block whose vector is an eigenvector (all-ones
-on regular or alpha + delta = 0 blocks, Fiedler's lemma being the rank-one
-case) has the resolvent n_i / (x - p_i) and costs one charpoly;
-`resolvent_form` detects this on every route, so the regular and
-alpha + delta = 0 shortcuts are only the preconditions `require_regular`
-and `require_balanced` before that path.
+diagonal and -rho_ij * f_i off it, `matrices.coupling_poly`, and the product
+is one big-integer product by Kronecker substitution (`poly_product`).
+Everything here works with that cleared form, so zero vectors (f_i = 0,
+g_i = 1) and asymmetric couplings cost nothing special.
+
+Graph joins, their universal-matrix and subset variants, lexicographic
+products (the join whose components are all one graph) and generalized
+coronas are block builders: each only picks the blocks and the coupling,
+makes one form per distinct block, and callers pass them to
+`coupled_charpoly` or `coupled_spectrum`.  A form is `resolvent_form` of
+the block's dense matrix, with two exceptions.  A universal block
+U_i + delta * w_i * I whose component came before at another host weight
+takes that block's form translated by delta times the difference of the
+weights, with no kernel pass.  A corona's cone takes the apex form from its
+companion's form.  A builder names no route: `verification.CONSTRUCTIONS`
+pairs each one with its route name and its truth.  A universal-matrix
+builder reads the parameters `JoinSpec.params` states, so a spec that names
+none is the adjacency join.  Every spectrum is classified by one step.  A
+block whose vector is an eigenvector (all-ones on regular or
+alpha + delta = 0 blocks, Fiedler's lemma being the rank-one case) has the
+resolvent n_i / (x - p_i) and costs one charpoly; `resolvent_form` detects
+this on every route, so the regular and alpha + delta = 0 shortcuts are
+only the preconditions `require_regular` and `require_balanced` before that
+path.
 
 Nothing here verifies itself: a check needs a truth built without these
 blocks, and that is `oracle.check`'s job.
@@ -52,7 +57,7 @@ from .joins import (
     universal_matrix,
 )
 from .matrices import coupling_poly
-from .polynomials import Polynomial, as_fraction, poly_gcd, square_free_decomposition
+from .polynomials import Polynomial, as_fraction, poly_gcd, poly_product, square_free_decomposition
 from .records import Record
 from .resolvent import ResolventForm, resolvent_form
 from .roots import real_roots
@@ -93,12 +98,10 @@ class CoupledBlocks(Record):
 
 
 def _glued_product(phi: Polynomial, cofactors: Sequence[Polynomial], total_dim: int) -> Polynomial:
-    """Phi times every block cofactor, checked to be monic of the glued dimension."""
+    """Phi times every block cofactor, one Kronecker-substituted product
+    (`poly_product`), checked to be monic of the glued dimension."""
     # the small cofactors first: the large Phi then takes part in one product only
-    out = Polynomial.one()
-    for cof in cofactors:
-        out = out * cof
-    out = phi * out
+    out = poly_product([*cofactors, phi])
     if out.degree != total_dim or not out.is_monic:
         raise ArithmeticError("glued characteristic polynomial failed its degree check")
     return out
@@ -202,15 +205,25 @@ def subset_blocks(spec: JoinSpec) -> CoupledBlocks:
 def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
     """Forms of the blocks U_i + delta*w_i*I at all-ones, coupled by rho*alpha + gamma,
     for the parameters `spec.params` (adjacency when the spec names none);
-    one form per distinct (component, shift) pair, shared by its blocks."""
+    one form per distinct (component, shift) pair, shared by its blocks.
+
+    Each distinct component is reduced once, at the weight w0 of its first
+    block; its block at weight w is that block plus delta (w - w0) I, so its
+    form is the first form translated by delta (w - w0)
+    (`ResolventForm.translated`), with no kernel pass.
+    """
     _require_plain(spec)
     params = spec.params
+    delta = params.delta
     # keyed on the weight w of the shift delta * w, an int, which hashes in C where Fractions do not
-    keys = [(g, w if params.delta else 0) for g, w in zip(spec.components, join_weights(spec))]
-    forms = {
-        (g, w): resolvent_form(universal_matrix(g, params, params.delta * w), (Fraction(1),) * g.n)
-        for g, w in dict.fromkeys(keys)
-    }
+    keys = [(g, w if delta else 0) for g, w in zip(spec.components, join_weights(spec))]
+    forms: dict[tuple[Graph, int], ResolventForm] = {}
+    first: dict[Graph, tuple[int, ResolventForm]] = {}
+    for g, w in dict.fromkeys(keys):
+        if g not in first:
+            first[g] = w, resolvent_form(universal_matrix(g, params, delta * w), (Fraction(1),) * g.n)
+        w0, form = first[g]
+        forms[g, w] = form.translated(delta * (w - w0))
     return CoupledBlocks([forms[key] for key in keys], _universal_rho(effective_rho(spec), params))
 
 

@@ -14,6 +14,7 @@ from joinspectra.polynomials import (
     _derivative,
     _from_ints,
     poly_gcd,
+    poly_product,
     square_free_decomposition,
 )
 
@@ -318,3 +319,27 @@ def test_serialization_round_trip():
 def test_str_rendering():
     assert str(X**3 - 2 * X) == "x^3 - 2*x"
     assert str(Polynomial()) == "0"
+
+
+def test_poly_product_is_the_sequential_product():
+    rng = random.Random(33)
+    for _ in range(30):
+        polys = [Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))]) for _ in range(rng.randint(1, 5))]
+        want = Polynomial.one()
+        for p in polys:
+            want = want * p
+        assert poly_product(polys) == want
+    assert poly_product([]) == Polynomial.one()
+    assert poly_product([Polynomial([1, 2]), Polynomial()]).is_zero
+
+
+def test_translated_is_the_composition_with_x_minus_s():
+    rng = random.Random(34)
+    for _ in range(60):
+        p = Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(0, 7))])
+        s = Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 7, 12]))
+        want = Polynomial()
+        for c in reversed(p.coeffs):
+            want = want * (X - s) + c
+        assert p.translated(s) == want
+        assert p.translated(s).translated(-s) == p

@@ -30,7 +30,7 @@ from joinspectra import (
     oracle_spectrum,
     universal_matrix,
 )
-from joinspectra import matrices
+from joinspectra import matrices, spectra
 from joinspectra.cli import main
 from joinspectra.errors import PreconditionError, ShapeError
 from joinspectra.fixtures import (
@@ -1106,3 +1106,80 @@ def test_universal_blocks_are_shifted_literal_matrices():
             assert form.hermitian
             # one form per distinct (component, shift), shared by its blocks
             assert form is cb.forms[keys.index(keys[i])]
+
+
+# a menu with a 0- and a 1-vertex graph, a regular graph (all-ones is an
+# eigenvector of its adjacency and signless blocks) and two irregular ones
+TRANSLATION_MENU = (Graph(0, ()), Graph(1, ()), cycle(4), star(3), Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)]))
+TRANSLATION_PARAMS = [*PRESET_VALUES, (1, "1/3", "1/2", "-5/7")]
+
+
+def _repeating_join(rng, params):
+    """A seeded connected host of 7 to 9 vertices whose blocks repeat menu graphs."""
+    k = rng.randint(7, 9)
+    host = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k) if j == i + 1 or rng.random() < 0.4])
+    return JoinSpec(host, tuple(rng.choice(TRANSLATION_MENU) for _ in range(k)), universal=params)
+
+
+@pytest.mark.parametrize("values", TRANSLATION_PARAMS)
+def test_translated_forms_equal_the_forms_of_their_own_blocks(values, kernel_calls):
+    # a component's first block is reduced, and its blocks at other host
+    # weights get that form translated; each must equal its own block's form
+    rng = random.Random(30)
+    params = UniversalParams(*values)
+    branches = set()
+    repeated = 0
+    for _ in range(6):
+        spec = _repeating_join(rng, params)
+        w = join_weights(spec)
+        cb = universal_blocks(spec)
+        repeated += len({(g, w[i]) for i, g in enumerate(spec.components)}) > len(set(spec.components))
+        for i, (g, form) in enumerate(zip(spec.components, cb.forms)):
+            kernel_calls.clear()
+            want = resolvent_form(universal_matrix(g, params, params.delta * w[i]), [1] * g.n)
+            branches.add("bordered" if isinstance(kernel_calls[0], tuple) else "eigenvector")
+            assert form == want
+            assert form.hermitian
+    # the seeded joins hold components at several host weights, and reach both branches
+    assert repeated >= 4
+    assert branches == {"bordered", "eigenvector"} or params.alpha + params.delta == 0
+
+
+@pytest.mark.parametrize("values", TRANSLATION_PARAMS)
+def test_universal_blocks_take_one_kernel_pass_per_distinct_component(values, kernel_calls):
+    rng = random.Random(31)
+    params = UniversalParams(*values)
+    for _ in range(6):
+        spec = _repeating_join(rng, params)
+        distinct = list(dict.fromkeys(spec.components))
+        w = join_weights(spec)
+        pairs = {(g, w[i]) for i, g in enumerate(spec.components)}
+        kernel_calls.clear()
+        universal_blocks(spec)
+        # one charpoly or bordered pass per distinct component, in order of first appearance
+        assert [c[1] if isinstance(c, tuple) else c for c in kernel_calls] == [g.n for g in distinct]
+        # where delta != 0 a pass per (component, weight) pair would be more
+        assert len(pairs) > len(distinct) or params.delta == 0
+
+
+def test_glued_product_equals_the_sequential_product():
+    rng = random.Random(32)
+
+    def monic(degree, num_bits=8, den=6):
+        coeffs = [Fraction(rng.randint(-(1 << num_bits), 1 << num_bits), rng.randint(1, den)) for _ in range(degree)]
+        return Polynomial([*coeffs, 1])
+
+    wide = 0
+    for trial in range(40):
+        k = 1 if trial % 5 == 0 else rng.randint(2, 6)
+        cofactors = [monic(rng.randint(0, 4)) for _ in range(k)]
+        if trial % 3 == 0:
+            cofactors[rng.randrange(k)] = Polynomial.one()
+        phi = monic(rng.randint(0, 12), num_bits=320 if trial % 2 else 4, den=1 if trial % 4 else 35)
+        want = phi
+        for cof in cofactors:
+            want = want * cof
+        got = spectra._glued_product(phi, cofactors, want.degree)
+        assert got == want
+        wide += max(abs(c).bit_length() for c in phi.nums) > 300
+    assert wide >= 10
