@@ -6,9 +6,9 @@ trailing zero, and gcd(den, *nums) = 1.  That form is canonical, so equality
 and hashing compare (nums, den), and every operation -- sums, products,
 exact division, gcds, Yun's square-free split, Taylor shifts and
 evaluation -- runs on Python ints.  `coeffs`, the ascending tuple of
-Fraction coefficients, is a read-only view built on first use.  The zero polynomial has nums = () and
-den = 1, and reports degree ``-inf`` so degree comparisons never lean on
-``-1`` arithmetic.
+Fraction coefficients, is a read-only view built on first use.  The zero
+polynomial has nums = () and den = 1, and reports degree ``-inf`` so degree
+comparisons never lean on ``-1`` arithmetic.
 
 Exact quotients by a primitive divisor are integral (Gauss's lemma), gcds
 come from GCDHEU with a primitive pseudo-remainder sequence behind it, and

@@ -90,11 +90,10 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     Computed as v^T adj(xI - M) u / phi_M from one bordered kernel pass and
     reduced by one gcd of its integers, or as |u|^2 / (x - mu), already
     reduced, from phi_M alone when u = v is an eigenvector of M (see the
-    module docstring).  Both
-    run on integers: with d clearing the denominators of M, du those of u and
-    dv those of v, the eigenvector test runs on d * M and du * u, and the pass
-    on D * M, du * u and (D / du) * v, D the lcm of d and du * dv, whose outer
-    product is D u v^T.
+    module docstring).  Both run on integers: with d clearing the
+    denominators of M, du those of u and dv those of v, the eigenvector test
+    runs on d * M and du * u, and the pass on D * M, du * u and (D / du) * v,
+    D the lcm of d and du * dv, whose outer product is D u v^T.
     """
     uu = as_vector(u)
     vv = uu if v is None else as_vector(v)
