@@ -6,9 +6,11 @@ join and its subset-constrained variant), a small corona spec, two
 lexicographic specs (Laplacian parameters and none), a join of regular
 components, the mixed join with Laplacian parameters, three joins whose
 blocks have repeated eigenvalues (a main eigenvalue of multiplicity above 1,
-and a zero subset vector), and a join under rational parameters whose
-components repeat at distinct host weights.  The files are written into the
-working directory, so `verify` names them by their bare file names.  One
+and a zero subset vector), a join under rational parameters whose
+components repeat at distinct host weights, one whose components are
+relabelings of two graphs, and a subset join of relabeled (graph, subset)
+pairs.  The files are written into the working directory, so `verify`
+names them by their bare file names.  One
 case runs no spec: the first 20 cases of the seeded random suite, so that
 its seeded draws stay where they are; all 200 cases of that seed are pinned
 by the sha256 of their output.
@@ -70,6 +72,28 @@ SPECS = {
         "components": ["3; 0-1,1-2", "2;", "3; 0-1,1-2", "2;", "3; 0-1,1-2"],
         "universal": {"alpha": "2/3", "gamma": "1/2", "delta": "-5/7"},
     },
+    # three relabelings of the 4-path (host weights 20, 12 and 4) and three of the
+    # paw (16, 12 and 8) under rational parameters with gamma and delta nonzero:
+    # every block is one of two isomorphism classes translated by delta times a weight
+    "relabeled.json": {
+        "host": "6; 0-1,0-2,0-3,0-4,0-5,1-2,2-3,3-4,1-3",
+        "components": [
+            "4; 0-1,1-2,2-3",
+            "4; 1-3,0-3,0-2",
+            "4; 0-1,1-2,0-2,2-3",
+            "4; 1-3,0-3,0-1,0-2",
+            "4; 0-3,1-3,2-3,0-2",
+            "4; 0-2,0-3,1-3",
+        ],
+        "universal": {"alpha": "3/2", "beta": "1/4", "gamma": "-2/3", "delta": "1/2"},
+    },
+    # subsets on relabeled pairs: an end of the 3-path twice (relabeled), its
+    # centre once, and both ends of the 4-path twice (relabeled)
+    "relabeled-subset.json": {
+        "host": "5; 0-1,1-2,2-3,3-4,0-4,0-2",
+        "components": ["3; 0-1,1-2", "3; 0-2,1-2", "3; 0-1,1-2", "4; 0-1,1-2,2-3", "4; 1-3,0-3,0-2"],
+        "subsets": [[0], [1], [1], [0, 3], [1, 2]],
+    },
 }
 
 CASES = {
@@ -89,6 +113,10 @@ CASES = {
     "spectrum-verify-repeated-subset": ["spectrum", "repeated-subset.json", "--verify"],
     "charpoly-shifted": ["charpoly", "shifted.json"],
     "verify-json-shifted": ["verify", "shifted.json", "--json"],
+    "charpoly-relabeled": ["charpoly", "relabeled.json"],
+    "verify-json-relabeled": ["verify", "relabeled.json", "--json"],
+    "charpoly-relabeled-subset": ["charpoly", "relabeled-subset.json"],
+    "verify-json-relabeled-subset": ["verify", "relabeled-subset.json", "--json"],
     "gcp-half-mixed": ["gcp", "mixed.json", "--t", "1/2"],
     "corona-verify": ["corona", "corona.json", "--verify"],
     "lex-verify": ["lex", "lex.json", "--verify"],
