@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import SpecError
 from .matrices import RationalMatrix, Vector
@@ -113,6 +114,75 @@ class Graph(Record):
             except ValueError:
                 raise SpecError(f"bad edge token {chunk!r}") from None
         return cls(n, edges)
+
+
+# -- canonical keys ------------------------------------------------------------
+#
+# A labeled graph on n vertices, with some vertices coloured, is one bit mask:
+# bit `_pair_bits(n)[u * n + v]` for the edge u-v (u < v), in the C(n, 2) low
+# bits, and bit C(n, 2) + v for a coloured vertex v.  A relabeling permutes the
+# bits, and the least mask of a mask's orbit under the n! relabelings is a
+# canonical form: two masks share it exactly when a relabeling maps one to
+# the other.
+
+# Graphs up to this many vertices key on their canonical mask; larger ones key
+# on their labels.  The orbit of a mask costs n! relabelings once, after which
+# every mask of the orbit is a dict lookup of 2-3 us.  On a 2-vCPU host
+# (Python 3.11) an orbit took 0.006, 0.010, 0.027, 0.11 and 0.50 ms at n = 2
+# to 6, against a median 59, 91, 114, 141 and 178 us for the form of one
+# G(n, 1/2) adjacency block: a first sighting costs less than the pass a
+# repeat saves up to n = 5 and about 3 passes at n = 6, whose relabelings
+# also take 2.3 ms to list and whose table could grow to 2^21 masks.
+_CANONICAL_MAX_N = 5
+
+# n -> mask -> the least mask of its orbit, filled one orbit at a time on first
+# use, so never holding more than the 2^(C(n, 2) + n) masks on n vertices.
+# Threads that fill one orbit at once write the same values, so no lock
+_canonical: dict[int, dict[int, int]] = {}
+# n -> (pair bits, the bit permutation of every relabeling), built on first use
+_relabelings: dict[int, tuple[list[int], list[list[int]]]] = {}
+
+
+def _bit_maps(n: int) -> tuple[list[int], list[list[int]]]:
+    """The bit of each vertex pair (u * n + v, either order) and, for every
+    permutation p of the vertices, the bit each bit moves to under p."""
+    found = _relabelings.get(n)
+    if found is None:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        bit = [0] * (n * n)
+        for b, (u, v) in enumerate(pairs):
+            bit[u * n + v] = bit[v * n + u] = b
+        e = len(pairs)
+        moves = [[bit[p[u] * n + p[v]] for u, v in pairs] + [e + p[v] for v in range(n)] for p in permutations(range(n))]
+        found = _relabelings[n] = bit, moves
+    return found
+
+
+def canonical_key(g: Graph, members=None):
+    """A key equal for two (graph, colour class) inputs exactly when a
+    relabeling maps one onto the other, members the coloured vertices (none
+    when omitted): (n, the least mask of the input's orbit) up to
+    `_CANONICAL_MAX_N` vertices, and the labeled graph, or the labeled pair,
+    above."""
+    n = g.n
+    if n > _CANONICAL_MAX_N:
+        return g if members is None else (g, tuple(members))
+    bit, moves = _bit_maps(n)
+    mask = 0
+    for u, v in g.edges:
+        mask |= 1 << bit[u * n + v]
+    if members:
+        e = n * (n - 1) // 2
+        for v in members:
+            mask |= 1 << (e + v)
+    table = _canonical.setdefault(n, {})
+    least = table.get(mask)
+    if least is None:
+        bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+        orbit = {sum([1 << move[b] for b in bits]) for move in moves}
+        least = min(orbit)
+        table.update(dict.fromkeys(orbit, least))
+    return n, least
 
 
 def load_graph(text: str) -> Graph:

@@ -215,6 +215,22 @@ class Polynomial(Record):
         scaled = [c * b ** (n - i) for i, c in enumerate(self.nums)]
         return _from_ints([c * b**j for j, c in enumerate(_int_shift(scaled, -a))], self.den * b**n)
 
+    def dilated(self, c: Scalar, m: int | None = None) -> "Polynomial":
+        """c^m p(x / c), whose roots are p's times c, for exact rational
+        nonzero c and m >= deg p (m defaults to deg p, which keeps a monic
+        polynomial monic).
+
+        On integers, as `translated` is: with c = a / b, the coefficient of
+        x^i is nums[i] a^(m - i) b^i over den b^m.
+        """
+        c = as_fraction(c)
+        if c == 1 or not self.nums:
+            return self
+        a, b = c.numerator, c.denominator
+        if m is None:
+            m = len(self.nums) - 1
+        return _from_ints([x * a ** (m - i) * b**i for i, x in enumerate(self.nums)], self.den * b**m)
+
     def monic(self) -> "Polynomial":
         if self.is_zero or self.is_monic:
             return self

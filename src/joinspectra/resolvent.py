@@ -11,8 +11,9 @@ integers (`polynomials._int_gcd`) gives the gcd and both quotients, so each
 of the three reduced polynomials is descaled once and nothing is divided.
 When u = v is an eigenvector of M, M u = mu u, phi_M alone suffices: the form
 is then |u|^2 / (x - mu) (the case of Fiedler's lemma), and `resolvent_form`
-detects it on the integers it has already cleared.  All-ones is such a vector
-for every block of a join of regular graphs and for every Laplacian-type block
+detects it on the integers it has already cleared, unless the caller knows
+the answer from the matrix's structure.  All-ones is such a vector for every
+block of a join of regular graphs and for every Laplacian-type block
 (alpha + delta = 0).
 
 A form is kept reduced: numerator and denominator coprime, the denominator
@@ -28,8 +29,12 @@ the cofactor phi_M / g that the reduction cancels: a glued charpoly is Phi
 times the blocks' cofactors (`spectra`).  `resolvent_form` is the one producer
 of a form from a dense (M, u, v), and it records whether M is symmetric with
 u = v, the per-block half of the precondition of a real spectrum.  A form
-of M gives that of M + sI without a kernel pass: every polynomial p becomes
-p(x - s) (`ResolventForm.translated`), which keeps it reduced and canonical.
+of M gives those of M + sI, cM and M + gamma u v^T without a kernel pass,
+each reduced and canonical: every polynomial p becomes p(x - s)
+(`ResolventForm.translated`); the numerator, denominator and cofactor become
+c^(d-1) f(x/c), c^d g(x/c) and c^m q(x/c) (`scaled`); the denominator
+becomes g - gamma f (`rank_one_updated`).  A universal block is its sparse
+integer part under these three maps (`spectra.universal_blocks`).
 """
 
 from __future__ import annotations
@@ -67,24 +72,48 @@ class ResolventForm(Record):
             return self
         return ResolventForm(self.num.translated(s), self.den.translated(s), self.cofactor.translated(s), self.hermitian)
 
+    def scaled(self, c) -> "ResolventForm":
+        """The form of cM, c nonzero, with the same vectors: (xI - cM)^(-1) is
+        (x/c I - M)^(-1) / c, so with d = deg den the form is
+        c^(d-1) num(x/c) / c^d den(x/c), still reduced with a monic
+        denominator, and the cofactor c^m cofactor(x/c), m = n - d its degree
+        (`Polynomial.dilated`)."""
+        if c == 1:
+            return self
+        return ResolventForm(self.num.dilated(c, self.den.degree - 1), self.den.dilated(c), self.cofactor.dilated(c), self.hermitian)
 
-def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
+    def rank_one_updated(self, gamma) -> "ResolventForm":
+        """The form of M + gamma u v^T with the same vectors (Sherman-Morrison):
+        with r = f / g, v^T (xI - M - gamma u v^T)^(-1) u = r / (1 - gamma r) =
+        f / (g - gamma f), whose denominator stays monic as deg f < deg g and
+        coprime to f, and det(xI - M - gamma u v^T) = det(xI - M) (1 - gamma r)
+        = cofactor (g - gamma f), so the cofactor does not change."""
+        if not gamma:
+            return self
+        return ResolventForm(self.num, self.den - self.num * gamma, self.cofactor, self.hermitian)
+
+
+def _int_eigenvalue(a: list[int], n: int, u: list[int], known: bool = False) -> Fraction | None:
     """The mu with A u = mu u, for an n x n integer matrix A (row-major) and
     an integer vector u, or None: u is zero, or a row disagrees.  The rows are
-    checked one dot product at a time, and the first disagreeing row stops it.
+    checked one dot product at a time, and the first disagreeing row stops it;
+    when u is known to be an eigenvector, one row gives mu.
     """
     pivot = next((i for i, x in enumerate(u) if x), None)
     if pivot is None:
         return None
     up = u[pivot]
     top = sum(map(operator.mul, a[pivot * n : (pivot + 1) * n], u))
-    for i in range(n):
-        if sum(map(operator.mul, a[i * n : (i + 1) * n], u)) * up != top * u[i]:
-            return None
+    if not known:
+        for i in range(n):
+            if sum(map(operator.mul, a[i * n : (i + 1) * n], u)) * up != top * u[i]:
+                return None
     return Fraction(top, up)
 
 
-def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) -> ResolventForm:
+def resolvent_form(
+    m: RationalMatrix, u: Sequence, v: Sequence | None = None, eigenvector: bool | None = None
+) -> ResolventForm:
     """Exact v^T (xI - M)^{-1} u, reduced; v defaults to u.
 
     Computed as v^T adj(xI - M) u / phi_M from one bordered kernel pass and
@@ -93,7 +122,9 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     module docstring).  Both run on integers: with d clearing the
     denominators of M, du those of u and dv those of v, the eigenvector test
     runs on d * M and du * u, and the pass on D * M, du * u and (D / du) * v,
-    D the lcm of d and du * dv, whose outer product is D u v^T.
+    D the lcm of d and du * dv, whose outer product is D u v^T.  A caller
+    that knows from the structure of M whether u = v is an eigenvector says
+    so in `eigenvector`, and the test is skipped.
     """
     uu = as_vector(u)
     vv = uu if v is None else as_vector(v)
@@ -106,8 +137,8 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     u_ints, du = clear_denominators(uu)
     one_vector = vv == uu
     hermitian = one_vector and m.is_symmetric()
-    if one_vector:
-        mu = _int_eigenvalue(ints, n, u_ints)
+    if one_vector and eigenvector is not False:
+        mu = _int_eigenvalue(ints, n, u_ints, known=bool(eigenvector))
         if mu is not None:
             norm_sq = Fraction(sum(x * x for x in u_ints), du * du)
             den = Polynomial((-mu / d, 1))

@@ -18,22 +18,28 @@ g_i = 1) and asymmetric couplings cost nothing special.
 Graph joins, their universal-matrix and subset variants, lexicographic
 products (the join whose components are all one graph) and generalized
 coronas are block builders: each only picks the blocks and the coupling,
-makes one form per distinct block, and callers pass them to
-`coupled_charpoly` or `coupled_spectrum`.  A form is `resolvent_form` of
-the block's dense matrix, with two exceptions.  A universal block
-U_i + delta * w_i * I whose component came before at another host weight
-takes that block's form translated by delta times the difference of the
-weights, with no kernel pass.  A corona's cone takes the apex form from its
+makes one form per block up to relabeling, and callers pass them to
+`coupled_charpoly` or `coupled_spectrum`.  Forms are keyed on
+`graphs.canonical_key`, equal exactly for relabeled inputs: a relabeling P
+maps all-ones to itself and a subset's indicator to the relabeled subset's,
+and leaves the form unchanged.  So each isomorphism class of components (of
+(component, subset) pairs for subset joins) takes one kernel pass per
+build.  A universal block alpha A + beta I + gamma J + delta D + delta w_i I
+is never built: it is c B + (beta + delta w_i) I + gamma 11^T with
+B = qA + pD a sparse integer matrix, and its form is B's under three exact
+maps, `ResolventForm.scaled`, `rank_one_updated` and `translated`
+(`universal_blocks`).  A corona's cone takes the apex form from its
 companion's form.  A builder names no route: `verification.CONSTRUCTIONS`
 pairs each one with its route name and its truth.  A universal-matrix
 builder reads the parameters `JoinSpec.params` states, so a spec that names
 none is the adjacency join.  Every spectrum is classified by one step.  A
 block whose vector is an eigenvector (all-ones on regular or
 alpha + delta = 0 blocks, Fiedler's lemma being the rank-one case) has the
-resolvent n_i / (x - p_i) and costs one charpoly; `resolvent_form` detects
-this on every route, so the regular and alpha + delta = 0 shortcuts are
-only the preconditions `require_regular` and `require_balanced` before that
-path.
+resolvent n_i / (x - p_i) and costs one charpoly; a universal block is
+known to be one from its graph and parameters, and `resolvent_form` detects
+it on subset and raw blocks, so the regular and alpha + delta = 0 shortcuts
+are only the preconditions `require_regular` and `require_balanced` before
+that path.
 
 Nothing here verifies itself: a check needs a truth built without these
 blocks, and that is `oracle.check`'s job.
@@ -45,7 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError, ShapeError
-from .graphs import Graph
+from .graphs import Graph, canonical_key
 from .joins import (
     JoinSpec,
     RhoMatrix,
@@ -54,9 +60,8 @@ from .joins import (
     effective_rho,
     host_rho,
     join_weights,
-    universal_matrix,
 )
-from .matrices import coupling_poly
+from .matrices import RationalMatrix, coupling_poly
 from .polynomials import Polynomial, as_fraction, poly_gcd, poly_product, square_free_decomposition
 from .records import Record
 from .resolvent import ResolventForm, resolvent_form
@@ -193,37 +198,88 @@ def _require_plain(spec: JoinSpec) -> None:
 
 def subset_blocks(spec: JoinSpec) -> CoupledBlocks:
     """Forms of the adjacency blocks of a subset-constrained join at the
-    subset indicators, coupled through them."""
+    subset indicators, coupled through them; one form per (component, subset)
+    pair up to relabeling (`canonical_key` with the subset as a colour class),
+    since a relabeling P that maps one pair onto another maps the indicator
+    too, and P^T (xI - A)^(-1) P is the resolvent of the relabeled graph."""
     if spec.subsets is None:
         raise PreconditionError("subset-join route needs per-component subsets")
     if spec.universal is not None:
         raise PreconditionError("subset-join route is stated for the adjacency matrix only")
-    forms = [resolvent_form(g.adjacency(), subset.indicator()) for g, subset in zip(spec.components, spec.subsets)]
-    return CoupledBlocks(forms, effective_rho(spec))
+    keys = [canonical_key(g, subset.members) for g, subset in zip(spec.components, spec.subsets)]
+    forms: dict[object, ResolventForm] = {}
+    for key, g, subset in zip(keys, spec.components, spec.subsets):
+        if key not in forms:
+            forms[key] = resolvent_form(g.adjacency(), subset.indicator())
+    return CoupledBlocks([forms[key] for key in keys], effective_rho(spec))
+
+
+def _integer_part(params: UniversalParams) -> tuple[int, int, Fraction]:
+    """(q, p, c) with alpha A + delta D = c (qA + pD) for every graph: q : p is
+    alpha : delta in lowest integer terms, signed so that c > 0 (c = 1 needs
+    no scaling, as for the Laplacian, whose B is L itself); B = D when
+    alpha = 0, and B = 0, c = 1 when alpha = delta = 0."""
+    alpha, delta = params.alpha, params.delta
+    if alpha:
+        ratio, sign = delta / alpha, 1 if alpha > 0 else -1
+        return sign * ratio.denominator, sign * ratio.numerator, abs(alpha) / ratio.denominator
+    if delta:
+        return 0, 1 if delta > 0 else -1, abs(delta)
+    return 0, 0, Fraction(1)
+
+
+def _integer_block(g: Graph, q: int, p: int, s: int) -> RationalMatrix:
+    """qA + pD + sI of g, a sparse integer matrix."""
+    n = g.n
+    nums = [0] * (n * n)
+    for u, v in g.edges:
+        nums[u * n + v] = nums[v * n + u] = q
+    if p or s:
+        for i, deg in enumerate(g.degrees()):
+            nums[i * (n + 1)] = p * deg + s
+    return RationalMatrix.from_ints(n, n, nums)
 
 
 def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
     """Forms of the blocks U_i + delta*w_i*I at all-ones, coupled by rho*alpha + gamma,
     for the parameters `spec.params` (adjacency when the spec names none);
-    one form per distinct (component, shift) pair, shared by its blocks.
+    one form per (component up to relabeling, shift) pair, shared by its blocks.
 
-    Each distinct component is reduced once, at the weight w0 of its first
-    block; its block at weight w is that block plus delta (w - w0) I, so its
-    form is the first form translated by delta (w - w0)
-    (`ResolventForm.translated`), with no kernel pass.
+    A block is U + delta w I = c (B + sI) + (beta + delta w - cs) I + gamma 11^T,
+    with B = qA + pD the sparse integer part (`_integer_part`).  So each
+    isomorphism class of components (`canonical_key`: a relabeling P has
+    P 1 = 1 and leaves every form at all-ones unchanged) is reduced once, as
+    the form of B + sI with no background, and each of its blocks takes that
+    form through three exact maps: scaled by c, updated by gamma 11^T, and
+    translated by beta + delta w - cs (`ResolventForm.scaled`,
+    `rank_one_updated` and `translated`).  s is the shift (beta + delta w0) / c
+    of the class's first block when that is an integer, which the kernel
+    takes in the same pass and which spares that block its translation, and
+    0 otherwise, since clearing a fraction would enlarge every entry of B.
+    All-ones is an eigenvector of B + sI exactly when the graph is regular
+    or p = -q, which `resolvent_form` is told rather than testing it.
     """
     _require_plain(spec)
     params = spec.params
-    delta = params.delta
+    beta, gamma, delta = params.beta, params.gamma, params.delta
+    q, p, c = _integer_part(params)
     # keyed on the weight w of the shift delta * w, an int, which hashes in C where Fractions do not
-    keys = [(g, w if delta else 0) for g, w in zip(spec.components, join_weights(spec))]
-    forms: dict[tuple[Graph, int], ResolventForm] = {}
-    first: dict[Graph, tuple[int, ResolventForm]] = {}
-    for g, w in dict.fromkeys(keys):
-        if g not in first:
-            first[g] = w, resolvent_form(universal_matrix(g, params, delta * w), (Fraction(1),) * g.n)
-        w0, form = first[g]
-        forms[g, w] = form.translated(delta * (w - w0))
+    keys = [(canonical_key(g), w if delta else 0) for g, w in zip(spec.components, join_weights(spec))]
+    forms: dict[tuple[object, int], ResolventForm] = {}
+    classes: dict[object, tuple[ResolventForm, Fraction]] = {}
+    for key, g in zip(keys, spec.components):
+        if key in forms:
+            continue
+        cls, w = key
+        found = classes.get(cls)
+        if found is None:
+            s = (beta + delta * w) / c
+            s = s.numerator if s.denominator == 1 else 0
+            eigenvector = p == -q or g.regular_degree() is not None
+            form = resolvent_form(_integer_block(g, q, p, s), (Fraction(1),) * g.n, eigenvector=eigenvector)
+            found = classes[cls] = form.scaled(c).rank_one_updated(gamma), beta - c * s
+        form, t = found
+        forms[key] = form.translated(t + delta * w)
     return CoupledBlocks([forms[key] for key in keys], _universal_rho(effective_rho(spec), params))
 
 
@@ -257,14 +313,17 @@ def corona_blocks(host: Graph, family: Sequence[Graph]) -> CoupledBlocks:
     the cone's form e_0^T (xI - C)^(-1) e_0 = 1 / (x - f / g) = g / (x g - f),
     reduced since f and g are coprime, over the monic x g - f, and its
     charpoly det(xI - C) = phi (x - f / g) = (phi / g) (x g - f), so its
-    cofactor is the companion's own.  Equal companions share one form.
+    cofactor is the companion's own.  Companions equal up to relabeling
+    (`canonical_key`) share one form.
     """
     family = corona_family(host, family)
+    keys = [canonical_key(g) for g in family]
     cones = {}
-    for g in dict.fromkeys(family):
-        form = resolvent_form(g.adjacency(), (Fraction(1),) * g.n)
-        cones[g] = ResolventForm(form.den, Polynomial.x() * form.den - form.num, form.cofactor, form.hermitian)
-    return CoupledBlocks([cones[g] for g in family], host_rho(host))
+    for key, g in zip(keys, family):
+        if key not in cones:
+            form = resolvent_form(g.adjacency(), (Fraction(1),) * g.n)
+            cones[key] = ResolventForm(form.den, Polynomial.x() * form.den - form.num, form.cofactor, form.hermitian)
+    return CoupledBlocks([cones[key] for key in keys], host_rho(host))
 
 
 # -- shortcut preconditions ----------------------------------------------------

@@ -244,3 +244,35 @@ def test_oracle_is_independent_of_the_route_kernel(monkeypatch, tmp_path, capsys
     path.write_text(json.dumps(json_obj(spec)))
     assert main(["verify", str(path)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_a_universal_matrix_fault_shows_in_universal_join_checks(monkeypatch):
+    # the join truth is built by `joins.universal_matrix` and no block builder
+    # calls it, so a fault in it, bound everywhere the package binds it, is a
+    # mismatch on every universal join with delta != 0: the truth gains delta
+    # on its diagonal, and charpoly(x - delta) = charpoly(x) holds for no
+    # nonconstant charpoly
+    import sys
+
+    import joinspectra.joins as joins
+    from joinspectra.verification import random_join_spec, random_universal_params, verify_spec
+
+    exact = joins.universal_matrix
+
+    def degree_plus_one(g, params, shift=0):
+        # delta * (deg + 1) on the diagonal where delta * deg belongs
+        return exact(g, params, shift + params.delta)
+
+    bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "joinspectra" and getattr(m, "universal_matrix", None) is exact]
+    assert joins in bound and len(bound) >= 3  # joins, oracle and the package namespace
+    for module in bound:
+        monkeypatch.setattr(module, "universal_matrix", degree_plus_one)
+    rng = random.Random(44)
+    shown = 0
+    for _ in range(40):
+        params = random_universal_params(rng)
+        spec = random_join_spec(rng, universal=params)
+        case = verify_spec(spec)
+        assert case.passed == (params.delta == 0), json_obj(spec)
+        shown += not case.passed
+    assert shown == 35

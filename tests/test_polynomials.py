@@ -343,3 +343,17 @@ def test_translated_is_the_composition_with_x_minus_s():
             want = want * (X - s) + c
         assert p.translated(s) == want
         assert p.translated(s).translated(-s) == p
+
+
+def test_dilated_is_the_scaled_composition_with_x_over_c():
+    rng = random.Random(35)
+    for _ in range(60):
+        p = Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(0, 7))])
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.choice([1, 1, 2, 7, 12]))
+        m = max(p.degree, 0) + rng.randint(0, 2)
+        want = Polynomial([coeff * c ** (m - i) for i, coeff in enumerate(p.coeffs)])
+        assert p.dilated(c, m) == want
+        if p:
+            assert p.dilated(c) == p.dilated(c, p.degree)
+            assert p.dilated(c).dilated(1 / c) == p
+            assert p.dilated(c).is_monic == p.is_monic

@@ -398,3 +398,24 @@ def test_non_eigenvectors_take_one_bordered_pass(kernel_calls):
     form = resolvent_form(RationalMatrix(0, 0, []), ())
     assert kernel_calls == [("bordered", 0)]
     assert pair(form) == (Polynomial(), Polynomial.one()) and form.cofactor * form.den == Polynomial.one()
+
+
+def test_scaled_and_rank_one_updated_forms_equal_the_forms_of_their_matrices():
+    # the form of cM + gamma u v^T from that of M, on symmetric blocks with
+    # u = v (the universal blocks' case) and on general ones
+    rng = random.Random(45)
+    for trial in range(60):
+        n = rng.randint(0, 6)
+        u = rand_vector(rng, n)
+        if trial % 2:
+            m, v = rand_symmetric_matrix(rng, n), u
+        else:
+            m, v = rand_rational_matrix(rng, n), rand_vector(rng, n)
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+        gamma = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        base = resolvent_form(m, u, v)
+        assert base.scaled(c) == resolvent_form(m * c, u, v)
+        assert base.rank_one_updated(gamma) == resolvent_form(m + outer(u, v) * gamma, u, v)
+        assert base.scaled(c).rank_one_updated(gamma).translated(gamma) == resolvent_form(
+            m * c + outer(u, v) * gamma + identity(n) * gamma, u, v
+        )

@@ -2,6 +2,7 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -269,10 +270,10 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
     exact = spectra.resolvent_form
     calls = []
 
-    def first_block_doubled(m, u, v=None):
+    def first_block_doubled(m, u, v=None, **known):
         # block 0's cofactor phi / g comes out twice too large
         calls.append(m)
-        form = exact(m, u, v)
+        form = exact(m, u, v, **known)
         return ResolventForm(form.num, form.den, form.cofactor * 2, form.hermitian) if len(calls) == 1 else form
 
     monkeypatch.setattr(spectra, "resolvent_form", first_block_doubled)
@@ -1183,3 +1184,150 @@ def test_glued_product_equals_the_sequential_product():
         assert got == want
         wide += max(abs(c).bit_length() for c in phi.nums) > 300
     assert wide >= 10
+
+
+# -- universal blocks as the sparse integer part under exact maps ------------------------
+
+
+SPLIT_PARAMS = [
+    *PRESET_VALUES,
+    (2, "1/3", "-1/2", -2),  # alpha + delta = 0
+    ("-3/2", "2/5", 0, "1/3"),  # gamma = 0
+    ("5/4", -1, "3/2", 0),  # delta = 0
+    ("2/3", "1/4", "-2/3", "-5/7"),
+]
+
+
+def _star_join(g: Graph, leaves: int, params) -> JoinSpec:
+    """g at the hub of a star host whose leaves carry single vertices, so
+    that g's block sits at host weight `leaves`; the leaves' blocks sit at g.n."""
+    host = Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return JoinSpec(host, (g,) + (Graph(1),) * leaves, universal=params)
+
+
+def _assert_split_forms_equal_dense_forms(spec: JoinSpec, kernel_calls) -> set:
+    """Every block's form equals `resolvent_form` of its dense universal
+    matrix, and takes the dense form's branch (eigenvector or bordered);
+    returns the branches seen on blocks with rows (an empty block's form is
+    0/1 from an empty bordered pass)."""
+    params = spec.params
+    w = join_weights(spec)
+    kernel_calls.clear()
+    cb = universal_blocks(spec)
+    route = list(kernel_calls)
+    branches = set()
+    for i, (g, form) in enumerate(zip(spec.components, cb.forms)):
+        kernel_calls.clear()
+        want = resolvent_form(universal_matrix(g, params, params.delta * w[i]), [1] * g.n)
+        assert form == want
+        assert form.hermitian
+        dense = kernel_calls[0]
+        if i == 0:
+            assert route[0] == dense
+        if g.n:
+            branches.add("bordered" if isinstance(dense, tuple) else "eigenvector")
+    return branches
+
+
+@pytest.mark.parametrize("values", SPLIT_PARAMS)
+def test_split_forms_equal_the_forms_of_the_dense_blocks(values, kernel_calls):
+    rng = random.Random(41)
+    params = UniversalParams(*values)
+    branches = set()
+    for n in range(10):
+        for _ in range(3):
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+            branches |= _assert_split_forms_equal_dense_forms(_star_join(g, rng.randint(0, 3), params), kernel_calls)
+        g = regular_graph_menu(rng)
+        branches |= _assert_split_forms_equal_dense_forms(_star_join(g, rng.randint(0, 3), params), kernel_calls)
+    alpha, delta = params.alpha, params.delta
+    assert branches == ({"eigenvector"} if alpha + delta == 0 else {"bordered", "eigenvector"})
+
+
+def test_split_forms_hold_for_random_parameters_and_zero_alpha(kernel_calls):
+    rng = random.Random(42)
+    for trial in range(60):
+        if trial % 3 == 0:
+            params = random_universal_params(rng)
+        else:
+            # alpha = 0, and alpha = delta = 0 in every other such trial
+            delta = 0 if trial % 3 == 2 else random_fraction(rng)
+            params = UniversalParams(0, random_fraction(rng), random_fraction(rng), delta, allow_zero_alpha=True)
+        g = random_graph(rng, rng.randint(0, 9), rng.random())
+        _assert_split_forms_equal_dense_forms(_star_join(g, rng.randint(0, 3), params), kernel_calls)
+
+
+def test_zero_alpha_joins_match_their_truth():
+    rng = random.Random(43)
+    for trial in range(60):
+        delta = 0 if trial % 4 == 0 else random_fraction(rng)
+        params = UniversalParams(0, random_fraction(rng), random_fraction(rng), delta, allow_zero_alpha=True)
+        spec = random_join_spec(rng, max_k=4, max_n=5, universal=params)
+        verdict = check(coupled_charpoly(universal_blocks(spec)), join_truth(spec))
+        assert verdict.equal, (json_obj(spec), verdict.detail)
+
+
+def test_universal_blocks_call_no_dense_builder(monkeypatch):
+    import joinspectra.joins as joins
+
+    def refused(*args):
+        raise AssertionError("universal_matrix reached from a route")
+
+    monkeypatch.setattr(joins, "universal_matrix", refused)
+    assert not hasattr(spectra, "universal_matrix")
+    spec = mixed_join_spec().with_universal(UniversalParams("1/2", "-1/3", "2/3", "-1/2"))
+    assert coupled_charpoly(universal_blocks(spec)) == coupled_charpoly(coupled(*dense_join_blocks(spec)))
+
+
+# -- one kernel pass per isomorphism class ------------------------------------------------
+
+
+def _relabelings(g: Graph) -> list[Graph]:
+    """Every distinct labeled copy of g, in a fixed order."""
+    out = {Graph(g.n, [(p[u], p[v]) for u, v in g.edges]) for p in permutations(range(g.n))}
+    return sorted(out, key=lambda h: sorted(h.edges))
+
+
+def _block_passes(kernel_calls) -> list[int]:
+    return [c[1] if isinstance(c, tuple) else c for c in kernel_calls]
+
+
+@pytest.mark.parametrize("values", PRESET_VALUES)
+def test_twelve_relabeled_paths_at_distinct_weights_take_one_pass(values, kernel_calls):
+    paths = _relabelings(Graph.path(4))
+    assert len(paths) == 12
+    # host vertices 12..15 carry edgeless graphs of 1, 2, 4 and 8 vertices, and
+    # path i meets those of the bits of i + 1: the paths sit at weights 1..12
+    edges = [(i, 12 + b) for i in range(12) for b in range(4) if (i + 1) >> b & 1]
+    spec = JoinSpec(Graph(16, edges), (*paths, Graph(1), Graph(2), Graph(4), Graph(8)), universal=UniversalParams(*values))
+    assert sorted(join_weights(spec)[:12]) == list(range(1, 13))
+    kernel_calls.clear()
+    cb = universal_blocks(spec)
+    assert _block_passes(kernel_calls) == [4, 1, 2, 4, 8]
+    assert len(set(map(id, cb.forms[:12]))) == (12 if spec.params.delta else 1)
+    assert compare(coupled_charpoly(cb), oracle_charpoly(join_truth(spec))).equal
+
+
+def test_relabeled_subset_pairs_take_one_pass_per_class(kernel_calls):
+    # every labeled 3-path with an end as its subset is one class, with its
+    # centre another; the 4-path with both ends a third
+    ends = [(g, [v]) for g in _relabelings(Graph.path(3)) for v in range(3) if g.degrees()[v] == 1]
+    centres = [(g, [g.degrees().index(2)]) for g in _relabelings(Graph.path(3))]
+    paths = [(g, [v for v in range(4) if g.degrees()[v] == 1]) for g in _relabelings(Graph.path(4))[:5]]
+    pairs = ends + centres + paths
+    k = len(pairs)
+    host = Graph(k, [(i, i + 1) for i in range(k - 1)])
+    spec = JoinSpec(host, [g for g, _ in pairs], subsets=[VertexSubset(g.n, m) for g, m in pairs])
+    kernel_calls.clear()
+    cb = subset_blocks(spec)
+    assert kernel_calls == [("bordered", 3), ("bordered", 3), ("bordered", 4)]
+    assert compare(coupled_charpoly(cb), oracle_charpoly(join_truth(spec))).equal
+
+
+def test_relabeled_corona_companions_take_one_pass_per_class(kernel_calls):
+    family = [*_relabelings(Graph.path(4))[:6], *_relabelings(Graph(3, [(0, 1)]))]
+    host = Graph(len(family), [(i, (i + 1) % len(family)) for i in range(len(family))])
+    kernel_calls.clear()
+    cb = corona_blocks(host, family)
+    assert kernel_calls == [("bordered", 4), ("bordered", 3)]
+    assert compare(coupled_charpoly(cb), oracle_charpoly(generalized_corona(host, family).adjacency())).equal
