@@ -119,8 +119,8 @@ class Graph(Record):
 # -- canonical keys ------------------------------------------------------------
 #
 # A labeled graph on n vertices, with some vertices coloured, is one bit mask:
-# bit `_pair_bits(n)[u * n + v]` for the edge u-v (u < v), in the C(n, 2) low
-# bits, and bit C(n, 2) + v for a coloured vertex v.  A relabeling permutes the
+# one of the C(n, 2) low bits for each edge (`_bit_maps`), and bit C(n, 2) + v
+# for a coloured vertex v.  A relabeling permutes the
 # bits, and the least mask of a mask's orbit under the n! relabelings is a
 # canonical form: two masks share it exactly when a relabeling maps one to
 # the other.
