@@ -11,9 +11,8 @@ integers (`polynomials._int_gcd`) gives the gcd and both quotients, so each
 of the three reduced polynomials is descaled once and nothing is divided.
 When u = v is an eigenvector of M, M u = mu u, phi_M alone suffices: the form
 is then |u|^2 / (x - mu) (the case of Fiedler's lemma), and `resolvent_form`
-detects it on the integers it has already cleared, unless the caller knows
-the answer from the matrix's structure.  All-ones is such a vector for every
-block of a join of regular graphs and for every Laplacian-type block
+detects it on the integers it has already cleared.  All-ones is such a vector
+for every block of a join of regular graphs and for every Laplacian-type block
 (alpha + delta = 0).
 
 A form is kept reduced: numerator and denominator coprime, the denominator
@@ -93,27 +92,23 @@ class ResolventForm(Record):
         return ResolventForm(self.num, self.den - self.num * gamma, self.cofactor, self.hermitian)
 
 
-def _int_eigenvalue(a: list[int], n: int, u: list[int], known: bool = False) -> Fraction | None:
+def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
     """The mu with A u = mu u, for an n x n integer matrix A (row-major) and
     an integer vector u, or None: u is zero, or a row disagrees.  The rows are
-    checked one dot product at a time, and the first disagreeing row stops it;
-    when u is known to be an eigenvector, one row gives mu.
+    checked one dot product at a time, and the first disagreeing row stops it.
     """
     pivot = next((i for i, x in enumerate(u) if x), None)
     if pivot is None:
         return None
     up = u[pivot]
     top = sum(map(operator.mul, a[pivot * n : (pivot + 1) * n], u))
-    if not known:
-        for i in range(n):
-            if sum(map(operator.mul, a[i * n : (i + 1) * n], u)) * up != top * u[i]:
-                return None
+    for i in range(n):
+        if sum(map(operator.mul, a[i * n : (i + 1) * n], u)) * up != top * u[i]:
+            return None
     return Fraction(top, up)
 
 
-def resolvent_form(
-    m: RationalMatrix, u: Sequence, v: Sequence | None = None, eigenvector: bool | None = None
-) -> ResolventForm:
+def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) -> ResolventForm:
     """Exact v^T (xI - M)^{-1} u, reduced; v defaults to u.
 
     Computed as v^T adj(xI - M) u / phi_M from one bordered kernel pass and
@@ -122,9 +117,7 @@ def resolvent_form(
     module docstring).  Both run on integers: with d clearing the
     denominators of M, du those of u and dv those of v, the eigenvector test
     runs on d * M and du * u, and the pass on D * M, du * u and (D / du) * v,
-    D the lcm of d and du * dv, whose outer product is D u v^T.  A caller
-    that knows from the structure of M whether u = v is an eigenvector says
-    so in `eigenvector`, and the test is skipped.
+    D the lcm of d and du * dv, whose outer product is D u v^T.
     """
     uu = as_vector(u)
     vv = uu if v is None else as_vector(v)
@@ -137,8 +130,8 @@ def resolvent_form(
     u_ints, du = clear_denominators(uu)
     one_vector = vv == uu
     hermitian = one_vector and m.is_symmetric()
-    if one_vector and eigenvector is not False:
-        mu = _int_eigenvalue(ints, n, u_ints, known=bool(eigenvector))
+    if one_vector:
+        mu = _int_eigenvalue(ints, n, u_ints)
         if mu is not None:
             norm_sq = Fraction(sum(x * x for x in u_ints), du * du)
             den = Polynomial((-mu / d, 1))

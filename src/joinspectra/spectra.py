@@ -35,11 +35,11 @@ builder reads the parameters `JoinSpec.params` states, so a spec that names
 none is the adjacency join.  Every spectrum is classified by one step.  A
 block whose vector is an eigenvector (all-ones on regular or
 alpha + delta = 0 blocks, Fiedler's lemma being the rank-one case) has the
-resolvent n_i / (x - p_i) and costs one charpoly; a universal block is
-known to be one from its graph and parameters, and `resolvent_form` detects
-it on subset and raw blocks, so the regular and alpha + delta = 0 shortcuts
-are only the preconditions `require_regular` and `require_balanced` before
-that path.
+resolvent n_i / (x - p_i) and costs one charpoly; `resolvent_form` detects
+this on every route (for a universal block, on B, whose all-ones is an
+eigenvector exactly when the graph is regular or p = -q), so the regular and
+alpha + delta = 0 shortcuts are only the preconditions `require_regular` and
+`require_balanced` before that path.
 
 Nothing here verifies itself: a check needs a truth built without these
 blocks, and that is `oracle.check`'s job.
@@ -228,15 +228,15 @@ def _integer_part(params: UniversalParams) -> tuple[int, int, Fraction]:
     return 0, 0, Fraction(1)
 
 
-def _integer_block(g: Graph, q: int, p: int, s: int) -> RationalMatrix:
-    """qA + pD + sI of g, a sparse integer matrix."""
+def _integer_block(g: Graph, q: int, p: int) -> RationalMatrix:
+    """qA + pD of g, a sparse integer matrix."""
     n = g.n
     nums = [0] * (n * n)
     for u, v in g.edges:
         nums[u * n + v] = nums[v * n + u] = q
-    if p or s:
+    if p:
         for i, deg in enumerate(g.degrees()):
-            nums[i * (n + 1)] = p * deg + s
+            nums[i * (n + 1)] = p * deg
     return RationalMatrix.from_ints(n, n, nums)
 
 
@@ -245,19 +245,14 @@ def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
     for the parameters `spec.params` (adjacency when the spec names none);
     one form per (component up to relabeling, shift) pair, shared by its blocks.
 
-    A block is U + delta w I = c (B + sI) + (beta + delta w - cs) I + gamma 11^T,
-    with B = qA + pD the sparse integer part (`_integer_part`).  So each
+    A block is U + delta w I = c B + (beta + delta w) I + gamma 11^T, with
+    B = qA + pD the sparse integer part (`_integer_part`).  So each
     isomorphism class of components (`canonical_key`: a relabeling P has
     P 1 = 1 and leaves every form at all-ones unchanged) is reduced once, as
-    the form of B + sI with no background, and each of its blocks takes that
-    form through three exact maps: scaled by c, updated by gamma 11^T, and
-    translated by beta + delta w - cs (`ResolventForm.scaled`,
-    `rank_one_updated` and `translated`).  s is the shift (beta + delta w0) / c
-    of the class's first block when that is an integer, which the kernel
-    takes in the same pass and which spares that block its translation, and
-    0 otherwise, since clearing a fraction would enlarge every entry of B.
-    All-ones is an eigenvector of B + sI exactly when the graph is regular
-    or p = -q, which `resolvent_form` is told rather than testing it.
+    the form of B, and each of its blocks takes that form through three exact
+    maps: scaled by c, updated by gamma 11^T, and translated by
+    beta + delta w (`ResolventForm.scaled`, `rank_one_updated` and
+    `translated`).
     """
     _require_plain(spec)
     params = spec.params
@@ -266,20 +261,15 @@ def universal_blocks(spec: JoinSpec) -> CoupledBlocks:
     # keyed on the weight w of the shift delta * w, an int, which hashes in C where Fractions do not
     keys = [(canonical_key(g), w if delta else 0) for g, w in zip(spec.components, join_weights(spec))]
     forms: dict[tuple[object, int], ResolventForm] = {}
-    classes: dict[object, tuple[ResolventForm, Fraction]] = {}
+    classes: dict[object, ResolventForm] = {}
     for key, g in zip(keys, spec.components):
         if key in forms:
             continue
         cls, w = key
-        found = classes.get(cls)
-        if found is None:
-            s = (beta + delta * w) / c
-            s = s.numerator if s.denominator == 1 else 0
-            eigenvector = p == -q or g.regular_degree() is not None
-            form = resolvent_form(_integer_block(g, q, p, s), (Fraction(1),) * g.n, eigenvector=eigenvector)
-            found = classes[cls] = form.scaled(c).rank_one_updated(gamma), beta - c * s
-        form, t = found
-        forms[key] = form.translated(t + delta * w)
+        if cls not in classes:
+            form = resolvent_form(_integer_block(g, q, p), (Fraction(1),) * g.n)
+            classes[cls] = form.scaled(c).rank_one_updated(gamma)
+        forms[key] = classes[cls].translated(beta + delta * w)
     return CoupledBlocks([forms[key] for key in keys], _universal_rho(effective_rho(spec), params))
 
 

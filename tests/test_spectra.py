@@ -270,10 +270,10 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
     exact = spectra.resolvent_form
     calls = []
 
-    def first_block_doubled(m, u, v=None, **known):
+    def first_block_doubled(m, u, v=None):
         # block 0's cofactor phi / g comes out twice too large
         calls.append(m)
-        form = exact(m, u, v, **known)
+        form = exact(m, u, v)
         return ResolventForm(form.num, form.den, form.cofactor * 2, form.hermitian) if len(calls) == 1 else form
 
     monkeypatch.setattr(spectra, "resolvent_form", first_block_doubled)
