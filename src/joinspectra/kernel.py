@@ -1,6 +1,6 @@
 """Exact characteristic polynomials of integer matrices, by Hessenberg reduction,
-or Lanczos tridiagonalization for a symmetric matrix, modulo a product of
-word primes.
+or Lanczos tridiagonalization for a bordered symmetric block, modulo a
+product of word primes.
 
 det(xI - A) is computed modulo P: A is reduced to upper Hessenberg form by a
 similarity mod P (Gaussian elimination below the subdiagonal, swapping a row
@@ -39,28 +39,32 @@ column's pivot swap handles it.  Every principal minor of A is one of B, so
 B's bound covers both polynomials, and one modulus, with the same split on
 a non-unit pivot, serves both.
 
-A symmetric matrix (from `_LANCZOS_DIM` vertices up) takes a second
-reduction mod the same P: Lanczos tridiagonalization (Lanczos, *J. Res.
-NBS* 45, 1950).  The basis r_0, r_1, ... of u's Krylov space is built by the
+A bordered matrix whose A is symmetric (from `_LANCZOS_DIM` vertices up)
+and whose v = c u for an integer c (every Hermitian block a route builds:
+`resolvent_form` clears v to a multiple of u) takes a second reduction mod
+the same P: Lanczos tridiagonalization of A from u (Lanczos, *J. Res. NBS*
+45, 1950).  The basis r_0 = u, r_1, ... of u's Krylov space is built by the
 three-term recurrence, fraction-free, so that it is orthogonal under x^T y;
 when the space closes it restarts at the next e_i projected off the basis.
 Every norm |r_j|^2 is a unit mod P, so Q^T Q is invertible, hence Q is, and
-Q^-1 A Q = T is tridiagonal (it splits at restarts): det(xI - A) = det(xI -
-T), read off T's three-term recurrence.  The product of A and a vector runs
-over each row's nonzero entries, grouped by value, which a graph's sparse
-rows of one or two values make cheap.  For the bordered matrix with A
-symmetric and v = c u for an integer c (every Hermitian block a route builds:
-`resolvent_form` clears v to a multiple of u), the basis starts at u, so
-Q^-1 u = e_0 and, v being a multiple of u and the basis orthogonal, v^T Q =
-v^T u e_0^T; thus v^T adj(xI - A) u = v^T u det(xI - T[1:, 1:]), and the pass
-returns the same two polynomials as the Hessenberg one.  The bound, the
-primes, the split and the lift are shared, so the integers are the same.
-Over a finite field the recurrence can meet a nonzero vector of norm 0
-(Eberly and Kaltofen, ISSAC 1997), which never happens over Q: a norm that
-shares a prime with P makes `pow` raise and P is split as above, and a
-nonzero vector of norm 0 mod P, or no restart vector left, runs the
-Hessenberg pass for that modulus.  A u that is 0 mod P needs no fallback:
-the numerator is then 0 mod P, and the basis starts at e_0.
+Q^-1 A Q = T is tridiagonal (it splits at restarts): det(xI - A) =
+det(xI - T), read off T's three-term recurrence.  The product of A and a
+vector runs over each row's nonzero entries, grouped by value, which a
+graph's sparse rows of one or two values make cheap.  As the basis starts
+at u, Q^-1 u = e_0, and, v being a multiple of u and the basis orthogonal,
+v^T Q = v^T u e_0^T; thus v^T adj(xI - A) u = v^T u det(xI - T[1:, 1:]),
+and the one recurrence run over T's trailing blocks gives both polynomials,
+as the Hessenberg pass does.  When u is an eigenvector of A the space
+closes at the first step, T splits after its first entry mu, and the
+numerator is v^T u det(xI - A) / (x - mu).  The bound, the primes, the
+split and the lift are shared, so the integers are the same.  Over a finite
+field the recurrence can meet a nonzero vector of norm 0 (Eberly and
+Kaltofen, ISSAC 1997), which never happens over Q: a norm that shares a
+prime with P makes `pow` raise and P is split as above, and a nonzero
+vector of norm 0 mod P, or no restart vector left, runs the Hessenberg pass
+for that modulus.  A u that is 0 mod P needs no fallback: the numerator is
+then 0 mod P, and the basis starts at e_0.  A plain charpoly
+(`charpoly_int`) takes the Hessenberg pass alone.
 """
 
 from __future__ import annotations
@@ -79,14 +83,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _primes: tuple[int, ...] = ()
 
-# The dimension from which a symmetric matrix takes the Lanczos pass; below
-# it the Hessenberg pass is faster, as a step's fixed cost weighs more and
-# small graphs repeat eigenvalues, each repeat a restart of the Krylov basis.
-# Per call, Lanczos against Hessenberg, on seeded G(n, 0.4) adjacency and
-# Laplacian matrices (Python 3.11, 2-vCPU host): charpoly_int at n = 4, 8,
-# 10, 11, 12, 16, 28 took 52/34, 173/136, 245/233, 288/286, 315/345,
-# 564/691 and 1785/3294 us; the bordered pass on adjacency with u = v = 1
-# 77/55, 335/182, 284/298, 336/356, 355/425, 649/828 and 1958/3874 us.
+# The block dimension from which a bordered pass over a symmetric block takes
+# Lanczos; below it the Hessenberg pass is faster, as a step's fixed cost
+# weighs more and small graphs repeat eigenvalues, each repeat a restart of
+# the Krylov basis.  Per call, Lanczos against Hessenberg, on seeded G(n, 0.4)
+# adjacency matrices with u = v = 1 (Python 3.11, 2-vCPU host): at n = 4, 8,
+# 10, 11, 12, 16, 28 they took 77/55, 335/182, 284/298, 336/356, 355/425,
+# 649/828 and 1958/3874 us.
 _LANCZOS_DIM = 11
 
 # a pass mod P: (matrix, dimension, P) -> ascending coefficients mod P
@@ -338,21 +341,16 @@ def _tridiagonal_mod(rows: list[list[tuple[int, list[int]]]], p: int, u: list[in
     return [a * inv % p for a, inv in zip(diag, invs)], [b * inv * before % p for b, inv, before in zip(off, invs, [0, *invs])]
 
 
-def _jacobi_mod(alpha: list[int], beta: list[int], p: int) -> list[int]:
-    """det(xI - T) mod p, ascending, for T tridiagonal with diagonal alpha and
-    off-diagonal products beta, by p_(j+1) = (x - alpha_j) p_j - beta_j p_(j-1)."""
+def _jacobi_mod(alpha: list[int], beta: list[int], p: int) -> tuple[list[int], list[int]]:
+    """det(xI - T) and det(xI - T[1:, 1:]) mod p, ascending, for T m x m
+    tridiagonal with diagonal alpha and off-diagonal products beta, from one
+    recurrence over T's trailing blocks: q_m = 1 and q_j = (x - alpha_j)
+    q_(j+1) - beta_(j+1) q_(j+2) give q_0 and q_1."""
     cur: list[int] = [1]
     prev: list[int] = []
-    for a, b in zip(alpha, beta):
+    for a, b in zip(reversed(alpha), [0, *reversed(beta[1:])]):
         cur, prev = [(x - a * c - b * q) % p for x, c, q in zip([0, *cur], cur + [0], prev + [0, 0])], cur
-    return cur
-
-
-def _symmetric_mod(a: list[int], n: int, p: int) -> list[int]:
-    """`_charpoly_mod` for a symmetric A, by `_tridiagonal_mod` from e_0, or
-    by `_charpoly_mod` itself when that has no step."""
-    found = _tridiagonal_mod(_row_groups(a, n, n, 0), p, [])
-    return _charpoly_mod(a, n, p) if found is None else _jacobi_mod(*found, p)
+    return cur, prev
 
 
 def _symmetric_bordered_mod(b: list[int], n: int, p: int) -> list[int]:
@@ -369,10 +367,7 @@ def _symmetric_bordered_mod(b: list[int], n: int, p: int) -> list[int]:
     found = _tridiagonal_mod(_row_groups(b, m, n, 1), p, b[n::n])
     if found is None:
         return _bordered_mod(b, n, p)
-    alpha, beta = found
-    phi = _jacobi_mod(alpha, beta, p)
-    # beta_1 couples T[1:, 1:] to index 0, which it drops
-    psi = _jacobi_mod(alpha[1:], [0, *beta[2:]], p)
+    phi, psi = _jacobi_mod(*found, p)
     vtu = sum(map(mul, b[1:n], b[n::n])) % p
     # det(xI - B) = x phi - v^T u psi, and psi has m coefficients
     return [(x - vtu * c) % p for x, c in zip([0, *phi], psi + [0, 0])] + phi
@@ -418,7 +413,7 @@ def charpoly_int(a: list[int], n: int) -> list[int]:
     """Ascending integer coefficients of det(xI - A), A row-major n x n."""
     if n == 0:
         return [1]
-    return _lifted(_symmetric_mod if n >= _LANCZOS_DIM and is_symmetric_int(a, n) else _charpoly_mod, a, n)
+    return _lifted(_charpoly_mod, a, n)
 
 
 def charpoly_bordered_int(a: list[int], n: int, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:

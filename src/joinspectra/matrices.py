@@ -4,9 +4,11 @@ A matrix is stored as d * M in row-major Python ints (`nums`) over d (`den`),
 the least common denominator of M's entries.  That form is canonical, so
 equality and hashing compare the fields, and the kernels take `nums` as it
 is; `entries`, the row-major tuple of Fraction entries, is a read-only view
-built on first use.  A characteristic polynomial hands `nums` to
-`kernel.charpoly_int`, the multimodular Hessenberg kernel that every route
-uses, and scales by d back, so it is exact.
+built on first use.  A characteristic polynomial (Phi's realization, rho's
+in Phi's closed form, the fixtures) hands `nums` to `kernel.charpoly_int`,
+the kernel's multimodular Hessenberg pass, and scales by d back, so it is
+exact; a block's charpoly comes with its resolvent form from the kernel's
+bordered pass instead (`resolvent`).
 
 The coupling determinant Phi = det(G - F rho), G = diag(g_i), F = diag(f_i),
 of the blocks' main functions f_i / g_i lives here too (`coupling_poly`).

@@ -4,16 +4,19 @@ Unreduced, a form is v^T adj(xI - M) u / det(xI - M), and one kernel pass
 gives both.  Bordering M by the two vectors, B = [[0, v^T], [u, M]], and
 expanding det(xI - B) along its first row gives det(xI - B) =
 x det(xI - M) - v^T adj(xI - M) u; `kernel.charpoly_bordered_int` reduces B
-once and reads det(xI - B) and det(xI - M) off the same Hessenberg form.  So
-v^T (xI - M)^{-1} u = (x phi_M - phi_B) / phi_M, with no second reduction.
+once and reads det(xI - B) and det(xI - M) off the same reduced form
+(Hessenberg, or Lanczos's tridiagonal one for a symmetric M of 11 or more
+rows with v a multiple of u).  So v^T (xI - M)^{-1} u =
+(x phi_M - phi_B) / phi_M, with no second reduction.
 The pass returns both polynomials as integers for D * M, and one gcd of those
 integers (`polynomials._int_gcd`) gives the gcd and both quotients, so each
 of the three reduced polynomials is descaled once and nothing is divided.
-When u = v is an eigenvector of M, M u = mu u, phi_M alone suffices: the form
-is then |u|^2 / (x - mu) (the case of Fiedler's lemma), and `resolvent_form`
-detects it on the integers it has already cleared.  All-ones is such a vector
-for every block of a join of regular graphs and for every Laplacian-type block
-(alpha + delta = 0).
+That one path serves every form.  When u = v is an eigenvector of M,
+M u = mu u, the numerator is |u|^2 phi_M / (x - mu), the gcd is
+phi_M / (x - mu), and the form reduces to |u|^2 / (x - mu) with that gcd as
+its cofactor: the case of Fiedler's lemma, a main function with one pole.
+All-ones is such a vector for every block of a join of regular graphs and for
+every Laplacian-type block (alpha + delta = 0).
 
 A form is kept reduced: numerator and denominator coprime, the denominator
 monic, the zero form stored as 0/1, so structural equality coincides with
@@ -39,13 +42,11 @@ integer part under these three maps (`spectra.universal_blocks`).
 from __future__ import annotations
 
 import math
-import operator
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError, ShapeError
 from .kernel import charpoly_bordered_int
-from .matrices import RationalMatrix, as_vector, charpoly, descale
+from .matrices import RationalMatrix, as_vector, descale
 from .polynomials import Polynomial, _int_gcd, clear_denominators
 from .records import Record
 from .roots import real_roots
@@ -92,32 +93,14 @@ class ResolventForm(Record):
         return ResolventForm(self.num, self.den - self.num * gamma, self.cofactor, self.hermitian)
 
 
-def _int_eigenvalue(a: list[int], n: int, u: list[int]) -> Fraction | None:
-    """The mu with A u = mu u, for an n x n integer matrix A (row-major) and
-    an integer vector u, or None: u is zero, or a row disagrees.  The rows are
-    checked one dot product at a time, and the first disagreeing row stops it.
-    """
-    pivot = next((i for i, x in enumerate(u) if x), None)
-    if pivot is None:
-        return None
-    up = u[pivot]
-    top = sum(map(operator.mul, a[pivot * n : (pivot + 1) * n], u))
-    for i in range(n):
-        if sum(map(operator.mul, a[i * n : (i + 1) * n], u)) * up != top * u[i]:
-            return None
-    return Fraction(top, up)
-
-
 def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) -> ResolventForm:
     """Exact v^T (xI - M)^{-1} u, reduced; v defaults to u.
 
     Computed as v^T adj(xI - M) u / phi_M from one bordered kernel pass and
-    reduced by one gcd of its integers, or as |u|^2 / (x - mu), already
-    reduced, from phi_M alone when u = v is an eigenvector of M (see the
-    module docstring).  Both run on integers: with d clearing the
-    denominators of M, du those of u and dv those of v, the eigenvector test
-    runs on d * M and du * u, and the pass on D * M, du * u and (D / du) * v,
-    D the lcm of d and du * dv, whose outer product is D u v^T.
+    reduced by one gcd of its integers (see the module docstring).  The pass
+    runs on integers: with d clearing the denominators of M, du those of u
+    and dv those of v, it takes D * M, du * u and (D / du) * v, D the lcm of
+    d and du * dv, whose outer product is D u v^T.
     """
     uu = as_vector(u)
     vv = uu if v is None else as_vector(v)
@@ -128,14 +111,7 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
         raise ShapeError(f"vector length must be {n}")
     ints, d = m.nums, m.den
     u_ints, du = clear_denominators(uu)
-    one_vector = vv == uu
-    hermitian = one_vector and m.is_symmetric()
-    if one_vector:
-        mu = _int_eigenvalue(ints, n, u_ints)
-        if mu is not None:
-            norm_sq = Fraction(sum(x * x for x in u_ints), du * du)
-            den = Polynomial((-mu / d, 1))
-            return ResolventForm(Polynomial((norm_sq,)), den, charpoly(m).exact_div(den), hermitian)
+    hermitian = vv == uu and m.is_symmetric()
     common = math.lcm(d, du * math.lcm(*[x.denominator for x in vv]))
     if common != d:
         ints = [x * (common // d) for x in ints]

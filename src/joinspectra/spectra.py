@@ -35,11 +35,11 @@ builder reads the parameters `JoinSpec.params` states, so a spec that names
 none is the adjacency join.  Every spectrum is classified by one step.  A
 block whose vector is an eigenvector (all-ones on regular or
 alpha + delta = 0 blocks, Fiedler's lemma being the rank-one case) has the
-resolvent n_i / (x - p_i) and costs one charpoly; `resolvent_form` detects
-this on every route (for a universal block, on B, whose all-ones is an
-eigenvector exactly when the graph is regular or p = -q), so the regular and
-alpha + delta = 0 shortcuts are only the preconditions `require_regular` and
-`require_balanced` before that path.
+resolvent n_i / (x - p_i), and its one bordered pass and gcd give exactly
+that, as they give every other form (for a universal block all-ones is an
+eigenvector of B exactly when the graph is regular or p = -q).  So the
+regular and alpha + delta = 0 shortcuts are only the preconditions
+`require_regular` and `require_balanced` before the one path.
 
 Nothing here verifies itself: a check needs a truth built without these
 blocks, and that is `oracle.check`'s job.

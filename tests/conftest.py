@@ -8,8 +8,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Every route-kernel call, in order: the dimension n of a charpoly
-    (`matrices.charpoly_int`), and ("bordered", n) for the one pass of a
+    """Every route-kernel call, in order: the dimension n of a plain charpoly
+    (`matrices.charpoly_int`: Phi's realization, rho's charpoly in its closed
+    form, the fixtures), and ("bordered", n) for the one pass of every
     resolvent form on an n x n block (`resolvent.charpoly_bordered_int`)."""
     import joinspectra.matrices as matrices
     import joinspectra.resolvent as resolvent

@@ -8,8 +8,10 @@ components, the mixed join with Laplacian parameters, three joins whose
 blocks have repeated eigenvalues (a main eigenvalue of multiplicity above 1,
 and a zero subset vector), a join under rational parameters whose
 components repeat at distinct host weights, one whose components are
-relabelings of two graphs, and a subset join of relabeled (graph, subset)
-pairs.  The files are written into the working directory, so `verify`
+relabelings of two graphs, a subset join of relabeled (graph, subset)
+pairs, and two joins of components of 12 to 14 vertices (regular ones, and
+irregular ones under Laplacian parameters) whose blocks reach the kernel's
+Lanczos pass.  The files are written into the working directory, so `verify`
 names them by their bare file names.  One
 case runs no spec: the first 20 cases of the seeded random suite, so that
 its seeded draws stay where they are; all 200 cases of that seed are pinned
@@ -94,6 +96,25 @@ SPECS = {
         "components": ["3; 0-1,1-2", "3; 0-2,1-2", "3; 0-1,1-2", "4; 0-1,1-2,2-3", "4; 1-3,0-3,0-2"],
         "subsets": [[0], [1], [1], [0, 3], [1, 2]],
     },
+    # C12 and the 3-regular circulant C12(1, 6): all-ones is an eigenvector of
+    # both 12-vertex blocks, whose forms come from the kernel's Lanczos pass
+    "regular-12.json": {
+        "host": "2; 0-1",
+        "components": [
+            "12; 0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,9-10,10-11,0-11",
+            "12; 0-1,0-6,0-11,1-2,1-7,2-3,2-8,3-4,3-9,4-5,4-10,5-6,5-11,6-7,7-8,8-9,9-10,10-11",
+        ],
+    },
+    # irregular components of 13 and 14 vertices under Laplacian parameters:
+    # all-ones is an eigenvector of each Laplacian block
+    "laplacian-13-14.json": {
+        "host": "2; 0-1",
+        "components": [
+            "13; 0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,9-10,10-11,11-12,0-5,2-9,3-11,4-7,6-12",
+            "14; 0-1,0-2,0-3,1-4,2-5,3-6,4-7,5-8,6-9,7-10,8-11,9-10,10-11,1-2,11-12,12-13,3-13",
+        ],
+        "universal": {"alpha": "-1", "delta": "1"},
+    },
 }
 
 CASES = {
@@ -117,6 +138,10 @@ CASES = {
     "verify-json-relabeled": ["verify", "relabeled.json", "--json"],
     "charpoly-relabeled-subset": ["charpoly", "relabeled-subset.json"],
     "verify-json-relabeled-subset": ["verify", "relabeled-subset.json", "--json"],
+    "charpoly-regular-12": ["charpoly", "regular-12.json"],
+    "spectrum-verify-regular-12": ["spectrum", "regular-12.json", "--verify"],
+    "charpoly-laplacian-13-14": ["charpoly", "laplacian-13-14.json"],
+    "spectrum-verify-laplacian-13-14": ["spectrum", "laplacian-13-14.json", "--verify"],
     "gcp-half-mixed": ["gcp", "mixed.json", "--t", "1/2"],
     "corona-verify": ["corona", "corona.json", "--verify"],
     "lex-verify": ["lex", "lex.json", "--verify"],

@@ -40,7 +40,7 @@ def test_kernel_matches_faddeev_leverrier():
             assert _agrees_with_fl(_random_int_matrix(rng, n), n)
             ints = list(rand_rational_matrix(rng, n).nums)
             assert _agrees_with_fl(ints, n)
-            # symmetric: the Lanczos pass from n = 11
+            # symmetric, and a graph Laplacian
             assert _agrees_with_fl(_symmetric(rng, n), n)
             assert _agrees_with_fl(_laplacian(rng, n), n)
 
@@ -452,75 +452,82 @@ def _symmetric_cases(rng, n):
     yield _symmetric(rng, n), [3] + [0] * (n - 1)
 
 
+def _unit(n, c=1):
+    """c e_0 in dimension n."""
+    return [c] + [0] * (n - 1)
+
+
 @pytest.mark.parametrize("primes", [1, 3])
 def test_symmetric_pass_equals_the_hessenberg_pass_per_modulus(primes):
     rng = random.Random(21)
     p = math.prod(prime(i) for i in range(primes))
     for n in range(14):
         for a, u in _symmetric_cases(rng, n):
-            assert kernel._symmetric_mod(a, n, p) == kernel._charpoly_mod(a, n, p), (n, a)
             for c in (1, -3, 0):
                 b = _bordered(a, n, u, [c * x for x in u])
                 assert kernel._symmetric_bordered_mod(b, n + 1, p) == kernel._bordered_mod(b, n + 1, p), (n, a, u, c)
 
 
 def test_symmetric_pass_restarts_where_the_krylov_space_closes():
-    # a disconnected graph from e_0, and u an eigenvector: T splits (some
-    # beta_j = 0 past j = 0), and the charpolys still agree
+    # a disconnected graph from e_0, u = 1 on a Laplacian (an eigenvector, so
+    # the space closes at the first step), and the zero matrix: T splits (some
+    # beta_j = 0 past j = 0), and both polynomials still agree per modulus
     rng = random.Random(22)
     p = prime(0)
     n = 12
-    cases = [(_laplacian(rng, n, 0.6, [5, 7]), []), (_laplacian(rng, n), [1] * n), ([0] * (n * n), [])]
+    cases = [(_laplacian(rng, n, 0.6, [5, 7]), _unit(n)), (_laplacian(rng, n), [1] * n), ([0] * (n * n), _unit(n))]
     for a, u in cases:
         alpha, beta = kernel._tridiagonal_mod(kernel._row_groups(a, n, n, 0), p, u)
         assert len(alpha) == n and any(b == 0 for b in beta[1:])
-        assert kernel._symmetric_mod(a, n, p) == kernel._charpoly_mod(a, n, p)
-        b = _bordered(a, n, u or [1] + [0] * (n - 1), u or [1] + [0] * (n - 1))
-        assert kernel._symmetric_bordered_mod(b, n + 1, p) == kernel._bordered_mod(b, n + 1, p)
+        for c in (1, -2):
+            b = _bordered(a, n, u, [c * x for x in u])
+            assert kernel._symmetric_bordered_mod(b, n + 1, p) == kernel._bordered_mod(b, n + 1, p)
+    # u = 1 on a Laplacian: T splits after its first entry, the eigenvalue 0
+    alpha, beta = kernel._tridiagonal_mod(kernel._row_groups(cases[1][0], n, n, 0), p, [1] * n)
+    assert alpha[0] == 0 and beta[1] == 0
 
 
 def test_symmetric_blocks_take_the_lanczos_pass_from_its_dimension(monkeypatch):
-    seen, raised = _spy_moduli(monkeypatch, "_symmetric_mod")
-    seen_b, _ = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
+    seen, _ = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
+    plain, _ = _spy_moduli(monkeypatch, "_charpoly_mod")
     rng = random.Random(23)
     for n in (kernel._LANCZOS_DIM - 1, kernel._LANCZOS_DIM, 20, 28):
         for a, u in _symmetric_cases(rng, n):
             seen.clear()
-            seen_b.clear()
+            plain.clear()
+            # a plain charpoly takes the Hessenberg pass at every dimension
             assert charpoly_int(a, n) == power_trace_charpoly(a, n)
+            assert plain and not seen
             for c in (1, -2, 0):
                 v = [c * x for x in u]
                 assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v), (n, u, c)
-            assert bool(seen) == bool(seen_b) == (n >= kernel._LANCZOS_DIM)
+            assert bool(seen) == (n >= kernel._LANCZOS_DIM)
     # v not a multiple of u, or A not symmetric: the Hessenberg pass
     seen.clear()
-    seen_b.clear()
     a, n = _symmetric(rng, 12), 12
     u = [rng.randint(-4, 4) for _ in range(n)]
     v = u[:-1] + [u[-1] + 1]
     assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v)
     a[1] += 1
     assert charpoly_bordered_int(a, n, u, u) == _oracle_numerator(a, n, u, u)
-    assert charpoly_int(a, n) == power_trace_charpoly(a, n)
-    assert not seen_b and not seen
+    assert not seen
 
 
 def test_symmetric_pass_on_dimension_zero_and_one():
+    # a block of dimension 0 or 1 behind the border
     for p in (prime(0), prime(0) * prime(1)):
-        assert kernel._symmetric_mod([], 0, p) == kernel._charpoly_mod([], 0, p) == [1]
-        assert kernel._symmetric_bordered_mod([0], 1, p) == kernel._bordered_mod([0], 1, p)
+        assert kernel._symmetric_bordered_mod([0], 1, p) == kernel._bordered_mod([0], 1, p) == [0, 1, 1]
         for x, u in ((0, 0), (5, 0), (-7, 2), (3, -4)):
-            assert kernel._symmetric_mod([x], 1, p) == kernel._charpoly_mod([x], 1, p)
-            for c in (1, 3):
+            for c in (1, 3, 0):
                 b = [0, c * u, u, x]
                 assert kernel._symmetric_bordered_mod(b, 2, p) == kernel._bordered_mod(b, 2, p)
 
 
 def test_symmetric_pass_splits_on_a_non_unit_norm(monkeypatch):
-    # column 0 is 7 p0 e_1, so r_1 = 7 p0 e_1 has norm 49 p0^2: no unit mod
-    # p0 p1 p2.  The pass raises, p0 runs alone (r_1 = 0 there, a restart)
-    # and p1 p2 together
-    seen, raised = _spy_moduli(monkeypatch, "_symmetric_mod")
+    # column 0 is 7 p0 e_1, so from u = e_0 the basis's r_1 = 7 p0 e_1 has norm
+    # 49 p0^2: no unit mod p0 p1 p2.  The pass raises, p0 runs alone (r_1 = 0
+    # there, a restart) and p1 p2 together
+    seen, raised = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
     rng = random.Random(24)
     n = 12
     a = _symmetric(rng, n)
@@ -528,30 +535,31 @@ def test_symmetric_pass_splits_on_a_non_unit_norm(monkeypatch):
         a[i * n] = a[i] = 0
     a[n] = a[1] = 7 * prime(0)
     p0, p1, p2 = prime(0), prime(1), prime(2)
-    assert _agrees_with_fl(a, n)
-    assert raised == [p0 * p1 * p2]
-    assert seen == [p0 * p1 * p2, p0, p1 * p2]
+    u = _unit(n)
+    for v in (u, _unit(n, -3)):
+        seen.clear()
+        raised.clear()
+        assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v)
+        assert raised == [p0 * p1 * p2]
+        assert seen == [p0 * p1 * p2, p0, p1 * p2]
 
 
 def test_isotropic_vector_falls_back_to_the_hessenberg_pass(monkeypatch):
-    # (1, 2) has norm 5 = 0 mod 5: no Lanczos step, so each pass runs the
-    # Hessenberg reduction for that modulus
-    fell, _ = _spy_moduli(monkeypatch, "_charpoly_mod")
+    # (1, 2) has norm 5 = 0 mod 5: no Lanczos step, so the pass runs the
+    # Hessenberg reduction for that modulus, whether the isotropic vector is
+    # u itself or r_1 = A e_0 - 3 e_0 = (0, 1, 2, 0) from u = e_0
     fell_b, _ = _spy_moduli(monkeypatch, "_bordered_mod")
     p, n = 5, 4
     a = [3, 1, 2, 0, 1, 1, 0, 2, 2, 0, 4, 1, 0, 2, 1, 0]  # column 0 below the diagonal: (1, 2, 0)
-    assert kernel._tridiagonal_mod(kernel._row_groups(a, n, n, 0), p, []) is None
-    want = [c % p for c in faddeev_leverrier(a, n)]
-    assert kernel._symmetric_mod(a, n, p) == want
-    assert fell == [p]
-    u = [1, 2, 0, 0]
-    b = _bordered(a, n, u, [2 * x for x in u])
-    phi, num = _oracle_numerator(a, n, u, [2 * x for x in u])
-    chi0 = [(phi[j - 1] if j else 0) - (num[j] if j < n else 0) for j in range(n + 2)]
-    assert kernel._symmetric_bordered_mod(b, n + 1, p) == [c % p for c in chi0 + phi]
-    assert fell_b == [p]
+    assert kernel._tridiagonal_mod(kernel._row_groups(a, n, n, 0), p, _unit(n)) is None
+    for u in (_unit(n), [1, 2, 0, 0]):
+        fell_b.clear()
+        v = [2 * x for x in u]
+        phi, num = _oracle_numerator(a, n, u, v)
+        chi0 = [(phi[j - 1] if j else 0) - (num[j] if j < n else 0) for j in range(n + 2)]
+        assert kernel._symmetric_bordered_mod(_bordered(a, n, u, v), n + 1, p) == [c % p for c in chi0 + phi]
+        assert fell_b == [p]
     # u = 0 mod p is no fallback: the numerator is 0 mod p, and the basis starts at e_0
-    fell.clear()
     fell_b.clear()
     b = _bordered(a, n, [7, 14, 0, 7], [7, 14, 0, 7])
     assert kernel._symmetric_bordered_mod(b, n + 1, 7) == kernel._bordered_mod(b, n + 1, 7)

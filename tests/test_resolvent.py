@@ -119,7 +119,8 @@ def test_shape_errors():
 
 
 def test_eigenvector_shortcut_matches_full_computation():
-    # all-ones is an eigenvector of the 4-cycle for eigenvalue 2: |u|^2 / (x - 2)
+    # Fiedler's case: the form of an eigenvector u for mu is |u|^2 / (x - mu).
+    # All-ones is an eigenvector of the 4-cycle for eigenvalue 2: 4 / (x - 2)
     c4 = cycle(4).adjacency()
     assert pair(resolvent_form(c4, ones(4))) == (Polynomial.constant(4), X - 2)
     for n in (2, 3, 5):
@@ -364,21 +365,27 @@ def _eigenvector_inputs(rng):
 
 
 def test_eigenvector_branch_matches_adjugate_reference(kernel_calls):
-    # Cramer's rule runs no kernel, so it checks the one-charpoly branch
-    # independently of the eigenvector shortcut
+    # an eigenvector takes the one bordered pass of every form, and the gcd
+    # leaves |u|^2 / (x - mu) with cofactor phi / (x - mu); Cramer's rule runs
+    # no kernel, so it checks that form independently
     for m, u in _eigenvector_inputs(random.Random(39)):
+        n = m.rows
+        i = next(i for i, x in enumerate(u) if x)
+        mu = sum(m.entries[i * n + j] * x for j, x in enumerate(u)) / u[i]
+        assert all(sum(m.entries[r * n + j] * x for j, x in enumerate(u)) == mu * u[r] for r in range(n))
         kernel_calls.clear()
         form = resolvent_form(m, u)
-        assert kernel_calls == [m.rows]
+        assert kernel_calls == [("bordered", n)]
         rows = char_matrix(m)
         phi = cofactor_det(rows)
-        assert form.cofactor * form.den == phi
+        assert pair(form) == (Polynomial.constant(sum(x * x for x in u)), X - mu)
+        assert form.cofactor == phi.exact_div(X - mu)
         assert pair(form) == reduced(adjugate_form(rows, u, u), phi)
 
 
 def test_non_eigenvectors_take_one_bordered_pass(kernel_calls):
     k4 = Graph.complete(4).adjacency()
-    # all-ones passes every row but the last
+    # K4 1 = 3 1 on every row but the last
     last_row_off = k4 + RationalMatrix(4, 4, [0] * 15 + [1])
     c4 = cycle(4).adjacency()
     cases = [

@@ -42,6 +42,7 @@ from joinspectra.fixtures import (
     subset_join_charpoly_factors,
     subset_join_spec,
 )
+from joinspectra.graphs import canonical_key
 from joinspectra.joins import host_rho
 from joinspectra.matrices import RationalMatrix, charpoly, cleared_rows, closed_form_phi, interpolated_det, packed_det, packed_width, realization_charpoly
 from joinspectra.polynomials import Polynomial
@@ -286,18 +287,18 @@ def test_glued_product_is_checked_on_shortcut_routes(monkeypatch):
 
 
 def test_eigenvector_blocks_take_one_kernel_call(kernel_calls):
-    # all-ones is an eigenvector of every Laplacian block, so its resolvent
-    # needs the block's charpoly only; A - D/2 of the same irregular blocks
-    # takes one bordered pass per block instead.  With one pole per Laplacian
-    # block, D = k = 3: the realization's D^3 is no more than the k^3 the
-    # packed form costs at least, so the last call is Phi's glued realization;
-    # the A - D/2 blocks have D > k and take the packed form, with no kernel call
+    # all-ones is an eigenvector of every Laplacian block, and its form, like
+    # that of A - D/2 of the same irregular blocks, is one bordered pass per
+    # block.  With one pole per Laplacian block, D = k = 3: the realization's
+    # D^3 is no more than the k^3 the packed form costs at least, so the last
+    # call is Phi's glued realization; the A - D/2 blocks have D > k and take
+    # the packed form, with no kernel call
     lap = mixed_join_spec().with_universal(UniversalParams.laplacian())
     coupled_charpoly(universal_blocks(lap))
-    assert kernel_calls == [3, 4, 3, 3]
+    assert kernel_calls == [("bordered", 3), ("bordered", 4), ("bordered", 3), 3]
     kernel_calls.clear()
     _balanced_spectrum(lap)
-    assert kernel_calls == [3, 4, 3, 3]
+    assert kernel_calls == [("bordered", 3), ("bordered", 4), ("bordered", 3), 3]
     kernel_calls.clear()
     coupled_charpoly(universal_blocks(degree_shift_spec(mixed_join_spec(), Fraction(1, 2))))
     assert kernel_calls == [("bordered", 3), ("bordered", 4), ("bordered", 3)]
@@ -790,8 +791,8 @@ def test_one_matrix_under_other_vectors_is_another_block():
 
 
 def test_lex_join_takes_one_blocks_kernel_calls_plus_one_k_by_k_call(kernel_calls):
-    # an irregular inner graph takes one bordered pass, a regular one (or a
-    # Laplacian block) one charpoly; then Phi's closed form takes one k x k
+    # the inner graph's block takes one bordered pass, whether it is irregular,
+    # regular or a Laplacian block; then Phi's closed form takes one k x k
     # call.  The first host is large enough for the closed form to be the
     # cheapest; the other two have one pole per block (D = k), and their
     # realization is the one call of dimension k
@@ -799,8 +800,8 @@ def test_lex_join_takes_one_blocks_kernel_calls_plus_one_k_by_k_call(kernel_call
     irregular = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     cases = [
         (_lex_spec(random_graph(rng, 10), irregular), [("bordered", 5), 10]),
-        (_lex_spec(random_graph(rng, 7), cycle(5)), [5, 7]),
-        (_lex_spec(cycle(6), irregular, UniversalParams.laplacian()), [5, 6]),
+        (_lex_spec(random_graph(rng, 7), cycle(5)), [("bordered", 5), 7]),
+        (_lex_spec(cycle(6), irregular, UniversalParams.laplacian()), [("bordered", 5), 6]),
     ]
     for spec, want in cases:
         for glue in (coupled_charpoly, coupled_spectrum):
@@ -1124,26 +1125,32 @@ def _repeating_join(rng, params):
 
 @pytest.mark.parametrize("values", TRANSLATION_PARAMS)
 def test_translated_forms_equal_the_forms_of_their_own_blocks(values, kernel_calls):
-    # a component's first block is reduced, and its blocks at other host
-    # weights get that form translated; each must equal its own block's form
+    # a component's class is reduced once, and its blocks at every host weight
+    # get that form translated; each must equal its own block's form, which
+    # takes one bordered pass too
     rng = random.Random(30)
     params = UniversalParams(*values)
-    branches = set()
+    kinds = set()
     repeated = 0
     for _ in range(6):
         spec = _repeating_join(rng, params)
         w = join_weights(spec)
+        kernel_calls.clear()
         cb = universal_blocks(spec)
+        # the menu's graphs are pairwise non-isomorphic: one pass per distinct component
+        assert kernel_calls == [("bordered", g.n) for g in dict.fromkeys(spec.components)]
         repeated += len({(g, w[i]) for i, g in enumerate(spec.components)}) > len(set(spec.components))
         for i, (g, form) in enumerate(zip(spec.components, cb.forms)):
             kernel_calls.clear()
             want = resolvent_form(universal_matrix(g, params, params.delta * w[i]), [1] * g.n)
-            branches.add("bordered" if isinstance(kernel_calls[0], tuple) else "eigenvector")
+            assert kernel_calls == [("bordered", g.n)]
             assert form == want
             assert form.hermitian
-    # the seeded joins hold components at several host weights, and reach both branches
+            if g.n:
+                kinds.add(_all_ones_kind(form))
+    # the seeded joins hold components at several host weights, and reach both kinds of block
     assert repeated >= 4
-    assert branches == {"bordered", "eigenvector"} or params.alpha + params.delta == 0
+    assert kinds == {"eigenvector", "other"} or params.alpha + params.delta == 0
 
 
 @pytest.mark.parametrize("values", TRANSLATION_PARAMS)
@@ -1157,8 +1164,8 @@ def test_universal_blocks_take_one_kernel_pass_per_distinct_component(values, ke
         pairs = {(g, w[i]) for i, g in enumerate(spec.components)}
         kernel_calls.clear()
         universal_blocks(spec)
-        # one charpoly or bordered pass per distinct component, in order of first appearance
-        assert [c[1] if isinstance(c, tuple) else c for c in kernel_calls] == [g.n for g in distinct]
+        # one bordered pass per distinct component, in order of first appearance
+        assert kernel_calls == [("bordered", g.n) for g in distinct]
         # where delta != 0 a pass per (component, weight) pair would be more
         assert len(pairs) > len(distinct) or params.delta == 0
 
@@ -1205,43 +1212,48 @@ def _star_join(g: Graph, leaves: int, params) -> JoinSpec:
     return JoinSpec(host, (g,) + (Graph(1),) * leaves, universal=params)
 
 
+def _all_ones_kind(form) -> str:
+    """The kind of a symmetric block with rows, read off its all-ones form:
+    "eigenvector" when all-ones is one (a single main eigenvalue), else "other"."""
+    return "eigenvector" if form.den.degree == 1 else "other"
+
+
 def _assert_split_forms_equal_dense_forms(spec: JoinSpec, kernel_calls) -> set:
     """Every block's form equals `resolvent_form` of its dense universal
-    matrix, and takes the dense form's branch (eigenvector or bordered);
-    returns the branches seen on blocks with rows (an empty block's form is
-    0/1 from an empty bordered pass)."""
+    matrix, and each form, the route's and the dense one, takes one bordered
+    pass per class; returns the kinds (`_all_ones_kind`) of the blocks with
+    rows (an empty block's form is 0/1 from an empty bordered pass)."""
     params = spec.params
     w = join_weights(spec)
     kernel_calls.clear()
     cb = universal_blocks(spec)
-    route = list(kernel_calls)
-    branches = set()
+    classes = {canonical_key(g): g.n for g in spec.components}
+    assert kernel_calls == [("bordered", n) for n in classes.values()]
+    kinds = set()
     for i, (g, form) in enumerate(zip(spec.components, cb.forms)):
         kernel_calls.clear()
         want = resolvent_form(universal_matrix(g, params, params.delta * w[i]), [1] * g.n)
+        assert kernel_calls == [("bordered", g.n)]
         assert form == want
         assert form.hermitian
-        dense = kernel_calls[0]
-        if i == 0:
-            assert route[0] == dense
         if g.n:
-            branches.add("bordered" if isinstance(dense, tuple) else "eigenvector")
-    return branches
+            kinds.add(_all_ones_kind(form))
+    return kinds
 
 
 @pytest.mark.parametrize("values", SPLIT_PARAMS)
 def test_split_forms_equal_the_forms_of_the_dense_blocks(values, kernel_calls):
     rng = random.Random(41)
     params = UniversalParams(*values)
-    branches = set()
+    kinds = set()
     for n in range(10):
         for _ in range(3):
             g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-            branches |= _assert_split_forms_equal_dense_forms(_star_join(g, rng.randint(0, 3), params), kernel_calls)
+            kinds |= _assert_split_forms_equal_dense_forms(_star_join(g, rng.randint(0, 3), params), kernel_calls)
         g = regular_graph_menu(rng)
-        branches |= _assert_split_forms_equal_dense_forms(_star_join(g, rng.randint(0, 3), params), kernel_calls)
+        kinds |= _assert_split_forms_equal_dense_forms(_star_join(g, rng.randint(0, 3), params), kernel_calls)
     alpha, delta = params.alpha, params.delta
-    assert branches == ({"eigenvector"} if alpha + delta == 0 else {"bordered", "eigenvector"})
+    assert kinds == ({"eigenvector"} if alpha + delta == 0 else {"eigenvector", "other"})
 
 
 def test_split_forms_hold_for_random_parameters_and_zero_alpha(kernel_calls):
@@ -1288,10 +1300,6 @@ def _relabelings(g: Graph) -> list[Graph]:
     return sorted(out, key=lambda h: sorted(h.edges))
 
 
-def _block_passes(kernel_calls) -> list[int]:
-    return [c[1] if isinstance(c, tuple) else c for c in kernel_calls]
-
-
 @pytest.mark.parametrize("values", PRESET_VALUES)
 def test_twelve_relabeled_paths_at_distinct_weights_take_one_pass(values, kernel_calls):
     paths = _relabelings(Graph.path(4))
@@ -1303,7 +1311,7 @@ def test_twelve_relabeled_paths_at_distinct_weights_take_one_pass(values, kernel
     assert sorted(join_weights(spec)[:12]) == list(range(1, 13))
     kernel_calls.clear()
     cb = universal_blocks(spec)
-    assert _block_passes(kernel_calls) == [4, 1, 2, 4, 8]
+    assert kernel_calls == [("bordered", n) for n in (4, 1, 2, 4, 8)]
     assert len(set(map(id, cb.forms[:12]))) == (12 if spec.params.delta else 1)
     assert compare(coupled_charpoly(cb), oracle_charpoly(join_truth(spec))).equal
 
