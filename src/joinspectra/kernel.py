@@ -1,6 +1,7 @@
 """Exact characteristic polynomials of integer matrices, by Hessenberg reduction,
 or Lanczos tridiagonalization for a bordered symmetric block, modulo a
-product of word primes.
+product of word primes; and a small bordered symmetric block by one
+fraction-free elimination at x = 2^w.
 
 det(xI - A) is computed modulo P: A is reduced to upper Hessenberg form by a
 similarity mod P (Gaussian elimination below the subdiagonal, swapping a row
@@ -39,11 +40,34 @@ column's pivot swap handles it.  Every principal minor of A is one of B, so
 B's bound covers both polynomials, and one modulus, with the same split on
 a non-unit pivot, serves both.
 
-A bordered matrix whose A is symmetric (from `_LANCZOS_DIM` vertices up)
-and whose v = c u for an integer c (every Hermitian block a route builds:
-`resolvent_form` clears v to a multiple of u) takes a second reduction mod
-the same P: Lanczos tridiagonalization of A from u (Lanczos, *J. Res. NBS*
-45, 1950).  The basis r_0 = u, r_1, ... of u's Krylov space is built by the
+A bordered matrix whose A is symmetric and whose v = c u for an integer c
+(every Hermitian block a route builds: `resolvent_form` clears v to a
+multiple of u) takes one of two other passes, split at `_LANCZOS_DIM` rows
+of A, where the two passes measured level (see its comment).
+
+Below it, no modular pass runs.  S = [[A, u], [u^T, 0]], the border last,
+is symmetric, det(xI - S) = x det(xI - A) - u^T adj(xI - A) u, and the
+numerator is v^T adj(xI - A) u = c (x det(xI - A) - det(xI - S)).  Both
+polynomials are read off one fraction-free (Bareiss, *Math. Comp.* 22,
+1968) elimination of the integer matrix M = 2^w I - S, with w chosen so
+that 2^(w-1) > `coeff_bound` of S, the Kronecker substitution by which
+`matrices.packed_det` computes Phi.  It needs no pivot search: a row's
+1-norm is at most n + 1 times its 2-norm, so at most the bound, and M is
+strictly diagonally dominant with a positive diagonal; its leading
+principal minors, Bareiss's pivots, are then all positive, and no swap
+moves the border from last place.  Its pivots of order n and n + 1 are
+det(2^w I - A) and det(2^w I - S).  Every coefficient of either polynomial
+is a sum of principal minors of S, so at most the bound in absolute value
+and below 2^(w-1), and the signed base-2^w digits of the two pivots
+(`polynomials._kronecker_digits`) are the two charpolys exactly: no prime,
+no residue, no lift.  A Bareiss step keeps M symmetric, so each row is kept
+from its diagonal on.  The integers grow to about (n + 1) w bits, so the
+cost rises faster with n than a modular pass's, whose fixed cost per step
+it saves on small blocks.
+
+From `_LANCZOS_DIM` on, the block takes a second reduction mod the same P:
+Lanczos tridiagonalization of A from u (Lanczos, *J. Res. NBS* 45, 1950).
+The basis r_0 = u, r_1, ... of u's Krylov space is built by the
 three-term recurrence, fraction-free, so that it is orthogonal under x^T y;
 when the space closes it restarts at the next e_i projected off the basis.
 Every norm |r_j|^2 is a unit mod P, so Q^T Q is invertible, hence Q is, and
@@ -74,6 +98,8 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Sequence
 
+from .polynomials import _kronecker_digits
+
 # The one kernel implementation, pure Python; exported as
 # joinspectra.KERNEL_BACKEND and printed by `joinspectra verify`.
 BACKEND = "python"
@@ -83,14 +109,16 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _primes: tuple[int, ...] = ()
 
-# The block dimension from which a bordered pass over a symmetric block takes
-# Lanczos; below it the Hessenberg pass is faster, as a step's fixed cost
-# weighs more and small graphs repeat eigenvalues, each repeat a restart of
-# the Krylov basis.  Per call, Lanczos against Hessenberg, on seeded G(n, 0.4)
-# adjacency matrices with u = v = 1 (Python 3.11, 2-vCPU host): at n = 4, 8,
-# 10, 11, 12, 16, 28 they took 77/55, 335/182, 284/298, 336/356, 355/425,
-# 649/828 and 1958/3874 us.
-_LANCZOS_DIM = 11
+# The block dimension from which a bordered pass over a symmetric block with
+# v = c u takes Lanczos; below it the fraction-free pass runs, whose integers
+# grow with n where Lanczos pays a fixed cost per step.  Per call, fraction-free
+# against Lanczos (and the Hessenberg pass), on seeded G(n, 0.4) adjacency
+# matrices A with u = v = 1 (Python 3.11, 2-vCPU host): at n = 4, 8, 12, 14,
+# 15, 16, 20, 28 they took 24/57 (49), 65/183 (178), 169/303 (385), 326/398
+# (577), 386/440 (711), 532/540 (809), 1409/765 (1316) and 7772/1715 (3733)
+# us; on the rational-parameter blocks 3A + 2D of the same graphs 25/76,
+# 72/237, 254/342, 487/476, 620/621, 913/664, 2738/1005 and 26480/2482 us.
+_LANCZOS_DIM = 15
 
 # a pass mod P: (matrix, dimension, P) -> ascending coefficients mod P
 _Mod = Callable[[list[int], int, int], list[int]]
@@ -146,9 +174,14 @@ def _ceil_sqrt(s: int) -> int:
 
 def coeff_bound(a: list[int], n: int) -> int:
     """max_k C(n, k) * (product of the k largest row 2-norms, rounded up)."""
-    norms = sorted((_ceil_sqrt(sum(x * x for x in a[i * n : (i + 1) * n])) for i in range(n)), reverse=True)
+    return _norm_bound([sum(x * x for x in a[i * n : (i + 1) * n]) for i in range(n)])
+
+
+def _norm_bound(squares: list[int]) -> int:
+    """`coeff_bound` of a matrix whose rows have these squared 2-norms."""
+    n = len(squares)
     best = prod = 1
-    for k, r in enumerate(norms, 1):
+    for k, r in enumerate(sorted(map(_ceil_sqrt, squares), reverse=True), 1):
         prod *= r
         best = max(best, math.comb(n, k) * prod)
     return best
@@ -400,13 +433,40 @@ def _lifted(mod: _Mod, a: list[int], n: int) -> list[int]:
     return [c - modulus if c > half else c for c in _residues(mod, a, n, primes)]
 
 
-def _is_multiple(v: list[int], u: list[int]) -> bool:
-    """Whether v = c u for an integer c."""
+def _multiple(v: list[int], u: list[int]) -> int | None:
+    """The integer c with v = c u (0 when both are 0), or None."""
     i = next((i for i, x in enumerate(u) if x), None)
     if i is None:
-        return not any(v)
+        return None if any(v) else 0
     c, rem = divmod(v[i], u[i])
-    return not rem and all(y == c * x for x, y in zip(u, v))
+    return c if not rem and all(y == c * x for x, y in zip(u, v)) else None
+
+
+def _fraction_free_bordered(a: list[int], n: int, u: list[int], c: int) -> tuple[list[int], list[int]]:
+    """`charpoly_bordered_int` for a symmetric A and v = c u, from one
+    fraction-free elimination of M = 2^w I - S, S = [[A, u], [u^T, 0]] (see
+    the module docstring).
+
+    Bareiss's step k sets M_ij to (M_kk M_ij - M_ik M_kj) / (the previous
+    pivot) for i, j > k, an exact division that leaves M_(k+1)(k+1) the
+    leading principal minor of order k + 2, and keeps M symmetric: each row
+    is kept from its diagonal on.
+    """
+    rows = [a[i * n : (i + 1) * n] for i in range(n)]
+    squares = [sum(map(mul, row, row)) + ui * ui for row, ui in zip(rows, u)]
+    w = _norm_bound([*squares, sum(map(mul, u, u))]).bit_length() + 1
+    top = 1 << w
+    m = [[top - row[i], *[-x for x in row[i + 1 :]], -ui] for i, (row, ui) in enumerate(zip(rows, u))]
+    m.append([top])
+    minors = [1]
+    while m:
+        head, prev = m[0], minors[-1]
+        piv = head[0]
+        minors.append(piv)
+        m = [[(piv * x - head[t] * y) // prev for x, y in zip(row, head[t:])] for t, row in enumerate(m[1:], 1)]
+    phi = _kronecker_digits(minors[n], w)
+    chi = _kronecker_digits(minors[n + 1], w)
+    return phi, [c * (p - q) for p, q in zip([0, *phi], chi[:n])]
 
 
 def charpoly_int(a: list[int], n: int) -> list[int]:
@@ -419,17 +479,20 @@ def charpoly_int(a: list[int], n: int) -> list[int]:
 def charpoly_bordered_int(a: list[int], n: int, u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
     """(det(xI - A), v^T adj(xI - A) u), ascending integer coefficients, for
     A row-major n x n and integer vectors u, v: one pass over the bordered
-    matrix B = [[0, v^T], [u, A]] (see the module docstring).
+    matrix B = [[0, v^T], [u, A]], or for a small symmetric A with v = c u
+    one fraction-free elimination (see the module docstring).
 
     The second polynomial has degree below n, and its list has n entries.
     """
+    c = _multiple(v, u)
+    symmetric = c is not None and is_symmetric_int(a, n)
+    if symmetric and n < _LANCZOS_DIM:
+        return _fraction_free_bordered(a, n, u, c)
     b = [0, *v]
     for i, ui in enumerate(u):
         b.append(ui)
         b += a[i * n : (i + 1) * n]
-    lanczos = n >= _LANCZOS_DIM and _is_multiple(v, u) and is_symmetric_int(a, n)
-    mod = _symmetric_bordered_mod if lanczos else _bordered_mod
-    coeffs = _lifted(mod, b, n + 1)
+    coeffs = _lifted(_symmetric_bordered_mod if symmetric else _bordered_mod, b, n + 1)
     chi0, chi1 = coeffs[: n + 2], coeffs[n + 2 :]
     # det(xI - B) = x det(xI - A) - v^T adj(xI - A) u, expanded along row 0
     return chi1, [(chi1[j - 1] if j else 0) - chi0[j] for j in range(n)]

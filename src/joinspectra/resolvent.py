@@ -3,11 +3,12 @@
 Unreduced, a form is v^T adj(xI - M) u / det(xI - M), and one kernel pass
 gives both.  Bordering M by the two vectors, B = [[0, v^T], [u, M]], and
 expanding det(xI - B) along its first row gives det(xI - B) =
-x det(xI - M) - v^T adj(xI - M) u; `kernel.charpoly_bordered_int` reduces B
-once and reads det(xI - B) and det(xI - M) off the same reduced form
-(Hessenberg, or Lanczos's tridiagonal one for a symmetric M of 11 or more
-rows with v a multiple of u).  So v^T (xI - M)^{-1} u =
-(x phi_M - phi_B) / phi_M, with no second reduction.
+x det(xI - M) - v^T adj(xI - M) u; `kernel.charpoly_bordered_int` reads
+det(xI - B) and det(xI - M) off one pass: a reduction of B (Hessenberg, or
+Lanczos's tridiagonal form for a symmetric M of 15 or more rows with v a
+multiple of u), or, for a smaller such M, one fraction-free elimination at
+x = 2^w whose last two pivots hold both polynomials.  So
+v^T (xI - M)^{-1} u = (x phi_M - phi_B) / phi_M, with no second pass.
 The pass returns both polynomials as integers for D * M, and one gcd of those
 integers (`polynomials._int_gcd`) gives the gcd and both quotients, so each
 of the three reduced polynomials is descaled once and nothing is divided.

@@ -79,7 +79,8 @@ class CoupledBlocks(Record):
     def __init__(self, forms, rho):
         forms = tuple(forms)
         k = len(forms)
-        rho = tuple(tuple(as_fraction(x) for x in row) for row in rho)
+        # the route's builders hand over Fractions; anything else is normalized or rejected
+        rho = tuple(tuple(x if type(x) is Fraction else as_fraction(x) for x in row) for row in rho)
         if len(rho) != k or any(len(r) != k for r in rho):
             raise ShapeError(f"coupling matrix must be {k}x{k}")
         if any(rho[i][i] != 0 for i in range(k)):

@@ -9,10 +9,12 @@ blocks have repeated eigenvalues (a main eigenvalue of multiplicity above 1,
 and a zero subset vector), a join under rational parameters whose
 components repeat at distinct host weights, one whose components are
 relabelings of two graphs, a subset join of relabeled (graph, subset)
-pairs, and two joins of components of 12 to 14 vertices (regular ones, and
-irregular ones under Laplacian parameters) whose blocks reach the kernel's
-Lanczos pass.  The files are written into the working directory, so `verify`
-names them by their bare file names.  One
+pairs, two joins of components of 12 to 14 vertices (regular ones, and
+irregular ones under Laplacian parameters), and a rational-parameter join of
+a 14- and a 15-vertex component, whose blocks fall on both sides of the
+kernel's threshold between its fraction-free pass and its Lanczos pass.  The
+files are written into the working directory, so `verify` names them by
+their bare file names.  One
 case runs no spec: the first 20 cases of the seeded random suite, so that
 its seeded draws stay where they are; all 200 cases of that seed are pinned
 by the sha256 of their output.
@@ -97,7 +99,7 @@ SPECS = {
         "subsets": [[0], [1], [1], [0, 3], [1, 2]],
     },
     # C12 and the 3-regular circulant C12(1, 6): all-ones is an eigenvector of
-    # both 12-vertex blocks, whose forms come from the kernel's Lanczos pass
+    # both 12-vertex blocks, whose forms come from the kernel's fraction-free pass
     "regular-12.json": {
         "host": "2; 0-1",
         "components": [
@@ -114,6 +116,17 @@ SPECS = {
             "14; 0-1,0-2,0-3,1-4,2-5,3-6,4-7,5-8,6-9,7-10,8-11,9-10,10-11,1-2,11-12,12-13,3-13",
         ],
         "universal": {"alpha": "-1", "delta": "1"},
+    },
+    # irregular components of 14 and 15 vertices under rational parameters: the
+    # 14-vertex block takes the kernel's fraction-free pass, the 15-vertex one
+    # its Lanczos pass
+    "rational-14-15.json": {
+        "host": "2; 0-1",
+        "components": [
+            "14; 0-1,0-9,0-12,1-2,1-5,1-9,2-3,2-11,2-12,2-13,3-4,3-5,3-6,3-10,3-13,4-5,4-7,4-8,5-6,5-7,5-10,5-11,6-7,6-10,7-8,8-9,8-10,9-10,9-13,10-11,11-12,12-13",
+            "15; 0-1,0-2,0-3,0-8,0-11,1-2,1-8,2-3,2-7,2-13,3-4,3-6,3-9,4-5,5-6,5-7,5-8,5-9,5-10,5-13,5-14,6-7,6-10,6-13,7-8,7-10,7-13,8-9,8-12,9-10,9-11,10-11,10-12,11-12,12-13,13-14",
+        ],
+        "universal": {"alpha": "1/2", "beta": "-1/3", "gamma": "2/3", "delta": "1/3"},
     },
 }
 
@@ -142,6 +155,9 @@ CASES = {
     "spectrum-verify-regular-12": ["spectrum", "regular-12.json", "--verify"],
     "charpoly-laplacian-13-14": ["charpoly", "laplacian-13-14.json"],
     "spectrum-verify-laplacian-13-14": ["spectrum", "laplacian-13-14.json", "--verify"],
+    "charpoly-rational-14-15": ["charpoly", "rational-14-15.json", "--route", "universal"],
+    "spectrum-verify-rational-14-15": ["spectrum", "rational-14-15.json", "--verify"],
+    "verify-json-rational-14-15": ["verify", "rational-14-15.json", "--json"],
     "gcp-half-mixed": ["gcp", "mixed.json", "--t", "1/2"],
     "corona-verify": ["corona", "corona.json", "--verify"],
     "lex-verify": ["lex", "lex.json", "--verify"],

@@ -504,7 +504,8 @@ def test_symmetric_blocks_take_the_lanczos_pass_from_its_dimension(monkeypatch):
             assert bool(seen) == (n >= kernel._LANCZOS_DIM)
     # v not a multiple of u, or A not symmetric: the Hessenberg pass
     seen.clear()
-    a, n = _symmetric(rng, 12), 12
+    n = kernel._LANCZOS_DIM
+    a = _symmetric(rng, n)
     u = [rng.randint(-4, 4) for _ in range(n)]
     v = u[:-1] + [u[-1] + 1]
     assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v)
@@ -529,7 +530,7 @@ def test_symmetric_pass_splits_on_a_non_unit_norm(monkeypatch):
     # there, a restart) and p1 p2 together
     seen, raised = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
     rng = random.Random(24)
-    n = 12
+    n = kernel._LANCZOS_DIM
     a = _symmetric(rng, n)
     for i in range(1, n):
         a[i * n] = a[i] = 0
@@ -564,3 +565,83 @@ def test_isotropic_vector_falls_back_to_the_hessenberg_pass(monkeypatch):
     b = _bordered(a, n, [7, 14, 0, 7], [7, 14, 0, 7])
     assert kernel._symmetric_bordered_mod(b, n + 1, 7) == kernel._bordered_mod(b, n + 1, 7)
     assert fell_b == [7]  # the reference call above only
+
+
+# -- the fraction-free pass for small symmetric blocks ---------------------------
+
+
+def _hessenberg_numerator(a, n, u, v):
+    """(det(xI - A), v^T adj(xI - A) u) read off the lifted Hessenberg pass
+    over B = [[0, v^T], [u, A]]."""
+    coeffs = kernel._lifted(kernel._bordered_mod, _bordered(a, n, u, v), n + 1)
+    chi0, phi = coeffs[: n + 2], coeffs[n + 2 :]
+    return phi, [(phi[j - 1] if j else 0) - chi0[j] for j in range(n)]
+
+
+def _small_symmetric_cases(rng, n):
+    """`_symmetric_cases`, then entries of 10^15 (a bound past two primes)
+    and rows of large negative entries, u random."""
+    yield from _symmetric_cases(rng, n)
+    big = 10**15
+    yield _symmetric(rng, n, big), [rng.randint(-big, big) for _ in range(n)]
+    a = _symmetric(rng, n)
+    for i in range(0, n, 2):
+        for j in range(n):
+            a[i * n + j] = a[j * n + i] = -rng.randint(big // 2, big)
+    yield a, [rng.randint(-4, 4) for _ in range(n)]
+
+
+def test_fraction_free_pass_equals_the_hessenberg_pass():
+    rng = random.Random(25)
+    for n in range(kernel._LANCZOS_DIM + 3):
+        for a, u in _small_symmetric_cases(rng, n):
+            for c in (1, -3, 0):
+                v = [c * x for x in u]
+                assert kernel._fraction_free_bordered(a, n, u, c) == _hessenberg_numerator(a, n, u, v), (n, a, u, c)
+    # the bound of the 10^15 entries needs more than two primes' worth of digits
+    a, u = _symmetric(rng, 3, 10**15), [10**15] * 3
+    bordered = [*a[0:3], u[0], *a[3:6], u[1], *a[6:9], u[2], *u, 0]
+    assert coeff_bound(bordered, 4).bit_length() + 1 > (prime(0) * prime(1)).bit_length()
+    assert kernel._fraction_free_bordered(a, 3, u, 1) == _hessenberg_numerator(a, 3, u, u)
+
+
+def test_fraction_free_pass_reads_a_coefficient_at_its_bound():
+    # S = [[0, 3], [3, 0]] has det(xI - S) = x^2 - 9 and bound 9: w = 5, so
+    # -9 is one digit, where a base of 2^4 would read x^2 - x + 7 off 16^2 - 9
+    assert kernel._fraction_free_bordered([0], 1, [3], 1) == ([0, 1], [9])
+    assert kernel._fraction_free_bordered([0], 1, [3], -3) == ([0, 1], [-27])
+
+
+def test_symmetric_blocks_take_the_fraction_free_pass_below_the_lanczos_dimension(monkeypatch):
+    small = []
+    real = kernel._fraction_free_bordered
+
+    def spy(a, n, u, c):
+        small.append(n)
+        return real(a, n, u, c)
+
+    monkeypatch.setattr(kernel, "_fraction_free_bordered", spy)
+    lanczos, _ = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
+    hessenberg, _ = _spy_moduli(monkeypatch, "_bordered_mod")
+    rng = random.Random(26)
+    for n in (1, 2, kernel._LANCZOS_DIM - 1, kernel._LANCZOS_DIM, kernel._LANCZOS_DIM + 1):
+        for a, u in _symmetric_cases(rng, n):
+            for c in (1, -3, 0):
+                small.clear()
+                lanczos.clear()
+                hessenberg.clear()
+                v = [c * x for x in u]
+                assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v), (n, u, c)
+                assert small == ([n] if n < kernel._LANCZOS_DIM else [])
+                assert bool(lanczos) == (n >= kernel._LANCZOS_DIM) and not hessenberg
+    # v off u's line, or A not symmetric: the Hessenberg pass at every dimension
+    for n in (2, kernel._LANCZOS_DIM - 1):
+        small.clear()
+        hessenberg.clear()
+        a = _symmetric(rng, n)
+        u = [rng.randint(1, 4) for _ in range(n)]
+        v = u[:-1] + [u[-1] + 1]
+        assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v)
+        a[1] += 1
+        assert charpoly_bordered_int(a, n, u, u) == _oracle_numerator(a, n, u, u)
+        assert not small and len(hessenberg) == 2

@@ -96,6 +96,21 @@ def test_coupled_blocks_validation():
         coupled([(RationalMatrix(1, 1, [0]), (1,), (1,))], ((0, 1), (1, 0)))
 
 
+def test_coupled_blocks_normalize_rho_to_fractions():
+    # Fractions are kept as they are; ints and 'p/q' strings become Fractions;
+    # floats and bools are rejected
+    forms = [resolvent_form(RationalMatrix(1, 1, [0]), (1,))] * 2
+    half = Fraction(1, 2)
+    cb = CoupledBlocks(forms, ((0, half), (half, 0)))
+    assert cb.rho[0][1] is half
+    for raw, exact in ((3, Fraction(3)), ("-2/6", Fraction(-1, 3))):
+        rho = CoupledBlocks(forms, ((0, raw), (raw, 0))).rho
+        assert rho == ((0, exact), (exact, 0)) and all(type(x) is Fraction for row in rho for x in row)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            CoupledBlocks(forms, ((0, bad), (1, 0)))
+
+
 def test_two_singletons_make_an_edge():
     cb = scalar_blocks([0, 0], ((0, 1), (1, 0)))
     assert coupled_charpoly(cb) == X**2 - 1
