@@ -1,7 +1,7 @@
-"""Exact characteristic polynomials of integer matrices, by Hessenberg reduction,
-or Lanczos tridiagonalization for a bordered symmetric block, modulo a
-product of word primes; and a small bordered symmetric block by one
-fraction-free elimination at x = 2^w.
+"""Exact characteristic polynomials of integer matrices, by Hessenberg reduction
+modulo a product of primes below 2^62; a bordered symmetric block by Lanczos
+tridiagonalization modulo smaller word primes, all at once on one numpy
+int64 stack, or, when small, by one fraction-free elimination at x = 2^w.
 
 det(xI - A) is computed modulo P: A is reduced to upper Hessenberg form by a
 similarity mod P (Gaussian elimination below the subdiagonal, swapping a row
@@ -65,59 +65,81 @@ from its diagonal on.  The integers grow to about (n + 1) w bits, so the
 cost rises faster with n than a modular pass's, whose fixed cost per step
 it saves on small blocks.
 
-From `_LANCZOS_DIM` on, the block takes a second reduction mod the same P:
-Lanczos tridiagonalization of A from u (Lanczos, *J. Res. NBS* 45, 1950).
+From `_LANCZOS_DIM` on, the block takes Lanczos tridiagonalization of A
+from u (Lanczos, *J. Res. NBS* 45, 1950), one step per row, modulo word
+primes p rather than P, all of them at once as one int64 numpy stack: an
+(m, n) array of vectors, one row per prime, so that a step is a few array
+operations (A r, one Gram matrix for the three dot products, one update)
+whatever m is.  The primes are the largest with max(n, 3) (p - 1)^2 < 2^63:
+every number the pass forms is a sum of at most n products of residues
+(a dot product, A r) or of three (an update), so int64 holds it exactly
+(Dumas, Gautier and Pernet, ISSAC 2002, the oracle's argument, with
+integers in place of floats).  They are taken in turn until their product
+exceeds 2B for the same bound B, and the two polynomials det(xI - B) and
+det(xI - A) are joined by one Chinese remainder step and read as symmetric
+residues, so the integers are the ones the Hessenberg pass gives.  The
+kernel's word primes are its own (`_stack_bound`), none of the oracle's.
 The basis r_0 = u, r_1, ... of u's Krylov space is built by the
 three-term recurrence, fraction-free, so that it is orthogonal under x^T y;
-when the space closes it restarts at the next e_i projected off the basis.
-Every norm |r_j|^2 is a unit mod P, so Q^T Q is invertible, hence Q is, and
-Q^-1 A Q = T is tridiagonal (it splits at restarts): det(xI - A) =
-det(xI - T), read off T's three-term recurrence.  The product of A and a
-vector runs over each row's nonzero entries, grouped by value, which a
-graph's sparse rows of one or two values make cheap.  As the basis starts
-at u, Q^-1 u = e_0, and, v being a multiple of u and the basis orthogonal,
-v^T Q = v^T u e_0^T; thus v^T adj(xI - A) u = v^T u det(xI - T[1:, 1:]),
-and the one recurrence run over T's trailing blocks gives both polynomials,
-as the Hessenberg pass does.  When u is an eigenvector of A the space
-closes at the first step, T splits after its first entry mu, and the
-numerator is v^T u det(xI - A) / (x - mu).  The bound, the primes, the
-split and the lift are shared, so the integers are the same.  Over a finite
-field the recurrence can meet a nonzero vector of norm 0 (Eberly and
-Kaltofen, ISSAC 1997), which never happens over Q: a norm that shares a
-prime with P makes `pow` raise and P is split as above, and a nonzero
-vector of norm 0 mod P, or no restart vector left, runs the Hessenberg pass
-for that modulus.  A u that is 0 mod P needs no fallback: the numerator is
-then 0 mod P, and the basis starts at e_0.  A plain charpoly
-(`charpoly_int`) takes the Hessenberg pass alone.
+when the space closes it restarts at the next e_i projected off the basis,
+the only place, besides one leading coefficient at the end, where the pass
+inverts anything, and it inverts each norm once.  Every norm |r_j|^2 is
+nonzero mod p, so Q^T Q is invertible, hence Q is, and Q^-1 A Q = T is
+tridiagonal (it splits at restarts): det(xI - A) = det(xI - T), read off
+T's three-term recurrence.  As the basis starts at u, Q^-1 u = e_0, and, v
+being a multiple of u and the basis orthogonal, v^T Q = v^T u e_0^T; thus
+v^T adj(xI - A) u = v^T u det(xI - T[1:, 1:]), and the one recurrence run
+over T's trailing blocks gives det(xI - B) = x det(xI - A) - v^T u
+det(xI - T[1:, 1:]) mod p.  That, not det(xI - T[1:, 1:]) itself, is what
+is lifted: the latter is the numerator divided by v^T u, no integer
+polynomial under the bound.  When u is an eigenvector of A the space closes
+at the first step, T splits after its first entry mu, and the numerator is
+v^T u det(xI - A) / (x - mu).  Each p is a field, so every nonzero norm is a
+unit and the composite modulus's split has nothing to do here.  But over a
+finite field the recurrence can meet a nonzero vector of norm 0 (Eberly and
+Kaltofen, ISSAC 1997), which never happens over Q, and the images of one
+rational vector can vanish mod some primes alone: a prime whose vector is
+nonzero with norm 0, or whose Krylov space closes at another step than the
+other primes', leaves the stack and runs the Hessenberg pass alone, as all
+would with no restart vector left.  A u that is 0 mod every prime needs no
+fallback: the numerator is then 0, and the basis starts at e_0.  numpy is
+imported inside the pass, so a run whose blocks all lie below the threshold
+never loads it; integer products start no BLAS threads.  A plain charpoly
+(`charpoly_int`) and an asymmetric block take the Hessenberg pass.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import count
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .polynomials import _kronecker_digits
 
-# The one kernel implementation, pure Python; exported as
-# joinspectra.KERNEL_BACKEND and printed by `joinspectra verify`.
+# The kernel's name, exported as joinspectra.KERNEL_BACKEND and printed by
+# `joinspectra verify`.  It stays "python" though the Lanczos pass runs on
+# numpy: `perfbench/compare.py` refuses to compare reports whose backends
+# differ, and `verify`'s golden output holds the string.
 BACKEND = "python"
 
 # Deterministic Miller-Rabin bases: exact for every n below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_primes: tuple[int, ...] = ()
+_primes: dict[int, tuple[int, ...]] = {}  # by bound
 
 # The block dimension from which a bordered pass over a symmetric block with
-# v = c u takes Lanczos; below it the fraction-free pass runs, whose integers
-# grow with n where Lanczos pays a fixed cost per step.  Per call, fraction-free
-# against Lanczos (and the Hessenberg pass), on seeded G(n, 0.4) adjacency
-# matrices A with u = v = 1 (Python 3.11, 2-vCPU host): at n = 4, 8, 12, 14,
-# 15, 16, 20, 28 they took 24/57 (49), 65/183 (178), 169/303 (385), 326/398
-# (577), 386/440 (711), 532/540 (809), 1409/765 (1316) and 7772/1715 (3733)
-# us; on the rational-parameter blocks 3A + 2D of the same graphs 25/76,
-# 72/237, 254/342, 487/476, 620/621, 913/664, 2738/1005 and 26480/2482 us.
+# v = c u takes the word-prime Lanczos pass; below it the fraction-free pass
+# runs, whose integers grow with n where Lanczos pays a fixed cost of numpy
+# calls per step.  Per call through `charpoly_bordered_int`, fraction-free
+# against Lanczos, on seeded G(n, 0.4) adjacency matrices A with u = v = 1
+# (Python 3.11, numpy 2.4, 2-vCPU host, the faster of 15 interleaved rounds):
+# at n = 4, 8, 12, 14, 15, 16, 20, 28 they took 42/330, 71/269, 173/290,
+# 309/341, 364/405, 471/435, 1344/554 and 8172/846 us; on the
+# rational-parameter blocks 3A + 2D of the same graphs 44/333, 79/292,
+# 222/329, 440/374, 553/427, 804/458, 3035/606 and 25297/967 us.  The
+# crossover lies between 15 and 16 rows for adjacency blocks and between 13
+# and 14 for rational ones; at 15 the two kinds together favour Lanczos.
 _LANCZOS_DIM = 15
 
 # a pass mod P: (matrix, dimension, P) -> ascending coefficients mod P
@@ -147,23 +169,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def prime(i: int) -> int:
-    """The (i+1)-th largest prime below 2**62.
+def prime(i: int, below: int = 2**62) -> int:
+    """The (i+1)-th largest prime below `below`.
 
-    The tuple of primes found so far only ever grows by replacement, and
-    every thread computes the same sequence, so a race costs recomputation,
-    never a wrong prime.
+    The tuple of primes found so far for a bound only ever grows by
+    replacement, and every thread computes the same sequence, so a race
+    costs recomputation, never a wrong prime.
     """
-    global _primes
-    found = _primes
+    found = _primes.get(below, ())
     if len(found) <= i:
         more = list(found)
-        c = more[-1] - 2 if more else (1 << 62) - 1
+        c = more[-1] - 2 if more else (below - 2) | 1
         while len(more) <= i:
             if _is_prime(c):
                 more.append(c)
             c -= 2
-        found = _primes = tuple(more)
+        found = _primes[below] = tuple(more)
     return found[i]
 
 
@@ -174,7 +195,8 @@ def _ceil_sqrt(s: int) -> int:
 
 def coeff_bound(a: list[int], n: int) -> int:
     """max_k C(n, k) * (product of the k largest row 2-norms, rounded up)."""
-    return _norm_bound([sum(x * x for x in a[i * n : (i + 1) * n]) for i in range(n)])
+    rows = (a[i * n : (i + 1) * n] for i in range(n))
+    return _norm_bound([sum(map(mul, row, row)) for row in rows])
 
 
 def _norm_bound(squares: list[int]) -> int:
@@ -288,122 +310,138 @@ def is_symmetric_int(a: Sequence[int], n: int) -> bool:
     return all(a[i * n + i + 1 : (i + 1) * n] == a[(i + 1) * n + i :: n] for i in range(n))
 
 
-def _row_groups(a: list[int], n: int, s: int, off: int) -> list[list[tuple[int, list[int]]]]:
-    """Each row of the n x n block at (off, off) of a row-major matrix of row
-    length s, as its nonzero values, each with the columns that hold it: a
-    graph's row has one or two values, so A r costs one product per value."""
-    rows = []
-    for i in range(off, off + n):
-        groups: dict[int, list[int]] = {}
-        for j, x in enumerate(a[i * s + off : i * s + off + n]):
-            if x:
-                groups.setdefault(x, []).append(j)
-        rows.append(list(groups.items()))
-    return rows
+def _stack_bound(n: int) -> int:
+    """The bound below which the primes p of the Lanczos stack for an n x n A
+    satisfy max(n, 3) (p - 1)^2 < 2^63.
+
+    Every number the stack forms is a sum of at most max(n, 3) products of
+    two factors each below p in absolute value (a dot product of n residues;
+    A r, with A's entries kept as they are only when each lies below every
+    prime; a three-term update), so it lies strictly between -2^63 and 2^63
+    and int64 holds it exactly.
+    """
+    return math.isqrt((2**63 - 1) // max(n, 3)) + 2
 
 
-def _inverses(xs: list[int], p: int) -> list[int]:
-    """The inverses of xs mod p from one `pow` (Montgomery's trick), which
-    raises ValueError when some x is no unit."""
-    prefix = list(accumulate(xs, lambda x, y: x * y % p, initial=1))
-    inv = pow(prefix.pop(), -1, p)
-    out = []
-    for x, before in zip(reversed(xs), reversed(prefix)):
-        out.append(inv * before % p)
-        inv = inv * x % p
-    return out[::-1]
+def _stack_residues(xs: list[int], primes: list[int]):
+    """xs modulo each of the primes, an int64 array of shape (len(primes),
+    len(xs)); past int64, reduced as Python ints."""
+    import numpy as np
+
+    if max(map(abs, xs), default=0) < 2**63:
+        return np.array(xs, dtype=np.int64) % np.array(primes, dtype=np.int64)[:, None]
+    return np.array([[x % q for x in xs] for q in primes], dtype=np.int64).reshape(len(primes), len(xs))
 
 
-def _tridiagonal_mod(rows: list[list[tuple[int, list[int]]]], p: int, u: list[int]) -> tuple[list[int], list[int]] | None:
-    """The diagonal alpha and the products beta_j = T[j][j-1] T[j-1][j]
-    (beta_0 = 0) of T = Q^-1 A Q mod p, for a symmetric A given by its
-    `_row_groups` and Q the Lanczos basis that starts at u, or at e_0 when
-    u = 0 mod p.  None when a vector of the basis is nonzero with norm 0 mod
-    p, or no restart vector is left.
+def _inverses(x, primes: list[int]):
+    """x^-1 modulo each of the primes, row by row, for an int64 array x of
+    nonzero residues with one row per prime."""
+    import numpy as np
+
+    return np.array([[pow(y, -1, q) for y in row] for row, q in zip(x.tolist(), primes)], dtype=np.int64).reshape(x.shape)
+
+
+def _lanczos_residues(b: list[int], size: int, primes: list[int]):
+    """`_bordered_mod(b, size, p)` for each of the word primes, as the column
+    of an int64 array, for B = [[0, v^T], [u, A]] with A symmetric and v =
+    c u: one Lanczos pass from u modulo every prime at once, an int64 stack
+    with one row per prime (see the module docstring).
 
     The basis is kept fraction-free: with N_j = |r_j|^2, A_j = r_j^T A r_j
     and B_j = r_(j-1)^T A r_j, r_(j+1) = N_j N_(j-1) A r_j - A_j N_(j-1) r_j
     - B_j N_j r_(j-1) is orthogonal to r_j and r_(j-1), hence (A symmetric)
-    to every earlier r; then alpha_j = A_j / N_j and beta_j = B_j^2 /
-    (N_j N_(j-1)), all the inverses from one `pow`.  When r_(j+1) = 0 the
-    Krylov space is invariant, and the basis restarts at the next e_i
-    projected off it, with B = 0: T splits there.  A norm that is no unit
-    mod a composite p makes `pow` raise ValueError.
+    to every earlier r.  The three dot products are entries of one Gram
+    matrix of (r_(j-1), r_j, A r_j), and the update is one product with it.
+    When r_(j+1) = 0 the Krylov space is invariant, and the basis restarts at
+    the next e_i projected off it; as A r_j then lies in the closed space,
+    the next B is 0 and T splits there.  With Q_j = N_j ... N_(n-1)
+    det(xI - T[j:, j:]), Q_n = 1 and Q_j = (N_j x - A_j) Q_(j+1) -
+    B_(j+1)^2 Q_(j+2): no inverse is taken but those of the norms at a
+    restart, each once, and of Q_0's leading coefficient at the end.  A
+    prime whose vector is nonzero with norm 0, or whose Krylov space closes
+    at another step than the others', leaves the stack and runs
+    `_bordered_mod` alone, as every prime does when no restart vector is left.
     """
-    n = len(rows)
-    r = [x % p for x in u]
-    prev = [0] * n
-    nprev = 1
-    basis: list[list[int]] = []
-    norms: list[int] = []
-    diag: list[int] = []
-    off: list[int] = []
+    import numpy as np
+
+    n = size - 1
+    u, v = [b[i * size] for i in range(1, size)], b[1:size]
+    flat = [x for i in range(1, size) for x in b[i * size + 1 : (i + 1) * size]]
+    alive, plist = list(range(len(primes))), list(primes)
+    p = np.array(plist, dtype=np.int64)[:, None]
+    # A's entries as they are when each lies below every prime, else an
+    # (m, n, n) stack of A mod each prime
+    signed = max(map(abs, flat), default=0) < min(plist)
+    a = np.array(flat, dtype=np.int64).reshape(n, n) if signed else _stack_residues(flat, plist).reshape(-1, n, n)
+    # r_j at j + 1, r_(-1) = 0 at 0, and A r_j at j + 2 while step j runs
+    basis = np.zeros((len(plist), n + 2, n), dtype=np.int64)
+    basis[:, 1] = _stack_residues(u, plist)
+    steps = np.zeros((n + 1, len(plist), 3), dtype=np.int64)  # B_j, A_j, N_j; 0 at n
+    scale = np.ones((len(plist), 3), dtype=np.int64)  # N_j, N_(j-1), N_(j-1)
+    signs = np.array([-1, -1, 1], dtype=np.int64)
+    dots = np.array([2, 5, 4])  # (r_(j-1), A r_j), (r_j, A r_j), (r_j, r_j) in the Gram matrix
+    invs = np.zeros((len(plist), 0), dtype=np.int64)  # inverses of the first norms
     nexti = 0
-    for _ in range(n):
-        if not any(r):
-            # the Krylov space closed: restart at the next e_i off the basis
-            prev = [0] * n
-            invs = _inverses(norms, p)
-            while not any(r):
-                if nexti == n:
-                    return None
-                cs = [q[nexti] * inv % p for q, inv in zip(basis, invs)]
-                r = [-sum(map(mul, cs, col)) % p for col in zip(*basis)] if basis else [0] * n
-                r[nexti] = (r[nexti] + 1) % p
+    for j in range(n):
+        w = basis[:, j : j + 3]
+        while True:
+            if signed:
+                np.matmul(a, w[:, 1].T, out=w[:, 2].T)
+            else:
+                np.matmul(a, w[:, 1, :, None], out=w[:, 2, :, None])
+            np.remainder(w[:, 2], p, out=w[:, 2])
+            np.remainder((w @ w.transpose(0, 2, 1)).reshape(-1, 9).take(dots, 1), p, out=steps[j])
+            norms = steps[j, :, 2].tolist()
+            if 0 not in norms:
+                break
+            if nexti < n and not w[:, 1].any():
+                # every Krylov space closed: restart at the next e_i off the basis
+                if invs.shape[1] < j:
+                    invs = np.concatenate([invs, _inverses(steps[invs.shape[1] : j, :, 2].T, plist)], 1)
+                q = basis[:, 1 : j + 1]
+                w[:, 1] = -((q[:, :, nexti] * invs % p)[:, None] @ q)[:, 0] % p
+                w[:, 1, nexti] = (w[:, 1, nexti] + 1) % p[:, 0]
                 nexti += 1
-        nj = sum(map(mul, r, r)) % p
-        if not nj:
-            return None
-        get = r.__getitem__
-        ar = []
-        for groups in rows:
-            t = 0
-            for x, cols in groups:
-                t += x * sum(map(get, cols))
-            ar.append(t)
-        aj = sum(map(mul, r, ar)) % p
-        bj = sum(map(mul, prev, ar)) % p
-        basis.append(r)
-        norms.append(nj)
-        diag.append(aj)
-        off.append(bj * bj % p)
-        c1, c2, c3 = nj * nprev % p, aj * nprev % p, bj * nj % p
-        prev, r = r, [(c1 * x - c2 * y - c3 * z) % p for x, y, z in zip(ar, r, prev)]
-        nprev = nj
-    invs = _inverses(norms, p)
-    return [a * inv % p for a, inv in zip(diag, invs)], [b * inv * before % p for b, inv, before in zip(off, invs, [0, *invs])]
-
-
-def _jacobi_mod(alpha: list[int], beta: list[int], p: int) -> tuple[list[int], list[int]]:
-    """det(xI - T) and det(xI - T[1:, 1:]) mod p, ascending, for T m x m
-    tridiagonal with diagonal alpha and off-diagonal products beta, from one
-    recurrence over T's trailing blocks: q_m = 1 and q_j = (x - alpha_j)
-    q_(j+1) - beta_(j+1) q_(j+2) give q_0 and q_1."""
-    cur: list[int] = [1]
-    prev: list[int] = []
-    for a, b in zip(reversed(alpha), [0, *reversed(beta[1:])]):
-        cur, prev = [(x - a * c - b * q) % p for x, c, q in zip([0, *cur], cur + [0], prev + [0, 0])], cur
-    return cur, prev
-
-
-def _symmetric_bordered_mod(b: list[int], n: int, p: int) -> list[int]:
-    """`_bordered_mod` for B = [[0, v^T], [u, A]] with A symmetric and v = c u
-    for an integer c, by `_tridiagonal_mod` from u, or by `_bordered_mod`
-    itself when that has no step.
-
-    Q^-1 u = e_0, as the basis starts at u (when u = 0 mod p every term below
-    is 0), and v^T Q = v^T u e_0^T, as v is a multiple of u and the basis is
-    orthogonal.  So v^T adj(xI - A) u = v^T u adj(xI - T)[0][0] = v^T u
-    det(xI - T[1:, 1:]).
-    """
-    m = n - 1
-    found = _tridiagonal_mod(_row_groups(b, m, n, 1), p, b[n::n])
-    if found is None:
-        return _bordered_mod(b, n, p)
-    phi, psi = _jacobi_mod(*found, p)
-    vtu = sum(map(mul, b[1:n], b[n::n])) % p
-    # det(xI - B) = x phi - v^T u psi, and psi has m coefficients
-    return [(x - vtu * c) % p for x, c in zip([0, *phi], psi + [0, 0])] + phi
+                continue
+            # a prime whose vector is 0 closed its space alone (or found no
+            # restart vector); one whose vector is not met an isotropic vector
+            keep = np.array(norms) != 0
+            alive = [i for i, k in zip(alive, norms) if k]
+            plist = [q for q, k in zip(plist, norms) if k]
+            p, basis, scale, invs, steps = p[keep], basis[keep], scale[keep], invs[keep], steps[:, keep]
+            if not signed:
+                a = a[keep]
+            w = basis[:, j : j + 3]
+            break
+        if not alive:
+            break
+        x = steps[j]
+        scale[:, 1:] = scale[:, :1]
+        scale[:, 0] = x[:, 2]
+        w[:, 2] = ((x * scale % p * signs)[:, None] @ w)[:, 0] % p
+    out = np.empty((2 * n + 3, len(primes)), dtype=np.int64)
+    if alive:
+        p = p[:, 0]
+        nrm, neg_a = steps[:, :, 2], -steps[:, :, 1]
+        neg_sq = -(steps[:, :, 0] * steps[:, :, 0] % p)
+        cur, prev = np.zeros((2, n + 1, len(plist)), dtype=np.int64)
+        cur[0] = 1
+        for j in range(n - 1, -1, -1):
+            new = neg_a[j] * cur
+            new += neg_sq[j + 1] * prev
+            new[1:] += nrm[j] * cur[:-1]
+            cur, prev = np.remainder(new, p, out=new), cur
+        # phi = Q_0 / (N_0 ... N_(n-1)) and psi = Q_1 / (N_1 ... N_(n-1)), 0 when n = 0
+        inv = _inverses(cur[n:].T, plist)[:, 0]
+        phi, psi = cur * inv % p, prev * (nrm[0] * inv % p) % p
+        # det(xI - B) = x phi - v^T u psi, and psi has degree n - 1
+        chi = np.zeros((n + 2, len(plist)), dtype=np.int64)
+        chi[1:] = phi
+        chi[:-1] -= _stack_residues([sum(map(mul, v, u))], plist)[:, 0] * psi
+        out[:, alive] = np.concatenate([chi % p, phi])
+    for i in sorted(set(range(len(primes))) - set(alive)):
+        out[:, i] = _bordered_mod(b, size, primes[i])
+    return out
 
 
 def _residues(mod: _Mod, a: list[int], n: int, primes: list[int]) -> list[int]:
@@ -420,17 +458,40 @@ def _residues(mod: _Mod, a: list[int], n: int, primes: list[int]) -> list[int]:
         return [c + low * ((r - c) * inv % high) for c, r in pairs]
 
 
-def _lifted(mod: _Mod, a: list[int], n: int) -> list[int]:
-    """`mod(a, n, P)` read as symmetric residues, P the first primes whose
-    product exceeds 2 `coeff_bound(a, n)`."""
+def _covering(primes: Iterator[int], a: list[int], n: int) -> tuple[list[int], int]:
+    """The first of `primes` whose product P exceeds 2 `coeff_bound(a, n)`, and P."""
     bound2 = 2 * coeff_bound(a, n)
-    primes: list[int] = []
+    taken: list[int] = []
     modulus = 1
     while modulus <= bound2:
-        primes.append(prime(len(primes)))
-        modulus *= primes[-1]
+        taken.append(next(primes))
+        modulus *= taken[-1]
+    return taken, modulus
+
+
+def _symmetric_residues(coeffs: list[int], modulus: int) -> list[int]:
+    """Residues mod P read in (-P/2, P/2]."""
     half = modulus >> 1
-    return [c - modulus if c > half else c for c in _residues(mod, a, n, primes)]
+    return [c - modulus if c > half else c for c in coeffs]
+
+
+def _lifted(mod: _Mod, a: list[int], n: int) -> list[int]:
+    """`mod(a, n, P)` read as symmetric residues, P the first primes below
+    2**62 whose product exceeds 2 `coeff_bound(a, n)`."""
+    primes, modulus = _covering(map(prime, count()), a, n)
+    return _symmetric_residues(_residues(mod, a, n, primes), modulus)
+
+
+def _lanczos_lifted(b: list[int], size: int) -> list[int]:
+    """`_lifted(_bordered_mod, b, size)` for B = [[0, v^T], [u, A]] with A
+    symmetric and v = c u, from `_lanczos_residues` over word primes joined
+    by one Chinese remainder step: t_i mod p_i lifts to sum(t_i e_i) mod P
+    with e_i = (P / p_i) ((P / p_i)^-1 mod p_i)."""
+    below = _stack_bound(size - 1)
+    primes, modulus = _covering((prime(i, below) for i in count()), b, size)
+    e = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    rows = _lanczos_residues(b, size, primes).tolist()
+    return _symmetric_residues([sum(map(mul, row, e)) % modulus for row in rows], modulus)
 
 
 def _multiple(v: list[int], u: list[int]) -> int | None:
@@ -492,7 +553,7 @@ def charpoly_bordered_int(a: list[int], n: int, u: list[int], v: list[int]) -> t
     for i, ui in enumerate(u):
         b.append(ui)
         b += a[i * n : (i + 1) * n]
-    coeffs = _lifted(_symmetric_bordered_mod if symmetric else _bordered_mod, b, n + 1)
+    coeffs = _lanczos_lifted(b, n + 1) if symmetric else _lifted(_bordered_mod, b, n + 1)
     chi0, chi1 = coeffs[: n + 2], coeffs[n + 2 :]
     # det(xI - B) = x det(xI - A) - v^T adj(xI - A) u, expanded along row 0
     return chi1, [(chi1[j - 1] if j else 0) - chi0[j] for j in range(n)]

@@ -16,6 +16,9 @@ That one path serves every form.  When u = v is an eigenvector of M,
 M u = mu u, the numerator is |u|^2 phi_M / (x - mu), the gcd is
 phi_M / (x - mu), and the form reduces to |u|^2 / (x - mu) with that gcd as
 its cofactor: the case of Fiedler's lemma, a main function with one pole.
+That case needs no gcd search: one division of phi_M by x - mu, checked
+coefficient by coefficient against the numerator (`_eigenvector_split`),
+finds it in O(n) steps and turns any other block away after one or two.
 All-ones is such a vector for every block of a join of regular graphs and for
 every Laplacian-type block (alpha + delta = 0).
 
@@ -124,8 +127,37 @@ def resolvent_form(m: RationalMatrix, u: Sequence, v: Sequence | None = None) ->
     # its quotient by g are monic too: descaled, they are the cofactor and the
     # reduced denominator, and num / g the reduced numerator.  A zero
     # numerator has gcd phi and reduces to 0/1
-    g, num, den = _int_gcd(num, phi)
+    g, num, den = _eigenvector_split(num, phi) or _int_gcd(num, phi)
     return ResolventForm(descale(num, common, n + 1 - len(g)), descale(den, common), descale(g, common), hermitian)
+
+
+def _eigenvector_split(num: list[int], phi: list[int]) -> tuple[list[int], list[int], list[int]] | None:
+    """`_int_gcd(num, phi)` when phi = (x - mu) q and num = c q for a monic q
+    of degree n - 1 >= 1, as for an eigenvector u: the gcd is q, and the
+    form reduces to c / (x - mu).  Else None.
+
+    q[n - 2] = num[n - 2] / c fixes mu = q[n - 2] - phi[n - 1]; phi is then
+    divided by x - mu from the top, q[k - 1] = phi[k] + mu q[k], each
+    coefficient checked against num's at once and the remainder -mu q[0]
+    against phi[0].  So a block whose u is no eigenvector is usually turned
+    away by the first or second coefficient.
+    """
+    n = len(num)
+    if n < 2 or len(phi) != n + 1:
+        return None
+    c = num[-1]
+    top, rem = divmod(num[-2], c)
+    if rem:
+        return None
+    mu = top - phi[-2]
+    q = [1, top]
+    for k in range(n - 2, 0, -1):
+        q.append(phi[k] + mu * q[-1])
+        if num[k - 1] != c * q[-1]:
+            return None
+    if phi[0] != -mu * q[-1]:
+        return None
+    return q[::-1], [c], [-mu, 1]
 
 
 def main_poles(m: RationalMatrix, u: Sequence) -> list[float]:

@@ -354,6 +354,37 @@ def test_cli_start_up_generates_no_code_and_loads_no_numpy():
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "joinspectra.fixtures"})
 
 
+def test_route_verbs_load_numpy_only_for_a_block_past_the_lanczos_dimension(tmp_path):
+    # the kernel imports numpy inside its word-prime Lanczos pass alone: charpoly
+    # and gcp on a join whose blocks all lie below its threshold load none, and
+    # one block at the threshold loads it
+    from pathlib import Path
+
+    import joinspectra
+    from joinspectra.kernel import _LANCZOS_DIM
+
+    src = str(Path(joinspectra.__file__).resolve().parent.parent)
+    rng = random.Random(31)
+
+    def graph(n):
+        return {"n": n, "edges": [[i, j] for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]}
+
+    laplacian = {"alpha": "-1", "beta": "0", "gamma": "0", "delta": "1"}
+    for sizes, loads in (((_LANCZOS_DIM - 1, _LANCZOS_DIM - 3), False), ((_LANCZOS_DIM, 4), True)):
+        spec = tmp_path / f"join-{sizes[0]}.json"
+        spec.write_text(json.dumps({"host": {"n": 2, "edges": [[0, 1]]}, "components": [graph(n) for n in sizes]}))
+        lap = tmp_path / f"laplacian-{sizes[0]}.json"
+        lap.write_text(json.dumps({"host": {"n": 2, "edges": [[0, 1]]}, "components": [graph(n) for n in sizes], "universal": laplacian}))
+        for argv in (["charpoly", str(lap)], ["charpoly", str(spec)], ["gcp", str(spec), "--t", "1/2"]):
+            argv += ["-o", str(tmp_path / "out.json")]
+            code = (
+                f"import sys; sys.path.insert(0, {src!r}); import joinspectra.cli as c; "
+                f"code = c.main({argv!r}); print(code, 'numpy' in sys.modules)"
+            )
+            out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
+            assert out.split() == ["0", str(loads)], (argv, out)
+
+
 @pytest.mark.parametrize(
     "verb, message",
     [

@@ -259,7 +259,7 @@ def test_route_blocks_of_the_large_block_workload(monkeypatch):
     as the route clears them: the bordered pass's phi_M and phi_M - numerator
     = phi_{M + u v^T} against the oracle."""
     seen, _ = _spy_moduli(monkeypatch, "_bordered_mod")
-    seen_symmetric, _ = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
+    seen_stack, _ = _spy_moduli(monkeypatch, "_lanczos_residues")
     rng = random.Random(13)
     laplacian = UniversalParams.laplacian()
     rational = UniversalParams(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 2))
@@ -273,9 +273,10 @@ def test_route_blocks_of_the_large_block_workload(monkeypatch):
             uvt = RationalMatrix(n, n, [ui * vj for ui in u for vj in v])
             assert descale(phi, d) == oracle_charpoly(m)
             assert descale(phi, d) - descale(num, d, n) == oracle_charpoly(m + uvt)
-    # (ones, d * ones) on a symmetric block takes the Lanczos pass, (ones, subset) the Hessenberg one
-    assert max(seen) > prime(0) and max(seen_symmetric) > prime(0)
-    assert len(seen_symmetric) == 4
+    # (ones, d * ones) on a symmetric block takes the Lanczos pass over a
+    # stack of word primes, (ones, subset) the Hessenberg one
+    assert max(seen) > prime(0) and min(map(len, seen_stack)) > 1
+    assert len(seen_stack) == 4
 
 
 def test_primes():
@@ -457,38 +458,100 @@ def _unit(n, c=1):
     return [c] + [0] * (n - 1)
 
 
+def _stack(n, count):
+    """The first `count` word primes of the Lanczos stack for dimension n."""
+    return [prime(i, kernel._stack_bound(n)) for i in range(count)]
+
+
+def _per_prime(b, size, primes):
+    """Each prime's column of the stacked pass, as a list."""
+    return kernel._lanczos_residues(b, size, primes).T.tolist()
+
+
+def _cycle_adjacency(n):
+    return [int((i - j) % n in (1, n - 1)) for i in range(n) for j in range(n)]
+
+
+def _stack_cases(rng, n):
+    """`_symmetric_cases`, then a cycle (repeated eigenvalues: restarts from
+    e_0 and from all-ones) and entries of 10^20, past int64, with u random."""
+    yield from _symmetric_cases(rng, n)
+    if n >= 3:
+        yield _cycle_adjacency(n), _unit(n)
+        yield _cycle_adjacency(n), [1] * n
+    big = 10**20
+    yield _symmetric(rng, n, big), [rng.randint(-big, big) for _ in range(n)]
+
+
 @pytest.mark.parametrize("primes", [1, 3])
 def test_symmetric_pass_equals_the_hessenberg_pass_per_modulus(primes):
+    # per word prime of the stack, the residues of det(xI - B) and
+    # det(xI - A) equal the Hessenberg pass's, whatever the other primes do
     rng = random.Random(21)
-    p = math.prod(prime(i) for i in range(primes))
     for n in range(14):
-        for a, u in _symmetric_cases(rng, n):
+        stack = _stack(n, primes)
+        for a, u in _stack_cases(rng, n):
             for c in (1, -3, 0):
                 b = _bordered(a, n, u, [c * x for x in u])
-                assert kernel._symmetric_bordered_mod(b, n + 1, p) == kernel._bordered_mod(b, n + 1, p), (n, a, u, c)
+                expected = [kernel._bordered_mod(b, n + 1, p) for p in stack]
+                assert _per_prime(b, n + 1, stack) == expected, (n, a, u, c)
 
 
-def test_symmetric_pass_restarts_where_the_krylov_space_closes():
+def _restarts(monkeypatch):
+    """The widths of the norm inversions a restart asks for: each restart
+    inverts the norms found since the one before, so the running sums are
+    the steps where the Krylov space closed.  The inversion of Q_0's leading
+    coefficient at the end (width 1 after the loop) is recorded too."""
+    widths = []
+    real = kernel._inverses
+
+    def spy(x, primes):
+        widths.append(x.shape[1])
+        return real(x, primes)
+
+    monkeypatch.setattr(kernel, "_inverses", spy)
+    return widths
+
+
+def test_symmetric_pass_restarts_where_the_krylov_space_closes(monkeypatch):
     # a disconnected graph from e_0, u = 1 on a Laplacian (an eigenvector, so
-    # the space closes at the first step), and the zero matrix: T splits (some
-    # beta_j = 0 past j = 0), and both polynomials still agree per modulus
+    # the space closes at the first step), the zero matrix and a cycle: T
+    # splits, and both polynomials still agree per prime
+    widths = _restarts(monkeypatch)
     rng = random.Random(22)
-    p = prime(0)
-    n = 12
-    cases = [(_laplacian(rng, n, 0.6, [5, 7]), _unit(n)), (_laplacian(rng, n), [1] * n), ([0] * (n * n), _unit(n))]
+    n = 16
+    stack = _stack(n, 3)
+    cases = [
+        (_laplacian(rng, n, 0.6, [7, 9]), _unit(n)),
+        (_laplacian(rng, n), [1] * n),
+        ([0] * (n * n), _unit(n)),
+        (_cycle_adjacency(n), [1] * n),
+    ]
     for a, u in cases:
-        alpha, beta = kernel._tridiagonal_mod(kernel._row_groups(a, n, n, 0), p, u)
-        assert len(alpha) == n and any(b == 0 for b in beta[1:])
         for c in (1, -2):
             b = _bordered(a, n, u, [c * x for x in u])
-            assert kernel._symmetric_bordered_mod(b, n + 1, p) == kernel._bordered_mod(b, n + 1, p)
-    # u = 1 on a Laplacian: T splits after its first entry, the eigenvalue 0
-    alpha, beta = kernel._tridiagonal_mod(kernel._row_groups(cases[1][0], n, n, 0), p, [1] * n)
-    assert alpha[0] == 0 and beta[1] == 0
+            widths.clear()
+            residues = _per_prime(b, n + 1, stack)
+            assert residues == [kernel._bordered_mod(b, n + 1, p) for p in stack]
+            # one or more restarts, then the final inversion; the restarts'
+            # widths sum to the last restart's step, so no norm is inverted twice
+            *restarts, last = widths
+            assert restarts and sum(restarts) < n and last == 1, widths
+    # the zero matrix closes at every step: one restart per step, one norm each
+    widths.clear()
+    _per_prime(_bordered([0] * (n * n), n, _unit(n), _unit(n)), n + 1, stack)
+    assert widths == [1] * (n - 1) + [1]
+    # u = 1 on a Laplacian: T splits after its first entry, the eigenvalue 0,
+    # so det(xI - A) = x det(xI - T[1:, 1:]) and the form is |u|^2 / x
+    a = cases[1][0]
+    widths.clear()
+    phi, num = charpoly_bordered_int(a, n, [1] * n, [1] * n)
+    assert widths[0] == 1
+    assert [0, *num] == [n * c for c in phi]
 
 
 def test_symmetric_blocks_take_the_lanczos_pass_from_its_dimension(monkeypatch):
-    seen, _ = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
+    seen, _ = _spy_moduli(monkeypatch, "_lanczos_residues")
     plain, _ = _spy_moduli(monkeypatch, "_charpoly_mod")
     rng = random.Random(23)
     for n in (kernel._LANCZOS_DIM - 1, kernel._LANCZOS_DIM, 20, 28):
@@ -515,56 +578,108 @@ def test_symmetric_blocks_take_the_lanczos_pass_from_its_dimension(monkeypatch):
 
 
 def test_symmetric_pass_on_dimension_zero_and_one():
-    # a block of dimension 0 or 1 behind the border
-    for p in (prime(0), prime(0) * prime(1)):
-        assert kernel._symmetric_bordered_mod([0], 1, p) == kernel._bordered_mod([0], 1, p) == [0, 1, 1]
+    # a block of dimension 0 or 1 behind the border, on stacks of one and two primes
+    for count in (1, 2):
+        stack = _stack(1, count)
+        assert _per_prime([0], 1, stack) == [kernel._bordered_mod([0], 1, p) for p in stack] == [[0, 1, 1]] * count
         for x, u in ((0, 0), (5, 0), (-7, 2), (3, -4)):
             for c in (1, 3, 0):
                 b = [0, c * u, u, x]
-                assert kernel._symmetric_bordered_mod(b, 2, p) == kernel._bordered_mod(b, 2, p)
+                assert _per_prime(b, 2, stack) == [kernel._bordered_mod(b, 2, p) for p in stack]
 
 
-def test_symmetric_pass_splits_on_a_non_unit_norm(monkeypatch):
-    # column 0 is 7 p0 e_1, so from u = e_0 the basis's r_1 = 7 p0 e_1 has norm
-    # 49 p0^2: no unit mod p0 p1 p2.  The pass raises, p0 runs alone (r_1 = 0
-    # there, a restart) and p1 p2 together
-    seen, raised = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
+def test_symmetric_pass_on_a_norm_zero_mod_one_stack_prime(monkeypatch):
+    # column 0 is 7 p0 e_1, so from u = e_0 the basis's r_1 = 7 p0 e_1 has
+    # norm 0 mod p0 alone: its Krylov space closes there at step 1 and on no
+    # other prime.  p0 leaves the stack and runs the Hessenberg pass alone;
+    # the other two primes go on together
+    fell, _ = _spy_moduli(monkeypatch, "_bordered_mod")
     rng = random.Random(24)
     n = kernel._LANCZOS_DIM
     a = _symmetric(rng, n)
     for i in range(1, n):
         a[i * n] = a[i] = 0
-    a[n] = a[1] = 7 * prime(0)
-    p0, p1, p2 = prime(0), prime(1), prime(2)
+    stack = _stack(n, 3)
+    a[n] = a[1] = 7 * stack[0]
     u = _unit(n)
     for v in (u, _unit(n, -3)):
-        seen.clear()
-        raised.clear()
+        b = _bordered(a, n, u, v)
+        fell.clear()
+        residues = _per_prime(b, n + 1, stack)
+        assert fell == stack[:1]
+        assert residues == [kernel._bordered_mod(b, n + 1, p) for p in stack]
+        # through the kernel: the lift over the stack's primes is exact
+        fell.clear()
         assert charpoly_bordered_int(a, n, u, v) == _oracle_numerator(a, n, u, v)
-        assert raised == [p0 * p1 * p2]
-        assert seen == [p0 * p1 * p2, p0, p1 * p2]
+        assert fell == stack[:1]
 
 
 def test_isotropic_vector_falls_back_to_the_hessenberg_pass(monkeypatch):
-    # (1, 2) has norm 5 = 0 mod 5: no Lanczos step, so the pass runs the
-    # Hessenberg reduction for that modulus, whether the isotropic vector is
-    # u itself or r_1 = A e_0 - 3 e_0 = (0, 1, 2, 0) from u = e_0
-    fell_b, _ = _spy_moduli(monkeypatch, "_bordered_mod")
-    p, n = 5, 4
+    # (1, 2) has norm 5 = 0 mod 5: no Lanczos step, so 5 leaves the stack and
+    # runs the Hessenberg reduction alone while 13 goes on, whether the
+    # isotropic vector is u itself or r_1 = A e_0 - 3 e_0 = (0, 1, 2, 0) from
+    # u = e_0
+    fell, _ = _spy_moduli(monkeypatch, "_bordered_mod")
+    n = 4
     a = [3, 1, 2, 0, 1, 1, 0, 2, 2, 0, 4, 1, 0, 2, 1, 0]  # column 0 below the diagonal: (1, 2, 0)
-    assert kernel._tridiagonal_mod(kernel._row_groups(a, n, n, 0), p, _unit(n)) is None
     for u in (_unit(n), [1, 2, 0, 0]):
-        fell_b.clear()
         v = [2 * x for x in u]
         phi, num = _oracle_numerator(a, n, u, v)
         chi0 = [(phi[j - 1] if j else 0) - (num[j] if j < n else 0) for j in range(n + 2)]
-        assert kernel._symmetric_bordered_mod(_bordered(a, n, u, v), n + 1, p) == [c % p for c in chi0 + phi]
-        assert fell_b == [p]
-    # u = 0 mod p is no fallback: the numerator is 0 mod p, and the basis starts at e_0
-    fell_b.clear()
+        fell.clear()
+        assert _per_prime(_bordered(a, n, u, v), n + 1, [13, 5]) == [[c % p for c in chi0 + phi] for p in (13, 5)]
+        assert fell == [5]
+    # u = 0 mod every prime is no fallback: the numerator is 0 mod each, and
+    # the basis starts at e_0; u = 0 mod one prime alone is a vector that
+    # vanishes on it, and that prime leaves the stack
     b = _bordered(a, n, [7, 14, 0, 7], [7, 14, 0, 7])
-    assert kernel._symmetric_bordered_mod(b, n + 1, 7) == kernel._bordered_mod(b, n + 1, 7)
-    assert fell_b == [7]  # the reference call above only
+    for stack, alone in (([7], []), ([13, 7], [7])):
+        fell.clear()
+        assert _per_prime(b, n + 1, stack) == [kernel._bordered_mod(b, n + 1, p) for p in stack]
+        assert fell == alone + stack
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 28, 64])
+def test_stack_pass_at_the_int64_limit(n):
+    # every residue of A = (p - 1) J and u = (p - 1) 1 is p - 1, kept as it
+    # is below the prime: A r and |r|^2 sum n (p - 1)^2, just below 2^63 for
+    # the largest prime of the stack, and the restart after the first step
+    # (u is an eigenvector) projects at the same size
+    (largest,) = _stack(n, 1)
+    assert 2**63 * (1 - 2**-10) < max(n, 3) * (largest - 1) ** 2 < 2**63
+    a, u = [largest - 1] * (n * n), [largest - 1] * n
+    for c in (1, -1):
+        b = _bordered(a, n, u, [c * x for x in u])
+        assert _per_prime(b, n + 1, [largest]) == [kernel._bordered_mod(b, n + 1, largest)]
+
+
+def test_stack_primes_are_primes_below_the_int64_limit():
+    for n in (0, 1, 3, 15, 28, 128):
+        primes = _stack(n, 80)
+        assert primes == sorted(set(primes), reverse=True)
+        assert all(max(n, 3) * (p - 1) ** 2 < 2**63 for p in primes)
+        assert all(_is_prime(p) for p in primes)
+        # no prime is skipped between them
+        below = kernel._stack_bound(n)
+        assert not any(_is_prime(c) for c in range(primes[-1] + 1, below) if c not in primes)
+    # the kernel's own primes, none of them the oracle's float64 ones
+    assert set(_stack(28, 40)).isdisjoint(itertools.islice(oracle._word_primes(28), 40))
+
+
+def test_stack_pass_lifts_under_the_bound(monkeypatch):
+    # the stack takes the first word primes whose product passes 2 B, B the
+    # bound of the bordered matrix, and the lift is exact
+    seen, _ = _spy_moduli(monkeypatch, "_lanczos_residues")
+    rng = random.Random(27)
+    for n, bound in ((16, 4), (20, 10**6), (17, 10**20)):
+        a = _symmetric(rng, n, bound)
+        u = [rng.randint(-bound, bound) for _ in range(n)]
+        seen.clear()
+        assert charpoly_bordered_int(a, n, u, u) == _oracle_numerator(a, n, u, u)
+        (primes,) = seen
+        b = _bordered(a, n, u, u)
+        assert primes == _stack(n, len(primes))
+        assert math.prod(primes) > 2 * coeff_bound(b, n + 1) >= math.prod(primes[:-1])
 
 
 # -- the fraction-free pass for small symmetric blocks ---------------------------
@@ -621,7 +736,7 @@ def test_symmetric_blocks_take_the_fraction_free_pass_below_the_lanczos_dimensio
         return real(a, n, u, c)
 
     monkeypatch.setattr(kernel, "_fraction_free_bordered", spy)
-    lanczos, _ = _spy_moduli(monkeypatch, "_symmetric_bordered_mod")
+    lanczos, _ = _spy_moduli(monkeypatch, "_lanczos_residues")
     hessenberg, _ = _spy_moduli(monkeypatch, "_bordered_mod")
     rng = random.Random(26)
     for n in (1, 2, kernel._LANCZOS_DIM - 1, kernel._LANCZOS_DIM, kernel._LANCZOS_DIM + 1):

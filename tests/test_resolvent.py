@@ -383,6 +383,79 @@ def test_eigenvector_branch_matches_adjugate_reference(kernel_calls):
         assert pair(form) == reduced(adjugate_form(rows, u, u), phi)
 
 
+def _heuristic_calls(monkeypatch):
+    """Every call of GCDHEU, the gcd the eigenvector split spares."""
+    import joinspectra.polynomials as polynomials
+
+    calls = []
+    real = polynomials._gcd_heuristic
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(polynomials, "_gcd_heuristic", spy)
+    return calls
+
+
+def _large_eigenvector_inputs(rng):
+    """Laplacians of 16-30 vertices and cycles with u = 1, the few-large-blocks
+    and north-star shapes, where the forms take the kernel's Lanczos pass."""
+    for n in (16, 22, 30):
+        g = random_graph(rng, n)
+        degrees = g.degrees()
+        adj = g.adjacency()
+        lap = RationalMatrix(n, n, [(degrees[i] if i == j else 0) - adj.entries[i * n + j] for i in range(n) for j in range(n)])
+        yield lap, ones(n)
+        yield cycle(n).adjacency() * Fraction(3, 2), tuple(Fraction(-2, 3) for _ in range(n))
+
+
+def test_eigenvector_forms_skip_the_gcd(monkeypatch):
+    # for an eigenvector, phi = (x - mu) q and the numerator is |u|^2 q: the
+    # split reads the form off by one division by x - mu and reaches no
+    # GCDHEU; the forms are the ones the gcd gives
+    import joinspectra.resolvent as resolvent
+
+    calls = _heuristic_calls(monkeypatch)
+    inputs = _eigenvector_inputs(random.Random(46)) + list(_large_eigenvector_inputs(random.Random(47)))
+    for m, u in inputs:
+        calls.clear()
+        form = resolvent_form(m, u)
+        assert not calls, (m.rows, calls)
+        with monkeypatch.context() as off:
+            off.setattr(resolvent, "_eigenvector_split", lambda num, phi: None)
+            reference = resolvent_form(m, u)
+        assert (form.num.nums, form.den.nums, form.cofactor.nums) == (reference.num.nums, reference.den.nums, reference.cofactor.nums)
+        assert repr(form) == repr(reference) and form == reference
+        # without the split, every block of two rows or more reaches GCDHEU
+        assert bool(calls) == (m.rows >= 2 and any(u))
+        assert form.den.degree == (1 if any(u) else 0)
+
+
+def test_eigenvector_split_equals_the_gcd():
+    from joinspectra.polynomials import _int_gcd
+    from joinspectra.resolvent import _eigenvector_split
+
+    rng = random.Random(48)
+    for _ in range(200):
+        d = rng.randint(1, 8)  # the degree of q, so num has two coefficients or more
+        q = [rng.randint(-20, 20) for _ in range(d)] + [1]
+        mu, c = rng.randint(-9, 9), rng.choice([-6, -1, 1, 4, 35])
+        phi = [(q[k - 1] if k else 0) - mu * (q[k] if k < len(q) else 0) for k in range(len(q) + 1)]
+        num = [c * x for x in q]
+        assert _eigenvector_split(num, phi) == _int_gcd(num, phi) == (q, [c], [-mu, 1])
+        # one coefficient off, anywhere below the leading ones (the kernel's phi
+        # is monic and the numerator trimmed), and the split declines: no
+        # altered pair of this seed is again of the form (c q', (x - mu') q')
+        k = rng.randrange(len(num) - 1)
+        for wrong, right in (([*num[:k], num[k] + 1, *num[k + 1 :]], phi), (num, [*phi[:k], phi[k] + 1, *phi[k + 1 :]])):
+            assert _eigenvector_split(wrong, right) is None
+    # degrees that do not fit, and a leading coefficient that does not divide the next
+    assert _eigenvector_split([5], [1, 1]) is None
+    assert _eigenvector_split([1, 2, 3], [0, 1]) is None
+    assert _eigenvector_split([1, 3, 2], [0, 0, 0, 1]) is None
+
+
 def test_non_eigenvectors_take_one_bordered_pass(kernel_calls):
     k4 = Graph.complete(4).adjacency()
     # K4 1 = 3 1 on every row but the last
