@@ -399,8 +399,8 @@ def _heuristic_calls(monkeypatch):
 
 
 def _large_eigenvector_inputs(rng):
-    """Laplacians of 16-30 vertices and cycles with u = 1, the few-large-blocks
-    and north-star shapes, where the forms take the kernel's Lanczos pass."""
+    """Laplacians of 16-30 vertices with u = 1, and scaled cycles with u a
+    multiple of 1: blocks whose forms take the kernel's Lanczos pass."""
     for n in (16, 22, 30):
         g = random_graph(rng, n)
         degrees = g.degrees()
